@@ -225,7 +225,10 @@ class TestPmpExhaustion:
         )
         assert report.exhausted
         assert report.violations == 0
-        assert report.runs > 200
+        # Exact, not a floor: the default schedule space is pinned across
+        # the op-issue collapse (the CI check-smoke job pins the full
+        # crash+revoke configuration at 9 308 schedules the same way).
+        assert report.runs == 409
 
     def test_crash_and_revoke_injections_preserve_agreement(self):
         report = explore(make_scenario("pmp-single"), Budget(divergences=1))

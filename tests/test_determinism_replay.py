@@ -137,3 +137,96 @@ class TestSeedReplay:
         # The hash covers the FULL schedule only if the tracer kept it all.
         service, _ = _run_mixed(seed=1234)
         assert not service.kernel.tracer.truncated
+
+
+# ---------------------------------------------------------------------------
+# golden default-config hashes
+# ---------------------------------------------------------------------------
+# Pinned BEFORE the op-issue collapse (one chain primitive + one fan-out,
+# classic issue as a kernel delivery mode) and required to survive it
+# unchanged: every default-config schedule — trace events, decisions,
+# message/op counters, queue totals — is bit-identical across the refactor.
+# Tracing is on so the hash covers the full event log, not just totals.
+def _single_shot_hash(protocol) -> str:
+    from repro.core.cluster import Cluster, ClusterConfig
+    from repro.obs.whatif import run_hash
+
+    cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7, trace=True))
+    result = cluster.run(["a", "b", "c"])
+    assert result.all_decided and result.agreed
+    return run_hash(cluster.kernel)
+
+
+def _sharded_kv_hash() -> str:
+    from repro.obs.whatif import run_hash
+
+    service = ShardedKV(
+        ShardConfig(n_shards=2, batch_max=4, seed=11, trace=True, read_mode="quorum")
+    )
+    clients = [
+        ClosedLoopClient(client_id=i, n_ops=6, keys=ZipfianKeys(32), mix=YCSB_A)
+        for i in range(6)
+    ]
+    report = service.run_workload(clients)
+    assert report.completed_requests == 36
+    return run_hash(service.kernel)
+
+
+def _elastic_split_hash() -> str:
+    """Split then merge, quorum reads, jittered latency: covers the
+    non-FIFO sequential read rounds and the merge's tombstone fence."""
+    from repro import ElasticConfig, ElasticKV, JitteredSynchrony, MergeShard, SplitShard
+    from repro.obs.whatif import run_hash
+
+    service = ElasticKV(
+        ElasticConfig(
+            n_shards=2, batch_max=4, seed=5, trace=True, read_mode="quorum",
+            latency=JitteredSynchrony(0.2), deadline=100_000.0,
+        )
+    )
+    service.schedule_reconfig(30.0, SplitShard())
+    service.schedule_reconfig(120.0, MergeShard(1))
+    clients = [
+        ClosedLoopClient(client_id=i, n_ops=40, keys=ZipfianKeys(32), mix=YCSB_A)
+        for i in range(6)
+    ]
+    report = service.run_workload(clients)
+    assert report.completed_requests == 240
+    assert service.epoch.number == 2
+    return run_hash(service.kernel)
+
+
+class TestGoldenHashes:
+    def test_pmp_single_shot(self):
+        from repro import ProtectedMemoryPaxos
+
+        assert _single_shot_hash(ProtectedMemoryPaxos()) == GOLDEN["pmp"]
+
+    def test_pmp_skip_off(self):
+        from repro import PmpConfig, ProtectedMemoryPaxos
+
+        protocol = ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False))
+        assert _single_shot_hash(protocol) == GOLDEN["pmp_skip_off"]
+
+    def test_aligned_both_variants(self):
+        from repro.consensus.aligned_paxos import AlignedConfig, AlignedPaxos
+
+        for variant in ("protected", "disk"):
+            protocol = AlignedPaxos(AlignedConfig(variant=variant))
+            assert _single_shot_hash(protocol) == GOLDEN[f"aligned_{variant}"]
+
+    def test_sharded_kv_two_shards(self):
+        assert _sharded_kv_hash() == GOLDEN["sharded_kv_2"]
+
+    def test_elastic_split_under_jitter(self):
+        assert _elastic_split_hash() == GOLDEN["elastic_split_jittered"]
+
+
+GOLDEN = {
+    "pmp": "475a18e28da61f1bda0703bd4dbd76a52a99e62075906dc34bd8b544a9a8cf11",
+    "pmp_skip_off": "786434c54707a81100f6b19066ae4854d10aba8038872654a1a58309130df8e9",
+    "aligned_protected": "b1f9b9dc1e12ecebae7ece06d743ba059a30543d9c79f02c37605e36d11fc957",
+    "aligned_disk": "7ed64c378903bd14df2aefa8b29d35f418f4a2993285d213317644e5ceddf9e8",
+    "sharded_kv_2": "5caa37585948fd1cd4d7a137c2692a284509d974fd94554961b63a77651d312b",
+    "elastic_split_jittered": "6584f4e049d9fd40c5659c64baea16161642a984b8c531889db55a0cd4d5a321",
+}
