@@ -23,6 +23,7 @@ from repro import (
     run_consensus,
 )
 from repro.consensus.cheap_quorum import CheapQuorumConfig
+from repro.core.cluster import Cluster, ClusterConfig
 
 from benchmarks._common import emit, once, table
 
@@ -31,22 +32,24 @@ def _measure():
     rows = []
 
     pmp_on = run_consensus(ProtectedMemoryPaxos(), 3, 3, deadline=10_000)
-    # pin batch_chains off so the restored prepare shows its classic
-    # three-round cost; doorbell batching fuses it into one round
-    pmp_off = run_consensus(
-        ProtectedMemoryPaxos(
-            PmpConfig(skip_first_attempt=False, batch_chains=False)
-        ),
-        3, 3, deadline=10_000,
+    # segmented chain delivery shows the restored prepare at its
+    # three-round cost; fused delivery carries it in one round
+    segmented = Cluster(
+        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)),
+        ClusterConfig(3, 3, deadline=10_000),
     )
+    segmented.kernel.config.chain_delivery = "segmented"
+    pmp_off = segmented.run([f"value-{p + 1}" for p in range(3)])
     pmp_off_batched = run_consensus(
         ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)), 3, 3,
         deadline=10_000,
     )
     rows.append(["PMP", "permission skip ON", f"{pmp_on.earliest_decision_delay:g}"])
-    rows.append(["PMP", "permission skip OFF", f"{pmp_off.earliest_decision_delay:g}"])
     rows.append(
-        ["PMP", "skip OFF + batched chains",
+        ["PMP", "skip OFF, segmented chains", f"{pmp_off.earliest_decision_delay:g}"]
+    )
+    rows.append(
+        ["PMP", "skip OFF, fused chains",
          f"{pmp_off_batched.earliest_decision_delay:g}"]
     )
 

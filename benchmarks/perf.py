@@ -154,6 +154,7 @@ def _run_mem_op_batch_storm(n_ops: int = 10_000, chain: int = 8):
     control rides along in ``stats["ab"]`` and surfaces in the report as
     ``ops_per_sec_unbatched`` / ``batch_speedup``."""
     from repro.mem.layout import MemoryLayout
+    from repro.mem.operations import WriteOp
     from repro.mem.permissions import Permission
     from repro.mem.regions import RegionSpec
     from repro.sim.environment import ProcessEnv
@@ -171,8 +172,8 @@ def _run_mem_op_batch_storm(n_ops: int = 10_000, chain: int = 8):
 
     def batched_writer():
         for start in range(0, n_ops, chain):
-            yield from env.write_batch(
-                0, [("r", ("x", "k"), i) for i in range(start, start + chain)]
+            yield from env.batch(
+                0, [WriteOp("r", ("x", "k"), i) for i in range(start, start + chain)]
             )
 
     kernel.spawn(0, "writer", batched_writer())

@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
-"""Doorbell batching, side by side: fused op chains vs one-at-a-time.
+"""Doorbell batching, side by side: one chain primitive, delivered two ways.
+
+Protocols always post the same chain per memory; the kernel's
+``SimConfig.chain_delivery`` decides how it travels.
 
 Part 1 traces a Protected Memory Paxos decision with the prepare phase
-enabled (``skip_first_attempt=False``) both ways.  Classic PMP runs three
-sequential memory rounds per replica — permission grab, probe write,
-snapshot read — before the phase-2 write: 8 delays to decide.  The
-batched protocol posts the same three ops as ONE fused chain (one queue
-entry out, one completion back), so prepare costs a single round and the
-decision lands in 4 delays.  The span trees make the difference visible:
-three ``memop`` spans per replica collapse into one ``BatchOp`` span
-annotated with its sub-op count, and the critical-path analyzer prices
-the chain at one round trip.
+enabled (``skip_first_attempt=False``) both ways.  Segmented, the
+prepare chain's three work requests — permission grab, probe write,
+snapshot read — are three sequential round trips per replica before the
+phase-2 write: 8 delays to decide.  Fused (the default), the same chain
+is ONE request (one queue entry out, one completion back), so prepare
+costs a single round and the decision lands in 4 delays.  The span trees
+make the difference visible: three ``memop`` spans per replica collapse
+into one ``BatchOp`` span annotated with its sub-op count, and the
+critical-path analyzer prices the chain at one round trip.
 
 Part 2 runs the identically-seeded sharded-KV workload (quorum reads,
-so both replication phase 2 and the read plane exercise chains) with
-``batch_chains`` off and on, and compares per-commit event counts: the
-batched run schedules fewer kernel events and opens fewer memop spans
-per committed command.  (The closed-loop driver draws ops from the
-kernel's seeded RNG, so flipping the mechanism perturbs the exact op
-sequence; the comparison is therefore per-commit, and the staleness
-tripwire stays at zero both ways — behavioural equivalence itself is
-pinned by the test suite and the exhaustive schedule explorer.)
+so both replication phase 2 and the read plane exercise chains) under
+both deliveries and compares per-commit event counts: the fused run
+schedules fewer kernel events and opens fewer memop spans per committed
+command.  (The closed-loop driver draws ops from the kernel's seeded
+RNG, so flipping the mechanism perturbs the exact op sequence; the
+comparison is therefore per-commit, and the staleness tripwire stays at
+zero both ways — behavioural equivalence itself is pinned by the test
+suite and the exhaustive schedule explorer.)
 
 Run:  python examples/doorbell_batching.py
 """
@@ -41,11 +44,11 @@ from repro.obs.spans import K_MEMOP
 from repro.types import ProcessId
 
 
-def traced_decision(batch_chains: bool) -> None:
-    label = "batched chains" if batch_chains else "classic rounds"
-    print(f"--- {label} ---")
-    config = PmpConfig(skip_first_attempt=False, batch_chains=batch_chains)
+def traced_decision(chain_delivery: str) -> None:
+    print(f"--- chain_delivery = {chain_delivery} ---")
+    config = PmpConfig(skip_first_attempt=False)
     cluster = Cluster(ProtectedMemoryPaxos(config), ClusterConfig(3, 3))
+    cluster.kernel.config.chain_delivery = chain_delivery
     runtime = attach(cluster.kernel)
     result = cluster.run(["a", "b", "c"])
     assert result.agreed
@@ -66,15 +69,16 @@ def traced_decision(batch_chains: bool) -> None:
 
 
 def stack_side_by_side() -> None:
-    print("=== sharded KV, same seeded workload, batch_chains off vs on ===\n")
+    print("=== sharded KV, same seeded workload, segmented vs fused chains ===\n")
     rows = []
-    for batch_chains in (False, True):
+    for chain_delivery in ("segmented", "fused"):
         service = ShardedKV(
             ShardConfig(
                 n_shards=2, batch_max=4, seed=7, read_mode="quorum",
-                batch_chains=batch_chains, deadline=10.0**6,
+                deadline=10.0**6,
             )
         )
+        service.kernel.config.chain_delivery = chain_delivery
         runtime = attach(service.kernel)
         clients = [
             ClosedLoopClient(
@@ -93,7 +97,7 @@ def stack_side_by_side() -> None:
         chains = sum(1 for s in memops if s.name == "BatchOp")
         rows.append(
             [
-                "on" if batch_chains else "off",
+                chain_delivery,
                 commits,
                 kernel.queue.popped,
                 f"{kernel.queue.popped / commits:.1f}",
@@ -111,17 +115,17 @@ def stack_side_by_side() -> None:
         )
     )
     print(
-        "\nSame workload, zero staleness violations both ways — the batched\n"
-        "run just rings fewer doorbells per commit: every phase-2 slot\n"
-        "write fuses with its watermark publish, and every quorum read\n"
-        "fetches watermark + entries in one chain per memory."
+        "\nSame protocol code, zero staleness violations both ways — the\n"
+        "fused run just rings fewer doorbells per commit: every phase-2\n"
+        "slot write travels with its watermark publish, and every quorum\n"
+        "read fetches watermark + entries in one request per memory."
     )
 
 
 def main() -> None:
     print("=== one PMP decision with the prepare phase on, traced ===\n")
-    traced_decision(batch_chains=False)
-    traced_decision(batch_chains=True)
+    traced_decision("segmented")
+    traced_decision("fused")
     stack_side_by_side()
 
 

@@ -68,11 +68,13 @@ def banner(title: str) -> None:
 # part 1: rank the bottlenecks of a classic PMP decision
 # ----------------------------------------------------------------------
 def classic_pmp(latency):
-    """Skip-off, unbatched PMP: the paper's full two-phase slow path."""
+    """Skip-off PMP under segmented chain delivery (one round trip per
+    operation): the paper's full two-phase slow path."""
     cluster = Cluster(
-        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False, batch_chains=False)),
+        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)),
         ClusterConfig(3, 3, latency=latency),
     )
+    cluster.kernel.config.chain_delivery = "segmented"
     attach(cluster.kernel)
     return cluster.run(["a", "b", "c"])
 
@@ -118,13 +120,12 @@ def part_whatif() -> dict:
 # ----------------------------------------------------------------------
 # part 2: differential tracing, classic vs. doorbell-batched
 # ----------------------------------------------------------------------
-def pmp_run(batch_chains: bool):
+def pmp_run(chain_delivery: str):
     cluster = Cluster(
-        ProtectedMemoryPaxos(
-            PmpConfig(skip_first_attempt=False, batch_chains=batch_chains)
-        ),
+        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)),
         ClusterConfig(3, 3),
     )
+    cluster.kernel.config.chain_delivery = chain_delivery
     runtime = attach(cluster.kernel)
     cluster.run(["a", "b", "c"])
     return cluster, runtime
@@ -132,8 +133,8 @@ def pmp_run(batch_chains: bool):
 
 def part_diff() -> dict:
     banner("Part 2 — differential tracing (classic vs. doorbell-batched)")
-    _, classic = pmp_run(False)
-    _, batched = pmp_run(True)
+    _, classic = pmp_run("segmented")
+    _, batched = pmp_run("fused")
     diff = diff_runs(classic, batched)
     print(diff.summary(limit=10))
     print()

@@ -32,6 +32,7 @@ Entry points: ``python -m repro.check`` (see :mod:`repro.check.cli`),
 
 from repro.check.explore import Budget, Counterexample, Explorer, ExploreReport, explore
 from repro.check.inject import InjectionSpec
+from repro.check.outstanding import OutstandingObserver, watch_outstanding
 from repro.check.scheduler import ControlledScheduler, TraceDivergence
 from repro.check.scenarios import SCENARIOS, make_scenario
 from repro.check.trace import load_trace, replay_trace, save_trace
@@ -43,6 +44,7 @@ __all__ = [
     "Explorer",
     "ExploreReport",
     "InjectionSpec",
+    "OutstandingObserver",
     "SCENARIOS",
     "TraceDivergence",
     "explore",
@@ -50,4 +52,5 @@ __all__ = [
     "make_scenario",
     "replay_trace",
     "save_trace",
+    "watch_outstanding",
 ]

@@ -15,14 +15,14 @@ entry kind       footprint
 ===============  =====================================================
 resume / wake /  the target task's **process** — a resumed task may
 recv_timeout /   consume from its process inbox, signal gates, send,
-resolve /        or issue ops, so two same-process resumptions never
-op_resolve /     commute (conservative; per-task would over-prune)
-fan_resolve
+op_resolve /     or issue ops (a segmented chain's resolve posts its
+fan_resolve      next work request), so two same-process resumptions
+                 never commute (conservative; per-task would over-prune)
 deliver          the destination **process** (inbox append / waiter
                  wake)
-arrive /         the target **(memory, region)** — application order
-op_arrive /      at one region is visible to reads; distinct memories
-fan_arrive       or regions commute.  A fused chain contributes one key
+op_arrive /      the target **(memory, region)** — application order
+fan_arrive       at one region is visible to reads; distinct memories
+                 or regions commute.  A fused chain contributes one key
                  per region it touches (the chain's conservative union)
 call / fault /   **global** — failure events and ad-hoc callables may
 injections       touch anything
@@ -48,14 +48,12 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.sim.event_queue import (
-    EV_ARRIVE,
     EV_DELIVER,
     EV_FAN_ARRIVE,
     EV_FAN_RESOLVE,
     EV_OP_ARRIVE,
     EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
-    EV_RESOLVE,
     EV_RESUME,
     EV_WAKE,
 )
@@ -64,8 +62,7 @@ from repro.sim.event_queue import (
 GLOBAL: Tuple = (("*",),)
 
 _TASK_KINDS = frozenset(
-    (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_RESOLVE, EV_OP_RESOLVE,
-     EV_FAN_RESOLVE)
+    (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_OP_RESOLVE, EV_FAN_RESOLVE)
 )
 
 
@@ -95,14 +92,9 @@ def footprint(entry) -> Tuple:
             return (("proc", int(entry.a.pid)),)
         if kind == EV_DELIVER:
             return (("proc", int(entry.a.dst)),)
-        if kind == EV_ARRIVE:
-            future = entry.b
-            return _mem_keys(future.mid, future.op)
-        if kind == EV_OP_ARRIVE:
-            mid, op = entry.c
-            return _mem_keys(mid, op)
-        if kind == EV_FAN_ARRIVE:
-            _index, mid, op = entry.c
+        if kind == EV_OP_ARRIVE or kind == EV_FAN_ARRIVE:
+            # c = ([index,] mid, op, cursor)
+            mid, op = entry.c[-3:-1]
             return _mem_keys(mid, op)
     except Exception:
         return GLOBAL

@@ -93,11 +93,11 @@ class PmpSingle(Scenario):
         revokes: int = 1,
         with_recovery: bool = False,
         obs: bool = False,
-        batch_chains: bool = True,
+        chain_delivery: str = "fused",
     ) -> None:
         super().__init__(
             seed=seed, deadline=deadline, crashes=crashes, revokes=revokes,
-            with_recovery=with_recovery, obs=obs, batch_chains=batch_chains,
+            with_recovery=with_recovery, obs=obs, chain_delivery=chain_delivery,
         )
         from repro.consensus.protected_memory_paxos import REGION
 
@@ -116,7 +116,6 @@ class PmpSingle(Scenario):
     def build(self) -> ScenarioRun:
         from repro.consensus.omega import crash_aware_omega
         from repro.consensus.protected_memory_paxos import (
-            PmpConfig,
             ProtectedMemoryPaxos,
             chosen_value,
         )
@@ -124,7 +123,7 @@ class PmpSingle(Scenario):
 
         p = self.params
         cluster = Cluster(
-            ProtectedMemoryPaxos(PmpConfig(batch_chains=p["batch_chains"])),
+            ProtectedMemoryPaxos(),
             ClusterConfig(
                 n_processes=3,
                 n_memories=3,
@@ -134,6 +133,7 @@ class PmpSingle(Scenario):
             ),
         )
         kernel = cluster.kernel
+        kernel.config.chain_delivery = p["chain_delivery"]
         kernel.omega = crash_aware_omega(kernel)
         if p["obs"]:
             from repro.obs.runtime import attach

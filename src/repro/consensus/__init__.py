@@ -20,7 +20,6 @@ from repro.consensus.base import ConsensusProtocol, ProposerOutcome
 from repro.consensus.omega import crash_aware_omega, leader_schedule, stable_leader
 from repro.consensus.probes import (
     probe_write_grant,
-    publish_watermark,
     read_quorum_chain,
     read_quorum_watermarks,
     watermark_key,
@@ -34,7 +33,6 @@ __all__ = [
     "leader_schedule",
     "stable_leader",
     "probe_write_grant",
-    "publish_watermark",
     "read_quorum_chain",
     "read_quorum_watermarks",
     "watermark_key",

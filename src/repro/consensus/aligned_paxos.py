@@ -37,9 +37,10 @@ from repro.consensus.messages import Accept, Decision, Prepare
 from repro.consensus.paxos import PaxosConfig, PaxosNode
 from repro.consensus.probes import probe_write_grant
 from repro.consensus.protected_memory_paxos import PmpSlot
-from repro.mem.operations import ChangePermissionOp, SnapshotOp, WriteOp
+from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
+from repro.sim.effects import OpEffect
 from repro.sim.environment import ProcessEnv
 from repro.types import BOTTOM, is_bottom
 
@@ -54,12 +55,6 @@ class AlignedConfig:
     retry_backoff: float = 4.0
     round_timeout: float = 30.0
     initial_leader: int = 0
-    #: doorbell batching: fuse each memory agent's per-phase op sequence
-    #: (grab + probe + snapshot in phase 1; write + confirming snapshot in
-    #: the disk variant's phase 2) into ONE chain — the same steps at the
-    #: same memory, two delays instead of four or six.  ``False`` restores
-    #: the classic per-op sequences exactly.
-    batch_chains: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in ("protected", "disk"):
@@ -187,27 +182,16 @@ class AlignedNode:
         else:
             probe_key = (REGION, int(env.pid))
 
-        if self.config.batch_chains:
-            chain_ops = (WriteOp(REGION, probe_key, probe), SnapshotOp(REGION, (REGION,)))
-            if protected:
-                chain_ops = (ChangePermissionOp(REGION, grab),) + chain_ops
+        # Each memory agent's phase 1 is one chain: [grab +] probe + snapshot.
+        chain_ops = (WriteOp(REGION, probe_key, probe), SnapshotOp(REGION, (REGION,)))
+        if protected:
+            chain_ops = (ChangePermissionOp(REGION, grab),) + chain_ops
 
-            def chain(mid):
-                result = yield from env.batch(mid, chain_ops)
-                if not result.ok:
-                    return _ChainResult(ok=False)
-                return _ChainResult(ok=True, view=result.value[-1])
-
-        else:
-
-            def chain(mid):
-                if protected:
-                    yield from env.change_permission(mid, REGION, grab)
-                write = yield from env.write(mid, REGION, probe_key, probe)
-                if not write.ok:
-                    return _ChainResult(ok=False)
-                snap = yield from env.snapshot(mid, REGION, (REGION,))
-                return _ChainResult(ok=snap.ok, view=snap.value if snap.ok else None)
+        def chain(mid):
+            result = yield from env.batch(mid, chain_ops)
+            if not result.ok:
+                return _ChainResult(ok=False)
+            return _ChainResult(ok=True, view=result.value[-1])
 
         yield from node.transport.broadcast(Prepare(ballot=ballot))
         yield from chains.launch(chain)
@@ -261,36 +245,17 @@ class AlignedNode:
                     return True
             return False
 
-        if not protected and self.config.batch_chains:
-            # Fuse the write with its confirming snapshot: one chain, two
-            # delays — and the confirmation is strictly stronger, since no
-            # competing write can land between the two fused ops.
-            chain_ops = (
-                WriteOp(REGION, (REGION, int(env.pid)), slot_value),
-                SnapshotOp(REGION, (REGION,)),
-            )
+        # Protected: permission exclusivity certifies the lone write
+        # (Lemma D.3).  Disk: the write rides one chain with its
+        # confirming snapshot.
+        write = WriteOp(REGION, (REGION, int(env.pid)), slot_value)
+        op = write if protected else BatchOp((write, SnapshotOp(REGION, (REGION,))))
 
-            def chain(mid):
-                result = yield from env.batch(mid, chain_ops)
-                if not result.ok:
-                    return _ChainResult(ok=False)
-                return _ChainResult(ok=not outpaced(result.value[1]))
-
-        else:
-
-            def chain(mid):
-                write = yield from env.write(
-                    mid, REGION, (REGION, int(env.pid)), slot_value
-                )
-                if not write.ok:
-                    return _ChainResult(ok=False)
-                if protected:
-                    # Permission exclusivity certifies the write (Lemma D.3).
-                    return _ChainResult(ok=True)
-                snap = yield from env.snapshot(mid, REGION, (REGION,))
-                if not snap.ok:
-                    return _ChainResult(ok=False)
-                return _ChainResult(ok=not outpaced(snap.value))
+        def chain(mid):
+            result = yield OpEffect(mid, op)
+            if not result.ok:
+                return _ChainResult(ok=False)
+            return _ChainResult(ok=protected or not outpaced(result.value[1]))
 
         yield from node.transport.broadcast(Accept(ballot=ballot, value=proposal))
         yield from chains.launch(chain)

@@ -277,10 +277,8 @@ class CheapQuorum:
         # after this, a leader write that still reports success must have
         # been serialized before the revocation (uncontended-instantaneous).
         revoked = Permission.read_only(range(env.n_processes))
-        futures = yield from env.invoke_on_all(
-            lambda mid: ChangePermissionOp(region=self._leader_region, new_permission=revoked)
-        )
-        yield env.wait(futures, count=env.majority_of_memories())
+        revoke = ChangePermissionOp(region=self._leader_region, new_permission=revoked)
+        yield env.fanout_to_all(lambda mid: revoke)
 
         own_value = yield from self._value(me).read(env)
         own_proof = yield from self._proof(me).read(env)

@@ -93,15 +93,11 @@ class DiskPaxosNode:
         if self.config.link_free:
             # The disk model has no links: poll the disks for a decided
             # block (one snapshot per memory, in parallel).
+            poll = SnapshotOp(region=REGION, prefix=(REGION,))
             while not self.decided:
-                futures = yield from env.invoke_on_all(
-                    lambda mid: SnapshotOp(region=REGION, prefix=(REGION,))
-                )
-                yield env.wait(futures, count=env.majority_of_memories())
-                for future in futures:
-                    if not future.ok:
-                        continue
-                    for block in future.value.values():
+                state = yield env.fanout_to_all(lambda mid: poll)
+                for view in state.acked_values():
+                    for block in view.values():
                         if isinstance(block, DiskBlock) and block.decided:
                             self._learn(block.inp)
                             return
@@ -202,12 +198,10 @@ class DiskPaxosNode:
         if self.config.link_free:
             # Publish the decision on the disks themselves.
             decided_block = DiskBlock(mbal=mbal, bal=mbal, inp=inp, decided=True)
-            futures = yield from env.invoke_on_all(
-                lambda mid: WriteOp(
-                    region=REGION, key=(REGION, int(env.pid)), value=decided_block
-                )
+            publish = WriteOp(
+                region=REGION, key=(REGION, int(env.pid)), value=decided_block
             )
-            yield env.wait(futures, count=majority)
+            yield env.fanout_to_all(lambda mid: publish, need=majority)
         else:
             yield from env.broadcast(
                 Decision(value=inp), topic=TOPIC, include_self=False

@@ -1,6 +1,6 @@
 """One-sided read probes for permission-fenced protocols.
 
-Three primitives the non-consensus read paths are built from, shared by
+The primitives the non-consensus read paths are built from, shared by
 Protected Memory Paxos, Aligned Paxos and the replicated-log layer:
 
 * :func:`probe_write_grant` — the **fence check**: a zero-length
@@ -13,36 +13,27 @@ Protected Memory Paxos, Aligned Paxos and the replicated-log layer:
   linearizable to serve as of ``t``.
 * :func:`read_quorum_watermarks` — the **watermark read**: snapshot the
   per-writer commit-watermark registers from a majority and take the
-  max.  Because a writer publishes watermark ``s`` only after slot ``s``
-  is majority-written (and waits for a majority ACK before answering any
-  client), the max over any majority covers every write a client ever
-  saw complete.
-* :func:`publish_watermark` — the **watermark write**: install a slot
-  index in the caller's own watermark register on every memory and wait
-  for a majority.  Leaders publish after each commit; quorum readers
-  write back the watermark they observed (the ABD read write-back) so a
-  later reader can never observe an older quorum than one already
-  served.
+  max.  Because a writer installs watermark ``s`` in the same chain as
+  slot ``s``, right after it (and waits for a majority ACK before
+  answering any client), the confirmed max over any majority covers
+  every write a client ever saw complete.
+* :func:`read_quorum_chain` — the one-round read: per memory, ONE chain
+  carrying the watermark snapshot and the floor-filtered entry snapshot
+  (see ``ReplicatedLog._quorum_read_fused`` for the adoption rule that
+  makes this safe).
 
-All three are plain generators over :class:`~repro.sim.environment.
-ProcessEnv` — each costs one two-delay memory round, issued to all
-memories as a single-completion fan-out
-(:class:`~repro.sim.effects.OpFanoutEffect`): the kernel counts ACKs and
-NAKs in one shared state and wakes the caller exactly once when the
-verdict is in, instead of re-registering a waiter closure per response.
-
-:func:`read_quorum_chain` is the doorbell-batched read round built from
-the same pieces: per memory, ONE fused chain carrying the watermark
-snapshot and the floor-filtered entry snapshot — the quorum read's two
-rounds collapsed into one (see ``ReplicatedLog._quorum_read_inner`` for
-the adoption rule that makes this safe).
+All are plain generators over :class:`~repro.sim.environment.ProcessEnv`
+— each one memory round, issued to all memories as a single-completion
+fan-out (:class:`~repro.sim.effects.OpFanoutEffect`): the kernel counts
+ACKs and NAKs in one shared state and wakes the caller exactly once when
+the verdict is in.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.mem.operations import BatchOp, ProbeOp, ReadSnapshotOp, SnapshotOp, WriteOp
+from repro.mem.operations import BatchOp, ProbeOp, ReadSnapshotOp, SnapshotOp
 from repro.sim.environment import ProcessEnv
 from repro.types import RegionId, RegisterKey
 
@@ -91,9 +82,8 @@ def read_quorum_watermarks(
 
     Returns ``(watermark, confirmed)`` where *watermark* is the max slot
     index seen (``-1`` when nothing was ever published) and *confirmed*
-    is True when a majority of the responding views already carry that
-    max — in which case a reader may skip the write-back round (the value
-    is provably durable at a majority).  Returns ``(None, False)`` when a
+    is True when one writer's register carries that max at a majority of
+    the responding views (the value is provably durable).  Returns ``(None, False)`` when a
     majority cannot be assembled (memories down, or the region fenced
     away by a reconfiguration).
     """
@@ -101,8 +91,7 @@ def read_quorum_watermarks(
     state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)
     if state.acked < majority:
         return None, False
-    views = [r.value for r in state.results if r is not None and r.ok]
-    return max_confirmed_watermark(views, majority)
+    return max_confirmed_watermark(state.acked_values(), majority)
 
 
 def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
@@ -110,8 +99,8 @@ def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
 
     Confirmation is **per register** (per writer): the max is confirmed
     only when a *single* writer's register carries it at a majority of
-    the views.  Counting mixed registers would be unsound once writers
-    fuse the slot write and the watermark publish into one chain: two
+    the views.  Counting mixed registers would be unsound because writers
+    put the slot write and the watermark publish in one chain: two
     different writers' failed chains can each leave the same watermark at
     a minority, jointly covering a majority, without EITHER writer's slot
     being committed anywhere.  A single writer's register at a majority,
@@ -135,23 +124,6 @@ def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
                 if tally > best:
                     best = tally
     return watermark, best >= majority
-
-
-def publish_watermark(
-    env: ProcessEnv,
-    rx_region: RegionId,
-    slot: int,
-    timeout: Optional[float] = None,
-) -> Generator:
-    """Install *slot* in this process's watermark register, majority-acked.
-
-    Per-writer registers keep concurrent publishers from clobbering each
-    other; the caller is responsible for keeping its own register
-    monotone (see ``ReplicatedLog._publish_watermark``).
-    """
-    op = WriteOp(rx_region, watermark_key(rx_region, int(env.pid)), int(slot))
-    state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)
-    return state.acked >= majority
 
 
 def read_quorum_chain(
@@ -182,4 +154,4 @@ def read_quorum_chain(
     state, majority = yield from _verdict_fanout(env, lambda mid: chain, timeout)
     if state.acked < majority:
         return None
-    return [r.value for r in state.results if r is not None and r.ok]
+    return state.acked_values()

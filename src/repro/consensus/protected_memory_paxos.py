@@ -55,18 +55,6 @@ class PmpConfig:
     #: even the initial leader through the full prepare phase (the
     #: permission optimization is what this flag turns off)
     skip_first_attempt: bool = True
-    #: doorbell batching: run the prepare's grab + probe + snapshot as ONE
-    #: fused chain per memory (two delays instead of six) and the phase-2
-    #: fan-out with single-completion semantics.  Pure mechanism change —
-    #: the protocol's reads/writes and their per-memory order are
-    #: identical; ``False`` restores the classic per-op paths exactly.
-    batch_chains: bool = True
-
-
-@dataclass
-class _ChainResult:
-    write_ok: bool
-    view: Optional[dict]
 
 
 def pmp_regions(n_processes: int, initial_leader: int = 0) -> List[RegionSpec]:
@@ -171,40 +159,16 @@ class PmpNode:
         slot_value = PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=my_value)
         obs = env.obs
         phase = obs and obs.phase("pmp.phase2", ballot=str(prop_nr))
-        if self.config.batch_chains and not env.strict_outstanding:
-            # Single-completion fan-out: one queue entry per memory out,
-            # ONE wake back when the verdict is in.  Under the strict
-            # one-outstanding rule the long-lived proposer task cannot
-            # fan out directly (stragglers from this attempt would still
-            # be in flight at the next), so that mode keeps the
-            # throwaway-task chains below.
-            try:
-                state = yield env.fanout_to_all(
-                    lambda mid: WriteOp(REGION, (REGION, int(env.pid)), slot_value),
-                    need=majority,
-                )
-            finally:
-                if phase:
-                    phase.finish()
-            if state.naked > 0:
-                return  # permission was taken: a newer leader exists; restart
-        else:
-            chains = ChainRunner(env, "pmp2")
-
-            def phase2_chain(mid):
-                result = yield from env.write(
-                    mid, REGION, (REGION, int(env.pid)), slot_value
-                )
-                return _ChainResult(write_ok=result.ok, view=None)
-
-            try:
-                yield from chains.launch(phase2_chain)
-                yield from chains.wait_for(majority)
-            finally:
-                if phase:
-                    phase.finish()
-            if any(not r.write_ok for r in chains.results.values()):
-                return  # permission was taken: a newer leader exists; restart
+        try:
+            state = yield env.fanout_to_all(
+                lambda mid: WriteOp(REGION, (REGION, int(env.pid)), slot_value),
+                need=majority,
+            )
+        finally:
+            if phase:
+                phase.finish()
+        if state.naked > 0:
+            return  # permission was taken: a newer leader exists; restart
         self._learn(my_value)
         yield from env.broadcast(Decision(value=my_value), topic=TOPIC, include_self=False)
 
@@ -229,32 +193,19 @@ class PmpNode:
         else:
             probe_key = (REGION, int(env.pid))
 
-        if self.config.batch_chains:
-            # Doorbell-batched takeover: grab + probe + snapshot as ONE
-            # chain — two delays per memory instead of six.  The grab
-            # policy ACKs any legitimate self-grab, so the chain aborts
-            # exactly where the classic sequence would have failed.
-            chain_ops = (
-                ChangePermissionOp(REGION, grab),
-                WriteOp(REGION, probe_key, probe_slot),
-                SnapshotOp(REGION, (REGION,)),
-            )
+        # The takeover is ONE chain per memory: grab + probe + snapshot.
+        # The grab policy ACKs any legitimate self-grab, so the chain
+        # aborts exactly where a refused probe write would have.
+        chain_ops = (
+            ChangePermissionOp(REGION, grab),
+            WriteOp(REGION, probe_key, probe_slot),
+            SnapshotOp(REGION, (REGION,)),
+        )
 
-            def phase1_chain(mid):
-                result = yield from env.batch(mid, chain_ops)
-                if not result.ok:
-                    return _ChainResult(write_ok=False, view=None)
-                return _ChainResult(write_ok=True, view=result.value[2])
-
-        else:
-
-            def phase1_chain(mid):
-                yield from env.change_permission(mid, REGION, grab)
-                write = yield from env.write(mid, REGION, probe_key, probe_slot)
-                if not write.ok:
-                    return _ChainResult(write_ok=False, view=None)
-                snap = yield from env.snapshot(mid, REGION, (REGION,))
-                return _ChainResult(write_ok=True, view=snap.value if snap.ok else None)
+        def phase1_chain(mid):
+            """The memory's slot view, or None when the chain aborted."""
+            result = yield from env.batch(mid, chain_ops)
+            return result.value[2] if result.ok else None
 
         obs = env.obs
         phase = obs and obs.phase("pmp.prepare", ballot=str(prop_nr))
@@ -264,14 +215,12 @@ class PmpNode:
         finally:
             if phase:
                 phase.finish()
-        completed = list(chains.results.values())
-        if any(not r.write_ok for r in completed):
+        views = list(chains.results.values())
+        if any(view is None for view in views):
             return None
         best: Optional[Tuple[Ballot, Any]] = None
-        for result in completed:
-            if result.view is None:
-                return None
-            for key, slot in result.view.items():
+        for view in views:
+            for key, slot in view.items():
                 if not isinstance(slot, PmpSlot) or key == probe_key:
                     continue
                 self.highest_seen = max(self.highest_seen, slot.min_prop)

@@ -45,8 +45,8 @@ class OutstandingOpError(SimulationError):
     """A task issued a second outstanding operation on the same memory.
 
     The model (Section 3, "Executions and steps") requires each process to
-    have at most one outstanding operation per memory; the kernel enforces
-    this per task.
+    have at most one outstanding operation per memory; raised per task by
+    the checker-side :class:`repro.check.outstanding.OutstandingObserver`.
     """
 
 

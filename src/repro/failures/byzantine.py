@@ -64,12 +64,12 @@ class EquivocatingBroadcaster(ByzantineStrategy):
         region = f"{NEB_NS}:{me}"
         key = (NEB_NS, me, 1, me)
         # Split the replicas: half see A, half see B.
-        futures = []
-        for mid in env.memories:
-            unit = unit_a if int(mid) % 2 == 0 else unit_b
-            future = yield env.invoke(mid, WriteOp(region=region, key=key, value=unit))
-            futures.append(future)
-        yield env.wait(futures, count=len(futures))
+        yield env.fanout_to_all(
+            lambda mid: WriteOp(
+                region=region, key=key, value=unit_a if int(mid) % 2 == 0 else unit_b
+            ),
+            need=env.n_memories,
+        )
         while True:
             yield env.sleep(1000.0)
 
@@ -119,14 +119,14 @@ class CheapQuorumEquivocatorLeader(ByzantineStrategy):
         key = (*LEADER_PREFIX, "value")
         signed_a = env.sign(self.value_a)
         signed_b = env.sign(self.value_b)
-        futures = []
-        for mid in env.memories:
-            signed = signed_a if int(mid) % 2 == 0 else signed_b
-            future = yield env.invoke(
-                mid, WriteOp(region=LEADER_REGION, key=key, value=signed)
-            )
-            futures.append(future)
-        yield env.wait(futures, count=len(futures))
+        yield env.fanout_to_all(
+            lambda mid: WriteOp(
+                region=LEADER_REGION,
+                key=key,
+                value=signed_a if int(mid) % 2 == 0 else signed_b,
+            ),
+            need=env.n_memories,
+        )
         while True:
             yield env.sleep(1000.0)
 
@@ -156,23 +156,11 @@ class SlotRewriter(ByzantineStrategy):
         me = int(env.pid)
         region = f"{NEB_NS}:{me}"
         key = (NEB_NS, me, 1, me)
-        unit_first = make_unit(env, 1, self.first)
-        futures = []
-        for mid in env.memories:
-            future = yield env.invoke(
-                mid, WriteOp(region=region, key=key, value=unit_first)
-            )
-            futures.append(future)
-        yield env.wait(futures, count=len(futures))
+        first = WriteOp(region=region, key=key, value=make_unit(env, 1, self.first))
+        yield env.fanout_to_all(lambda mid: first, need=env.n_memories)
         yield env.sleep(self.rewrite_after)  # let early readers deliver
-        unit_second = make_unit(env, 1, self.second)
-        futures = []
-        for mid in env.memories:
-            future = yield env.invoke(
-                mid, WriteOp(region=region, key=key, value=unit_second)
-            )
-            futures.append(future)
-        yield env.wait(futures, count=len(futures))
+        second = WriteOp(region=region, key=key, value=make_unit(env, 1, self.second))
+        yield env.fanout_to_all(lambda mid: second, need=env.n_memories)
         while True:
             yield env.sleep(1000.0)
 

@@ -48,22 +48,16 @@ class NaiveFastConsensus(ConsensusProtocol):
 
     def _propose(self, env: ProcessEnv, value: Any) -> Generator:
         me = int(env.pid)
-        futures = []
-        write_future = yield env.invoke(
-            me, WriteOp(region=REGION, key=(REGION, me), value=(me, value))
-        )
-        futures.append(write_future)
-        for mid in env.memories:
-            if int(mid) == me:
-                continue
-            future = yield env.invoke(mid, SnapshotOp(region=REGION, prefix=(REGION,)))
-            futures.append(future)
-        yield env.wait(futures, count=len(futures))
+        write = WriteOp(region=REGION, key=(REGION, me), value=(me, value))
+        peek = SnapshotOp(region=REGION, prefix=(REGION,))
+        targets = [(me, write)]
+        targets += [(mid, peek) for mid in env.memories if int(mid) != me]
+        state = yield env.op_fanout(targets, need=len(targets))
 
         seen = [(me, value)]
-        for future in futures[1:]:
-            if future.ok:
-                seen.extend(v for v in future.value.values() if isinstance(v, tuple))
+        for result in state.results[1:]:
+            if result.ok:
+                seen.extend(v for v in result.value.values() if isinstance(v, tuple))
         if len(seen) == 1:
             env.decide(value)  # "uncontended": nobody else had written
         else:

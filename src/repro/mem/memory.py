@@ -7,8 +7,8 @@ registers per memory; the replicated-register layer in
 logical register spans several memories.
 
 A crashed memory never responds: the kernel drops requests addressed to it,
-so callers' futures simply never resolve — indistinguishable from slowness,
-as the model requires.
+so callers' operations simply never complete — indistinguishable from
+slowness, as the model requires.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ causal hook calls and turns them into the span tree:
   delivery closes it, and the receiving task *adopts* the message span as
   its context — the cross-process causal hop;
 * every memory operation gets a ``memop`` span keyed by its completion
-  token (or future): the response leg closes it, a crashed memory leaves
+  token: the response leg closes it, a crashed memory leaves
   it open — exactly the RDMA "context rides the op" analogue;
 * protocols open ``phase`` spans through :meth:`phase` (via
   ``env.obs``), nesting subsequent work under them;
@@ -209,9 +209,10 @@ class ObsRuntime:
             self._finish(span, now)
 
     def op_started(self, task, key, mid, op, now: float) -> None:
-        """Open a memop span keyed by (task, token), (task, token, index)
-        for fan-out legs, or by the OpFuture.  A fused chain gets ONE span
-        (single-completion semantics) annotated with its sub-op count."""
+        """Open a memop span keyed by (task, token), or (task, token,
+        index) for fan-out legs.  A fused chain gets ONE span
+        (single-completion semantics) annotated with its sub-op count; a
+        segmented chain gets one span per work request, under one key."""
         attrs = {"mem": memory_name(mid)}
         sub_ops = getattr(op, "ops", None)
         if sub_ops is not None:

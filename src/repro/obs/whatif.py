@@ -32,10 +32,10 @@ round it measures every remaining candidate *stacked on the winners so
 far* and keeps the one with the largest measured improvement — ranking
 by actual effect, never by span totals.
 
-Validation (asserted in tests): on classic unbatched PMP the top-ranked
-experiment is the prepare fan-out, and scaling it by 1/3 reproduces the
-doorbell-batching win exactly — 8 delays down to 4, the same number the
-fused-chain implementation measures.
+Validation (asserted in tests): on skip-off PMP under segmented chain
+delivery the top-ranked experiment is the prepare fan-out, and scaling
+it by 1/3 reproduces the doorbell-batching win exactly — 8 delays down
+to 4, the same number fused delivery measures.
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ from repro.reconfig.epochs import (
 )
 from repro.reconfig.migrate import Migrator
 from repro.shard.service import ShardConfig, ShardedKV, shard_region
-from repro.sim.futures import count_acked
 from repro.smr.log import smr_rx_regions
 from repro.types import process_name
 
@@ -596,16 +595,14 @@ class ElasticKV(ShardedKV):
         """The changePermission storm: install *permission* at every
         memory, resuming on a majority (a crashed memory's fence lands
         when it revives — permission state is hardware state)."""
-        futures = yield from env.invoke_on_all(
-            lambda mid: ChangePermissionOp(region, permission)
-        )
-        yield env.wait(futures, count=env.majority_of_memories())
+        fence = ChangePermissionOp(region, permission)
+        state = yield env.fanout_to_all(lambda mid: fence)
         self.kernel.metrics.record_reconfig(
             env.now,
             "fence",
             region,
             permission=permission.summary(),
-            acked=count_acked(tuple(futures)),
+            acked=state.acked,
         )
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, List
 
-from repro.mem.operations import ReadOp, SnapshotOp, WriteOp
+from repro.mem.operations import BatchOp, ReadOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
@@ -69,23 +69,15 @@ class ReplicatedRegister:
         far was a NAK; a single NAK means some replica refused (permission
         revoked there) and the logical write reports failure.
         """
-        futures = yield from env.invoke_on_all(
-            lambda mid: WriteOp(region=self.region, key=self.key, value=value)
-        )
-        yield env.wait(futures, count=env.majority_of_memories())
-        resolved = [f for f in futures if f.done]
-        if any(not f.ok for f in resolved):
-            return OpStatus.NAK
-        return OpStatus.ACK
+        op = WriteOp(region=self.region, key=self.key, value=value)
+        state = yield env.fanout_to_all(lambda mid: op)
+        return OpStatus.NAK if state.naked else OpStatus.ACK
 
     def read(self, env: ProcessEnv) -> Generator:
         """Read all memories, wait for a majority; returns the merged value."""
-        futures = yield from env.invoke_on_all(
-            lambda mid: ReadOp(region=self.region, key=self.key)
-        )
-        yield env.wait(futures, count=env.majority_of_memories())
-        values = [f.value for f in futures if f.ok]
-        return _merge_reads(values)
+        op = ReadOp(region=self.region, key=self.key)
+        state = yield env.fanout_to_all(lambda mid: op)
+        return _merge_reads(state.acked_values())
 
 
 def read_many(env: ProcessEnv, registers: List["ReplicatedRegister"]) -> Generator:
@@ -94,32 +86,17 @@ def read_many(env: ProcessEnv, registers: List["ReplicatedRegister"]) -> Generat
     Returns ``{register.key: merged value}``.  Used where an algorithm polls
     one register per process and the registers live in different regions
     (e.g. Cheap Quorum reading ``Value[q]`` for every q), so a single-region
-    snapshot cannot cover them.
+    snapshot cannot cover them.  Each memory gets ONE chain reading every
+    register, so a majority of completed chains is a majority of responses
+    for every register individually.
     """
-    per_register = []
-    all_futures = []
-    for register in registers:
-        futures = yield from env.invoke_on_all(
-            lambda mid, r=register: ReadOp(region=r.region, key=r.key)
-        )
-        per_register.append((register, futures))
-        all_futures.extend(futures)
-    majority = env.majority_of_memories()
-    # Wait until *every* register individually has a majority of responses
-    # (a global count could be satisfied lopsidedly by fast memories).
-    while True:
-        if all(
-            sum(1 for f in futures if f.done) >= majority
-            for _, futures in per_register
-        ):
-            break
-        done_now = sum(1 for f in all_futures if f.done)
-        yield env.wait(all_futures, count=min(done_now + 1, len(all_futures)))
-    view: Dict[RegisterKey, Any] = {}
-    for register, futures in per_register:
-        values = [f.value for f in futures if f.ok]
-        view[register.key] = _merge_reads(values)
-    return view
+    chain = BatchOp(ReadOp(region=r.region, key=r.key) for r in registers)
+    state = yield env.fanout_to_all(lambda mid: chain)
+    views = state.acked_values()
+    return {
+        register.key: _merge_reads([view[index] for view in views])
+        for index, register in enumerate(registers)
+    }
 
 
 class ReplicatedSlotArray:
@@ -137,14 +114,10 @@ class ReplicatedSlotArray:
 
     def snapshot(self, env: ProcessEnv) -> Generator:
         """Merged per-key view of the array; absent keys read as ⊥."""
-        futures = yield from env.invoke_on_all(
-            lambda mid: SnapshotOp(region=self.region, prefix=self.prefix)
-        )
-        yield env.wait(futures, count=env.majority_of_memories())
+        op = SnapshotOp(region=self.region, prefix=self.prefix)
+        state = yield env.fanout_to_all(lambda mid: op)
         merged: Dict[RegisterKey, List[Any]] = {}
-        for future in futures:
-            if not future.ok:
-                continue
-            for key, value in future.value.items():
+        for view in state.acked_values():
+            for key, value in view.items():
                 merged.setdefault(key, []).append(value)
         return {key: _merge_reads(values) for key, values in merged.items()}

@@ -13,17 +13,16 @@ insertion order and all randomness flows through one ``random.Random``.
 
 from repro.sim.effects import (
     GateWaitEffect,
-    InvokeEffect,
     OpEffect,
+    OpFanoutEffect,
     RecvEffect,
     SendEffect,
     SleepEffect,
     SpawnEffect,
-    WaitEffect,
 )
 from repro.sim.environment import ProcessEnv
 from repro.sim.faults import FailureController, LinkFault
-from repro.sim.futures import Gate, OpFuture
+from repro.sim.futures import FanoutState, Gate
 from repro.sim.kernel import Kernel, SimConfig, Task
 from repro.sim.latency import (
     AdversarialLatency,
@@ -37,16 +36,16 @@ from repro.sim.tracing import TraceEvent, Tracer
 __all__ = [
     "AdversarialLatency",
     "FailureController",
+    "FanoutState",
     "Gate",
     "GateWaitEffect",
-    "InvokeEffect",
     "LinkFault",
     "OpEffect",
+    "OpFanoutEffect",
     "JitteredSynchrony",
     "Kernel",
     "LatencyModel",
     "NominalLatency",
-    "OpFuture",
     "PartialSynchrony",
     "ProcessEnv",
     "RecvEffect",
@@ -57,5 +56,4 @@ __all__ = [
     "Task",
     "TraceEvent",
     "Tracer",
-    "WaitEffect",
 ]

@@ -8,23 +8,28 @@ effect's result:
 effect            meaning                                      resume value
 ================  ==========================================  ==============
 SendEffect        send a message (1 delay, non-blocking)       None
-InvokeEffect      start a memory operation (non-blocking)      OpFuture
-WaitEffect        park until k of the futures resolve          True/False*
 RecvEffect        park until a matching message arrives        Envelope/None*
 SleepEffect       park for a fixed virtual duration            None
 GateWaitEffect    park until a local gate opens                True/False*
 SpawnEffect       start another task on this process           Task
-OpEffect          one memory op, park until it resolves        OpResult
-BatchOpEffect     one fused op chain, park until it resolves   OpResult
-OpFanoutEffect    ops to many memories, park until a quorum    FanoutState
+OpEffect          one op or chain to ONE memory, park for it   OpResult
+OpFanoutEffect    ops/chains to many memories, park for a      FanoutState
+                  quorum verdict (or the timeout)
 ================  ==========================================  ==============
 
 (*) False/None indicates the optional timeout elapsed first.
 
-``SendEffect``/``InvokeEffect``/``SpawnEffect`` resume immediately at the
-same virtual instant — computation is instantaneous in the model — so a
-process may, e.g., start writes to all memories in the same step and then
-``WaitEffect`` on a majority.
+Memory is touched in exactly one shape — the paper's "for every memory in
+parallel: a short sequence of permission-change / write / read, continue
+on ``m - f_M`` completions": a *chain* (a single op, or a
+:class:`~repro.mem.operations.BatchOp` of several) to one memory is an
+:class:`OpEffect`; the same chain to many memories with one completion is
+an :class:`OpFanoutEffect`.  How a chain travels — one request applied
+atomically, or one round trip per work request — is the kernel's
+``SimConfig.chain_delivery`` pricing mode, never the protocol's business.
+
+``SendEffect``/``SpawnEffect`` resume immediately at the same virtual
+instant — computation is instantaneous in the model.
 
 Dispatch contract
 -----------------
@@ -32,7 +37,7 @@ Dispatch contract
 The kernel does **not** dispatch on ``isinstance``.  Every effect class
 carries a small integer class attribute ``kind`` (one of the ``FX_*``
 constants below), and the kernel indexes a flat handler table with it —
-one list subscript per effect instead of a seven-way type scan.  The
+one list subscript per effect instead of a type scan.  The
 contract for anything a task yields:
 
 * ``effect.kind`` must be an ``FX_*`` integer, and the object must expose
@@ -52,26 +57,23 @@ performed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Optional
 
 from repro.mem.operations import MemoryOp
 from repro.net.messages import Envelope
-from repro.sim.futures import Gate, OpFuture
+from repro.sim.futures import Gate
 from repro.types import MemoryId, ProcessId
 
 # ---------------------------------------------------------------------------
 # Effect kinds: indices into the kernel's effect-handler table.
 # ---------------------------------------------------------------------------
 FX_SEND = 0
-FX_INVOKE = 1
-FX_WAIT = 2
-FX_RECV = 3
-FX_SLEEP = 4
-FX_GATE_WAIT = 5
-FX_SPAWN = 6
-FX_OP = 7
-FX_BATCH_OP = 8
-FX_OP_FANOUT = 9
+FX_RECV = 1
+FX_SLEEP = 2
+FX_GATE_WAIT = 3
+FX_SPAWN = 4
+FX_OP = 5
+FX_OP_FANOUT = 6
 
 
 class Effect:
@@ -108,37 +110,6 @@ class SendEffect(Effect):
         self.dst = dst
         self.topic = topic
         self.payload = payload
-
-
-class InvokeEffect(Effect):
-    """Invoke *op* on memory *mid*; resumes immediately with an OpFuture."""
-
-    __slots__ = ("mid", "op")
-    kind = FX_INVOKE
-
-    def __init__(self, mid: MemoryId, op: MemoryOp) -> None:
-        self.mid = mid
-        self.op = op
-
-
-class WaitEffect(Effect):
-    """Park until *count* of *futures* resolve, or *timeout* elapses."""
-
-    __slots__ = ("futures", "count", "timeout")
-    kind = FX_WAIT
-
-    def __init__(
-        self,
-        futures: Tuple[OpFuture, ...],
-        count: int,
-        timeout: Optional[float] = None,
-    ) -> None:
-        # Normalised defensively: the kernel iterates futures repeatedly
-        # (count, register, re-count), which a generator argument would
-        # silently break.  tuple() of a tuple is identity-cheap.
-        self.futures = tuple(futures)
-        self.count = count
-        self.timeout = timeout
 
 
 class RecvEffect(Effect):
@@ -192,15 +163,23 @@ class SpawnEffect(Effect):
 
 
 class OpEffect(Effect):
-    """Invoke *op* on memory *mid* and park until it resolves.
+    """Post *op* — a single operation or a
+    :class:`~repro.mem.operations.BatchOp` chain — to memory *mid* and
+    park until its one completion.
 
-    The fused form of the ubiquitous ``InvokeEffect`` + one-future
-    ``WaitEffect`` sequence (``env.write``/``read``/``snapshot``/
-    ``change_permission``): same two-delay timing, but the kernel resumes
-    the task with the :class:`~repro.types.OpResult` directly — no future,
-    no waiter closure, one fewer queue entry.  Like a lone unresolved
-    future, the task hangs forever if the memory crashed; quorum callers
-    needing timeouts keep using invoke + wait.
+    The kernel resumes the task with the :class:`~repro.types.OpResult`
+    directly.  A chain resolves to ACK with the tuple of sub-values, or
+    NAK with a :class:`~repro.types.ChainAbort` naming the first refused
+    sub-op (everything before it landed, the tail is flushed) — under
+    either ``chain_delivery`` mode.  Fused (the default), the chain is one
+    request applied atomically at its arrival and priced
+    ``request + k*issue + response``: two nominal delays however long.
+    Segmented, each work request is its own signalled round trip, applied
+    at its own arrival, the next one posted when the previous completes.
+
+    There is no timeout: the task hangs forever if the memory crashed.
+    Callers that must survive a dead memory post an
+    :class:`OpFanoutEffect` with ``need`` sized to a quorum, or a timeout.
     """
 
     __slots__ = ("mid", "op")
@@ -211,33 +190,9 @@ class OpEffect(Effect):
         self.op = op
 
 
-class BatchOpEffect(Effect):
-    """Post a fused op chain (a :class:`~repro.mem.operations.BatchOp`)
-    to memory *mid* and park until its single completion.
-
-    The doorbell-batched sibling of :class:`OpEffect`: one queue entry
-    carries the whole chain to the memory, the memory applies the sub-ops
-    in order (abort-on-NAK), and one completion event resumes the task
-    with the chain's :class:`~repro.types.OpResult` — ACK with the tuple
-    of sub-values, or NAK with a :class:`~repro.types.ChainAbort`.  The
-    request leg is priced at ``request + k·issue`` (only the last WR
-    signals), so a nominal chain costs the same two delays as a single
-    operation.  Under ``strict_outstanding`` the chain counts as ONE
-    outstanding operation on its memory, matching single-completion
-    semantics.
-    """
-
-    __slots__ = ("mid", "op")
-    kind = FX_BATCH_OP
-
-    def __init__(self, mid: MemoryId, op: MemoryOp) -> None:
-        self.mid = mid
-        self.op = op
-
-
 class OpFanoutEffect(Effect):
     """Post one op (or chain) per target memory; park for ONE completion
-    verdict instead of one resolution closure per future.
+    verdict.
 
     ``targets`` is a tuple of ``(mid, op)`` pairs, all posted at the same
     instant.  The kernel tracks completions in a single shared
@@ -251,9 +206,12 @@ class OpFanoutEffect(Effect):
     * either way after *timeout*, when given.
 
     Late completions still land in ``state.results`` (the state outlives
-    the wake, like futures do), but never resume the task again.  Ops on
-    crashed memories simply never complete — exactly the model's futures
-    semantics, which is why quorum callers must size *need* accordingly.
+    the wake), but never resume the task again.  Ops on crashed memories
+    simply never complete, which is why quorum callers must size *need*
+    accordingly: a fan-out whose *need* exceeds its target count and has
+    no timeout could never wake, so posting one is a
+    :class:`~repro.errors.SimulationError`.  A chain leg counts once
+    toward *need* however it is delivered.
     """
 
     __slots__ = ("targets", "need", "count_acks", "spare_naks", "timeout")

@@ -3,11 +3,11 @@
 A :class:`ProcessEnv` wraps the kernel for one process.  Methods come in
 three flavours:
 
-* *effect builders* (``send``, ``invoke``, ``wait``, ``recv_effect``,
-  ``sleep``, ``spawn``, ``gate_wait``) return effect objects for the
-  protocol generator to ``yield``;
+* *effect builders* (``send``, ``recv_effect``, ``sleep``, ``spawn``,
+  ``gate_wait``, ``op_fanout``, ``fanout_to_all``) return effect objects
+  for the protocol generator to ``yield``;
 * *sub-generators* (``write``, ``read``, ``snapshot``, ``change_permission``,
-  ``recv``, ``broadcast``) bundle an invoke+wait round trip and are used
+  ``batch``, ``recv``, ``broadcast``) bundle one round trip and are used
   with ``yield from``;
 * *instant helpers* (``sign``, ``verify``, ``decide``, ``now``, ``leader``)
   are plain calls — they model instantaneous local computation.
@@ -19,7 +19,7 @@ signature forgery, sender spoofing).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.crypto.signatures import Signed, SigningKey
 from repro.mem.operations import (
@@ -35,19 +35,16 @@ from repro.mem.operations import (
 from repro.mem.permissions import Permission
 from repro.net.messages import Envelope
 from repro.sim.effects import (
-    BatchOpEffect,
     GateWaitEffect,
-    InvokeEffect,
     OpEffect,
     OpFanoutEffect,
     RecvEffect,
     SendEffect,
     SleepEffect,
     SpawnEffect,
-    WaitEffect,
 )
-from repro.sim.futures import Gate, OpFuture
-from repro.types import MemoryId, OpResult, OpStatus, ProcessId, RegionId, RegisterKey
+from repro.sim.futures import Gate
+from repro.types import MemoryId, ProcessId, RegionId, RegisterKey
 
 
 class ProcessEnv:
@@ -84,12 +81,6 @@ class ProcessEnv:
     @property
     def rng(self):
         return self._kernel.rng
-
-    @property
-    def strict_outstanding(self) -> bool:
-        """True when the kernel enforces one outstanding op per memory per
-        task (the model-conformance mode of Section 3)."""
-        return self._kernel.config.strict_outstanding
 
     @property
     def fifo_memory_ops(self) -> bool:
@@ -163,18 +154,6 @@ class ProcessEnv:
     # ------------------------------------------------------------------
     def send(self, dst: ProcessId, payload: Any, topic: str = "default") -> SendEffect:
         return SendEffect(dst=ProcessId(dst), topic=topic, payload=payload)
-
-    def invoke(self, mid: MemoryId, op: MemoryOp) -> InvokeEffect:
-        return InvokeEffect(mid=MemoryId(mid), op=op)
-
-    def wait(
-        self,
-        futures: Sequence[OpFuture],
-        count: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> WaitEffect:
-        needed = len(futures) if count is None else count
-        return WaitEffect(futures=tuple(futures), count=needed, timeout=timeout)
 
     def recv_effect(
         self,
@@ -273,58 +252,25 @@ class ProcessEnv:
         result = yield OpEffect(MemoryId(mid), ChangePermissionOp(region, new_permission))
         return result
 
-    def invoke_on_all(self, make_op: Callable[[MemoryId], MemoryOp]) -> Generator:
-        """Start ``make_op(mid)`` on every memory; returns the futures list."""
-        futures = []
-        for mid in self.memories:
-            future = yield self.invoke(mid, make_op(mid))
-            futures.append(future)
-        return futures
-
     def majority_of_memories(self) -> int:
         """Quorum size over memories: ``floor(m/2) + 1``."""
         return self.n_memories // 2 + 1
 
     # ------------------------------------------------------------------
-    # doorbell batching (fused op chains + single-completion fan-outs)
+    # chains and single-completion fan-outs
     # ------------------------------------------------------------------
     def batch(self, mid: MemoryId, ops: Iterable[MemoryOp]) -> Generator:
-        """Post *ops* to memory *mid* as one fused chain; returns
+        """Post *ops* to memory *mid* as one chain; returns
         :class:`OpResult` — ACK with the tuple of per-op values, or NAK
         with a :class:`~repro.types.ChainAbort` naming the failing index.
 
-        The chain is applied in order, atomically at its arrival instant,
-        and costs the same two delays as a single operation (plus the
-        model's per-WR issue increments, nominally zero).
+        The chain is applied in order with abort-on-first-NAK.  Under the
+        default fused delivery it applies atomically at its arrival
+        instant and costs the same two delays as a single operation (plus
+        the model's per-WR issue increments, nominally zero); see
+        ``SimConfig.chain_delivery`` for the segmented alternative.
         """
-        result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
-        return result
-
-    def write_batch(
-        self,
-        mid: MemoryId,
-        writes: Iterable[Tuple[RegionId, RegisterKey, Any]],
-    ) -> Generator:
-        """Fused multi-register write to one memory; returns :class:`OpResult`.
-
-        ``writes`` is an iterable of ``(region, key, value)`` triples,
-        applied in order with chain-abort semantics — the doorbell-batched
-        analogue of N ``env.write`` round trips.
-        """
-        ops = [WriteOp(region, key, value) for region, key, value in writes]
-        result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
-        return result
-
-    def read_batch(
-        self,
-        mid: MemoryId,
-        reads: Iterable[Tuple[RegionId, RegisterKey]],
-    ) -> Generator:
-        """Fused multi-register read from one memory; returns
-        :class:`OpResult` whose ACK value is the tuple of register values
-        in request order."""
-        ops = [ReadOp(region, key) for region, key in reads]
-        result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
+        result = yield OpEffect(MemoryId(mid), BatchOp(ops))
         return result
 
     def op_fanout(
@@ -357,8 +303,8 @@ class ProcessEnv:
         timeout: Optional[float] = None,
     ) -> OpFanoutEffect:
         """``op_fanout`` over every memory: ``make_op(mid)`` per memory,
-        default *need* = a majority — the phase-2 fan-out idiom in one
-        effect (single completion, no futures, no waiter closures)."""
+        default *need* = a majority — the paper's "for every memory in
+        parallel ... continue on a majority" in one effect."""
         if need is None:
             need = self.majority_of_memories()
         return OpFanoutEffect(

@@ -9,7 +9,7 @@ Entry format
 
 Heap entries are flat tuples ``(time, seq, kind, a, b, c)``.  ``kind`` is a
 small integer from the ``EV_*`` namespace below and ``a``/``b``/``c`` are the
-handler's operands (task, token, envelope, future, ...).  The kernel owns the
+handler's operands (task, token, envelope, fan-out state, ...).  The kernel owns the
 meaning of each kind; the queue never inspects them.  Compared with the old
 ``(time, seq, closure)`` format this removes one lambda + closure-cell
 allocation per scheduled event — the dominant allocation on the hot path.
@@ -17,7 +17,7 @@ allocation per scheduled event — the dominant allocation on the hot path.
 Alongside the heap there is a *ready lane*: a FIFO of entries that must run
 at the **current** instant, before any further heap entry.  The kernel uses
 it to resume tasks woken by an event that is being processed right now
-(message delivery, future resolution, gate signal) without round-tripping
+(message delivery, op completion, gate signal) without round-tripping
 through the heap — the "double event" wake path the heap version paid.
 Ready entries carry no time: they are defined to run at ``Kernel.now``.
 
@@ -49,14 +49,12 @@ EV_CALL = 0          #: a = zero-argument callable (failure plans, ad-hoc timers
 EV_RESUME = 1        #: a = task, b = resume value
 EV_WAKE = 2          #: a = task, b = suspension token, c = resume value
 EV_DELIVER = 3       #: a = envelope whose flight time elapsed
-EV_ARRIVE = 4        #: a = task, b = OpFuture (request leg reached the memory)
-EV_RESOLVE = 5       #: a = task, b = OpFuture, c = OpResult (response leg)
-EV_RECV_TIMEOUT = 6  #: a = task, b = suspension token (parked recv timed out)
-EV_OP_ARRIVE = 7     #: a = task, b = token, c = (mid, op) — fused OpEffect request leg
-EV_OP_RESOLVE = 8    #: a = task, b = token, c = (mid, result) — fused OpEffect response
-EV_FAULT = 9         #: a = typed fault event (see repro.sim.faults) — no closure
-EV_FAN_ARRIVE = 10   #: a = task, b = FanoutState, c = (index, mid, op) — fan-out request leg
-EV_FAN_RESOLVE = 11  #: a = task, b = FanoutState, c = (index, mid, result) — fan-out response
+EV_RECV_TIMEOUT = 4  #: a = task, b = suspension token (parked recv timed out)
+EV_OP_ARRIVE = 5     #: a = task, b = token, c = (mid, op, cursor) — OpEffect request leg
+EV_OP_RESOLVE = 6    #: a = task, b = token, c = (mid, result, cursor) — OpEffect response
+EV_FAULT = 7         #: a = typed fault event (see repro.sim.faults) — no closure
+EV_FAN_ARRIVE = 8    #: a = task, b = FanoutState, c = (index, mid, op, cursor) — fan-out request leg
+EV_FAN_RESOLVE = 9   #: a = task, b = FanoutState, c = (index, mid, result, cursor) — fan-out response
 
 #: One scheduled event: ``(time, seq, kind, a, b, c)``.
 Entry = Tuple[float, int, int, Any, Any, Any]

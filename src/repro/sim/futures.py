@@ -1,9 +1,9 @@
-"""Futures for in-flight memory operations, and gates (condition latches).
+"""Fan-out completion state, and gates (condition latches).
 
-An :class:`OpFuture` resolves when the memory's response arrives; it *never*
-resolves if the memory crashed — callers must wait on quorums (e.g.
-``m - f_M`` of ``m`` futures), which is exactly how the paper's algorithms
-are written.
+A :class:`FanoutState` collects the completions of one
+:class:`~repro.sim.effects.OpFanoutEffect`.  An op on a crashed memory
+*never* completes — callers must wait on quorums (``m - f_M`` of ``m``),
+which is exactly how the paper's algorithms are written.
 
 A :class:`Gate` is a local (same-process) level-triggered latch used to hand
 items between tasks of one process, e.g. the non-equivocating broadcast
@@ -14,65 +14,17 @@ instantaneous in the model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.types import OpResult
-
-_next_future_id = 0
-
-
-class OpFuture:
-    """Completion handle for one invoked memory operation."""
-
-    __slots__ = ("future_id", "op", "mid", "pid", "done", "result", "_waiters")
-
-    def __init__(self, pid, mid, op) -> None:
-        global _next_future_id
-        _next_future_id += 1
-        self.future_id = _next_future_id
-        self.pid = pid
-        self.mid = mid
-        self.op = op
-        self.done = False
-        self.result: Optional[OpResult] = None
-        self._waiters: List[Callable[[], None]] = []
-
-    def resolve(self, result: OpResult) -> List[Callable[[], None]]:
-        """Mark complete; return the callbacks to notify (kernel runs them)."""
-        if self.done:
-            return []
-        self.done = True
-        self.result = result
-        waiters, self._waiters = self._waiters, []
-        return waiters
-
-    def add_waiter(self, notify: Callable[[], None]) -> None:
-        if self.done:
-            notify()
-        else:
-            self._waiters.append(notify)
-
-    @property
-    def ok(self) -> bool:
-        """True if resolved with an ACK result."""
-        return self.done and self.result is not None and self.result.ok
-
-    @property
-    def value(self) -> Any:
-        """The result value (only meaningful when :attr:`ok`)."""
-        return self.result.value if self.result is not None else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"done={self.result!r}" if self.done else "pending"
-        return f"<OpFuture#{self.future_id} mu{int(self.mid)+1} {state}>"
 
 
 class FanoutState:
     """Shared completion state of one :class:`~repro.sim.effects.OpFanoutEffect`.
 
-    One object replaces N OpFutures plus their waiter closures: each
-    response leg updates the counters in place, and the kernel resumes the
-    issuing task (once) with this state when the verdict is in.  Tasks
+    Each response leg updates the counters in place, and the kernel
+    resumes the issuing task (once) with this state when the verdict is
+    in.  Tasks
     woken by a timeout inspect the same fields — ``results[i]`` is the
     i-th target's :class:`~repro.types.OpResult`, or ``None`` while (or
     forever if, e.g. on a crashed memory) that op is outstanding.
@@ -100,6 +52,10 @@ class FanoutState:
         if self.count_acks:
             return self.acked >= self.need
         return self.done >= self.need
+
+    def acked_values(self) -> List[Any]:
+        """Values of the targets that have ACKed so far, in target order."""
+        return [r.value for r in self.results if r is not None and r.ok]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -158,13 +114,3 @@ class Gate:
 #: shared empty list returned by ``Gate.set`` when nobody waits (the common
 #: case for repeated signals); callers only iterate it, never mutate it
 _NO_WAITERS: List[Any] = []
-
-
-def count_done(futures: Tuple[OpFuture, ...]) -> int:
-    """How many of *futures* have resolved."""
-    return sum(1 for f in futures if f.done)
-
-
-def count_acked(futures: Tuple[OpFuture, ...]) -> int:
-    """How many of *futures* resolved with ACK."""
-    return sum(1 for f in futures if f.ok)

@@ -20,8 +20,8 @@ Failure semantics:
   dropped) — until a scripted *recovery* removes the crash flag and the
   registered recovery hooks re-spawn fresh protocol tasks, which rebuild
   their state from the memory regions;
-* a crashed memory silently swallows requests — the invoking future simply
-  never resolves, indistinguishable from slowness; a recovered memory
+* a crashed memory silently swallows requests — the operation simply
+  never completes, indistinguishable from slowness; a recovered memory
   answers again, with its regions intact or wiped (see ``recover_memory``);
 * the crash sets are *time-varying state*, consulted on every delivery and
   resume — nothing may cache "p is faulty" across instants;
@@ -63,10 +63,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heappop
-from typing import Any, Callable, Dict, Generator, List, Optional, Set
+from typing import Any, Callable, Generator, List, Optional, Set
 
 from repro.crypto.signatures import SignatureAuthority
-from repro.errors import LivelockError, OutstandingOpError, SimulationError
+from repro.errors import LivelockError, SimulationError
 from repro.mem.layout import MemoryLayout
 from repro.mem.memory import Memory
 from repro.mem.operations import OP_BATCH
@@ -74,17 +74,13 @@ from repro.metrics.ledger import MetricsLedger
 from repro.net.messages import Envelope
 from repro.net.network import Network, RecvWaiter
 from repro.sim.effects import (
-    Effect,
     GateWaitEffect,
-    InvokeEffect,
     RecvEffect,
     SendEffect,
     SleepEffect,
     SpawnEffect,
-    WaitEffect,
 )
 from repro.sim.event_queue import (
-    EV_ARRIVE,
     EV_CALL,
     EV_DELIVER,
     EV_FAN_ARRIVE,
@@ -93,22 +89,33 @@ from repro.sim.event_queue import (
     EV_OP_ARRIVE,
     EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
-    EV_RESOLVE,
     EV_RESUME,
     EV_WAKE,
     EventQueue,
 )
 from repro.sim.faults import FailureController
-from repro.sim.futures import FanoutState, OpFuture
+from repro.sim.futures import FanoutState
 from repro.sim.latency import LatencyModel, NominalLatency
 from repro.sim.tracing import Tracer
-from repro.types import MemoryId, ProcessId, memory_name, process_name
+from repro.types import (
+    ChainAbort,
+    MemoryId,
+    OpResult,
+    OpStatus,
+    ProcessId,
+    memory_name,
+    process_name,
+)
 
 #: Ω failure-detector oracle: maps virtual time to the current leader pid.
 OmegaFn = Callable[[float], int]
 
 #: number of effect kinds the dispatch table covers (FX_SEND..FX_OP_FANOUT)
-_N_FX = 10
+_N_FX = 7
+
+#: ``SimConfig.chain_delivery`` modes: how a BatchOp chain travels
+FUSED = "fused"
+SEGMENTED = "segmented"
 
 
 @dataclass
@@ -121,8 +128,15 @@ class SimConfig:
     seed: int = 0
     trace: bool = False
     strict_safety: bool = True
-    #: enforce the model's one-outstanding-op-per-memory rule per task
-    strict_outstanding: bool = False
+    #: how a BatchOp chain reaches its memory.  ``"fused"``: one request,
+    #: applied atomically at its arrival, priced request + k·issue +
+    #: response (doorbell batching: only the last WR signals).
+    #: ``"segmented"``: one signalled round trip per work request, each
+    #: applied at its own arrival, the next posted when the previous
+    #: completes — the classic per-op issue.  Same protocol code, same
+    #: ChainAbort on the first NAK; only the price and the interleaving
+    #: other processes' ops may take between two sub-ops differ.
+    chain_delivery: str = FUSED
     #: cap on same-instant effects one task may run (runaway detector)
     max_inline_steps: int = 100_000
     #: Ω oracle; default: p1 is always the leader
@@ -135,6 +149,8 @@ class SimConfig:
             raise ValueError("need at least one process")
         if self.n_memories < 0:
             raise ValueError("n_memories must be >= 0")
+        if self.chain_delivery not in (FUSED, SEGMENTED):
+            raise ValueError(f"unknown chain_delivery {self.chain_delivery!r}")
 
 
 class Task:
@@ -151,7 +167,6 @@ class Task:
         "daemon",
         "pending_token",
         "_token_counter",
-        "outstanding",
         "ctx",
     )
 
@@ -174,7 +189,6 @@ class Task:
         self.daemon = daemon
         self.pending_token: Optional[int] = None
         self._token_counter = 0
-        self.outstanding: Dict[MemoryId, int] = {}
         #: causal trace context (a repro.obs Span) new child spans parent
         #: under; None whenever observability is detached
         self.ctx = ctx
@@ -231,8 +245,8 @@ class Kernel:
         self._issue_delay: Optional[float] = latency.constant_issue_delay
         latency.bind(self)
         # Static config and ledger references hoisted off the per-event path.
-        # links_enabled and strict_outstanding are NOT hoisted: callers
-        # toggle both on the config post-init (e.g. the disk-model cluster).
+        # links_enabled and chain_delivery are NOT hoisted: callers toggle
+        # both on the config post-init (e.g. the disk-model cluster).
         self._max_inline_steps = config.max_inline_steps
         self._msg_counter = self.metrics.messages_sent
         self._mem_op_counter = self.metrics.mem_ops
@@ -244,8 +258,6 @@ class Kernel:
             self._ev_resume,        # EV_RESUME
             self._ev_wake,          # EV_WAKE
             self._ev_deliver,       # EV_DELIVER
-            self._ev_arrive,        # EV_ARRIVE
-            self._ev_resolve,       # EV_RESOLVE
             self._ev_recv_timeout,  # EV_RECV_TIMEOUT
             self._ev_op_arrive,     # EV_OP_ARRIVE
             self._ev_op_resolve,    # EV_OP_RESOLVE
@@ -255,14 +267,11 @@ class Kernel:
         ]
         self._fx_handlers = [
             self._fx_send,       # FX_SEND
-            self._fx_invoke,     # FX_INVOKE
-            self._fx_wait,       # FX_WAIT
             self._fx_recv,       # FX_RECV
             self._fx_sleep,      # FX_SLEEP
             self._fx_gate_wait,  # FX_GATE_WAIT
             self._fx_spawn,      # FX_SPAWN
             self._fx_op,         # FX_OP
-            self._fx_op,         # FX_BATCH_OP (chains share the fused-op path)
             self._fx_op_fanout,  # FX_OP_FANOUT
         ]
 
@@ -489,10 +498,6 @@ class Kernel:
                     self._ev_fan_arrive(a, b, c)
                 elif kind == EV_FAN_RESOLVE:
                     self._ev_fan_resolve(a, b, c)
-                elif kind == EV_ARRIVE:
-                    self._ev_arrive(a, b, c)
-                elif kind == EV_RESOLVE:
-                    self._resolve(a, b, c)
                 else:
                     handlers[kind](a, b, c)
                 processed += 1
@@ -663,28 +668,6 @@ class Kernel:
             resp = self.config.latency.memory_response_delay(pid, mid, self.now, self.rng)
         return result, resp
 
-    def _op_response_bookkeeping(self, task: Task, mid, result) -> None:
-        """Shared response-leg bookkeeping of both memory-op paths."""
-        if self.config.strict_outstanding:
-            task.outstanding[mid] = max(0, task.outstanding.get(mid, 1) - 1)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now,
-                "op_result",
-                task.label,
-                mem=memory_name(mid),
-                status=result.status.value,
-            )
-
-    def _ev_arrive(self, task, future, _c) -> None:
-        result, resp = self._memory_apply_leg(future.pid, future.mid, future.op)
-        if result is None:
-            return  # the future never resolves: the op hangs
-        self.queue.push(self.now + resp, EV_RESOLVE, task, future, result)
-
-    def _ev_resolve(self, task, future, result) -> None:
-        self._resolve(task, future, result)
-
     def _ev_recv_timeout(self, task, token, _c) -> None:
         # Heap context (ready lane empty): unpark and resume directly.
         if task.pending_token == token:
@@ -694,37 +677,57 @@ class Kernel:
                 self._resume(task, None)
 
     def _ev_op_arrive(self, task, token, mid_op) -> None:
-        mid, op = mid_op
+        mid, op, cursor = mid_op
         result, resp = self._memory_apply_leg(task.pid, mid, op)
         if result is None:
             return  # the op hangs: the parked task is never woken
-        self.queue.push(self.now + resp, EV_OP_RESOLVE, task, token, (mid, result))
+        self.queue.push(
+            self.now + resp, EV_OP_RESOLVE, task, token, (mid, result, cursor)
+        )
 
     def _ev_op_resolve(self, task, token, mid_result) -> None:
-        mid, result = mid_result
-        self._op_response_bookkeeping(task, mid, result)
+        mid, result, cursor = mid_result
+        if self.tracer.enabled:
+            self._trace_op_result(task, mid, result)
         if self.obs is not None:
             self.obs.op_resolved((task.task_id, token), self.now, result.status.value)
+        if cursor is not None:
+            result = cursor.fold(result)
+            if result is None:
+                self._post_next_wr(
+                    task, (task.task_id, token), mid, cursor, EV_OP_ARRIVE, token, ()
+                )
+                return
         # Fold the wake straight into the resume (like EV_WAKE).
         if task.pending_token == token and not task.done:
             self._resume(task, result)
 
     def _ev_fan_arrive(self, task, state, idx_mid_op) -> None:
-        index, mid, op = idx_mid_op
+        index, mid, op, cursor = idx_mid_op
         result, resp = self._memory_apply_leg(task.pid, mid, op)
         if result is None:
             return  # crashed memory: this leg of the fan-out never completes
         self.queue.push(
-            self.now + resp, EV_FAN_RESOLVE, task, state, (index, mid, result)
+            self.now + resp, EV_FAN_RESOLVE, task, state, (index, mid, result, cursor)
         )
 
     def _ev_fan_resolve(self, task, state, idx_mid_result) -> None:
-        index, mid, result = idx_mid_result
-        self._op_response_bookkeeping(task, mid, result)
+        index, mid, result, cursor = idx_mid_result
+        if self.tracer.enabled:
+            self._trace_op_result(task, mid, result)
         if self.obs is not None:
             self.obs.op_resolved(
                 (task.task_id, state.token, index), self.now, result.status.value
             )
+        if cursor is not None:
+            result = cursor.fold(result)
+            if result is None:
+                # mid-chain: the leg counts once, at its last WR
+                self._post_next_wr(
+                    task, (task.task_id, state.token, index), mid, cursor,
+                    EV_FAN_ARRIVE, state, (index,),
+                )
+                return
         state.results[index] = result
         state.done += 1
         if result.ok:
@@ -742,6 +745,34 @@ class Kernel:
             if self.obs is not None:
                 self.obs.fanout_verdict(task, state, self.now)
             self._wake(task, state.token, state)
+
+    def _trace_op_result(self, task: Task, mid, result) -> None:
+        self.tracer.record(
+            self.now,
+            "op_result",
+            task.label,
+            mem=memory_name(mid),
+            status=result.status.value,
+        )
+
+    def _post_next_wr(self, task: Task, key, mid, cursor, kind, b, head) -> None:
+        """Segmented delivery: post the chain's next work request now that
+        the previous one completed, as a *kind* arrive entry carrying
+        ``(b, head + (mid, sub_op, cursor))``.  A killed task posts nothing
+        more — its process crashed mid-chain."""
+        if task.done:
+            return
+        sub = cursor.ops[cursor.index]
+        obs = self.obs
+        if obs is not None:
+            # Posted on the parked task's behalf: phase-scoped pricing and
+            # span parenting must see its context, as for the first WR.
+            obs.enter_task(task)
+        req = self._op_request_leg(task, mid, sub)
+        if obs is not None:
+            obs.op_started(task, key, mid, sub, self.now)
+            obs.exit_task(task, self.now)
+        self.queue.push(self.now + req, kind, task, b, head + (mid, sub, cursor))
 
     # ------------------------------------------------------------------
     # task stepping
@@ -891,29 +922,21 @@ class Kernel:
 
     def _op_request_leg(self, task: Task, mid, op) -> float:
         """Shared request leg of both memory-op paths: validate the target,
-        enforce the one-outstanding rule (strict mode only — the permissive
-        default skips the dict traffic entirely), count and trace the op.
-        Returns the request delay."""
+        count and trace the op.  Returns the request delay."""
         if mid >= len(self.memories):
             raise SimulationError(f"no such memory mu{int(mid) + 1}")
-        if self.config.strict_outstanding:
-            if task.outstanding.get(mid, 0) >= 1:
-                raise OutstandingOpError(
-                    f"{task.label} already has an outstanding op on {memory_name(mid)}"
-                )
-            task.outstanding[mid] = task.outstanding.get(mid, 0) + 1
         req = self._req_delay
         if req is None:
             req = self.config.latency.memory_request_delay(task.pid, mid, self.now, self.rng)
         if op.kind != OP_BATCH:
             self._mem_op_counter[task.pid, type(op).__name__] += 1
         else:
-            # A chain is ONE queue entry (and one outstanding op under the
-            # strict rule), but each sub-op is real work: count them under
-            # their own names so ledgers stay comparable between batched
-            # and unbatched runs.  Delay: only the last WR signals, so the
-            # chain costs the request leg plus one issue increment per WR
-            # (nominal issue cost: zero — see LatencyModel).
+            # A fused chain is ONE queue entry, but each sub-op is real
+            # work: count them under their own names so ledgers stay
+            # comparable between fused and segmented runs.  Delay: only
+            # the last WR signals, so the chain costs the request leg plus
+            # one issue increment per WR (nominal issue cost: zero — see
+            # LatencyModel).
             counter = self._mem_op_counter
             pid = task.pid
             for sub in op.ops:
@@ -930,51 +953,6 @@ class Kernel:
                 self.now, "invoke", task.label, mem=memory_name(mid), op=type(op).__name__
             )
         return req
-
-    def _fx_invoke(self, task: Task, effect: InvokeEffect) -> OpFuture:
-        mid = effect.mid
-        op = effect.op
-        req = self._op_request_leg(task, mid, op)
-        future = OpFuture(task.pid, mid, op)
-        if self.obs is not None:
-            self.obs.op_started(task, future, mid, op, self.now)
-        self.queue.push(self.now + req, EV_ARRIVE, task, future)
-        return future
-
-    def _resolve(self, task: Task, future: OpFuture, result) -> None:
-        self._op_response_bookkeeping(task, future.mid, result)
-        if self.obs is not None:
-            self.obs.op_resolved(future, self.now, result.status.value)
-        for notify in future.resolve(result):
-            notify()
-
-    def _fx_wait(self, task: Task, effect: WaitEffect):
-        futures = effect.futures
-        needed = effect.count
-        done_now = 0
-        for f in futures:
-            if f.done:
-                done_now += 1
-        if needed <= 0 or done_now >= needed:
-            # Already satisfied: resume at this instant through the ready
-            # lane (one entry, no closures) instead of a heap round-trip.
-            self.queue.push_ready(EV_RESUME, task, True)
-            return _PARKED
-        token = task.new_token()
-
-        def check() -> None:
-            done = 0
-            for f in futures:
-                if f.done:
-                    done += 1
-            if done >= needed:
-                self._wake(task, token, True)
-
-        for f in futures:
-            f.add_waiter(check)
-        if effect.timeout is not None:
-            self.queue.push(self.now + effect.timeout, EV_WAKE, task, token, False)
-        return _PARKED
 
     def _fx_recv(self, task: Task, effect: RecvEffect):
         env = self.network.try_consume(task.pid, effect.topic, effect.match)
@@ -1018,38 +996,52 @@ class Kernel:
         )
 
     def _fx_op(self, task: Task, effect):
-        """Fused invoke + one-future wait (see :class:`OpEffect`).
-
-        Also the handler for :class:`BatchOpEffect`: a chain rides the same
-        two queue entries — ``_op_request_leg`` prices its issue increments
-        and the memory's dispatch table applies it abort-on-NAK.
-        """
+        """Post one op or chain to one memory and park for its completion
+        (see :class:`OpEffect`)."""
         mid = effect.mid
         op = effect.op
+        cursor = None
+        if op.kind == OP_BATCH and self.config.chain_delivery != FUSED:
+            # Segmented delivery: walk the chain one WR per round trip.
+            cursor = _ChainCursor(op.ops)
+            op = op.ops[0]
         req = self._op_request_leg(task, mid, op)
         token = task.new_token()
         if self.obs is not None:
             self.obs.op_started(task, (task.task_id, token), mid, op, self.now)
-        self.queue.push(self.now + req, EV_OP_ARRIVE, task, token, (mid, op))
+        self.queue.push(self.now + req, EV_OP_ARRIVE, task, token, (mid, op, cursor))
         return _PARKED
 
     def _fx_op_fanout(self, task: Task, effect):
         """Post one op (or chain) per target memory with single-completion
         semantics (see :class:`OpFanoutEffect`): all completions fold into
         one shared :class:`FanoutState`, and the task resumes exactly once
-        when the verdict is in — no per-future waiter closures."""
+        when the verdict is in."""
         targets = effect.targets
+        if effect.timeout is None and effect.need > len(targets):
+            raise SimulationError(
+                f"{task.label} posted a fan-out needing {effect.need} "
+                f"completions from {len(targets)} targets with no timeout: "
+                "it could never wake"
+            )
         token = task.new_token()
         state = FanoutState(
             len(targets), effect.need, effect.count_acks, effect.spare_naks, token
         )
         queue = self.queue
         obs = self.obs
+        segmented = self.config.chain_delivery != FUSED
         for index, (mid, op) in enumerate(targets):
+            cursor = None
+            if segmented and op.kind == OP_BATCH:
+                cursor = _ChainCursor(op.ops)
+                op = op.ops[0]
             req = self._op_request_leg(task, mid, op)
             if obs is not None:
                 obs.op_started(task, (task.task_id, token, index), mid, op, self.now)
-            queue.push(self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, op))
+            queue.push(
+                self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, op, cursor)
+            )
         if state.satisfied:
             # Degenerate verdict (need <= 0): resume at this instant; the
             # posted ops still complete into the state later.
@@ -1089,6 +1081,30 @@ class Kernel:
 
     def memory(self, mid: int) -> Memory:
         return self.memories[mid]
+
+
+class _ChainCursor:
+    """Progress of one chain under segmented delivery: which work request
+    is in flight and the values of those that completed."""
+
+    __slots__ = ("ops", "index", "values")
+
+    def __init__(self, ops) -> None:
+        self.ops = ops
+        self.index = 0
+        self.values: List[Any] = []
+
+    def fold(self, result):
+        """Account the in-flight WR's *result*.  Returns the chain's final
+        :class:`OpResult` — the same ACK tuple / ``ChainAbort`` a fused
+        chain resolves to — or None when another WR must be posted."""
+        if not result.ok:
+            return OpResult(OpStatus.NAK, ChainAbort(self.index, self.values))
+        self.values.append(result.value)
+        self.index += 1
+        if self.index == len(self.ops):
+            return OpResult(OpStatus.ACK, tuple(self.values))
+        return None
 
 
 class _ParkedType:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.sim.event_queue import (
-    EV_ARRIVE,
     EV_CALL,
     EV_DELIVER,
     EV_FAN_ARRIVE,
@@ -40,7 +39,6 @@ from repro.sim.event_queue import (
     EV_OP_ARRIVE,
     EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
-    EV_RESOLVE,
     EV_RESUME,
     EV_WAKE,
 )
@@ -51,8 +49,6 @@ EV_NAMES = (
     "resume",
     "wake",
     "deliver",
-    "arrive",
-    "resolve",
     "recv_timeout",
     "op_arrive",
     "op_resolve",
@@ -99,19 +95,14 @@ class FrontierEntry:
 def _target_of(kind: int, a: Any, b: Any, c: Any) -> str:
     """Best-effort operand summary; never raises on foreign payloads."""
     try:
-        if kind in (EV_RESUME, EV_WAKE, EV_RESOLVE, EV_RECV_TIMEOUT,
-                    EV_OP_RESOLVE, EV_ARRIVE):
+        if kind in (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_OP_RESOLVE,
+                    EV_FAN_RESOLVE):
             return getattr(a, "label", None) or repr(a)
         if kind == EV_DELIVER:
             return f"p{int(a.dst) + 1}:{a.topic}"
-        if kind == EV_OP_ARRIVE:
-            mid, op = c
+        if kind in (EV_OP_ARRIVE, EV_FAN_ARRIVE):
+            mid, op = c[-3:-1]
             return f"{a.label}->mu{int(mid) + 1}:{type(op).__name__}"
-        if kind == EV_FAN_ARRIVE:
-            _index, mid, op = c
-            return f"{a.label}->mu{int(mid) + 1}:{type(op).__name__}"
-        if kind == EV_FAN_RESOLVE:
-            return getattr(a, "label", None) or repr(a)
         if kind == EV_FAULT:
             return repr(a)
         if kind == EV_CALL:

@@ -23,7 +23,6 @@ from repro.consensus.messages import Decision
 from repro.consensus.probes import (
     max_confirmed_watermark,
     probe_write_grant,
-    publish_watermark,
     read_quorum_chain,
     read_quorum_watermarks,
     watermark_key,
@@ -137,22 +136,12 @@ class SmrConfig:
     #: group its own namespace so groups sharing a kernel never interfere
     region: str = SMR_REGION
     topic: str = SMR_TOPIC
-    #: publish the commit watermark to the read-index region after every
-    #: committed slot, majority-acked BEFORE any client sees the commit.
-    #: Off by default: it adds one memory round per committed slot
-    #: (amortised across the batch), and only the one-sided quorum read
-    #: path needs it.  Requires ``smr_rx_regions`` to be registered.
+    #: publish the commit watermark to the read-index region with every
+    #: committed slot (one more WR on the slot write's chain),
+    #: majority-acked BEFORE any client sees the commit.  Off by default:
+    #: only the one-sided quorum read path needs it.  Requires
+    #: ``smr_rx_regions`` to be registered.
     publish_watermark: bool = False
-    #: doorbell batching: fuse the phase-2 slot write with the watermark
-    #: publish into ONE chain per memory (saving a full memory round per
-    #: committed slot when ``publish_watermark`` is on), run fan-outs with
-    #: single-completion semantics, and let quorum readers use the fused
-    #: 1-round chain read.  Writers and readers MUST agree on this flag
-    #: (they share the SmrConfig object): fused writers can leave a failed
-    #: chain's watermark at a minority, which only the batched readers'
-    #: confirmed-majority rule tolerates.  ``False`` restores the classic
-    #: separate-rounds paths exactly.
-    batch_chains: bool = True
 
 
 def smr_regions(
@@ -294,28 +283,6 @@ class ReplicatedLog:
         held = yield from probe_write_grant(self.env, self.region, timeout=timeout)
         return held
 
-    def _publish_watermark(self, slot: int) -> Generator:
-        """Majority-install ``commit watermark = slot`` in our register.
-
-        Called by the leader after slot *slot*'s phase-2 write ACKed at a
-        majority and BEFORE the commit is applied or broadcast: every
-        client-visible effect of the commit therefore happens after the
-        watermark is durable, which is what lets a quorum reader trust
-        ``max(watermarks over any majority)`` to cover every completed
-        write.  The register is kept monotone through the optimistic
-        floor (concurrent quorum-read write-backs share it).
-        """
-        target = max(int(slot), self._wm_publish_floor)
-        self._wm_publish_floor = target
-        obs = self.env.obs
-        phase = obs and obs.phase("log.watermark", slot=target)
-        try:
-            ok = yield from publish_watermark(self.env, self.rx_region, target)
-        finally:
-            if phase:
-                phase.finish()
-        return ok
-
     def quorum_read(self, timeout: Optional[float] = None) -> Generator:
         """One-sided quorum read: no leader involvement, ABD-style.
 
@@ -335,13 +302,16 @@ class ReplicatedLog:
           watermark advanced, so this read's majority holds each one,
           and the highest-ballot copy per slot is the committed value
           (the standard Paxos invariant: later ballots re-propose it);
-        * before answering, the observed watermark is written back to a
-          majority (skipped when the quorum already confirms it), so two
-          sequential quorum reads can never see new-then-old.
+        * a watermark is served only when one writer's register confirms
+          it at a majority of views, so it is already durable and two
+          sequential quorum reads can never see new-then-old.  There is
+          no write-back: the slot write and the watermark share one chain,
+          so a failed chain can leave its watermark at a minority, and
+          amplifying that residue would let a later reader "confirm" a
+          slot no writer ever committed.
 
-        With ``batch_chains`` (and FIFO queue pairs) the whole read is
-        ONE doorbell-batched round — see :meth:`_quorum_read_fused` for
-        the adoption rules that replace the write-back.
+        Under FIFO queue pairs the whole read is ONE chain per memory —
+        see :meth:`_quorum_read_fused` for the adoption rules.
         """
         env = self.env
         majority = env.majority_of_memories()
@@ -356,7 +326,7 @@ class ReplicatedLog:
 
     def _quorum_read_inner(self, majority: int, timeout: Optional[float]) -> Generator:
         env = self.env
-        if self.config.batch_chains and env.fifo_memory_ops:
+        if env.fifo_memory_ops:
             # Doorbell-batched read: ONE fused chain per memory carries
             # both the watermark snapshot and the entry snapshot — the
             # two sequential rounds collapse into one.  Requires FIFO
@@ -381,44 +351,20 @@ class ReplicatedLog:
         if watermark is None:
             return None
         if watermark <= self.applied_upto:
-            # local state is already at least as fresh as the quorum —
-            # nothing to ingest, nothing to write back
+            # local state is already at least as fresh as the quorum
             return self.applied_upto
-        write_back = None
         if not confirmed:
-            if self.config.batch_chains:
-                # Fused writers can leave a FAILED chain's watermark at a
-                # minority of registers (the slot write ACKed, the run
-                # died before a majority).  Writing that residue back
-                # would promote it to a majority and let a later reader
-                # "confirm" a slot no writer ever committed — so under
-                # batch_chains an unconfirmed watermark is neither served
-                # nor written back: fall back to the consensus path
-                # before paying for an entry fetch it could never serve.
-                return None
-            # Classic writers publish a watermark only after its slot is
-            # majority-committed, so even a minority residue describes
-            # real commits — amplifying it to a majority is safe.  Ride
-            # the write-back WR on the entry-fetch chain instead of
-            # paying a third round afterwards: the chain applies in
-            # order, so any memory whose snapshot ACKs has durably
-            # installed the watermark first.  A majority of ACKs below
-            # therefore certifies exactly what the separate
-            # ``publish_watermark`` round used to (6 delays -> 4).
-            target = max(watermark, self._wm_publish_floor)
-            self._wm_publish_floor = target
-            write_back = WriteOp(
-                self.rx_region, watermark_key(self.rx_region, int(env.pid)), target
-            )
+            # A failed commit chain can leave its watermark at a minority
+            # of registers; it is neither served nor written back (see
+            # quorum_read).  Fall back to the consensus path before
+            # paying for an entry fetch that could never be served.
+            return None
         floor = self.applied_upto + 1
-        read_op = ReadSnapshotOp(self.region, (self.region,), floor)
-        fetch_op = read_op if write_back is None else BatchOp((write_back, read_op))
-        entry_futures = yield from env.invoke_on_all(lambda mid: fetch_op)
-        yield env.wait(entry_futures, count=majority, timeout=timeout)
-        if write_back is None:
-            views = [f.value for f in entry_futures if f.done and f.ok]
-        else:
-            views = [f.value[1] for f in entry_futures if f.done and f.ok]
+        fetch_op = ReadSnapshotOp(self.region, (self.region,), floor)
+        state = yield env.fanout_to_all(
+            lambda mid: fetch_op, need=majority, timeout=timeout
+        )
+        views = state.acked_values()
         if len(views) < majority:
             return None
         best: Dict[int, tuple] = {}
@@ -448,9 +394,11 @@ class ReplicatedLog:
         """The 1-round doorbell-batched quorum read.
 
         Each ACKing memory returns a *consistent cut* ``(wm_view,
-        entry_view)`` — both snapshots applied at one arrival instant.
-        Three rules make the single round safe where the classic path
-        needed sequencing and a write-back:
+        entry_view)`` — both snapshots applied at one arrival instant
+        (under segmented delivery the entry view is taken a round trip
+        after the watermark view, so it can only hold more).
+        Three rules make the single round safe where non-FIFO delivery
+        needs sequencing:
 
         * **per-register confirmation** (``max_confirmed_watermark``):
           the max watermark is trusted only when one writer's register
@@ -465,12 +413,12 @@ class ReplicatedLog:
           proposer's residue for it;
         * **no write-back**: a confirmed watermark is already durable at
           a majority, and an unconfirmed one must not be amplified (see
-          ``_quorum_read_inner``) — so the round is never followed by a
+          :meth:`quorum_read`) — so the round is never followed by a
           publish.
 
         Holes (a committed slot no qualifying view holds — wiped memory,
         or every cut predating its chain) return ``None``: consensus
-        fallback, same as the classic path.
+        fallback, same as the sequential path.
         """
         env = self.env
         floor = self.applied_upto + 1
@@ -674,89 +622,38 @@ class ReplicatedLog:
             if my_value is None:
                 return
 
-        # Phase 2: one slot write per memory, all leaving at this instant,
-        # leader resuming on a majority — two delays either way.  With
-        # batch_chains + publish_watermark the watermark write rides the
-        # SAME chain as the slot write (slot first, so a deposed leader's
-        # NAK aborts the chain before the watermark can advance), saving
-        # the separate publish round per committed slot.
+        # Phase 2: one chain per memory, all leaving at this instant, the
+        # leader resuming on a majority.  With publish_watermark the
+        # watermark write rides the SAME chain as the slot write (slot
+        # first, so a deposed leader's NAK aborts the chain before the
+        # watermark can advance): every client-visible effect of the
+        # commit happens after the watermark is durable at a majority.
         slot_value = PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=my_value)
-        key = self._slot_key(slot, int(env.pid))
-        obs = env.obs
-        phase = obs and obs.phase("log.phase2", slot=slot)
+        op = WriteOp(self.region, self._slot_key(slot, int(env.pid)), slot_value)
         publish = self.config.publish_watermark
-        fused = publish and self.config.batch_chains
-        published = False
-        wm_refused = False
-        if fused:
-            # Floor raised BEFORE the chain leaves (same monotonicity
-            # contract as _publish_watermark): a concurrent local read
-            # path must refuse to serve until the apply catches up.
+        if publish:
+            # Floor raised BEFORE the chain leaves: a concurrent local
+            # read path must refuse to serve until the apply catches up,
+            # and the register stays monotone.
             target = max(int(slot), self._wm_publish_floor)
             self._wm_publish_floor = target
-            chain_ops = (
-                WriteOp(self.region, key, slot_value),
-                WriteOp(
-                    self.rx_region,
-                    watermark_key(self.rx_region, int(env.pid)),
-                    target,
-                ),
-            )
-            if env.strict_outstanding:
-                chains = ChainRunner(env, f"{self.region}2-{slot}")
-
-                def phase2(mid):
-                    result = yield from env.batch(mid, chain_ops)
-                    return result
-
-                yield from chains.launch(phase2)
-                yield from chains.wait_for(majority)
-                results = list(chains.results.values())
-            else:
-                chain = BatchOp(chain_ops)
-                state = yield env.fanout_to_all(lambda mid: chain, need=majority)
-                results = [r for r in state.results if r is not None]
-            failed = any(not r.ok for r in results)
-            wm_refused = any(
-                not r.ok and r.value.failed_index == 1 for r in results
-            )
-            published = not failed
-        elif env.strict_outstanding:
-            # Model-conformance mode: the one-outstanding rule is enforced
-            # per task per memory, and the proposer task is long-lived — a
-            # same-instant straggler write from slot N would still be in
-            # flight when slot N+1 invokes on that memory.  Run each write
-            # in its own throwaway chain task, as the takeover path does.
-            chains = ChainRunner(env, f"{self.region}2-{slot}")
-
-            def phase2(mid):
-                result = yield from env.write(mid, self.region, key, slot_value)
-                return result.ok
-
-            yield from chains.launch(phase2)
-            yield from chains.wait_for(majority)
-            failed = any(not ok for ok in chains.results.values())
-        elif self.config.batch_chains:
-            # Hot path, nothing to fuse (watermark off): single-completion
-            # fan-out — one queue entry per memory out, ONE wake back, no
-            # per-future waiter closures.
-            write_op = WriteOp(region=self.region, key=key, value=slot_value)
-            state = yield env.fanout_to_all(lambda mid: write_op, need=majority)
-            failed = state.naked > 0
-        else:
-            # Classic path (batch_chains off): issue the writes directly
-            # from the proposer task and wait on the futures.
-            write_op = WriteOp(region=self.region, key=key, value=slot_value)
-            futures = yield from env.invoke_on_all(lambda mid: write_op)
-            yield env.wait(futures, count=majority)
-            failed = any(f.done and not f.ok for f in futures)
+            wm_key = watermark_key(self.rx_region, int(env.pid))
+            op = BatchOp((op, WriteOp(self.rx_region, wm_key, target)))
+        obs = env.obs
+        phase = obs and obs.phase("log.phase2", slot=slot)
+        state = yield env.fanout_to_all(lambda mid: op, need=majority)
+        failed = state.naked > 0
         if phase:
             phase.finish(failed=failed)
         if failed:
-            if wm_refused:
+            if publish and any(
+                r is not None and not r.ok and r.value.failed_index == 1
+                for r in state.results
+            ):
                 # A chain aborted at the watermark write: the open, static
-                # rx region can only refuse when it was never registered —
-                # same loud assembly error as the separate publish round.
+                # rx region can only refuse when it was never registered.
+                # Proceeding would silently re-open the staleness hole the
+                # watermark closes, so this is a loud assembly error.
                 raise ConfigurationError(
                     f"watermark publish to {self.rx_region!r} refused: "
                     "publish_watermark=True requires the smr_rx_regions "
@@ -764,21 +661,6 @@ class ReplicatedLog:
                 )
             self.permissions_held = False  # somebody grabbed the region
             return
-        if publish and not published:
-            # The slot is committed (majority-acked under the fence) but
-            # not yet client-visible; make the watermark durable FIRST so
-            # no client can see a reply a quorum reader could miss.  The
-            # open rx region can only NAK a majority when it was never
-            # registered — proceeding would silently re-open the staleness
-            # hole the watermark closes, so a failed publish is a loud
-            # assembly error, not a degradation.
-            published = yield from self._publish_watermark(slot)
-            if not published:
-                raise ConfigurationError(
-                    f"watermark publish to {self.rx_region!r} refused at a "
-                    "majority of memories: publish_watermark=True requires "
-                    "the smr_rx_regions read-index region to be registered"
-                )
         self._commit(slot, my_value)
         yield from env.broadcast(
             (slot, Decision(value=my_value)), topic=self.topic, include_self=False
@@ -791,39 +673,22 @@ class ReplicatedLog:
         probe = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         probe_key = self._slot_key(slot, int(env.pid))
 
-        if self.config.batch_chains:
-            # Doorbell-batched takeover: grab + ballot-publishing probe +
-            # whole-region snapshot ride ONE chain per memory — two delays
-            # instead of six.  The grab policy ACKs any legitimate
-            # self-grab (including a no-op re-grab), so the chain aborts
-            # exactly where the classic sequence would have failed: a
-            # tombstoned region NAKs at WR 0, and no usurper can
-            # interleave between probe and snapshot (the chain applies
-            # atomically at the memory).
-            chain_ops = (
-                ChangePermissionOp(self.region, grab),
-                WriteOp(self.region, probe_key, probe),
-                SnapshotOp(self.region, (self.region,)),
-            )
+        # The takeover is ONE chain per memory: grab + ballot-publishing
+        # probe + whole-region snapshot (every slot any previous leader
+        # may have written, not just the one being proposed).  The grab
+        # policy ACKs any legitimate self-grab (including a no-op
+        # re-grab), so the chain aborts exactly where a refused probe
+        # write would have: a tombstoned region NAKs at WR 0.
+        chain_ops = (
+            ChangePermissionOp(self.region, grab),
+            WriteOp(self.region, probe_key, probe),
+            SnapshotOp(self.region, (self.region,)),
+        )
 
-            def phase1(mid):
-                result = yield from env.batch(mid, chain_ops)
-                if not result.ok:
-                    return (False, None)
-                return (True, result.value[2])
-
-        else:
-
-            def phase1(mid):
-                yield from env.change_permission(mid, self.region, grab)
-                write = yield from env.write(mid, self.region, probe_key, probe)
-                if not write.ok:
-                    return (False, None)
-                # Takeover reads the *whole* region: every slot any
-                # previous leader may have written, not just the one
-                # being proposed.
-                snap = yield from env.snapshot(mid, self.region, (self.region,))
-                return (True, snap.value if snap.ok else None)
+        def phase1(mid):
+            """The memory's region view, or None when the chain aborted."""
+            result = yield from env.batch(mid, chain_ops)
+            return result.value[2] if result.ok else None
 
         obs = env.obs
         phase = obs and obs.phase("log.prepare", slot=slot)
@@ -833,17 +698,13 @@ class ReplicatedLog:
         finally:
             if phase:
                 phase.finish()
-        results = list(chains.results.values())
-        if any(not ok for ok, _ in results):
+        views = list(chains.results.values())
+        if any(view is None for view in views):
             return None
         best_per_slot: Dict[int, tuple] = {}
-        for ok, view in results:
-            if view is None:
-                return None
+        for view in views:
             for key, other in view.items():
-                if key == self._slot_key(slot, int(env.pid)) or not isinstance(
-                    other, PmpSlot
-                ):
+                if key == probe_key or not isinstance(other, PmpSlot):
                     continue
                 self.highest_seen = max(self.highest_seen, other.min_prop)
                 if other.min_prop > prop_nr:

@@ -14,14 +14,20 @@ from repro import (
 
 
 class TestPmpSkipAblation:
-    def test_skip_off_restores_prepare_phase(self):
-        config = PmpConfig(skip_first_attempt=False, batch_chains=False)
-        result = run_consensus(ProtectedMemoryPaxos(config), 3, 3)
+    def test_skip_off_segmented_prepare_is_three_rounds(self):
+        # Segmented delivery: the prepare chain's three WRs are three
+        # round trips, from the kernel switch alone.
+        from repro.core.cluster import Cluster, ClusterConfig
+
+        config = PmpConfig(skip_first_attempt=False)
+        cluster = Cluster(ProtectedMemoryPaxos(config), ClusterConfig(3, 3))
+        cluster.kernel.config.chain_delivery = "segmented"
+        result = cluster.run(["a", "b", "c"])
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay == 8.0  # cp + write + read + write
 
-    def test_skip_off_batched_prepare_is_one_round(self):
-        # Doorbell batching fuses cp + probe + snapshot into one chain:
+    def test_skip_off_fused_prepare_is_one_round(self):
+        # Fused delivery carries cp + probe + snapshot as one request:
         # the full prepare costs one memory round, so skip-off is 2 + 2.
         config = PmpConfig(skip_first_attempt=False)
         result = run_consensus(ProtectedMemoryPaxos(config), 3, 3)

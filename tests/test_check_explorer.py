@@ -18,9 +18,9 @@ from repro.check.trace import (
     save_trace,
 )
 from repro.sim.event_queue import (
-    EV_ARRIVE,
     EV_CALL,
     EV_DELIVER,
+    EV_FAN_ARRIVE,
     EV_OP_ARRIVE,
     EV_RESUME,
 )
@@ -42,12 +42,6 @@ class _Envelope:
     def __init__(self, dst):
         self.dst = dst
         self.topic = "x"
-
-
-class _Future:
-    def __init__(self, mid, region):
-        self.mid = mid
-        self.op = _Op(region)
 
 
 class _Op:
@@ -76,17 +70,19 @@ class TestDeps:
         assert independent(deliver, footprint(_fe(EV_RESUME, _Task(0))))
 
     def test_memory_ops_key_on_memory_and_region(self):
-        a = footprint(_fe(EV_ARRIVE, _Task(0), _Future(0, "r1")))
-        same = footprint(_fe(EV_OP_ARRIVE, _Task(1), None, (0, _Op("r1"))))
-        other_region = footprint(_fe(EV_ARRIVE, _Task(0), _Future(0, "r2")))
-        other_memory = footprint(_fe(EV_ARRIVE, _Task(0), _Future(1, "r1")))
+        a = footprint(_fe(EV_FAN_ARRIVE, _Task(0), None, (2, 0, _Op("r1"), None)))
+        same = footprint(_fe(EV_OP_ARRIVE, _Task(1), None, (0, _Op("r1"), None)))
+        other_region = footprint(
+            _fe(EV_FAN_ARRIVE, _Task(0), None, (0, 0, _Op("r2"), None))
+        )
+        other_memory = footprint(_fe(EV_OP_ARRIVE, _Task(0), None, (1, _Op("r1"), None)))
         assert dependent(a, same)
         assert independent(a, other_region)
         assert independent(a, other_memory)
 
     def test_calls_faults_and_malformed_payloads_are_global(self):
         assert footprint(_fe(EV_CALL, lambda: None)) is GLOBAL
-        assert footprint(_fe(EV_ARRIVE, None, None)) is GLOBAL
+        assert footprint(_fe(EV_OP_ARRIVE, None, None)) is GLOBAL
         assert dependent(GLOBAL, footprint(_fe(EV_RESUME, _Task(0))))
 
 
@@ -197,28 +193,9 @@ class TestExplorer:
 # ---------------------------------------------------------------------------
 class TestPmpExhaustion:
     def test_exhausts_schedule_space_with_zero_violations(self):
-        # Depth 2, no injections: ~1k schedules (classic per-op paths).
-        # The CI smoke job runs the full crash+revoke configuration
-        # (~18k schedules) via the CLI.
-        report = explore(
-            make_scenario(
-                "pmp-single",
-                {"crashes": 0, "revokes": 0, "batch_chains": False},
-            ),
-            Budget(divergences=2),
-        )
-        assert report.exhausted
-        assert report.violations == 0
-        assert report.runs > 500
-        assert report.pruned > 0
-        summary = report.summary()
-        assert "exhausted" in summary and "pruned" in summary
-
-    def test_batched_chains_exhaust_with_zero_violations(self):
-        # Doorbell batching fuses the prepare into one chain per memory,
-        # shrinking the interleaving space — but the fused chains must
-        # uphold the same agreement/validity/chosen-value oracles over
-        # the whole (smaller) space.
+        # Depth 2, no injections.  The CI smoke job runs the full
+        # crash+revoke configuration via the CLI, under both chain
+        # delivery modes (9 308 schedules fused, 11 140 segmented).
         report = explore(
             make_scenario("pmp-single", {"crashes": 0, "revokes": 0}),
             Budget(divergences=2),
@@ -226,18 +203,21 @@ class TestPmpExhaustion:
         assert report.exhausted
         assert report.violations == 0
         # Exact, not a floor: the default schedule space is pinned across
-        # the op-issue collapse (the CI check-smoke job pins the full
-        # crash+revoke configuration at 9 308 schedules the same way).
+        # the op-issue collapse.  Without a takeover no chain is ever
+        # posted, so segmented delivery explores the same 409 schedules.
         assert report.runs == 409
+        assert report.pruned > 0
+        summary = report.summary()
+        assert "exhausted" in summary and "pruned" in summary
 
     def test_crash_and_revoke_injections_preserve_agreement(self):
         report = explore(make_scenario("pmp-single"), Budget(divergences=1))
         assert report.exhausted
         assert report.violations == 0
 
-    def test_crash_and_revoke_preserve_agreement_classic(self):
+    def test_crash_and_revoke_preserve_agreement_segmented(self):
         report = explore(
-            make_scenario("pmp-single", {"batch_chains": False}),
+            make_scenario("pmp-single", {"chain_delivery": "segmented"}),
             Budget(divergences=1),
         )
         assert report.exhausted

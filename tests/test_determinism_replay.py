@@ -157,26 +157,31 @@ def _single_shot_hash(protocol) -> str:
     return run_hash(cluster.kernel)
 
 
-def _sharded_kv_hash() -> str:
+def _kv_hash(service, n_ops: int) -> str:
     from repro.obs.whatif import run_hash
 
-    service = ShardedKV(
-        ShardConfig(n_shards=2, batch_max=4, seed=11, trace=True, read_mode="quorum")
-    )
     clients = [
-        ClosedLoopClient(client_id=i, n_ops=6, keys=ZipfianKeys(32), mix=YCSB_A)
+        ClosedLoopClient(client_id=i, n_ops=n_ops, keys=ZipfianKeys(32), mix=YCSB_A)
         for i in range(6)
     ]
     report = service.run_workload(clients)
-    assert report.completed_requests == 36
+    assert report.completed_requests == 6 * n_ops
     return run_hash(service.kernel)
+
+
+def _sharded_kv_hash() -> str:
+    return _kv_hash(
+        ShardedKV(
+            ShardConfig(n_shards=2, batch_max=4, seed=11, trace=True, read_mode="quorum")
+        ),
+        n_ops=6,
+    )
 
 
 def _elastic_split_hash() -> str:
     """Split then merge, quorum reads, jittered latency: covers the
     non-FIFO sequential read rounds and the merge's tombstone fence."""
     from repro import ElasticConfig, ElasticKV, JitteredSynchrony, MergeShard, SplitShard
-    from repro.obs.whatif import run_hash
 
     service = ElasticKV(
         ElasticConfig(
@@ -186,14 +191,9 @@ def _elastic_split_hash() -> str:
     )
     service.schedule_reconfig(30.0, SplitShard())
     service.schedule_reconfig(120.0, MergeShard(1))
-    clients = [
-        ClosedLoopClient(client_id=i, n_ops=40, keys=ZipfianKeys(32), mix=YCSB_A)
-        for i in range(6)
-    ]
-    report = service.run_workload(clients)
-    assert report.completed_requests == 240
+    digest = _kv_hash(service, n_ops=40)
     assert service.epoch.number == 2
-    return run_hash(service.kernel)
+    return digest
 
 
 class TestGoldenHashes:

@@ -10,8 +10,6 @@ two delays.  The fan-out contract (``OpFanoutEffect`` +
 ``sim.futures.FanoutState``): one posted effect, one wake at the verdict.
 """
 
-import hashlib
-
 import pytest
 
 from repro.errors import PermissionError_
@@ -72,9 +70,7 @@ class TestChainSemantics:
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", str(i)), i) for i in range(8)]
-            )
+            yield from env.batch(0, [WriteOp("r", ("x", str(i)), i) for i in range(8)])
             return env.now
 
         task = run_single(kernel, 0, gen())
@@ -86,43 +82,16 @@ class TestChainSemantics:
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", "a"), 10), ("r", ("x", "b"), 20)]
+            yield from env.batch(
+                0, [WriteOp("r", ("x", "a"), 10), WriteOp("r", ("x", "b"), 20)]
             )
-            result = yield from env.read_batch(
-                0, [("r", ("x", "b")), ("r", ("x", "a"))]
+            result = yield from env.batch(
+                0, [ReadOp("r", ("x", "b")), ReadOp("r", ("x", "a"))]
             )
             return result.value
 
         task = run_single(kernel, 0, gen())
         assert task.result == (20, 10)
-
-    def test_first_nak_aborts_tail_and_reports_index(self):
-        kernel = _fenced_kernel()
-        env = env_of(kernel, 1)  # p2 may not write the fenced region
-
-        def gen():
-            result = yield from env.batch(
-                0,
-                (
-                    WriteOp("open", ("o", "before"), 1),
-                    WriteOp("fenced", ("f", "blocked"), 2),
-                    WriteOp("open", ("o", "after"), 3),
-                ),
-            )
-            return result
-
-        task = run_single(kernel, 1, gen())
-        result = task.result
-        assert not result.ok
-        abort = result.value
-        assert isinstance(abort, ChainAbort)
-        assert abort.failed_index == 1
-        assert len(abort.partial) == 1  # only WR 0 completed
-        memory = kernel.memories[0]
-        assert memory.peek(("o", "before")) == 1  # applied before the NAK
-        assert is_bottom(memory.peek(("f", "blocked")))
-        assert is_bottom(memory.peek(("o", "after")))  # flushed tail
 
     def test_revocation_between_post_and_arrival_aborts_chain(self):
         """p1 posts a chain while p2's permission grab is in flight and
@@ -178,9 +147,7 @@ class TestChainSemantics:
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", str(i)), i) for i in range(5)]
-            )
+            yield from env.batch(0, [WriteOp("r", ("x", str(i)), i) for i in range(5)])
 
         run_single(kernel, 0, gen())
         assert kernel.memories[0].counts.batches == 1
@@ -240,22 +207,111 @@ class TestSingleCompletionFanout:
         assert done == 3  # all results filed into the shared state
         assert fired is True
 
-    def test_fanout_of_chains(self, kernel):
+class TestSegmentedDelivery:
+    """``chain_delivery="segmented"``: the same chain, one signalled round
+    trip per work request — what the per-op "classic" paths used to spell
+    out in protocol code."""
+
+    def test_next_wr_posts_only_after_the_previous_resolves(self):
+        kernel = make_kernel(chain_delivery="segmented", trace=True)
         env = env_of(kernel, 0)
-        chain = BatchOp(
-            (WriteOp("r", ("x", "s"), 7), WriteOp("r", ("x", "w"), 1))
-        )
+
+        def gen():
+            result = yield from env.batch(
+                0, [WriteOp("r", ("x", str(i)), i) for i in range(3)]
+            )
+            return (env.now, result)
+
+        now, result = run_single(kernel, 0, gen()).result
+        assert now == 6.0  # three round trips, not one
+        assert result.ok and len(result.value) == 3
+        events = [(e.time, e.kind) for e in kernel.tracer.events]
+        posts = [t for t, kind in events if kind == "invoke"]
+        completions = [t for t, kind in events if kind == "op_result"]
+        assert posts == [0.0, 2.0, 4.0]
+        assert completions == [2.0, 4.0, 6.0]
+        # no chain ever reached the memory: three plain writes did
+        assert kernel.memories[0].counts.batches == 0
+        assert kernel.metrics.mem_ops[ProcessId(0), "WriteOp"] == 3
+
+    @pytest.mark.parametrize("delivery, seen", [("fused", 1), ("segmented", 2)])
+    def test_another_process_can_land_between_two_sub_ops(self, delivery, seen):
+        kernel = make_kernel(chain_delivery=delivery)
+        env0, env1 = env_of(kernel, 0), env_of(kernel, 1)
+
+        def chain():
+            result = yield from env0.batch(
+                0, (WriteOp("r", ("x", "k"), 1), ReadOp("r", ("x", "k")))
+            )
+            return result.value[1]
+
+        def intruder():
+            yield env1.sleep(1.0)  # arrives at t=2: after WR 0, before WR 1
+            yield from env1.write(0, "r", ("x", "k"), 2)
+
+        task = kernel.spawn(0, "chain", chain())
+        kernel.spawn(1, "intruder", intruder())
+        kernel.run(until=100.0)
+        assert task.result == seen
+
+    @pytest.mark.parametrize("delivery", ["fused", "segmented"])
+    def test_first_nak_aborts_tail_and_reports_index(self, delivery):
+        """Same ChainAbort, same registers, however the chain travelled."""
+        kernel = _fenced_kernel(chain_delivery=delivery)
+        env = env_of(kernel, 1)  # p2 may not write the fenced region
+
+        def gen():
+            result = yield from env.batch(
+                0,
+                (
+                    WriteOp("open", ("o", "before"), 1),
+                    WriteOp("fenced", ("f", "blocked"), 2),
+                    WriteOp("open", ("o", "after"), 3),
+                ),
+            )
+            return result
+
+        result = run_single(kernel, 1, gen()).result
+        assert not result.ok
+        assert result.value == ChainAbort(1, (None,))  # only WR 0 completed
+        memory = kernel.memories[0]
+        assert memory.peek(("o", "before")) == 1  # applied before the NAK
+        assert is_bottom(memory.peek(("f", "blocked")))
+        assert is_bottom(memory.peek(("o", "after")))  # flushed tail
+
+    @pytest.mark.parametrize("delivery, woke_at", [("fused", 2.0), ("segmented", 4.0)])
+    def test_fanout_leg_counts_once_toward_need(self, delivery, woke_at):
+        kernel = make_kernel(chain_delivery=delivery)
+        kernel.crash_memory(MemoryId(2))
+        env = env_of(kernel, 0)
+        chain = BatchOp((WriteOp("r", ("x", "s"), 7), WriteOp("r", ("x", "w"), 1)))
 
         def gen():
             state = yield env.fanout_to_all(lambda mid: chain, need=2)
-            return (env.now, state.acked)
+            return (env.now, state.done, state.acked, state.results[0].value)
 
-        task = run_single(kernel, 0, gen())
-        now, acked = task.result
-        assert now == 2.0 and acked >= 2
-        for memory in kernel.memories:
-            assert memory.peek(("x", "s")) == 7
-            assert memory.peek(("x", "w")) == 1
+        now, done, acked, value = run_single(kernel, 0, gen()).result
+        # Segmented, two legs x two WRs complete four times; the verdict
+        # still needs two whole chains: the second round trip.
+        assert (now, done, acked) == (woke_at, 2, 2)
+        assert value == (None, None)  # the chain's ACK tuple either way
+        for memory in kernel.memories[:2]:
+            assert (memory.peek(("x", "s")), memory.peek(("x", "w"))) == (7, 1)
+
+    def test_crashed_process_posts_no_further_wr(self):
+        kernel = make_kernel(chain_delivery="segmented")
+        env = env_of(kernel, 0)
+
+        def gen():
+            yield from env.batch(0, [WriteOp("r", ("x", str(i)), i) for i in range(3)])
+
+        kernel.spawn(0, "chain", gen())
+        # WR 1 is in flight at t=2.5 and still lands; WR 2 is never posted.
+        kernel.call_at(2.5, lambda: kernel.crash_process(ProcessId(0)))
+        kernel.run(until=100.0)
+        memory = kernel.memories[0]
+        assert [memory.peek(("x", str(i))) for i in range(2)] == [0, 1]
+        assert is_bottom(memory.peek(("x", "2")))
 
 
 class TestWrBatchFacade:
@@ -330,84 +386,46 @@ class TestWrBatchFacade:
         assert task.result == {("shared", "a"): 1, ("shared", "b"): 2}
 
 
-class TestBatchedChaosDeterminism:
-    """Trace-hash determinism of a batched quorum-read chaos run: the
-    fused chains and single-completion fan-outs must land in the schedule
-    as reproducibly as the per-op paths they replaced."""
+class TestMechanismSwitch:
+    def test_fused_and_segmented_reach_the_same_state(self):
+        """chain_delivery is a mechanism switch, not a behaviour switch:
+        the same scripted commands commit to the same stores either way.
+        Quorum reads are on, so the slot+watermark commit chain and the
+        chain read both run segmented; each client owns its keys, so the
+        final state does not depend on how the slower rounds interleave."""
+        from repro.shard import ScriptedClient, ShardConfig, ShardedKV
 
-    def _run(self, seed: int):
-        from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV
-        from repro.shard.workload import UniformKeys, YCSB_B
-
-        service = ShardedKV(
-            ShardConfig(
-                n_shards=2,
-                batch_max=4,
-                seed=seed,
-                trace=True,
-                read_mode="quorum",
-                deadline=100_000.0,
-            )
-        )
-        service.kernel.call_at(
-            40.0, lambda: service.kernel.crash_memory(MemoryId(2))
-        )
-        clients = [
-            ClosedLoopClient(
-                client_id=i, n_ops=4, keys=UniformKeys(16), mix=YCSB_B
-            )
-            for i in range(6)
-        ]
-        report = service.run_workload(clients)
-        return service, report
-
-    def _hash(self, service) -> str:
-        kernel = service.kernel
-        digest = hashlib.sha256()
-        for event in kernel.tracer.events:
-            digest.update(str(event).encode())
-        digest.update(
-            (
-                f"ops={sorted(kernel.metrics.mem_ops.items())} "
-                f"pushed={kernel.queue.pushed} now={kernel.now}"
-            ).encode()
-        )
-        return digest.hexdigest()
-
-    def test_same_seed_same_schedule(self):
-        first, first_report = self._run(seed=42)
-        second, second_report = self._run(seed=42)
-        assert first_report.completed_requests == 24
-        assert first_report.completed_requests == second_report.completed_requests
-        assert self._hash(first) == self._hash(second)
-
-    def test_batched_and_classic_reach_the_same_state(self):
-        """batch_chains is a mechanism switch, not a behaviour switch: the
-        committed stores must agree with the classic per-op run."""
-        from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV
-        from repro.shard.workload import UniformKeys, YCSB_A
-
-        def run(batch_chains: bool):
+        def run(chain_delivery: str):
             service = ShardedKV(
                 ShardConfig(
-                    n_shards=2,
-                    batch_max=4,
-                    seed=7,
-                    batch_chains=batch_chains,
+                    n_shards=2, batch_max=4, seed=7, read_mode="quorum",
                     deadline=100_000.0,
                 )
             )
+            service.kernel.config.chain_delivery = chain_delivery
             clients = [
-                ClosedLoopClient(
-                    client_id=i, n_ops=4, keys=UniformKeys(16), mix=YCSB_A
+                ScriptedClient(
+                    client_id=c,
+                    script=[
+                        step
+                        for r in range(4)
+                        for step in (
+                            ("put", f"c{c}-k{r % 2}", f"c{c}-r{r}"),
+                            ("get", f"c{c}-k{r % 2}", None),
+                        )
+                    ],
                 )
-                for i in range(6)
+                for c in range(6)
             ]
             report = service.run_workload(clients)
             assert report.ok
-            return {
+            assert service.kernel.metrics.staleness_violations == 0
+            return report.elapsed, {
                 shard: dict(service.snapshot(shard))
                 for shard in range(service.config.n_shards)
             }
 
-        assert run(batch_chains=True) == run(batch_chains=False)
+        fused_elapsed, fused = run("fused")
+        segmented_elapsed, segmented = run("segmented")
+        assert fused == segmented
+        assert segmented_elapsed > fused_elapsed  # the mechanism did switch

@@ -1,54 +1,15 @@
-"""Unit tests for OpFuture and Gate plumbing."""
+"""Unit tests for FanoutState and Gate plumbing."""
 
-import pytest
-
-from repro.mem.operations import ReadOp
-from repro.sim.futures import Gate, OpFuture, count_acked, count_done
-from repro.types import MemoryId, OpResult, OpStatus, ProcessId
+from repro.sim.futures import FanoutState, Gate
+from repro.types import OpResult, OpStatus
 
 
-def _future():
-    return OpFuture(ProcessId(0), MemoryId(0), ReadOp("r", ("x",)))
-
-
-class TestOpFuture:
-    def test_resolve_once(self):
-        future = _future()
-        notified = []
-        future.add_waiter(lambda: notified.append(1))
-        waiters = future.resolve(OpResult(OpStatus.ACK, 5))
-        for w in waiters:
-            w()
-        assert future.done and future.ok and future.value == 5
-        assert notified == [1]
-
-    def test_second_resolve_is_noop(self):
-        future = _future()
-        future.resolve(OpResult(OpStatus.ACK, 1))
-        assert future.resolve(OpResult(OpStatus.NAK)) == []
-        assert future.value == 1
-
-    def test_add_waiter_after_done_fires_immediately(self):
-        future = _future()
-        future.resolve(OpResult(OpStatus.ACK))
-        fired = []
-        future.add_waiter(lambda: fired.append(True))
-        assert fired == [True]
-
-    def test_nak_result_not_ok(self):
-        future = _future()
-        future.resolve(OpResult(OpStatus.NAK))
-        assert future.done and not future.ok
-
-    def test_counting_helpers(self):
-        futures = [_future() for _ in range(4)]
-        futures[0].resolve(OpResult(OpStatus.ACK))
-        futures[1].resolve(OpResult(OpStatus.NAK))
-        assert count_done(tuple(futures)) == 2
-        assert count_acked(tuple(futures)) == 1
-
-    def test_unique_ids(self):
-        assert _future().future_id != _future().future_id
+class TestFanoutState:
+    def test_acked_values_skip_naks_and_outstanding_legs(self):
+        state = FanoutState(3, need=2, count_acks=False, spare_naks=0, token=1)
+        state.results[0] = OpResult(OpStatus.ACK, 5)
+        state.results[2] = OpResult(OpStatus.NAK)
+        assert state.acked_values() == [5]
 
 
 class TestGate:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.mem.operations import ReadOp
+from repro.mem.operations import BatchOp, ReadOp
 from repro.sim.kernel import Kernel, SimConfig
 from repro.types import MemoryId, ProcessId
 
@@ -26,11 +26,11 @@ class TestConfigValidation:
 
 
 class TestInvalidOperations:
-    def test_invoke_on_missing_memory_raises(self, kernel):
+    def test_op_on_missing_memory_raises(self, kernel):
         env = env_of(kernel, 0)
 
         def gen():
-            yield env.invoke(9, ReadOp("r", ("x", "k")))
+            yield from env.read(9, "r", ("x", "k"))
 
         kernel.spawn(0, "bad", gen())
         with pytest.raises(SimulationError):
@@ -129,15 +129,32 @@ class TestTimeoutRaces:
         assert len(wakes) == 2
         assert wakes[1] == "after"
 
-    def test_wait_zero_count_resumes_immediately(self, kernel):
+    def test_fanout_needing_nothing_resumes_immediately(self, kernel):
         env = env_of(kernel, 0)
 
         def gen():
-            ok = yield env.wait((), count=0)
-            return (ok, env.now)
+            state = yield env.fanout_to_all(lambda mid: ReadOp("r", ("x", "k")), need=0)
+            return (state.fired, env.now)
 
         task = run_single(kernel, 0, gen())
         assert task.result == (True, 0.0)
+
+    def test_unreachable_fanout_quorum_is_a_typed_error_not_a_hang(self):
+        def gen(env, **kwargs):
+            yield env.fanout_to_all(lambda mid: ReadOp("r", ("x", "k")), **kwargs)
+
+        kernel = make_kernel()
+        kernel.spawn(0, "bad", gen(env_of(kernel, 0), need=4))
+        with pytest.raises(SimulationError, match="could never wake"):
+            kernel.run(until=10)
+        # With a timeout the same fan-out is legal: the timer wakes it.
+        kernel = make_kernel()
+        task = run_single(kernel, 0, gen(env_of(kernel, 0), need=4, timeout=3.0))
+        assert task.done
+
+    def test_empty_chain_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="at least one"):
+            BatchOp(())
 
 
 class TestMetricsPlumbing:

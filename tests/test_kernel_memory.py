@@ -1,8 +1,9 @@
-"""Kernel memory-operation semantics: delays, futures, crash-hang,
-one-outstanding enforcement."""
+"""Kernel memory-operation semantics: delays, quorum fan-outs, crash-hang,
+the one-outstanding observer."""
 
 import pytest
 
+from repro.check.outstanding import watch_outstanding
 from repro.errors import OutstandingOpError
 from repro.mem.operations import ReadOp, WriteOp
 from repro.types import BOTTOM, MemoryId, ProcessId, is_bottom
@@ -22,19 +23,6 @@ class TestDelayAccounting:
         task = run_single(kernel, 0, gen())
         assert task.result == 2.0
 
-    def test_parallel_ops_overlap(self, kernel):
-        env = env_of(kernel, 0)
-
-        def gen():
-            futures = yield from env.invoke_on_all(
-                lambda mid: WriteOp("r", ("x", "k"), int(mid))
-            )
-            yield env.wait(futures, count=len(futures))
-            return env.now
-
-        task = run_single(kernel, 0, gen())
-        assert task.result == 2.0  # all three writes in parallel
-
     def test_sequential_ops_accumulate(self, kernel):
         env = env_of(kernel, 0)
 
@@ -47,7 +35,7 @@ class TestDelayAccounting:
         assert task.result == 4.0
 
 
-class TestFutures:
+class TestOpResults:
     def test_write_then_read_roundtrip(self, kernel):
         env = env_of(kernel, 0)
 
@@ -69,125 +57,72 @@ class TestFutures:
         task = run_single(kernel, 0, gen())
         assert is_bottom(task.result)
 
-    def test_wait_count_majority(self, kernel):
-        env = env_of(kernel, 0)
-
-        def gen():
-            futures = yield from env.invoke_on_all(
-                lambda mid: WriteOp("r", ("x", "k"), 0)
-            )
-            satisfied = yield env.wait(futures, count=2)
-            return (satisfied, sum(1 for f in futures if f.done))
-
-        task = run_single(kernel, 0, gen())
-        satisfied, done = task.result
-        assert satisfied
-        assert done >= 2
-
-    def test_wait_timeout(self, kernel):
+class TestCrashedMemory:
+    def test_op_on_crashed_memory_hangs_until_the_timeout(self, kernel):
         kernel.crash_memory(MemoryId(0))
         env = env_of(kernel, 0)
 
         def gen():
-            future = yield env.invoke(0, ReadOp("r", ("x", "k")))
-            satisfied = yield env.wait((future,), count=1, timeout=5.0)
-            return (satisfied, env.now)
-
-        task = run_single(kernel, 0, gen())
-        assert task.result == (False, 5.0)
-
-
-class TestCrashedMemory:
-    def test_op_on_crashed_memory_hangs(self, kernel):
-        kernel.crash_memory(MemoryId(1))
-        env = env_of(kernel, 0)
-
-        def gen():
-            future = yield env.invoke(1, WriteOp("r", ("x", "k"), 1))
-            yield env.sleep(50.0)
-            return future.done
-
-        task = run_single(kernel, 0, gen())
-        assert task.result is False
-
-    def test_majority_still_completes(self, kernel):
-        kernel.crash_memory(MemoryId(2))
-        env = env_of(kernel, 0)
-
-        def gen():
-            futures = yield from env.invoke_on_all(
-                lambda mid: WriteOp("r", ("x", "k"), 7)
+            state = yield env.op_fanout(
+                [(0, ReadOp("r", ("x", "k")))], need=1, timeout=5.0
             )
-            yield env.wait(futures, count=2)
-            return sorted(int(f.mid) for f in futures if f.done)
+            return (state.satisfied, state.done, env.now)
 
         task = run_single(kernel, 0, gen())
-        assert task.result == [0, 1]
+        assert task.result == (False, 0, 5.0)
 
     def test_crash_after_response_in_flight_still_delivers(self, kernel):
         # The response left the memory before the crash: it arrives.
         env = env_of(kernel, 0)
 
         def gen():
-            future = yield env.invoke(0, WriteOp("r", ("x", "k"), 1))
-            yield env.wait((future,), count=1, timeout=20.0)
-            return future.ok
+            state = yield env.op_fanout(
+                [(0, WriteOp("r", ("x", "k"), 1))], need=1, timeout=20.0
+            )
+            return state.acked
 
         kernel.call_at(1.5, lambda: kernel.crash_memory(MemoryId(0)))
         task = run_single(kernel, 0, gen())
-        assert task.result is True
+        assert task.result == 1
 
 
 class TestOutstandingRule:
-    def test_strict_mode_rejects_second_op_same_memory(self):
-        kernel = make_kernel(strict_outstanding=True)
-        env = env_of(kernel, 0)
+    """The one-outstanding-op rule lives in a checker-side observer on the
+    obs hooks; a kernel without it is permissive and pays nothing."""
 
-        def gen():
-            yield env.invoke(0, ReadOp("r", ("x", "a")))
-            yield env.invoke(0, ReadOp("r", ("x", "b")))  # same memory: boom
+    @staticmethod
+    def _two_reads_one_memory(env):
+        state = yield env.op_fanout(
+            [(0, ReadOp("r", ("x", "a"))), (0, ReadOp("r", ("x", "b")))], need=2
+        )
+        return state.acked
 
-        kernel.spawn(0, "g", gen())
+    def test_observer_rejects_second_op_same_memory(self, kernel):
+        watch_outstanding(kernel)
+        kernel.spawn(0, "g", self._two_reads_one_memory(env_of(kernel, 0)))
         with pytest.raises(OutstandingOpError):
             kernel.run(until=10)
 
-    def test_strict_mode_allows_parallel_across_memories(self):
-        kernel = make_kernel(strict_outstanding=True)
-        env = env_of(kernel, 0)
-
-        def gen():
-            futures = []
-            for mid in env.memories:
-                futures.append((yield env.invoke(mid, ReadOp("r", ("x", "a")))))
-            yield env.wait(futures, count=len(futures))
-            return True
-
-        task = run_single(kernel, 0, gen())
-        assert task.result is True
-
-    def test_strict_mode_allows_sequential_reuse(self):
-        kernel = make_kernel(strict_outstanding=True)
+    def test_observer_allows_sequential_reuse_and_quorum_stragglers(self, kernel):
+        # The leg a majority verdict left behind (memory 2, crashed) is
+        # the pfor branch the algorithm stopped waiting for: the next
+        # step may post to that memory again.
+        watch_outstanding(kernel)
+        kernel.crash_memory(MemoryId(2))
         env = env_of(kernel, 0)
 
         def gen():
             yield from env.write(0, "r", ("x", "a"), 1)
             yield from env.write(0, "r", ("x", "a"), 2)
+            for value in (3, 4):
+                yield env.fanout_to_all(lambda mid: WriteOp("r", ("x", "a"), value))
             return True
 
-        task = run_single(kernel, 0, gen())
-        assert task.result is True
+        assert run_single(kernel, 0, gen()).result is True
 
     def test_default_mode_is_permissive(self, kernel):
-        env = env_of(kernel, 0)
-
-        def gen():
-            first = yield env.invoke(0, ReadOp("r", ("x", "a")))
-            second = yield env.invoke(0, ReadOp("r", ("x", "b")))
-            yield env.wait((first, second), count=2)
-            return True
-
-        task = run_single(kernel, 0, gen())
-        assert task.result is True
+        task = run_single(kernel, 0, self._two_reads_one_memory(env_of(kernel, 0)))
+        assert task.result == 2
 
 
 class TestGates:

@@ -1,92 +1,92 @@
-"""Model conformance: protocols under the strict one-outstanding-op rule.
+"""Model conformance: protocols under the one-outstanding-op observer.
 
 Section 3 allows each process at most one outstanding operation per memory.
-The kernel can enforce this per task; the chain-structured protocols
-(Protected Memory Paxos, Disk Paxos, Aligned Paxos) issue exactly one
-operation at a time per memory chain and must run unchanged under strict
-enforcement.
-
-(The register-polling algorithms — Cheap Quorum's `read_many`, the
-broadcast delivery loop — pipeline several register reads per memory in one
-logical step, an explicitly documented modeling liberty; see DESIGN.md.)
+Every protocol issues memory operations through the one chain-per-memory
+fan-out shape, so all of them — the register-polling algorithms included,
+now that ``read_many`` reads its registers as one chain per memory — must
+run unchanged with :class:`repro.check.outstanding.OutstandingObserver`
+attached, under both chain-delivery modes.
 """
 
 import pytest
 
+from repro import FastRobust, FaultScript
+from repro.check.outstanding import watch_outstanding
 from repro.consensus.aligned_paxos import AlignedPaxos
 from repro.consensus.disk_paxos import DiskPaxos
 from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.failures.plans import FaultPlan
 
 
-def _run_strict(protocol, faults=None, n=3, m=3, deadline=5000):
+def _run_observed(protocol, faults=None, n=3, m=3, deadline=5000, **config):
     cluster = Cluster(
-        protocol, ClusterConfig(n, m, deadline=deadline), faults
+        protocol, ClusterConfig(n, m, deadline=deadline, **config), faults
     )
-    cluster.kernel.config.strict_outstanding = True
-    return cluster.run([f"v{p}" for p in range(n)])
+    watch_outstanding(cluster.kernel)
+    return cluster
 
 
-class TestStrictOutstanding:
-    def test_pmp_conforms(self):
-        result = _run_strict(ProtectedMemoryPaxos())
+DELIVERY = pytest.mark.parametrize("delivery", ["fused", "segmented"])
+
+
+class TestOneOutstandingOp:
+    @DELIVERY
+    def test_pmp_conforms(self, delivery):
+        cluster = _run_observed(ProtectedMemoryPaxos())
+        cluster.kernel.config.chain_delivery = delivery
+        result = cluster.run(["v0", "v1", "v2"])
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay == 2.0
 
-    def test_pmp_with_takeover_conforms(self):
+    @DELIVERY
+    def test_pmp_with_takeover_conforms(self, delivery):
         from repro.consensus.omega import leader_schedule
 
-        cluster = Cluster(
-            ProtectedMemoryPaxos(),
-            ClusterConfig(
-                2, 3, deadline=5000,
-                omega=leader_schedule([(0.0, 0), (5.0, 1)]),
-            ),
+        cluster = _run_observed(
+            ProtectedMemoryPaxos(), n=2,
+            omega=leader_schedule([(0.0, 0), (5.0, 1)]),
         )
-        cluster.kernel.config.strict_outstanding = True
-        result = cluster.run(["a", "b"])
-        assert result.agreed
+        cluster.kernel.config.chain_delivery = delivery
+        assert cluster.run(["a", "b"]).agreed
 
     def test_disk_paxos_conforms(self):
-        result = _run_strict(DiskPaxos())
+        result = _run_observed(DiskPaxos()).run(["v0", "v1", "v2"])
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay == 4.0
 
-    def test_aligned_paxos_conforms(self):
-        result = _run_strict(AlignedPaxos())
+    @DELIVERY
+    def test_aligned_paxos_conforms(self, delivery):
+        cluster = _run_observed(AlignedPaxos())
+        cluster.kernel.config.chain_delivery = delivery
+        result = cluster.run(["v0", "v1", "v2"])
+        assert result.all_decided and result.agreed
+        assert result.earliest_decision_delay == 2.0
+
+    def test_fast_robust_register_polling_conforms(self):
+        result = _run_observed(FastRobust(), deadline=60_000).run(["v0", "v1", "v2"])
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay == 2.0
 
     def test_pmp_with_memory_crash_conforms(self):
-        faults = FaultPlan().crash_memory(1, at=0.0)
-        result = _run_strict(ProtectedMemoryPaxos(), faults=faults)
+        faults = FaultScript().at(0.0).crash_memory(1)
+        result = _run_observed(ProtectedMemoryPaxos(), faults=faults).run(
+            ["v0", "v1", "v2"]
+        )
         assert result.all_decided and result.agreed
 
-    def test_sharded_smr_conforms(self):
-        # Regression: the replicated log's steady-state phase 2 must stay
-        # one-outstanding conformant even though the proposer task is
-        # long-lived — a same-instant straggler write from slot N must not
-        # collide with slot N+1's write to the same memory.
-        from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV, YCSB_A, ZipfianKeys
-
-        service = ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=5))
-        service.kernel.config.strict_outstanding = True
-        clients = [
-            ClosedLoopClient(client_id=i, n_ops=5, keys=ZipfianKeys(32), mix=YCSB_A)
-            for i in range(8)
-        ]
-        report = service.run_workload(clients)
-        assert report.completed_requests == 40
-
-    def test_sharded_smr_conforms_with_memory_crash(self):
-        # Under strict enforcement a crashed memory's hung write must not
-        # poison later slots' bookkeeping for that memory.
+    @DELIVERY
+    def test_sharded_smr_conforms_with_memory_crash(self, delivery):
+        # The replicated log's long-lived proposer re-posts to every
+        # memory each slot; the straggler leg of slot N on a slow or
+        # crashed memory must not count against slot N+1.
         from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV, YCSB_A, ZipfianKeys
         from repro.types import MemoryId
 
-        service = ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=5))
-        service.kernel.config.strict_outstanding = True
+        service = ShardedKV(
+            ShardConfig(n_shards=2, batch_max=4, seed=5, read_mode="quorum")
+        )
+        service.kernel.config.chain_delivery = delivery
+        watch_outstanding(service.kernel)
         service.kernel.call_at(
             6.0, lambda: service.kernel.crash_memory(MemoryId(2))
         )
@@ -113,7 +113,7 @@ class TestRunSummary:
     def test_summary_reports_blocked_run(self):
         from repro import run_consensus
 
-        faults = FaultPlan().crash_memory(0).crash_memory(1)
+        faults = FaultScript().at(0.0).crash_memory(0).at(0.0).crash_memory(1)
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, faults=faults, deadline=100
         )

@@ -130,25 +130,17 @@ class TestProperty2NoEquivocation:
         def byzantine_pair():
             unit_a = make_unit(env0, 1, "A")
             unit_b = make_unit(env0, 1, "B")  # signed by 0: 0 equivocates
-            for mid in env0.memories:
-                yield env0.invoke(
-                    mid, WriteOp("neb:0", ("neb", 0, 1, 0), unit_a)
-                )
-            # Colluder 1 would write into ITS witness slot; since unit_b is
-            # signed by 0, the kernel permits it in region neb:1.
-            for mid in env0.memories:
-                yield env0.invoke(
-                    mid, WriteOp("neb:0", ("neb", 0, 1, 0), unit_a)
-                )
+            # Colluder 1 writes unit_b into ITS witness slot; since unit_b
+            # is signed by 0, the kernel permits it in region neb:1.
+            write = WriteOp("neb:0", ("neb", 0, 1, 0), unit_a)
+            yield env0.fanout_to_all(lambda mid: write, need=0)
             yield env0.sleep(1.0)
 
         def colluder():
             env1 = env_of(kernel, 1)
             unit_b = make_unit(env0, 1, "B")
-            for mid in env1.memories:
-                yield env1.invoke(
-                    mid, WriteOp("neb:1", ("neb", 1, 1, 0), unit_b)
-                )
+            write = WriteOp("neb:1", ("neb", 1, 1, 0), unit_b)
+            yield env1.fanout_to_all(lambda mid: write, need=0)
             yield env1.sleep(1.0)
 
         kernel.spawn(0, "byz0", byzantine_pair())
@@ -168,10 +160,8 @@ class TestProperty3Authenticity:
         kernel.spawn(1, "neb", neb1.delivery_daemon())
 
         def junk_writer():
-            for mid in env0.memories:
-                yield env0.invoke(
-                    mid, WriteOp("neb:0", ("neb", 0, 1, 0), "raw-junk")
-                )
+            write = WriteOp("neb:0", ("neb", 0, 1, 0), "raw-junk")
+            yield env0.fanout_to_all(lambda mid: write, need=0)
             yield env0.sleep(1.0)
 
         kernel.spawn(0, "junk", junk_writer())

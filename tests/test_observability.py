@@ -606,7 +606,7 @@ class TestCriticalPathEdges:
         from repro.consensus.protected_memory_paxos import PmpConfig
 
         cluster, runtime = traced_cluster(
-            ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False, batch_chains=True))
+            ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False))
         )
         cluster.run(["a", "b", "c"])
         path = critical_path(runtime, ProcessId(0))
@@ -672,7 +672,7 @@ class TestChromeFlowsAndCounters:
 
         buf = io.StringIO()
         cluster, runtime = traced_cluster(
-            ProtectedMemoryPaxos(PmpConfig(batch_chains=True))
+            ProtectedMemoryPaxos(PmpConfig())
         )
         runtime.add_sink(ChromeTraceSink(buf))
         runtime.start_sampling(5.0, until=30.0)
@@ -707,7 +707,7 @@ class TestKernelObsSeams:
         from repro.consensus.protected_memory_paxos import PmpConfig
 
         cluster, runtime = traced_cluster(
-            ProtectedMemoryPaxos(PmpConfig(batch_chains=True))
+            ProtectedMemoryPaxos(PmpConfig())
         )
         cluster.run(["a", "b", "c"])
         verdicts = [s for s in runtime.spans if s.name == "fanout.verdict"]

@@ -119,11 +119,13 @@ class TestLatencyOverride:
 # the profiler on classic PMP: the acceptance scenario
 # ----------------------------------------------------------------------
 def classic_pmp(latency):
-    """Skip-off, unbatched PMP: the paper's full two-phase slow path."""
+    """Skip-off PMP under segmented chain delivery: the paper's full
+    two-phase slow path, one round trip per operation."""
     cluster = Cluster(
-        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False, batch_chains=False)),
+        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)),
         ClusterConfig(3, 3, latency=latency),
     )
+    cluster.kernel.config.chain_delivery = "segmented"
     attach(cluster.kernel)
     return cluster.run(["a", "b", "c"])
 
@@ -366,13 +368,13 @@ class TestSloPlane:
 # ----------------------------------------------------------------------
 # differential tracing
 # ----------------------------------------------------------------------
-def pmp_run(batch_chains: bool):
+def pmp_run(fused: bool):
     cluster = Cluster(
-        ProtectedMemoryPaxos(
-            PmpConfig(skip_first_attempt=False, batch_chains=batch_chains)
-        ),
+        ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)),
         ClusterConfig(3, 3),
     )
+    if not fused:
+        cluster.kernel.config.chain_delivery = "segmented"
     runtime = attach(cluster.kernel)
     cluster.run(["a", "b", "c"])
     return cluster, runtime
