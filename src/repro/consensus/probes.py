@@ -83,9 +83,9 @@ def read_quorum_watermarks(
     Returns ``(watermark, confirmed)`` where *watermark* is the max slot
     index seen (``-1`` when nothing was ever published) and *confirmed*
     is True when one writer's register carries that max at a majority of
-    the responding views (the value is provably durable).  Returns ``(None, False)`` when a
-    majority cannot be assembled (memories down, or the region fenced
-    away by a reconfiguration).
+    the responding views (the value is provably durable).  Returns
+    ``(None, False)`` when a majority cannot be assembled (memories down,
+    or the region fenced away by a reconfiguration).
     """
     op = SnapshotOp(rx_region, (rx_region,))
     state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)

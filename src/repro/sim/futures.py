@@ -24,10 +24,10 @@ class FanoutState:
 
     Each response leg updates the counters in place, and the kernel
     resumes the issuing task (once) with this state when the verdict is
-    in.  Tasks
-    woken by a timeout inspect the same fields — ``results[i]`` is the
-    i-th target's :class:`~repro.types.OpResult`, or ``None`` while (or
-    forever if, e.g. on a crashed memory) that op is outstanding.
+    in.  Tasks woken by a timeout inspect the same fields —
+    ``results[i]`` is the i-th target's :class:`~repro.types.OpResult`,
+    or ``None`` while (or forever if, e.g. on a crashed memory) that op
+    is outstanding.
     """
 
     __slots__ = ("results", "acked", "naked", "done", "need", "count_acks",

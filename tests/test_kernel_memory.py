@@ -8,7 +8,7 @@ from repro.errors import OutstandingOpError
 from repro.mem.operations import ReadOp, WriteOp
 from repro.types import BOTTOM, MemoryId, ProcessId, is_bottom
 
-from tests.conftest import env_of, make_kernel, run_single
+from tests.conftest import env_of, run_single
 
 
 class TestDelayAccounting:
