@@ -142,84 +142,128 @@ class TestSeedReplay:
 # ---------------------------------------------------------------------------
 # golden default-config hashes
 # ---------------------------------------------------------------------------
-# Pinned BEFORE the op-issue collapse (one chain primitive + one fan-out,
-# classic issue as a kernel delivery mode) and required to survive it
-# unchanged: every default-config schedule — trace events, decisions,
-# message/op counters, queue totals — is bit-identical across the refactor.
-# Tracing is on so the hash covers the full event log, not just totals.
-def _single_shot_hash(protocol) -> str:
+# Three pins per scenario, all taken on the same schedules:
+#
+# * ``GOLDEN`` — tracing on, detached: pinned BEFORE the op-issue collapse
+#   (one chain primitive + one fan-out) and required to survive it.
+# * ``GOLDEN_DETACHED`` — tracing off, detached: the ledger's decisions and
+#   counters plus ``queue.pushed/popped`` and ``now``.
+# * ``GOLDEN_ATTACHED`` — tracing off, ``attach(kernel, profile=False)``:
+#   the full span stream on top of the detached material.
+#
+# The last two are pinned BEFORE the Tracer / ``trace`` option / registry
+# counter deletion and must survive it: detached identical for all six
+# scenarios, attached identical for the five whose fault / reconfig / SLO
+# timelines are empty (``elastic_split_jittered`` gains one point span per
+# timeline record and is re-pinned once, with that count asserted).
+def _golden_hash(kernel, run, attach_obs: bool) -> str:
+    """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
+    from repro.obs.runtime import attach
+    from repro.obs.whatif import run_hash
+
+    runtime = attach(kernel, profile=False) if attach_obs else None
+    run()
+    if runtime is not None:
+        assert runtime.dropped == 0
+    return run_hash(kernel)
+
+
+def _single_shot_hash(protocol, trace: bool = False, attach_obs: bool = False) -> str:
     from repro.core.cluster import Cluster, ClusterConfig
-    from repro.obs.whatif import run_hash
 
-    cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7, trace=True))
-    result = cluster.run(["a", "b", "c"])
-    assert result.all_decided and result.agreed
-    return run_hash(cluster.kernel)
+    cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7, trace=trace))
+
+    def run():
+        result = cluster.run(["a", "b", "c"])
+        assert result.all_decided and result.agreed
+
+    return _golden_hash(cluster.kernel, run, attach_obs)
 
 
-def _kv_hash(service, n_ops: int) -> str:
-    from repro.obs.whatif import run_hash
-
+def _kv_hash(service, n_ops: int, attach_obs: bool) -> str:
     clients = [
         ClosedLoopClient(client_id=i, n_ops=n_ops, keys=ZipfianKeys(32), mix=YCSB_A)
         for i in range(6)
     ]
-    report = service.run_workload(clients)
-    assert report.completed_requests == 6 * n_ops
-    return run_hash(service.kernel)
+
+    def run():
+        report = service.run_workload(clients)
+        assert report.completed_requests == 6 * n_ops
+
+    return _golden_hash(service.kernel, run, attach_obs)
 
 
-def _sharded_kv_hash() -> str:
+def _sharded_kv_hash(trace: bool = False, attach_obs: bool = False) -> str:
     return _kv_hash(
         ShardedKV(
-            ShardConfig(n_shards=2, batch_max=4, seed=11, trace=True, read_mode="quorum")
+            ShardConfig(n_shards=2, batch_max=4, seed=11, trace=trace, read_mode="quorum")
         ),
         n_ops=6,
+        attach_obs=attach_obs,
     )
 
 
-def _elastic_split_hash() -> str:
+def _elastic_split_service(trace: bool = False):
     """Split then merge, quorum reads, jittered latency: covers the
     non-FIFO sequential read rounds and the merge's tombstone fence."""
     from repro import ElasticConfig, ElasticKV, JitteredSynchrony, MergeShard, SplitShard
 
     service = ElasticKV(
         ElasticConfig(
-            n_shards=2, batch_max=4, seed=5, trace=True, read_mode="quorum",
+            n_shards=2, batch_max=4, seed=5, trace=trace, read_mode="quorum",
             latency=JitteredSynchrony(0.2), deadline=100_000.0,
         )
     )
     service.schedule_reconfig(30.0, SplitShard())
     service.schedule_reconfig(120.0, MergeShard(1))
-    digest = _kv_hash(service, n_ops=40)
+    return service
+
+
+def _elastic_split_hash(trace: bool = False, attach_obs: bool = False) -> str:
+    service = _elastic_split_service(trace)
+    digest = _kv_hash(service, n_ops=40, attach_obs=attach_obs)
     assert service.epoch.number == 2
     return digest
+
+
+def _three_pins(name: str, scenario) -> None:
+    assert scenario(trace=True) == GOLDEN[name]
+    assert scenario() == GOLDEN_DETACHED[name]
+    assert scenario(attach_obs=True) == GOLDEN_ATTACHED[name]
 
 
 class TestGoldenHashes:
     def test_pmp_single_shot(self):
         from repro import ProtectedMemoryPaxos
 
-        assert _single_shot_hash(ProtectedMemoryPaxos()) == GOLDEN["pmp"]
+        _three_pins("pmp", lambda **kw: _single_shot_hash(ProtectedMemoryPaxos(), **kw))
 
     def test_pmp_skip_off(self):
         from repro import PmpConfig, ProtectedMemoryPaxos
 
-        protocol = ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False))
-        assert _single_shot_hash(protocol) == GOLDEN["pmp_skip_off"]
+        _three_pins(
+            "pmp_skip_off",
+            lambda **kw: _single_shot_hash(
+                ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)), **kw
+            ),
+        )
 
     def test_aligned_both_variants(self):
         from repro.consensus.aligned_paxos import AlignedConfig, AlignedPaxos
 
         for variant in ("protected", "disk"):
-            protocol = AlignedPaxos(AlignedConfig(variant=variant))
-            assert _single_shot_hash(protocol) == GOLDEN[f"aligned_{variant}"]
+            _three_pins(
+                f"aligned_{variant}",
+                lambda **kw: _single_shot_hash(
+                    AlignedPaxos(AlignedConfig(variant=variant)), **kw
+                ),
+            )
 
     def test_sharded_kv_two_shards(self):
-        assert _sharded_kv_hash() == GOLDEN["sharded_kv_2"]
+        _three_pins("sharded_kv_2", _sharded_kv_hash)
 
     def test_elastic_split_under_jitter(self):
-        assert _elastic_split_hash() == GOLDEN["elastic_split_jittered"]
+        _three_pins("elastic_split_jittered", _elastic_split_hash)
 
 
 GOLDEN = {
@@ -229,4 +273,22 @@ GOLDEN = {
     "aligned_disk": "7ed64c378903bd14df2aefa8b29d35f418f4a2993285d213317644e5ceddf9e8",
     "sharded_kv_2": "5caa37585948fd1cd4d7a137c2692a284509d974fd94554961b63a77651d312b",
     "elastic_split_jittered": "6584f4e049d9fd40c5659c64baea16161642a984b8c531889db55a0cd4d5a321",
+}
+
+GOLDEN_DETACHED = {
+    "pmp": "c033a14e31327e1b76e974e48b583317c080503a1b5ce167bc0a6db73859e8b0",
+    "pmp_skip_off": "576c7b246b93d879bf430e5f9b1fc52d2bff189c92f80795a6d661e437846948",
+    "aligned_protected": "e5c2a45c8df900909fdfd086de500e60107672cae737decff09c089068937070",
+    "aligned_disk": "df77fba75894d52650065a0df5246f145d9793aeec5facf6ec254f17bf5b87e5",
+    "sharded_kv_2": "1b4f07038152944a552be226e5eb770a260d6113149ab9806af8133e234021e8",
+    "elastic_split_jittered": "ccd5e4be65c018ba81d27b6f5ea97dda0f0315965c1eba17d53e5c72a5003221",
+}
+
+GOLDEN_ATTACHED = {
+    "pmp": "c9eb6f1a7b18417e87c06e5d15239d1f9cd7571bc3827ff6b7f12b8148e18824",
+    "pmp_skip_off": "b0981be1b41575d87e680f096dff2baa26e8794afde750a46e43bd87aae052fd",
+    "aligned_protected": "d743e0c42fc67da9a606a98e51b8e5d88586e01ba1375b52b6fa43d8118a5b5a",
+    "aligned_disk": "8f1aaef8082c5f0995b99ca9b96b958e0f77543854aaef72ef3f3bdc40d08c9c",
+    "sharded_kv_2": "18609931aa3f3822a65778fd280cec18c8140579cf00eaa8018a9bb13abf0053",
+    "elastic_split_jittered": "7b5a47b55e754df731415ee44afc196ce8e3503d597927e7f24920e05317e504",
 }
