@@ -7,7 +7,7 @@ majority, regardless of how the crashes divide between agent kinds.
 
 import pytest
 
-from repro import AlignedPaxos, FaultPlan
+from repro import AlignedPaxos, FaultScript
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 
@@ -17,12 +17,12 @@ N, M = 3, 3
 
 
 def _run(fp, fm, deadline):
-    faults = FaultPlan()
+    faults = FaultScript()
     for pid in range(fp):
         # Crash from the tail so the initial leader survives where possible.
-        faults.crash_process(N - 1 - pid, at=1.0)
+        faults.at(1.0).crash_process(N - 1 - pid)
     for mid in range(fm):
-        faults.crash_memory(mid, at=1.0)
+        faults.at(1.0).crash_memory(mid)
     cluster = Cluster(
         AlignedPaxos(), ClusterConfig(N, M, deadline=deadline), faults
     )

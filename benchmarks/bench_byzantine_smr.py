@@ -9,7 +9,7 @@ replica.
 
 import pytest
 
-from repro import FaultPlan, SilentByzantine
+from repro import FaultScript, SilentByzantine
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.smr.byzantine_log import ByzantineLogConfig, ByzantineReplicatedLog
 
@@ -44,7 +44,7 @@ def _measure():
         ]
     )
 
-    faults = FaultPlan().make_byzantine(2, SilentByzantine())
+    faults = FaultScript().make_byzantine(2, SilentByzantine())
     proto, byz = _run(faults=faults, n_slots=2)
     assert byz.all_decided and byz.agreed
     rows.append(

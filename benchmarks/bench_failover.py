@@ -18,7 +18,7 @@ from repro import (
     CheapQuorumEquivocatorLeader,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     ProtectedMemoryPaxos,
     run_consensus,
 )
@@ -45,7 +45,7 @@ def _measure():
 
     crash = run_consensus(
         ProtectedMemoryPaxos(), 3, 3,
-        faults=FaultPlan().crash_process(0, at=1.0),
+        faults=FaultScript().at(1.0).crash_process(0),
         omega="crash-aware", deadline=10_000,
     )
     assert crash.all_decided and crash.agreed
@@ -58,7 +58,7 @@ def _measure():
 
     fr_crash = run_consensus(
         FastRobust(_FR_CONFIG), 3, 3,
-        faults=FaultPlan().crash_process(0, at=0.0),
+        faults=FaultScript().at(0.0).crash_process(0),
         omega="crash-aware", deadline=30_000,
     )
     assert fr_crash.all_decided and fr_crash.agreed
@@ -67,7 +67,7 @@ def _measure():
 
     fr_byz = run_consensus(
         FastRobust(_FR_CONFIG), 3, 3,
-        faults=FaultPlan().make_byzantine(0, CheapQuorumEquivocatorLeader()),
+        faults=FaultScript().make_byzantine(0, CheapQuorumEquivocatorLeader()),
         omega=lambda now: 1, deadline=30_000,
     )
     assert fr_byz.all_decided and fr_byz.agreed

@@ -8,15 +8,15 @@ minority blocks (safely).
 
 import pytest
 
-from repro import FastRobust, FaultPlan, ProtectedMemoryPaxos, run_consensus
+from repro import FastRobust, FaultScript, ProtectedMemoryPaxos, run_consensus
 
 from benchmarks._common import emit, once, table
 
 
 def _run(protocol_factory, m, crashed, deadline):
-    faults = FaultPlan()
+    faults = FaultScript()
     for mid in range(crashed):
-        faults.crash_memory(mid, at=0.0)
+        faults.at(0.0).crash_memory(mid)
     return run_consensus(
         protocol_factory(), 3, m, faults=faults, deadline=deadline
     )

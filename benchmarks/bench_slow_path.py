@@ -10,7 +10,7 @@ import pytest
 
 from repro import (
     EquivocatingBroadcaster,
-    FaultPlan,
+    FaultScript,
     PaxosValueLiar,
     RobustBackup,
     SilentByzantine,
@@ -24,13 +24,13 @@ def _measure():
     cases = [
         ("no failures, n=3", 3, None),
         ("no failures, n=5", 5, None),
-        ("silent byzantine", 3, FaultPlan().make_byzantine(2, SilentByzantine())),
+        ("silent byzantine", 3, FaultScript().make_byzantine(2, SilentByzantine())),
         (
             "equivocating broadcaster",
             3,
-            FaultPlan().make_byzantine(1, EquivocatingBroadcaster()),
+            FaultScript().make_byzantine(1, EquivocatingBroadcaster()),
         ),
-        ("paxos liar", 3, FaultPlan().make_byzantine(1, PaxosValueLiar("EVIL"))),
+        ("paxos liar", 3, FaultScript().make_byzantine(1, PaxosValueLiar("EVIL"))),
     ]
     rows = []
     for label, n, faults in cases:

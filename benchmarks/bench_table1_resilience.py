@@ -14,7 +14,7 @@ from repro import (
     EquivocatingBroadcaster,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     PaxosValueLiar,
     SilentByzantine,
     run_consensus,
@@ -39,7 +39,7 @@ def _measure_our_row():
     """n = 2f+1 = 3, one Byzantine process of each strategy."""
     outcomes = []
     for name, strategy, seat, leader in _STRATEGIES:
-        faults = FaultPlan().make_byzantine(seat, strategy)
+        faults = FaultScript().make_byzantine(seat, strategy)
         result = run_consensus(
             FastRobust(_FALLBACK_CONFIG), 3, 3, faults=faults,
             omega=(lambda now: leader) if leader is not None else None,
@@ -57,7 +57,7 @@ def _measure_beyond_bound():
     from repro import RobustBackup
 
     faults = (
-        FaultPlan()
+        FaultScript()
         .make_byzantine(1, SilentByzantine())
         .make_byzantine(2, SilentByzantine())
     )

@@ -19,7 +19,7 @@ from repro import (
     CheapQuorumEquivocatorLeader,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     run_consensus,
 )
 from repro.consensus.cheap_quorum import CheapQuorumConfig
@@ -48,7 +48,7 @@ def common_case() -> None:
 
 def byzantine_leader() -> None:
     print("Scenario 2: Byzantine leader equivocates across memory replicas")
-    faults = FaultPlan().make_byzantine(
+    faults = FaultScript().make_byzantine(
         0, CheapQuorumEquivocatorLeader(value_a=("forged-A",), value_b=("forged-B",))
     )
     config = FastRobustConfig(

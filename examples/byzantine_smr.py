@@ -10,7 +10,7 @@ replica (scenario 2) changes nothing for the honest majority.
 Run:  python examples/byzantine_smr.py
 """
 
-from repro import FaultPlan, SilentByzantine
+from repro import FaultScript, SilentByzantine
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.smr.byzantine_log import ByzantineLogConfig, ByzantineReplicatedLog
 
@@ -45,7 +45,7 @@ def run(faults=None, n_slots=3, label=""):
 def main() -> None:
     print("Byzantine replicated ledger: n = 3 = 2f+1 replicas, 3 memories\n")
     run(label="Scenario 1: all replicas honest")
-    faults = FaultPlan().make_byzantine(2, SilentByzantine())
+    faults = FaultScript().make_byzantine(2, SilentByzantine())
     run(faults=faults, n_slots=2,
         label="Scenario 2: replica p3 is Byzantine (silent)")
     print("Message-passing BFT needs 3f+1 = 4 replicas for the same f;")

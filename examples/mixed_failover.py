@@ -9,7 +9,7 @@ mix at the tolerance boundary and one step beyond it.
 Run:  python examples/mixed_failover.py
 """
 
-from repro import AlignedPaxos, FaultPlan
+from repro import AlignedPaxos, FaultScript
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.metrics.reporting import format_table
@@ -19,11 +19,11 @@ N_MEMORIES = 3
 
 
 def run_mix(proc_crashes, mem_crashes, deadline=8000.0):
-    faults = FaultPlan()
+    faults = FaultScript()
     for pid in proc_crashes:
-        faults.crash_process(pid, at=1.0)
+        faults.at(1.0).crash_process(pid)
     for mid in mem_crashes:
-        faults.crash_memory(mid, at=1.0)
+        faults.at(1.0).crash_memory(mid)
     cluster = Cluster(
         AlignedPaxos(),
         ClusterConfig(N_PROCESSES, N_MEMORIES, deadline=deadline),

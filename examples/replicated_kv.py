@@ -12,7 +12,7 @@ Run:  python examples/replicated_kv.py
 
 from repro.consensus.base import ConsensusProtocol
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.failures.plans import FaultPlan
+from repro.failures.script import FaultScript
 from repro.consensus.omega import crash_aware_omega
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import ReplicatedLog, smr_regions
@@ -69,7 +69,7 @@ def main() -> None:
     print("Leader p1 will crash at t=9; p2 takes over.\n")
 
     protocol = ReplicatedKV(WORKLOAD)
-    faults = FaultPlan().crash_process(0, at=9.0)
+    faults = FaultScript().at(9.0).crash_process(0)
     cluster = Cluster(
         protocol,
         ClusterConfig(n_processes=3, n_memories=3, deadline=10_000),

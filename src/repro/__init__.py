@@ -51,7 +51,6 @@ from repro.failures.byzantine import (
     SilentByzantine,
     SlotRewriter,
 )
-from repro.failures.plans import FaultPlan
 from repro.reconfig import (
     AddReplica,
     Autoscaler,
@@ -134,7 +133,6 @@ __all__ = [
     "FastPaxosConfig",
     "FastRobust",
     "FastRobustConfig",
-    "FaultPlan",
     "FaultScript",
     "JitteredSynchrony",
     "KVCommand",

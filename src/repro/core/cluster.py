@@ -1,7 +1,7 @@
 """Cluster assembly and the one-call experiment runner.
 
 :func:`run_consensus` is the front door used by examples, tests and
-benchmarks: build an M&M cluster, install a protocol and a fault plan, run
+benchmarks: build an M&M cluster, install a protocol and a fault script, run
 to quiescence or deadline, and return a :class:`RunResult` with decisions,
 delay counts and counters.
 
@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.consensus.base import ConsensusProtocol
 from repro.errors import ConfigurationError
-from repro.failures.plans import FaultPlan
+from repro.failures.script import FaultScript
 from repro.mem.layout import MemoryLayout
 from repro.mem.regions import RegionSpec
 from repro.metrics.ledger import MetricsLedger
@@ -118,11 +118,10 @@ class ClusterBase:
     """Shared kernel assembly of both cluster runners.
 
     Owns everything :class:`Cluster` and :class:`MultiGroupCluster` used to
-    duplicate: fault validation (plans *and* event-driven FaultScripts —
-    both expose ``validate``/``install``/``byzantine``/``faulty_processes``),
-    the ``ClusterConfig`` → :class:`SimConfig` translation, kernel
-    construction from a region list, per-process environment caching, and
-    idempotent fault installation.
+    duplicate: fault validation (a FaultScript's ``validate``/``install``/
+    ``byzantine``/``faulty_processes``), the ``ClusterConfig`` →
+    :class:`SimConfig` translation, kernel construction from a region list,
+    per-process environment caching, and idempotent fault installation.
     """
 
     def __init__(
@@ -132,7 +131,7 @@ class ClusterBase:
         faults: Optional[Any] = None,
     ) -> None:
         self.config = config
-        self.faults = faults if faults is not None else FaultPlan()
+        self.faults = faults if faults is not None else FaultScript()
         self.faults.validate(config.n_processes, config.n_memories)
         sim_config = SimConfig(
             n_processes=config.n_processes,
@@ -292,7 +291,7 @@ def run_consensus(
     n_processes: int,
     n_memories: int = 3,
     inputs: Optional[Sequence[Any]] = None,
-    faults: Optional[FaultPlan] = None,
+    faults: Optional[FaultScript] = None,
     latency: Optional[LatencyModel] = None,
     seed: int = 0,
     omega: Optional[object] = None,

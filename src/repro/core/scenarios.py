@@ -20,7 +20,6 @@ from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import ConfigurationError
 from repro.failures.byzantine import ByzantineStrategy
-from repro.failures.plans import FaultPlan
 from repro.failures.script import FaultScript
 from repro.sim.latency import LatencyModel, NominalLatency, PartialSynchrony
 
@@ -46,7 +45,7 @@ def leader_crash(
     seed: int = 0,
 ) -> Cluster:
     """Initial leader crashes at *crash_at*; Ω tracks the crash."""
-    faults = FaultPlan().crash_process(0, at=crash_at)
+    faults = FaultScript().at(crash_at).crash_process(0)
     cluster = Cluster(
         protocol,
         ClusterConfig(n_processes, n_memories, seed=seed, deadline=30_000),
@@ -63,9 +62,9 @@ def memory_minority_crash(
     seed: int = 0,
 ) -> Cluster:
     """Crash the largest tolerable set of memories, all at t=0."""
-    faults = FaultPlan()
+    faults = FaultScript()
     for mid in range((n_memories - 1) // 2):
-        faults.crash_memory(mid, at=0.0)
+        faults.at(0.0).crash_memory(mid)
     return Cluster(
         protocol,
         ClusterConfig(n_processes, n_memories, seed=seed, deadline=30_000),
@@ -89,7 +88,7 @@ def byzantine_seat(
     config = FastRobustConfig(
         cheap_quorum=CheapQuorumConfig(leader_timeout=15.0, unanimity_timeout=25.0)
     )
-    faults = FaultPlan().make_byzantine(seat, strategy)
+    faults = FaultScript().make_byzantine(seat, strategy)
     omega = None if honest_leader is None else (lambda now: honest_leader)
     return Cluster(
         FastRobust(config),
@@ -109,11 +108,11 @@ def mixed_agent_crashes(
     seed: int = 0,
 ) -> Cluster:
     """Aligned Paxos with an arbitrary process/memory crash mix at t=1."""
-    faults = FaultPlan()
+    faults = FaultScript()
     for pid in proc_crashes:
-        faults.crash_process(pid, at=1.0)
+        faults.at(1.0).crash_process(pid)
     for mid in mem_crashes:
-        faults.crash_memory(mid, at=1.0)
+        faults.at(1.0).crash_memory(mid)
     cluster = Cluster(
         AlignedPaxos(AlignedConfig(variant=variant)),
         ClusterConfig(n_processes, n_memories, seed=seed, deadline=30_000),

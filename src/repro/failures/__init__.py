@@ -10,7 +10,6 @@ from repro.failures.byzantine import (
     SilentByzantine,
     SlotRewriter,
 )
-from repro.failures.plans import FaultPlan
 from repro.failures.script import FaultScript
 from repro.sim.faults import LinkFault
 
@@ -18,7 +17,6 @@ __all__ = [
     "ByzantineStrategy",
     "CheapQuorumEquivocatorLeader",
     "EquivocatingBroadcaster",
-    "FaultPlan",
     "FaultScript",
     "LinkFault",
     "PaxosValueLiar",

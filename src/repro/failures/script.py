@@ -1,10 +1,9 @@
 """FaultScript: an event-driven failure timeline, as a chainable DSL.
 
-Where :class:`~repro.failures.plans.FaultPlan` could only freeze faults at
-t=0 (permanent crashes, statically Byzantine seats), a FaultScript is a
-*timeline*: crash AND recover, partition AND heal, link chaos with expiry,
-permission-revocation storms — the changing failure landscape the paper's
-dynamic-permission protocols are built to survive.
+A FaultScript is a *timeline*: crash AND recover, partition AND heal, link
+chaos with expiry, permission-revocation storms — the changing failure
+landscape the paper's dynamic-permission protocols are built to survive —
+plus the statically Byzantine seats.
 
     script = (
         FaultScript()
@@ -17,9 +16,7 @@ dynamic-permission protocols are built to survive.
 
 ``install`` compiles the timeline into typed fault events (one closure-free
 ``EV_FAULT`` queue entry each — see :mod:`repro.sim.faults`) executed by
-the kernel's :class:`~repro.sim.faults.FailureController`.  The cluster
-runners accept a FaultScript anywhere a FaultPlan was accepted; FaultPlan
-itself is now a thin compatibility shim compiling to the same events.
+the kernel's :class:`~repro.sim.faults.FailureController`.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ class FaultScript:
     def __init__(self) -> None:
         #: (time, event) in append order; install preserves same-time order
         self.events: List[Tuple[float, FaultEvent]] = []
-        #: pid -> strategy (spawned by the cluster runner, as for FaultPlan)
+        #: pid -> strategy (spawned by the cluster runner)
         self.byzantine: Dict[int, object] = {}
 
     # ------------------------------------------------------------------

@@ -134,7 +134,7 @@ class MetricsLedger:
     mem_ops: Counter = field(default_factory=Counter)
     signatures: Counter = field(default_factory=Counter)
     #: processes whose decisions are exempt from the agreement check
-    #: (declared Byzantine by the failure plan)
+    #: (declared Byzantine by the fault script)
     byzantine: set = field(default_factory=set)
     #: every fault event the failure controller executed, in time order —
     #: benchmarks join this against decision/commit times to plot recovery

@@ -79,8 +79,8 @@ class ShardConfig:
     #: per-BFT-shard slot cap (slot regions are declared up front)
     bft_max_slots: int = 8
     bft_leader_timeout: float = 50.0
-    #: fault timeline (FaultScript) or static plan (FaultPlan) to install;
-    #: process crash/recover events target shards through their leader —
+    #: fault timeline (FaultScript) to install; process crash/recover
+    #: events target shards through their leader —
     #: one shard can churn while the untouched shards keep serving
     faults: Optional[object] = None
     #: default routing of client ``get``s: ``consensus`` (reads are

@@ -5,7 +5,7 @@ import pytest
 from repro import (
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     PmpConfig,
     ProtectedMemoryPaxos,
     SilentByzantine,
@@ -59,7 +59,7 @@ class TestFastRobustPathAblation:
 
     def test_backup_only_mode_is_byzantine_tolerant(self):
         config = FastRobustConfig(enable_fast_path=False)
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         result = run_consensus(
             FastRobust(config), 3, 3, faults=faults, deadline=60_000
         )

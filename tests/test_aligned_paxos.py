@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AlignedConfig, AlignedPaxos, FaultPlan, JitteredSynchrony, run_consensus
+from repro import AlignedConfig, AlignedPaxos, FaultScript, JitteredSynchrony, run_consensus
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 
@@ -10,11 +10,11 @@ from repro.core.cluster import Cluster, ClusterConfig
 def _run_with_crashes(proc_crashes, mem_crashes, n=3, m=3, variant="protected",
                       crash_at=0.0, deadline=8000, leader_failover=False):
     config = ClusterConfig(n_processes=n, n_memories=m, deadline=deadline)
-    faults = FaultPlan()
+    faults = FaultScript()
     for p in proc_crashes:
-        faults.crash_process(p, at=crash_at)
+        faults.at(crash_at).crash_process(p)
     for mem in mem_crashes:
-        faults.crash_memory(mem, at=crash_at)
+        faults.at(crash_at).crash_memory(mem)
     cluster = Cluster(AlignedPaxos(AlignedConfig(variant=variant)), config, faults)
     if leader_failover:
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)

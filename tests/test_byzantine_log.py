@@ -4,7 +4,7 @@ import pytest
 
 from repro import (
     CheapQuorumEquivocatorLeader,
-    FaultPlan,
+    FaultScript,
     SilentByzantine,
 )
 from repro.core.cluster import Cluster, ClusterConfig
@@ -71,14 +71,14 @@ class TestCommonCase:
 
 class TestFaultTolerance:
     def test_silent_byzantine_replica(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         proto, result = _run(n_slots=2, faults=faults)
         assert result.all_decided and result.agreed
         (log,) = result.decided_values
         assert log == (("tx", "a"), ("tx", "b"))
 
     def test_byzantine_leader_first_slot(self):
-        faults = FaultPlan().make_byzantine(0, CheapQuorumEquivocatorLeader())
+        faults = FaultScript().make_byzantine(0, CheapQuorumEquivocatorLeader())
         proto, result = _run(
             n_slots=1, faults=faults, omega=lambda now: 1, deadline=120_000
         )

@@ -7,7 +7,7 @@ from repro import (
     EquivocatingBroadcaster,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     PermissionAbuser,
     ProtectedMemoryPaxos,
     RobustBackup,
@@ -92,7 +92,7 @@ class TestStrategyMatrix:
         ids=["silent-follower", "silent-leader", "equivocator", "byz-cq-leader"],
     )
     def test_fast_robust_survives(self, strategy, seat, omega):
-        faults = FaultPlan().make_byzantine(seat, strategy)
+        faults = FaultScript().make_byzantine(seat, strategy)
         result = run_consensus(
             _fr(), 3, 3, faults=faults,
             omega=(lambda now: omega) if omega is not None else None,
@@ -103,7 +103,7 @@ class TestStrategyMatrix:
 
     def test_two_byzantine_of_five(self):
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(3, SilentByzantine())
             .make_byzantine(4, EquivocatingBroadcaster())
         )

@@ -11,7 +11,7 @@ from repro.consensus.cheap_quorum import (
 )
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.crypto.proofs import verify_proof
-from repro.failures.plans import FaultPlan
+from repro.failures.script import FaultScript
 from repro.failures.byzantine import CheapQuorumEquivocatorLeader, SilentByzantine
 from repro.sim.latency import PartialSynchrony
 
@@ -85,7 +85,7 @@ class TestFastPath:
 
 class TestPanicPaths:
     def test_silent_leader_causes_abort_with_own_input(self):
-        faults = FaultPlan().crash_process(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(0)
         proto, kernel = _run(faults=faults, deadline=3000)
         for p in (1, 2):
             outcome = proto.outcomes[p]
@@ -94,7 +94,7 @@ class TestPanicPaths:
             assert outcome.leader_signed is None
 
     def test_leader_crash_after_write_aborts_with_leader_value(self):
-        faults = FaultPlan().crash_process(0, at=2.5)
+        faults = FaultScript().at(2.5).crash_process(0)
         proto, kernel = _run(faults=faults, deadline=3000)
         for p in (1, 2):
             outcome = proto.outcomes[p]
@@ -103,7 +103,7 @@ class TestPanicPaths:
                 assert outcome.leader_signed is not None  # M class or better
 
     def test_silent_follower_forces_panic(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         proto, kernel = _run(faults=faults, deadline=3000)
         # Followers cannot reach n unanimous copies; they abort carrying the
         # leader's signed value (Lemma 4.6's M-or-better guarantee).
@@ -115,7 +115,7 @@ class TestPanicPaths:
     def test_leader_decides_then_panic_still_carries_value(self):
         """Abort agreement (Lemma 4.6): the leader decided v, so every
         aborting correct process must carry v out."""
-        faults = FaultPlan().make_byzantine(1, SilentByzantine())
+        faults = FaultScript().make_byzantine(1, SilentByzantine())
         proto, kernel = _run(faults=faults, deadline=3000)
         assert proto.outcomes[0].decided and proto.outcomes[0].value == "v0"
         aborted = proto.outcomes[2]
@@ -148,7 +148,7 @@ class TestPanicPaths:
         assert leader_outcome.panicked and not leader_outcome.decided
 
     def test_equivocating_leader_never_splits_deciders(self):
-        faults = FaultPlan().make_byzantine(0, CheapQuorumEquivocatorLeader())
+        faults = FaultScript().make_byzantine(0, CheapQuorumEquivocatorLeader())
         proto, kernel = _run(faults=faults, deadline=3000)
         decided_values = {
             o.value for o in proto.outcomes.values() if o.decided

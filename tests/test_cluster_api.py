@@ -3,7 +3,7 @@
 import pytest
 
 from repro import (
-    FaultPlan,
+    FaultScript,
     MessagePaxos,
     ProtectedMemoryPaxos,
     run_consensus,
@@ -50,11 +50,11 @@ class TestRunConsensus:
         with pytest.raises(ConfigurationError):
             run_consensus(
                 ProtectedMemoryPaxos(), 3, 3,
-                faults=FaultPlan().crash_process(17),
+                faults=FaultScript().at(0.0).crash_process(17),
             )
 
     def test_deadline_bounds_run(self):
-        faults = FaultPlan().crash_memory(0).crash_memory(1)
+        faults = FaultScript().at(0.0).crash_memory(0).at(0.0).crash_memory(1)
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, faults=faults, deadline=50
         )
@@ -62,7 +62,7 @@ class TestRunConsensus:
         assert result.final_time <= 50
 
     def test_crash_aware_omega_string(self):
-        faults = FaultPlan().crash_process(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(0)
         result = run_consensus(
             ProtectedMemoryPaxos(), 2, 3, faults=faults,
             omega="crash-aware", deadline=3000,

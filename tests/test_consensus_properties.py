@@ -14,7 +14,7 @@ from repro import (
     AlignedPaxos,
     DiskPaxos,
     FastPaxos,
-    FaultPlan,
+    FaultScript,
     JitteredSynchrony,
     MessagePaxos,
     ProtectedMemoryPaxos,
@@ -77,9 +77,9 @@ class TestCrashProtocolSafety:
     )
     def test_fast_paxos_safe_under_crashes(self, seed, crashed):
         inputs = ["a", "b", "c"]
-        faults = FaultPlan()
+        faults = FaultScript()
         for pid in crashed:
-            faults.crash_process(pid, at=float(seed % 7) / 2)
+            faults.at(float(seed % 7) / 2).crash_process(pid)
         result = run_consensus(
             FastPaxos(), 3, 0, inputs=inputs, faults=faults, seed=seed,
             omega="crash-aware", deadline=4000,
@@ -96,7 +96,7 @@ class TestPmpCrashMatrix:
     )
     def test_any_single_crash_any_time(self, seed, crash_time, n):
         inputs = [f"v{p}" for p in range(n)]
-        faults = FaultPlan().crash_process(seed % n, at=crash_time)
+        faults = FaultScript().at(crash_time).crash_process(seed % n)
         result = run_consensus(
             ProtectedMemoryPaxos(), n, 3, inputs=inputs, faults=faults,
             seed=seed, omega="crash-aware", deadline=4000,
@@ -111,7 +111,7 @@ class TestPmpCrashMatrix:
     )
     def test_any_single_memory_crash(self, seed, mem_crash, crash_time):
         inputs = ["a", "b", "c"]
-        faults = FaultPlan().crash_memory(mem_crash, at=crash_time)
+        faults = FaultScript().at(crash_time).crash_memory(mem_crash)
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, inputs=inputs, faults=faults,
             seed=seed, deadline=4000,
@@ -129,11 +129,11 @@ class TestAlignedCombinedMatrix:
     )
     def test_two_agent_crashes_safe_and_live(self, seed, proc_crash, mem_crash):
         inputs = ["a", "b", "c"]
-        faults = FaultPlan()
+        faults = FaultScript()
         if proc_crash:
-            faults.crash_process(1, at=0.5)
+            faults.at(0.5).crash_process(1)
         if mem_crash:
-            faults.crash_memory(2, at=0.5)
+            faults.at(0.5).crash_memory(2)
         result = run_consensus(
             AlignedPaxos(), 3, 3, inputs=inputs, faults=faults, seed=seed,
             deadline=6000,

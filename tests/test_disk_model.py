@@ -6,7 +6,7 @@ from repro.consensus.disk_paxos import DiskPaxos, DiskPaxosConfig
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import SimulationError
-from repro.failures.plans import FaultPlan
+from repro.failures.script import FaultScript
 
 from tests.conftest import env_of, make_kernel
 
@@ -41,14 +41,14 @@ class TestLinkFreeDiskPaxos:
         assert times[1] > times[0] and times[2] > times[0]
 
     def test_survives_leader_crash_without_links(self):
-        faults = FaultPlan().crash_process(0, at=1.0)
+        faults = FaultScript().at(1.0).crash_process(0)
         cluster = _link_free_cluster(faults=faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b", "c"])
         assert result.all_decided and result.agreed
 
     def test_survives_memory_minority_without_links(self):
-        faults = FaultPlan().crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(1)
         cluster = _link_free_cluster(faults=faults)
         result = cluster.run(["a", "b", "c"])
         assert result.all_decided and result.agreed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DiskPaxos, DiskPaxosConfig, FaultPlan, JitteredSynchrony, run_consensus
+from repro import DiskPaxos, DiskPaxosConfig, FaultScript, JitteredSynchrony, run_consensus
 from repro.consensus.omega import crash_aware_omega, leader_schedule
 from repro.core.cluster import Cluster, ClusterConfig
 
@@ -34,25 +34,25 @@ class TestCommonCase:
 class TestResilience:
     def test_survives_all_but_one_process(self):
         config = ClusterConfig(n_processes=3, n_memories=3, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=1.0).crash_process(1, at=1.0)
+        faults = FaultScript().at(1.0).crash_process(0).at(1.0).crash_process(1)
         cluster = Cluster(DiskPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b", "c"])
         assert result.all_decided and result.agreed
 
     def test_survives_memory_minority_crash(self):
-        faults = FaultPlan().crash_memory(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0)
         result = run_consensus(DiskPaxos(), 3, 3, faults=faults, deadline=3000)
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay == 4.0
 
     def test_memory_majority_crash_blocks(self):
-        faults = FaultPlan().crash_memory(0, at=0.0).crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0).at(0.0).crash_memory(1)
         result = run_consensus(DiskPaxos(), 3, 3, faults=faults, deadline=500)
         assert not result.all_decided
 
     def test_five_memories_two_crashes(self):
-        faults = FaultPlan().crash_memory(1, at=0.0).crash_memory(3, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(1).at(0.0).crash_memory(3)
         result = run_consensus(DiskPaxos(), 3, 5, faults=faults, deadline=3000)
         assert result.all_decided and result.agreed
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import FastPaxos, FastPaxosConfig, FaultPlan, JitteredSynchrony, run_consensus
+from repro import FastPaxos, FastPaxosConfig, FaultScript, JitteredSynchrony, run_consensus
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.consensus.omega import crash_aware_omega
 
@@ -29,7 +29,7 @@ class TestRecovery:
     def test_acceptor_crash_forces_recovery_but_decides(self):
         # Fast quorum is all n; a crashed acceptor blocks the fast path and
         # the coordinator recovers via the classic majority path.
-        faults = FaultPlan().crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(2)
         result = run_consensus(FastPaxos(), 3, 0, faults=faults, deadline=3000)
         assert result.all_decided and result.agreed
         assert result.earliest_decision_delay > 2.0
@@ -44,7 +44,7 @@ class TestRecovery:
 
     def test_coordinator_crash_failover(self):
         config = ClusterConfig(n_processes=5, n_memories=0, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=0.5).crash_process(1, at=0.5)
+        faults = FaultScript().at(0.5).crash_process(0).at(0.5).crash_process(1)
         cluster = Cluster(FastPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(list("abcde"))
@@ -55,7 +55,7 @@ class TestRecovery:
         recovery must choose it."""
         # Crash one process just after it fast-accepts; remaining majority
         # all report the fast value, and recovery picks it.
-        faults = FaultPlan().crash_process(2, at=1.5)
+        faults = FaultScript().at(1.5).crash_process(2)
         result = run_consensus(
             FastPaxos(), 3, 0, faults=faults, inputs=["F", "x", "y"],
             deadline=5000,
@@ -68,7 +68,7 @@ class TestRecovery:
 class TestConfig:
     def test_recovery_delay_is_tunable(self):
         config = FastPaxosConfig(recovery_delay=2.0)
-        faults = FaultPlan().crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(2)
         result = run_consensus(
             FastPaxos(config), 3, 0, faults=faults, deadline=3000
         )

@@ -6,7 +6,7 @@ from repro import (
     CheapQuorumEquivocatorLeader,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     PartialSynchrony,
     PaxosValueLiar,
     SilentByzantine,
@@ -54,7 +54,7 @@ class TestCommonCase:
 
 class TestByzantineFallback:
     def test_byzantine_equivocating_leader(self):
-        faults = FaultPlan().make_byzantine(0, CheapQuorumEquivocatorLeader())
+        faults = FaultScript().make_byzantine(0, CheapQuorumEquivocatorLeader())
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults,
             omega=lambda now: 1, deadline=10_000,
@@ -65,7 +65,7 @@ class TestByzantineFallback:
         assert result.decided_values & {"value-2", "value-3", "split-A", "split-B"}
 
     def test_silent_byzantine_follower(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults, deadline=10_000
         )
@@ -74,7 +74,7 @@ class TestByzantineFallback:
     def test_composition_lemma_leader_decides_first(self):
         """Lemma 4.8: the leader decides v in Cheap Quorum before the panic;
         Preferential Paxos must decide the same v."""
-        faults = FaultPlan().make_byzantine(1, SilentByzantine())
+        faults = FaultScript().make_byzantine(1, SilentByzantine())
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults,
             inputs=["CQ-WINNER", "ignored", "other"], deadline=10_000,
@@ -86,7 +86,7 @@ class TestByzantineFallback:
         assert result.metrics.decisions[0].delays == 2.0
 
     def test_liar_in_backup_phase(self):
-        faults = FaultPlan().make_byzantine(2, PaxosValueLiar("EVIL"))
+        faults = FaultScript().make_byzantine(2, PaxosValueLiar("EVIL"))
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults, deadline=10_000
         )
@@ -96,7 +96,7 @@ class TestByzantineFallback:
 
 class TestCrashFallback:
     def test_leader_crash_before_writing(self):
-        faults = FaultPlan().crash_process(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(0)
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults,
             omega="crash-aware", deadline=20_000,
@@ -107,7 +107,7 @@ class TestCrashFallback:
     def test_leader_crash_after_write_carries_value(self):
         """The leader's signed value reached the memories; Definition 3's M
         class makes it the decision in the backup path."""
-        faults = FaultPlan().crash_process(0, at=2.5)
+        faults = FaultScript().at(2.5).crash_process(0)
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults,
             omega="crash-aware", inputs=["STICKY", "b", "c"], deadline=20_000,
@@ -118,7 +118,7 @@ class TestCrashFallback:
     def test_follower_crash_common_path_still_fast(self):
         # A crashed follower blocks unanimity, so the fast path may abort;
         # either way the leader's 2-delay decision stands and all agree.
-        faults = FaultPlan().crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(2)
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults, deadline=10_000
         )
@@ -126,7 +126,7 @@ class TestCrashFallback:
         assert result.metrics.decisions[0].delays == 2.0
 
     def test_memory_crash_minority(self):
-        faults = FaultPlan().crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(1)
         result = run_consensus(
             FastRobust(_fast_config()), 3, 3, faults=faults, deadline=10_000
         )

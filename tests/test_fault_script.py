@@ -5,7 +5,6 @@ permission storms — each exercised directly against the kernel."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.failures.plans import FaultPlan
 from repro.failures.script import FaultScript
 from repro.mem.permissions import Permission
 from repro.sim.event_queue import EV_CALL, EV_FAULT
@@ -95,10 +94,10 @@ class TestDsl:
 
 class TestTypedFaultTimers:
     def test_plan_installs_closure_free_entries(self):
-        """Satellite: FaultPlan compiles to EV_FAULT entries, not EV_CALL
+        """A crash-only script compiles to EV_FAULT entries, not EV_CALL
         lambdas."""
         kernel = make_kernel()
-        FaultPlan().crash_process(1, at=5.0).crash_memory(0, at=3.0).install(kernel)
+        FaultScript().at(5.0).crash_process(1).at(3.0).crash_memory(0).install(kernel)
         kinds = {entry[2] for entry in kernel.queue._heap}
         assert kinds == {EV_FAULT}
         assert EV_CALL not in kinds
@@ -110,18 +109,6 @@ class TestTypedFaultTimers:
         kernel = make_kernel()
         FaultScript().at(2.0).crash_process(0).recover(at=4.0).install(kernel)
         assert {entry[2] for entry in kernel.queue._heap} == {EV_FAULT}
-
-    def test_plan_to_script_equivalence(self):
-        plan = FaultPlan().crash_process(1, at=5.0).crash_memory(2, at=3.0)
-        plan.make_byzantine(0, "strategy")
-        script = plan.to_script()
-        assert script.faulty_processes == plan.faulty_processes
-        kernel = make_kernel()
-        script.install(kernel)
-        kernel.run(until=10)
-        assert ProcessId(1) in kernel.crashed_processes
-        assert kernel.memories[2].crashed
-        assert ProcessId(0) in kernel.byzantine_processes
 
 
 class TestProcessRecovery:

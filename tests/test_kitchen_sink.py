@@ -7,7 +7,7 @@ from repro import (
     EquivocatingBroadcaster,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     JitteredSynchrony,
     PartialSynchrony,
     ProtectedMemoryPaxos,
@@ -25,9 +25,9 @@ _FR = FastRobustConfig(
 class TestStackedFaults:
     def test_byzantine_plus_memory_crash(self):
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(2, SilentByzantine())
-            .crash_memory(1, at=0.0)
+            .at(0.0).crash_memory(1)
         )
         result = run_consensus(
             FastRobust(_FR), 3, 3, faults=faults, deadline=60_000
@@ -36,9 +36,9 @@ class TestStackedFaults:
 
     def test_byzantine_plus_memory_crash_plus_jitter(self):
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(1, EquivocatingBroadcaster())
-            .crash_memory(0, at=5.0)
+            .at(5.0).crash_memory(0)
         )
         result = run_consensus(
             FastRobust(_FR), 3, 3, faults=faults,
@@ -48,10 +48,10 @@ class TestStackedFaults:
 
     def test_robust_backup_byzantine_plus_two_memory_crashes(self):
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(4, SilentByzantine())
-            .crash_memory(0, at=0.0)
-            .crash_memory(3, at=0.0)
+            .at(0.0).crash_memory(0)
+            .at(0.0).crash_memory(3)
         )
         result = run_consensus(
             RobustBackup(), 5, 5, faults=faults, deadline=60_000
@@ -60,10 +60,10 @@ class TestStackedFaults:
 
     def test_pmp_process_and_memory_crashes_with_jitter(self):
         faults = (
-            FaultPlan()
-            .crash_process(0, at=2.0)
-            .crash_process(1, at=4.0)
-            .crash_memory(2, at=1.0)
+            FaultScript()
+            .at(2.0).crash_process(0)
+            .at(4.0).crash_process(1)
+            .at(1.0).crash_memory(2)
         )
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, faults=faults,
@@ -73,7 +73,7 @@ class TestStackedFaults:
         assert result.all_decided and result.agreed
 
     def test_aligned_crashes_during_partial_synchrony(self):
-        faults = FaultPlan().crash_process(2, at=10.0).crash_memory(1, at=20.0)
+        faults = FaultScript().at(10.0).crash_process(2).at(20.0).crash_memory(1)
         result = run_consensus(
             AlignedPaxos(), 3, 3, faults=faults,
             latency=PartialSynchrony(gst=80, chaos=15), seed=3,
@@ -82,7 +82,7 @@ class TestStackedFaults:
         assert result.all_decided and result.agreed
 
     def test_fr_byzantine_during_asynchrony(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         result = run_consensus(
             FastRobust(_FR), 3, 3, faults=faults,
             latency=PartialSynchrony(gst=100, chaos=20), seed=9,
@@ -96,10 +96,10 @@ class TestStackedFaults:
         at n=3 with f=1 Byzantine — so: Byzantine + memory crash + jitter,
         n=5 allows a crash too."""
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(3, SilentByzantine())
-            .crash_process(4, at=float(seed))
-            .crash_memory(0, at=float(seed) / 2)
+            .at(float(seed)).crash_process(4)
+            .at(float(seed) / 2).crash_memory(0)
         )
         result = run_consensus(
             FastRobust(_FR), 5, 3, faults=faults,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import (
-    FaultPlan,
+    FaultScript,
     JitteredSynchrony,
     MessagePaxos,
     PartialSynchrony,
@@ -39,13 +39,13 @@ class TestCommonCase:
 
 class TestFaultTolerance:
     def test_tolerates_minority_crashes(self):
-        faults = FaultPlan().crash_process(1, at=0.0).crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(1).at(0.0).crash_process(2)
         result = run_consensus(MessagePaxos(), 5, 0, faults=faults, deadline=3000)
         assert result.all_decided and result.agreed
 
     def test_leader_crash_failover(self):
         config = ClusterConfig(n_processes=3, n_memories=0, deadline=3000)
-        faults = FaultPlan().crash_process(0, at=1.0)
+        faults = FaultScript().at(1.0).crash_process(0)
         cluster = Cluster(MessagePaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b", "c"])
@@ -53,12 +53,12 @@ class TestFaultTolerance:
         assert result.decided_values <= {"b", "c"}
 
     def test_majority_crash_blocks(self):
-        faults = FaultPlan().crash_process(1, at=0.0).crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(1).at(0.0).crash_process(2)
         result = run_consensus(MessagePaxos(), 3, 0, faults=faults, deadline=500)
         assert not result.all_decided  # quorum unavailable: must not decide
 
     def test_mid_run_crash_of_acceptor(self):
-        faults = FaultPlan().crash_process(2, at=2.5)
+        faults = FaultScript().at(2.5).crash_process(2)
         result = run_consensus(MessagePaxos(), 5, 0, faults=faults, deadline=3000)
         assert result.all_decided and result.agreed
 

@@ -1,10 +1,10 @@
-"""Ω oracles and fault plans."""
+"""Ω oracles and the static corner of fault scripts (crash-at-time, Byzantine seats)."""
 
 import pytest
 
 from repro.consensus.omega import crash_aware_omega, leader_schedule, stable_leader
 from repro.errors import ConfigurationError
-from repro.failures.plans import FaultPlan
+from repro.failures.script import FaultScript
 from repro.types import MemoryId, ProcessId
 
 from tests.conftest import make_kernel
@@ -49,34 +49,36 @@ class TestOmega:
         assert omega(1.0) == 1
 
 
-class TestFaultPlan:
+class TestStaticFaults:
     def test_builder_chaining(self):
-        plan = FaultPlan().crash_process(0, at=5.0).crash_memory(1, at=2.0)
-        assert plan.process_crashes == {0: 5.0}
-        assert plan.memory_crashes == {1: 2.0}
+        plan = FaultScript().at(5.0).crash_process(0).at(2.0).crash_memory(1)
+        assert [(time, type(event).__name__) for time, event in plan.events] == [
+            (5.0, "CrashProcess"),
+            (2.0, "CrashMemory"),
+        ]
 
     def test_faulty_processes_union(self):
-        plan = FaultPlan().crash_process(0).make_byzantine(2, object())
+        plan = FaultScript().at(0.0).crash_process(0).make_byzantine(2, object())
         assert plan.faulty_processes == {0, 2}
 
     def test_validate_unknown_process(self):
-        plan = FaultPlan().crash_process(9)
+        plan = FaultScript().at(0.0).crash_process(9)
         with pytest.raises(ConfigurationError):
             plan.validate(3, 3)
 
     def test_validate_unknown_memory(self):
-        plan = FaultPlan().crash_memory(7)
+        plan = FaultScript().at(0.0).crash_memory(7)
         with pytest.raises(ConfigurationError):
             plan.validate(3, 3)
 
     def test_validate_crash_and_byzantine_conflict(self):
-        plan = FaultPlan().crash_process(1).make_byzantine(1, object())
+        plan = FaultScript().at(0.0).crash_process(1).make_byzantine(1, object())
         with pytest.raises(ConfigurationError):
             plan.validate(3, 3)
 
     def test_install_schedules_crashes(self):
         kernel = make_kernel()
-        plan = FaultPlan().crash_process(1, at=5.0).crash_memory(0, at=3.0)
+        plan = FaultScript().at(5.0).crash_process(1).at(3.0).crash_memory(0)
         plan.install(kernel)
         kernel.run(until=10)
         assert ProcessId(1) in kernel.crashed_processes
@@ -84,14 +86,14 @@ class TestFaultPlan:
 
     def test_install_marks_byzantine(self):
         kernel = make_kernel()
-        plan = FaultPlan().make_byzantine(2, object())
+        plan = FaultScript().make_byzantine(2, object())
         plan.install(kernel)
         assert ProcessId(2) in kernel.byzantine_processes
         assert ProcessId(2) in kernel.metrics.byzantine
 
     def test_crash_times_are_honored(self):
         kernel = make_kernel()
-        plan = FaultPlan().crash_process(0, at=7.0)
+        plan = FaultScript().at(7.0).crash_process(0)
         plan.install(kernel)
         kernel.run(until=6.9)
         assert ProcessId(0) not in kernel.crashed_processes

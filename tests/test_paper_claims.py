@@ -12,7 +12,7 @@ from repro import (
     FastPaxos,
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     MessagePaxos,
     PaxosValueLiar,
     ProtectedMemoryPaxos,
@@ -39,13 +39,13 @@ class TestTheorem42And44_RobustBackup:
     """WBA from SWMR registers + signatures at n >= 2f_P+1, m >= 2f_M+1."""
 
     def test_agreement_with_byzantine_minority(self):
-        faults = FaultPlan().make_byzantine(1, PaxosValueLiar("EVIL"))
+        faults = FaultScript().make_byzantine(1, PaxosValueLiar("EVIL"))
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=20_000)
         assert result.all_decided and result.agreed and result.valid
         assert "EVIL" not in result.decided_values
 
     def test_memory_crash_minority_tolerated(self):
-        faults = FaultPlan().crash_memory(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0)
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=20_000)
         assert result.all_decided and result.agreed
 
@@ -70,12 +70,12 @@ class TestTheorem49_FastAndRobust:
         assert result.earliest_decision_delay == 2.0
 
     def test_byzantine_fallback_preserves_agreement(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         result = run_consensus(_FR(), 3, 3, faults=faults, deadline=30_000)
         assert result.all_decided and result.agreed
 
     def test_memory_crash_tolerated_on_fast_path(self):
-        faults = FaultPlan().crash_memory(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(2)
         result = run_consensus(_FR(), 3, 3, faults=faults, deadline=30_000)
         assert result.earliest_decision_delay == 2.0
 
@@ -90,7 +90,7 @@ class TestTheorem51_ProtectedMemoryPaxos:
 
     def test_n_equals_f_plus_one(self):
         # n=2 tolerates one crash: below the message-passing 2f+1 bound.
-        faults = FaultPlan().crash_process(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(0)
         result = run_consensus(
             ProtectedMemoryPaxos(), 2, 3, faults=faults,
             omega="crash-aware", deadline=10_000,
@@ -98,7 +98,7 @@ class TestTheorem51_ProtectedMemoryPaxos:
         assert result.all_decided and result.agreed
 
     def test_memory_minority(self):
-        faults = FaultPlan().crash_memory(0, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0)
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, faults=faults, deadline=10_000
         )
@@ -110,11 +110,11 @@ class TestSection52_AlignedPaxos:
 
     @pytest.mark.parametrize("fp,fm", [(0, 2), (1, 1), (2, 0)])
     def test_combined_minority(self, fp, fm):
-        faults = FaultPlan()
+        faults = FaultScript()
         for pid in range(fp):
-            faults.crash_process(2 - pid, at=0.0)
+            faults.at(0.0).crash_process(2 - pid)
         for mid in range(fm):
-            faults.crash_memory(mid, at=0.0)
+            faults.at(0.0).crash_memory(mid)
         result = run_consensus(
             AlignedPaxos(), 3, 3, faults=faults, deadline=10_000
         )
@@ -157,7 +157,7 @@ class TestIntroComparisons:
         result = run_consensus(FastPaxos(), 3, 0)
         assert result.earliest_decision_delay == 2.0
         # With a crashed acceptor the fast path is gone (fast quorum = n).
-        faults = FaultPlan().crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(2)
         degraded = run_consensus(
             FastPaxos(), 3, 0, faults=faults, deadline=5000
         )

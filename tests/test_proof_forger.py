@@ -5,7 +5,7 @@ import pytest
 from repro import (
     FastRobust,
     FastRobustConfig,
-    FaultPlan,
+    FaultScript,
     ProofForger,
     run_consensus,
 )
@@ -18,7 +18,7 @@ _FR = FastRobustConfig(
 
 class TestProofForger:
     def test_forged_certificate_never_wins(self):
-        faults = FaultPlan().make_byzantine(2, ProofForger("FORGED"))
+        faults = FaultScript().make_byzantine(2, ProofForger("FORGED"))
         result = run_consensus(
             FastRobust(_FR), 3, 3, faults=faults,
             inputs=["honest-L", "honest-2", "ignored"], deadline=60_000,
@@ -32,8 +32,8 @@ class TestProofForger:
         bare-class — even then the forged 'top priority' value must be
         demoted to bare and cannot be guaranteed the win by its tag."""
         faults = (
-            FaultPlan()
-            .crash_process(0, at=0.0)
+            FaultScript()
+            .at(0.0).crash_process(0)
             .make_byzantine(2, ProofForger("FORGED"))
         )
         result = run_consensus(
@@ -70,7 +70,7 @@ class TestProofForger:
         )
 
     def test_forger_alone_cannot_block_termination(self):
-        faults = FaultPlan().make_byzantine(1, ProofForger())
+        faults = FaultScript().make_byzantine(1, ProofForger())
         result = run_consensus(
             FastRobust(_FR), 3, 3, faults=faults, deadline=60_000
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import (
-    FaultPlan,
+    FaultScript,
     JitteredSynchrony,
     PartialSynchrony,
     PmpConfig,
@@ -53,7 +53,7 @@ class TestResilienceNEqualsFPlus1:
         """n = f_P + 1 = 2: one crash of two processes is survivable —
         impossible for message-passing consensus (needs n >= 2f+1)."""
         config = ClusterConfig(n_processes=2, n_memories=3, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=0.0)  # before any write
+        faults = FaultScript().at(0.0).crash_process(0)  # before any write
         cluster = Cluster(ProtectedMemoryPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b"])
@@ -64,7 +64,7 @@ class TestResilienceNEqualsFPlus1:
         """The crashed leader's write (issued at t=0) still lands at t=1:
         the successor's prepare phase sees it and MUST adopt it."""
         config = ClusterConfig(n_processes=2, n_memories=3, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=1.0)
+        faults = FaultScript().at(1.0).crash_process(0)
         cluster = Cluster(ProtectedMemoryPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b"])
@@ -73,7 +73,7 @@ class TestResilienceNEqualsFPlus1:
 
     def test_n_3_two_crashes(self):
         config = ClusterConfig(n_processes=3, n_memories=3, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=0.0).crash_process(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(0).at(0.0).crash_process(1)
         cluster = Cluster(ProtectedMemoryPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["a", "b", "c"])
@@ -84,7 +84,7 @@ class TestResilienceNEqualsFPlus1:
         """If the first leader's value reached the memories, the successor
         must adopt it, not propose its own."""
         config = ClusterConfig(n_processes=2, n_memories=3, deadline=5000)
-        faults = FaultPlan().crash_process(0, at=2.0)  # right as writes land
+        faults = FaultScript().at(2.0).crash_process(0)  # right as writes land
         cluster = Cluster(ProtectedMemoryPaxos(), config, faults)
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(["FIRST", "second"])
@@ -97,25 +97,25 @@ class TestResilienceNEqualsFPlus1:
 
 class TestMemoryFailures:
     def test_tolerates_memory_minority(self):
-        faults = FaultPlan().crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(1)
         result = run_consensus(ProtectedMemoryPaxos(), 3, 3, faults=faults)
         assert result.all_decided
         assert result.earliest_decision_delay == 2.0
 
     def test_tolerates_two_of_five(self):
-        faults = FaultPlan().crash_memory(0, at=0.0).crash_memory(4, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0).at(0.0).crash_memory(4)
         result = run_consensus(ProtectedMemoryPaxos(), 3, 5, faults=faults)
         assert result.all_decided and result.agreed
 
     def test_memory_majority_crash_blocks(self):
-        faults = FaultPlan().crash_memory(0, at=0.0).crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(0).at(0.0).crash_memory(1)
         result = run_consensus(
             ProtectedMemoryPaxos(), 3, 3, faults=faults, deadline=500
         )
         assert not result.all_decided
 
     def test_mid_run_memory_crash(self):
-        faults = FaultPlan().crash_memory(2, at=1.5)
+        faults = FaultScript().at(1.5).crash_memory(2)
         result = run_consensus(ProtectedMemoryPaxos(), 3, 3, faults=faults)
         assert result.all_decided and result.agreed
 

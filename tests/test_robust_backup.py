@@ -4,7 +4,7 @@ import pytest
 
 from repro import (
     EquivocatingBroadcaster,
-    FaultPlan,
+    FaultScript,
     PaxosValueLiar,
     RobustBackup,
     SilentByzantine,
@@ -23,12 +23,12 @@ class TestCrashOnlyOperation:
         assert result.all_decided and result.agreed
 
     def test_crash_minority(self):
-        faults = FaultPlan().crash_process(2, at=0.0)
+        faults = FaultScript().at(0.0).crash_process(2)
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=8000)
         assert result.all_decided and result.agreed
 
     def test_memory_minority_crash(self):
-        faults = FaultPlan().crash_memory(1, at=0.0)
+        faults = FaultScript().at(0.0).crash_memory(1)
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=8000)
         assert result.all_decided and result.agreed
 
@@ -38,26 +38,26 @@ class TestByzantineTolerance:
     reduced to (at worst) a crash."""
 
     def test_silent_byzantine(self):
-        faults = FaultPlan().make_byzantine(2, SilentByzantine())
+        faults = FaultScript().make_byzantine(2, SilentByzantine())
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=8000)
         assert result.all_decided and result.agreed and result.valid
 
     def test_equivocating_broadcaster_is_contained(self):
-        faults = FaultPlan().make_byzantine(1, EquivocatingBroadcaster())
+        faults = FaultScript().make_byzantine(1, EquivocatingBroadcaster())
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=8000)
         assert result.all_decided and result.agreed
         # The honest processes' decision came from an honest input.
         assert result.decided_values <= {"value-1", "value-3"}
 
     def test_paxos_liar_is_dropped(self):
-        faults = FaultPlan().make_byzantine(1, PaxosValueLiar("EVIL"))
+        faults = FaultScript().make_byzantine(1, PaxosValueLiar("EVIL"))
         result = run_consensus(RobustBackup(), 3, 3, faults=faults, deadline=8000)
         assert result.all_decided and result.agreed
         assert "EVIL" not in result.decided_values
 
     def test_two_byzantine_of_five(self):
         faults = (
-            FaultPlan()
+            FaultScript()
             .make_byzantine(3, PaxosValueLiar("EVIL"))
             .make_byzantine(4, EquivocatingBroadcaster())
         )
@@ -68,7 +68,7 @@ class TestByzantineTolerance:
     def test_byzantine_leader_seat(self):
         # The Byzantine process occupies the Ω-preferred seat; liveness must
         # come from honest proposers taking over.
-        faults = FaultPlan().make_byzantine(0, SilentByzantine())
+        faults = FaultScript().make_byzantine(0, SilentByzantine())
         result = run_consensus(
             RobustBackup(), 3, 3, faults=faults,
             omega=lambda now: 1, deadline=8000,

@@ -5,7 +5,7 @@ import pytest
 from repro import (
     AlignedPaxos,
     FastRobust,
-    FaultPlan,
+    FaultScript,
     MessagePaxos,
     ProtectedMemoryPaxos,
     run_consensus,
@@ -28,9 +28,9 @@ class TestWideClusters:
         assert result.earliest_decision_delay == 2.0
 
     def test_pmp_eight_crashes_of_nine(self):
-        faults = FaultPlan()
+        faults = FaultScript()
         for pid in range(8):
-            faults.crash_process(pid, at=0.0)
+            faults.at(0.0).crash_process(pid)
         result = run_consensus(
             ProtectedMemoryPaxos(), 9, 3, faults=faults,
             omega="crash-aware", deadline=10_000,
@@ -45,11 +45,11 @@ class TestWideClusters:
     def test_aligned_5_plus_5_agents(self):
         # 10 agents; tolerate 4 combined crashes.
         faults = (
-            FaultPlan()
-            .crash_process(3, at=0.0)
-            .crash_process(4, at=0.0)
-            .crash_memory(0, at=0.0)
-            .crash_memory(1, at=0.0)
+            FaultScript()
+            .at(0.0).crash_process(3)
+            .at(0.0).crash_process(4)
+            .at(0.0).crash_memory(0)
+            .at(0.0).crash_memory(1)
         )
         result = run_consensus(
             AlignedPaxos(), 5, 5, faults=faults, deadline=20_000
