@@ -39,7 +39,6 @@ class ClusterConfig:
     n_memories: int = 3
     latency: LatencyModel = field(default_factory=NominalLatency)
     seed: int = 0
-    trace: bool = False
     strict_safety: bool = True
     omega: Optional[object] = None  # OmegaFn; default: p1 forever
     deadline: float = 10_000.0
@@ -138,7 +137,6 @@ class ClusterBase:
             n_memories=config.n_memories,
             latency=config.latency,
             seed=config.seed,
-            trace=config.trace,
             strict_safety=config.strict_safety,
             omega=config.omega,
         )
@@ -297,7 +295,6 @@ def run_consensus(
     omega: Optional[object] = None,
     deadline: float = 10_000.0,
     strict_safety: bool = True,
-    trace: bool = False,
 ) -> RunResult:
     """Run one consensus instance and return its :class:`RunResult`.
 
@@ -311,7 +308,6 @@ def run_consensus(
         n_memories=n_memories,
         latency=latency or NominalLatency(),
         seed=seed,
-        trace=trace,
         strict_safety=strict_safety,
         omega=None if crash_aware else omega,
         deadline=deadline,

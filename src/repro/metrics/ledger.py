@@ -169,10 +169,11 @@ class MetricsLedger:
     #: stays EMPTY: a revocation storm or epoch cutover must force a
     #: fallback, never a stale answer
     stale_reads: List[str] = field(default_factory=list)
-    #: callbacks run (with the violation description) the moment a safety
-    #: violation is detected, BEFORE strict_safety raises — the flight
-    #: recorder's tripwire, firing while the evidence is still live
-    violation_hooks: List[Any] = field(default_factory=list)
+    #: the attached observability runtime (set by ``repro.obs.attach``), or
+    #: None.  It is told of every safety violation BEFORE strict_safety
+    #: raises — the flight recorder's tripwire, firing while the evidence
+    #: is still live — and receives every timeline record as a point span.
+    obs: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -230,18 +231,29 @@ class MetricsLedger:
 
     def _violation(self, description: str) -> None:
         self.violations.append(description)
-        for hook in self.violation_hooks:
-            hook(description)
+        if self.obs is not None:
+            self.obs.on_violation(description)
         if self.strict_safety:
             raise AgreementViolation(description)
 
+    def _append(
+        self, timeline: List[FaultRecord], time: float, kind: str, subject: str, detail
+    ) -> None:
+        """The one write path of all three timelines: the record, plus —
+        when a runtime is attached — the same fact as a point span, so
+        faults, reconfig steps and SLO transitions show up in traces,
+        diffs and ``run_hash`` without a second call at the site."""
+        timeline.append(FaultRecord(time, kind, subject, detail))
+        if self.obs is not None:
+            self.obs.point(kind, subject=subject, **detail)
+
     def record_fault(self, time: float, kind: str, subject: str, **detail: Any) -> None:
         """Append one executed fault event to the timeline."""
-        self.fault_timeline.append(FaultRecord(time, kind, subject, detail))
+        self._append(self.fault_timeline, time, kind, subject, detail)
 
     def record_reconfig(self, time: float, kind: str, subject: str, **detail: Any) -> None:
         """Append one reconfiguration step to the epoch timeline."""
-        self.reconfig_timeline.append(FaultRecord(time, kind, subject, detail))
+        self._append(self.reconfig_timeline, time, kind, subject, detail)
 
     def reconfigs_of(self, kind: str) -> List[FaultRecord]:
         """All reconfiguration records of one *kind*, in execution order."""
@@ -249,7 +261,7 @@ class MetricsLedger:
 
     def record_slo(self, time: float, kind: str, subject: str, **detail: Any) -> None:
         """Append one SLO state transition to the timeline."""
-        self.slo_timeline.append(FaultRecord(time, kind, subject, detail))
+        self._append(self.slo_timeline, time, kind, subject, detail)
 
     def slos_of(self, kind: str) -> List[FaultRecord]:
         """All SLO records of one *kind* (``slo_breach``/``slo_recover``)."""
@@ -296,8 +308,8 @@ class MetricsLedger:
         ``strict_safety`` so the offending run fails loudly.
         """
         self.stale_reads.append(description)
-        for hook in self.violation_hooks:
-            hook(description)
+        if self.obs is not None:
+            self.obs.on_violation(description)
         if self.strict_safety:
             raise StalenessViolation(description)
 

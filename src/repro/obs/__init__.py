@@ -28,7 +28,7 @@ from repro.obs.diff import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.profiler import TaskProfiler
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.runtime import ObsRuntime, PhaseHandle, attach, detach
 from repro.obs.sinks import ChromeTraceSink, JsonlSink
 from repro.obs.slo import Objective, SloTracker
@@ -88,7 +88,6 @@ __all__ = [
     "run_hash",
     "FlightRecorder",
     "TaskProfiler",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

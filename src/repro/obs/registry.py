@@ -1,4 +1,7 @@
-"""Typed metrics registry: counters, gauges and histograms with labels.
+"""Typed metrics registry: gauges and histograms with labels.
+
+Sampled series only: event *counts* live in the always-on
+:class:`~repro.metrics.ledger.MetricsLedger`, never here.
 
 Instruments are interned by ``(name, labels)`` — asking for the same
 instrument twice returns the same object, so call sites can either cache
@@ -17,20 +20,6 @@ from typing import Any, Dict, List, Optional, Tuple
 DEFAULT_SERIES_BOUND = 4096
 
 LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
 
 
 class Gauge:
@@ -120,20 +109,12 @@ def _label_key(name: str, labels: Dict[str, Any]) -> LabelKey:
 
 
 class MetricsRegistry:
-    """Interned counters/gauges/histograms, addressable by name + labels."""
+    """Interned gauges/histograms, addressable by name + labels."""
 
     def __init__(self, series_bound: int = DEFAULT_SERIES_BOUND) -> None:
         self.series_bound = series_bound
-        self._counters: Dict[LabelKey, Counter] = {}
         self._gauges: Dict[LabelKey, Gauge] = {}
         self._histograms: Dict[LabelKey, Histogram] = {}
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = _label_key(name, labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter(name, key[1])
-        return instrument
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         key = _label_key(name, labels)
@@ -150,9 +131,6 @@ class MetricsRegistry:
         return instrument
 
     # ------------------------------------------------------------------
-    def counters(self) -> List[Counter]:
-        return list(self._counters.values())
-
     def gauges(self) -> List[Gauge]:
         return list(self._gauges.values())
 
@@ -169,8 +147,6 @@ class MetricsRegistry:
             return f"{name}{{{rendered}}}"
 
         out: Dict[str, Any] = {}
-        for c in self._counters.values():
-            out[tag(c.name, c.labels)] = c.value
         for g in self._gauges.values():
             out[tag(g.name, g.labels)] = g.value
         for h in self._histograms.values():

@@ -2,9 +2,9 @@
 
 An :class:`ObsRuntime` is *attached* to a kernel (:func:`attach`); until
 then ``kernel.obs`` is ``None`` and every kernel-side hook is one
-attribute load and one branch — the same zero-cost contract as
-``tracer.enabled``.  Attached, the runtime receives the kernel's
-causal hook calls and turns them into the span tree:
+attribute load and one branch, with no label or kwargs built.  Attached,
+the runtime receives the kernel's causal hook calls and turns them into
+the span tree:
 
 * every task gets a ``task`` span; spawned tasks parent under the
   spawner's current context;
@@ -17,7 +17,11 @@ causal hook calls and turns them into the span tree:
 * protocols open ``phase`` spans through :meth:`phase` (via
   ``env.obs``), nesting subsequent work under them;
 * proposals/decisions land as ``point`` events, remembering the trace a
-  decision belongs to for the critical-path analyzer.
+  decision belongs to for the critical-path analyzer; so does every
+  record the metrics ledger appends to its fault / reconfig / SLO
+  timelines (name = the record's kind, ``subject`` + detail as attrs),
+  and every message or memory op the kernel drops (``mem_drop``,
+  ``partition_drop``, ``chaos_drop``).
 
 The runtime also owns the metrics registry (with a virtual-time sampling
 ticker), the per-task wall-clock profiler, the flight recorder (tripped by
@@ -408,9 +412,9 @@ class ObsRuntime:
         return self.slo
 
     # ------------------------------------------------------------------
-    # violation tripwire (registered with the metrics ledger on attach)
+    # violation tripwire (called by the metrics ledger this is attached to)
     # ------------------------------------------------------------------
-    def _on_violation(self, description: str) -> None:
+    def on_violation(self, description: str) -> None:
         self.flight.trip(description, self.kernel.now)
 
     def _flight_context(self) -> Dict[str, Any]:
@@ -447,7 +451,7 @@ def attach(
         series_bound=series_bound,
     )
     kernel.obs = runtime
-    kernel.metrics.violation_hooks.append(runtime._on_violation)
+    kernel.metrics.obs = runtime
     return runtime
 
 
@@ -457,8 +461,5 @@ def detach(kernel) -> None:
     if runtime is None:
         return
     runtime.close()
-    try:
-        kernel.metrics.violation_hooks.remove(runtime._on_violation)
-    except ValueError:
-        pass
+    kernel.metrics.obs = None
     kernel.obs = None

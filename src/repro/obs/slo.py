@@ -14,10 +14,12 @@ blips while still catching real regressions quickly.
 
 Because the kernel is deterministic, breaches are reproducible events:
 the same seed and fault script produce the same breach instants, which
-the chaos tests assert exactly.  Transitions land in the metrics ledger
-(``slo_timeline``), in the registry (``slo.burn`` gauges and
-``slo.breaches`` counters), as point spans in the trace, in flight
-recorder dumps, and in :func:`~repro.metrics.reporting.run_report`.
+the chaos tests assert exactly.  Transitions are written once, to the
+metrics ledger's ``slo_timeline`` — which forwards each as a
+``slo_breach`` / ``slo_recover`` point span, so they also appear in the
+trace and in flight recorder dumps — and rendered by
+:func:`~repro.metrics.reporting.run_report`; the burn itself is sampled
+into the registry's ``slo.burn`` gauges.
 :meth:`SloTracker.pressure` exposes the current per-shard burn as an
 autoscaler-consumable signal (see ``AutoscalerConfig.slo_burn_above``).
 """
@@ -151,22 +153,15 @@ class SloTracker:
             if breached and not state.breached:
                 state.breached = True
                 state.breaches += 1
-                registry.counter("slo.breaches", objective=objective.name).inc()
                 ledger.record_slo(
                     now, "slo_breach", objective.name,
                     burn_short=round(short, 6), burn_long=round(long, 6),
-                )
-                self.runtime.point(
-                    "slo.breach", objective=objective.name, burn=round(short, 6)
                 )
             elif state.breached and not breached:
                 state.breached = False
                 ledger.record_slo(
                     now, "slo_recover", objective.name,
                     burn_short=round(short, 6), burn_long=round(long, 6),
-                )
-                self.runtime.point(
-                    "slo.recover", objective=objective.name, burn=round(short, 6)
                 )
 
     def _burn(self, objective: Objective, state: SloState, now: float, horizon: float) -> float:

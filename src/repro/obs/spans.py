@@ -17,8 +17,8 @@ recorder dumps open spans alongside recent finished ones.
 
 Spans are plain ``__slots__`` value objects; everything that creates them
 lives in :class:`~repro.obs.runtime.ObsRuntime` and is only reachable when
-a runtime is attached (``kernel.obs is not None``) — the zero-cost
-contract of the tracer, extended.
+a runtime is attached (``kernel.obs is not None``): detached, no span
+is ever constructed.
 """
 
 from __future__ import annotations

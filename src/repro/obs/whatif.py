@@ -317,14 +317,18 @@ def run_hash(kernel) -> str:
     """Deterministic identity of a finished run.
 
     Hashes the span tree (ids, parents, names, exact virtual times and
-    attrs) when an obs runtime is attached, the tracer's event log when
-    tracing is on, and always the ledger's decisions/counters plus the
-    kernel's event-queue totals — two replays of the same scenario must
-    agree on every one of these.
+    attrs) when an obs runtime is attached, and always the ledger's
+    decisions/counters plus the kernel's event-queue totals — two replays
+    of the same scenario must agree on every one of these.  A span ring
+    that overflowed retains only its newest spans, so the number that
+    scrolled out is part of the digest: a truncated stream never hashes
+    like a complete one.
     """
     digest = hashlib.sha256()
     obs = kernel.obs
     if obs is not None:
+        if obs.dropped:
+            digest.update(f"dropped={obs.dropped}".encode())
         for span in list(obs.finished) + obs.open_spans():
             # msg_id is allocated from a process-global counter (see
             # repro.net.messages), so it differs between two replays in
@@ -350,8 +354,6 @@ def run_hash(kernel) -> str:
                     )
                 ).encode()
             )
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
     ledger = kernel.metrics
     for pid in sorted(ledger.decisions):
         record = ledger.decisions[pid]

@@ -240,10 +240,6 @@ class ShardFrontend:
         while not entry.done and not (read_plane and entry.failed):
             if not first:
                 self.retries += 1
-                if obs:
-                    obs.registry.counter(
-                        "router.retries", pid=int(env.pid)
-                    ).inc()
             first = False
             attempt += 1
             shard = pinned if pinned is not None else self.shard_for(command.key)
@@ -368,9 +364,6 @@ class ShardFrontend:
     ) -> Generator:
         """The read plane refused: answer through the command plane."""
         rp.ledger.count_read_fallback(shard, mode)
-        obs = self.env.obs
-        if obs:
-            obs.registry.counter("reads.fallback", shard=shard, mode=mode).inc()
         result = yield from self.submit(command, session=session)
         return result
 

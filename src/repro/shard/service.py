@@ -69,7 +69,6 @@ class ShardConfig:
     seed: int = 0
     latency: LatencyModel = field(default_factory=NominalLatency)
     deadline: float = 50_000.0
-    trace: bool = False
     #: client resend interval; dedup makes resends idempotent
     retry_timeout: float = 200.0
     #: how often an idle shard leader re-checks its request queue
@@ -326,7 +325,6 @@ class ShardedKV:
                 n_memories=cfg.n_memories,
                 latency=cfg.latency,
                 seed=cfg.seed,
-                trace=cfg.trace,
                 deadline=cfg.deadline,
             ),
             regions,
@@ -607,9 +605,6 @@ class ShardedKV:
             if type(decided) is Batch and decided.commands:
                 ledger.count_shard_commit(shard, len(decided.commands))
                 if obs:
-                    obs.registry.counter("shard.commits", shard=shard).inc(
-                        len(decided.commands)
-                    )
                     obs.registry.histogram("shard.batch_fill", shard=shard).observe(
                         len(decided.commands)
                     )
@@ -759,10 +754,6 @@ class ShardedKV:
                 held = False
             if phase:
                 phase.finish(held=held)
-            if obs:
-                obs.registry.counter(
-                    "reads.served" if held else "reads.naked", shard=shard
-                ).inc(len(batch))
             if held:
                 for command, src, value in served:
                     yield from self._reply_read(

@@ -31,7 +31,6 @@ from repro.sim.latency import (
     NominalLatency,
     PartialSynchrony,
 )
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "AdversarialLatency",
@@ -54,6 +53,4 @@ __all__ = [
     "SleepEffect",
     "SpawnEffect",
     "Task",
-    "TraceEvent",
-    "Tracer",
 ]

@@ -133,11 +133,6 @@ class ProcessEnv:
         the ledger checks agreement per instance rather than treating a
         second slot's decision as a revocation.
         """
-        tracer = self._kernel.tracer
-        if tracer.enabled:
-            tracer.record(
-                self.now, "decide", f"p{int(self.pid)+1}", value=value, instance=instance
-            )
         if self._kernel.obs is not None:
             self._kernel.obs.decided(self.pid, value, instance, self.now)
         self._kernel.metrics.record_decision(self.pid, value, self.now, instance)

@@ -357,13 +357,11 @@ class FailureController:
             ",".join(process_name(p) for p in sorted(g)) for g in event.groups
         )
         kernel.metrics.record_fault(kernel.now, "partition", sides)
-        kernel.tracer.record(kernel.now, "partition", sides)
 
     def _fk_heal(self, event: Heal) -> None:
         kernel = self._kernel
         kernel.network.heal_partition()
         kernel.metrics.record_fault(kernel.now, "heal", "net")
-        kernel.tracer.record(kernel.now, "heal", "net")
 
     def _recompose_link(self, pair: tuple) -> None:
         """Rebuild the link's effective filter from its surviving stack."""

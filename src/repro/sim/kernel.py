@@ -49,13 +49,16 @@ closures:
 * a task woken at the current instant (message delivered, quorum reached,
   gate signalled) is resumed through the queue's *ready lane* rather than
   a second heap round-trip;
-* tracing and metrics are guarded by ``tracer.enabled`` before any label
-  or kwargs are built, and the nominal latency model's constant delays are
-  cached so the common case skips per-message method dispatch;
-* the causal observability layer (:mod:`repro.obs`) hooks the same points
-  behind ``self.obs is not None`` — detached (the default), every hook is
-  one attribute load and one branch; attached, spans ride envelopes
-  (``env.ctx``) and memory-op completion tokens across the scheduler.
+* the nominal latency model's constant delays are cached so the common
+  case skips per-message method dispatch;
+* ``self.obs`` is the one observer slot: the causal observability layer
+  (:mod:`repro.obs`) hooks task, message, memory-op, decision and drop
+  sites behind ``self.obs is not None`` — detached (the default), every
+  hook is one attribute load and one branch, and no label or kwargs are
+  built; attached, spans ride envelopes (``env.ctx``) and memory-op
+  completion tokens across the scheduler.  Counts, timelines and safety
+  checks live in the always-on :class:`MetricsLedger`, which forwards
+  its timeline records to the same slot.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ from repro.sim.event_queue import (
 from repro.sim.faults import FailureController
 from repro.sim.futures import FanoutState
 from repro.sim.latency import LatencyModel, NominalLatency
-from repro.sim.tracing import Tracer
 from repro.types import (
     ChainAbort,
     MemoryId,
@@ -126,7 +128,6 @@ class SimConfig:
     n_memories: int = 0
     latency: LatencyModel = field(default_factory=NominalLatency)
     seed: int = 0
-    trace: bool = False
     strict_safety: bool = True
     #: how a BatchOp chain reaches its memory.  ``"fused"``: one request,
     #: applied atomically at its arrival, priced request + k·issue +
@@ -215,7 +216,6 @@ class Kernel:
         self.now = 0.0
         self.queue = EventQueue()
         self.rng = random.Random(config.seed)
-        self.tracer = Tracer(enabled=config.trace)
         #: attached observability runtime (repro.obs), or None — the
         #: zero-cost default every hook below checks first
         self.obs: Optional[Any] = None
@@ -312,8 +312,6 @@ class Kernel:
         self._next_task_id += 1
         task = Task(self._next_task_id, ProcessId(pid), name, gen, daemon, ctx)
         self.tasks.append(task)
-        if self.tracer.enabled:
-            self.tracer.record(self.now, "spawn", task.label)
         if self.obs is not None:
             self.obs.task_spawned(task)
         self.queue.push(self.now, EV_RESUME, task, None)
@@ -384,7 +382,6 @@ class Kernel:
                 if obs is not None:
                     obs.task_killed(task, self.now)
         self.network.drop_process(pid)
-        self.tracer.record(self.now, "crash_proc", process_name(pid))
         self.metrics.record_fault(self.now, "crash_proc", process_name(pid))
         self.failures.notify_crash(pid)
 
@@ -396,7 +393,6 @@ class Kernel:
         if pid not in self.crashed_processes:
             return
         self.crashed_processes.discard(pid)
-        self.tracer.record(self.now, "recover_proc", process_name(pid))
         self.metrics.record_fault(self.now, "recover_proc", process_name(pid))
         self.failures.notify_recover(pid)
 
@@ -405,7 +401,6 @@ class Kernel:
         memory = self.memories[mid]
         if not memory.crashed:
             memory.crash()
-            self.tracer.record(self.now, "crash_mem", memory_name(mid))
             self.metrics.record_fault(self.now, "crash_mem", memory_name(mid))
 
     def recover_memory(self, mid: MemoryId, wipe: bool = False) -> None:
@@ -413,7 +408,6 @@ class Kernel:
         memory = self.memories[mid]
         if memory.crashed:
             memory.recover(wipe=wipe)
-            self.tracer.record(self.now, "recover_mem", memory_name(mid), wipe=wipe)
             self.metrics.record_fault(
                 self.now, "recover_mem", memory_name(mid), wipe=wipe
             )
@@ -659,8 +653,8 @@ class Kernel:
         is down and the op must hang."""
         memory = self.memories[mid]
         if memory.crashed:
-            if self.tracer.enabled:
-                self.tracer.record(self.now, "mem_drop", memory_name(mid))
+            if self.obs is not None:
+                self.obs.point("mem_drop", mem=memory_name(mid))
             return None, None
         result = memory.apply(pid, op)
         resp = self._resp_delay
@@ -687,8 +681,6 @@ class Kernel:
 
     def _ev_op_resolve(self, task, token, mid_result) -> None:
         mid, result, cursor = mid_result
-        if self.tracer.enabled:
-            self._trace_op_result(task, mid, result)
         if self.obs is not None:
             self.obs.op_resolved((task.task_id, token), self.now, result.status.value)
         if cursor is not None:
@@ -713,8 +705,6 @@ class Kernel:
 
     def _ev_fan_resolve(self, task, state, idx_mid_result) -> None:
         index, mid, result, cursor = idx_mid_result
-        if self.tracer.enabled:
-            self._trace_op_result(task, mid, result)
         if self.obs is not None:
             self.obs.op_resolved(
                 (task.task_id, state.token, index), self.now, result.status.value
@@ -745,15 +735,6 @@ class Kernel:
             if self.obs is not None:
                 self.obs.fanout_verdict(task, state, self.now)
             self._wake(task, state.token, state)
-
-    def _trace_op_result(self, task: Task, mid, result) -> None:
-        self.tracer.record(
-            self.now,
-            "op_result",
-            task.label,
-            mem=memory_name(mid),
-            status=result.status.value,
-        )
 
     def _post_next_wr(self, task: Task, key, mid, cursor, kind, b, head) -> None:
         """Segmented delivery: post the chain's next work request now that
@@ -797,8 +778,6 @@ class Kernel:
             except StopIteration as stop:
                 task.done = True
                 task.result = stop.value
-                if self.tracer.enabled:
-                    self.tracer.record(self.now, "task_done", task.label, result=stop.value)
                 if obs is not None:
                     obs.exit_task(task, self.now)
                 return
@@ -854,20 +833,14 @@ class Kernel:
         delay = self._msg_delay
         if delay is None:
             delay = self.config.latency.message_delay(task.pid, dst, self.now, self.rng)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "send", task.label, dst=process_name(dst), topic=effect.topic
-            )
         network = self.network
         if network.link_faults:
             fault = network.link_faults.get((task.pid, dst))
             if fault is not None:
                 if fault.drop_prob and self.rng.random() < fault.drop_prob:
                     network.chaos_dropped += 1
-                    if self.tracer.enabled:
-                        self.tracer.record(
-                            self.now, "chaos_drop", task.label, dst=process_name(dst)
-                        )
+                    if self.obs is not None:
+                        self.obs.point("chaos_drop", dst=process_name(dst))
                     return None  # the send completes; the message is lost
                 delay = delay * fault.delay_factor + fault.extra_delay
                 if fault.duplicate_prob and self.rng.random() < fault.duplicate_prob:
@@ -887,17 +860,12 @@ class Kernel:
             # message sent before the partition but landing during it is
             # lost, exactly like a packet on a just-severed link.
             self.network.partition_dropped += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.now, "partition_drop", process_name(env.dst),
-                    src=process_name(env.src), topic=env.topic,
+            if self.obs is not None:
+                self.obs.point(
+                    "partition_drop", src=process_name(env.src),
+                    dst=process_name(env.dst), topic=env.topic,
                 )
             return
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "deliver", process_name(env.dst),
-                src=process_name(env.src), topic=env.topic,
-            )
         obs = self.obs
         if obs is not None and env.ctx is not None:
             obs.msg_delivered(env, self.now)
@@ -921,8 +889,8 @@ class Kernel:
                 waiter.wake(env)
 
     def _op_request_leg(self, task: Task, mid, op) -> float:
-        """Shared request leg of both memory-op paths: validate the target,
-        count and trace the op.  Returns the request delay."""
+        """Shared request leg of both memory-op paths: validate the target
+        and count the op.  Returns the request delay."""
         if mid >= len(self.memories):
             raise SimulationError(f"no such memory mu{int(mid) + 1}")
         req = self._req_delay
@@ -948,10 +916,6 @@ class Kernel:
                 latency = self.config.latency
                 for _ in op.ops:
                     req += latency.memory_issue_delay(pid, mid, self.now, self.rng)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "invoke", task.label, mem=memory_name(mid), op=type(op).__name__
-            )
         return req
 
     def _fx_recv(self, task: Task, effect: RecvEffect):

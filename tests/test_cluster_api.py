@@ -10,6 +10,7 @@ from repro import (
 )
 from repro.core.cluster import Cluster, ClusterConfig, RunResult
 from repro.errors import ConfigurationError
+from repro.obs.runtime import attach
 
 
 class TestRunConsensus:
@@ -70,8 +71,12 @@ class TestRunConsensus:
         assert result.all_decided
 
     def test_trace_flag_enables_tracing(self):
-        result = run_consensus(ProtectedMemoryPaxos(), 3, 3, trace=True)
-        assert result.kernel.tracer.events
+        """``attach(kernel)`` is the one tracing switch: no config flag."""
+        assert run_consensus(ProtectedMemoryPaxos(), 3, 3).kernel.obs is None
+        cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+        runtime = attach(cluster.kernel)
+        cluster.run(["a", "b", "c"])
+        assert runtime.spans
 
 
 class TestClusterConfigValidation:

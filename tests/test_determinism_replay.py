@@ -4,12 +4,12 @@ The PR 2 kernel overhaul (typed queue entries, dispatch tables, ready-lane
 wakes, direct resumes) must not cost reproducibility: two runs of the same
 seed must produce byte-identical schedules.  These tests replay a mixed
 crash + Byzantine sharded workload twice and compare a hash over the FULL
-execution — every trace event, every decision, all message/op counters —
-plus the exact committed state.
+execution — every span, every decision, all message/op counters — plus
+the exact committed state.
 """
 
-import hashlib
-
+from repro.obs.runtime import attach
+from repro.obs.whatif import run_hash
 from repro.shard import (
     ClosedLoopClient,
     ShardConfig,
@@ -26,8 +26,8 @@ OPS_PER_CLIENT = 4
 
 def _run_mixed(seed: int, scheduler=None):
     """One sharded run: 3 PMP shards + 1 Byzantine (Fast & Robust) shard,
-    with a memory crash injected mid-run.  Tracing on, so the returned
-    service carries the complete event log.  *scheduler* optionally runs
+    with a memory crash injected mid-run.  Obs attached, so the returned
+    service carries the complete span stream.  *scheduler* optionally runs
     the whole workload through the pluggable-scheduler path (the parity
     tests in test_schedule.py assert it changes nothing)."""
     service = ShardedKV(
@@ -35,12 +35,12 @@ def _run_mixed(seed: int, scheduler=None):
             n_shards=4,
             batch_max=4,
             seed=seed,
-            trace=True,
             bft_shards=(3,),
             bft_max_slots=16,
             deadline=100_000.0,
         )
     )
+    attach(service.kernel, profile=False)
     service.kernel.scheduler = scheduler
     # Crash one of the three memories mid-run: quorums of 2 still carry
     # every shard, and the crash lands in the schedule deterministically.
@@ -53,33 +53,6 @@ def _run_mixed(seed: int, scheduler=None):
     ]
     report = service.run_workload(clients)
     return service, report
-
-
-def _trace_hash(service) -> str:
-    """Hash the full schedule: every trace event in order, all decisions,
-    and the end-of-run counters."""
-    kernel = service.kernel
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-        digest.update(b"\n")
-    for instance, book in sorted(
-        kernel.metrics.instance_decisions.items(), key=lambda kv: repr(kv[0])
-    ):
-        for pid in sorted(book):
-            record = book[pid]
-            digest.update(
-                f"D {instance!r} p{int(pid)} {record.value!r} @{record.decided_at}".encode()
-            )
-    digest.update(
-        (
-            f"msgs={sorted(kernel.metrics.messages_sent.items())} "
-            f"ops={sorted(kernel.metrics.mem_ops.items())} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
 
 
 def _state_fingerprint(service) -> tuple:
@@ -103,7 +76,7 @@ class TestSeedReplay:
         assert first_report.completed_requests == N_CLIENTS * OPS_PER_CLIENT
         assert first_report.completed_requests == second_report.completed_requests
         assert first_report.elapsed == second_report.elapsed
-        assert _trace_hash(first_service) == _trace_hash(second_service)
+        assert run_hash(first_service.kernel) == run_hash(second_service.kernel)
         assert _state_fingerprint(first_service) == _state_fingerprint(second_service)
 
     def test_identical_decision_values_and_counters(self):
@@ -131,36 +104,32 @@ class TestSeedReplay:
         # and the whole schedule with them.
         first_service, _ = _run_mixed(seed=1)
         second_service, _ = _run_mixed(seed=2)
-        assert _trace_hash(first_service) != _trace_hash(second_service)
+        assert run_hash(first_service.kernel) != run_hash(second_service.kernel)
 
     def test_trace_not_truncated(self):
-        # The hash covers the FULL schedule only if the tracer kept it all.
+        # The hash covers the FULL schedule only if the span ring kept it all.
         service, _ = _run_mixed(seed=1234)
-        assert not service.kernel.tracer.truncated
+        assert service.kernel.obs.dropped == 0
 
 
 # ---------------------------------------------------------------------------
 # golden default-config hashes
 # ---------------------------------------------------------------------------
-# Three pins per scenario, all taken on the same schedules:
+# Two pins per scenario, both taken on the same schedules:
 #
-# * ``GOLDEN`` — tracing on, detached: pinned BEFORE the op-issue collapse
-#   (one chain primitive + one fan-out) and required to survive it.
-# * ``GOLDEN_DETACHED`` — tracing off, detached: the ledger's decisions and
-#   counters plus ``queue.pushed/popped`` and ``now``.
-# * ``GOLDEN_ATTACHED`` — tracing off, ``attach(kernel, profile=False)``:
-#   the full span stream on top of the detached material.
+# * ``GOLDEN_DETACHED`` — the ledger's decisions and counters plus
+#   ``queue.pushed/popped`` and ``now``.
+# * ``GOLDEN_ATTACHED`` — ``attach(kernel, profile=False)``: the full span
+#   stream on top of the detached material.
 #
-# The last two are pinned BEFORE the Tracer / ``trace`` option / registry
-# counter deletion and must survive it: detached identical for all six
-# scenarios, attached identical for the five whose fault / reconfig / SLO
-# timelines are empty (``elastic_split_jittered`` gains one point span per
-# timeline record and is re-pinned once, with that count asserted).
+# Both were pinned BEFORE the Tracer / ``trace`` option / registry counter
+# deletion and survived it: detached identical for all six scenarios,
+# attached identical for the five whose fault / reconfig / SLO timelines
+# are empty.  ``elastic_split_jittered`` gained one point span per timeline
+# record and was re-pinned once (before: 7b5a47b5…7e504 over 2 220 spans);
+# ``test_elastic_split_under_jitter`` asserts that count.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
-    from repro.obs.runtime import attach
-    from repro.obs.whatif import run_hash
-
     runtime = attach(kernel, profile=False) if attach_obs else None
     run()
     if runtime is not None:
@@ -168,10 +137,10 @@ def _golden_hash(kernel, run, attach_obs: bool) -> str:
     return run_hash(kernel)
 
 
-def _single_shot_hash(protocol, trace: bool = False, attach_obs: bool = False) -> str:
+def _single_shot_hash(protocol, attach_obs: bool = False) -> str:
     from repro.core.cluster import Cluster, ClusterConfig
 
-    cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7, trace=trace))
+    cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7))
 
     def run():
         result = cluster.run(["a", "b", "c"])
@@ -193,24 +162,22 @@ def _kv_hash(service, n_ops: int, attach_obs: bool) -> str:
     return _golden_hash(service.kernel, run, attach_obs)
 
 
-def _sharded_kv_hash(trace: bool = False, attach_obs: bool = False) -> str:
+def _sharded_kv_hash(attach_obs: bool = False) -> str:
     return _kv_hash(
-        ShardedKV(
-            ShardConfig(n_shards=2, batch_max=4, seed=11, trace=trace, read_mode="quorum")
-        ),
+        ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=11, read_mode="quorum")),
         n_ops=6,
         attach_obs=attach_obs,
     )
 
 
-def _elastic_split_service(trace: bool = False):
+def _elastic_split_service():
     """Split then merge, quorum reads, jittered latency: covers the
     non-FIFO sequential read rounds and the merge's tombstone fence."""
     from repro import ElasticConfig, ElasticKV, JitteredSynchrony, MergeShard, SplitShard
 
     service = ElasticKV(
         ElasticConfig(
-            n_shards=2, batch_max=4, seed=5, trace=trace, read_mode="quorum",
+            n_shards=2, batch_max=4, seed=5, read_mode="quorum",
             latency=JitteredSynchrony(0.2), deadline=100_000.0,
         )
     )
@@ -219,15 +186,14 @@ def _elastic_split_service(trace: bool = False):
     return service
 
 
-def _elastic_split_hash(trace: bool = False, attach_obs: bool = False) -> str:
-    service = _elastic_split_service(trace)
+def _elastic_split_hash(attach_obs: bool = False) -> str:
+    service = _elastic_split_service()
     digest = _kv_hash(service, n_ops=40, attach_obs=attach_obs)
     assert service.epoch.number == 2
     return digest
 
 
-def _three_pins(name: str, scenario) -> None:
-    assert scenario(trace=True) == GOLDEN[name]
+def _both_pins(name: str, scenario) -> None:
     assert scenario() == GOLDEN_DETACHED[name]
     assert scenario(attach_obs=True) == GOLDEN_ATTACHED[name]
 
@@ -236,12 +202,12 @@ class TestGoldenHashes:
     def test_pmp_single_shot(self):
         from repro import ProtectedMemoryPaxos
 
-        _three_pins("pmp", lambda **kw: _single_shot_hash(ProtectedMemoryPaxos(), **kw))
+        _both_pins("pmp", lambda **kw: _single_shot_hash(ProtectedMemoryPaxos(), **kw))
 
     def test_pmp_skip_off(self):
         from repro import PmpConfig, ProtectedMemoryPaxos
 
-        _three_pins(
+        _both_pins(
             "pmp_skip_off",
             lambda **kw: _single_shot_hash(
                 ProtectedMemoryPaxos(PmpConfig(skip_first_attempt=False)), **kw
@@ -252,7 +218,7 @@ class TestGoldenHashes:
         from repro.consensus.aligned_paxos import AlignedConfig, AlignedPaxos
 
         for variant in ("protected", "disk"):
-            _three_pins(
+            _both_pins(
                 f"aligned_{variant}",
                 lambda **kw: _single_shot_hash(
                     AlignedPaxos(AlignedConfig(variant=variant)), **kw
@@ -260,20 +226,28 @@ class TestGoldenHashes:
             )
 
     def test_sharded_kv_two_shards(self):
-        _three_pins("sharded_kv_2", _sharded_kv_hash)
+        _both_pins("sharded_kv_2", _sharded_kv_hash)
 
     def test_elastic_split_under_jitter(self):
-        _three_pins("elastic_split_jittered", _elastic_split_hash)
+        _both_pins("elastic_split_jittered", _elastic_split_hash)
+
+        # The one re-pin: exactly one new point span per timeline record.
+        service = _elastic_split_service()
+        runtime = attach(service.kernel, profile=False)
+        _kv_hash(service, n_ops=40, attach_obs=False)
+        ledger = service.kernel.metrics
+        timeline = ledger.fault_timeline + ledger.reconfig_timeline
+        assert len(timeline) == 15 and not ledger.slo_timeline
+        spans = runtime.spans + runtime.open_spans()
+        assert len(spans) == SPANS_BEFORE_TIMELINE_POINTS + len(timeline)
+        points = [s for s in spans if s.kind == "point" and "subject" in (s.attrs or {})]
+        assert [(p.start, p.name, p.attrs["subject"]) for p in points] == [
+            (r.time, r.kind, r.subject) for r in timeline
+        ]
 
 
-GOLDEN = {
-    "pmp": "475a18e28da61f1bda0703bd4dbd76a52a99e62075906dc34bd8b544a9a8cf11",
-    "pmp_skip_off": "786434c54707a81100f6b19066ae4854d10aba8038872654a1a58309130df8e9",
-    "aligned_protected": "b1f9b9dc1e12ecebae7ece06d743ba059a30543d9c79f02c37605e36d11fc957",
-    "aligned_disk": "7ed64c378903bd14df2aefa8b29d35f418f4a2993285d213317644e5ceddf9e8",
-    "sharded_kv_2": "5caa37585948fd1cd4d7a137c2692a284509d974fd94554961b63a77651d312b",
-    "elastic_split_jittered": "6584f4e049d9fd40c5659c64baea16161642a984b8c531889db55a0cd4d5a321",
-}
+#: spans (finished + open) ``elastic_split_jittered`` recorded at the parent
+SPANS_BEFORE_TIMELINE_POINTS = 2220
 
 GOLDEN_DETACHED = {
     "pmp": "c033a14e31327e1b76e974e48b583317c080503a1b5ce167bc0a6db73859e8b0",
@@ -290,5 +264,5 @@ GOLDEN_ATTACHED = {
     "aligned_protected": "d743e0c42fc67da9a606a98e51b8e5d88586e01ba1375b52b6fa43d8118a5b5a",
     "aligned_disk": "8f1aaef8082c5f0995b99ca9b96b958e0f77543854aaef72ef3f3bdc40d08c9c",
     "sharded_kv_2": "18609931aa3f3822a65778fd280cec18c8140579cf00eaa8018a9bb13abf0053",
-    "elastic_split_jittered": "7b5a47b55e754df731415ee44afc196ce8e3503d597927e7f24920e05317e504",
+    "elastic_split_jittered": "e4880b5197331d1ed3434d265fb0dce4e7584aea1c35a572063c5ab8bf9da8b3",
 }

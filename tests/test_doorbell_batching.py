@@ -22,6 +22,7 @@ from repro.mem.operations import (
 )
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
+from repro.obs.runtime import attach
 from repro.rdma.protection_domain import ProtectionDomain
 from repro.rdma.verbs import RdmaNic
 from repro.types import ChainAbort, MemoryId, ProcessId, is_bottom
@@ -213,7 +214,8 @@ class TestSegmentedDelivery:
     out in protocol code."""
 
     def test_next_wr_posts_only_after_the_previous_resolves(self):
-        kernel = make_kernel(chain_delivery="segmented", trace=True)
+        kernel = make_kernel(chain_delivery="segmented")
+        runtime = attach(kernel, profile=False)
         env = env_of(kernel, 0)
 
         def gen():
@@ -225,11 +227,9 @@ class TestSegmentedDelivery:
         now, result = run_single(kernel, 0, gen()).result
         assert now == 6.0  # three round trips, not one
         assert result.ok and len(result.value) == 3
-        events = [(e.time, e.kind) for e in kernel.tracer.events]
-        posts = [t for t, kind in events if kind == "invoke"]
-        completions = [t for t, kind in events if kind == "op_result"]
-        assert posts == [0.0, 2.0, 4.0]
-        assert completions == [2.0, 4.0, 6.0]
+        wrs = [s for s in runtime.spans if s.kind == "memop"]
+        assert [s.start for s in wrs] == [0.0, 2.0, 4.0]  # posts
+        assert [s.end for s in wrs] == [2.0, 4.0, 6.0]  # completions
         # no chain ever reached the memory: three plain writes did
         assert kernel.memories[0].counts.batches == 0
         assert kernel.metrics.mem_ops[ProcessId(0), "WriteOp"] == 3

@@ -10,8 +10,6 @@ Two families:
   byte-identically from its seed (trace hash over the full schedule).
 """
 
-import hashlib
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +22,8 @@ from repro import (
 )
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.obs.runtime import attach
+from repro.obs.whatif import run_hash
 
 _PROPERTY_SETTINGS = settings(
     max_examples=10,
@@ -117,7 +117,7 @@ class TestCrashOnlyScriptsPreserveSafety:
 
 def _chaos_cluster(seed: int) -> Cluster:
     """One churn-heavy cluster: partition + heal + crash + recover + link
-    chaos, tracing on."""
+    chaos, obs attached."""
     script = FaultScript()
     script.at(1.0).crash_process(0).recover(at=30.0)
     script.at(2.0).partition({0, 1}, {2}).heal(at=25.0)
@@ -125,9 +125,10 @@ def _chaos_cluster(seed: int) -> Cluster:
     script.at(4.0).duplicate_link(1, 0, prob=0.5, until=22.0)
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=seed, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=seed, deadline=60_000),
         script,
     )
+    attach(cluster.kernel, profile=False)
     cluster.kernel.omega = crash_aware_omega(cluster.kernel)
     return cluster
 
@@ -136,29 +137,9 @@ def _run_hash(seed: int) -> str:
     cluster = _chaos_cluster(seed)
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided and result.agreed
-    kernel = cluster.kernel
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-        digest.update(b"\n")
-    for record in kernel.metrics.fault_timeline:
-        digest.update(
-            f"F {record.time} {record.kind} {record.subject} {sorted(record.detail.items())}".encode()
-        )
-    for pid in sorted(kernel.metrics.decisions):
-        decision = kernel.metrics.decisions[pid]
-        digest.update(f"D p{int(pid)} {decision.value!r} @{decision.decided_at}".encode())
-    digest.update(
-        (
-            f"msgs={sorted(kernel.metrics.messages_sent.items())} "
-            f"ops={sorted(kernel.metrics.mem_ops.items())} "
-            f"pdrop={kernel.network.partition_dropped} "
-            f"cdrop={kernel.network.chaos_dropped} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
+    # Spans cover every message, op and task; the fault timeline and the
+    # partition / chaos drops ride the same stream as point spans.
+    return run_hash(cluster.kernel)
 
 
 class TestChaosDeterminism:

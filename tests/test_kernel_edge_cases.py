@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mem.operations import BatchOp, ReadOp
+from repro.obs.runtime import attach
 from repro.sim.kernel import Kernel, SimConfig
 from repro.types import MemoryId, ProcessId
 
@@ -172,7 +173,8 @@ class TestMetricsPlumbing:
         assert kernel.metrics.mem_ops[(ProcessId(0), "ReadOp")] == 1
 
     def test_trace_records_lifecycle(self):
-        kernel = make_kernel(trace=True)
+        kernel = make_kernel()
+        runtime = attach(kernel, profile=False)
         env = env_of(kernel, 0)
 
         def gen():
@@ -180,5 +182,9 @@ class TestMetricsPlumbing:
             yield from env.write(0, "r", ("x", "k"), 1)
 
         run_single(kernel, 0, gen())
-        kinds = {e.kind for e in kernel.tracer.events}
-        assert {"spawn", "send", "deliver", "invoke", "op_result"} <= kinds
+        # spawn..task_done, send..deliver, invoke..op_result: one span each
+        assert [(s.kind, s.name, s.start, s.end) for s in runtime.spans] == [
+            ("msg", "msg:t", 0.0, 1.0),
+            ("memop", "WriteOp", 0.0, 2.0),
+            ("task", "test-task", 0.0, 2.0),
+        ]

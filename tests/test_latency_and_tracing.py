@@ -1,4 +1,4 @@
-"""Latency models and the tracer."""
+"""Latency models."""
 
 import random
 
@@ -10,7 +10,6 @@ from repro.sim.latency import (
     NominalLatency,
     PartialSynchrony,
 )
-from repro.sim.tracing import TraceEvent, Tracer
 
 
 class TestNominal:
@@ -119,43 +118,3 @@ class TestAdversarial:
         assert model.memory_request_delay(0, 0, 0.0, rng) == 1.0
         assert model.memory_response_delay(0, 2, 0.0, rng) == 60.0
 
-
-class TestTracer:
-    def test_disabled_by_default_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "kind", "actor")
-        assert tracer.events == []
-
-    def test_records_when_enabled(self):
-        tracer = Tracer(enabled=True)
-        tracer.record(1.0, "send", "p1", dst="p2")
-        assert len(tracer.events) == 1
-        event = tracer.events[0]
-        assert event.kind == "send" and event.detail["dst"] == "p2"
-
-    def test_filters(self):
-        tracer = Tracer(enabled=True)
-        tracer.record(1.0, "send", "p1")
-        tracer.record(2.0, "deliver", "p2")
-        tracer.record(3.0, "send", "p2")
-        assert len(list(tracer.of_kind("send"))) == 2
-        assert len(list(tracer.by_actor("p2"))) == 2
-        assert tracer.first("deliver").time == 2.0
-        assert tracer.first("nothing") is None
-
-    def test_truncation(self):
-        tracer = Tracer(enabled=True, max_events=3)
-        for i in range(10):
-            tracer.record(float(i), "k", "a")
-        assert len(tracer.events) == 3
-        assert tracer.truncated
-
-    def test_dump_format(self):
-        tracer = Tracer(enabled=True)
-        tracer.record(1.5, "send", "p1", topic="t")
-        dump = tracer.dump()
-        assert "send" in dump and "p1" in dump and "topic" in dump
-
-    def test_event_str(self):
-        event = TraceEvent(2.0, "invoke", "p1/main", {"op": "WriteOp"})
-        assert "invoke" in str(event) and "WriteOp" in str(event)

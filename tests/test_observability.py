@@ -24,6 +24,7 @@ from repro.obs import (
     JsonlSink,
     K_MEMOP,
     K_MSG,
+    K_POINT,
     K_TASK,
     MetricsRegistry,
     attach,
@@ -77,7 +78,7 @@ class TestAttachLifecycle:
         detach(kernel)
         assert kernel.obs is None
         assert runtime.sinks == []
-        assert runtime._on_violation not in kernel.metrics.violation_hooks
+        assert kernel.metrics.obs is None
 
     def test_detached_run_records_nothing(self, kernel):
         runtime = attach(kernel)
@@ -268,27 +269,7 @@ class TestShardedTrace:
         names = {s.name for s in runtime.spans}
         assert "client.get" in names
         assert "read.serve" in names
-        served = sum(
-            c.value
-            for c in runtime.registry.counters()
-            if c.name == "reads.served"
-        )
-        assert served > 0
-
-    def test_shard_registry_counters_match_ledger(self):
-        service, runtime = traced_service()
-        clients = [
-            ClosedLoopClient(
-                client_id=c, n_ops=4, keys=UniformKeys(16), mix=OperationMix(0.0)
-            )
-            for c in range(2)
-        ]
-        service.run_workload(clients)
-        registry_commits = sum(
-            c.value for c in runtime.registry.counters() if c.name == "shard.commits"
-        )
-        ledger_commits = sum(service.kernel.metrics.shard_commits.values())
-        assert registry_commits == ledger_commits > 0
+        assert service.kernel.metrics.total_reads_served("leader") > 0
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +278,13 @@ class TestShardedTrace:
 class TestRegistry:
     def test_instruments_intern_by_name_and_labels(self):
         registry = MetricsRegistry()
-        a = registry.counter("hits", shard=1)
-        b = registry.counter("hits", shard=1)
-        c = registry.counter("hits", shard=2)
+        a = registry.gauge("hits", shard=1)
+        b = registry.gauge("hits", shard=1)
+        c = registry.gauge("hits", shard=2)
         assert a is b and a is not c
-        a.inc(3)
-        assert registry.counter("hits", shard=1).value == 3
+        a.set(3)
+        assert registry.gauge("hits", shard=1).value == 3
+        assert registry.histogram("hits", shard=1) is registry.histogram("hits", shard=1)
 
     def test_histogram_aggregates_and_percentiles(self):
         registry = MetricsRegistry()
@@ -324,7 +306,7 @@ class TestRegistry:
 
     def test_snapshot_renders_labelled_keys(self):
         registry = MetricsRegistry()
-        registry.counter("hits", shard=1).inc()
+        registry.gauge("hits", shard=1).set(1)
         registry.gauge("depth").set(7)
         snap = registry.snapshot()
         assert snap["hits{shard=1}"] == 1
@@ -735,3 +717,92 @@ class TestKernelObsSeams:
         model.fifo_memory_ops = True
         kernel.set_latency(model)
         assert kernel.fifo_memory_ops
+
+
+# ----------------------------------------------------------------------
+# one write path per fact: the ledger records, spans mirror when attached
+# ----------------------------------------------------------------------
+def _churny_cluster():
+    """PMP under every fault kind the controller knows."""
+    from repro.consensus.omega import crash_aware_omega
+
+    script = FaultScript()
+    script.at(1.0).crash_process(0).recover(at=30.0)
+    script.at(2.0).partition({0, 1}, {2}).heal(at=25.0)
+    script.at(3.0).delay_link(1, 2, factor=2.0, until=20.0)
+    script.at(4.0).permission_storm(pid=2, region="pmp", shots=2)
+    script.at(5.0).crash_memory(2).recover(at=40.0)
+    cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3, deadline=60_000), script)
+    cluster.kernel.omega = crash_aware_omega(cluster.kernel)
+    return cluster
+
+
+def _timeline(ledger):
+    return [
+        (r.time, r.kind, r.subject, r.detail)
+        for r in ledger.fault_timeline + ledger.reconfig_timeline + ledger.slo_timeline
+    ]
+
+
+class TestOneWritePath:
+    def test_every_fault_record_is_exactly_one_point_span(self):
+        cluster = _churny_cluster()
+        runtime = attach(cluster.kernel, profile=False)
+        assert cluster.run(["a", "b", "c"]).all_decided
+        records = _timeline(cluster.kernel.metrics)
+        assert {kind for _t, kind, _s, _d in records} == {
+            "crash_proc", "recover_proc", "crash_mem", "recover_mem",
+            "partition", "heal", "link_chaos", "link_clear", "perm_change",
+        }
+        points = [
+            s for s in runtime.spans if s.kind == K_POINT and "subject" in (s.attrs or {})
+        ]
+        # same order, same instant, same kind, same subject, same detail
+        assert [
+            (p.start, p.name, p.attrs["subject"], {k: v for k, v in p.attrs.items() if k != "subject"})
+            for p in points
+        ] == records
+
+    def test_detached_ledger_is_identical_and_no_span_is_built(self, monkeypatch):
+        attached = _churny_cluster()
+        attach(attached.kernel, profile=False)
+        attached.run(["a", "b", "c"])
+
+        def no_span(*_args, **_kwargs):
+            raise AssertionError("a Span was constructed with obs detached")
+
+        monkeypatch.setattr("repro.obs.runtime.Span", no_span)
+        detached = _churny_cluster()
+        assert detached.run(["a", "b", "c"]).all_decided
+        assert detached.kernel.obs is None and detached.kernel.metrics.obs is None
+        assert _timeline(detached.kernel.metrics) == _timeline(attached.kernel.metrics)
+        assert detached.kernel.metrics.decisions == attached.kernel.metrics.decisions
+        assert detached.kernel.metrics.mem_ops == attached.kernel.metrics.mem_ops
+        assert detached.kernel.queue.popped == attached.kernel.queue.popped
+
+    def test_the_three_drop_points_fire(self, kernel):
+        runtime = attach(kernel, profile=False)
+        env0, env1 = env_of(kernel, 0), env_of(kernel, 1)
+        script = FaultScript()
+        script.at(0.0).crash_memory(1)
+        script.at(0.0).drop_link(0, 2, prob=1.0)
+        script.at(0.5).partition({0}, {1, 2})  # severs the link mid-flight
+        script.install(kernel)
+
+        def sender():
+            yield env0.send(1, "cut", topic="t")   # lands in the partition
+            yield env0.send(2, "lost", topic="t")  # eaten by the chaos filter
+            yield from env0.write(1, "r", ("x", "k"), 1)  # memory is down
+
+        kernel.spawn(0, "sender", sender())
+        kernel.run(until=10)
+        drops = {
+            s.name: s.attrs for s in runtime.spans if s.name.endswith("_drop")
+        }
+        assert drops == {
+            "chaos_drop": {"dst": "p3"},
+            "partition_drop": {"src": "p1", "dst": "p2", "topic": "t"},
+            "mem_drop": {"mem": "mu2"},
+        }
+        assert kernel.network.chaos_dropped == kernel.network.partition_dropped == 1
+        assert all(s.kind == K_POINT for s in runtime.spans if s.name in drops)

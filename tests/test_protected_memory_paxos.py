@@ -12,6 +12,7 @@ from repro import (
 )
 from repro.consensus.omega import crash_aware_omega, leader_schedule
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.obs.runtime import attach
 from repro.types import MemoryId
 
 
@@ -36,16 +37,18 @@ class TestTwoDeciding:
     def test_leader_writes_without_reading_first(self):
         """The two-delay path is write-only: no reads before the decision
         (the whole point of the permission optimization)."""
-        result = run_consensus(ProtectedMemoryPaxos(), 3, 3, trace=True)
-        tracer = result.kernel.tracer
-        decide = next(e for e in tracer.of_kind("decide"))
+        cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+        runtime = attach(cluster.kernel, profile=False)
+        cluster.run(["a", "b", "c"])
+        spans = runtime.spans + runtime.open_spans()
+        decide = min(s.start for s in spans if s.name == "decide")
         leader_ops = [
-            e
-            for e in tracer.of_kind("invoke")
-            if e.actor.startswith("p1/") and e.time < decide.time
+            s
+            for s in spans
+            if s.kind == "memop" and s.actor.startswith("p1/") and s.start < decide
         ]
         assert leader_ops, "leader must have issued operations"
-        assert all(e.detail["op"] == "WriteOp" for e in leader_ops)
+        assert all(s.name == "WriteOp" for s in leader_ops)
 
 
 class TestResilienceNEqualsFPlus1:

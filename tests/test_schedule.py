@@ -9,8 +9,6 @@ default loop fires next, "diverge at step N" would be meaningless.
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
 from conftest import env_of, make_kernel
@@ -20,6 +18,8 @@ from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import LivelockError
 from repro.sim.event_queue import EV_RESUME, EV_WAKE, EventQueue
 from repro.failures.script import FaultScript
+from repro.obs.runtime import attach
+from repro.obs.whatif import run_hash
 from repro.sim.schedule import (
     FifoScheduler,
     RandomScheduler,
@@ -27,7 +27,7 @@ from repro.sim.schedule import (
     build_frontier,
 )
 
-from test_determinism_replay import _run_mixed, _trace_hash
+from test_determinism_replay import _run_mixed
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +83,17 @@ def _chaos_hash(seed: int, scheduled: bool) -> str:
     script.at(2.0).partition({0, 1}, {2}).heal(at=25.0)
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=seed, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=seed, deadline=60_000),
         script,
     )
     kernel = cluster.kernel
+    attach(kernel, profile=False)
     kernel.omega = crash_aware_omega(kernel)
     if scheduled:
         kernel.scheduler = FifoScheduler()
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-    digest.update(
-        f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-        f"now={kernel.now}".encode()
-    )
-    return digest.hexdigest()
+    return run_hash(kernel)
 
 
 class TestFifoParity:
@@ -111,10 +105,10 @@ class TestFifoParity:
         # BFT shard, a memory crash, and 12 clients
         service, report = _run_mixed(23)
         assert report.ok
-        default = _trace_hash(service)
+        default = run_hash(service.kernel)
         service, report = _run_mixed(23, scheduler=FifoScheduler())
         assert report.ok
-        assert _trace_hash(service) == default
+        assert run_hash(service.kernel) == default
 
     def test_scheduler_attribute_defaults_to_none(self):
         kernel = make_kernel()
@@ -154,15 +148,13 @@ class TestCustomSchedulers:
 def _chaos_random_hash(seed: int) -> str:
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=1, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=1, deadline=60_000),
     )
+    attach(cluster.kernel, profile=False)
     cluster.kernel.scheduler = RandomScheduler(seed)
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided
-    digest = hashlib.sha256()
-    for event in cluster.kernel.tracer.events:
-        digest.update(str(event).encode())
-    return digest.hexdigest()
+    return run_hash(cluster.kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,22 @@ class TestWhatIfProfiler:
 
         assert run() == run()
 
+    def test_run_hash_covers_what_a_truncated_ring_dropped(self):
+        def run(**options):
+            cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+            runtime = attach(cluster.kernel, profile=False, **options)
+            cluster.run(["a", "b", "c"])
+            return cluster.kernel, runtime
+
+        kernel, runtime = run(max_spans=8)
+        assert len(runtime.finished) == 8 and runtime.dropped > 0
+        truncated = run_hash(kernel)
+        assert truncated != run_hash(run()[0])
+        # the digest is over the retained spans AND the count that scrolled
+        # out: the same eight spans after a longer prefix must not collide
+        runtime.dropped += 1
+        assert run_hash(kernel) != truncated
+
 
 # ----------------------------------------------------------------------
 # SLO plane: deterministic breaches under chaos
@@ -288,6 +304,12 @@ class TestSloPlane:
         assert recover.time > breach.time
         # recovered by the end of the run
         assert runtime.slo.breached() == []
+        # each transition is written once, to the ledger, which mirrors it
+        # as exactly one point span
+        points = [s for s in runtime.spans if s.name in ("slo_breach", "slo_recover")]
+        assert [
+            (p.start, p.name, p.attrs["subject"], p.attrs["burn_short"]) for p in points
+        ] == [(r.time, r.kind, r.subject, r.detail["burn_short"]) for r in timeline]
 
     def test_chaos_breaches_are_deterministic(self):
         s1, _, _ = chaos_service()
