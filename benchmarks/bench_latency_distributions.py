@@ -17,13 +17,46 @@ from repro import (
     MessagePaxos,
     ProtectedMemoryPaxos,
 )
-from repro.metrics.analysis import sweep_decision_delays
+from repro.core.cluster import run_consensus
+from repro.metrics.workload import LatencySummary
 from repro.sim.latency import JitteredSynchrony
 
 from benchmarks._common import emit, once, table
 
 SEEDS = range(30)
 JITTER = 0.3
+
+
+def sweep_decision_delays(
+    protocol_factory,
+    seeds,
+    latency_factory=None,
+    n_processes=3,
+    n_memories=3,
+    deadline=30_000.0,
+):
+    """Earliest-decision delay of one run per seed.  Returns ``(samples,
+    undecided)`` — a run that never decides carries no delay sample — and
+    raises ``ValueError`` when no run decided at all."""
+    samples = []
+    undecided = 0
+    for seed in seeds:
+        result = run_consensus(
+            protocol_factory(),
+            n_processes,
+            n_memories,
+            latency=latency_factory() if latency_factory else None,
+            seed=seed,
+            deadline=deadline,
+        )
+        delay = result.earliest_decision_delay
+        if delay is None:
+            undecided += 1
+        else:
+            samples.append(delay)
+    if not samples:
+        raise ValueError("no run decided: nothing to summarize")
+    return samples, undecided
 
 
 def _measure():
@@ -34,26 +67,31 @@ def _measure():
         ("Disk Paxos", DiskPaxos, 3),
         ("Message Paxos", MessagePaxos, 0),
     ]
-    stats = {}
-    for name, factory, memories in cases:
-        stats[name] = sweep_decision_delays(
+    return {
+        name: sweep_decision_delays(
             factory,
             seeds=SEEDS,
             latency_factory=lambda: JitteredSynchrony(JITTER),
             n_memories=memories,
         )
-    return stats
+        for name, factory, memories in cases
+    }
 
 
 def test_latency_distributions(benchmark):
-    stats = once(benchmark, _measure)
-    rows = [[name] + s.row() for name, s in stats.items()]
+    sweeps = once(benchmark, _measure)
+    stats = {name: LatencySummary.of(samples) for name, (samples, _) in sweeps.items()}
+    rows = [
+        [name, s.count]
+        + [f"{x:.2f}" for x in (s.mean, s.p50, s.p95, s.p99, min(sweeps[name][0]), s.max)]
+        for name, s in stats.items()
+    ]
     emit(
         "E12",
         f"Decision-delay distributions, {len(list(SEEDS))} seeds, "
         f"{int(JITTER * 100)}% jitter",
         table(
-            ["algorithm", "runs", "mean", "p50", "p90", "p99", "min", "max"],
+            ["algorithm", "runs", "mean", "p50", "p95", "p99", "min", "max"],
             rows,
         ),
         notes=(
@@ -69,5 +107,5 @@ def test_latency_distributions(benchmark):
     fast = max(stats["Protected Memory Paxos"].p99, stats["Fast & Robust"].p99)
     slow = min(stats["Disk Paxos"].p50, stats["Message Paxos"].p50)
     assert fast < slow
-    assert stats["Protected Memory Paxos"].undecided == 0
-    assert stats["Fast & Robust"].undecided == 0
+    assert sweeps["Protected Memory Paxos"][1] == 0  # undecided runs
+    assert sweeps["Fast & Robust"][1] == 0

@@ -7,10 +7,8 @@ into the per-shard and whole-service numbers the benchmarks and the
 acceptance tests read: committed commands per simulated delay, latency
 percentiles, mean batch fill.
 
-Percentiles here are nearest-rank and dependency-free on purpose: this
-module sits under the core service layer, which must not require numpy
-(:mod:`repro.metrics.analysis` is the numpy-based toolkit for the
-distribution benchmarks and uses interpolated percentiles).
+Percentiles here are nearest-rank and dependency-free on purpose: the
+package has no third-party runtime dependency.
 """
 
 from __future__ import annotations

@@ -1,60 +1,30 @@
-"""The multi-seed sweep / distribution-summary module."""
+"""The multi-seed decision-delay sweep behind the E12 distribution bench."""
 
 import pytest
 
 from repro import MessagePaxos, ProtectedMemoryPaxos
-from repro.metrics.analysis import DelayStats, summarize, sweep_decision_delays
 from repro.sim.latency import JitteredSynchrony
 
-
-class TestSummarize:
-    def test_basic_stats(self):
-        stats = summarize([2.0, 2.0, 4.0, 4.0])
-        assert stats.n_samples == 4
-        assert stats.mean == 3.0
-        assert stats.p50 == 3.0
-        assert stats.minimum == 2.0
-        assert stats.maximum == 4.0
-
-    def test_single_sample(self):
-        stats = summarize([2.0])
-        assert stats.mean == stats.p50 == stats.p99 == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_undecided_carried(self):
-        stats = summarize([1.0], undecided=3)
-        assert stats.undecided == 3
-
-    def test_row_rendering(self):
-        row = summarize([2.0, 2.5]).row()
-        assert row[0] == "2"
-        assert all(isinstance(cell, str) for cell in row)
-
-    def test_percentile_ordering(self):
-        stats = summarize(list(range(1, 101)))
-        assert stats.p50 <= stats.p90 <= stats.p99 <= stats.maximum
+from benchmarks.bench_latency_distributions import sweep_decision_delays
 
 
 class TestSweep:
     def test_nominal_sweep_is_constant(self):
-        stats = sweep_decision_delays(ProtectedMemoryPaxos, seeds=range(5))
-        assert stats.n_samples == 5
-        assert stats.minimum == stats.maximum == 2.0
-        assert stats.undecided == 0
+        samples, undecided = sweep_decision_delays(ProtectedMemoryPaxos, seeds=range(5))
+        assert len(samples) == 5
+        assert min(samples) == max(samples) == 2.0
+        assert undecided == 0
 
     def test_jitter_sweep_spreads(self):
-        stats = sweep_decision_delays(
+        samples, _undecided = sweep_decision_delays(
             MessagePaxos,
             seeds=range(8),
             latency_factory=lambda: JitteredSynchrony(0.4),
             n_memories=0,
         )
-        assert stats.n_samples == 8
-        assert stats.minimum >= 4.0
-        assert stats.maximum > stats.minimum
+        assert len(samples) == 8
+        assert min(samples) >= 4.0
+        assert max(samples) > min(samples)
 
     def test_all_runs_undecided_raises(self):
         # With a deadline below the minimum decision latency no run can
