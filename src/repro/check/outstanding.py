@@ -59,4 +59,5 @@ def watch_outstanding(kernel) -> OutstandingObserver:
         raise SimulationError("an observability runtime is already attached")
     observer = OutstandingObserver(kernel, profile=False)
     kernel.obs = observer
+    kernel.metrics.obs = observer
     return observer

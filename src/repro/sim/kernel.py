@@ -854,19 +854,19 @@ class Kernel:
     def _deliver(self, env: Envelope) -> None:
         if env.dst in self.crashed_processes:
             return
+        obs = self.obs
         blocked = self.network.blocked
         if blocked and (env.src, env.dst) in blocked:
             # Reachability is time-varying state checked per delivery: a
             # message sent before the partition but landing during it is
             # lost, exactly like a packet on a just-severed link.
             self.network.partition_dropped += 1
-            if self.obs is not None:
-                self.obs.point(
+            if obs is not None:
+                obs.point(
                     "partition_drop", src=process_name(env.src),
                     dst=process_name(env.dst), topic=env.topic,
                 )
             return
-        obs = self.obs
         if obs is not None and env.ctx is not None:
             obs.msg_delivered(env, self.now)
         waiter = self.network.deliver(env)

@@ -127,7 +127,7 @@ class TestSeedReplay:
 # attached identical for the five whose fault / reconfig / SLO timelines
 # are empty.  ``elastic_split_jittered`` gained one point span per timeline
 # record and was re-pinned once (before: 7b5a47b5…7e504 over 2 220 spans);
-# ``test_elastic_split_under_jitter`` asserts that count.
+# ``_elastic_split_hash`` asserts that count.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
     runtime = attach(kernel, profile=False) if attach_obs else None
@@ -170,7 +170,7 @@ def _sharded_kv_hash(attach_obs: bool = False) -> str:
     )
 
 
-def _elastic_split_service():
+def _elastic_split_hash(attach_obs: bool = False) -> str:
     """Split then merge, quorum reads, jittered latency: covers the
     non-FIFO sequential read rounds and the merge's tombstone fence."""
     from repro import ElasticConfig, ElasticKV, JitteredSynchrony, MergeShard, SplitShard
@@ -183,13 +183,19 @@ def _elastic_split_service():
     )
     service.schedule_reconfig(30.0, SplitShard())
     service.schedule_reconfig(120.0, MergeShard(1))
-    return service
-
-
-def _elastic_split_hash(attach_obs: bool = False) -> str:
-    service = _elastic_split_service()
     digest = _kv_hash(service, n_ops=40, attach_obs=attach_obs)
     assert service.epoch.number == 2
+    if attach_obs:
+        # The one re-pin: exactly one new point span per timeline record.
+        runtime, ledger = service.kernel.obs, service.kernel.metrics
+        timeline = ledger.fault_timeline + ledger.reconfig_timeline
+        assert len(timeline) == 15 and not ledger.slo_timeline
+        spans = runtime.spans + runtime.open_spans()
+        assert len(spans) == SPANS_BEFORE_TIMELINE_POINTS + len(timeline)
+        points = [s for s in spans if s.kind == "point" and "subject" in (s.attrs or {})]
+        assert [(p.start, p.name, p.attrs["subject"]) for p in points] == [
+            (r.time, r.kind, r.subject) for r in timeline
+        ]
     return digest
 
 
@@ -230,20 +236,6 @@ class TestGoldenHashes:
 
     def test_elastic_split_under_jitter(self):
         _both_pins("elastic_split_jittered", _elastic_split_hash)
-
-        # The one re-pin: exactly one new point span per timeline record.
-        service = _elastic_split_service()
-        runtime = attach(service.kernel, profile=False)
-        _kv_hash(service, n_ops=40, attach_obs=False)
-        ledger = service.kernel.metrics
-        timeline = ledger.fault_timeline + ledger.reconfig_timeline
-        assert len(timeline) == 15 and not ledger.slo_timeline
-        spans = runtime.spans + runtime.open_spans()
-        assert len(spans) == SPANS_BEFORE_TIMELINE_POINTS + len(timeline)
-        points = [s for s in spans if s.kind == "point" and "subject" in (s.attrs or {})]
-        assert [(p.start, p.name, p.attrs["subject"]) for p in points] == [
-            (r.time, r.kind, r.subject) for r in timeline
-        ]
 
 
 #: spans (finished + open) ``elastic_split_jittered`` recorded at the parent

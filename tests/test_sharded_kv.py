@@ -116,6 +116,10 @@ class TestRouting:
         assert report.completed_requests == 24
         # every distinct request was committed exactly once service-wide
         assert report.committed_commands == 24
+        # ...and the ledger's always-on count (what the autoscaler and the
+        # e2e benchmark read) credits the same commits to the two shards
+        commits = service.kernel.metrics.shard_commits
+        assert sum(commits.values()) == 24 and set(commits) == {0, 1}
         assert report.elapsed > 0
         assert report.commands_per_delay > 0
         table = report.per_shard_table()
