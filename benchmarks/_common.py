@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one paper artefact (see DESIGN.md's
-per-experiment index): it runs the relevant simulations once via
-``benchmark.pedantic`` (simulations are deterministic; re-running them only
-re-measures the simulator, not the algorithm), prints the paper-shaped
-table, persists it under ``benchmarks/reports/`` and asserts the
-qualitative shape the paper claims.
+per-experiment index): it runs the relevant simulations once
+(simulations are deterministic; re-running them only re-measures the
+simulator, not the algorithm, and wall-clock is ``benchmarks/e2e``'s job),
+prints the paper-shaped table, persists it under ``benchmarks/reports/``
+and asserts the qualitative shape the paper claims.
 """
 
 from __future__ import annotations
@@ -31,8 +31,3 @@ def emit(experiment_id: str, title: str, table: str, notes: str = "") -> str:
 
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return format_table(headers, rows)
-
-
-def once(benchmark, fn):
-    """Run *fn* exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -9,9 +9,13 @@ from:
    and the composed algorithm degrades to its backup latency.
 3. Aligned Paxos `protected` vs `disk` memory handling: the confirming
    read re-appears, 2 -> 4+ delays (footnote 4's trade).
+
+Plus the doorbell A/B, informational: 10k register writes posted as fused
+chains of 8 versus one at a time.  The ops/s are this host's wall clock,
+printed and never asserted (``benchmarks/e2e/run.py --compare`` judges wall).
 """
 
-import pytest
+import time
 
 from repro import (
     AlignedConfig,
@@ -24,8 +28,37 @@ from repro import (
 )
 from repro.consensus.cheap_quorum import CheapQuorumConfig
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.mem.layout import MemoryLayout
+from repro.mem.operations import BatchOp, WriteOp
+from repro.mem.permissions import Permission
+from repro.mem.regions import RegionSpec
+from repro.sim.effects import OpEffect
+from repro.sim.kernel import Kernel, SimConfig
+from repro.types import MemoryId
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
+
+N_WRITES = 10_000
+
+
+def _write_storm(chain: int):
+    """``N_WRITES`` writes to one memory, *chain* work requests per post:
+    ``(wall ops/s, virtual delays, sub-ops the ledger counted)``."""
+    kernel = Kernel(
+        SimConfig(n_processes=3, n_memories=3),
+        MemoryLayout([RegionSpec("r", ("x",), Permission.open(range(3)))]),
+    )
+
+    def writer():
+        for first in range(0, N_WRITES, chain):
+            ops = [WriteOp("r", ("x", "k"), i) for i in range(first, first + chain)]
+            yield OpEffect(MemoryId(0), BatchOp(ops) if chain > 1 else ops[0])
+
+    kernel.spawn(0, "writer", writer())
+    start = time.perf_counter()
+    kernel.run(until=10.0**9)
+    wall = time.perf_counter() - start
+    return N_WRITES / wall, kernel.now, kernel.metrics.total_mem_ops()
 
 
 def _measure():
@@ -78,6 +111,14 @@ def _measure():
          f"{ap_disk.earliest_decision_delay:g}"]
     )
 
+    for chain, label in ((8, "fused chains of 8"), (1, "one at a time")):
+        rate, delays, counted = _write_storm(chain)
+        assert counted == N_WRITES, (chain, counted)
+        rows.append(
+            ["mem-op storm", f"{N_WRITES:,} writes, {label} ({rate:,.0f} ops/s)",
+             f"{delays:g}"]
+        )
+
     checks = (
         pmp_on.earliest_decision_delay == 2.0
         and pmp_off.earliest_decision_delay >= 8.0
@@ -90,10 +131,10 @@ def _measure():
     return rows, checks
 
 
-def test_design_choice_ablations(benchmark):
-    rows, checks = once(benchmark, _measure)
+def test_design_choice_ablations():
+    rows, checks = _measure()
     emit(
-        "E11",
+        "E11-ext",
         "Ablations: each fast-path ingredient removed in isolation",
         table(["algorithm", "configuration", "delays"], rows),
         notes=(

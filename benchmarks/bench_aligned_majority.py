@@ -11,7 +11,7 @@ from repro import AlignedPaxos, FaultScript
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 N, M = 3, 3
 
@@ -57,8 +57,8 @@ def _measure():
     return rows
 
 
-def test_aligned_combined_majority(benchmark):
-    rows = once(benchmark, _measure)
+def test_aligned_combined_majority():
+    rows = _measure()
     emit(
         "E5",
         f"Aligned Paxos over {N}+{M} agents: combined-minority sweep",

@@ -10,7 +10,7 @@ import pytest
 
 from repro import FastRobust, RobustBackup, run_consensus
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _measure():
@@ -32,8 +32,8 @@ def _measure():
     return rows
 
 
-def test_byzantine_common_case_delays(benchmark):
-    rows = once(benchmark, _measure)
+def test_byzantine_common_case_delays():
+    rows = _measure()
     emit(
         "E2",
         "2-deciding weak Byzantine agreement (common case, n = 2f+1)",

@@ -13,7 +13,7 @@ from repro import FaultScript, SilentByzantine
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.smr.byzantine_log import ByzantineLogConfig, ByzantineReplicatedLog
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 SCRIPT = {0: [("cmd", i) for i in range(3)]}
 
@@ -59,8 +59,8 @@ def _measure():
     return rows, leader_slot_times
 
 
-def test_byzantine_smr(benchmark):
-    rows, leader_slot_times = once(benchmark, _measure)
+def test_byzantine_smr():
+    rows, leader_slot_times = _measure()
     emit(
         "E13",
         "Byzantine replicated log: Fast & Robust per slot, n = 2f+1 = 3",

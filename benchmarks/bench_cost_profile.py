@@ -21,7 +21,7 @@ from repro import (
     run_consensus,
 )
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _measure():
@@ -50,8 +50,8 @@ def _measure():
     return rows
 
 
-def test_cost_profile(benchmark):
-    rows = once(benchmark, _measure)
+def test_cost_profile():
+    rows = _measure()
     emit(
         "E14",
         "Cost profile until all correct processes decide (n=3, common case)",

@@ -18,7 +18,7 @@ from repro import (
     run_consensus,
 )
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _measure():
@@ -40,8 +40,8 @@ def _measure():
     return rows
 
 
-def test_crash_consensus_delays(benchmark):
-    rows = once(benchmark, _measure)
+def test_crash_consensus_delays():
+    rows = _measure()
     emit(
         "E3",
         "Crash consensus: delays vs resilience (common case)",

@@ -27,7 +27,7 @@ import json
 import pathlib
 import sys
 
-if __name__ == "__main__":  # standalone: make src/ importable like perf.py
+if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (
@@ -266,10 +266,10 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def test_elasticity(benchmark):
-    from benchmarks._common import emit, once
+def test_elasticity():
+    from benchmarks._common import emit
 
-    report = once(benchmark, measure)
+    report = measure()
     check_shapes(report)
     emit(
         "E17",

@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.consensus.cheap_quorum import CheapQuorumConfig
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 _FR_CONFIG = FastRobustConfig(
     cheap_quorum=CheapQuorumConfig(leader_timeout=15.0, unanimity_timeout=25.0)
@@ -77,8 +77,8 @@ def _measure():
     return rows
 
 
-def test_failover_latency(benchmark):
-    rows = once(benchmark, _measure)
+def test_failover_latency():
+    rows = _measure()
     emit(
         "E9",
         "Failover: first/last correct decision times (virtual delays)",

@@ -21,7 +21,7 @@ from repro.core.cluster import run_consensus
 from repro.metrics.workload import LatencySummary
 from repro.sim.latency import JitteredSynchrony
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 SEEDS = range(30)
 JITTER = 0.3
@@ -78,8 +78,8 @@ def _measure():
     }
 
 
-def test_latency_distributions(benchmark):
-    sweeps = once(benchmark, _measure)
+def test_latency_distributions():
+    sweeps = _measure()
     stats = {name: LatencySummary.of(samples) for name, (samples, _) in sweeps.items()}
     rows = [
         [name, s.count]

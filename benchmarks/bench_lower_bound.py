@@ -16,7 +16,7 @@ from repro.lowerbound import (
     solo_fast_delay,
 )
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _measure():
@@ -27,8 +27,8 @@ def _measure():
     return solo, naive, pmp, disk
 
 
-def test_lower_bound_construction(benchmark):
-    solo, naive, pmp, disk = once(benchmark, _measure)
+def test_lower_bound_construction():
+    solo, naive, pmp, disk = _measure()
     rows = [
         [
             "strawman (2-deciding, static perms)",

@@ -10,7 +10,7 @@ import pytest
 
 from repro import FastRobust, FaultScript, ProtectedMemoryPaxos, run_consensus
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _run(protocol_factory, m, crashed, deadline):
@@ -55,8 +55,8 @@ def _measure():
     return rows
 
 
-def test_memory_crash_tolerance(benchmark):
-    rows = once(benchmark, _measure)
+def test_memory_crash_tolerance():
+    rows = _measure()
     emit(
         "E4",
         "Memory-crash sweep: fast path intact up to f_M = (m-1)/2",

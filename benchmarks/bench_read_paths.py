@@ -32,7 +32,7 @@ import json
 import pathlib
 import sys
 
-if __name__ == "__main__":  # standalone: make src/ importable like perf.py
+if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (

@@ -20,7 +20,7 @@ from repro.shard import (
     ZipfianKeys,
 )
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 SHARD_COUNTS = [1, 2, 4, 8]
 BATCH_SIZES = [1, 8, 32]
@@ -55,8 +55,8 @@ def _measure():
     return grid
 
 
-def test_sharded_kv_scaling(benchmark):
-    grid = once(benchmark, _measure)
+def test_sharded_kv_scaling():
+    grid = _measure()
     rows = []
     for n_shards in SHARD_COUNTS:
         row = [f"{n_shards} shard{'s' if n_shards > 1 else ''}"]

@@ -12,7 +12,7 @@ import pytest
 from repro import FastRobust, RobustBackup
 from repro.core.cluster import Cluster, ClusterConfig
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 
 def _sigs_until_first_decision(protocol, n=3, m=3, deadline=30_000):
@@ -37,8 +37,8 @@ def _measure():
     return fast, slow, prior
 
 
-def test_signature_economy(benchmark):
-    fast, slow, prior = once(benchmark, _measure)
+def test_signature_economy():
+    fast, slow, prior = _measure()
     rows = [
         ["Fast & Robust fast path (measured)", f"{fast[2]:g}", fast[0], fast[1]],
         ["Robust Backup slow path (measured)", f"{slow[2]:g}", slow[0], slow[1]],

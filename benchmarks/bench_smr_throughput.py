@@ -15,7 +15,7 @@ from repro.core.cluster import Cluster, ClusterConfig
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import ReplicatedLog, smr_regions
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 N_COMMANDS = 20
 
@@ -68,8 +68,8 @@ def _measure():
     return pmp_per_commit, disk_per_commit
 
 
-def test_smr_throughput(benchmark):
-    pmp, disk = once(benchmark, _measure)
+def test_smr_throughput():
+    pmp, disk = _measure()
     rows = [
         [
             "PMP replicated log",

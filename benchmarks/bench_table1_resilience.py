@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.consensus.cheap_quorum import CheapQuorumConfig
 
-from benchmarks._common import emit, once, table
+from benchmarks._common import emit, table
 
 _FALLBACK_CONFIG = FastRobustConfig(
     cheap_quorum=CheapQuorumConfig(leader_timeout=15.0, unanimity_timeout=25.0)
@@ -65,10 +65,8 @@ def _measure_beyond_bound():
     return (not result.all_decided, not result.metrics.violations)
 
 
-def test_table1_resilience(benchmark):
-    our_row, beyond = once(
-        benchmark, lambda: (_measure_our_row(), _measure_beyond_bound())
-    )
+def test_table1_resilience():
+    our_row, beyond = _measure_our_row(), _measure_beyond_bound()
 
     rows = [
         ["[39] (LSP)", "sync", "yes", "no", "2f+1", "(literature)"],

@@ -54,7 +54,7 @@ from repro.sim.kernel import Kernel, SimConfig
 # ---------------------------------------------------------------------------
 # the seeded bugs (private, test-only)
 # ---------------------------------------------------------------------------
-def _buggy_unpark(self, pid, token, task=None):
+def _buggy_unpark(self, pid, token, task):
     # PR 5 bug: remove by token only — task identity ignored.
     self.waiters[pid] = [w for w in self.waiters[pid] if w.token != token]
 

@@ -46,14 +46,16 @@ from repro.types import BOTTOM, is_bottom
 
 REGION = "ap"
 TOPIC = "aligned"
+#: Ω re-check cadence, base of the randomised retry back-off and per-round
+#: quorum timeout (virtual delays); the embedded PaxosNode gets the same
+LEADER_POLL = 2.0
+RETRY_BACKOFF = 4.0
+ROUND_TIMEOUT = 30.0
 
 
 @dataclass
 class AlignedConfig:
     variant: str = "protected"  # or "disk"
-    leader_poll: float = 2.0
-    retry_backoff: float = 4.0
-    round_timeout: float = 30.0
     initial_leader: int = 0
 
     def __post_init__(self) -> None:
@@ -93,9 +95,9 @@ class AlignedNode:
         self.value = value
         self.config = config or AlignedConfig()
         paxos_config = PaxosConfig(
-            round_timeout=self.config.round_timeout,
-            retry_backoff=self.config.retry_backoff,
-            leader_poll=self.config.leader_poll,
+            round_timeout=ROUND_TIMEOUT,
+            retry_backoff=RETRY_BACKOFF,
+            leader_poll=LEADER_POLL,
         )
         self.node = PaxosNode(
             env, DirectTransport(env, topic=TOPIC), value, config=paxos_config
@@ -129,11 +131,11 @@ class AlignedNode:
         env = self.env
         while not self.decided:
             if not self.recovering and env.leader() != env.pid:
-                yield env.gate_wait(self.node.wake, timeout=self.config.leader_poll)
+                yield env.gate_wait(self.node.wake, timeout=LEADER_POLL)
                 continue
             yield from self._attempt()
             if not self.decided:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
 
     # ------------------------------------------------------------------
     def _agent_majority(self) -> int:
@@ -203,7 +205,7 @@ class AlignedNode:
             env,
             node.wake,
             lambda: responded() >= majority or ballot in node.nacked or node.decided,
-            timeout=self.config.round_timeout,
+            timeout=ROUND_TIMEOUT,
         )
         if node.decided or ballot in node.nacked or responded() < majority:
             return _RESTART
@@ -273,7 +275,7 @@ class AlignedNode:
             env,
             node.wake,
             lambda: successes() >= majority or failed() or node.decided,
-            timeout=self.config.round_timeout,
+            timeout=ROUND_TIMEOUT,
         )
         if node.decided:
             return False

@@ -30,6 +30,12 @@ from repro.types import BOTTOM, is_bottom
 
 REGION = "dp"
 TOPIC = "dp"
+#: how often a non-leader re-checks Ω, the base of the randomised back-off
+#: between a leader's failed attempts, and the link-free listener's disk
+#: polling cadence (virtual delays)
+LEADER_POLL = 2.0
+RETRY_BACKOFF = 4.0
+LEARN_POLL = 2.0
 
 
 @dataclass(frozen=True)
@@ -45,16 +51,12 @@ class DiskBlock:
 
 @dataclass
 class DiskPaxosConfig:
-    leader_poll: float = 2.0
-    retry_backoff: float = 4.0
     #: process whose first ballot counts as pre-established (skips phase 1
     #: on its first attempt, mirroring PMP's p1 head start)
     established_leader: Optional[int] = 0
     #: Section 3's pure disk model: learn decisions by polling the disks
     #: instead of a decision broadcast (works with links disabled entirely)
     link_free: bool = False
-    #: polling cadence for link-free decision learning
-    learn_poll: float = 2.0
 
 
 def disk_paxos_regions(n_processes: int) -> List[RegionSpec]:
@@ -101,7 +103,7 @@ class DiskPaxosNode:
                         if isinstance(block, DiskBlock) and block.decided:
                             self._learn(block.inp)
                             return
-                yield env.sleep(self.config.learn_poll)
+                yield env.sleep(LEARN_POLL)
             return
         while not self.decided:
             envelope = yield from env.recv(topic=TOPIC)
@@ -119,11 +121,11 @@ class DiskPaxosNode:
         env = self.env
         while not self.decided:
             if env.leader() != env.pid:
-                yield env.sleep(self.config.leader_poll)
+                yield env.sleep(LEADER_POLL)
                 continue
             yield from self._attempt()
             if not self.decided:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
 
     def _round(self, mbal: Ballot, block: DiskBlock, majority: int) -> Generator:
         """One GL round: write own block + read all blocks, per disk.

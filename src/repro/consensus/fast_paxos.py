@@ -48,11 +48,15 @@ from repro.sim.environment import ProcessEnv
 from repro.types import ProcessId
 
 
+#: classic-recovery timings (virtual delays): per-round quorum timeout, base
+#: of the randomised retry back-off, and the non-leader's Ω re-check cadence
+ROUND_TIMEOUT = 20.0
+RETRY_BACKOFF = 5.0
+LEADER_POLL = 2.0
+
+
 @dataclass
 class FastPaxosConfig:
-    round_timeout: float = 20.0
-    retry_backoff: float = 5.0
-    leader_poll: float = 2.0
     #: fast-path wait before the coordinator starts recovery
     recovery_delay: float = 10.0
 
@@ -194,11 +198,11 @@ class FastPaxosNode:
         )
         while not self.decided:
             if env.leader() != env.pid:
-                yield env.gate_wait(self.wake, timeout=self.config.leader_poll)
+                yield env.gate_wait(self.wake, timeout=LEADER_POLL)
                 continue
             yield from self._recover()
             if not self.decided:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
 
     def _recover(self) -> Generator:
         env = self.env
@@ -212,7 +216,7 @@ class FastPaxosNode:
             lambda: len(self.promises.get(ballot, {})) >= quorum
             or ballot in self.nacked
             or self.decided,
-            timeout=self.config.round_timeout,
+            timeout=ROUND_TIMEOUT,
         )
         if self.decided or not arrived or ballot in self.nacked:
             return
@@ -224,7 +228,7 @@ class FastPaxosNode:
             lambda: len(self.accepts.get(ballot, ())) >= quorum
             or ballot in self.nacked
             or self.decided,
-            timeout=self.config.round_timeout,
+            timeout=ROUND_TIMEOUT,
         )
         if self.decided or len(self.accepts.get(ballot, ())) < quorum:
             return

@@ -43,16 +43,9 @@ from repro.trusted.validators import PaxosConformance
 @dataclass
 class FastRobustConfig:
     cheap_quorum: CheapQuorumConfig = field(default_factory=CheapQuorumConfig)
-    preferential: PreferentialPaxosConfig = field(
-        default_factory=PreferentialPaxosConfig
-    )
     #: ablation switch: skip Cheap Quorum entirely and run the backup path
     #: alone (every process enters Preferential Paxos with its bare input)
     enable_fast_path: bool = True
-
-    def __post_init__(self) -> None:
-        # The Cheap Quorum leader defines Preferential Paxos' M class.
-        self.preferential.leader = self.cheap_quorum.leader
 
 
 def setup_value_from(outcome: CqOutcome) -> SetupValue:
@@ -117,7 +110,8 @@ class FastRobust(ConsensusProtocol):
             env,
             transport,
             setup_value_from(outcome),
-            self.config.preferential,
+            # the Cheap Quorum leader defines Preferential Paxos' M class
+            PreferentialPaxosConfig(leader=self.config.cheap_quorum.leader),
             instance=instance,
         )
         yield env.spawn(

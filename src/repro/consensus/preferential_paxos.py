@@ -35,6 +35,11 @@ from repro.types import ProcessId
 PRIORITY_PROOF = 0
 PRIORITY_LEADER_SIGNED = 1
 PRIORITY_BARE = 2
+#: timings of the embedded Paxos (virtual delays), RobustBackup's values:
+#: every message is a non-equivocating broadcast, so rounds are slower
+ROUND_TIMEOUT = 60.0
+RETRY_BACKOFF = 10.0
+LEADER_POLL = 3.0
 
 
 def effective_priority(
@@ -71,14 +76,6 @@ def _rank(env: ProcessEnv, sv: SetupValue, leader: ProcessId, n: int) -> Tuple:
 class PreferentialPaxosConfig:
     #: the Cheap Quorum leader whose signature defines the M class
     leader: int = 0
-    #: max Byzantine processes; setup waits for n - f inputs
-    max_faulty: Optional[int] = None
-    round_timeout: float = 60.0
-    retry_backoff: float = 10.0
-    leader_poll: float = 3.0
-
-    def faulty_for(self, n: int) -> int:
-        return self.max_faulty if self.max_faulty is not None else (n - 1) // 2
 
 
 class PreferentialPaxosNode:
@@ -97,13 +94,14 @@ class PreferentialPaxosNode:
         self.setup_value = setup_value
         self.config = config or PreferentialPaxosConfig()
         self.instance = instance
-        f = self.config.faulty_for(env.n_processes)
-        self.needed = env.n_processes - f
+        # setup waits for n - f inputs, f = the most Byzantine processes
+        # a majority tolerates
+        self.needed = env.n_processes - (env.n_processes - 1) // 2
         paxos_config = PaxosConfig(
             quorum=env.n_processes // 2 + 1,
-            round_timeout=self.config.round_timeout,
-            retry_backoff=self.config.retry_backoff,
-            leader_poll=self.config.leader_poll,
+            round_timeout=ROUND_TIMEOUT,
+            retry_backoff=RETRY_BACKOFF,
+            leader_poll=LEADER_POLL,
         )
         self.node = PaxosNode(
             env,

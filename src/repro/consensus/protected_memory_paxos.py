@@ -34,6 +34,10 @@ from repro.types import BOTTOM, ProcessId, is_bottom
 
 REGION = "pmp"
 TOPIC = "pmp"
+#: how often a non-leader re-checks Ω, and the base of the randomised
+#: back-off between a leader's failed attempts (virtual delays)
+LEADER_POLL = 2.0
+RETRY_BACKOFF = 4.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,6 @@ class PmpSlot:
 
 @dataclass
 class PmpConfig:
-    leader_poll: float = 2.0
-    retry_backoff: float = 4.0
     #: initial leader (holds write permission from the start)
     initial_leader: int = 0
     #: ablation switch: disable the Theorem D.5 first-attempt skip, forcing
@@ -127,11 +129,11 @@ class PmpNode:
         env = self.env
         while not self.decided:
             if not self.recovering and env.leader() != env.pid:
-                yield env.sleep(self.config.leader_poll)
+                yield env.sleep(LEADER_POLL)
                 continue
             yield from self._attempt()
             if not self.decided:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
 
     def _attempt(self) -> Generator:
         env = self.env

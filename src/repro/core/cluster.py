@@ -262,28 +262,6 @@ class MultiGroupCluster(ClusterBase):
         return goal()
 
 
-class ElasticCluster(MultiGroupCluster):
-    """A multi-group cluster whose region set GROWS at runtime.
-
-    :class:`MultiGroupCluster` lays out the union of every group's regions
-    at boot; an elastic service cannot — a shard split allocates a consensus
-    group (and its permissioned log region) that did not exist when the
-    kernel was built.  ``add_regions`` registers new regions on the live
-    kernel (every memory installs the boot permission, crashed ones
-    included), mirroring RDMA memory registration.
-
-    Recovery composes with reconfiguration through the same hook mechanism
-    the static clusters use: the elastic service registers crash/recover
-    hooks that re-spawn a returning process's replicas into the *current*
-    epoch — the active shard set, leader map and replica membership at
-    recovery time — never the boot topology it crashed out of.
-    """
-
-    def add_regions(self, regions: Sequence[RegionSpec]) -> None:
-        """Register *regions* on the running kernel (idempotent per id)."""
-        self.kernel.register_regions(regions)
-
-
 def run_consensus(
     protocol: ConsensusProtocol,
     n_processes: int,

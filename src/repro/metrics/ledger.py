@@ -263,10 +263,6 @@ class MetricsLedger:
         """Append one SLO state transition to the timeline."""
         self._append(self.slo_timeline, time, kind, subject, detail)
 
-    def slos_of(self, kind: str) -> List[FaultRecord]:
-        """All SLO records of one *kind* (``slo_breach``/``slo_recover``)."""
-        return [record for record in self.slo_timeline if record.kind == kind]
-
     def count_shard_commit(self, shard: int, commands: int = 1) -> None:
         """Credit *commands* committed entries to *shard* (leader apply)."""
         self.shard_commits[shard] += commands

@@ -129,52 +129,3 @@ def run_report(
 
     return "\n".join(lines)
 
-
-def parallel_report(report: dict, title: str = "parallel run report") -> str:
-    """Render a :meth:`~repro.sim.parallel.ParallelKernel.run_report` dict.
-
-    One row per cell (virtual clock, scheduler events, schedule-invariant
-    sim events, fabric traffic, trace-hash prefix) plus the aggregated
-    totals and the coordinator's barrier/worker accounting — the
-    parallel-run face of :func:`run_report`.
-    """
-    lines: List[str] = [title, "=" * len(title)]
-    rows = []
-    for cell_id in sorted(report["cells"]):
-        cell = report["cells"][cell_id]
-        rows.append([
-            cell_id,
-            cell["label"],
-            f"{cell['now']:g}",
-            cell["events"],
-            cell["sim_events"],
-            f"{cell['posted']}/{cell['injected']}",
-            cell["run_hash"][:12],
-        ])
-    lines += [
-        "",
-        format_table(
-            ["cell", "label", "t", "events", "sim-events", "out/in", "hash"], rows
-        ),
-    ]
-    totals = report["totals"]
-    lines += [
-        "",
-        f"totals: {totals['events']} events, {totals['sim_events']} sim-events, "
-        f"{totals['messages']} messages, {totals['crossed']} crossed the fabric",
-        f"combined hash: {report['combined_hash'][:16]}",
-    ]
-    run = report.get("run")
-    if run:
-        lines += [
-            "",
-            f"workers={run['workers']} mode={run['mode']} rounds={run['rounds']} "
-            f"lookahead={run['lookahead']:g} virtual_time={run['virtual_time']:g}",
-        ]
-        if run.get("projected_speedup") is not None:
-            lines.append(
-                f"critical-path projection: {run['projected_speedup']:.2f}x "
-                f"(busy {run['total_busy']:.3f}s, critical {run['critical_path']:.3f}s, "
-                f"coordinator {run['coordinator_wall']:.3f}s)"
-            )
-    return "\n".join(lines)

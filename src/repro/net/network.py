@@ -26,30 +26,27 @@ class RecvWaiter:
 
     The kernel identifies the parked task by the ``task`` reference (plus
     its suspension ``token``) and resumes it directly — no per-park wake
-    closure.  ``wake`` remains for externally built waiters (tests, custom
-    transports): when ``task`` is None the kernel falls back to calling it.
+    closure.
 
     One waiter is allocated per parked receive, so this is a hand-written
     ``__slots__`` class.
     """
 
-    __slots__ = ("pid", "token", "topic", "match", "wake", "task")
+    __slots__ = ("pid", "token", "task", "topic", "match")
 
     def __init__(
         self,
         pid: ProcessId,
         token: int,
+        task: Any,
         topic: Optional[str] = None,
         match: Optional[MatchFn] = None,
-        wake: Optional[Callable[[Envelope], None]] = None,
-        task: Any = None,
     ) -> None:
         self.pid = pid
         self.token = token
+        self.task = task
         self.topic = topic
         self.match = match
-        self.wake = wake
-        self.task = task
 
     def accepts(self, env: Envelope) -> bool:
         if self.topic is not None and env.topic != self.topic:
@@ -147,20 +144,16 @@ class Network:
         """Park a receiver until :meth:`deliver` finds it a match."""
         self.waiters[waiter.pid].append(waiter)
 
-    def unpark(self, pid: ProcessId, token: int, task: Any = None) -> None:
+    def unpark(self, pid: ProcessId, token: int, task: Any) -> None:
         """Remove a parked receiver (timeout fired or task died).
 
         *task* scopes the removal: suspension tokens are per-task counters
         (every task counts from 1), so removing by token alone would also
         evict an unrelated task's waiter that happens to share the number —
         its messages would then bypass the wake path and rot in the inbox.
-        ``None`` keeps the legacy remove-by-token-only behaviour for
-        externally built waiters that carry no task reference.
         """
         self.waiters[pid] = [
-            w
-            for w in self.waiters[pid]
-            if w.token != token or (task is not None and w.task is not task)
+            w for w in self.waiters[pid] if w.token != token or w.task is not task
         ]
 
     # ------------------------------------------------------------------

@@ -134,9 +134,6 @@ class MetricsRegistry:
     def gauges(self) -> List[Gauge]:
         return list(self._gauges.values())
 
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
-
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-friendly dict of every instrument's current reading."""
 

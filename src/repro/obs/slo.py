@@ -20,8 +20,6 @@ metrics ledger's ``slo_timeline`` — which forwards each as a
 trace and in flight recorder dumps — and rendered by
 :func:`~repro.metrics.reporting.run_report`; the burn itself is sampled
 into the registry's ``slo.burn`` gauges.
-:meth:`SloTracker.pressure` exposes the current per-shard burn as an
-autoscaler-consumable signal (see ``AutoscalerConfig.slo_burn_above``).
 """
 
 from __future__ import annotations
@@ -245,21 +243,6 @@ class SloTracker:
 
     def total_breaches(self) -> int:
         return sum(state.breaches for state in self.states.values())
-
-    def pressure(self) -> Dict[int, float]:
-        """Per-shard worst short-window burn — the autoscaler signal.
-
-        Only shard-scoped objectives are attributed (a service-wide
-        objective cannot say *which* shard to split).
-        """
-        out: Dict[int, float] = {}
-        for objective in self.objectives:
-            if objective.shard is None:
-                continue
-            burn = self.states[objective.name].burn_short
-            if burn > out.get(objective.shard, 0.0):
-                out[objective.shard] = burn
-        return out
 
     # ------------------------------------------------------------------
     # snapshots

@@ -34,10 +34,6 @@ class AutoscalerConfig:
     split_above: float = 120.0
     #: or when any shard's windowed p99 exceeds this (delays)
     p99_above: float = float("inf")
-    #: or when any shard's SLO burn rate (short window) exceeds this —
-    #: the obs SLO plane's signal (see ``SloTracker.pressure``); inactive
-    #: by default and without an attached tracker
-    slo_burn_above: float = float("inf")
     #: merge the coldest shard when the whole service commits slower than
     #: this per shard (commands/kilo-delay); never merges by default
     merge_below: float = 0.0
@@ -86,17 +82,13 @@ class Autoscaler:
         return out
 
     def observe(
-        self, now: float, ledger: MetricsLedger, shards, pending: bool,
-        slo_pressure: Optional[Dict[int, float]] = None,
+        self, now: float, ledger: MetricsLedger, shards, pending: bool
     ) -> List[object]:
         """One sampling tick: returns at most one split/merge proposal.
 
         The first tick only establishes the baseline window.  No proposal
         is made while a reconfiguration is *pending* (mid-migration load
-        numbers are transients) or inside the cooldown.  *slo_pressure*
-        (shard -> current burn rate, from ``SloTracker.pressure``) marks a
-        shard overloaded when its burn exceeds ``slo_burn_above`` — scale
-        out on objective risk, not just on raw load.
+        numbers are transients) or inside the cooldown.
         """
         shards = list(shards)
         first = self._last_time is None
@@ -104,11 +96,9 @@ class Autoscaler:
         cfg = self.config
         if first or pending or now - self._last_proposal_at < cfg.cooldown:
             return []
-        pressure = slo_pressure or {}
         overloaded = [
             g for g in shards
             if rates[g][0] > cfg.split_above or rates[g][1] > cfg.p99_above
-            or pressure.get(g, 0.0) > cfg.slo_burn_above
         ]
         if len(shards) < cfg.max_shards and overloaded:
             hot = max(overloaded, key=lambda g: rates[g])

@@ -48,7 +48,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.cluster import ClusterConfig, ElasticCluster
 from repro.errors import ConfigurationError
 from repro.mem.operations import ChangePermissionOp
 from repro.mem.permissions import Permission, epoch_fence_policy
@@ -71,6 +70,13 @@ from repro.smr.log import smr_rx_regions
 from repro.types import process_name
 
 
+#: post-fence drain: time for a fenced source's in-flight writes to
+#: resolve (ACK or NAK) before the delta pass reads the frozen store
+FENCE_SETTLE = 6.0
+#: coordinator idle re-check period
+COORDINATOR_POLL = 10.0
+
+
 @dataclass
 class ElasticConfig(ShardConfig):
     """ShardConfig plus the elastic knobs.
@@ -86,13 +92,6 @@ class ElasticConfig(ShardConfig):
     max_shards: int = 16
     #: autoscaler policy; None runs manual-reconfig only
     autoscaler: Optional[AutoscalerConfig] = None
-    #: post-fence drain: time for a fenced source's in-flight writes to
-    #: resolve (ACK or NAK) before the delta pass reads the frozen store
-    fence_settle: float = 6.0
-    #: coordinator idle re-check period
-    coordinator_poll: float = 10.0
-    #: concurrent in-flight migration transfers per stream pass
-    migration_window: int = 8
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -185,8 +184,6 @@ class ElasticKV(ShardedKV):
                 )
         regions.extend(config_regions(self.config.n_processes, self._config_leader()))
         return regions
-
-    _cluster_class = ElasticCluster
 
     # ------------------------------------------------------------------
     # topology (epoch-driven)
@@ -327,7 +324,7 @@ class ElasticKV(ShardedKV):
         # a fresh coordinator cannot know what its predecessor sent, so it
         # re-streams from the top and relies on destination-side dedup —
         # that reliance is exactly what the crash tests exercise.
-        self.migrator = Migrator(self.partitioner, window=self.config.migration_window)
+        self.migrator = Migrator(self.partitioner)
         self._control_tasks.append(
             self.cluster.spawn(pid, "reconfig-coordinator", self._coordinator(env))
         )
@@ -348,7 +345,6 @@ class ElasticKV(ShardedKV):
         retired groups or removed replicas still running, and this is the
         idempotent re-run that finishes the job.
         """
-        poll = self.config.coordinator_poll
         self._reconcile_cleanup()
         while True:
             if int(env.pid) != self._config_leader():
@@ -371,7 +367,7 @@ class ElasticKV(ShardedKV):
             if pending is not None:
                 yield from self._execute_epoch(env, pending)
                 continue
-            yield env.gate_wait(self._cfg_wake, timeout=poll)
+            yield env.gate_wait(self._cfg_wake, timeout=COORDINATOR_POLL)
 
     def _execute_epoch(self, env, epoch: Epoch) -> Generator:
         """Drive one committed epoch to activation (idempotent throughout)."""
@@ -426,7 +422,7 @@ class ElasticKV(ShardedKV):
         for source in epoch.migration_sources:
             if source in epoch.retired:
                 yield from self._fence_region(env, shard_region(source), TOMBSTONE)
-                yield env.sleep(cfg.fence_settle)
+                yield env.sleep(FENCE_SETTLE)
                 yield from self.logs[(int(env.pid), source)].catchup()
             elif source not in epoch.sealed:
                 yield from self._cfg_log.commit(env, SealShard(number, source))
@@ -499,7 +495,9 @@ class ElasticKV(ShardedKV):
             new_regions.extend(
                 smr_rx_regions(self.config.n_processes, region=shard_region(shard))
             )
-        self.cluster.add_regions(new_regions)
+        # a split allocates a group that did not exist at boot: register
+        # its regions on the live kernel (crashed memories included)
+        self.kernel.register_regions(new_regions)
         self.queues[shard] = deque()
         env = self.cluster.env_for(leader)
         self._leader_envs[shard] = env
@@ -613,14 +611,8 @@ class ElasticKV(ShardedKV):
         while True:
             yield env.sleep(policy.config.interval)
             busy = self._state.has_pending() or bool(self._cfg_queue)
-            obs = self.kernel.obs
-            pressure = (
-                obs.slo.pressure()
-                if obs is not None and obs.slo is not None
-                else None
-            )
             for proposal in policy.observe(
-                env.now, self.kernel.metrics, self.shards, busy, pressure
+                env.now, self.kernel.metrics, self.shards, busy
             ):
                 try:
                     self.propose_reconfig(proposal)

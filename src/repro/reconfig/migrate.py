@@ -57,17 +57,15 @@ def _fingerprint(value: Any) -> Any:
         return hashlib.sha1(canonical_bytes(value)).hexdigest()
 
 
+#: concurrent in-flight migration puts per stream pass
+WINDOW = 8
+
+
 class Migrator:
     """Streams moved key ranges from migration sources to their new owners."""
 
-    def __init__(
-        self,
-        partitioner: ConsistentHashPartitioner,
-        window: int = 8,
-    ) -> None:
+    def __init__(self, partitioner: ConsistentHashPartitioner) -> None:
         self.partitioner = partitioner
-        #: concurrent in-flight migration puts per stream pass
-        self.window = window
         #: tokens this coordinator incarnation already streamed — purely an
         #: optimisation (skips a guaranteed dedup); a respawned coordinator
         #: starts empty and re-streams, relying on destination-side dedup
@@ -102,7 +100,7 @@ class Migrator:
     ) -> Generator:
         """Stream every currently-moved key of *source* to its new owner.
 
-        Runs ``window`` transfers concurrently (each is a routed submit:
+        Runs ``WINDOW`` transfers concurrently (each is a routed submit:
         commit at the destination log, apply, complete).  Returns the
         number of transfers *submitted* by this call — within one
         coordinator incarnation that equals the keys newly moved (the
@@ -180,8 +178,8 @@ class Migrator:
                 command.key, version=target_version
             )
         )
-        for start in range(0, len(batch), self.window):
-            chunk = batch[start : start + self.window]
+        for start in range(0, len(batch), WINDOW):
+            chunk = batch[start : start + WINDOW]
             done = env.new_gate("mig-window")
             remaining = [len(chunk)]
 

@@ -17,8 +17,7 @@ of that split plus the glue:
   latencies recorded in its own cell;
 * a **cell router**: a consistent-hash ring over cell ids (reusing the
   shard partitioner's machinery) mapping each key to the service cell
-  that owns it, with :func:`cell_weights` exposing the per-cell arc
-  share for the worker-assignment rebalance hook.
+  that owns it.
 
 All fabric payloads are plain tuples of primitives, so fork-mode workers
 can pickle them across the coordinator pipes without ceremony.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.shard.partitioner import HashRing, arc_fractions
+from repro.shard.partitioner import HashRing
 from repro.smr.kv import KVCommand
 
 #: topic the gateway task listens on in a service cell
@@ -62,18 +61,6 @@ class CellRouter:
             if len(self._cache) < 4096:
                 self._cache[key] = cell
         return cell
-
-    def weights(self, shard_counts: Optional[Dict[int, int]] = None) -> Dict[int, float]:
-        """Per-cell scheduling weight: ring arc share, optionally scaled
-        by the cell's live shard count (an elastic split inside a cell
-        grows its simulation work without moving any ring arc)."""
-        arcs = arc_fractions(self.ring)
-        if shard_counts is None:
-            return arcs
-        return {
-            cell: arc * max(1, shard_counts.get(cell, 1))
-            for cell, arc in arcs.items()
-        }
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,9 @@ READ_LOCAL = "local"          #: own replica at the client's session floor
 
 READ_MODES = (READ_CONSENSUS, READ_LEADER, READ_QUORUM, READ_LOCAL)
 
+#: one-sided quorum read attempts before falling back to consensus
+QUORUM_READ_ATTEMPTS = 3
+
 
 def request_topic(shard: int) -> str:
     """The message topic a shard's leader accepts client commands on."""
@@ -102,7 +105,6 @@ class ReadPaths:
         "local_read",
         "readable",
         "ledger",
-        "attempts",
     )
 
     def __init__(
@@ -113,7 +115,6 @@ class ReadPaths:
         local_read: Callable[[int, int, KVCommand, int], Generator],
         readable: Callable[[int], bool],
         ledger: Any,
-        attempts: int = 3,
     ) -> None:
         self.default_mode = default_mode
         self.leader_read_submit = leader_read_submit
@@ -121,7 +122,6 @@ class ReadPaths:
         self.local_read = local_read
         self.readable = readable
         self.ledger = ledger
-        self.attempts = attempts
 
 
 class _Pending:
@@ -409,7 +409,7 @@ class ShardFrontend:
     ) -> Generator:
         """One-sided quorum read against the owning shard's memories."""
         env = self.env
-        for attempt in range(rp.attempts):
+        for attempt in range(QUORUM_READ_ATTEMPTS):
             shard = self.shard_for(command.key)  # re-resolve across cutovers
             outcome = yield from rp.quorum_read(int(env.pid), shard, command)
             if outcome is not None:
@@ -418,8 +418,10 @@ class ShardFrontend:
                     rp, session, floors, shard, READ_QUORUM, watermark
                 )
                 return value
-            if attempt + 1 < rp.attempts:
-                yield env.sleep(self.retry_timeout * (attempt + 1) / rp.attempts)
+            if attempt + 1 < QUORUM_READ_ATTEMPTS:
+                yield env.sleep(
+                    self.retry_timeout * (attempt + 1) / QUORUM_READ_ATTEMPTS
+                )
         result = yield from self._fall_back(command, rp, session, shard, READ_QUORUM)
         return result
 

@@ -50,6 +50,15 @@ from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
 
 
+#: how often an idle shard leader re-checks its request queue
+IDLE_POLL = 2.0
+#: how long a Byzantine shard's followers wait for the leader's slot value
+BFT_LEADER_TIMEOUT = 50.0
+#: burn-rate evaluation period (virtual units) when ``ShardConfig.slo``
+#: arms the sampling ticker itself
+SLO_INTERVAL = 25.0
+
+
 def shard_region(shard: int) -> str:
     """Region/topic namespace of one crash-tolerant shard's log."""
     return f"smr-g{shard}"
@@ -71,13 +80,10 @@ class ShardConfig:
     deadline: float = 50_000.0
     #: client resend interval; dedup makes resends idempotent
     retry_timeout: float = 200.0
-    #: how often an idle shard leader re-checks its request queue
-    idle_poll: float = 2.0
     #: shard ids served by the Byzantine Fast & Robust backend
     bft_shards: Tuple[int, ...] = ()
     #: per-BFT-shard slot cap (slot regions are declared up front)
     bft_max_slots: int = 8
-    bft_leader_timeout: float = 50.0
     #: fault timeline (FaultScript) to install; process crash/recover
     #: events target shards through their leader —
     #: one shard can churn while the untouched shards keep serving
@@ -91,16 +97,11 @@ class ShardConfig:
     #: watermark publication, per-shard read servers and reply pumps —
     #: and lets clients override the mode per request.
     read_mode: str = READ_CONSENSUS
-    #: one-sided quorum read attempts before falling back to consensus
-    read_attempts: int = 3
     #: declarative SLOs (:class:`repro.obs.slo.Objective`) evaluated on the
     #: obs runtime's virtual-time ticker.  Only active when an obs runtime
     #: is attached before ``run_workload`` — without one the service keeps
     #: its zero-observability cost and the objectives are inert.
     slo: Tuple[Any, ...] = ()
-    #: burn-rate evaluation period (virtual units) when ``slo`` arms the
-    #: sampling ticker itself
-    slo_interval: float = 25.0
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -120,10 +121,6 @@ class ShardConfig:
                 "Byzantine shard's fence/watermark registers could be lied "
                 "about by its leader — route BFT reads through consensus"
             )
-        if self.read_attempts < 1:
-            raise ConfigurationError("read_attempts must be >= 1")
-        if self.slo_interval <= 0:
-            raise ConfigurationError("slo_interval must be > 0")
         for objective in self.slo:
             shard = getattr(objective, "shard", None)
             if shard is not None and not 0 <= shard < self.n_shards:
@@ -281,9 +278,6 @@ class ShardedKV:
                     )
         return regions
 
-    #: cluster runner class; the elastic service swaps in ElasticCluster
-    _cluster_class = MultiGroupCluster
-
     def _make_frontend(self, pid: int) -> ShardFrontend:
         """One process's request router (boot and crash-recovery rebuilds)."""
         cfg = self.config
@@ -296,7 +290,6 @@ class ShardedKV:
                 local_read=self._local_read,
                 readable=self._shard_readable,
                 ledger=self.kernel.metrics,
-                attempts=cfg.read_attempts,
             )
         return ShardFrontend(
             self.cluster.env_for(pid),
@@ -319,7 +312,7 @@ class ShardedKV:
 
     def _make_cluster(self, regions: Sequence[RegionSpec]) -> MultiGroupCluster:
         cfg = self.config
-        return self._cluster_class(
+        return MultiGroupCluster(
             ClusterConfig(
                 n_processes=cfg.n_processes,
                 n_memories=cfg.n_memories,
@@ -585,7 +578,7 @@ class ShardedKV:
                 # emptied (an elastic source mid-cutover): parking beats
                 # burning a consensus instance on an empty batch per
                 # client retry cycle
-                yield env.gate_wait(self._gates[shard], timeout=self.config.idle_poll)
+                yield env.gate_wait(self._gates[shard], timeout=IDLE_POLL)
                 continue
             obs = env.obs
             phase = obs and obs.phase_under(
@@ -616,7 +609,7 @@ class ShardedKV:
         Followers enter each instance with a no-op and adopt the leader's
         batch on the fast path.  Followers start waiting for slot ``i`` as
         soon as slot ``i-1`` decides, so an idle leader must still commit
-        a heartbeat (empty batch) within ``bft_leader_timeout`` — but no
+        a heartbeat (empty batch) within ``BFT_LEADER_TIMEOUT`` — but no
         faster: each heartbeat burns one of the ``bft_max_slots``
         pre-declared slots, so the leader waits for work at half the
         follower timeout before giving up and proposing empty.
@@ -627,8 +620,8 @@ class ShardedKV:
             FastRobustConfig(
                 cheap_quorum=CheapQuorumConfig(
                     leader=leader,
-                    leader_timeout=cfg.bft_leader_timeout,
-                    unanimity_timeout=2 * cfg.bft_leader_timeout,
+                    leader_timeout=BFT_LEADER_TIMEOUT,
+                    unanimity_timeout=2 * BFT_LEADER_TIMEOUT,
                 )
             )
         )
@@ -637,7 +630,7 @@ class ShardedKV:
             if int(env.pid) == leader:
                 if not self.queues[shard]:
                     yield env.gate_wait(
-                        self._gates[shard], timeout=cfg.bft_leader_timeout / 2
+                        self._gates[shard], timeout=BFT_LEADER_TIMEOUT / 2
                     )
                 value: Any = Batch(self._drain(shard))
                 if self._cmd_ctx:
@@ -724,7 +717,7 @@ class ShardedKV:
         pid = int(env.pid)
         while True:
             if not queue:
-                yield env.gate_wait(gate, timeout=cfg.idle_poll)
+                yield env.gate_wait(gate, timeout=IDLE_POLL)
                 continue
             if not log.serves_local_reads and log.permissions_held:
                 # transiently behind its own progress — a commit whose
@@ -733,7 +726,7 @@ class ShardedKV:
                 # through this leader's own applies (each signals the
                 # commit gate), so hold the reads instead of NAKing a
                 # whole batch into the consensus fallback.
-                yield env.gate_wait(log.commit_gate, timeout=cfg.idle_poll)
+                yield env.gate_wait(log.commit_gate, timeout=IDLE_POLL)
                 continue
             batch = tuple(queue)
             queue.clear()
@@ -929,7 +922,7 @@ class ShardedKV:
                 obs.track_slo(self.config.slo)
             if not obs.sampling:
                 horizon = deadline if deadline is not None else self.config.deadline
-                obs.start_sampling(self.config.slo_interval, until=horizon)
+                obs.start_sampling(SLO_INTERVAL, until=horizon)
         # Baselines capture the leader MACHINE, not just counters: a shard
         # merged away mid-run keeps its machine (and its committed work
         # must still be reported) even after the topology forgets it.

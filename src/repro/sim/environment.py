@@ -28,7 +28,6 @@ from repro.mem.operations import (
     MemoryOp,
     ProbeOp,
     ReadOp,
-    ReadSnapshotOp,
     SnapshotOp,
     WriteOp,
 )
@@ -227,17 +226,6 @@ class ProcessEnv:
         one-sided fence check of the permission-fenced read path.
         """
         result = yield OpEffect(MemoryId(mid), ProbeOp(region, access))
-        return result
-
-    def read_snapshot(
-        self, mid: MemoryId, region: RegionId, prefix: RegisterKey, floor: Any = None
-    ) -> Generator:
-        """Floor-filtered snapshot of a slot array; returns :class:`OpResult`.
-
-        Integer-indexed registers below *floor* are filtered at the memory
-        (the quorum read path's bounded catch-up read).
-        """
-        result = yield OpEffect(MemoryId(mid), ReadSnapshotOp(region, prefix, floor))
         return result
 
     def change_permission(

@@ -872,21 +872,18 @@ class Kernel:
         waiter = self.network.deliver(env)
         if waiter is not None:
             task = waiter.task
-            if task is not None:
-                # _deliver only runs off the heap, where the ready lane is
-                # empty by construction — resuming directly here is order-
-                # identical to a ready-lane round trip, minus the round trip.
-                if (
-                    task.pending_token == waiter.token
-                    and not task.done
-                    and task.pid not in self.crashed_processes
-                ):
-                    task.pending_token = None
-                    if obs is not None and env.ctx is not None:
-                        task.ctx = env.ctx
-                    self._resume(task, env)
-            else:  # pragma: no cover - compat for externally built waiters
-                waiter.wake(env)
+            # _deliver only runs off the heap, where the ready lane is
+            # empty by construction — resuming directly here is order-
+            # identical to a ready-lane round trip, minus the round trip.
+            if (
+                task.pending_token == waiter.token
+                and not task.done
+                and task.pid not in self.crashed_processes
+            ):
+                task.pending_token = None
+                if obs is not None and env.ctx is not None:
+                    task.ctx = env.ctx
+                self._resume(task, env)
 
     def _op_request_leg(self, task: Task, mid, op) -> float:
         """Shared request leg of both memory-op paths: validate the target

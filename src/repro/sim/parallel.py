@@ -205,7 +205,7 @@ class ParallelKernel:
     *factories* is a sequence of ``factory(port) -> Cell`` callables, one
     per cell; cell ids are the factory indices.  *workers* buckets cells
     via :class:`~repro.shard.partitioner.WorkerAssignment` (LPT packing,
-    ring-reweightable); pass *assignment* to control placement directly.
+    ring-reweightable).
 
     *lookahead* is the fabric's cross-cell delay and the barrier slack.
     When None it is derived as the minimum of the cells' latency models'
@@ -219,7 +219,6 @@ class ParallelKernel:
         workers: int = 1,
         mode: str = "inline",
         lookahead: Optional[float] = None,
-        assignment=None,
     ) -> None:
         if not factories:
             raise ValueError("need at least one cell factory")
@@ -228,12 +227,10 @@ class ParallelKernel:
         self.factories = list(factories)
         self.mode = mode
         self.n_cells = len(self.factories)
-        if assignment is None:
-            from repro.shard.partitioner import WorkerAssignment
+        from repro.shard.partitioner import WorkerAssignment
 
-            assignment = WorkerAssignment(range(self.n_cells), workers)
-        self.assignment = assignment
-        self.workers = assignment.n_workers
+        self.assignment = WorkerAssignment(range(self.n_cells), workers)
+        self.workers = self.assignment.n_workers
         self._lookahead_arg = lookahead
         self.lookahead = lookahead if lookahead is not None else 2.0
         self.cells: List[Cell] = []
@@ -268,9 +265,6 @@ class ParallelKernel:
             cells.append(cell)
             ports.append(port)
         return cells, ports
-
-    def worker_cells(self, worker: int) -> List[int]:
-        return list(self.assignment.workers[worker])
 
     # ------------------------------------------------------------------
     # the conservative barrier loop

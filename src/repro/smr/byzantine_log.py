@@ -15,7 +15,7 @@ protocol, `run` the per-replica driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.broadcast.nonequivocating import neb_regions
@@ -26,18 +26,18 @@ from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
 
 
+#: every slot's Fast & Robust instance: the default leader (p1) with
+#: timeouts sized for back-to-back slots
+FAST_ROBUST = FastRobustConfig(
+    cheap_quorum=CheapQuorumConfig(leader_timeout=25.0, unanimity_timeout=40.0)
+)
+
+
 @dataclass
 class ByzantineLogConfig:
     """Configuration of the Byzantine replicated log."""
 
     n_slots: int = 3
-    fast_robust: FastRobustConfig = field(
-        default_factory=lambda: FastRobustConfig(
-            cheap_quorum=CheapQuorumConfig(
-                leader_timeout=25.0, unanimity_timeout=40.0
-            )
-        )
-    )
 
     def namespaces(self, slot: int) -> Tuple[str, str]:
         return (f"cq{slot}", f"neb{slot}")
@@ -71,7 +71,7 @@ class ByzantineReplicatedLog(ConsensusProtocol):
 
     # ------------------------------------------------------------------
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        leader = self.config.fast_robust.cheap_quorum.leader
+        leader = FAST_ROBUST.cheap_quorum.leader
         regions: List[RegionSpec] = []
         for slot in range(self.config.n_slots):
             cq_ns, neb_ns = self.config.namespaces(slot)
@@ -91,7 +91,7 @@ class ByzantineReplicatedLog(ConsensusProtocol):
         pid = int(env.pid)
         log: List[Any] = []
         apply_fn = self.apply_factory() if self.apply_factory else None
-        protocol = FastRobust(self.config.fast_robust)
+        protocol = FastRobust(FAST_ROBUST)
         for slot in range(self.config.n_slots):
             cq_ns, neb_ns = self.config.namespaces(slot)
             decided = yield from protocol.run_instance(

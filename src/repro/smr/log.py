@@ -46,6 +46,10 @@ from repro.types import BOTTOM, is_bottom
 
 SMR_REGION = "smr"
 SMR_TOPIC = "smr"
+#: how often a follower re-checks Ω, and the base of the randomised
+#: back-off between failed attempts / catch-up pulls (virtual delays)
+LEADER_POLL = 2.0
+RETRY_BACKOFF = 4.0
 
 #: prepare-probe slot used by leader recovery: a slot index no data slot
 #: ever uses, so the probe write cannot clobber a forgotten commit
@@ -130,8 +134,6 @@ class SmrConfig:
     """Configuration for the replicated log."""
 
     initial_leader: int = 0
-    leader_poll: float = 2.0
-    retry_backoff: float = 4.0
     #: region/topic namespace; a multi-group service gives every consensus
     #: group its own namespace so groups sharing a kernel never interfere
     region: str = SMR_REGION
@@ -474,7 +476,7 @@ class ReplicatedLog:
         # One reusable receive effect: the kernel only reads its fields, so
         # the listener avoids an effect + sub-generator allocation per commit.
         recv_commit = env.recv_effect(topic=self.topic)
-        last_pull = -self.config.retry_backoff
+        last_pull = -RETRY_BACKOFF
         while True:
             envelope = yield recv_commit
             if envelope is None:
@@ -489,7 +491,7 @@ class ReplicatedLog:
                         target = self._leader_fn()
                         if (
                             target != int(env.pid)
-                            and now - last_pull >= self.config.retry_backoff
+                            and now - last_pull >= RETRY_BACKOFF
                         ):
                             last_pull = now
                             yield env.send(
@@ -550,7 +552,7 @@ class ReplicatedLog:
             reply = yield env.recv_effect(
                 topic=self.sync_topic,
                 match=is_upto,
-                timeout=2 * self.config.retry_backoff,
+                timeout=2 * RETRY_BACKOFF,
             )
             if reply is not None and reply.payload[1] <= self.applied_upto:
                 return
@@ -580,7 +582,7 @@ class ReplicatedLog:
                 _RECOVERY_PROBE_SLOT, prop_nr, majority, Batch()
             )
             if adopted is None:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
         while self.adopt_cache and max(self.adopt_cache) > self.applied_upto:
             yield from self.propose(self.applied_upto + 1, Batch())
 
@@ -596,11 +598,11 @@ class ReplicatedLog:
         state = self._state(slot)
         while not state.decided:
             if self._leader_fn() != int(env.pid):
-                yield env.gate_wait(self.commit_gate, timeout=self.config.leader_poll)
+                yield env.gate_wait(self.commit_gate, timeout=LEADER_POLL)
                 continue
             yield from self._attempt(slot, command)
             if not state.decided:
-                yield env.sleep(self.config.retry_backoff * (1 + env.rng.random()))
+                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
         return state.value
 
     def propose_batch(self, slot: int, commands: Iterable[Any]) -> Generator:

@@ -96,4 +96,3 @@ class TestConfigs:
     def test_fast_paxos_config_defaults(self):
         config = FastPaxosConfig()
         assert config.recovery_delay > 0
-        assert config.round_timeout > 0

@@ -7,6 +7,10 @@ from repro.types import ProcessId
 P0, P1 = ProcessId(0), ProcessId(1)
 
 
+#: stand-ins for kernel tasks: the network only compares them by identity
+TASK_A, TASK_B = object(), object()
+
+
 def _env(src=P0, dst=P1, topic="t", payload="x"):
     return Envelope(src=src, dst=dst, topic=topic, payload=payload, sent_at=0.0)
 
@@ -27,9 +31,7 @@ class TestDelivery:
 
     def test_matching_waiter_consumes_directly(self):
         net = Network(2)
-        woken = []
-        waiter = RecvWaiter(P1, token=1, topic="t", match=None,
-                            wake=lambda e: woken.append(e))
+        waiter = RecvWaiter(P1, token=1, task=TASK_A, topic="t")
         net.park(waiter)
         returned = net.deliver(_env())
         assert returned is waiter
@@ -37,7 +39,7 @@ class TestDelivery:
 
     def test_topic_mismatch_leaves_waiter_parked(self):
         net = Network(2)
-        waiter = RecvWaiter(P1, token=1, topic="other", match=None, wake=None)
+        waiter = RecvWaiter(P1, token=1, task=TASK_A, topic="other")
         net.park(waiter)
         assert net.deliver(_env(topic="t")) is None
         assert net.waiters[P1] == [waiter]
@@ -56,17 +58,28 @@ class TestConsume:
 
     def test_unpark_removes_by_token(self):
         net = Network(2)
-        net.park(RecvWaiter(P1, token=1, topic=None, match=None, wake=None))
-        net.park(RecvWaiter(P1, token=2, topic=None, match=None, wake=None))
-        net.unpark(P1, 1)
+        net.park(RecvWaiter(P1, token=1, task=TASK_A))
+        net.park(RecvWaiter(P1, token=2, task=TASK_A))
+        net.unpark(P1, 1, TASK_A)
         assert [w.token for w in net.waiters[P1]] == [2]
+
+    def test_unpark_leaves_another_tasks_waiter_with_the_same_token(self):
+        # tokens are per-task counters: two tasks of one process both park
+        # on their token 1; the timeout of one must not evict the other
+        net = Network(2)
+        net.park(RecvWaiter(P1, token=1, task=TASK_A))
+        survivor = RecvWaiter(P1, token=1, task=TASK_B)
+        net.park(survivor)
+        net.unpark(P1, 1, TASK_A)
+        assert net.waiters[P1] == [survivor]
+        assert net.deliver(_env()) is survivor
 
 
 class TestCrashHandling:
     def test_drop_process_clears_state(self):
         net = Network(2)
         net.deliver(_env())
-        net.park(RecvWaiter(P1, token=9, topic=None, match=None, wake=None))
+        net.park(RecvWaiter(P1, token=9, task=TASK_A))
         net.drop_process(P1)
         assert net.pending_count(P1) == 0
         assert net.waiters[P1] == []

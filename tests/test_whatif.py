@@ -369,22 +369,24 @@ class TestSloPlane:
         tracker.evaluate(60.0)
         assert tracker.breached() == ["read-availability"]
 
-    def test_pressure_reports_shard_scoped_burns(self):
+    def test_shard_scoped_objective_burns_on_its_own_shard_only(self):
         cfg = ShardConfig(n_shards=2, n_processes=3, n_memories=3, seed=5)
         service = ShardedKV(cfg)
         runtime = attach(service.kernel)
-        obj = Objective(
-            "shard0-latency", latency_budget=5.0, target=0.9, shard=0, window=50.0
-        )
-        tracker = SloTracker(runtime, [obj])
+        objectives = [
+            Objective(
+                f"shard{g}-latency", latency_budget=5.0, target=0.9, shard=g,
+                window=50.0,
+            )
+            for g in (0, 1)
+        ]
+        tracker = SloTracker(runtime, objectives)
         ledger = service.kernel.metrics
         for latency in (50.0, 60.0, 70.0):
             ledger.record_shard_latency(0, 10.0, latency)
         tracker.evaluate(20.0)
-        pressure = tracker.pressure()
-        assert 0 in pressure
-        assert pressure[0] > 2.0
-        assert 1 not in pressure
+        assert tracker.states["shard0-latency"].burn_short > 2.0
+        assert tracker.states["shard1-latency"].burn_short == 0.0
 
 
 # ----------------------------------------------------------------------
