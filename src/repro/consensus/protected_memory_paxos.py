@@ -281,7 +281,7 @@ def accepted_view(kernel) -> dict:
     """
     view = {}
     for mid, memory in enumerate(kernel.memories):
-        for key, slot in memory.registers.items():
+        for key, slot in memory.items():
             if (
                 isinstance(slot, PmpSlot)
                 and slot.acc_prop is not None

@@ -9,12 +9,38 @@ logical register spans several memories.
 A crashed memory never responds: the kernel drops requests addressed to it,
 so callers' operations simply never complete — indistinguishable from
 slowness, as the model requires.
+
+Store layout.  Registers live in one store per region, opened by the
+first operation that names the region (the layout guarantees regions
+never overlap, so a key belongs to exactly one).  A store carries the
+region's spec beside ``cells``, a plain insertion-ordered dict that holds
+every value, plus a slot index over the keys whose component right after
+the region prefix is an ``int`` — two parallel lists, the sorted slot
+numbers and their keys — and the list of the remaining ("named") keys.
+An operation therefore costs what its own region holds, never what the
+rest of the memory stores, and a floor-filtered :class:`ReadSnapshotOp`
+over the whole region costs what it returns: the named registers plus
+``keys[bisect_left(order, floor):]``.  A prefix longer than the region's
+is served by filtering that region's cells.
+
+Two ordering rules the views keep:
+
+* a :class:`SnapshotOp` view (and ``ReadSnapshotOp(floor=None)``)
+  iterates in **write order** — first write of each key, overwrites keep
+  their place.  Takeover reads fold ``highest_seen`` over the view and
+  may return early, so iteration order can reach the next ballot;
+* a floor-filtered view served from the index iterates named registers
+  first, then slots ascending.  Its consumers (the quorum read's merges)
+  are strict-max folds over ballots that embed the writer pid, so no
+  order can change their result; nothing else may depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.mem.layout import MemoryLayout
 from repro.mem.operations import (
@@ -23,11 +49,10 @@ from repro.mem.operations import (
     MemoryOp,
     ProbeOp,
     ReadOp,
-    ReadSnapshotOp,
-    SnapshotOp,
     WriteOp,
 )
 from repro.mem.permissions import Permission
+from repro.mem.regions import RegionSpec
 from repro.types import (
     BOTTOM,
     ChainAbort,
@@ -61,13 +86,83 @@ class OpCounts:
     naks: int = 0
 
 
+class _RegionStore:
+    """One region of one memory: its spec and registers (module docstring)."""
+
+    __slots__ = ("spec", "cut", "cells", "order", "keys", "named")
+
+    def __init__(self, spec: RegionSpec) -> None:
+        self.spec = spec
+        #: ``key[cut]`` is the component right after the region prefix
+        self.cut = len(spec.prefix)
+        self.cells: Dict[RegisterKey, Any] = {}
+        self.order: List[int] = []
+        self.keys: List[RegisterKey] = []
+        self.named: List[RegisterKey] = []
+
+    def index(self, key: RegisterKey) -> None:
+        """Index *key*, which is about to enter ``cells`` for the first time."""
+        cut = self.cut
+        if len(key) > cut:
+            slot = key[cut]
+            if isinstance(slot, int):
+                order = self.order
+                if not order or slot >= order[-1]:  # logs grow at the end
+                    order.append(slot)
+                    self.keys.append(key)
+                else:
+                    at = bisect_right(order, slot)
+                    order.insert(at, slot)
+                    self.keys.insert(at, key)
+                return
+        self.named.append(key)
+
+    def unindex(self, key: RegisterKey) -> None:
+        """Forget *key*, which has just left ``cells``."""
+        if key in self.named:
+            self.named.remove(key)
+            return
+        at = self.keys.index(key, bisect_left(self.order, key[self.cut]))
+        del self.order[at]
+        del self.keys[at]
+
+    def view(
+        self, prefix: RegisterKey, floor: Any = None
+    ) -> Optional[Dict[RegisterKey, Any]]:
+        """The registers extending *prefix*, less the slots below *floor*;
+        None when *prefix* lies outside the region."""
+        cells = self.cells
+        if prefix == self.spec.prefix:  # the whole region, ``contains`` for free
+            if floor is None:
+                return dict(cells)
+            view = {key: cells[key] for key in self.named}
+            for key in self.keys[bisect_left(self.order, floor):]:
+                view[key] = cells[key]
+            return view
+        if not self.spec.contains(prefix):
+            return None
+        cut = len(prefix)
+        view = {}
+        for key, value in cells.items():
+            if key[:cut] != prefix:
+                continue
+            if floor is not None and len(key) > cut:
+                index = key[cut]
+                if isinstance(index, int) and index < floor:
+                    continue
+            view[key] = value
+        return view
+
+
 class Memory:
     """A single fail-prone shared memory (one of the paper's ``mu_i``)."""
 
     def __init__(self, mid: MemoryId, layout: MemoryLayout) -> None:
         self.mid = mid
         self.layout = layout
-        self.registers: Dict[RegisterKey, Any] = {}
+        # region id -> store, opened by the first operation on the region
+        # (not here: a protocol grid builds tens of thousands of memories)
+        self._stores: Dict[RegionId, _RegionStore] = {}
         self.permissions: Dict[RegionId, Permission] = {
             spec.region_id: spec.initial_permission for spec in layout.regions
         }
@@ -77,7 +172,7 @@ class Memory:
         # (see repro.mem.operations); order must match the OP_* numbering.
         self._op_handlers = (self._read, self._write, self._snapshot,
                              self._change_permission, self._probe,
-                             self._read_snapshot, self._batch)
+                             self._snapshot, self._batch)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -97,7 +192,7 @@ class Memory:
         """
         self.crashed = False
         if wipe:
-            self.registers.clear()
+            self._stores.clear()
             self.permissions = {
                 spec.region_id: spec.initial_permission for spec in self.layout.regions
             }
@@ -129,80 +224,79 @@ class Memory:
             raise TypeError(f"unknown memory operation {op!r}")
         return self._op_handlers[kind](pid, op)
 
-    def _spec_and_permission(self, region_id: RegionId):
+    def _open(self, region_id: RegionId) -> Optional[_RegionStore]:
+        """The store of a region no operation has touched yet, or None for
+        a region the layout does not know."""
         spec = self.layout.by_id(region_id)
         if spec is None:
-            return None, None
-        return spec, self.permissions[region_id]
+            return None
+        store = self._stores[region_id] = _RegionStore(spec)
+        return store
+
+    # Every handler resolves its region with one lookup — the store carries
+    # the spec beside the cells — and then evaluates each check the model
+    # names: the region exists, it contains the key, the caller may access.
 
     def _read(self, pid: ProcessId, op: ReadOp) -> OpResult:
         self.counts.reads += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None or not spec.contains(op.key) or not perm.can_read(pid):
+        region = op.region
+        store = self._stores.get(region) or self._open(region)
+        key = op.key
+        if (
+            store is None
+            or not store.spec.contains(key)
+            or not self.permissions[region].can_read(pid)
+        ):
             self.counts.naks += 1
             return _NAK_RESULT
-        return OpResult(_ACK, self.registers.get(op.key, BOTTOM))
+        return OpResult(_ACK, store.cells.get(key, BOTTOM))
 
     def _write(self, pid: ProcessId, op: WriteOp) -> OpResult:
         self.counts.writes += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None or not spec.contains(op.key) or not perm.can_write(pid):
+        region = op.region
+        store = self._stores.get(region) or self._open(region)
+        key = op.key
+        if (
+            store is None
+            or not store.spec.contains(key)
+            or not self.permissions[region].can_write(pid)
+        ):
             self.counts.naks += 1
             return _NAK_RESULT
-        self.registers[op.key] = op.value
+        cells = store.cells
+        if key not in cells:  # tested here: a call per write shows in the probe
+            store.index(key)
+        cells[key] = op.value
         return _ACK_RESULT
 
-    def _snapshot(self, pid: ProcessId, op: SnapshotOp) -> OpResult:
+    def _snapshot(self, pid: ProcessId, op) -> OpResult:
+        """Serve a :class:`SnapshotOp` (whose ``floor`` is always None) or a
+        :class:`ReadSnapshotOp`."""
         self.counts.snapshots += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None or not perm.can_read(pid):
+        region = op.region
+        store = self._stores.get(region) or self._open(region)
+        if store is None or not self.permissions[region].can_read(pid):
             self.counts.naks += 1
             return _NAK_RESULT
-        prefix = op.prefix
-        if not spec.contains(prefix):
+        view = store.view(op.prefix, op.floor)
+        if view is None:
             self.counts.naks += 1
             return _NAK_RESULT
-        view = {
-            key: value
-            for key, value in self.registers.items()
-            if key[: len(prefix)] == prefix
-        }
         return OpResult(_ACK, view)
 
     def _probe(self, pid: ProcessId, op: ProbeOp) -> OpResult:
         self.counts.probes += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None:
+        region = op.region
+        store = self._stores.get(region) or self._open(region)
+        if store is None:
             self.counts.naks += 1
             return _NAK_RESULT
+        perm = self.permissions[region]
         held = perm.can_write(pid) if op.access == "write" else perm.can_read(pid)
         if not held:
             self.counts.naks += 1
             return _NAK_RESULT
         return _ACK_RESULT
-
-    def _read_snapshot(self, pid: ProcessId, op: ReadSnapshotOp) -> OpResult:
-        self.counts.snapshots += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None or not perm.can_read(pid):
-            self.counts.naks += 1
-            return _NAK_RESULT
-        prefix = op.prefix
-        if not spec.contains(prefix):
-            self.counts.naks += 1
-            return _NAK_RESULT
-        floor = op.floor
-        cut = len(prefix)
-        view = {}
-        for key, value in self.registers.items():
-            if key[:cut] != prefix:
-                continue
-            if floor is not None and len(key) > cut:
-                index = key[cut]
-                if isinstance(index, int) and index < floor:
-                    continue
-            view[key] = value
-        return OpResult(_ACK, view)
 
     def _batch(self, pid: ProcessId, op: BatchOp) -> OpResult:
         """Apply a work-request chain: sub-ops in order, abort on first NAK.
@@ -226,24 +320,66 @@ class Memory:
 
     def _change_permission(self, pid: ProcessId, op: ChangePermissionOp) -> OpResult:
         self.counts.permission_changes += 1
-        spec, perm = self._spec_and_permission(op.region)
-        if spec is None:
+        region = op.region
+        store = self._stores.get(region) or self._open(region)
+        if store is None:
             self.counts.naks += 1
             return _NAK_RESULT
-        if not spec.legal_change(pid, perm, op.new_permission):
+        if not store.spec.legal_change(pid, self.permissions[region], op.new_permission):
             # Illegal change: a no-op per the model.  NAK status is
             # informational; the permission state is untouched.
             self.counts.naks += 1
             return _NAK_RESULT
-        self.permissions[op.region] = op.new_permission
+        self.permissions[region] = op.new_permission
         return _ACK_RESULT
 
     # ------------------------------------------------------------------
     # introspection helpers (tests, debugging)
     # ------------------------------------------------------------------
+    @property
+    def registers(self) -> Mapping[RegisterKey, Any]:
+        """A read-only merged copy of every region's registers.
+
+        Introspection only: writing goes through :meth:`apply` (or
+        :meth:`poke` / :meth:`drop` in tests), never through this view.
+        """
+        return MappingProxyType(dict(self.items()))
+
+    def items(self) -> Iterator[Tuple[RegisterKey, Any]]:
+        """Every ``(key, value)`` stored, region by region."""
+        for store in self._stores.values():
+            yield from store.cells.items()
+
+    def _store_of(self, key: RegisterKey) -> Optional[_RegionStore]:
+        spec = self.layout.region_for(key)
+        if spec is None:
+            return None
+        return self._stores.get(spec.region_id) or self._open(spec.region_id)
+
     def peek(self, key: RegisterKey) -> Any:
         """Read a register without permission checks (test helper only)."""
-        return self.registers.get(tuple(key), BOTTOM)
+        key = tuple(key)
+        store = self._store_of(key)
+        return BOTTOM if store is None else store.cells.get(key, BOTTOM)
+
+    def poke(self, key: RegisterKey, value: Any) -> None:
+        """Plant a register without permission checks (test helper only)."""
+        key = tuple(key)
+        store = self._store_of(key)
+        if store is None:
+            raise KeyError(f"no region of the layout contains {key!r}")
+        if key not in store.cells:
+            store.index(key)
+        store.cells[key] = value
+
+    def drop(self, key: RegisterKey) -> None:
+        """Erase a register without permission checks (test helper only)."""
+        key = tuple(key)
+        store = self._store_of(key)
+        if store is None or key not in store.cells:
+            raise KeyError(key)
+        del store.cells[key]
+        store.unindex(key)
 
     def permission_of(self, region_id: RegionId) -> Permission:
         return self.permissions[region_id]

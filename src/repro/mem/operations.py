@@ -18,7 +18,7 @@ normalised to tuples once, at construction); treat instances as immutable.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Union
 
 from repro.mem.permissions import Permission
 from repro.types import RegionId, RegisterKey
@@ -81,6 +81,9 @@ class SnapshotOp(_OpBase):
 
     __slots__ = ("region", "prefix")
     kind = OP_SNAPSHOT
+    #: a plain snapshot is a :class:`ReadSnapshotOp` that filters nothing;
+    #: the constant lets the memory serve both with one handler
+    floor = None
 
     def __init__(self, region: RegionId, prefix: RegisterKey) -> None:
         self.region = region
@@ -136,8 +139,14 @@ class ReadSnapshotOp(_OpBase):
     instead of re-transferring the whole region per read.  Filtering
     happens at the memory (the RDMA analogue of an offset read), so the
     response payload stays proportional to the reader's lag, not to the
-    log length.  Same permission rule and two-delay cost as
-    :class:`SnapshotOp`; ``floor=None`` degenerates to a plain snapshot.
+    log length — and so does the simulator's cost of serving it: the
+    memory keeps each region's integer-indexed keys sorted, so a read of
+    the whole region from *floor* is a bisect plus the tail it returns
+    (see :mod:`repro.mem.memory`).  Same permission rule and two-delay
+    cost as :class:`SnapshotOp`; ``floor=None`` degenerates to a plain
+    snapshot.  The view iterates named registers first, then slots
+    ascending — not in write order, which only :class:`SnapshotOp`
+    promises.
 
     A register rides the response iff its key extends *prefix* and the
     key component right after the prefix is either not an ``int`` (named
@@ -198,12 +207,8 @@ class BatchOp(_OpBase):
         return len(self.ops)
 
 
-MemoryOp = (
-    ReadOp
-    | WriteOp
-    | SnapshotOp
-    | ChangePermissionOp
-    | ProbeOp
-    | ReadSnapshotOp
-    | BatchOp
-)
+# ``typing.Union``, not ``A | B``: this line runs at import time, and
+# ``type.__or__`` only exists from Python 3.10 (the package supports 3.9).
+MemoryOp = Union[
+    ReadOp, WriteOp, SnapshotOp, ChangePermissionOp, ProbeOp, ReadSnapshotOp, BatchOp
+]

@@ -472,7 +472,7 @@ class TestUnconfirmedWatermark:
         # strip the register down to a single memory: every quorum view
         # now sees the max watermark unconfirmed (minority residue)
         for memory in holders[1:]:
-            del memory.registers[tuple(leader_register)]
+            memory.drop(leader_register)
 
         applied = []
         outcome = []

@@ -14,6 +14,8 @@ Layer by layer:
   elastic cutovers) forces fallbacks, never stale reads.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import FaultScript
@@ -115,6 +117,64 @@ class TestReadSnapshotOp:
         spec = RegionSpec("r", ("r",), Permission(readwrite=frozenset([P1])))
         memory = Memory(MemoryId(0), MemoryLayout([spec]))
         assert memory.apply(P2, ReadSnapshotOp("r", ("r",), 0)).status is OpStatus.NAK
+
+
+class TestRegionsDoNotSeeEachOther:
+    """A one-sided read costs what its own regions hold: a sibling shard's
+    log in the same memories changes neither the answer, the two delays,
+    nor the memory operations the read issues."""
+
+    def _read_beside(self, sibling_slots):
+        from repro.sim.environment import ProcessEnv
+        from repro.sim.kernel import Kernel, SimConfig
+        from repro.smr.kv import KVCommand, KVStateMachine
+        from repro.smr.log import ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
+
+        regions = []
+        for region, leader in (("smr-a", 0), ("smr-b", 1)):
+            regions += smr_regions(3, leader, region) + smr_rx_regions(3, region)
+        kernel = Kernel(SimConfig(n_processes=3, n_memories=3, seed=1),
+                        MemoryLayout(regions))
+
+        def log_of(pid, region, leader):
+            config = SmrConfig(initial_leader=leader, region=region,
+                               topic=region, publish_watermark=True)
+            return ReplicatedLog(ProcessEnv(kernel, ProcessId(pid)),
+                                 KVStateMachine().apply, config=config,
+                                 leader_fn=lambda: leader)
+
+        def writer(log, n_slots):
+            for slot in range(n_slots):
+                yield from log.propose(slot, KVCommand("put", f"k{slot}", slot))
+
+        kernel.spawn(0, "shard-a", writer(log_of(0, "smr-a", 0), 3))
+        kernel.spawn(1, "shard-b", writer(log_of(1, "smr-b", 1), sibling_slots))
+        kernel.run(until=1e9)
+        assert len(kernel.memories[0].registers) >= 3 + sibling_slots
+
+        before = [dataclasses.replace(m.counts) for m in kernel.memories]
+        outcome = []
+
+        def reader():
+            started = kernel.now
+            watermark = yield from log_of(2, "smr-a", 0).quorum_read()
+            outcome.append((watermark, kernel.now - started))
+
+        kernel.spawn(2, "reader", reader())
+        kernel.run(until=1e9)
+        issued = [
+            {name: getattr(m.counts, name) - getattr(was, name)
+             for name in vars(was)}
+            for m, was in zip(kernel.memories, before)
+        ]
+        return outcome, issued
+
+    def test_quorum_read_beside_a_5000_slot_sibling_shard(self):
+        alone, alone_ops = self._read_beside(0)
+        crowded, crowded_ops = self._read_beside(5_000)
+        assert alone == crowded == [(2, 2.0)]
+        assert alone_ops == crowded_ops
+        assert sum(ops["snapshots"] for ops in alone_ops) >= 4  # a majority of 2-op chains
 
 
 # ----------------------------------------------------------------------

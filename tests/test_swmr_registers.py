@@ -139,7 +139,7 @@ class TestMemoryFailures:
         def gen():
             yield from _reg(0).write(env, "real")
             # Plant divergence directly (test-only backdoor).
-            kernel.memories[0].registers[("s", 0, "k")] = "planted"
+            kernel.memories[0].poke(("s", 0, "k"), "planted")
             value = yield from _reg(0).read(env)
             return value
 
@@ -208,7 +208,7 @@ class TestSlotArray:
             # Corrupt a replica that is inside any responding majority: the
             # reader resumes as soon as 2 of 3 snapshots answer, so a value
             # diverging only on the last replica may legally go unseen.
-            kernel.memories[1].registers[("s", 0, "a")] = "evil"
+            kernel.memories[1].poke(("s", 0, "a"), "evil")
             array = ReplicatedSlotArray("s:0", ("s", 0))
             view = yield from array.snapshot(env)
             return view
