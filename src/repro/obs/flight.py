@@ -3,10 +3,11 @@
 Safety monitors (`strict_safety` agreement/staleness checks, FaultScript
 assertions) raise the moment a violation is detected — which is exactly
 when the evidence of *how* the run got there is about to be lost.  The
-flight recorder keeps a bounded ring of recently finished spans and, when
-tripped, snapshots them together with every still-open span (in-flight
-messages, hung memory ops, live phases) — the open set is usually the
-interesting part of a stuck or diverged run.
+flight recorder reads the newest ``capacity`` rows of the runtime's
+finished-span log (it keeps no ring of its own) and, when tripped,
+snapshots them together with every still-open span (in-flight messages,
+hung memory ops, live phases) — the open set is usually the interesting
+part of a stuck or diverged run.
 
 The runtime registers :meth:`trip` with the metrics ledger's violation
 hooks, so an ``AgreementViolation`` or ``StalenessViolation`` under
@@ -16,14 +17,13 @@ hooks, so an ``AgreementViolation`` or ``StalenessViolation`` under
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.spans import Span
 
 
 class FlightRecorder:
-    """Bounded ring of recent spans plus trip-time dumping."""
+    """The tail of the span log plus trip-time dumping."""
 
     def __init__(self, capacity: int = 512, path: Optional[str] = None) -> None:
         if capacity < 1:
@@ -31,7 +31,8 @@ class FlightRecorder:
         self.capacity = capacity
         #: where :meth:`trip` writes the dump (None: in-memory only)
         self.path = path
-        self.ring: deque = deque(maxlen=capacity)
+        #: the runtime's finished-span log; "recent" is its tail
+        self._log: Sequence[Span] = ()
         #: dumps produced so far, newest last (kept for tests/inspection)
         self.dumps: List[Dict[str, Any]] = []
         #: supplier of currently-open spans, wired by the runtime
@@ -40,22 +41,26 @@ class FlightRecorder:
         #: SLO/burn-rate state) merged into the dump — self-containment
         self._context_supplier = None
 
-    def record(self, span: Span) -> None:
-        self.ring.append(span)
+    @property
+    def ring(self) -> Sequence[Span]:
+        """The newest :attr:`capacity` finished spans (a read-only view)."""
+        return self._log[-self.capacity :]
 
-    def wire(self, open_supplier, context_supplier=None) -> None:
-        """Install the runtime's live-span supplier (called on attach).
+    def wire(self, log, open_supplier, context_supplier=None) -> None:
+        """Install the runtime's finished-span *log* and live-span supplier
+        (called on attach).
 
         *context_supplier*, when given, is called at trip time and must
         return a dict of extra top-level dump entries (the runtime passes
         its metrics-registry and SLO snapshots), so a dump explains the
         run's state without the run.
         """
+        self._log = log
         self._open_supplier = open_supplier
         self._context_supplier = context_supplier
 
     def trip(self, reason: str, now: float) -> Dict[str, Any]:
-        """Snapshot the ring + open spans; write to :attr:`path` if set."""
+        """Snapshot the log's tail + open spans; write to :attr:`path` if set."""
         open_spans = [] if self._open_supplier is None else list(self._open_supplier())
         dump = {
             "reason": reason,

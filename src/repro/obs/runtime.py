@@ -23,6 +23,17 @@ the span tree:
   and every message or memory op the kernel drops (``mem_drop``,
   ``partition_drop``, ``chaos_drop``).
 
+Only *open* spans are objects.  Closing one appends it to
+:attr:`ObsRuntime.finished`, a :class:`~repro.obs.spans.SpanLog` — one row
+of parallel columns per span, the newest ``max_spans`` kept, the rest
+counted in ``dropped`` — and the ``Span`` itself is let go; spans that
+open and close inside one call (points, fan-out verdicts, the ledger's
+forwarded records) never enter the open table at all.  ``runtime.spans``,
+iteration and indexing rebuild equal ``Span`` objects on demand, so the
+analyzers, ``run_hash``, the flight recorder (which reads the log's tail)
+and the sinks see the stream they always saw, while a long attached run
+leaves the garbage collector nothing per span to traverse.
+
 The runtime also owns the metrics registry (with a virtual-time sampling
 ticker), the per-task wall-clock profiler, the flight recorder (tripped by
 ledger violations), and the streaming sinks.
@@ -30,14 +41,13 @@ ledger violations), and the streaming sinks.
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.profiler import TaskProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import K_MEMOP, K_MSG, K_PHASE, K_POINT, K_TASK, Span
+from repro.obs.spans import K_MEMOP, K_MSG, K_PHASE, K_POINT, K_TASK, Span, SpanLog
 from repro.types import memory_name
 
 #: default bound on retained finished spans (ring: newest kept)
@@ -86,9 +96,8 @@ class ObsRuntime:
         series_bound: Optional[int] = None,
     ) -> None:
         self.kernel = kernel
-        self.finished: deque = deque(maxlen=max_spans)
-        self.dropped = 0
-        self.max_spans = max_spans
+        #: finished spans as rows, newest ``max_spans`` kept (see SpanLog)
+        self.finished = SpanLog(max_spans)
         self.registry = (
             MetricsRegistry() if series_bound is None else MetricsRegistry(series_bound)
         )
@@ -96,7 +105,7 @@ class ObsRuntime:
         #: SLO tracker installed by :meth:`track_slo`, or None
         self.slo: Optional[Any] = None
         self.flight = FlightRecorder(flight_capacity, flight_path)
-        self.flight.wire(self.open_spans, self._flight_context)
+        self.flight.wire(self.finished, self.open_spans, self._flight_context)
         self.sinks: List[Any] = []
         self.current_task = None
         #: (pid, instance) -> (decided_at, trace_id) for the analyzer
@@ -104,6 +113,8 @@ class ObsRuntime:
         self._open: Dict[int, Span] = {}
         self._task_spans: Dict[int, Span] = {}
         self._op_spans: Dict[Any, Span] = {}
+        #: topic -> "msg:" + topic, built once per topic
+        self._msg_names: Dict[str, str] = {}
         self._next_span = 0
         self._next_trace = 0
         self._t0 = 0.0
@@ -121,7 +132,10 @@ class ObsRuntime:
         parent: Optional[Span],
         attrs: Optional[Dict[str, Any]],
         now: float,
+        instant: bool = False,
     ) -> Span:
+        """Mint a span.  An *instant* one opens and closes in this call:
+        it goes straight to the log and never enters the open table."""
         self._next_span += 1
         if parent is None:
             self._next_trace += 1
@@ -131,19 +145,32 @@ class ObsRuntime:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         span = Span(self._next_span, parent_id, trace_id, name, kind, actor, now, attrs)
-        self._open[span.span_id] = span
+        if instant:
+            span.end = now
+            self._record(span)
+        else:
+            self._open[span.span_id] = span
         return span
 
     def _finish(self, span: Span, now: float) -> None:
         span.end = now
         self._open.pop(span.span_id, None)
-        finished = self.finished
-        if len(finished) == self.max_spans:
-            self.dropped += 1
-        finished.append(span)
-        self.flight.record(span)
-        for sink in self.sinks:
-            sink.emit(span)
+        self._record(span)
+
+    def _record(self, span: Span) -> None:
+        self.finished.append(span)
+        if self.sinks:
+            for sink in self.sinks:
+                sink.emit(span)
+
+    @property
+    def dropped(self) -> int:
+        """Finished spans the ring no longer holds."""
+        return self.finished.dropped
+
+    @dropped.setter
+    def dropped(self, count: int) -> None:
+        self.finished.dropped = count
 
     @property
     def spans(self) -> List[Span]:
@@ -198,8 +225,12 @@ class ObsRuntime:
 
     def msg_sent(self, task, env, now: float) -> Span:
         """Open the transport span that rides the envelope (``env.ctx``)."""
+        topic = env.topic
+        name = self._msg_names.get(topic)
+        if name is None:
+            name = self._msg_names[topic] = "msg:" + topic
         return self._start(
-            "msg:" + env.topic,
+            name,
             K_MSG,
             task.label,
             task.ctx,
@@ -243,7 +274,7 @@ class ObsRuntime:
         same ``flow`` id as the issued legs, closing the causal link
         issue -> verdict in trace viewers.
         """
-        span = self._start(
+        self._start(
             "fanout.verdict",
             K_POINT,
             task.label,
@@ -255,8 +286,8 @@ class ObsRuntime:
                 "done": state.done,
             },
             now,
+            instant=True,
         )
-        self._finish(span, now)
 
     def op_resolved(self, key, now: float, status: str) -> None:
         span = self._op_spans.pop(key, None)
@@ -284,7 +315,7 @@ class ObsRuntime:
 
         This is how causality crosses a queue handoff that no message or
         memory op carries: the enqueuer's context is stashed with the
-        item, and the dequeuing task (e.g. a shard leader draining its
+        item, and the consuming task (e.g. a shard leader draining its
         batch) opens its work span under it — so a client's ``put`` trace
         continues into the consensus instance that commits it.  Falls
         back to the current task's context when *parent* is ``None``.
@@ -306,9 +337,9 @@ class ObsRuntime:
         task = self.current_task
         parent = None if task is None else task.ctx
         actor = "kernel" if task is None else task.label
-        span = self._start(name, K_POINT, actor, parent, attrs or None, self.kernel.now)
-        self._finish(span, self.kernel.now)
-        return span
+        return self._start(
+            name, K_POINT, actor, parent, attrs or None, self.kernel.now, instant=True
+        )
 
     def enclosing_phases(self, task) -> List[str]:
         """Names of the open phase spans enclosing *task*'s context.

@@ -52,11 +52,16 @@ class ProcessEnv:
     def __init__(self, kernel, pid: ProcessId) -> None:
         self._kernel = kernel
         self.pid = ProcessId(pid)
-        self.key: SigningKey = kernel.authority.key_for(self.pid)
 
     # ------------------------------------------------------------------
     # instantaneous helpers
     # ------------------------------------------------------------------
+    @property
+    def key(self) -> SigningKey:
+        """This process's signing key, minted by the authority on first
+        use (most protocols never sign)."""
+        return self._kernel.authority.key_for(self.pid)
+
     @property
     def now(self) -> float:
         return self._kernel.now

@@ -169,6 +169,7 @@ class Task:
         "pending_token",
         "_token_counter",
         "ctx",
+        "_label",
     )
 
     def __init__(
@@ -193,6 +194,7 @@ class Task:
         #: causal trace context (a repro.obs Span) new child spans parent
         #: under; None whenever observability is detached
         self.ctx = ctx
+        self._label: Optional[str] = None
 
     def new_token(self) -> int:
         self._token_counter += 1
@@ -201,7 +203,12 @@ class Task:
 
     @property
     def label(self) -> str:
-        return f"{process_name(self.pid)}/{self.name}"
+        """``"<process>/<task name>"``, built on first use: every span of
+        this task shares the one string, and a detached run never asks."""
+        label = self._label
+        if label is None:
+            label = self._label = f"{process_name(self.pid)}/{self.name}"
+        return label
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("parked" if self.pending_token else "ready")
@@ -319,13 +326,13 @@ class Kernel:
 
     def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Run *fn* at virtual *time* (ad-hoc timers, test probes)."""
-        self.queue.push(max(time, self.now), EV_CALL, fn)
+        self.queue.push(max(float(time), self.now), EV_CALL, fn)
 
     def schedule_fault(self, time: float, event) -> None:
         """Arm one typed fault event (see :mod:`repro.sim.faults`) at
         virtual *time* — the closure-free replacement for ``call_at``-based
         fault timers: the queue entry carries the event object itself."""
-        self.queue.push(max(time, self.now), EV_FAULT, event)
+        self.queue.push(max(float(time), self.now), EV_FAULT, event)
 
     def inject(self, envelope: Envelope, arrival: float) -> None:
         """Schedule an externally produced *envelope* for delivery at
@@ -342,7 +349,7 @@ class Kernel:
                 f"injection at t={arrival} is in this kernel's past (now={self.now})"
             )
         self.network.injected += 1
-        self.queue.push(arrival, EV_DELIVER, envelope)
+        self.queue.push(float(arrival), EV_DELIVER, envelope)
 
     def register_regions(self, specs) -> None:
         """Register new memory regions at runtime (elastic reconfiguration).
@@ -619,8 +626,10 @@ class Kernel:
                 if not self.is_faulty(ProcessId(p))
             }
 
+        decided = self.metrics.decisions.keys()
+
         def goal() -> bool:
-            return all(p in self.metrics.decisions for p in pids)
+            return pids <= decided
 
         self.run(until=deadline, stop_when=goal)
         return goal()

@@ -238,6 +238,40 @@ class TestGoldenHashes:
         _both_pins("elastic_split_jittered", _elastic_split_hash)
 
 
+class TestHashSeedIndependence:
+    """``run_hash`` must not depend on ``PYTHONHASHSEED``: no set or dict
+    of strings may order anything that reaches the schedule or the span
+    stream.  One child interpreter per hash seed replays one detached and
+    one attached golden scenario; all three must print the pinned pair."""
+
+    def test_golden_hashes_under_three_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        program = (
+            "import test_determinism_replay as t; "
+            "print(t._elastic_split_hash(), t._sharded_kv_hash(attach_obs=True))"
+        )
+        for hash_seed in ("0", "1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+            )
+            child = subprocess.run(
+                [sys.executable, "-c", program],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.split() == [
+                GOLDEN_DETACHED["elastic_split_jittered"],
+                GOLDEN_ATTACHED["sharded_kv_2"],
+            ], f"PYTHONHASHSEED={hash_seed}"
+
+
 #: spans (finished + open) ``elastic_split_jittered`` recorded at the parent
 SPANS_BEFORE_TIMELINE_POINTS = 2220
 

@@ -420,7 +420,12 @@ class TestFlightRecorder:
                 yield from env.write(0, "r", ("x", "k"), i)
 
         run_single(kernel, 0, writer())
-        assert len(runtime.flight.ring) == 4
+        # the recorder keeps no ring of its own: "recent" is the tail of
+        # the runtime's span log, rebuilt on read
+        ring = runtime.flight.ring
+        assert len(ring) == 4
+        assert [s.span_id for s in ring] == [s.span_id for s in runtime.spans[-4:]]
+        assert not hasattr(runtime.flight, "record")
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,16 @@ class TestBarrierPrimitives:
         kernel.run(until=10.0)
         assert got == ["hello"]
 
+    def test_inject_coerces_an_int_arrival(self):
+        kernel = bare_kernel()
+        kernel.inject(
+            Envelope(ProcessId(0), ProcessId(0), "fab", None, 0.0,
+                     msg_id=("x", 1, 0, 1)),
+            arrival=3,
+        )
+        kernel.run(until=10.0)
+        assert kernel.now == 3.0 and type(kernel.now) is float
+
     def test_inject_into_the_past_raises(self):
         kernel = bare_kernel()
         kernel.inject(

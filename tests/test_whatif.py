@@ -241,6 +241,32 @@ class TestWhatIfProfiler:
         runtime.dropped += 1
         assert run_hash(kernel) != truncated
 
+    @pytest.mark.parametrize("arm", ["call_at", "schedule_fault"])
+    def test_virtual_clock_is_float_whatever_the_caller_passed(self, arm):
+        # ``call_at(50, fn)`` used to leave ``kernel.now`` the int 50, spans
+        # started there carried ``start=50``, and repr(50) != repr(50.0)
+        # reached the digest: the same run hashed differently by caller.
+        from repro.sim.faults import CrashMemory
+        from repro.types import MemoryId
+
+        def run(at):
+            cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+            runtime = attach(cluster.kernel, profile=False)
+            kernel = cluster.kernel
+            if arm == "call_at":
+                kernel.call_at(at, lambda: runtime.point("probe"))
+            else:
+                kernel.schedule_fault(at, CrashMemory(MemoryId(2)))
+            cluster.run(["a", "b", "c"])
+            kernel.run(until=60)
+            assert type(kernel.now) is float and kernel.now == 50.0
+            assert all(
+                type(s.start) is float and type(s.end) is float for s in runtime.spans
+            )
+            return run_hash(kernel)
+
+        assert run(50) == run(50.0)
+
 
 # ----------------------------------------------------------------------
 # SLO plane: deterministic breaches under chaos
