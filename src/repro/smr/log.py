@@ -50,6 +50,8 @@ SMR_TOPIC = "smr"
 #: back-off between failed attempts / catch-up pulls (virtual delays)
 LEADER_POLL = 2.0
 RETRY_BACKOFF = 4.0
+#: adopted slots a recovering leader re-commits per phase-2 chain
+RECOVERY_WINDOW = 64
 
 #: prepare-probe slot used by leader recovery: a slot index no data slot
 #: ever uses, so the probe write cannot clobber a forgotten commit
@@ -86,6 +88,32 @@ def smr_rx_regions(n_processes: int, region: str = SMR_REGION) -> List[RegionSpe
             legal_change=static_permissions,
         )
     ]
+
+
+def _fold_takeover_views(views, probe_key: tuple, prop_nr: Ballot):
+    """Fold a takeover's region views: ``(highest min_prop, slot -> (ballot,
+    value) of the highest accepted proposal)``.
+
+    The ballot is folded over the WHOLE snapshot before the caller decides
+    "outbid": every committed slot carries its own ballot, so stopping at
+    the first register that outbids the probe would teach a recovering
+    leader one slot's worth of ballot per failed prepare — O(L) prepares.
+    Both folds are strict maxima, so no view iteration order can change
+    the result.
+    """
+    highest = prop_nr
+    best_per_slot: Dict[int, tuple] = {}
+    for view in views:
+        for key, other in view.items():
+            if key == probe_key or not isinstance(other, PmpSlot):
+                continue
+            if other.min_prop > highest:
+                highest = other.min_prop
+            if other.acc_prop is not None and not is_bottom(other.value):
+                current = best_per_slot.get(key[1])
+                if current is None or other.acc_prop > current[0]:
+                    best_per_slot[key[1]] = (other.acc_prop, other.value)
+    return highest, best_per_slot
 
 
 class Batch:
@@ -569,22 +597,58 @@ class ReplicatedLog:
         commit at every memory the prepare reaches.  The reserved slot can
         never hold data, the snapshot still covers the whole region, and
         ``adopt_cache`` then holds every slot any incarnation ever
-        accepted; each propose re-commits those values in order —
-        re-broadcasting their decisions, which is also what re-teaches a
-        minority that was partitioned away while this leader was down.
+        accepted.
+
+        The adopted prefix is then re-committed in windows of
+        ``RECOVERY_WINDOW`` slots — the paper's phase 2 under an exclusive
+        write permission, applied to many slots in one chain per memory
+        (gaps filled with the no-op ``Batch()``) — so recovery costs a
+        constant number of round trips plus one per window, not one per
+        slot.  Each window's decisions are re-broadcast, which is also
+        what re-teaches a minority that was partitioned away while this
+        leader was down.  A NAKed window commits nothing, and the loop
+        backs off and re-prepares: whatever the partial chain left behind
+        is adopted again.  While somebody else leads, the per-slot
+        ``propose`` parks on the commit gate as before.
         """
         env = self.env
         majority = env.majority_of_memories()
-        while not self.permissions_held:
-            prop_nr = self.highest_seen.next_for(env.pid)
-            self.highest_seen = prop_nr
-            adopted = yield from self._prepare(
-                _RECOVERY_PROBE_SLOT, prop_nr, majority, Batch()
-            )
-            if adopted is None:
-                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
-        while self.adopt_cache and max(self.adopt_cache) > self.applied_upto:
-            yield from self.propose(self.applied_upto + 1, Batch())
+        obs = env.obs
+        phase = obs and obs.phase("log.recover")
+        prepares = windows = 0
+        try:
+            while True:
+                while not self.permissions_held:
+                    prepares += 1
+                    adopted = yield from self._prepare(
+                        _RECOVERY_PROBE_SLOT, self._next_ballot(), majority, Batch()
+                    )
+                    if adopted is None:
+                        yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+                first = self.applied_upto + 1
+                top = max(self.adopt_cache, default=-1)
+                if top < first:
+                    return
+                if self._leader_fn() != int(env.pid):
+                    yield from self.propose(first, Batch())
+                    continue
+                last = min(top, first + RECOVERY_WINDOW - 1)
+                entries = [
+                    (slot, self.adopt_cache.get(slot, Batch()))
+                    for slot in range(first, last + 1)
+                    if not self._state(slot).decided
+                ]
+                windows += 1
+                committed = yield from self._phase2(
+                    self._next_ballot(), majority, entries
+                )
+                if not committed:
+                    yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+        finally:
+            if phase:
+                phase.finish(
+                    adopted=len(self.adopt_cache), prepares=prepares, windows=windows
+                )
 
     # ------------------------------------------------------------------
     def propose(self, slot: int, command: Any) -> Generator:
@@ -611,11 +675,15 @@ class ReplicatedLog:
         decided = yield from self.propose(slot, Batch(tuple(commands)))
         return decided
 
+    def _next_ballot(self) -> Ballot:
+        """A fresh ballot of this process's, above everything seen."""
+        self.highest_seen = self.highest_seen.next_for(self.env.pid)
+        return self.highest_seen
+
     def _attempt(self, slot: int, command: Any) -> Generator:
         env = self.env
         majority = env.majority_of_memories()
-        prop_nr = self.highest_seen.next_for(env.pid)
-        self.highest_seen = prop_nr
+        prop_nr = self._next_ballot()
 
         if self.permissions_held:
             my_value = self.adopt_cache.get(slot, command)
@@ -624,32 +692,49 @@ class ReplicatedLog:
             if my_value is None:
                 return
 
-        # Phase 2: one chain per memory, all leaving at this instant, the
-        # leader resuming on a majority.  With publish_watermark the
-        # watermark write rides the SAME chain as the slot write (slot
-        # first, so a deposed leader's NAK aborts the chain before the
-        # watermark can advance): every client-visible effect of the
-        # commit happens after the watermark is durable at a majority.
-        slot_value = PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=my_value)
-        op = WriteOp(self.region, self._slot_key(slot, int(env.pid)), slot_value)
+        yield from self._phase2(prop_nr, majority, ((slot, my_value),))
+
+    def _phase2(self, prop_nr: Ballot, majority: int, entries) -> Generator:
+        """Write *entries* (``(slot, value)`` pairs, ascending) under
+        *prop_nr* and commit them on a majority ACK; True iff committed.
+
+        One chain per memory, all leaving at this instant, the leader
+        resuming on a majority.  With publish_watermark the watermark
+        write for the last slot rides the SAME chain, after the slot
+        writes (so a deposed leader's NAK aborts the chain before the
+        watermark can advance): every client-visible effect of the commit
+        happens after the watermark is durable at a majority.  A NAK
+        commits none of the entries.
+        """
+        env = self.env
+        pid = int(env.pid)
+        writes = [
+            WriteOp(
+                self.region,
+                self._slot_key(slot, pid),
+                PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=value),
+            )
+            for slot, value in entries
+        ]
         publish = self.config.publish_watermark
         if publish:
             # Floor raised BEFORE the chain leaves: a concurrent local
             # read path must refuse to serve until the apply catches up,
             # and the register stays monotone.
-            target = max(int(slot), self._wm_publish_floor)
+            target = max(int(entries[-1][0]), self._wm_publish_floor)
             self._wm_publish_floor = target
-            wm_key = watermark_key(self.rx_region, int(env.pid))
-            op = BatchOp((op, WriteOp(self.rx_region, wm_key, target)))
+            wm_key = watermark_key(self.rx_region, pid)
+            writes.append(WriteOp(self.rx_region, wm_key, target))
+        op = writes[0] if len(writes) == 1 else BatchOp(writes)
         obs = env.obs
-        phase = obs and obs.phase("log.phase2", slot=slot)
+        phase = obs and obs.phase("log.phase2", slot=entries[0][0])
         state = yield env.fanout_to_all(lambda mid: op, need=majority)
         failed = state.naked > 0
         if phase:
             phase.finish(failed=failed)
         if failed:
             if publish and any(
-                r is not None and not r.ok and r.value.failed_index == 1
+                r is not None and not r.ok and r.value.failed_index == len(entries)
                 for r in state.results
             ):
                 # A chain aborted at the watermark write: the open, static
@@ -662,11 +747,13 @@ class ReplicatedLog:
                     "read-index region to be registered"
                 )
             self.permissions_held = False  # somebody grabbed the region
-            return
-        self._commit(slot, my_value)
-        yield from env.broadcast(
-            (slot, Decision(value=my_value)), topic=self.topic, include_self=False
-        )
+            return False
+        for slot, value in entries:
+            self._commit(slot, value)
+            yield from env.broadcast(
+                (slot, Decision(value=value)), topic=self.topic, include_self=False
+            )
+        return True
 
     def _prepare(self, slot: int, prop_nr: Ballot, majority: int, command: Any) -> Generator:
         env = self.env
@@ -703,19 +790,10 @@ class ReplicatedLog:
         views = list(chains.results.values())
         if any(view is None for view in views):
             return None
-        best_per_slot: Dict[int, tuple] = {}
-        for view in views:
-            for key, other in view.items():
-                if key == probe_key or not isinstance(other, PmpSlot):
-                    continue
-                self.highest_seen = max(self.highest_seen, other.min_prop)
-                if other.min_prop > prop_nr:
-                    return None
-                if other.acc_prop is not None and not is_bottom(other.value):
-                    seen_slot = key[1]
-                    current = best_per_slot.get(seen_slot)
-                    if current is None or other.acc_prop > current[0]:
-                        best_per_slot[seen_slot] = (other.acc_prop, other.value)
+        highest, best_per_slot = _fold_takeover_views(views, probe_key, prop_nr)
+        if highest > prop_nr:
+            self.highest_seen = max(self.highest_seen, highest)
+            return None
         self.adopt_cache = {s: v for s, (_b, v) in best_per_slot.items()}
         self.permissions_held = True
         best = best_per_slot.get(slot)

@@ -126,8 +126,11 @@ class TestSeedReplay:
 # deletion and survived it: detached identical for all six scenarios,
 # attached identical for the five whose fault / reconfig / SLO timelines
 # are empty.  ``elastic_split_jittered`` gained one point span per timeline
-# record and was re-pinned once (before: 7b5a47b5…7e504 over 2 220 spans);
-# ``_elastic_split_hash`` asserts that count.
+# record and was re-pinned once (before: 7b5a47b5…7e504 over 2 220 spans),
+# and once more for the ``log.recover`` phase the split's new group leader
+# opens around its takeover (before: e4880b51…da8b3; with that one span
+# suppressed the run still hashes to it); ``_elastic_split_hash`` asserts
+# both counts.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
     runtime = attach(kernel, profile=False) if attach_obs else None
@@ -186,12 +189,17 @@ def _elastic_split_hash(attach_obs: bool = False) -> str:
     digest = _kv_hash(service, n_ops=40, attach_obs=attach_obs)
     assert service.epoch.number == 2
     if attach_obs:
-        # The one re-pin: exactly one new point span per timeline record.
+        # The two re-pins: exactly one new point span per timeline record,
+        # and one ``log.recover`` phase around the spawned group's takeover.
         runtime, ledger = service.kernel.obs, service.kernel.metrics
         timeline = ledger.fault_timeline + ledger.reconfig_timeline
         assert len(timeline) == 15 and not ledger.slo_timeline
         spans = runtime.spans + runtime.open_spans()
-        assert len(spans) == SPANS_BEFORE_TIMELINE_POINTS + len(timeline)
+        recoveries = [s for s in spans if s.name == "log.recover"]
+        assert [s.attrs for s in recoveries] == [
+            {"adopted": 0, "prepares": 1, "windows": 0}
+        ]
+        assert len(spans) == SPANS_BEFORE_TIMELINE_POINTS + len(timeline) + 1
         points = [s for s in spans if s.kind == "point" and "subject" in (s.attrs or {})]
         assert [(p.start, p.name, p.attrs["subject"]) for p in points] == [
             (r.time, r.kind, r.subject) for r in timeline
@@ -290,5 +298,5 @@ GOLDEN_ATTACHED = {
     "aligned_protected": "d743e0c42fc67da9a606a98e51b8e5d88586e01ba1375b52b6fa43d8118a5b5a",
     "aligned_disk": "8f1aaef8082c5f0995b99ca9b96b958e0f77543854aaef72ef3f3bdc40d08c9c",
     "sharded_kv_2": "18609931aa3f3822a65778fd280cec18c8140579cf00eaa8018a9bb13abf0053",
-    "elastic_split_jittered": "e4880b5197331d1ed3434d265fb0dce4e7584aea1c35a572063c5ab8bf9da8b3",
+    "elastic_split_jittered": "d0f68729687def4725567b547b9da466bca06c93ecc1e3b18d7feb2244db40cf",
 }

@@ -5,9 +5,20 @@ crashed-then-recovered leader into one consensus instance: both rejoin and
 the cluster still agrees.  For the sharded service, one shard's leader
 churns (crash + recover) while the untouched shards keep committing, and
 the churned shard's replicas converge again after recovery.
+
+Leader recovery itself is pinned twice: its cost is flat in the log length
+(at most two prepares, then one chain per ``RECOVERY_WINDOW`` adopted
+slots), and a window that is NAKed — a rival's permission grab or a memory
+crash landing between or inside windows — commits nothing, is re-prepared,
+and loses no acknowledged put.
 """
 
+import math
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from repro import (
     ClosedLoopClient,
@@ -16,9 +27,25 @@ from repro import (
     ShardConfig,
     ShardedKV,
 )
-from repro.consensus.omega import crash_aware_omega
+from repro.consensus.base import ConsensusProtocol
+from repro.consensus.omega import crash_aware_omega, leader_schedule
+from repro.consensus.protected_memory_paxos import PmpSlot
 from repro.core import scenarios
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.obs.runtime import attach
+from repro.shard.service import shard_region
+from repro.shard.workload import ScriptedClient
+from repro.sim.faults import PermissionChange
+from repro.smr import log as smr_log
+from repro.smr.kv import KVCommand, KVStateMachine
+from repro.smr.log import (
+    RECOVERY_WINDOW,
+    RETRY_BACKOFF,
+    Batch,
+    ReplicatedLog,
+    smr_regions,
+)
+from repro.types import MemoryId, is_bottom
 
 
 class TestScenarioCatalog:
@@ -227,3 +254,309 @@ class TestShardedChurn:
         assert service.frontends[0].retries > 0
         spans = service.kernel.metrics.downtime_spans("p2")
         assert spans == [(self.CRASH_AT, self.RECOVER_AT)]
+
+
+# ---------------------------------------------------------------------------
+# leader recovery: flat in the log length, abort-safe per window
+# ---------------------------------------------------------------------------
+DOWNTIME = 20.0
+#: nominal cost of one memory round trip (a prepare chain, a phase-2 fan-out)
+ROUND_TRIP = 2.0
+
+
+def _crashed_after(n_slots, read_mode="consensus"):
+    """A one-shard service whose leader commits *n_slots* acknowledged puts
+    (one per slot) and crashes; recovery is armed ``DOWNTIME`` later.
+    Returns ``(service, runtime, leader, recover_at)``."""
+    service = ShardedKV(
+        ShardConfig(
+            n_shards=1, n_processes=3, batch_max=1, seed=7, retry_timeout=5.0,
+            deadline=1_000_000.0, read_mode=read_mode,
+        )
+    )
+    runtime = attach(service.kernel, profile=False)
+    leader = service.leader_of(0)
+    puts = [("put", f"k{i}", i) for i in range(n_slots)]
+    report = service.run_workload(
+        [ScriptedClient(0, puts, pid=(leader + 1) % 3)]
+    )
+    assert report.ok
+    assert service.logs[(leader, 0)].applied_upto == n_slots - 1
+    kernel = service.kernel
+    recover_at = kernel.now + DOWNTIME
+    kernel.crash_process(leader)
+    kernel.call_at(recover_at, lambda: kernel.recover_process(leader))
+    return service, runtime, leader, recover_at
+
+
+def _put_after_recovery(service, leader):
+    report = service.run_workload(
+        [ScriptedClient(1, [("put", "fresh", "new")], pid=(leader + 1) % 3)]
+    )
+    assert report.ok
+
+
+def _check_flat_recovery(n_slots):
+    """Recover after *n_slots* and hold the O(1) + windows bound."""
+    service, runtime, leader, recover_at = _crashed_after(n_slots)
+    _put_after_recovery(service, leader)
+    assert runtime.dropped == 0
+    [recovery] = [s for s in runtime.spans if s.name == "log.recover"]
+    windows = math.ceil(n_slots / RECOVERY_WINDOW)
+    assert recovery.attrs["prepares"] <= 2
+    assert recovery.attrs["adopted"] == n_slots
+    assert recovery.attrs["windows"] == windows
+    # the prepares and the windows are the span's children, so the
+    # critical path through an outage tail is attributed to them
+    children = [s.name for s in runtime.spans if s.parent_id == recovery.span_id]
+    assert children.count("log.prepare") == recovery.attrs["prepares"]
+    assert children.count("log.phase2") == windows
+    [first_new] = [
+        s for s in runtime.spans
+        if s.name == "log.phase2" and s.attrs["slot"] == n_slots
+    ]
+    # two prepares, one back-off between them, one fan-out per window and
+    # one more for the new slot itself
+    bound = 2 * ROUND_TRIP + 2 * RETRY_BACKOFF + (windows + 1) * ROUND_TRIP
+    assert first_new.end - recover_at <= bound
+    assert not service.replica_divergence()
+
+
+def _early_return_fold(views, probe_key, prop_nr):
+    # The fold before this PR: report the FIRST register that outbids the
+    # probe, so a failed prepare learns one slot's worth of ballot.
+    best_per_slot = {}
+    for view in views:
+        for key, other in view.items():
+            if key == probe_key or not isinstance(other, PmpSlot):
+                continue
+            if other.min_prop > prop_nr:
+                return other.min_prop, best_per_slot
+            if other.acc_prop is not None and not is_bottom(other.value):
+                current = best_per_slot.get(key[1])
+                if current is None or other.acc_prop > current[0]:
+                    best_per_slot[key[1]] = (other.acc_prop, other.value)
+    return prop_nr, best_per_slot
+
+
+class TestLeaderRecoveryIsFlatInLogLength:
+    @pytest.mark.parametrize("n_slots", [8, 64, 256, 1024])
+    def test_two_prepares_then_one_chain_per_window(self, n_slots):
+        _check_flat_recovery(n_slots)
+
+    def test_the_bound_bites_on_the_early_return_fold(self):
+        # a test-only patch, as check.regressions.seeded_bug re-seeds its bugs
+        with mock.patch.object(smr_log, "_fold_takeover_views", _early_return_fold):
+            with pytest.raises(AssertionError):
+                _check_flat_recovery(64)
+
+    def test_watermark_rides_last_in_the_window_chain(self):
+        """With the read plane on, the window's chain ends in ONE watermark
+        write, for the window's last slot."""
+        service, runtime, leader, _at = _crashed_after(10, read_mode="quorum")
+        _put_after_recovery(service, leader)
+        rx = service.logs[(leader, 0)].rx_region
+        for memory in service.kernel.memories:
+            marks = [v for k, v in memory.items() if k[0] == rx and k[-1] == leader]
+            assert marks == [10]  # 0..9 re-committed in one window, then "fresh"
+        assert not service.replica_divergence()
+
+
+class _GapHarness(ConsensusProtocol):
+    """p1 commits slots 0, 1 and 3 — never 2 — then crashes and recovers."""
+
+    name = "smr-gap"
+
+    def __init__(self):
+        self.logs = {}
+        self.machines = {}
+
+    def regions(self, n, m):
+        return smr_regions(n)
+
+    def _replica(self, env, recovered):
+        machine = self.machines[int(env.pid)] = KVStateMachine()
+        log = self.logs[int(env.pid)] = ReplicatedLog(
+            env, machine.apply, recovered=recovered
+        )
+        return log, [("listener", log.listener()), ("sync", log.sync_server())]
+
+    def tasks(self, env, value):
+        log, tasks = self._replica(env, recovered=False)
+
+        def leader():
+            for slot in (0, 1, 3):
+                yield from log.propose(slot, KVCommand("put", f"k{slot}", slot))
+
+        if int(env.pid) == 0:
+            tasks.append(("leader", leader()))
+        return tasks
+
+    def recovery_tasks(self, env, value):
+        log, tasks = self._replica(env, recovered=True)
+        return tasks + [("recover", log.recover_leader())]
+
+
+class TestRecoveryAtTheLogLevel:
+    def test_a_hole_in_the_adopted_prefix_is_committed_as_a_no_op(self):
+        harness = _GapHarness()
+        script = FaultScript()
+        script.at(10.0).crash_process(0).recover(at=20.0)
+        cluster = Cluster(harness, ClusterConfig(3, 3, deadline=1_000), script)
+        cluster.start([None] * 3)
+        cluster.kernel.run(until=80.0)
+        for pid in range(3):
+            log = harness.logs[pid]
+            assert log.applied_upto == 3
+            assert log.slots[2].value == Batch()
+            assert harness.machines[pid].data == {"k0": 0, "k1": 1, "k3": 3}
+        assert not cluster.kernel.metrics.violations
+
+    def test_windows_wait_while_somebody_else_leads(self):
+        """Ω names p2 when p1 restarts: p1 re-prepares but pushes no window
+        until leadership returns — the per-slot path parks on the gate."""
+        harness = _GapHarness()
+        script = FaultScript()
+        script.at(10.0).crash_process(0).recover(at=20.0)
+        cluster = Cluster(harness, ClusterConfig(3, 3, deadline=1_000), script)
+        cluster.kernel.omega = leader_schedule([(0.0, 0), (15.0, 1), (60.0, 0)])
+        parked = []
+        cluster.kernel.call_at(
+            59.0, lambda: parked.append(harness.logs[0].applied_upto)
+        )
+        cluster.start([None] * 3)
+        cluster.kernel.run(until=120.0)
+        assert parked == [-1]
+        assert [harness.logs[pid].applied_upto for pid in range(3)] == [3, 3, 3]
+        assert not cluster.kernel.metrics.violations
+
+
+class _RecoverySpy:
+    """Chronological record of ``recover_leader``: every prepare (did it
+    succeed, what it adopted) and every window (did it commit, its entries,
+    which of them are decided locally afterwards)."""
+
+    def __init__(self):
+        self.events = []
+        self._recovering = False
+
+    @contextmanager
+    def installed(self):
+        recover = ReplicatedLog.recover_leader
+        prepare, phase2 = ReplicatedLog._prepare, ReplicatedLog._phase2
+
+        def spied_recover(log):
+            self._recovering = True
+            try:
+                yield from recover(log)
+            finally:
+                self._recovering = False
+
+        def spied_prepare(log, slot, prop_nr, majority, command):
+            adopted = yield from prepare(log, slot, prop_nr, majority, command)
+            if self._recovering:
+                self.events.append(
+                    ("prepare", adopted is not None, dict(log.adopt_cache))
+                )
+            return adopted
+
+        def spied_phase2(log, prop_nr, majority, entries):
+            committed = yield from phase2(log, prop_nr, majority, entries)
+            if self._recovering:
+                decided = [s for s, _v in entries if log._state(s).decided]
+                self.events.append(("window", committed, dict(entries), decided))
+            return committed
+
+        patch = mock.patch.object
+        with patch(ReplicatedLog, "recover_leader", spied_recover), \
+                patch(ReplicatedLog, "_prepare", spied_prepare), \
+                patch(ReplicatedLog, "_phase2", spied_phase2):
+            yield self
+
+
+_WINDOW_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestWindowAbortAndPartialApplication:
+    def _run(self, n_slots, window, fault, at, stagger, read_mode="consensus"):
+        """Recover after *n_slots* with *fault* landing *at* delays later:
+        ``"grab"`` is the changePermission a ``_switch_leader``'s new leader
+        issues, reaching memory ``m`` after ``stagger[m]`` more delays (so it
+        can split one window's chains); any other value is the memory to
+        crash for 15 delays."""
+        spy = _RecoverySpy()
+        with mock.patch.object(smr_log, "RECOVERY_WINDOW", window), spy.installed():
+            service, _runtime, leader, recover_at = _crashed_after(n_slots, read_mode)
+            kernel = service.kernel
+            when = recover_at + at
+            if fault == "grab":
+                rival = (leader + 1) % 3
+                for mid, offset in enumerate(stagger):
+                    kernel.schedule_fault(
+                        when + offset,
+                        PermissionChange(rival, shard_region(0), mids=(mid,)),
+                    )
+            else:
+                victim = MemoryId(fault)
+                kernel.call_at(when, lambda: kernel.crash_memory(victim))
+                kernel.call_at(when + 15.0, lambda: kernel.recover_memory(victim))
+            _put_after_recovery(service, leader)
+        return service, spy.events
+
+    def _check(self, n_slots, service, events):
+        failed = 0
+        for index, event in enumerate(events):
+            if event[0] != "window":
+                continue
+            _kind, committed, entries, decided = event
+            if committed:
+                assert decided == sorted(entries)
+                continue
+            failed += 1
+            # a NAKed window commits none of its slots locally...
+            assert decided == []
+            # ...and the retry re-prepares, adopting what the chain left
+            later = [e for e in events[index + 1:] if e[0] == "prepare"]
+            assert events[index + 1][0] == "prepare"
+            adopted = next(cache for _k, ok, cache in later if ok)
+            for slot, value in entries.items():
+                assert adopted[slot] == value
+        # no acknowledged put is lost, anywhere
+        expected = {f"k{i}": i for i in range(n_slots)}
+        expected["fresh"] = "new"
+        for pid in range(3):
+            assert service.machines[(pid, 0)].data == expected
+        assert not service.replica_divergence()
+        assert not service.kernel.metrics.violations
+        return failed
+
+    @_WINDOW_SETTINGS
+    @given(
+        n_slots=st.integers(1, 24),
+        window=st.integers(1, 6),
+        fault=st.just("grab") | st.integers(0, 2),
+        at=st.integers(0, 120).map(lambda quarter: quarter / 4),
+        stagger=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3),
+        read_mode=st.sampled_from(["consensus", "quorum"]),
+    )
+    @example(n_slots=12, window=4, fault="grab", at=12.0, stagger=(0.0, 0.0, 0.0),
+             read_mode="consensus")
+    @example(n_slots=12, window=4, fault="grab", at=12.0, stagger=(1.0, 0.0, 2.0),
+             read_mode="quorum")
+    def test_recovery_survives_a_fault_at_any_window_boundary(
+        self, n_slots, window, fault, at, stagger, read_mode
+    ):
+        service, events = self._run(n_slots, window, fault, at, stagger, read_mode)
+        event(f"NAKed windows: {self._check(n_slots, service, events)}")
+
+    def test_a_grab_inside_a_window_naks_it_and_is_re_prepared(self):
+        """The property above is not vacuous: this grab lands at one memory
+        before the second window's chain and at the others after it."""
+        service, events = self._run(12, 4, "grab", 12.0, (0.0, 2.0, 2.0))
+        assert self._check(12, service, events) >= 1
+        windows = [e for e in events if e[0] == "window"]
+        assert [sorted(e[2]) for e in windows if e[1]] == [
+            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]
+        ]
