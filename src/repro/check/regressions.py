@@ -33,6 +33,14 @@ stale first timer — here, a gate-wait timeout resuming a ``recv`` with
 ``False`` instead of the message.  Only the order "stale timer fires
 before the delivery that should win the race" corrupts the result.
 
+``nak-settled-as-committed`` (never shipped — seeded with the pipelined
+commit): ``ReplicatedLog.settle`` treating a posted write whose verdict
+carries a NAK as committed, so the leader applies and broadcasts a value
+that reached a minority under a grant it no longer holds.  Not a schedule
+bug, so it has no explorer scenario and is not in :func:`known_bugs`: the
+two-slots-in-flight property in ``tests/test_recovery_scenarios.py`` must
+fail under it.
+
 These are **test-only flags**: nothing in the library reads them, the
 context manager patches the class and restores it, and the scenarios
 registered here exist purely as model-checking targets.
@@ -49,6 +57,7 @@ from repro.mem.permissions import Permission
 from repro.mem.regions import RegionSpec
 from repro.net.network import Network
 from repro.sim.kernel import Kernel, SimConfig
+from repro.smr.log import ReplicatedLog
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +75,25 @@ def _buggy_ev_wake(self, task, token, value):
         self._resume(task, value)
 
 
+_settle = ReplicatedLog.settle
+
+
+def _buggy_settle(self, posted):
+    # Seeded with the pipelined commit: the verdict's NAKs are ignored.
+    posted.state.naked = 0
+    committed = yield from _settle(self, posted)
+    return committed
+
+
 _BUGS = {
     "unpark-token-collision": (Network, "unpark", _buggy_unpark),
     "stale-wake-token-check": (Kernel, "_ev_wake", _buggy_ev_wake),
+}
+
+#: seeded bugs a named property test bites on, not an explorer scenario
+#: (so they stay out of :func:`known_bugs`, the explorer corpus)
+_PROPERTY_BUGS = {
+    "nak-settled-as-committed": (ReplicatedLog, "settle", _buggy_settle),
 }
 
 
@@ -85,10 +110,11 @@ def seeded_bug(name: Optional[str]):
     if name is None:
         yield
         return
+    seeds = {**_BUGS, **_PROPERTY_BUGS}
     try:
-        owner, attr, impl = _BUGS[name]
+        owner, attr, impl = seeds[name]
     except KeyError:
-        raise KeyError(f"unknown seeded bug {name!r}; known: {sorted(_BUGS)}") from None
+        raise KeyError(f"unknown seeded bug {name!r}; known: {sorted(seeds)}") from None
     original = owner.__dict__[attr]
     setattr(owner, attr, impl)
     try:

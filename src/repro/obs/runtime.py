@@ -60,6 +60,12 @@ class PhaseHandle:
     ``finish()`` closes the span and restores the task's previous context
     (unless a message adoption already moved it — the newer causal link
     wins).  Idempotent: double-finish is a no-op.
+
+    A task that keeps several phases open at once (a shard leader with two
+    slots in flight) cannot nest them: it ``suspend()``s each one after
+    posting its work — the span stays open, the task's context goes back
+    to what it was — and ``resume()``s it to settle, so every slot stays
+    its own subtree instead of parenting under its older neighbour.
     """
 
     __slots__ = ("_runtime", "span", "_task", "_prev")
@@ -81,6 +87,19 @@ class PhaseHandle:
         if self._task.ctx is span:
             self._task.ctx = self._prev
         self._runtime._finish(span, self._runtime.kernel.now)
+
+    def suspend(self) -> None:
+        """Step the task out of this phase without closing it."""
+        if self._task.ctx is self.span:
+            self._task.ctx = self._prev
+
+    def resume(self) -> None:
+        """Step the task back into this (still open) phase; ``finish()``
+        then restores the context that was current here."""
+        task = self._task
+        if self.span.end is None and task.ctx is not self.span:
+            self._prev = task.ctx
+            task.ctx = self.span
 
 
 class ObsRuntime:
@@ -272,13 +291,16 @@ class ObsRuntime:
         Fired by the kernel the moment a fan-out's quorum rule is
         satisfied (before the task wakes).  The point span carries the
         same ``flow`` id as the issued legs, closing the causal link
-        issue -> verdict in trace viewers.
+        issue -> verdict in trace viewers, and parents under the context
+        the fan-out was posted from (``state.ctx``): a parked issuer's
+        context cannot have moved, a posted fan-out's issuer has gone on
+        to other work.
         """
         self._start(
             "fanout.verdict",
             K_POINT,
             task.label,
-            task.ctx,
+            state.ctx,
             {
                 "flow": f"{task.task_id}.{state.token}",
                 "acked": state.acked,

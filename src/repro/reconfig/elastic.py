@@ -581,6 +581,7 @@ class ElasticKV(ShardedKV):
                 task.done = True
         self.queues.pop(shard, None)
         self._gates.pop(shard, None)
+        self._inflight.pop(shard, None)
         self._read_queues.pop(shard, None)
         self._read_gates.pop(shard, None)
         self._leader_envs.pop(shard, None)

@@ -14,7 +14,9 @@ GateWaitEffect    park until a local gate opens                True/False*
 SpawnEffect       start another task on this process           Task
 OpEffect          one op or chain to ONE memory, park for it   OpResult
 OpFanoutEffect    ops/chains to many memories, park for a      FanoutState
-                  quorum verdict (or the timeout)
+                  quorum verdict (or the timeout); posted
+                  (``notify=<Gate>``) it does not park — the
+                  verdict signals the gate instead
 ================  ==========================================  ==============
 
 (*) False/None indicates the optional timeout elapsed first.
@@ -212,9 +214,18 @@ class OpFanoutEffect(Effect):
     no timeout could never wake, so posting one is a
     :class:`~repro.errors.SimulationError`.  A chain leg counts once
     toward *need* however it is delivered.
+
+    **Posted form** (``notify=<Gate>``): the task is resumed at once with
+    the still-open state and keeps running — several fan-outs outstanding
+    on one task, the work-request / completion-queue shape.  When the
+    verdict is in the kernel sets ``state.fired`` and pulses *notify*
+    (wake its waiters, leave it clear): one ready-lane wake, the same one
+    the parking form costs.  A waiter polls ``fired`` on each state it
+    posted before parking on the gate again; a dead waiter simply abandons
+    its states.  The posted form takes no *timeout*.
     """
 
-    __slots__ = ("targets", "need", "count_acks", "spare_naks", "timeout")
+    __slots__ = ("targets", "need", "count_acks", "spare_naks", "timeout", "notify")
     kind = FX_OP_FANOUT
 
     def __init__(
@@ -224,9 +235,11 @@ class OpFanoutEffect(Effect):
         count_acks: bool = False,
         spare_naks: int = 0,
         timeout: Optional[float] = None,
+        notify: Optional[Gate] = None,
     ) -> None:
         self.targets = tuple(targets)
         self.need = need
         self.count_acks = count_acks
         self.spare_naks = spare_naks
         self.timeout = timeout
+        self.notify = notify

@@ -176,14 +176,7 @@ class ProcessEnv:
 
     def signal(self, gate: Gate) -> None:
         """Open *gate*, waking its waiters (instant local action)."""
-        waiters = gate.set()
-        if waiters:
-            wake = self._kernel._wake
-            for waiter in waiters:
-                if waiter.__class__ is tuple:  # kernel-parked (task, token)
-                    wake(waiter[0], waiter[1], True)
-                else:
-                    waiter()
+        self._kernel.signal_gate(gate)
 
     # ------------------------------------------------------------------
     # sub-generators (``yield from env.xxx(...)``)
@@ -268,11 +261,13 @@ class ProcessEnv:
         count_acks: bool = False,
         spare_naks: int = 0,
         timeout: Optional[float] = None,
+        notify: Optional[Gate] = None,
     ) -> OpFanoutEffect:
         """Effect builder: post one op (or chain) per ``(mid, op)`` target
         and park for a single completion verdict; the task resumes with the
         shared :class:`~repro.sim.futures.FanoutState`.  See
-        :class:`~repro.sim.effects.OpFanoutEffect` for the verdict rules.
+        :class:`~repro.sim.effects.OpFanoutEffect` for the verdict rules
+        and the posted (``notify=``) form.
         """
         return OpFanoutEffect(
             tuple((MemoryId(mid), op) for mid, op in targets),
@@ -280,6 +275,7 @@ class ProcessEnv:
             count_acks=count_acks,
             spare_naks=spare_naks,
             timeout=timeout,
+            notify=notify,
         )
 
     def fanout_to_all(
@@ -289,6 +285,7 @@ class ProcessEnv:
         count_acks: bool = False,
         spare_naks: int = 0,
         timeout: Optional[float] = None,
+        notify: Optional[Gate] = None,
     ) -> OpFanoutEffect:
         """``op_fanout`` over every memory: ``make_op(mid)`` per memory,
         default *need* = a majority — the paper's "for every memory in
@@ -301,4 +298,5 @@ class ProcessEnv:
             count_acks=count_acks,
             spare_naks=spare_naks,
             timeout=timeout,
+            notify=notify,
         )

@@ -28,10 +28,15 @@ class FanoutState:
     ``results[i]`` is the i-th target's :class:`~repro.types.OpResult`,
     or ``None`` while (or forever if, e.g. on a crashed memory) that op
     is outstanding.
+
+    ``notify`` is the gate a *posted* fan-out pulses at its verdict (None
+    for the parking form); ``ctx`` is the issuer's trace context at post
+    time, recorded only while observability is attached — a posted
+    fan-out's issuer has moved on by the time the verdict lands.
     """
 
     __slots__ = ("results", "acked", "naked", "done", "need", "count_acks",
-                 "spare_naks", "token", "fired")
+                 "spare_naks", "token", "fired", "notify", "ctx")
 
     def __init__(self, size: int, need: int, count_acks: bool,
                  spare_naks: int, token: int) -> None:
@@ -44,6 +49,8 @@ class FanoutState:
         self.spare_naks = spare_naks
         self.token = token
         self.fired = False
+        self.notify: Optional["Gate"] = None
+        self.ctx: Any = None
 
     @property
     def satisfied(self) -> bool:
@@ -70,7 +77,7 @@ class Gate:
     Waiters come in two shapes: plain callables (the public
     :meth:`add_waiter` API) and ``(task, token)`` pairs parked by the
     kernel's ``gate_wait`` handler via :meth:`park` — the latter avoids a
-    closure per wait on the hot path.  ``ProcessEnv.signal`` understands
+    closure per wait on the hot path.  ``Kernel.signal_gate`` understands
     both when draining :meth:`set`.
     """
 

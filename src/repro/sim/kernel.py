@@ -743,7 +743,15 @@ class Kernel:
             state.fired = True
             if self.obs is not None:
                 self.obs.fanout_verdict(task, state, self.now)
-            self._wake(task, state.token, state)
+            notify = state.notify
+            if notify is None:
+                self._wake(task, state.token, state)
+            else:
+                # Posted fan-out: the completion-queue pulse.  Whoever
+                # polls the gate finds ``fired`` set; nobody parked (the
+                # waiter died, or is busy) costs no event at all.
+                self.signal_gate(notify)
+                notify.clear()
 
     def _post_next_wr(self, task: Task, key, mid, cursor, kind, b, head) -> None:
         """Segmented delivery: post the chain's next work request now that
@@ -755,12 +763,18 @@ class Kernel:
         sub = cursor.ops[cursor.index]
         obs = self.obs
         if obs is not None:
-            # Posted on the parked task's behalf: phase-scoped pricing and
-            # span parenting must see its context, as for the first WR.
+            # Posted on the issuing task's behalf: phase-scoped pricing and
+            # span parenting must see the context the chain was posted
+            # from, as for the first WR (a posted fan-out's issuer has
+            # moved on, so that context rides the state).
             obs.enter_task(task)
+            held = task.ctx
+            if kind == EV_FAN_ARRIVE:
+                task.ctx = b.ctx
         req = self._op_request_leg(task, mid, sub)
         if obs is not None:
             obs.op_started(task, key, mid, sub, self.now)
+            task.ctx = held
             obs.exit_task(task, self.now)
         self.queue.push(self.now + req, kind, task, b, head + (mid, sub, cursor))
 
@@ -823,6 +837,18 @@ class Kernel:
             return
         task.pending_token = None
         self.queue.push_ready(EV_RESUME, task, value)
+
+    def signal_gate(self, gate) -> None:
+        """Open *gate*, waking its waiters at the current instant (each
+        kernel-parked one through the ready lane, see ``_wake``)."""
+        waiters = gate.set()
+        if waiters:
+            wake = self._wake
+            for waiter in waiters:
+                if waiter.__class__ is tuple:  # kernel-parked (task, token)
+                    wake(waiter[0], waiter[1], True)
+                else:
+                    waiter()
 
     # ------------------------------------------------------------------
     # effect handlers (dispatch table: FX_* numbering)
@@ -994,12 +1020,20 @@ class Kernel:
                 f"completions from {len(targets)} targets with no timeout: "
                 "it could never wake"
             )
+        notify = effect.notify
+        if notify is not None and effect.timeout is not None:
+            raise SimulationError(
+                f"{task.label} posted a fan-out with both notify= and a "
+                "timeout: the posted form has no task parked to time out"
+            )
         token = task.new_token()
         state = FanoutState(
             len(targets), effect.need, effect.count_acks, effect.spare_naks, token
         )
         queue = self.queue
         obs = self.obs
+        if obs is not None:
+            state.ctx = task.ctx
         segmented = self.config.chain_delivery != FUSED
         for index, (mid, op) in enumerate(targets):
             cursor = None
@@ -1012,6 +1046,13 @@ class Kernel:
             queue.push(
                 self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, op, cursor)
             )
+        if notify is not None:
+            # Posted form: the token only names the legs' spans — the task
+            # is not parked, it runs on with the open state in hand.
+            task.pending_token = None
+            state.notify = notify
+            state.fired = state.satisfied
+            return state
         if state.satisfied:
             # Degenerate verdict (need <= 0): resume at this instant; the
             # posted ops still complete into the state later.

@@ -199,6 +199,19 @@ class _SlotState:
     value: Any = None
 
 
+class PostedWrite:
+    """One phase-2 fan-out between its post and its settle: the
+    ``(slot, value)`` entries it carries, the kernel's completion state
+    (``state.fired`` once the verdict is in) and its open phase span."""
+
+    __slots__ = ("entries", "state", "phase")
+
+    def __init__(self, entries, state, phase) -> None:
+        self.entries = entries
+        self.state = state
+        self.phase = phase
+
+
 class ReplicatedLog:
     """A Protected-Memory-Paxos-backed replicated log endpoint.
 
@@ -216,10 +229,16 @@ class ReplicatedLog:
         config: Optional[SmrConfig] = None,
         leader_fn: Optional[Callable[[], int]] = None,
         recovered: bool = False,
+        pipeline_depth: int = 1,
     ) -> None:
         self.env = env
         self.apply_fn = apply_fn
         self.config = config or SmrConfig()
+        #: how many slots whoever drives this group's leader keeps in
+        #: flight (``post_batch``).  The log itself proposes serially; the
+        #: listener only needs the number to tell a decision that overtook
+        #: its in-flight neighbour from a missed broadcast.
+        self.pipeline_depth = pipeline_depth
         self.region = self.config.region
         self.topic = self.config.topic
         #: catch-up traffic (pull requests, horizon acks) rides a sibling
@@ -496,9 +515,13 @@ class ReplicatedLog:
     def listener(self) -> Generator:
         """Learn commits broadcast by the leader; pull any gap below them.
 
-        A commit landing *above* ``applied_upto + 1`` means this replica
-        missed broadcasts (a partition, a restart): it asks the leader to
-        re-send the missing prefix, throttled to one pull per backoff.
+        A commit landing more than ``pipeline_depth`` slots above the
+        applied prefix means this replica missed broadcasts (a partition,
+        a restart): it asks the leader to re-send the missing prefix,
+        throttled to one pull per backoff.  Anything nearer is an early
+        neighbour — the leader had both slots in flight and, under
+        jitter, the later decision overtook the earlier one, which is
+        already on its way.
         """
         env = self.env
         # One reusable receive effect: the kernel only reads its fields, so
@@ -514,7 +537,7 @@ class ReplicatedLog:
                 slot, decision = payload
                 if isinstance(decision, Decision):
                     self._commit(slot, decision.value)
-                    if slot > self.applied_upto + 1:
+                    if slot > self.applied_upto + self.pipeline_depth:
                         now = env.now
                         target = self._leader_fn()
                         if (
@@ -624,7 +647,7 @@ class ReplicatedLog:
                         _RECOVERY_PROBE_SLOT, self._next_ballot(), majority, Batch()
                     )
                     if adopted is None:
-                        yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+                        yield self._backoff()
                 first = self.applied_upto + 1
                 top = max(self.adopt_cache, default=-1)
                 if top < first:
@@ -643,7 +666,7 @@ class ReplicatedLog:
                     self._next_ballot(), majority, entries
                 )
                 if not committed:
-                    yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+                    yield self._backoff()
         finally:
             if phase:
                 phase.finish(
@@ -651,29 +674,60 @@ class ReplicatedLog:
                 )
 
     # ------------------------------------------------------------------
-    def propose(self, slot: int, command: Any) -> Generator:
+    def _backoff(self):
+        """The randomised pause a failed attempt earns before the next."""
+        env = self.env
+        return env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+
+    def propose(self, slot: int, command: Any, after_nak: bool = False) -> Generator:
         """Drive consensus for *slot*; returns the decided command.
 
         Retries (with permission re-acquisition) until the slot commits;
         returns the committed value, which may be another leader's command
-        if this process lost leadership.
+        if this process lost leadership.  *after_nak* says the caller's
+        own posted write of this slot (``post_batch``) already NAKed: that
+        was the first failed attempt, so the loop opens with its back-off.
         """
         env = self.env
         state = self._state(slot)
+        if after_nak and not state.decided:
+            yield self._backoff()
         while not state.decided:
             if self._leader_fn() != int(env.pid):
                 yield env.gate_wait(self.commit_gate, timeout=LEADER_POLL)
                 continue
             yield from self._attempt(slot, command)
             if not state.decided:
-                yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
+                yield self._backoff()
         return state.value
 
-    def propose_batch(self, slot: int, commands: Iterable[Any]) -> Generator:
+    def propose_batch(
+        self, slot: int, commands: Iterable[Any], after_nak: bool = False
+    ) -> Generator:
         """Commit one :class:`Batch` of commands in *slot*; returns the
         decided value (the batch, or another leader's entry on takeover)."""
-        decided = yield from self.propose(slot, Batch(tuple(commands)))
+        decided = yield from self.propose(slot, Batch(tuple(commands)), after_nak)
         return decided
+
+    def post_batch(self, slot: int, commands: Iterable[Any], notify) -> Generator:
+        """Post *slot*'s phase-2 write under the held grant and return its
+        :class:`PostedWrite` at once — the pipelined half of
+        :meth:`propose_batch`.  The verdict pulses the *notify* gate; the
+        caller then :meth:`settle`s.  Only a leader that holds the grant
+        may post (instances live in disjoint registers, so slot ``k+1``
+        need not wait for slot ``k`` — but a prepare must never run
+        beside a posted write of the same process)."""
+        if not self.permissions_held:
+            raise ConfigurationError(
+                f"post_batch(slot={slot}) without the write grant: "
+                "a leader that must prepare proposes serially"
+            )
+        value = self.adopt_cache.get(slot, Batch(tuple(commands)))
+        posted = yield from self._phase2_post(
+            self._next_ballot(), self.env.majority_of_memories(),
+            ((slot, value),), notify,
+        )
+        return posted
 
     def _next_ballot(self) -> Ballot:
         """A fresh ballot of this process's, above everything seen."""
@@ -698,13 +752,30 @@ class ReplicatedLog:
         """Write *entries* (``(slot, value)`` pairs, ascending) under
         *prop_nr* and commit them on a majority ACK; True iff committed.
 
-        One chain per memory, all leaving at this instant, the leader
-        resuming on a majority.  With publish_watermark the watermark
-        write for the last slot rides the SAME chain, after the slot
-        writes (so a deposed leader's NAK aborts the chain before the
-        watermark can advance): every client-visible effect of the commit
-        happens after the watermark is durable at a majority.  A NAK
-        commits none of the entries.
+        The blocking composition of the two halves below: post in the
+        parking form (the fan-out's own wait is the wait), then settle.
+        A pipelining caller runs the same two halves with a gate between
+        them (:meth:`post_batch` / :meth:`settle`) — there is one
+        implementation of phase 2.
+        """
+        posted = yield from self._phase2_post(prop_nr, majority, entries)
+        committed = yield from self.settle(posted)
+        return committed
+
+    def _phase2_post(
+        self, prop_nr: Ballot, majority: int, entries, notify=None
+    ) -> Generator:
+        """Post half of phase 2: one chain per memory, all leaving at
+        this instant.  With publish_watermark the watermark write for the
+        last slot rides the SAME chain, after the slot writes (so a
+        deposed leader's NAK aborts the chain before the watermark can
+        advance): every client-visible effect of the commit happens after
+        the watermark is durable at a majority.
+
+        Without *notify* the task parks here until the majority verdict;
+        with it the fan-out is posted (see ``OpFanoutEffect``) and the
+        still-open :class:`PostedWrite` comes back at once, its phase
+        span suspended so the caller's next slot does not nest under it.
         """
         env = self.env
         pid = int(env.pid)
@@ -716,8 +787,7 @@ class ReplicatedLog:
             )
             for slot, value in entries
         ]
-        publish = self.config.publish_watermark
-        if publish:
+        if self.config.publish_watermark:
             # Floor raised BEFORE the chain leaves: a concurrent local
             # read path must refuse to serve until the apply catches up,
             # and the register stays monotone.
@@ -728,12 +798,27 @@ class ReplicatedLog:
         op = writes[0] if len(writes) == 1 else BatchOp(writes)
         obs = env.obs
         phase = obs and obs.phase("log.phase2", slot=entries[0][0])
-        state = yield env.fanout_to_all(lambda mid: op, need=majority)
+        state = yield env.fanout_to_all(lambda mid: op, need=majority, notify=notify)
+        if phase and notify is not None:
+            phase.suspend()
+        return PostedWrite(entries, state, phase)
+
+    def settle(self, posted: PostedWrite) -> Generator:
+        """Settle half of phase 2, run once ``posted.state.fired``: commit
+        and broadcast the entries on a majority ACK with no NAK; True iff
+        committed.  A NAK commits none of them and drops
+        ``permissions_held`` (somebody grabbed the region).  Each posted
+        write is judged on its own completions: a later slot that
+        majority-ACKed is decided even when an earlier one NAKed — they
+        are separate instances."""
+        env = self.env
+        state = posted.state
+        entries = posted.entries
         failed = state.naked > 0
-        if phase:
-            phase.finish(failed=failed)
+        if posted.phase:
+            posted.phase.finish(failed=failed)
         if failed:
-            if publish and any(
+            if self.config.publish_watermark and any(
                 r is not None and not r.ok and r.value.failed_index == len(entries)
                 for r in state.results
             ):

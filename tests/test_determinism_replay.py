@@ -8,6 +8,8 @@ execution — every span, every decision, all message/op counters — plus
 the exact committed state.
 """
 
+from unittest import mock
+
 from repro.obs.runtime import attach
 from repro.obs.whatif import run_hash
 from repro.shard import (
@@ -131,6 +133,17 @@ class TestSeedReplay:
 # opens around its takeover (before: e4880b51…da8b3; with that one span
 # suppressed the run still hashes to it); ``_elastic_split_hash`` asserts
 # both counts.
+#
+# The pipelined commit re-pinned the two sharded ATTACHED hashes once, for
+# one attribute: a shard leader now parks on its pending gate between
+# posting a slot and its verdict, and that park takes a suspension token,
+# so every later fan-out of the task — and the ``flow`` id its legs and
+# verdict carry — is numbered one higher per slot (before: 18609931…0053
+# and d0f68729…40cf).  Neither scenario ever has a full batch waiting
+# behind a slot in flight, so every span id, parent, time and other
+# attribute is the parent's, as are all six detached pins:
+# ``TestDepthOneEquivalence`` pins the parent's span streams minus
+# ``flow`` to show exactly that.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
     runtime = attach(kernel, profile=False) if attach_obs else None
@@ -246,6 +259,104 @@ class TestGoldenHashes:
         _both_pins("elastic_split_jittered", _elastic_split_hash)
 
 
+def _flow_blind_hash(kernel) -> str:
+    """Hash of the span stream with the ``flow`` attribute left out (and
+    ``msg_id``, as ``run_hash`` does): ids, parents, names, actors, exact
+    times and every other attribute."""
+    import hashlib
+
+    obs = kernel.obs
+    digest = hashlib.sha256()
+    for span in list(obs.finished) + obs.open_spans():
+        attrs = tuple(
+            sorted(
+                kv for kv in (span.attrs or {}).items()
+                if kv[0] not in ("msg_id", "flow")
+            )
+        )
+        digest.update(
+            repr(
+                (span.span_id, span.parent_id, span.trace_id, span.name,
+                 span.kind, span.actor, span.start, span.end, attrs)
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+class TestDepthOneEquivalence:
+    """With ``PIPELINE_DEPTH`` patched to 1 the proposer's completion loop
+    IS the one-slot-at-a-time proposer it replaced, and post + settle IS
+    the old blocking phase 2: every pin taken before the pipelined commit
+    still holds, event for event."""
+
+    def _at_depth_one(self):
+        from repro.shard import service
+
+        return mock.patch.object(service, "PIPELINE_DEPTH", 1)
+
+    def test_all_twelve_golden_hashes(self):
+        with self._at_depth_one():
+            TestGoldenHashes().test_pmp_single_shot()
+            TestGoldenHashes().test_pmp_skip_off()
+            TestGoldenHashes().test_aligned_both_variants()
+            TestGoldenHashes().test_sharded_kv_two_shards()
+            TestGoldenHashes().test_elastic_split_under_jitter()
+
+    def test_sharded_span_streams_are_the_parents_but_for_flow_ids(self):
+        with self._at_depth_one(), mock.patch(
+            f"{__name__}.run_hash", _flow_blind_hash
+        ):
+            assert _sharded_kv_hash(attach_obs=True) == (
+                "007c193b91bc2d1d656eb37e75cf34a9ec8de02d39db79cccb7ad8c273f16d00"
+            )
+            assert _elastic_split_hash(attach_obs=True) == (
+                "cb7f986562aa555da5625d2fdfa4d8ff3f7da79d209d7cb1813c07f488dcf1ce"
+            )
+
+    def _write_heavy_smoke(self):
+        """``kv_write_heavy --smoke`` (benchmarks/e2e), seed 7: the exact,
+        seed-pure fields of its one repetition."""
+        service = ShardedKV(
+            ShardConfig(
+                n_shards=4, n_processes=3, n_memories=3, batch_max=8, seed=7,
+                deadline=10.0**7,
+            )
+        )
+        clients = [
+            ClosedLoopClient(client_id=i, n_ops=50, keys=ZipfianKeys(256), mix=YCSB_A)
+            for i in range(96)
+        ]
+        report = service.run_workload(clients, deadline=10.0**7)
+        assert report.ok and not service.replica_divergence()
+        ledger = service.kernel.metrics
+        return {
+            "events": service.kernel.queue.popped,
+            "messages": ledger.total_messages(),
+            "mem_ops": ledger.total_mem_ops(),
+            "virtual_elapsed": report.elapsed,
+            "commits": sum(ledger.shard_commits.values()),
+            "batches": report.committed_batches,
+            "latency_sum": sum(sum(s.latencies) for s in report.shards.values()),
+        }
+
+    def test_write_heavy_smoke_exact_fields(self):
+        with self._at_depth_one():
+            assert self._write_heavy_smoke() == {
+                "events": 19120, "messages": 4966, "mem_ops": 2619,
+                "virtual_elapsed": 450.0, "commits": 4800, "batches": 873,
+                "latency_sum": 37918.0,
+            }
+
+    def test_write_heavy_smoke_moves_at_depth_two(self):
+        # the same run with the pipeline on: fewer, fuller batches, half
+        # the queueing — these fields move once, with this constant
+        fields = self._write_heavy_smoke()
+        assert fields["commits"] == 4800
+        assert fields["batches"] < 873 and fields["events"] < 19120
+        assert fields["latency_sum"] < 0.6 * 37918.0
+        assert fields["virtual_elapsed"] < 0.6 * 450.0
+
+
 class TestHashSeedIndependence:
     """``run_hash`` must not depend on ``PYTHONHASHSEED``: no set or dict
     of strings may order anything that reaches the schedule or the span
@@ -297,6 +408,6 @@ GOLDEN_ATTACHED = {
     "pmp_skip_off": "b0981be1b41575d87e680f096dff2baa26e8794afde750a46e43bd87aae052fd",
     "aligned_protected": "d743e0c42fc67da9a606a98e51b8e5d88586e01ba1375b52b6fa43d8118a5b5a",
     "aligned_disk": "8f1aaef8082c5f0995b99ca9b96b958e0f77543854aaef72ef3f3bdc40d08c9c",
-    "sharded_kv_2": "18609931aa3f3822a65778fd280cec18c8140579cf00eaa8018a9bb13abf0053",
-    "elastic_split_jittered": "d0f68729687def4725567b547b9da466bca06c93ecc1e3b18d7feb2244db40cf",
+    "sharded_kv_2": "fff9d8a4f2fd75edbcb860d681cd19b482c73a1666184ce453aedda7cefa0489",
+    "elastic_split_jittered": "4c14cc58f2976a410b56fb0a016a49319a1679547b525a56fd6fca8b0e7511a0",
 }

@@ -256,6 +256,71 @@ class TestShardedTrace:
         text = render_tree(spans, submit.trace_id)
         assert "client.submit" in text and "leader.batch" in text
 
+    def test_two_slots_in_flight_stay_two_trees(self):
+        """A saturated leader keeps two ``leader.batch`` phases open at
+        once; each slot's phase 2, op legs, verdict and decision messages
+        must stay under its OWN batch, not its older neighbour's."""
+        service = ShardedKV(
+            ShardConfig(n_shards=1, n_processes=3, n_memories=3, batch_max=2, seed=3)
+        )
+        runtime = attach(service.kernel)
+        clients = [
+            ClosedLoopClient(
+                client_id=c, n_ops=6, keys=UniformKeys(16), mix=OperationMix(0.0)
+            )
+            for c in range(8)
+        ]
+        assert service.run_workload(clients).ok
+        spans = runtime.spans
+        by_id = {s.span_id: s for s in spans}
+        batches = sorted(
+            (s for s in spans if s.name == "leader.batch"), key=lambda s: s.start
+        )
+        # the run did pipeline: consecutive slots' batches overlap in time
+        assert any(a.end > b.start for a, b in zip(batches, batches[1:]))
+        phase2s = [s for s in spans if s.name == "log.phase2"]
+        assert len(phase2s) == len(batches)
+        for phase2 in phase2s:
+            batch = by_id[phase2.parent_id]
+            assert batch.name == "leader.batch"
+            assert batch.attrs["slot"] == phase2.attrs["slot"]
+            assert batch.start == phase2.start and phase2.end == batch.end
+            # the paper's claim, per slot: decided two delays after its post
+            assert phase2.end - phase2.start == 2.0
+            kids = [s for s in spans if s.parent_id == phase2.span_id]
+            assert sorted(k.name for k in kids) == ["WriteOp"] * 3 + ["fanout.verdict"]
+            assert len({k.attrs["flow"] for k in kids}) == 1
+        leader = f"p{service.leader_of(0) + 1}/g0-propose"
+        decisions = [s for s in spans if s.kind == K_MSG and s.actor == leader]
+        assert len(decisions) == 2 * len(batches)
+        for message in decisions:
+            batch = by_id[message.parent_id]
+            assert batch.name == "leader.batch" and batch.end == message.start
+        # one put's critical path crosses exactly one slot
+        def under(root):
+            found, frontier = [], [root.span_id]
+            while frontier:
+                kids = [s for s in spans if s.parent_id in frontier]
+                found.extend(kids)
+                frontier = [k.span_id for k in kids]
+            return found
+
+        headed = 0  # puts whose context parents their batch (its first command)
+        for submit in (s for s in spans if s.name == "client.submit"):
+            names = [s.name for s in under(submit)]
+            assert names.count("leader.batch") == names.count("log.phase2") <= 1
+            headed += names.count("leader.batch")
+        assert headed == len(batches)
+        late = next(
+            s for s in spans
+            if s.name == "client.submit" and s.start > 4.0
+            and any(k.name == "leader.batch" for k in under(s))
+        )
+        path = critical_path_between(
+            under(late), 0, late.start, late.end, trace_id=late.trace_id
+        )
+        assert path.memory_delays == 2.0
+
     def test_fenced_read_serves_under_read_phase(self):
         service, runtime = traced_service(read_mode="leader")
         clients = [

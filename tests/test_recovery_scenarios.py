@@ -11,9 +11,15 @@ Leader recovery itself is pinned twice: its cost is flat in the log length
 slots), and a window that is NAKed — a rival's permission grab or a memory
 crash landing between or inside windows — commits nothing, is re-prepared,
 and loses no acknowledged put.
+
+The pipelined commit is pinned the same way: with two slots posted, a
+rival's grab or a memory crash at any quarter-delay applies nothing out of
+slot order, decides no NAKed slot before its serial re-drive, and loses no
+acknowledged put — and the property fails on a settle that ignores NAKs.
 """
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -23,6 +29,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from repro import (
     ClosedLoopClient,
     FaultScript,
+    JitteredSynchrony,
     ProtectedMemoryPaxos,
     ShardConfig,
     ShardedKV,
@@ -31,11 +38,13 @@ from repro.consensus.base import ConsensusProtocol
 from repro.consensus.omega import crash_aware_omega, leader_schedule
 from repro.consensus.protected_memory_paxos import PmpSlot
 from repro.core import scenarios
+from repro.check.regressions import seeded_bug
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.obs.runtime import attach
 from repro.shard.service import shard_region
 from repro.shard.workload import ScriptedClient
 from repro.sim.faults import PermissionChange
+from repro.sim.latency import NominalLatency
 from repro.smr import log as smr_log
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import (
@@ -355,10 +364,23 @@ class TestLeaderRecoveryIsFlatInLogLength:
         write, for the window's last slot."""
         service, runtime, leader, _at = _crashed_after(10, read_mode="quorum")
         _put_after_recovery(service, leader)
+        [recovery] = [s for s in runtime.spans if s.name == "log.recover"]
+        [window] = [
+            s for s in runtime.spans
+            if s.name == "log.phase2" and s.parent_id == recovery.span_id
+        ]
+        legs = [
+            s for s in runtime.spans
+            if s.kind == "memop" and s.parent_id == window.span_id
+        ]
+        # 0..9 re-committed in one window: ten slot writes, ONE watermark
+        assert len(legs) == 3 and all(leg.attrs["ops"] == 10 + 1 for leg in legs)
         rx = service.logs[(leader, 0)].rx_region
         for memory in service.kernel.memories:
-            marks = [v for k, v in memory.items() if k[0] == rx and k[-1] == leader]
-            assert marks == [10]  # 0..9 re-committed in one window, then "fresh"
+            # one register per writer, at or past "fresh" (slot 10): the
+            # put's resends may already be in flight behind it
+            [mark] = [v for k, v in memory.items() if k[0] == rx and k[-1] == leader]
+            assert mark >= 10
         assert not service.replica_divergence()
 
 
@@ -560,3 +582,222 @@ class TestWindowAbortAndPartialApplication:
         assert [sorted(e[2]) for e in windows if e[1]] == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]
         ]
+
+
+# ---------------------------------------------------------------------------
+# the pipelined commit: two slots in flight under a grab or a memory crash
+# ---------------------------------------------------------------------------
+class _PipelineSpy:
+    """Chronological record of the leader's proposer: every posted slot,
+    every settle of a posted slot (did its verdict carry a NAK, did it
+    commit, is the slot decided locally afterwards, with its own value)
+    and every serial proposal, plus the peak number of slots in flight."""
+
+    def __init__(self):
+        self.events = []
+        self.in_flight = 0
+        self.peak = 0
+
+    @contextmanager
+    def installed(self):
+        post, settle = ReplicatedLog.post_batch, ReplicatedLog.settle
+        propose = ReplicatedLog.propose
+
+        def spied_post(log, slot, commands, notify):
+            posted = yield from post(log, slot, commands, notify)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.events.append(("post", slot))
+            return posted
+
+        def spied_settle(log, posted):
+            naked = posted.state.naked > 0
+            committed = yield from settle(log, posted)
+            if posted.state.notify is not None:  # not the blocking _phase2
+                self.in_flight -= 1
+                slot, value = posted.entries[0]
+                state = log._state(slot)
+                self.events.append(
+                    ("settle", slot, naked, committed, state.decided,
+                     state.value is value)
+                )
+            return committed
+
+        def spied_propose(log, slot, command, after_nak=False):
+            self.events.append(("propose", slot, after_nak))
+            decided = yield from propose(log, slot, command, after_nak)
+            self.events.append(("proposed", slot))
+            return decided
+
+        patch = mock.patch.object
+        with patch(ReplicatedLog, "post_batch", spied_post), \
+                patch(ReplicatedLog, "settle", spied_settle), \
+                patch(ReplicatedLog, "propose", spied_propose):
+            yield self
+
+
+class _HotReader:
+    """Reads one key back to back; keeps every returned value."""
+
+    def __init__(self, client_id, n_ops, pid):
+        self.client_id = client_id
+        self.n_ops = n_ops
+        self.pid = pid
+        self.reads = []
+
+    def task(self, env, frontend, recorder):
+        for request_id in range(self.n_ops):
+            command = KVCommand(
+                "get", "hot", client=self.client_id, request_id=request_id
+            )
+            started = env.now
+            result = yield from frontend.get(command)
+            self.reads.append(result)
+            recorder.record(command, result, env.now - started)
+
+
+_WRITERS, _PUTS = 5, 6
+
+
+class TestTwoSlotsInFlight:
+    def _run(self, fault, at, stagger, jitter, read_mode):
+        """Five writers (distinct keys), one writer counting ``hot`` up and
+        one reader of ``hot`` against a one-shard, ``batch_max=2`` service:
+        the queue backs up at once, so slots ``k`` and ``k+1`` are both
+        posted when *fault* lands *at* delays in (``"grab"``: a rival's
+        exclusive grab reaching memory ``m`` after ``stagger[m]`` more
+        delays; otherwise the memory to crash for 15 delays)."""
+        spy = _PipelineSpy()
+        with spy.installed():
+            service = ShardedKV(
+                ShardConfig(
+                    n_shards=1, n_processes=3, batch_max=2, seed=7,
+                    retry_timeout=5.0, deadline=100_000.0, read_mode=read_mode,
+                    latency=JitteredSynchrony(0.2) if jitter else NominalLatency(),
+                )
+            )
+            kernel = service.kernel
+            if fault == "grab":
+                rival = (service.leader_of(0) + 1) % 3
+                for mid, offset in enumerate(stagger):
+                    kernel.schedule_fault(
+                        at + offset,
+                        PermissionChange(rival, shard_region(0), mids=(mid,)),
+                    )
+            else:
+                victim = MemoryId(fault)
+                kernel.call_at(at, lambda: kernel.crash_memory(victim))
+                kernel.call_at(at + 15.0, lambda: kernel.recover_memory(victim))
+            clients = [
+                ScriptedClient(
+                    i, [("put", f"c{i}k{j}", j) for j in range(_PUTS)], pid=i % 3
+                )
+                for i in range(_WRITERS)
+            ]
+            clients.append(
+                ScriptedClient(
+                    _WRITERS, [("put", "hot", j) for j in range(2 * _PUTS)], pid=1
+                )
+            )
+            reader = _HotReader(_WRITERS + 1, 3 * _PUTS, pid=2)
+            report = service.run_workload(clients + [reader])
+        assert report.ok
+        return service, spy, reader
+
+    def _check(self, service, spy, reader, jitter, read_mode):
+        """Returns ``(NAKed settles, later slots committed past a NAK)``."""
+        events = spy.events
+        naked = overtaken = 0
+        for index, record in enumerate(events):
+            if record[0] != "settle":
+                continue
+            _kind, slot, nak, committed, decided, own_value = record
+            if not nak:
+                # a majority ACK with no NAK decides the slot, with the
+                # value this leader posted — whatever its neighbours did
+                assert committed and decided and own_value
+                continue
+            naked += 1
+            # a NAKed slot decides nothing locally...
+            assert not committed and not decided
+            # ...until its serial re-drive, before which nothing is posted
+            rest = events[index + 1:]
+            redrive = rest.index(("proposed", slot))
+            assert any(e[:2] == ("propose", slot) for e in rest[:redrive])
+            assert not [e for e in rest[:redrive] if e[0] == "post"]
+            overtaken += sum(
+                1 for e in rest[:redrive] if e[0] == "settle" and e[3] and e[1] > slot
+            )
+        # every slot is launched once, plus one re-drive per NAK: a fresh
+        # batch never lands on a slot that is waiting for its re-drive
+        launches = Counter(e[1] for e in events if e[0] in ("post", "propose"))
+        renaked = Counter(e[1] for e in events if e[0] == "settle" and e[2])
+        assert launches == Counter(dict.fromkeys(launches, 1)) + renaked
+        # nothing is applied out of slot order, on any replica
+        for pid in range(3):
+            slots = [entry[0] for entry in service.machines[(pid, 0)].applied]
+            assert slots == sorted(slots)
+            assert sorted(set(slots)) == list(range(slots[-1] + 1))
+        # every acknowledged put survives on every replica
+        expected = {f"c{i}k{j}": j for i in range(_WRITERS) for j in range(_PUTS)}
+        expected["hot"] = 2 * _PUTS - 1
+        for pid in range(3):
+            assert service.machines[(pid, 0)].data == expected
+        assert not service.replica_divergence()
+        assert not service.kernel.metrics.violations
+        assert service.kernel.metrics.staleness_violations == 0
+        # two sequential reads never see new-then-old
+        seen = [-1 if value is None else value for value in reader.reads]
+        assert seen == sorted(seen)
+        if jitter and read_mode == "quorum":
+            # the watermark register must not regress: one chain at a time
+            assert spy.peak == 1
+        return naked, overtaken
+
+    @_WINDOW_SETTINGS
+    @given(
+        fault=st.just("grab") | st.integers(0, 2),
+        at=st.integers(0, 100).map(lambda quarter: quarter / 4),
+        stagger=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3),
+        jitter=st.booleans(),
+        read_mode=st.sampled_from(["consensus", "quorum"]),
+    )
+    @example(fault="grab", at=20.0, stagger=(0.0, 2.0, 2.0), jitter=True,
+             read_mode="consensus")
+    @example(fault="grab", at=6.0, stagger=(0.0, 0.0, 0.0), jitter=False,
+             read_mode="quorum")
+    def test_a_fault_at_any_quarter_delay_with_two_slots_posted(
+        self, fault, at, stagger, jitter, read_mode
+    ):
+        service, spy, reader = self._run(fault, at, stagger, jitter, read_mode)
+        naked, overtaken = self._check(service, spy, reader, jitter, read_mode)
+        event(f"slots in flight: {spy.peak}")
+        event(f"NAKed settles: {naked}, later slots decided past one: {overtaken}")
+
+    def test_a_later_slot_is_decided_past_a_naked_neighbour(self):
+        """The property is not vacuous: under jitter this grab reaches one
+        memory between slot 17's chain and slot 18's — 17 NAKs, 18
+        majority-ACKs at the other two and is decided with its own value
+        before 17 is re-driven."""
+        run = self._run("grab", 20.0, (0.0, 2.0, 2.0), True, "consensus")
+        naked, overtaken = self._check(*run, True, "consensus")
+        assert run[1].peak == 2
+        assert (naked, overtaken) == (1, 1)
+        events = run[1].events
+        nak = events.index(("settle", 17, True, False, False, False))
+        ack = events.index(("settle", 18, False, True, True, True))
+        assert nak < ack < events.index(("propose", 17, True))
+
+    def test_the_pipeline_fills_unless_the_watermark_could_regress(self):
+        for jitter, read_mode, peak in [
+            (False, "consensus", 2), (False, "quorum", 2),
+            (True, "consensus", 2), (True, "quorum", 1),
+        ]:
+            _service, spy, _reader = self._run(0, 1_000.0, (), jitter, read_mode)
+            assert spy.peak == peak, (jitter, read_mode)
+
+    def test_the_property_bites_on_a_nak_settled_as_committed(self):
+        with seeded_bug("nak-settled-as-committed"):
+            run = self._run("grab", 20.0, (0.0, 2.0, 2.0), True, "consensus")
+            with pytest.raises(AssertionError):
+                self._check(*run, True, "consensus")

@@ -134,3 +134,69 @@ class TestLeaderHandover:
         assert result.agreed
         values = {m.snapshot().get("winner") for m in harness.machines.values()}
         assert len(values) == 1
+
+
+class _ListenerHarness(ConsensusProtocol):
+    """p1 hand-delivers decisions to p2's listener in a scripted order and
+    records every catch-up pull p2 answers with."""
+
+    name = "smr-listener-harness"
+
+    def __init__(self, order, pipeline_depth):
+        self.order = order
+        self.pipeline_depth = pipeline_depth
+        self.pulls = []
+        self.follower = None
+
+    def regions(self, n, m):
+        return smr_regions(n)
+
+    def tasks(self, env, value):
+        from repro.consensus.messages import Decision
+
+        log = ReplicatedLog(
+            env, KVStateMachine().apply, pipeline_depth=self.pipeline_depth
+        )
+        if int(env.pid) == 1:
+            self.follower = log
+            return [("listener", log.listener())]
+
+        def leader():
+            for slot in self.order:
+                yield env.send(
+                    1, (slot, Decision(value=KVCommand("put", "k", slot))),
+                    topic=log.topic,
+                )
+                yield env.sleep(0.25)
+
+        def pull_sink():
+            while True:
+                envelope = yield from env.recv(topic=log.sync_topic)
+                self.pulls.append(envelope.payload)
+
+        return [("leader", leader()), ("pulls", pull_sink())]
+
+
+class TestListenerPullRule:
+    def _run(self, order, pipeline_depth=2):
+        harness = _ListenerHarness(order, pipeline_depth)
+        cluster = Cluster(harness, ClusterConfig(2, 3, deadline=1000))
+        cluster.start([None] * 2)
+        cluster.kernel.run(until=50.0)
+        return harness
+
+    def test_an_early_neighbour_is_not_a_missed_broadcast(self):
+        # the leader had slots 0 and 1 in flight; 1's decision overtook 0's
+        harness = self._run([1, 0])
+        assert harness.pulls == []
+        assert harness.follower.applied_upto == 1
+
+    def test_a_gap_the_pipeline_cannot_explain_is_pulled(self):
+        harness = self._run([2, 1])  # slot 0 never arrives
+        assert harness.pulls == [("pull", 0)]
+        assert harness.follower.applied_upto == -1
+
+    def test_a_serial_leader_keeps_the_one_slot_rule(self):
+        harness = self._run([1, 0], pipeline_depth=1)
+        assert harness.pulls == [("pull", 0)]
+        assert harness.follower.applied_upto == 1
