@@ -65,7 +65,7 @@ from repro.reconfig.epochs import (
     SealShard,
 )
 from repro.reconfig.migrate import Migrator
-from repro.shard.service import ShardConfig, ShardedKV, shard_region
+from repro.shard.service import ShardConfig, ShardControl, ShardedKV, shard_region
 from repro.smr.log import smr_rx_regions
 from repro.types import process_name
 
@@ -393,7 +393,7 @@ class ElasticKV(ShardedKV):
         # 1. new shard groups (split): register the fenced region, spawn
         #    replicas; the new leader's takeover prepare is the grant storm.
         for shard in epoch.shards:
-            if shard not in self.queues:
+            if shard not in self._controls:
                 self._add_shard_group(shard, epoch.leaders[shard])
 
         # 2. a joining replica starts catching up before cutover
@@ -478,7 +478,7 @@ class ElasticKV(ShardedKV):
         """
         active = self._state.active_epoch
         for shard in active.retired:
-            if shard in self.queues:
+            if shard in self._controls:
                 self._retire_group(shard)
         if active.source is not None and active.source.kind == RK_REMOVE_REPLICA:
             pid = active.source.pid
@@ -498,10 +498,9 @@ class ElasticKV(ShardedKV):
         # a split allocates a group that did not exist at boot: register
         # its regions on the live kernel (crashed memories included)
         self.kernel.register_regions(new_regions)
-        self.queues[shard] = deque()
-        env = self.cluster.env_for(leader)
-        self._leader_envs[shard] = env
-        self._install_shard_control(shard, env)
+        self._controls[shard] = ShardControl(
+            shard, leader, self.config.read_paths_enabled
+        )
         self._leader_map[shard] = leader  # additive; routing flips at cutover
         for pid in self.active_replicas:
             self._spawn_pmp_replica(pid, shard, recovered=True)
@@ -522,21 +521,17 @@ class ElasticKV(ShardedKV):
         predecessor already performed (two proposers would interleave on
         one shared log's slot state).
         """
-        existing = self._lead_tasks.get((new, shard), ())
-        if any(not task.done for task in existing):
+        control = self._controls[shard]
+        if control.pid == new and any(not task.done for task in control.tasks):
             return  # the handover already happened (and survived)
-        for task in self._lead_tasks.pop((old, shard), ()):
-            task.done = True
-        self.queues[shard].clear()
-        read_queue = self._read_queues.get(shard)
-        if read_queue is not None:
-            read_queue.clear()  # the old leader's parked reads die with it
-        env = self.cluster.env_for(new)
-        self._leader_envs[shard] = env
-        self._install_shard_control(shard, env)
+        control.depose()
+        self._controls[shard] = ShardControl(
+            shard, new, self.config.read_paths_enabled
+        )
         self._leader_map[shard] = new
-        log = self.logs[(new, shard)]
-        self._spawn_leader_role(new, shard, env, log)
+        self._spawn_leader_role(
+            new, shard, self.cluster.env_for(new), self.logs[(new, shard)]
+        )
         self.kernel.metrics.record_reconfig(
             self.kernel.now,
             "lead",
@@ -547,7 +542,7 @@ class ElasticKV(ShardedKV):
 
     def _join_replica(self, pid: int) -> None:
         """Spawn *pid*'s replicas of every live group (catch-up included)."""
-        for shard in list(self.queues):
+        for shard in list(self._controls):
             if (pid, shard) not in self.machines or self.logs.get((pid, shard)) is None:
                 self._spawn_pmp_replica(pid, shard, recovered=True)
         self.kernel.metrics.record_reconfig(
@@ -557,9 +552,9 @@ class ElasticKV(ShardedKV):
     def _retire_replica(self, pid: int) -> None:
         """Kill a removed replica's group tasks (its config replica stays:
         pool membership — and the ability to rejoin — is permanent)."""
-        for key in [k for k in self._lead_tasks if k[0] == pid]:
-            for task in self._lead_tasks.pop(key):
-                task.done = True
+        for control in self._controls.values():
+            if control.pid == pid:
+                control.depose()
         for key in [k for k in self._group_tasks if k[0] == pid]:
             for task in self._group_tasks.pop(key):
                 task.done = True
@@ -574,17 +569,12 @@ class ElasticKV(ShardedKV):
         State machines stay readable (forensics, tests); the log region
         stays tombstoned at the memories — that permanence is the fence.
         """
+        control = self._controls.pop(shard, None)
+        if control is not None:
+            control.depose()
         for pid in range(self.config.n_processes):
-            for task in self._lead_tasks.pop((pid, shard), ()):
-                task.done = True
             for task in self._group_tasks.pop((pid, shard), ()):
                 task.done = True
-        self.queues.pop(shard, None)
-        self._gates.pop(shard, None)
-        self._inflight.pop(shard, None)
-        self._read_queues.pop(shard, None)
-        self._read_gates.pop(shard, None)
-        self._leader_envs.pop(shard, None)
         self._leader_map.pop(shard, None)
         self.kernel.metrics.record_reconfig(
             self.kernel.now, "retire", f"g{shard}"
@@ -645,7 +635,7 @@ class ElasticKV(ShardedKV):
             self._state.latest.replicas
         )
         if pid in hosts:
-            for shard in list(self.queues):
+            for shard in list(self._controls):
                 self._spawn_pmp_replica(pid, shard, recovered=True)
         self._spawn_config_replica(pid, recovered=True)
         if pid == self._config_leader():

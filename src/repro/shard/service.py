@@ -56,6 +56,7 @@ from repro.shard.router import (
     read_topic,
     request_topic,
 )
+from repro.sim.futures import Gate
 from repro.sim.latency import LatencyModel, NominalLatency
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
@@ -204,6 +205,43 @@ class _Recorder:
         self.completed += 1
 
 
+class ShardControl:
+    """One shard's leader role: what the exclusive write grant lets its
+    holder do, as one object a leadership move hands over whole.
+
+    ``queue``/``gate``/``inflight`` are the commit pipeline (``inflight``
+    holds the posted-but-unsettled slots, oldest first: ``(slot,
+    commands, leader.batch phase, PostedWrite)``, owned by the proposer —
+    the enqueue side only reads its length); ``read_queue``/``read_gate``
+    the fenced-read intake (None unless the read plane is up); ``tasks``
+    the leader-role task handles of the current incarnation.
+    """
+
+    __slots__ = ("shard", "pid", "queue", "gate", "inflight",
+                 "read_queue", "read_gate", "tasks")
+
+    def __init__(self, shard: int, pid: int, reads: bool) -> None:
+        self.shard = shard
+        self.pid = pid
+        self.queue: Deque[KVCommand] = deque()
+        self.gate = Gate(f"g{shard}-pending")
+        self.inflight: Deque[Tuple[int, tuple, Any, Any]] = deque()
+        self.read_queue: Optional[Deque[Tuple[KVCommand, int]]] = (
+            deque() if reads else None
+        )
+        self.read_gate = Gate(f"g{shard}-reads") if reads else None
+        self.tasks: List[Any] = []
+
+    def depose(self) -> None:
+        """End this leader role: its tasks die, its queued commands and
+        parked reads are dropped (clients resend, dedup absorbs)."""
+        for task in self.tasks:
+            task.done = True
+        self.queue.clear()
+        if self.read_queue is not None:
+            self.read_queue.clear()
+
+
 class ShardedKV:
     """A multi-group replicated KV service inside one simulation kernel."""
 
@@ -228,8 +266,11 @@ class ShardedKV:
         #: replicas are exempt from the convergence goal
         self._ever_crashed: set = set()
 
-        #: leader-side pending commands, one queue per shard
-        self.queues: Dict[int, Deque[KVCommand]] = {g: deque() for g in self.shards}
+        #: the leader role of every live group, one control per shard
+        self._controls: Dict[int, ShardControl] = {
+            g: ShardControl(g, self.leader_of(g), cfg.read_paths_enabled)
+            for g in self.shards
+        }
         #: enqueue-time trace context per command identity — how a client
         #: request's causal chain crosses the leader's queue handoff (the
         #: draining proposer parents its batch span under the first
@@ -239,32 +280,15 @@ class ShardedKV:
         self.machines: Dict[Tuple[int, int], KVStateMachine] = {}
         self.logs: Dict[Tuple[int, int], ReplicatedLog] = {}
         self.frontends: Dict[int, ShardFrontend] = {}
-        self._gates: Dict[int, Any] = {}
-        #: per shard, the leader's posted-but-unsettled slots, oldest first:
-        #: ``(slot, commands, leader.batch phase, PostedWrite)``.  Owned by
-        #: the shard's proposer; the enqueue side only reads its length.
-        self._inflight: Dict[int, Deque[Tuple[int, tuple, Any, Any]]] = {}
-        #: leader-side pending fenced reads (and their wake gates), one
-        #: queue per shard — populated only when the read plane is up
-        self._read_queues: Dict[int, Deque[Tuple[KVCommand, int]]] = {}
-        self._read_gates: Dict[int, Any] = {}
         self._used_client_ids: set = set()
-        #: task handles per (pid, shard) replica / per (pid, shard) leader
-        #: role, so reconfiguration can retire a group or depose a leader
+        #: task handles per (pid, shard) replica, so reconfiguration can
+        #: retire a group or a replica
         self._group_tasks: Dict[Tuple[int, int], List[Any]] = {}
-        self._lead_tasks: Dict[Tuple[int, int], List[Any]] = {}
 
         for pid in range(cfg.n_processes):
             self.frontends[pid] = self._make_frontend(pid)
             if cfg.read_paths_enabled:
                 self._spawn_read_reply_pump(pid)
-        #: per-shard (leader env, pending gate), resolved once per epoch —
-        #: the submit path runs per client request and skips env_for lookups
-        self._leader_envs: Dict[int, Any] = {}
-        for g in self.shards:
-            leader_env = self.cluster.env_for(self.leader_of(g))
-            self._leader_envs[g] = leader_env
-            self._install_shard_control(g, leader_env)
         self._spawn_replicas()
 
     # ------------------------------------------------------------------
@@ -319,17 +343,6 @@ class ShardedKV:
             retry_timeout=cfg.retry_timeout,
             read_paths=read_paths,
         )
-
-    def _install_shard_control(self, shard: int, leader_env) -> None:
-        """(Re)create one shard's leader-side wake gates on *leader_env* —
-        the write-pending gate always, plus the read queue/gate pair when
-        the read plane is up.  Called at boot and by every leadership
-        move or group addition (the elastic service included)."""
-        self._gates[shard] = leader_env.new_gate(f"g{shard}-pending")
-        self._inflight[shard] = deque()
-        if self.config.read_paths_enabled:
-            self._read_queues[shard] = deque()
-            self._read_gates[shard] = leader_env.new_gate(f"g{shard}-reads")
 
     def _make_cluster(self, regions: Sequence[RegionSpec]) -> MultiGroupCluster:
         cfg = self.config
@@ -466,26 +479,22 @@ class ShardedKV:
 
     def _spawn_leader_role(self, pid: int, shard: int, env, log: ReplicatedLog) -> None:
         """Spawn the leader-side tasks of *shard* on *pid* (proposer +
-        request intake), tracked separately so a leadership move can
-        depose them without killing the replica underneath."""
-        lead_tasks = self._lead_tasks.setdefault((pid, shard), [])
-        lead_tasks.append(
-            self.cluster.spawn(pid, f"g{shard}-propose", self._proposer(shard, env, log))
-        )
-        lead_tasks.append(
-            self.cluster.spawn(pid, f"g{shard}-accept", self._acceptor(shard, env))
-        )
+        request intake) into the shard's control, so a leadership move
+        can depose them without killing the replica underneath.  A
+        respawn after a crash replaces the dead incarnation's handles."""
+        spawn = self.cluster.spawn
+        tasks = [
+            spawn(pid, f"g{shard}-propose", self._proposer(shard, env, log)),
+            spawn(pid, f"g{shard}-accept", self._acceptor(shard, env)),
+        ]
         if self.config.read_paths_enabled:
-            lead_tasks.append(
-                self.cluster.spawn(
-                    pid, f"g{shard}-rd-accept", self._read_acceptor(shard, env)
-                )
+            tasks.append(
+                spawn(pid, f"g{shard}-rd-accept", self._read_acceptor(shard, env))
             )
-            lead_tasks.append(
-                self.cluster.spawn(
-                    pid, f"g{shard}-rd-serve", self._read_server(shard, env, log)
-                )
+            tasks.append(
+                spawn(pid, f"g{shard}-rd-serve", self._read_server(shard, env, log))
             )
+        self._controls[shard].tasks = tasks
 
     def _make_apply(self, pid: int, shard: int, machine: KVStateMachine):
         """Apply committed entries and answer this process's waiting clients.
@@ -544,11 +553,12 @@ class ShardedKV:
         """
         if self.kernel.obs is not None:
             self._note_cmd_ctx(command)
-        queue = self.queues[shard]
+        control = self._controls[shard]
+        queue = control.queue
         queue.append(command)
         queued = len(queue)
         if queued == 1 or queued == self.config.batch_max:
-            in_flight = len(self._inflight[shard])
+            in_flight = len(control.inflight)
             if in_flight == 0:
                 wake = queued == 1
             else:
@@ -557,8 +567,8 @@ class ShardedKV:
                     and in_flight < self._pipeline_depth()
                 )
             if wake:
-                gate = self._gates[shard]
-                self._leader_envs[shard].signal(gate)
+                gate = control.gate
+                self.kernel.signal_gate(gate)
                 gate.clear()
 
     def _acceptor(self, shard: int, env) -> Generator:
@@ -581,8 +591,9 @@ class ShardedKV:
         """
         return True
 
-    def _drain(self, shard: int) -> Tuple[KVCommand, ...]:
-        queue = self.queues[shard]
+    def _drain(self, control: ShardControl) -> Tuple[KVCommand, ...]:
+        shard = control.shard
+        queue = control.queue
         batch: List[KVCommand] = []
         while queue and len(batch) < self.config.batch_max:
             command = queue.popleft()
@@ -667,8 +678,10 @@ class ShardedKV:
         takeover prepare adopts whatever reached a majority.
         """
         pid = int(env.pid)
-        gate = self._gates[shard]
-        inflight = self._inflight[shard]
+        control = self._controls[shard]
+        gate = control.gate
+        queue = control.queue
+        inflight = control.inflight
         inflight.clear()  # a predecessor's posted writes died with it
         batch_max = self.config.batch_max
         if not log.permissions_held:
@@ -700,14 +713,13 @@ class ShardedKV:
             if inflight and not pipelining:
                 yield env.gate_wait(gate)  # drain before going serial
                 continue
-            queue = self.queues[shard]
             if pipelining:
                 depth = self._pipeline_depth()
                 while queue and (
                     not inflight
                     or (len(inflight) < depth and len(queue) >= batch_max)
                 ):
-                    batch = self._drain(shard)
+                    batch = self._drain(control)
                     if not batch:
                         break  # the seal filter emptied the queue
                     slot = inflight[-1][0] + 1 if inflight else log.applied_upto + 1
@@ -717,7 +729,7 @@ class ShardedKV:
                         phase.suspend()
                     inflight.append((slot, batch, phase, posted))
             elif not serial and queue:
-                batch = self._drain(shard)
+                batch = self._drain(control)
                 if batch:
                     slot = log.applied_upto + 1
                     phase = self._open_batch(obs, shard, slot, batch)
@@ -765,11 +777,10 @@ class ShardedKV:
         frontend = self.frontends[int(env.pid)]
         for slot in range(cfg.bft_max_slots):
             if int(env.pid) == leader:
-                if not self.queues[shard]:
-                    yield env.gate_wait(
-                        self._gates[shard], timeout=BFT_LEADER_TIMEOUT / 2
-                    )
-                value: Any = Batch(self._drain(shard))
+                control = self._controls[shard]
+                if not control.queue:
+                    yield env.gate_wait(control.gate, timeout=BFT_LEADER_TIMEOUT / 2)
+                value: Any = Batch(self._drain(control))
                 if self._cmd_ctx:
                     self._pop_cmd_ctx(value.commands)
             else:
@@ -794,7 +805,7 @@ class ShardedKV:
     def _shard_readable(self, shard: int) -> bool:
         """May the read plane serve *shard*?  Live crash-tolerant groups
         only — Byzantine groups and retired/unknown ids ride consensus."""
-        return shard in self.queues and shard not in self.config.bft_shards
+        return shard in self._controls and shard not in self.config.bft_shards
 
     def _submit_leader_read(self, shard: int, command: KVCommand, src: int) -> None:
         """Enqueue one fenced read at *shard*'s leader (local or accepted).
@@ -802,13 +813,14 @@ class ShardedKV:
         A shard this process no longer leads (deposed, retired) simply
         drops the request — the client's resend re-resolves the leader.
         """
-        queue = self._read_queues.get(shard)
-        if queue is None:
+        control = self._controls.get(shard)
+        if control is None:
             return
+        queue = control.read_queue
         queue.append((command, src))
         if len(queue) == 1:
-            gate = self._read_gates[shard]
-            self._leader_envs[shard].signal(gate)
+            gate = control.read_gate
+            self.kernel.signal_gate(gate)
             gate.clear()
 
     def _read_acceptor(self, shard: int, env) -> Generator:
@@ -849,8 +861,9 @@ class ShardedKV:
         clients fall back to the command plane — degraded, never stale.
         """
         cfg = self.config
-        queue = self._read_queues[shard]
-        gate = self._read_gates[shard]
+        control = self._controls[shard]
+        queue = control.read_queue
+        gate = control.read_gate
         pid = int(env.pid)
         while True:
             if not queue:
@@ -970,10 +983,9 @@ class ShardedKV:
         """
         self._ever_crashed.add(int(pid))
         for shard in self.shards_led_by(int(pid)):
-            self.queues[shard].clear()
-            read_queue = self._read_queues.get(shard)
-            if read_queue is not None:
-                read_queue.clear()
+            # the tasks already died with the process; recovery respawns
+            # fresh ones into this same control
+            self._controls[shard].depose()
 
     def _respawn_process(self, pid) -> None:
         """Rebuild one recovered process's replica state, shard by shard.

@@ -396,7 +396,8 @@ class TestReadModes:
         service = ShardedKV(ShardConfig(n_shards=2, seed=1))
         names = {task.name for task in service.kernel.tasks}
         assert not any("rd-" in name for name in names)
-        assert service._read_queues == {}
+        controls = service._controls.values()
+        assert all(c.read_queue is None and c.read_gate is None for c in controls)
 
 
 class TestAchievedMix:
