@@ -315,7 +315,7 @@ class ElasticKV(ShardedKV):
     def _spawn_control_plane(self, pid: int) -> None:
         """(Re)place the coordinator — and autoscaler, if any — on *pid*."""
         for task in self._control_tasks:
-            task.done = True
+            self.kernel.kill_task(task)
         self._control_tasks = []
         env = self.cluster.env_for(pid)
         self._control_env = env
@@ -524,7 +524,7 @@ class ElasticKV(ShardedKV):
         control = self._controls[shard]
         if control.pid == new and any(not task.done for task in control.tasks):
             return  # the handover already happened (and survived)
-        control.depose()
+        control.depose(self.kernel)
         self._controls[shard] = ShardControl(
             shard, new, self.config.read_paths_enabled
         )
@@ -554,10 +554,10 @@ class ElasticKV(ShardedKV):
         pool membership — and the ability to rejoin — is permanent)."""
         for control in self._controls.values():
             if control.pid == pid:
-                control.depose()
+                control.depose(self.kernel)
         for key in [k for k in self._group_tasks if k[0] == pid]:
             for task in self._group_tasks.pop(key):
-                task.done = True
+                self.kernel.kill_task(task)
             self.logs.pop(key, None)
         self.kernel.metrics.record_reconfig(
             self.kernel.now, "leave", process_name(pid)
@@ -571,10 +571,10 @@ class ElasticKV(ShardedKV):
         """
         control = self._controls.pop(shard, None)
         if control is not None:
-            control.depose()
+            control.depose(self.kernel)
         for pid in range(self.config.n_processes):
             for task in self._group_tasks.pop((pid, shard), ()):
-                task.done = True
+                self.kernel.kill_task(task)
         self._leader_map.pop(shard, None)
         self.kernel.metrics.record_reconfig(
             self.kernel.now, "retire", f"g{shard}"

@@ -232,11 +232,11 @@ class ShardControl:
         self.read_gate = Gate(f"g{shard}-reads") if reads else None
         self.tasks: List[Any] = []
 
-    def depose(self) -> None:
+    def depose(self, kernel) -> None:
         """End this leader role: its tasks die, its queued commands and
         parked reads are dropped (clients resend, dedup absorbs)."""
         for task in self.tasks:
-            task.done = True
+            kernel.kill_task(task)
         self.queue.clear()
         if self.read_queue is not None:
             self.read_queue.clear()
@@ -985,7 +985,7 @@ class ShardedKV:
         for shard in self.shards_led_by(int(pid)):
             # the tasks already died with the process; recovery respawns
             # fresh ones into this same control
-            self._controls[shard].depose()
+            self._controls[shard].depose(self.kernel)
 
     def _respawn_process(self, pid) -> None:
         """Rebuild one recovered process's replica state, shard by shard.

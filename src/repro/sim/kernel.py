@@ -382,15 +382,22 @@ class Kernel:
         if pid in self.crashed_processes:
             return
         self.crashed_processes.add(pid)
-        obs = self.obs
+        kill_task = self.kill_task
         for task in self.tasks:
-            if task.pid == pid and not task.done:
-                task.done = True
-                if obs is not None:
-                    obs.task_killed(task, self.now)
+            if task.pid == pid:
+                kill_task(task)
         self.network.drop_process(pid)
         self.metrics.record_fault(self.now, "crash_proc", process_name(pid))
         self.failures.notify_crash(pid)
+
+    def kill_task(self, task: Task) -> None:
+        """Kill *task* now: it is never resumed again, and its task span
+        (while observability is attached) closes marked ``killed`` — a
+        done task never reaches ``exit_task``, so nothing else would."""
+        if not task.done:
+            task.done = True
+            if self.obs is not None:
+                self.obs.task_killed(task, self.now)
 
     def recover_process(self, pid: ProcessId) -> None:
         """Recover *pid* now: delivery resumes and the failure controller's

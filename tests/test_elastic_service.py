@@ -30,6 +30,7 @@ from repro import (
     UniformKeys,
 )
 from repro.mem.operations import WriteOp
+from repro.obs.runtime import attach
 from repro.reconfig.migrate import migration_client
 from repro.shard.partitioner import ConsistentHashPartitioner
 from repro.shard.service import shard_region
@@ -343,31 +344,69 @@ class TestDeleteSweep:
         assert sweep_tokens, "the delta pass must have swept the delete"
 
 
+def move_leader_service(*moves, attach_obs: bool = False):
+    """Seed 41's two-shard service with ``(time, MoveLeader)`` *moves*
+    scheduled, run under a seeding + live workload; returns
+    ``(service, report, shard 0's boot control)``."""
+    service = ElasticKV(
+        ElasticConfig(
+            n_shards=2, n_processes=3, batch_max=4, seed=41,
+            retry_timeout=25.0, deadline=40_000.0,
+        )
+    )
+    if attach_obs:
+        attach(service.kernel, profile=False)
+    boot_control = service._controls[0]
+    for time, move in moves:
+        service.schedule_reconfig(time, move)
+    live = [
+        ClosedLoopClient(
+            client_id=60, n_ops=40, keys=UniformKeys(30, prefix="live"),
+            think_time=8.0, pid=1,
+        )
+    ]
+    report = service.run_workload(seed_clients(40) + live)
+    return service, report, boot_control
+
+
 class TestLeaderMove:
     def test_move_leader_fences_the_old_one(self):
-        service = ElasticKV(
-            ElasticConfig(
-                n_shards=2, n_processes=3, batch_max=4, seed=41,
-                retry_timeout=25.0, deadline=40_000.0,
-            )
-        )
-        seeds = seed_clients(40)
-        live = [
-            ClosedLoopClient(
-                client_id=60, n_ops=40, keys=UniformKeys(30, prefix="live"),
-                think_time=8.0, pid=1,
-            )
-        ]
-        service.schedule_reconfig(120.0, MoveLeader(0, 2))
-        report = service.run_workload(seeds + live)
+        service, report, deposed = move_leader_service((120.0, MoveLeader(0, 2)))
         assert report.ok
         assert service.leader_of(0) == 2
         assert_region_fenced(service, 0, 0)
+        # the move handed the leader role over as one object
+        assert sorted(service._controls) == sorted(service.shards)
+        for shard, control in service._controls.items():
+            assert control.pid == service.leader_of(shard)
+        assert deposed.pid == 0 and deposed is not service._controls[0]
+        assert deposed.tasks and all(task.done for task in deposed.tasks)
+        # re-running the handover (a respawned coordinator) is a no-op
+        spawned = len(service.kernel.tasks)
+        service._switch_leader(0, 0, 2)
+        assert len(service.kernel.tasks) == spawned
         # traffic keeps flowing through the new leader afterwards
         more = [ScriptedClient(client_id=300, script=[("put", "post", "move")], pid=1)]
         report2 = service.run_workload(more)
         assert report2.ok
         assert_store_has(service, "post", "move")
+
+    def test_deposed_leader_task_spans_close_as_killed(self):
+        # a leadership move kills the old leader's tasks; like a crash, the
+        # kill must close their task spans — a done task never resumes, so
+        # nothing else ever would
+        service, report, first = move_leader_service(
+            (120.0, MoveLeader(0, 2)), (400.0, MoveLeader(0, 1)), attach_obs=True
+        )
+        assert report.ok and service.leader_of(0) == 1
+        obs = service.kernel.obs
+        for task in service.kernel.tasks:
+            if task.done:
+                assert task.task_id not in obs._task_spans, task.label
+        deposed = [s for s in obs.spans if s.kind == "task"
+                   and s.actor in ("p3/g0-propose", "p3/g0-accept")]
+        assert [(s.start, s.end) for s in deposed] == [(122.0, 402.0)] * 2
+        assert all(s.attrs == {"killed": True} for s in deposed)
 
 
 class TestScheduledRejection:
