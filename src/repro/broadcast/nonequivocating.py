@@ -182,8 +182,7 @@ class NonEquivocatingBroadcast:
         self.delivered.append(delivery)
         if self.on_deliver is not None:
             self.on_deliver(delivery)
-        env.signal(self.gate)
-        self.gate.clear()
+        env.pulse(self.gate)
         return True
 
     def delivery_daemon(self) -> Generator:
@@ -218,6 +217,5 @@ class NonEquivocatingBroadcast:
         self.delivered.append(delivery)
         if self.on_deliver is not None:
             self.on_deliver(delivery)
-        env.signal(self.gate)
-        self.gate.clear()
+        env.pulse(self.gate)
         return True

@@ -42,8 +42,7 @@ class ChainRunner:
     def _run_one(self, mid: MemoryId, chain: ChainFn) -> Generator:
         result = yield from chain(mid)
         self.results[mid] = result
-        self.env.signal(self.gate)
-        self.gate.clear()
+        self.env.pulse(self.gate)
 
     def wait_for(self, count: int, timeout: Optional[float] = None) -> Generator:
         """Park until *count* chains completed; False on timeout."""

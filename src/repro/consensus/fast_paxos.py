@@ -127,8 +127,7 @@ class FastPaxosNode:
             self._learn(message.value)
 
     def _kick(self) -> None:
-        self.env.signal(self.wake)
-        self.wake.clear()
+        self.env.pulse(self.wake)
 
     def _on_fast_propose(self, msg: FastPropose) -> Generator:
         state = self.state

@@ -143,19 +143,16 @@ class PaxosNode:
 
     def _file_promise(self, sender: ProcessId, msg: Promise) -> None:
         self.promises.setdefault(msg.ballot, {})[sender] = msg
-        self.env.signal(self.wake)
-        self.wake.clear()
+        self.env.pulse(self.wake)
 
     def _file_accepted(self, sender: ProcessId, msg: Accepted) -> None:
         self.accepts.setdefault(msg.ballot, set()).add(sender)
-        self.env.signal(self.wake)
-        self.wake.clear()
+        self.env.pulse(self.wake)
 
     def _file_nack(self, msg: Nack) -> None:
         self.nacked.add(msg.ballot)
         self.highest_seen = max(self.highest_seen, msg.promised)
-        self.env.signal(self.wake)
-        self.wake.clear()
+        self.env.pulse(self.wake)
 
     def _learn(self, value: Any) -> None:
         if not self.decided:
@@ -164,8 +161,7 @@ class PaxosNode:
             self.env.decide(value, instance=self.instance)
             if self.on_decide is not None:
                 self.on_decide(value)
-        self.env.signal(self.wake)
-        self.wake.clear()
+        self.env.pulse(self.wake)
 
     # ------------------------------------------------------------------
     # proposer

@@ -132,8 +132,7 @@ class PreferentialPaxosNode:
             message = delivered.message
             if isinstance(message, SetupValue):
                 self.inputs.setdefault(sender, message)
-                self.env.signal(self.node.wake)
-                self.node.wake.clear()
+                self.env.pulse(self.node.wake)
             else:
                 yield from self.node._dispatch(sender, message)
 

@@ -134,7 +134,6 @@ class ElasticKV(ShardedKV):
         self._cfg_queue: deque = deque()
         self._cfg_tasks: Dict[int, List[Any]] = {}
         self._control_tasks: List[Any] = []
-        self._control_env: Any = None
         self._cfg_wake: Any = None
         #: callbacks fired after each epoch cutover (new active epoch as
         #: the single argument) — the parallel driver's worker-assignment
@@ -219,9 +218,7 @@ class ElasticKV(ShardedKV):
         if reason is not None:
             raise ConfigurationError(f"rejected {command!r}: {reason}")
         self._cfg_queue.append(command)
-        env = self._control_env
-        env.signal(self._cfg_wake)
-        self._cfg_wake.clear()
+        self.kernel.pulse_gate(self._cfg_wake)
 
     def schedule_reconfig(self, time: float, command: Any) -> None:
         """Propose *command* at virtual *time* (scenario scripting).
@@ -267,8 +264,7 @@ class ElasticKV(ShardedKV):
         elif accepted and command.kind == RK_ACTIVATE:
             self._apply_activation(self._state.active_epoch)
         if self._cfg_wake is not None:
-            self._control_env.signal(self._cfg_wake)
-            self._cfg_wake.clear()
+            self.kernel.pulse_gate(self._cfg_wake)
 
     def _apply_activation(self, epoch: Epoch) -> None:
         """The cutover instant: routing and leadership flip to *epoch*."""
@@ -306,9 +302,10 @@ class ElasticKV(ShardedKV):
     def _spawn_config_replica(self, pid: int, recovered: bool = False) -> None:
         env = self.cluster.env_for(pid)
         log = self._cfg_log.make_replica(env, recovered=recovered)
-        tasks = self._cfg_tasks.setdefault(pid, [])
-        tasks.append(self.cluster.spawn(pid, f"cfg-listen-p{pid+1}", log.listener()))
-        tasks.append(self.cluster.spawn(pid, f"cfg-sync-p{pid+1}", log.sync_server()))
+        self._cfg_tasks[pid] = tasks = [
+            self.cluster.spawn(pid, f"cfg-listen-p{pid+1}", log.listener()),
+            self.cluster.spawn(pid, f"cfg-sync-p{pid+1}", log.sync_server()),
+        ]
         if recovered and pid != self._config_leader():
             tasks.append(self.cluster.spawn(pid, f"cfg-catchup-p{pid+1}", log.catchup()))
 
@@ -318,7 +315,6 @@ class ElasticKV(ShardedKV):
             self.kernel.kill_task(task)
         self._control_tasks = []
         env = self.cluster.env_for(pid)
-        self._control_env = env
         self._cfg_wake = env.new_gate("cfg-wake")
         # The migrator's streamed-token memo is coordinator-process state:
         # a fresh coordinator cannot know what its predecessor sent, so it
@@ -457,7 +453,8 @@ class ElasticKV(ShardedKV):
 
         # 8. post-activation cleanup
         for shard in epoch.retired:
-            self._retire_group(shard)
+            if shard in self._controls:
+                self._retire_group(shard)
         if epoch.source is not None and epoch.source.kind == RK_REMOVE_REPLICA:
             self._retire_replica(epoch.source.pid)
         if self._config_leader() != int(env.pid):
@@ -498,9 +495,7 @@ class ElasticKV(ShardedKV):
         # a split allocates a group that did not exist at boot: register
         # its regions on the live kernel (crashed memories included)
         self.kernel.register_regions(new_regions)
-        self._controls[shard] = ShardControl(
-            shard, leader, self.config.read_paths_enabled
-        )
+        self._controls[shard] = ShardControl(shard, leader, self.config.read_paths_enabled)
         self._leader_map[shard] = leader  # additive; routing flips at cutover
         for pid in self.active_replicas:
             self._spawn_pmp_replica(pid, shard, recovered=True)
@@ -525,13 +520,9 @@ class ElasticKV(ShardedKV):
         if control.pid == new and any(not task.done for task in control.tasks):
             return  # the handover already happened (and survived)
         control.depose(self.kernel)
-        self._controls[shard] = ShardControl(
-            shard, new, self.config.read_paths_enabled
-        )
+        self._controls[shard] = ShardControl(shard, new, self.config.read_paths_enabled)
         self._leader_map[shard] = new
-        self._spawn_leader_role(
-            new, shard, self.cluster.env_for(new), self.logs[(new, shard)]
-        )
+        self._spawn_leader_role(new, shard)
         self.kernel.metrics.record_reconfig(
             self.kernel.now,
             "lead",
@@ -569,9 +560,7 @@ class ElasticKV(ShardedKV):
         State machines stay readable (forensics, tests); the log region
         stays tombstoned at the memories — that permanence is the fence.
         """
-        control = self._controls.pop(shard, None)
-        if control is not None:
-            control.depose(self.kernel)
+        self._controls.pop(shard).depose(self.kernel)
         for pid in range(self.config.n_processes):
             for task in self._group_tasks.pop((pid, shard), ()):
                 self.kernel.kill_task(task)

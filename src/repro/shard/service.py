@@ -27,6 +27,13 @@ Byzantine backend of :mod:`repro.smr.byzantine_log` — with the same
 batching and routing on top; their slot regions are declared up front,
 so each BFT shard carries a ``bft_max_slots`` cap.
 
+A shard's leader role — what its exclusive write grant lets the holder
+do — is one :class:`ShardControl` (commit pipeline, fenced-read intake,
+leader task handles), built at boot, at a split and at a leadership
+move, which deposes the old one whole as ``changePermission`` moves the
+grant whole.  Crash recovery keeps it; retirement drops it.  Replica
+state stays keyed by ``(pid, shard)``.
+
 The service owns assembly (regions for every group union-ed into one
 :class:`~repro.core.cluster.MultiGroupCluster`), the per-process
 :class:`~repro.shard.router.ShardFrontend`, and the workload run loop
@@ -206,15 +213,13 @@ class _Recorder:
 
 
 class ShardControl:
-    """One shard's leader role: what the exclusive write grant lets its
-    holder do, as one object a leadership move hands over whole.
+    """One shard's leader role, handed over whole by a leadership move.
 
-    ``queue``/``gate``/``inflight`` are the commit pipeline (``inflight``
-    holds the posted-but-unsettled slots, oldest first: ``(slot,
-    commands, leader.batch phase, PostedWrite)``, owned by the proposer —
-    the enqueue side only reads its length); ``read_queue``/``read_gate``
-    the fenced-read intake (None unless the read plane is up); ``tasks``
-    the leader-role task handles of the current incarnation.
+    ``queue``/``gate``/``inflight`` are the commit pipeline (``inflight``:
+    posted-but-unsettled ``(slot, commands, phase, PostedWrite)``, oldest
+    first, owned by the proposer); ``read_queue``/``read_gate`` the fenced
+    read intake (None without the read plane); ``tasks`` the leader-role
+    task handles of the current incarnation.
     """
 
     __slots__ = ("shard", "pid", "queue", "gate", "inflight",
@@ -226,9 +231,7 @@ class ShardControl:
         self.queue: Deque[KVCommand] = deque()
         self.gate = Gate(f"g{shard}-pending")
         self.inflight: Deque[Tuple[int, tuple, Any, Any]] = deque()
-        self.read_queue: Optional[Deque[Tuple[KVCommand, int]]] = (
-            deque() if reads else None
-        )
+        self.read_queue: Optional[Deque[Tuple[KVCommand, int]]] = deque() if reads else None
         self.read_gate = Gate(f"g{shard}-reads") if reads else None
         self.tasks: List[Any] = []
 
@@ -463,37 +466,33 @@ class ShardedKV:
             pipeline_depth=self._pipeline_depth(),
         )
         self.logs[(pid, shard)] = log
-        replica_tasks = self._group_tasks.setdefault((pid, shard), [])
-        replica_tasks.append(
-            self.cluster.spawn(pid, f"g{shard}-listen-p{pid+1}", log.listener())
-        )
-        replica_tasks.append(
-            self.cluster.spawn(pid, f"g{shard}-sync-p{pid+1}", log.sync_server())
-        )
+        # a respawn replaces the handles its crash already killed
+        self._group_tasks[(pid, shard)] = replica_tasks = [
+            self.cluster.spawn(pid, f"g{shard}-listen-p{pid+1}", log.listener()),
+            self.cluster.spawn(pid, f"g{shard}-sync-p{pid+1}", log.sync_server()),
+        ]
         if pid == leader:
-            self._spawn_leader_role(pid, shard, env, log)
+            self._spawn_leader_role(pid, shard)
         elif recovered:
             replica_tasks.append(
                 self.cluster.spawn(pid, f"g{shard}-catchup-p{pid+1}", log.catchup())
             )
 
-    def _spawn_leader_role(self, pid: int, shard: int, env, log: ReplicatedLog) -> None:
+    def _spawn_leader_role(self, pid: int, shard: int) -> None:
         """Spawn the leader-side tasks of *shard* on *pid* (proposer +
-        request intake) into the shard's control, so a leadership move
-        can depose them without killing the replica underneath.  A
-        respawn after a crash replaces the dead incarnation's handles."""
+        request intake) into the shard's control, replacing a crashed
+        incarnation's handles; a move deposes them, not the replica."""
+        env, log = self.cluster.env_for(pid), self.logs[(pid, shard)]
         spawn = self.cluster.spawn
         tasks = [
             spawn(pid, f"g{shard}-propose", self._proposer(shard, env, log)),
             spawn(pid, f"g{shard}-accept", self._acceptor(shard, env)),
         ]
         if self.config.read_paths_enabled:
-            tasks.append(
-                spawn(pid, f"g{shard}-rd-accept", self._read_acceptor(shard, env))
-            )
-            tasks.append(
-                spawn(pid, f"g{shard}-rd-serve", self._read_server(shard, env, log))
-            )
+            tasks += [
+                spawn(pid, f"g{shard}-rd-accept", self._read_acceptor(shard, env)),
+                spawn(pid, f"g{shard}-rd-serve", self._read_server(shard, env, log)),
+            ]
         self._controls[shard].tasks = tasks
 
     def _make_apply(self, pid: int, shard: int, machine: KVStateMachine):
@@ -567,9 +566,7 @@ class ShardedKV:
                     and in_flight < self._pipeline_depth()
                 )
             if wake:
-                gate = control.gate
-                self.kernel.signal_gate(gate)
-                gate.clear()
+                self.kernel.pulse_gate(control.gate)
 
     def _acceptor(self, shard: int, env) -> Generator:
         """Leader-side intake: requests from remote frontends."""
@@ -592,8 +589,7 @@ class ShardedKV:
         return True
 
     def _drain(self, control: ShardControl) -> Tuple[KVCommand, ...]:
-        shard = control.shard
-        queue = control.queue
+        shard, queue = control.shard, control.queue
         batch: List[KVCommand] = []
         while queue and len(batch) < self.config.batch_max:
             command = queue.popleft()
@@ -819,9 +815,7 @@ class ShardedKV:
         queue = control.read_queue
         queue.append((command, src))
         if len(queue) == 1:
-            gate = control.read_gate
-            self.kernel.signal_gate(gate)
-            gate.clear()
+            self.kernel.pulse_gate(control.read_gate)
 
     def _read_acceptor(self, shard: int, env) -> Generator:
         """Leader-side intake of fenced reads from remote frontends."""
@@ -862,8 +856,7 @@ class ShardedKV:
         """
         cfg = self.config
         control = self._controls[shard]
-        queue = control.read_queue
-        gate = control.read_gate
+        queue, gate = control.read_queue, control.read_gate
         pid = int(env.pid)
         while True:
             if not queue:
@@ -983,8 +976,7 @@ class ShardedKV:
         """
         self._ever_crashed.add(int(pid))
         for shard in self.shards_led_by(int(pid)):
-            # the tasks already died with the process; recovery respawns
-            # fresh ones into this same control
+            # its tasks died with the process; recovery respawns into it
             self._controls[shard].depose(self.kernel)
 
     def _respawn_process(self, pid) -> None:

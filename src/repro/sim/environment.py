@@ -178,6 +178,11 @@ class ProcessEnv:
         """Open *gate*, waking its waiters (instant local action)."""
         self._kernel.signal_gate(gate)
 
+    def pulse(self, gate: Gate) -> None:
+        """Wake *gate*'s current waiters, leaving it closed (instant
+        local action)."""
+        self._kernel.pulse_gate(gate)
+
     # ------------------------------------------------------------------
     # sub-generators (``yield from env.xxx(...)``)
     # ------------------------------------------------------------------

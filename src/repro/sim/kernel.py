@@ -382,18 +382,16 @@ class Kernel:
         if pid in self.crashed_processes:
             return
         self.crashed_processes.add(pid)
-        kill_task = self.kill_task
         for task in self.tasks:
             if task.pid == pid:
-                kill_task(task)
+                self.kill_task(task)
         self.network.drop_process(pid)
         self.metrics.record_fault(self.now, "crash_proc", process_name(pid))
         self.failures.notify_crash(pid)
 
     def kill_task(self, task: Task) -> None:
-        """Kill *task* now: it is never resumed again, and its task span
-        (while observability is attached) closes marked ``killed`` — a
-        done task never reaches ``exit_task``, so nothing else would."""
+        """Kill *task*: it never resumes, so close its task span (marked
+        ``killed``) here — it will never reach ``exit_task``."""
         if not task.done:
             task.done = True
             if self.obs is not None:
@@ -757,8 +755,7 @@ class Kernel:
                 # Posted fan-out: the completion-queue pulse.  Whoever
                 # polls the gate finds ``fired`` set; nobody parked (the
                 # waiter died, or is busy) costs no event at all.
-                self.signal_gate(notify)
-                notify.clear()
+                self.pulse_gate(notify)
 
     def _post_next_wr(self, task: Task, key, mid, cursor, kind, b, head) -> None:
         """Segmented delivery: post the chain's next work request now that
@@ -856,6 +853,12 @@ class Kernel:
                     wake(waiter[0], waiter[1], True)
                 else:
                     waiter()
+
+    def pulse_gate(self, gate) -> None:
+        """Wake *gate*'s current waiters and leave it closed (an edge,
+        not a latch: later waiters block until the next signal)."""
+        self.signal_gate(gate)
+        gate.clear()
 
     # ------------------------------------------------------------------
     # effect handlers (dispatch table: FX_* numbering)

@@ -289,8 +289,7 @@ class ReplicatedLog:
         while self._state(self.applied_upto + 1).decided:
             self.applied_upto += 1
             self.apply_fn(self.applied_upto, self.slots[self.applied_upto].value)
-        self.env.signal(self.commit_gate)
-        self.commit_gate.clear()
+        self.env.pulse(self.commit_gate)
 
     # ------------------------------------------------------------------
     # read paths (non-consensus)

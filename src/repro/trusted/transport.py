@@ -194,8 +194,7 @@ class TrustedTransport:
         delivered = TDelivered(sender=delivery.sender, message=payload.message)
         self.inbox.append(delivered)
         self.delivered_log.append(delivered)
-        env.signal(self.inbox_gate)
-        self.inbox_gate.clear()
+        env.pulse(self.inbox_gate)
 
     def _drop(self, sender: ProcessId) -> None:
         if sender == self.env.pid:

@@ -203,6 +203,14 @@ class TestAcceptance:
         assert tuple(service.shards) == (0, 1)
         for i, key in enumerate(universe):
             assert_store_has(service, key, f"seed-{i}")
+        # retirement dropped the victim's leader role and every task of it
+        assert sorted(service._controls) == [0, 1]
+        assert not service._shard_readable(victim)
+        assert not any((pid, victim) in service._group_tasks for pid in range(3))
+        victim_tasks = [
+            t for t in service.kernel.tasks if t.name.startswith(f"g{victim}-")
+        ]
+        assert victim_tasks and all(task.done for task in victim_tasks)
         # the tombstone fence: the retired region NAKs its old leader forever
         assert_region_fenced(service, victim, 2 % 3)
         fences = service.kernel.metrics.reconfigs_of("fence")
@@ -407,6 +415,35 @@ class TestLeaderMove:
                    and s.actor in ("p3/g0-propose", "p3/g0-accept")]
         assert [(s.start, s.end) for s in deposed] == [(122.0, 402.0)] * 2
         assert all(s.attrs == {"killed": True} for s in deposed)
+
+
+class TestCrashCycles:
+    def test_crash_recover_cycles_keep_task_handles_bounded(self):
+        # each recovery respawns a process's replicas; the handles its
+        # crash killed must be replaced, not piled up per cycle
+        service = ElasticKV(ElasticConfig(n_shards=2, n_processes=3, seed=3))
+        kernel = service.kernel
+
+        def handles():
+            replicas = {key: len(tasks) for key, tasks in service._group_tasks.items()}
+            leaders = {g: len(c.tasks) for g, c in service._controls.items()}
+            return replicas, leaders, len(service._cfg_tasks[1])
+
+        def cycle():
+            kernel.crash_process(ProcessId(1))
+            kernel.recover_process(ProcessId(1))
+
+        cycle()
+        after_first = handles()
+        for _ in range(4):
+            cycle()
+        assert handles() == after_first
+        assert not any(task.done for task in service._group_tasks[(1, 1)])
+        assert not any(task.done for task in service._controls[1].tasks)
+        report = service.run_workload(
+            [ScriptedClient(client_id=1, script=[("put", "k", "v")], pid=1)]
+        )
+        assert report.ok
 
 
 class TestScheduledRejection:
