@@ -23,6 +23,12 @@ Two memory-side variants, per the paper's footnote 4:
   phase 1 on its first attempt and decides in **two delays**.
 * ``variant="disk"``: Disk Paxos style — no permissions; phase 2 adds a
   confirming snapshot per memory (two extra delays), no phase skipped.
+
+Each phase broadcasts to the process agents and posts one single-target
+fan-out leg per memory agent (its whole step as one op or chain), every leg
+pulsing the same ``node.wake`` gate the process replies pulse.  The
+proposer's completion loop counts replies plus fired legs against the
+combined majority; a crashed memory's leg never fires and never wakes it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import ConsensusProtocol, DirectTransport, wait_until
-from repro.consensus.chains import ChainRunner
 from repro.consensus.messages import Accept, Decision, Prepare
 from repro.consensus.paxos import PaxosConfig, PaxosNode
 from repro.consensus.probes import probe_write_grant
@@ -40,7 +45,6 @@ from repro.consensus.protected_memory_paxos import PmpSlot
 from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
-from repro.sim.effects import OpEffect
 from repro.sim.environment import ProcessEnv
 from repro.types import BOTTOM, is_bottom
 
@@ -74,12 +78,6 @@ def aligned_regions(
             RegionSpec(REGION, (REGION,), permission, legal_change=legal)
         ]
     return [RegionSpec(REGION, (REGION,), Permission.open(processes))]
-
-
-@dataclass
-class _ChainResult:
-    ok: bool
-    view: Optional[dict] = None
 
 
 class AlignedNode:
@@ -168,12 +166,22 @@ class AlignedNode:
         yield from node.transport.broadcast(Decision(value=proposal))
         node._learn(proposal)
 
+    def _post_legs(self, op) -> Generator:
+        """Post *op* to each memory agent as its own one-target fan-out
+        that pulses ``node.wake`` when it completes, so each memory's
+        response wakes the proposer as a process agent's reply does.
+        Returns the legs' states in memory order."""
+        env = self.env
+        legs = []
+        for mid in env.memories:
+            legs.append((yield env.op_fanout(((mid, op),), 1, notify=self.node.wake)))
+        return legs
+
     # ------------------------------------------------------------------
     def _phase1(self, ballot: Ballot, majority: int) -> Generator:
         env = self.env
         node = self.node
         protected = self.config.variant == "protected"
-        chains = ChainRunner(env, f"ap1-{ballot.round}", gate=node.wake)
         grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
         probe = PmpSlot(min_prop=ballot, acc_prop=None, value=BOTTOM)
         # A recovering node publishes its ballot under a reserved boot key:
@@ -189,17 +197,11 @@ class AlignedNode:
         if protected:
             chain_ops = (ChangePermissionOp(REGION, grab),) + chain_ops
 
-        def chain(mid):
-            result = yield from env.batch(mid, chain_ops)
-            if not result.ok:
-                return _ChainResult(ok=False)
-            return _ChainResult(ok=True, view=result.value[-1])
-
         yield from node.transport.broadcast(Prepare(ballot=ballot))
-        yield from chains.launch(chain)
+        legs = yield from self._post_legs(BatchOp(chain_ops))
 
         def responded() -> int:
-            return len(node.promises.get(ballot, {})) + len(chains.results)
+            return len(node.promises.get(ballot, {})) + sum(leg.fired for leg in legs)
 
         yield from wait_until(
             env,
@@ -209,12 +211,13 @@ class AlignedNode:
         )
         if node.decided or ballot in node.nacked or responded() < majority:
             return _RESTART
-        if any(not r.ok for r in chains.results.values()):
+        results = [leg.results[0] for leg in legs if leg.fired]
+        if any(not r.ok for r in results):
             return _RESTART
 
         best: Optional[Tuple[Ballot, Any]] = None
-        for result in chains.results.values():
-            for key, slot in (result.view or {}).items():
+        for result in results:
+            for key, slot in result.value[-1].items():
                 if key == probe_key or not isinstance(slot, PmpSlot):
                     continue
                 node.highest_seen = max(node.highest_seen, slot.min_prop)
@@ -234,7 +237,6 @@ class AlignedNode:
         env = self.env
         node = self.node
         protected = self.config.variant == "protected"
-        chains = ChainRunner(env, f"ap2-{ballot.round}", gate=node.wake)
         slot_value = PmpSlot(min_prop=ballot, acc_prop=ballot, value=proposal)
 
         def outpaced(view) -> bool:
@@ -253,22 +255,20 @@ class AlignedNode:
         write = WriteOp(REGION, (REGION, int(env.pid)), slot_value)
         op = write if protected else BatchOp((write, SnapshotOp(REGION, (REGION,))))
 
-        def chain(mid):
-            result = yield OpEffect(mid, op)
-            if not result.ok:
-                return _ChainResult(ok=False)
-            return _ChainResult(ok=protected or not outpaced(result.value[1]))
+        def leg_ok(leg) -> bool:
+            result = leg.results[0]
+            return result.ok and (protected or not outpaced(result.value[1]))
 
         yield from node.transport.broadcast(Accept(ballot=ballot, value=proposal))
-        yield from chains.launch(chain)
+        legs = yield from self._post_legs(op)
 
         def successes() -> int:
-            chain_ok = sum(1 for r in chains.results.values() if r.ok)
-            return len(node.accepts.get(ballot, ())) + chain_ok
+            legs_ok = sum(1 for leg in legs if leg.fired and leg_ok(leg))
+            return len(node.accepts.get(ballot, ())) + legs_ok
 
         def failed() -> bool:
             return ballot in node.nacked or any(
-                not r.ok for r in chains.results.values()
+                leg.fired and not leg_ok(leg) for leg in legs
             )
 
         yield from wait_until(

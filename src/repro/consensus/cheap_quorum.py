@@ -278,7 +278,7 @@ class CheapQuorum:
         # been serialized before the revocation (uncontended-instantaneous).
         revoked = Permission.read_only(range(env.n_processes))
         revoke = ChangePermissionOp(region=self._leader_region, new_permission=revoked)
-        yield env.fanout_to_all(lambda mid: revoke)
+        yield env.fanout_to_all(revoke)
 
         own_value = yield from self._value(me).read(env)
         own_proof = yield from self._proof(me).read(env)

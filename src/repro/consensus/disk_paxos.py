@@ -11,6 +11,13 @@ cannot be avoided without dynamic permissions or messages).
 A stable leader (ballot established by an earlier instance, modeled with
 ``established_leader``) still pays write + read-back per attempt: 2 memory
 operations = 4 delays.
+
+Each round posts one single-target write leg per disk, all pulsing one
+round gate, and runs a completion loop: as soon as a disk's write leg
+fires, that disk's read-back leg is posted, and the round ends once a
+majority of read-back legs fired.  The write and read-back stay two
+operations (one chain would be 2 delays and erase the baseline), and
+stay ordered per disk.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import ConsensusProtocol
-from repro.consensus.chains import ChainRunner
 from repro.consensus.messages import Decision
 from repro.mem.operations import SnapshotOp, WriteOp
 from repro.mem.permissions import Permission
@@ -70,11 +76,6 @@ def disk_paxos_regions(n_processes: int) -> List[RegionSpec]:
     ]
 
 
-@dataclass
-class _ChainResult:
-    view: Optional[dict]
-
-
 class DiskPaxosNode:
     """One process's Disk Paxos endpoint."""
 
@@ -97,7 +98,7 @@ class DiskPaxosNode:
             # block (one snapshot per memory, in parallel).
             poll = SnapshotOp(region=REGION, prefix=(REGION,))
             while not self.decided:
-                state = yield env.fanout_to_all(lambda mid: poll)
+                state = yield env.fanout_to_all(poll)
                 for view in state.acked_values():
                     for block in view.values():
                         if isinstance(block, DiskBlock) and block.decided:
@@ -128,35 +129,44 @@ class DiskPaxosNode:
                 yield env.sleep(RETRY_BACKOFF * (1 + env.rng.random()))
 
     def _round(self, mbal: Ballot, block: DiskBlock, majority: int) -> Generator:
-        """One GL round: write own block + read all blocks, per disk.
+        """One GL round: write own block, then read all blocks back, per disk.
+
+        A disk's read-back is posted only when its write leg fires, so the
+        read never overtakes the write and never goes to a disk the write
+        did not reach; a crashed disk's legs never fire and never wake
+        the loop.
 
         Returns the list of completed per-disk views, or None if a higher
         ``mbal`` was seen (abort the attempt).
         """
         env = self.env
-        label = f"dp-{mbal.round}-{mbal.pid}"
-        chains = ChainRunner(env, label)
-
-        def chain(mid):
-            yield from env.write(mid, REGION, (REGION, int(env.pid)), block)
-            snap = yield from env.snapshot(mid, REGION, (REGION,))
-            return _ChainResult(view=snap.value if snap.ok else None)
-
-        yield from chains.launch(chain)
-        yield from chains.wait_for(majority)
+        gate = env.new_gate(f"dp-{mbal.round}-{mbal.pid}")
+        write = WriteOp(REGION, (REGION, int(env.pid)), block)
+        snapshot = SnapshotOp(REGION, (REGION,))
+        writes = {}
+        for mid in env.memories:
+            writes[mid] = yield env.op_fanout(((mid, write),), 1, notify=gate)
+        reads = []
+        while True:
+            for mid in [mid for mid, leg in writes.items() if leg.fired]:
+                del writes[mid]
+                reads.append((yield env.op_fanout(((mid, snapshot),), 1, notify=gate)))
+            if sum(leg.fired for leg in reads) >= majority:
+                break
+            yield env.gate_wait(gate)
         views = []
         aborted = False
-        for result in chains.results.values():
-            if result.view is None:
+        for snap in [leg.results[0] for leg in reads if leg.fired]:
+            if not snap.ok:
                 aborted = True
                 continue
-            for key, other in result.view.items():
+            for key, other in snap.value.items():
                 if key == (REGION, int(env.pid)) or not isinstance(other, DiskBlock):
                     continue
                 self.highest_seen = max(self.highest_seen, other.mbal)
                 if other.mbal > mbal:
                     aborted = True
-            views.append(result.view)
+            views.append(snap.value)
         return None if aborted else views
 
     def _attempt(self) -> Generator:
@@ -203,7 +213,7 @@ class DiskPaxosNode:
             publish = WriteOp(
                 region=REGION, key=(REGION, int(env.pid)), value=decided_block
             )
-            yield env.fanout_to_all(lambda mid: publish, need=majority)
+            yield env.fanout_to_all(publish, need=majority)
         else:
             yield from env.broadcast(
                 Decision(value=inp), topic=TOPIC, include_self=False

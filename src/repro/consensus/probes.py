@@ -46,17 +46,15 @@ def watermark_key(rx_region: RegionId, pid: int) -> tuple:
     return (rx_region, WM, int(pid))
 
 
-def _verdict_fanout(
-    env: ProcessEnv, make_op, timeout: Optional[float]
-) -> Generator:
-    """Fan *make_op(mid)* out to every memory with ACK-counting single
-    completion: the task wakes once — at a majority of ACKs, at more than
+def _verdict_fanout(env: ProcessEnv, op, timeout: Optional[float]) -> Generator:
+    """Fan *op* out to every memory with ACK-counting single completion:
+    the task wakes once — at a majority of ACKs, at more than
     ``m - majority`` NAKs (a majority of ACKs became impossible), or at
     the timeout.  Returns ``(state, majority)``; the verdict is
     ``state.acked >= majority``."""
     majority = env.majority_of_memories()
     state = yield env.fanout_to_all(
-        make_op,
+        op,
         need=majority,
         count_acks=True,
         spare_naks=env.n_memories - majority,
@@ -71,7 +69,7 @@ def probe_write_grant(
     """True iff this process holds the exclusive write grant on *region*
     at a majority of memories right now (the one-sided fence check)."""
     op = ProbeOp(region, "write")
-    state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)
+    state, majority = yield from _verdict_fanout(env, op, timeout)
     return state.acked >= majority
 
 
@@ -88,7 +86,7 @@ def read_quorum_watermarks(
     or the region fenced away by a reconfiguration).
     """
     op = SnapshotOp(rx_region, (rx_region,))
-    state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)
+    state, majority = yield from _verdict_fanout(env, op, timeout)
     if state.acked < majority:
         return None, False
     return max_confirmed_watermark(state.acked_values(), majority)
@@ -151,7 +149,7 @@ def read_quorum_chain(
     chain = BatchOp(
         (SnapshotOp(rx_region, (rx_region,)), ReadSnapshotOp(region, prefix, floor))
     )
-    state, majority = yield from _verdict_fanout(env, lambda mid: chain, timeout)
+    state, majority = yield from _verdict_fanout(env, chain, timeout)
     if state.acked < majority:
         return None
     return state.acked_values()

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.chains import ChainRunner
 from repro.consensus.messages import Decision
 from repro.consensus.base import ConsensusProtocol
 from repro.consensus.probes import probe_write_grant
-from repro.mem.operations import ChangePermissionOp, SnapshotOp, WriteOp
+from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
@@ -163,8 +162,7 @@ class PmpNode:
         phase = obs and obs.phase("pmp.phase2", ballot=str(prop_nr))
         try:
             state = yield env.fanout_to_all(
-                lambda mid: WriteOp(REGION, (REGION, int(env.pid)), slot_value),
-                need=majority,
+                WriteOp(REGION, (REGION, int(env.pid)), slot_value), need=majority
             )
         finally:
             if phase:
@@ -187,7 +185,6 @@ class PmpNode:
         keeps its own slot adoptable.
         """
         env = self.env
-        chains = ChainRunner(env, "pmp1")
         grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
         probe_slot = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         if self.recovering:
@@ -198,26 +195,21 @@ class PmpNode:
         # The takeover is ONE chain per memory: grab + probe + snapshot.
         # The grab policy ACKs any legitimate self-grab, so the chain
         # aborts exactly where a refused probe write would have.
-        chain_ops = (
+        chain = BatchOp((
             ChangePermissionOp(REGION, grab),
             WriteOp(REGION, probe_key, probe_slot),
             SnapshotOp(REGION, (REGION,)),
-        )
-
-        def phase1_chain(mid):
-            """The memory's slot view, or None when the chain aborted."""
-            result = yield from env.batch(mid, chain_ops)
-            return result.value[2] if result.ok else None
+        ))
 
         obs = env.obs
         phase = obs and obs.phase("pmp.prepare", ballot=str(prop_nr))
         try:
-            yield from chains.launch(phase1_chain)
-            yield from chains.wait_for(majority)
+            state = yield env.fanout_to_all(chain, need=majority)
         finally:
             if phase:
                 phase.finish()
-        views = list(chains.results.values())
+        # Each memory's slot view, or None where its chain aborted.
+        views = [r.value[2] if r.ok else None for r in state.results if r is not None]
         if any(view is None for view in views):
             return None
         best: Optional[Tuple[Ballot, Any]] = None

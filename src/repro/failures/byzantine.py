@@ -64,10 +64,10 @@ class EquivocatingBroadcaster(ByzantineStrategy):
         region = f"{NEB_NS}:{me}"
         key = (NEB_NS, me, 1, me)
         # Split the replicas: half see A, half see B.
-        yield env.fanout_to_all(
-            lambda mid: WriteOp(
-                region=region, key=key, value=unit_a if int(mid) % 2 == 0 else unit_b
-            ),
+        write_a = WriteOp(region=region, key=key, value=unit_a)
+        write_b = WriteOp(region=region, key=key, value=unit_b)
+        yield env.op_fanout(
+            ((mid, write_b if int(mid) % 2 else write_a) for mid in env.memories),
             need=env.n_memories,
         )
         while True:
@@ -119,12 +119,10 @@ class CheapQuorumEquivocatorLeader(ByzantineStrategy):
         key = (*LEADER_PREFIX, "value")
         signed_a = env.sign(self.value_a)
         signed_b = env.sign(self.value_b)
-        yield env.fanout_to_all(
-            lambda mid: WriteOp(
-                region=LEADER_REGION,
-                key=key,
-                value=signed_a if int(mid) % 2 == 0 else signed_b,
-            ),
+        write_a = WriteOp(region=LEADER_REGION, key=key, value=signed_a)
+        write_b = WriteOp(region=LEADER_REGION, key=key, value=signed_b)
+        yield env.op_fanout(
+            ((mid, write_b if int(mid) % 2 else write_a) for mid in env.memories),
             need=env.n_memories,
         )
         while True:
@@ -157,10 +155,10 @@ class SlotRewriter(ByzantineStrategy):
         region = f"{NEB_NS}:{me}"
         key = (NEB_NS, me, 1, me)
         first = WriteOp(region=region, key=key, value=make_unit(env, 1, self.first))
-        yield env.fanout_to_all(lambda mid: first, need=env.n_memories)
+        yield env.fanout_to_all(first, need=env.n_memories)
         yield env.sleep(self.rewrite_after)  # let early readers deliver
         second = WriteOp(region=region, key=key, value=make_unit(env, 1, self.second))
-        yield env.fanout_to_all(lambda mid: second, need=env.n_memories)
+        yield env.fanout_to_all(second, need=env.n_memories)
         while True:
             yield env.sleep(1000.0)
 

@@ -574,7 +574,7 @@ class ElasticKV(ShardedKV):
         memory, resuming on a majority (a crashed memory's fence lands
         when it revives — permission state is hardware state)."""
         fence = ChangePermissionOp(region, permission)
-        state = yield env.fanout_to_all(lambda mid: fence)
+        state = yield env.fanout_to_all(fence)
         self.kernel.metrics.record_reconfig(
             env.now,
             "fence",

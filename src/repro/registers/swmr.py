@@ -70,13 +70,13 @@ class ReplicatedRegister:
         revoked there) and the logical write reports failure.
         """
         op = WriteOp(region=self.region, key=self.key, value=value)
-        state = yield env.fanout_to_all(lambda mid: op)
+        state = yield env.fanout_to_all(op)
         return OpStatus.NAK if state.naked else OpStatus.ACK
 
     def read(self, env: ProcessEnv) -> Generator:
         """Read all memories, wait for a majority; returns the merged value."""
         op = ReadOp(region=self.region, key=self.key)
-        state = yield env.fanout_to_all(lambda mid: op)
+        state = yield env.fanout_to_all(op)
         return _merge_reads(state.acked_values())
 
 
@@ -91,7 +91,7 @@ def read_many(env: ProcessEnv, registers: List["ReplicatedRegister"]) -> Generat
     for every register individually.
     """
     chain = BatchOp(ReadOp(region=r.region, key=r.key) for r in registers)
-    state = yield env.fanout_to_all(lambda mid: chain)
+    state = yield env.fanout_to_all(chain)
     views = state.acked_values()
     return {
         register.key: _merge_reads([view[index] for view in views])
@@ -115,7 +115,7 @@ class ReplicatedSlotArray:
     def snapshot(self, env: ProcessEnv) -> Generator:
         """Merged per-key view of the array; absent keys read as ⊥."""
         op = SnapshotOp(region=self.region, prefix=self.prefix)
-        state = yield env.fanout_to_all(lambda mid: op)
+        state = yield env.fanout_to_all(op)
         merged: Dict[RegisterKey, List[Any]] = {}
         for view in state.acked_values():
             for key, value in view.items():

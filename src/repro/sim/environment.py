@@ -285,20 +285,20 @@ class ProcessEnv:
 
     def fanout_to_all(
         self,
-        make_op: Callable[[MemoryId], MemoryOp],
+        op: MemoryOp,
         need: Optional[int] = None,
         count_acks: bool = False,
         spare_naks: int = 0,
         timeout: Optional[float] = None,
         notify: Optional[Gate] = None,
     ) -> OpFanoutEffect:
-        """``op_fanout`` over every memory: ``make_op(mid)`` per memory,
-        default *need* = a majority — the paper's "for every memory in
-        parallel ... continue on a majority" in one effect."""
+        """``op_fanout`` of *op* (or chain) to every memory, default
+        *need* = a majority — the paper's "for every memory in parallel
+        ... continue on a majority" in one effect."""
         if need is None:
             need = self.majority_of_memories()
         return OpFanoutEffect(
-            tuple((mid, make_op(mid)) for mid in self.memories),
+            tuple((mid, op) for mid in self.memories),
             need,
             count_acks=count_acks,
             spare_naks=spare_naks,

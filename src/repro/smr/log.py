@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.chains import ChainRunner
 from repro.errors import ConfigurationError
 from repro.consensus.messages import Decision
 from repro.consensus.probes import (
@@ -409,9 +408,7 @@ class ReplicatedLog:
             return None
         floor = self.applied_upto + 1
         fetch_op = ReadSnapshotOp(self.region, (self.region,), floor)
-        state = yield env.fanout_to_all(
-            lambda mid: fetch_op, need=majority, timeout=timeout
-        )
+        state = yield env.fanout_to_all(fetch_op, need=majority, timeout=timeout)
         views = state.acked_values()
         if len(views) < majority:
             return None
@@ -797,7 +794,7 @@ class ReplicatedLog:
         op = writes[0] if len(writes) == 1 else BatchOp(writes)
         obs = env.obs
         phase = obs and obs.phase("log.phase2", slot=entries[0][0])
-        state = yield env.fanout_to_all(lambda mid: op, need=majority, notify=notify)
+        state = yield env.fanout_to_all(op, need=majority, notify=notify)
         if phase and notify is not None:
             phase.suspend()
         return PostedWrite(entries, state, phase)
@@ -841,7 +838,6 @@ class ReplicatedLog:
 
     def _prepare(self, slot: int, prop_nr: Ballot, majority: int, command: Any) -> Generator:
         env = self.env
-        chains = ChainRunner(env, f"{self.region}1-{slot}")
         grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
         probe = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         probe_key = self._slot_key(slot, int(env.pid))
@@ -852,26 +848,21 @@ class ReplicatedLog:
         # policy ACKs any legitimate self-grab (including a no-op
         # re-grab), so the chain aborts exactly where a refused probe
         # write would have: a tombstoned region NAKs at WR 0.
-        chain_ops = (
+        chain = BatchOp((
             ChangePermissionOp(self.region, grab),
             WriteOp(self.region, probe_key, probe),
             SnapshotOp(self.region, (self.region,)),
-        )
-
-        def phase1(mid):
-            """The memory's region view, or None when the chain aborted."""
-            result = yield from env.batch(mid, chain_ops)
-            return result.value[2] if result.ok else None
+        ))
 
         obs = env.obs
         phase = obs and obs.phase("log.prepare", slot=slot)
         try:
-            yield from chains.launch(phase1)
-            yield from chains.wait_for(majority)
+            state = yield env.fanout_to_all(chain, need=majority)
         finally:
             if phase:
                 phase.finish()
-        views = list(chains.results.values())
+        # Each memory's region view, or None where its chain aborted.
+        views = [r.value[2] if r.ok else None for r in state.results if r is not None]
         if any(view is None for view in views):
             return None
         highest, best_per_slot = _fold_takeover_views(views, probe_key, prop_nr)

@@ -195,7 +195,7 @@ class TestPmpExhaustion:
     def test_exhausts_schedule_space_with_zero_violations(self):
         # Depth 2, no injections.  The CI smoke job runs the full
         # crash+revoke configuration via the CLI, under both chain
-        # delivery modes (9 308 schedules fused, 11 140 segmented).
+        # delivery modes (8 690 schedules fused, 10 522 segmented).
         report = explore(
             make_scenario("pmp-single", {"crashes": 0, "revokes": 0}),
             Budget(divergences=2),

@@ -163,8 +163,9 @@ class TestSingleCompletionFanout:
         env = env_of(kernel, 0)
 
         def gen():
-            state = yield env.fanout_to_all(
-                lambda mid: WriteOp("r", ("x", "k"), int(mid)), need=2
+            state = yield env.op_fanout(
+                ((mid, WriteOp("r", ("x", "k"), int(mid))) for mid in env.memories),
+                need=2,
             )
             return (env.now, state.done, state.acked)
 
@@ -179,7 +180,7 @@ class TestSingleCompletionFanout:
 
         def gen():
             state = yield env.fanout_to_all(
-                lambda mid: WriteOp("fenced", ("f", "k"), 0),
+                WriteOp("fenced", ("f", "k"), 0),
                 need=2,
                 count_acks=True,
                 spare_naks=1,
@@ -195,9 +196,7 @@ class TestSingleCompletionFanout:
         env = env_of(kernel, 0)
 
         def gen():
-            state = yield env.fanout_to_all(
-                lambda mid: WriteOp("r", ("x", "k"), 1), need=1
-            )
+            state = yield env.fanout_to_all(WriteOp("r", ("x", "k"), 1), need=1)
             woke_at = env.now
             yield env.sleep(50.0)  # let the stragglers land
             return (woke_at, state.done, state.fired)
@@ -287,7 +286,7 @@ class TestSegmentedDelivery:
         chain = BatchOp((WriteOp("r", ("x", "s"), 7), WriteOp("r", ("x", "w"), 1)))
 
         def gen():
-            state = yield env.fanout_to_all(lambda mid: chain, need=2)
+            state = yield env.fanout_to_all(chain, need=2)
             return (env.now, state.done, state.acked, state.results[0].value)
 
         now, done, acked, value = run_single(kernel, 0, gen()).result

@@ -1,8 +1,14 @@
-"""Trusted-history helpers and the per-memory chain runner."""
+"""Trusted-history helpers and the per-memory fan-out legs of the
+Disk Paxos and Aligned Paxos rounds."""
 
-import pytest
+from unittest import mock
 
-from repro.consensus.chains import ChainRunner
+from repro import AlignedConfig, AlignedPaxos, DiskPaxos, FaultScript
+from repro.consensus.aligned_paxos import AlignedNode
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.mem.memory import Memory
+from repro.sim.kernel import Kernel
+from repro.sim.latency import AdversarialLatency
 from repro.trusted.history import (
     RecvEvent,
     SentEvent,
@@ -13,9 +19,7 @@ from repro.trusted.history import (
     sent_count,
     sent_events,
 )
-from repro.types import MemoryId, ProcessId
-
-from tests.conftest import env_of, make_kernel
+from repro.types import ProcessId
 
 
 def _history():
@@ -50,83 +54,85 @@ class TestHistoryHelpers:
         assert last_sent_matching(_history(), lambda m: m == "nope") is None
 
 
-class TestChainRunner:
-    def test_chains_run_in_parallel(self, kernel):
-        env = env_of(kernel, 0)
-        runner = ChainRunner(env, "test")
+def _cluster(protocol, crashed_memories=(), **config) -> Cluster:
+    faults = FaultScript()
+    for mid in crashed_memories:
+        faults.at(0.0).crash_memory(mid)
+    return Cluster(protocol, ClusterConfig(n_processes=3, n_memories=3, **config), faults)
 
-        def chain(mid):
-            result = yield from env.write(mid, "r", ("x", "k"), int(mid))
-            return result.ok
 
-        def main():
-            yield from runner.launch(chain)
-            yield from runner.wait_for(3)
-            return env.now
+class TestPerMemoryLegs:
+    """The paper's "for every memory in parallel, continue on a majority"
+    as one-target fan-out legs: no task per memory, one wake per leg."""
 
-        task = kernel.spawn(0, "main", main())
-        kernel.run(until=100)
-        assert task.result == 2.0  # parallel, not 6.0
-        assert runner.results == {MemoryId(0): True, MemoryId(1): True, MemoryId(2): True}
+    def test_disk_paxos_reads_back_each_disk_after_its_write(self):
+        # Disk 0's write request leg takes 2.5 instead of 1.  Its read-back
+        # is posted only when that write completes (t=3.5), so it applies
+        # at t=4.5, after the write at t=2.5; a read posted beside the
+        # write would have applied first, at t=1.  Disks 1 and 2 still
+        # close the round at the nominal 4 delays.
+        slow_write = AdversarialLatency(
+            lambda kind, pid, mid, now: 2.5
+            if kind == "mem_req" and int(mid) == 0 and now < 1.0 else None
+        )
+        cluster = _cluster(DiskPaxos(), latency=slow_write)
+        applied = []
+        apply = Memory.apply
 
-    def test_wait_for_partial_count(self, kernel):
-        kernel.crash_memory(MemoryId(2))
-        env = env_of(kernel, 0)
-        runner = ChainRunner(env, "partial")
+        def recording(memory, pid, op):
+            applied.append((int(memory.mid), type(op).__name__, cluster.kernel.now))
+            return apply(memory, pid, op)
 
-        def chain(mid):
-            result = yield from env.write(mid, "r", ("x", "k"), 1)
-            return result.ok
+        with mock.patch.object(Memory, "apply", recording):
+            result = cluster.run(["a", "b", "c"])
+        assert result.all_decided and result.agreed
+        assert result.earliest_decision_delay == 4.0
+        assert sorted(applied) == [
+            (0, "SnapshotOp", 4.5), (0, "WriteOp", 2.5),
+            (1, "SnapshotOp", 3.0), (1, "WriteOp", 1.0),
+            (2, "SnapshotOp", 3.0), (2, "WriteOp", 1.0),
+        ]
 
-        def main():
-            yield from runner.launch(chain)
-            done = yield from runner.wait_for(2)
-            return (done, len(runner.results))
+    def test_aligned_round_completes_on_a_mixed_majority(self):
+        # Memories 0 and 1 down: the four live agents of six are the three
+        # processes and memory 2, so each quorum of four mixes the process
+        # replies with memory 2's leg, all on the one ``node.wake`` gate.
+        posted = []
+        post_legs = AlignedNode._post_legs
 
-        task = kernel.spawn(0, "main", main())
-        kernel.run(until=100)
-        done, count = task.result
-        assert done and count == 2  # the crashed memory's chain never lands
+        def recording(node, op):
+            legs = yield from post_legs(node, op)
+            posted.append(legs)
+            return legs
 
-    def test_wait_for_timeout(self, kernel):
-        for mid in range(3):
-            kernel.crash_memory(MemoryId(mid))
-        env = env_of(kernel, 0)
-        runner = ChainRunner(env, "stuck")
+        cluster = _cluster(
+            AlignedPaxos(AlignedConfig(variant="disk")), crashed_memories=(0, 1)
+        )
+        with mock.patch.object(AlignedNode, "_post_legs", recording):
+            result = cluster.run(["a", "b", "c"])
+        assert result.all_decided and result.agreed
+        assert result.earliest_decision_delay == 4.0
+        assert len(posted) == 2  # phase 1 and phase 2 of one attempt
+        for legs in posted:
+            assert [leg.fired for leg in legs] == [False, False, True]
+            assert legs[2].results[0].ok
 
-        def chain(mid):
-            result = yield from env.write(mid, "r", ("x", "k"), 1)
-            return result.ok
+    def test_a_hung_leg_never_wakes_the_proposer(self):
+        # Disk 2 is down.  The round's gate is pulsed once per fired leg:
+        # two writes at t=2, two read-backs at t=4, which close the round;
+        # disk 2's write leg never completes, so it never pulses and its
+        # read-back is never posted.
+        pulses = []
+        pulse_gate = Kernel.pulse_gate
+        cluster = _cluster(DiskPaxos(), crashed_memories=(2,))
 
-        def main():
-            yield from runner.launch(chain)
-            done = yield from runner.wait_for(1, timeout=10.0)
-            return (done, env.now)
+        def recording(kernel, gate):
+            if gate.name.startswith("dp-"):
+                pulses.append(kernel.now)
+            return pulse_gate(kernel, gate)
 
-        task = kernel.spawn(0, "main", main())
-        kernel.run(until=100)
-        assert task.result == (False, 10.0)
-
-    def test_external_gate_sharing(self, kernel):
-        env = env_of(kernel, 0)
-        shared = env.new_gate("shared")
-        runner = ChainRunner(env, "shared-test", gate=shared)
-        assert runner.gate is shared
-
-    def test_multi_step_chain_sequences_per_memory(self, kernel):
-        env = env_of(kernel, 0)
-        runner = ChainRunner(env, "two-step")
-
-        def chain(mid):
-            yield from env.write(mid, "r", ("x", "a"), 1)
-            snap = yield from env.snapshot(mid, "r", ("x",))
-            return snap.ok
-
-        def main():
-            yield from runner.launch(chain)
-            yield from runner.wait_for(3)
-            return env.now
-
-        task = kernel.spawn(0, "main", main())
-        kernel.run(until=100)
-        assert task.result == 4.0  # two sequential ops per memory, parallel across
+        with mock.patch.object(Kernel, "pulse_gate", recording):
+            result = cluster.run(["a", "b", "c"])
+        assert result.all_decided and result.agreed
+        assert result.earliest_decision_delay == 4.0
+        assert pulses == [2.0, 2.0, 4.0, 4.0]

@@ -134,7 +134,7 @@ class TestTimeoutRaces:
         env = env_of(kernel, 0)
 
         def gen():
-            state = yield env.fanout_to_all(lambda mid: ReadOp("r", ("x", "k")), need=0)
+            state = yield env.fanout_to_all(ReadOp("r", ("x", "k")), need=0)
             return (state.fired, env.now)
 
         task = run_single(kernel, 0, gen())
@@ -142,7 +142,7 @@ class TestTimeoutRaces:
 
     def test_unreachable_fanout_quorum_is_a_typed_error_not_a_hang(self):
         def gen(env, **kwargs):
-            yield env.fanout_to_all(lambda mid: ReadOp("r", ("x", "k")), **kwargs)
+            yield env.fanout_to_all(ReadOp("r", ("x", "k")), **kwargs)
 
         kernel = make_kernel()
         kernel.spawn(0, "bad", gen(env_of(kernel, 0), need=4))

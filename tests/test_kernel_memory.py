@@ -115,7 +115,7 @@ class TestOutstandingRule:
             yield from env.write(0, "r", ("x", "a"), 1)
             yield from env.write(0, "r", ("x", "a"), 2)
             for value in (3, 4):
-                yield env.fanout_to_all(lambda mid: WriteOp("r", ("x", "a"), value))
+                yield env.fanout_to_all(WriteOp("r", ("x", "a"), value))
             return True
 
         assert run_single(kernel, 0, gen()).result is True

@@ -133,14 +133,14 @@ class TestProperty2NoEquivocation:
             # Colluder 1 writes unit_b into ITS witness slot; since unit_b
             # is signed by 0, the kernel permits it in region neb:1.
             write = WriteOp("neb:0", ("neb", 0, 1, 0), unit_a)
-            yield env0.fanout_to_all(lambda mid: write, need=0)
+            yield env0.fanout_to_all(write, need=0)
             yield env0.sleep(1.0)
 
         def colluder():
             env1 = env_of(kernel, 1)
             unit_b = make_unit(env0, 1, "B")
             write = WriteOp("neb:1", ("neb", 1, 1, 0), unit_b)
-            yield env1.fanout_to_all(lambda mid: write, need=0)
+            yield env1.fanout_to_all(write, need=0)
             yield env1.sleep(1.0)
 
         kernel.spawn(0, "byz0", byzantine_pair())
@@ -161,7 +161,7 @@ class TestProperty3Authenticity:
 
         def junk_writer():
             write = WriteOp("neb:0", ("neb", 0, 1, 0), "raw-junk")
-            yield env0.fanout_to_all(lambda mid: write, need=0)
+            yield env0.fanout_to_all(write, need=0)
             yield env0.sleep(1.0)
 
         kernel.spawn(0, "junk", junk_writer())
