@@ -32,9 +32,8 @@ from repro.mem.layout import MemoryLayout
 from repro.mem.operations import BatchOp, WriteOp
 from repro.mem.permissions import Permission
 from repro.mem.regions import RegionSpec
-from repro.sim.effects import OpEffect
+from repro.sim.environment import ProcessEnv
 from repro.sim.kernel import Kernel, SimConfig
-from repro.types import MemoryId
 
 from benchmarks._common import emit, table
 
@@ -48,11 +47,12 @@ def _write_storm(chain: int):
         SimConfig(n_processes=3, n_memories=3),
         MemoryLayout([RegionSpec("r", ("x",), Permission.open(range(3)))]),
     )
+    env = ProcessEnv(kernel, 0)
 
     def writer():
         for first in range(0, N_WRITES, chain):
             ops = [WriteOp("r", ("x", "k"), i) for i in range(first, first + chain)]
-            yield OpEffect(MemoryId(0), BatchOp(ops) if chain > 1 else ops[0])
+            yield env.op_fanout(((0, BatchOp(ops) if chain > 1 else ops[0]),), 1)
 
     kernel.spawn(0, "writer", writer())
     start = time.perf_counter()

@@ -15,13 +15,13 @@ entry kind       footprint
 ===============  =====================================================
 resume / wake /  the target task's **process** — a resumed task may
 recv_timeout /   consume from its process inbox, signal gates, send,
-op_resolve /     or issue ops (a segmented chain's resolve posts its
-fan_resolve      next work request), so two same-process resumptions
+fan_resolve      or issue ops (a segmented chain's resolve posts its
+                 next work request), so two same-process resumptions
                  never commute (conservative; per-task would over-prune)
 deliver          the destination **process** (inbox append / waiter
                  wake)
-op_arrive /      the target **(memory, region)** — application order
-fan_arrive       at one region is visible to reads; distinct memories
+fan_arrive       the target **(memory, region)** — application order
+                 at one region is visible to reads; distinct memories
                  or regions commute.  A fused chain contributes one key
                  per region it touches (the chain's conservative union)
 call / fault /   **global** — failure events and ad-hoc callables may
@@ -51,8 +51,6 @@ from repro.sim.event_queue import (
     EV_DELIVER,
     EV_FAN_ARRIVE,
     EV_FAN_RESOLVE,
-    EV_OP_ARRIVE,
-    EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
     EV_RESUME,
     EV_WAKE,
@@ -61,9 +59,7 @@ from repro.sim.event_queue import (
 #: Footprint of an entry that may touch anything (call, fault, injection).
 GLOBAL: Tuple = (("*",),)
 
-_TASK_KINDS = frozenset(
-    (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_OP_RESOLVE, EV_FAN_RESOLVE)
-)
+_TASK_KINDS = frozenset((EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_FAN_RESOLVE))
 
 
 def _mem_keys(mid, op) -> Tuple:
@@ -92,9 +88,8 @@ def footprint(entry) -> Tuple:
             return (("proc", int(entry.a.pid)),)
         if kind == EV_DELIVER:
             return (("proc", int(entry.a.dst)),)
-        if kind == EV_OP_ARRIVE or kind == EV_FAN_ARRIVE:
-            # c = ([index,] mid, op, cursor)
-            mid, op = entry.c[-3:-1]
+        if kind == EV_FAN_ARRIVE:
+            _index, mid, op, _cursor = entry.c
             return _mem_keys(mid, op)
     except Exception:
         return GLOBAL

@@ -263,18 +263,17 @@ class ObsRuntime:
             self._finish(span, now)
 
     def op_started(self, task, key, mid, op, now: float) -> None:
-        """Open a memop span keyed by (task, token), or (task, token,
-        index) for fan-out legs.  A fused chain gets ONE span
-        (single-completion semantics) annotated with its sub-op count; a
-        segmented chain gets one span per work request, under one key."""
+        """Open a memop span for one fan-out leg, keyed by (task, token,
+        index).  A fused chain gets ONE span (single-completion semantics)
+        annotated with its sub-op count; a segmented chain gets one span
+        per work request, under one key."""
         attrs = {"mem": memory_name(mid)}
         sub_ops = getattr(op, "ops", None)
         if sub_ops is not None:
             attrs["ops"] = len(sub_ops)
-        if type(key) is tuple and len(key) == 3:
-            # Fan-out leg: tag the shared flow id (task.token) so sinks can
-            # link every issued leg to the single-completion verdict.
-            attrs["flow"] = f"{key[0]}.{key[1]}"
+        # The shared flow id (task.token) lets sinks link every issued leg
+        # to the single-completion verdict.
+        attrs["flow"] = f"{key[0]}.{key[1]}"
         span = self._start(
             type(op).__name__,
             K_MEMOP,

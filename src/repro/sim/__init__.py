@@ -13,7 +13,6 @@ insertion order and all randomness flows through one ``random.Random``.
 
 from repro.sim.effects import (
     GateWaitEffect,
-    OpEffect,
     OpFanoutEffect,
     RecvEffect,
     SendEffect,
@@ -39,7 +38,6 @@ __all__ = [
     "Gate",
     "GateWaitEffect",
     "LinkFault",
-    "OpEffect",
     "OpFanoutEffect",
     "JitteredSynchrony",
     "Kernel",

@@ -12,8 +12,7 @@ RecvEffect        park until a matching message arrives        Envelope/None*
 SleepEffect       park for a fixed virtual duration            None
 GateWaitEffect    park until a local gate opens                True/False*
 SpawnEffect       start another task on this process           Task
-OpEffect          one op or chain to ONE memory, park for it   OpResult
-OpFanoutEffect    ops/chains to many memories, park for a      FanoutState
+OpFanoutEffect    one op/chain per target memory, park for a   FanoutState
                   quorum verdict (or the timeout); posted
                   (``notify=<Gate>``) it does not park — the
                   verdict signals the gate instead
@@ -23,12 +22,14 @@ OpFanoutEffect    ops/chains to many memories, park for a      FanoutState
 
 Memory is touched in exactly one shape — the paper's "for every memory in
 parallel: a short sequence of permission-change / write / read, continue
-on ``m - f_M`` completions": a *chain* (a single op, or a
-:class:`~repro.mem.operations.BatchOp` of several) to one memory is an
-:class:`OpEffect`; the same chain to many memories with one completion is
-an :class:`OpFanoutEffect`.  How a chain travels — one request applied
-atomically, or one round trip per work request — is the kernel's
-``SimConfig.chain_delivery`` pricing mode, never the protocol's business.
+on ``m - f_M`` completions" — and one effect carries it: an
+:class:`OpFanoutEffect` posts a *chain* (a single op, or a
+:class:`~repro.mem.operations.BatchOp` of several) to each target memory
+and completes once.  An op on one memory is the one-target case,
+``need=1`` (see ``ProcessEnv.read``/``write``/``batch``).  How a chain
+travels — one request applied atomically, or one round trip per work
+request — is the kernel's ``SimConfig.chain_delivery`` pricing mode,
+never the protocol's business.
 
 ``SendEffect``/``SpawnEffect`` resume immediately at the same virtual
 instant — computation is instantaneous in the model.
@@ -45,8 +46,9 @@ contract for anything a task yields:
 * ``effect.kind`` must be an ``FX_*`` integer, and the object must expose
   the fields the matching handler reads (the constructor signatures below
   are the authoritative field lists);
-* the numbering is dense and stable: handler tables are built as flat
-  lists, so new effect kinds append — they never renumber existing ones;
+* the numbering is dense from zero: handler tables are built as flat
+  lists.  Kinds live only in one process — traces persist entry seqs and
+  labels, never kind numbers — so removing a kind may renumber the rest;
 * yielding an object without a usable ``kind`` is a :class:`SimulationError`
   (the kernel reports it as a non-effect).
 
@@ -61,10 +63,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.mem.operations import MemoryOp
 from repro.net.messages import Envelope
 from repro.sim.futures import Gate
-from repro.types import MemoryId, ProcessId
+from repro.types import ProcessId
 
 # ---------------------------------------------------------------------------
 # Effect kinds: indices into the kernel's effect-handler table.
@@ -74,8 +75,7 @@ FX_RECV = 1
 FX_SLEEP = 2
 FX_GATE_WAIT = 3
 FX_SPAWN = 4
-FX_OP = 5
-FX_OP_FANOUT = 6
+FX_OP_FANOUT = 5
 
 
 class Effect:
@@ -164,34 +164,6 @@ class SpawnEffect(Effect):
         self.daemon = daemon
 
 
-class OpEffect(Effect):
-    """Post *op* — a single operation or a
-    :class:`~repro.mem.operations.BatchOp` chain — to memory *mid* and
-    park until its one completion.
-
-    The kernel resumes the task with the :class:`~repro.types.OpResult`
-    directly.  A chain resolves to ACK with the tuple of sub-values, or
-    NAK with a :class:`~repro.types.ChainAbort` naming the first refused
-    sub-op (everything before it landed, the tail is flushed) — under
-    either ``chain_delivery`` mode.  Fused (the default), the chain is one
-    request applied atomically at its arrival and priced
-    ``request + k*issue + response``: two nominal delays however long.
-    Segmented, each work request is its own signalled round trip, applied
-    at its own arrival, the next one posted when the previous completes.
-
-    There is no timeout: the task hangs forever if the memory crashed.
-    Callers that must survive a dead memory post an
-    :class:`OpFanoutEffect` with ``need`` sized to a quorum, or a timeout.
-    """
-
-    __slots__ = ("mid", "op")
-    kind = FX_OP
-
-    def __init__(self, mid: MemoryId, op: MemoryOp) -> None:
-        self.mid = mid
-        self.op = op
-
-
 class OpFanoutEffect(Effect):
     """Post one op (or chain) per target memory; park for ONE completion
     verdict.
@@ -212,8 +184,17 @@ class OpFanoutEffect(Effect):
     simply never complete, which is why quorum callers must size *need*
     accordingly: a fan-out whose *need* exceeds its target count and has
     no timeout could never wake, so posting one is a
-    :class:`~repro.errors.SimulationError`.  A chain leg counts once
-    toward *need* however it is delivered.
+    :class:`~repro.errors.SimulationError`.
+
+    A chain leg counts once toward *need* however it is delivered, and
+    resolves to ACK with the tuple of sub-values, or NAK with a
+    :class:`~repro.types.ChainAbort` naming the first refused sub-op
+    (everything before it landed, the tail is flushed).  Fused (the
+    default ``chain_delivery``), the chain is one request applied
+    atomically at its arrival and priced ``request + k*issue + response``:
+    two nominal delays however long.  Segmented, each work request is its
+    own signalled round trip, applied at its own arrival, the next one
+    posted when the previous completes.
 
     **Posted form** (``notify=<Gate>``): the task is resumed at once with
     the still-open state and keeps running — several fan-outs outstanding

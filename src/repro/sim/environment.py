@@ -35,7 +35,6 @@ from repro.mem.permissions import Permission
 from repro.net.messages import Envelope
 from repro.sim.effects import (
     GateWaitEffect,
-    OpEffect,
     OpFanoutEffect,
     RecvEffect,
     SendEffect,
@@ -207,20 +206,17 @@ class ProcessEnv:
 
     def read(self, mid: MemoryId, region: RegionId, key: RegisterKey) -> Generator:
         """Read one register on one memory; returns :class:`OpResult`."""
-        result = yield OpEffect(MemoryId(mid), ReadOp(region, key))
-        return result
+        return (yield from self._one(mid, ReadOp(region, key)))
 
     def write(
         self, mid: MemoryId, region: RegionId, key: RegisterKey, value: Any
     ) -> Generator:
         """Write one register on one memory; returns :class:`OpResult`."""
-        result = yield OpEffect(MemoryId(mid), WriteOp(region, key, value))
-        return result
+        return (yield from self._one(mid, WriteOp(region, key, value)))
 
     def snapshot(self, mid: MemoryId, region: RegionId, prefix: RegisterKey) -> Generator:
         """Snapshot-read a slot array on one memory; returns :class:`OpResult`."""
-        result = yield OpEffect(MemoryId(mid), SnapshotOp(region, prefix))
-        return result
+        return (yield from self._one(mid, SnapshotOp(region, prefix)))
 
     def probe(self, mid: MemoryId, region: RegionId, access: str = "write") -> Generator:
         """Zero-length permission probe on one memory; returns :class:`OpResult`.
@@ -228,15 +224,20 @@ class ProcessEnv:
         ACK iff this process currently holds *access* on *region* — the
         one-sided fence check of the permission-fenced read path.
         """
-        result = yield OpEffect(MemoryId(mid), ProbeOp(region, access))
-        return result
+        return (yield from self._one(mid, ProbeOp(region, access)))
 
     def change_permission(
         self, mid: MemoryId, region: RegionId, new_permission: Permission
     ) -> Generator:
         """Request a permission change on one memory; returns :class:`OpResult`."""
-        result = yield OpEffect(MemoryId(mid), ChangePermissionOp(region, new_permission))
-        return result
+        return (yield from self._one(mid, ChangePermissionOp(region, new_permission)))
+
+    def _one(self, mid: MemoryId, op: MemoryOp) -> Generator:
+        """Post *op* (or chain) to memory *mid* as a one-target fan-out
+        and return its :class:`OpResult`.  No timeout: the task hangs
+        forever if the memory crashed."""
+        state = yield OpFanoutEffect(((MemoryId(mid), op),), 1)
+        return state.results[0]
 
     def majority_of_memories(self) -> int:
         """Quorum size over memories: ``floor(m/2) + 1``."""
@@ -256,8 +257,7 @@ class ProcessEnv:
         the model's per-WR issue increments, nominally zero); see
         ``SimConfig.chain_delivery`` for the segmented alternative.
         """
-        result = yield OpEffect(MemoryId(mid), BatchOp(ops))
-        return result
+        return (yield from self._one(mid, BatchOp(ops)))
 
     def op_fanout(
         self,

@@ -43,18 +43,18 @@ from typing import Any, Deque, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Event kinds.  The kernel maps each to a handler via a flat dispatch list,
-# so the numbering must stay dense and start at zero.
+# so the numbering must stay dense and start at zero.  Kinds live only in
+# one process: traces persist entry seqs and labels, never kind numbers,
+# so removing a kind may renumber the rest.
 # ---------------------------------------------------------------------------
 EV_CALL = 0          #: a = zero-argument callable (failure plans, ad-hoc timers)
 EV_RESUME = 1        #: a = task, b = resume value
 EV_WAKE = 2          #: a = task, b = suspension token, c = resume value
 EV_DELIVER = 3       #: a = envelope whose flight time elapsed
 EV_RECV_TIMEOUT = 4  #: a = task, b = suspension token (parked recv timed out)
-EV_OP_ARRIVE = 5     #: a = task, b = token, c = (mid, op, cursor) — OpEffect request leg
-EV_OP_RESOLVE = 6    #: a = task, b = token, c = (mid, result, cursor) — OpEffect response
-EV_FAULT = 7         #: a = typed fault event (see repro.sim.faults) — no closure
-EV_FAN_ARRIVE = 8    #: a = task, b = FanoutState, c = (index, mid, op, cursor) — fan-out request leg
-EV_FAN_RESOLVE = 9   #: a = task, b = FanoutState, c = (index, mid, result, cursor) — fan-out response
+EV_FAULT = 5         #: a = typed fault event (see repro.sim.faults) — no closure
+EV_FAN_ARRIVE = 6    #: a = task, b = FanoutState, c = (index, mid, op, cursor) — request leg
+EV_FAN_RESOLVE = 7   #: a = task, b = FanoutState, c = (index, mid, result, cursor) — response
 
 #: One scheduled event: ``(time, seq, kind, a, b, c)``.
 Entry = Tuple[float, int, int, Any, Any, Any]

@@ -89,8 +89,6 @@ from repro.sim.event_queue import (
     EV_FAN_ARRIVE,
     EV_FAN_RESOLVE,
     EV_FAULT,
-    EV_OP_ARRIVE,
-    EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
     EV_RESUME,
     EV_WAKE,
@@ -111,9 +109,6 @@ from repro.types import (
 
 #: Ω failure-detector oracle: maps virtual time to the current leader pid.
 OmegaFn = Callable[[float], int]
-
-#: number of effect kinds the dispatch table covers (FX_SEND..FX_OP_FANOUT)
-_N_FX = 7
 
 #: ``SimConfig.chain_delivery`` modes: how a BatchOp chain travels
 FUSED = "fused"
@@ -266,8 +261,6 @@ class Kernel:
             self._ev_wake,          # EV_WAKE
             self._ev_deliver,       # EV_DELIVER
             self._ev_recv_timeout,  # EV_RECV_TIMEOUT
-            self._ev_op_arrive,     # EV_OP_ARRIVE
-            self._ev_op_resolve,    # EV_OP_RESOLVE
             self._ev_fault,         # EV_FAULT
             self._ev_fan_arrive,    # EV_FAN_ARRIVE
             self._ev_fan_resolve,   # EV_FAN_RESOLVE
@@ -278,7 +271,6 @@ class Kernel:
             self._fx_sleep,      # FX_SLEEP
             self._fx_gate_wait,  # FX_GATE_WAIT
             self._fx_spawn,      # FX_SPAWN
-            self._fx_op,         # FX_OP
             self._fx_op_fanout,  # FX_OP_FANOUT
         ]
 
@@ -496,10 +488,6 @@ class Kernel:
                     # second entry.
                     if a.pending_token == b and not a.done:
                         resume(a, c)
-                elif kind == EV_OP_ARRIVE:
-                    self._ev_op_arrive(a, b, c)
-                elif kind == EV_OP_RESOLVE:
-                    self._ev_op_resolve(a, b, c)
                 elif kind == EV_FAN_ARRIVE:
                     self._ev_fan_arrive(a, b, c)
                 elif kind == EV_FAN_RESOLVE:
@@ -660,22 +648,6 @@ class Kernel:
     def _ev_fault(self, event, _b, _c) -> None:
         self.failures.execute(event)
 
-    def _memory_apply_leg(self, pid, mid, op):
-        """Shared arrival leg of both memory-op paths: apply *op* at the
-        memory (unless it crashed) and price the response leg.  Returns
-        ``(result, response_delay)``, or ``(None, None)`` when the memory
-        is down and the op must hang."""
-        memory = self.memories[mid]
-        if memory.crashed:
-            if self.obs is not None:
-                self.obs.point("mem_drop", mem=memory_name(mid))
-            return None, None
-        result = memory.apply(pid, op)
-        resp = self._resp_delay
-        if resp is None:
-            resp = self.config.latency.memory_response_delay(pid, mid, self.now, self.rng)
-        return result, resp
-
     def _ev_recv_timeout(self, task, token, _c) -> None:
         # Heap context (ready lane empty): unpark and resume directly.
         if task.pending_token == token:
@@ -684,35 +656,19 @@ class Kernel:
                 task.pending_token = None
                 self._resume(task, None)
 
-    def _ev_op_arrive(self, task, token, mid_op) -> None:
-        mid, op, cursor = mid_op
-        result, resp = self._memory_apply_leg(task.pid, mid, op)
-        if result is None:
-            return  # the op hangs: the parked task is never woken
-        self.queue.push(
-            self.now + resp, EV_OP_RESOLVE, task, token, (mid, result, cursor)
-        )
-
-    def _ev_op_resolve(self, task, token, mid_result) -> None:
-        mid, result, cursor = mid_result
-        if self.obs is not None:
-            self.obs.op_resolved((task.task_id, token), self.now, result.status.value)
-        if cursor is not None:
-            result = cursor.fold(result)
-            if result is None:
-                self._post_next_wr(
-                    task, (task.task_id, token), mid, cursor, EV_OP_ARRIVE, token, ()
-                )
-                return
-        # Fold the wake straight into the resume (like EV_WAKE).
-        if task.pending_token == token and not task.done:
-            self._resume(task, result)
-
     def _ev_fan_arrive(self, task, state, idx_mid_op) -> None:
         index, mid, op, cursor = idx_mid_op
-        result, resp = self._memory_apply_leg(task.pid, mid, op)
-        if result is None:
-            return  # crashed memory: this leg of the fan-out never completes
+        memory = self.memories[mid]
+        if memory.crashed:
+            # A crashed memory swallows the request: this leg never completes.
+            if self.obs is not None:
+                self.obs.point("mem_drop", mem=memory_name(mid))
+            return
+        pid = task.pid
+        result = memory.apply(pid, op)
+        resp = self._resp_delay
+        if resp is None:
+            resp = self.config.latency.memory_response_delay(pid, mid, self.now, self.rng)
         self.queue.push(
             self.now + resp, EV_FAN_RESOLVE, task, state, (index, mid, result, cursor)
         )
@@ -727,10 +683,7 @@ class Kernel:
             result = cursor.fold(result)
             if result is None:
                 # mid-chain: the leg counts once, at its last WR
-                self._post_next_wr(
-                    task, (task.task_id, state.token, index), mid, cursor,
-                    EV_FAN_ARRIVE, state, (index,),
-                )
+                self._post_next_wr(task, state, index, mid, cursor)
                 return
         state.results[index] = result
         state.done += 1
@@ -757,10 +710,9 @@ class Kernel:
                 # waiter died, or is busy) costs no event at all.
                 self.pulse_gate(notify)
 
-    def _post_next_wr(self, task: Task, key, mid, cursor, kind, b, head) -> None:
-        """Segmented delivery: post the chain's next work request now that
-        the previous one completed, as a *kind* arrive entry carrying
-        ``(b, head + (mid, sub_op, cursor))``.  A killed task posts nothing
+    def _post_next_wr(self, task: Task, state, index, mid, cursor) -> None:
+        """Segmented delivery: post leg *index*'s next work request now
+        that the previous one completed.  A killed task posts nothing
         more — its process crashed mid-chain."""
         if task.done:
             return
@@ -773,14 +725,15 @@ class Kernel:
             # moved on, so that context rides the state).
             obs.enter_task(task)
             held = task.ctx
-            if kind == EV_FAN_ARRIVE:
-                task.ctx = b.ctx
+            task.ctx = state.ctx
         req = self._op_request_leg(task, mid, sub)
         if obs is not None:
-            obs.op_started(task, key, mid, sub, self.now)
+            obs.op_started(task, (task.task_id, state.token, index), mid, sub, self.now)
             task.ctx = held
             obs.exit_task(task, self.now)
-        self.queue.push(self.now + req, kind, task, b, head + (mid, sub, cursor))
+        self.queue.push(
+            self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, sub, cursor)
+        )
 
     # ------------------------------------------------------------------
     # task stepping
@@ -797,6 +750,7 @@ class Kernel:
             obs.enter_task(task)
         gen_send = task.gen.send
         handlers = self._fx_handlers
+        n_fx = len(handlers)
         max_steps = self._max_inline_steps
         steps = 0
         while True:
@@ -818,7 +772,7 @@ class Kernel:
                 kind = effect.kind
             except AttributeError:
                 kind = None
-            if kind.__class__ is not int or not 0 <= kind < _N_FX:
+            if kind.__class__ is not int or not 0 <= kind < n_fx:
                 raise SimulationError(
                     f"task {task.label} yielded non-effect {effect!r}"
                 )
@@ -931,8 +885,8 @@ class Kernel:
                 self._resume(task, env)
 
     def _op_request_leg(self, task: Task, mid, op) -> float:
-        """Shared request leg of both memory-op paths: validate the target
-        and count the op.  Returns the request delay."""
+        """Request leg of one fan-out leg or work request: validate the
+        target and count the op.  Returns the request delay."""
         if mid >= len(self.memories):
             raise SimulationError(f"no such memory mu{int(mid) + 1}")
         req = self._req_delay
@@ -1000,23 +954,6 @@ class Kernel:
         return self.spawn(
             task.pid, effect.name, effect.gen, daemon=effect.daemon, ctx=task.ctx
         )
-
-    def _fx_op(self, task: Task, effect):
-        """Post one op or chain to one memory and park for its completion
-        (see :class:`OpEffect`)."""
-        mid = effect.mid
-        op = effect.op
-        cursor = None
-        if op.kind == OP_BATCH and self.config.chain_delivery != FUSED:
-            # Segmented delivery: walk the chain one WR per round trip.
-            cursor = _ChainCursor(op.ops)
-            op = op.ops[0]
-        req = self._op_request_leg(task, mid, op)
-        token = task.new_token()
-        if self.obs is not None:
-            self.obs.op_started(task, (task.task_id, token), mid, op, self.now)
-        self.queue.push(self.now + req, EV_OP_ARRIVE, task, token, (mid, op, cursor))
-        return _PARKED
 
     def _fx_op_fanout(self, task: Task, effect):
         """Post one op (or chain) per target memory with single-completion

@@ -36,8 +36,6 @@ from repro.sim.event_queue import (
     EV_FAN_ARRIVE,
     EV_FAN_RESOLVE,
     EV_FAULT,
-    EV_OP_ARRIVE,
-    EV_OP_RESOLVE,
     EV_RECV_TIMEOUT,
     EV_RESUME,
     EV_WAKE,
@@ -50,8 +48,6 @@ EV_NAMES = (
     "wake",
     "deliver",
     "recv_timeout",
-    "op_arrive",
-    "op_resolve",
     "fault",
     "fan_arrive",
     "fan_resolve",
@@ -95,13 +91,12 @@ class FrontierEntry:
 def _target_of(kind: int, a: Any, b: Any, c: Any) -> str:
     """Best-effort operand summary; never raises on foreign payloads."""
     try:
-        if kind in (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_OP_RESOLVE,
-                    EV_FAN_RESOLVE):
+        if kind in (EV_RESUME, EV_WAKE, EV_RECV_TIMEOUT, EV_FAN_RESOLVE):
             return getattr(a, "label", None) or repr(a)
         if kind == EV_DELIVER:
             return f"p{int(a.dst) + 1}:{a.topic}"
-        if kind in (EV_OP_ARRIVE, EV_FAN_ARRIVE):
-            mid, op = c[-3:-1]
+        if kind == EV_FAN_ARRIVE:
+            _index, mid, op, _cursor = c
             return f"{a.label}->mu{int(mid) + 1}:{type(op).__name__}"
         if kind == EV_FAULT:
             return repr(a)

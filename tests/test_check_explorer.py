@@ -21,7 +21,6 @@ from repro.sim.event_queue import (
     EV_CALL,
     EV_DELIVER,
     EV_FAN_ARRIVE,
-    EV_OP_ARRIVE,
     EV_RESUME,
 )
 from repro.sim.faults import CrashProcess
@@ -71,18 +70,20 @@ class TestDeps:
 
     def test_memory_ops_key_on_memory_and_region(self):
         a = footprint(_fe(EV_FAN_ARRIVE, _Task(0), None, (2, 0, _Op("r1"), None)))
-        same = footprint(_fe(EV_OP_ARRIVE, _Task(1), None, (0, _Op("r1"), None)))
+        same = footprint(_fe(EV_FAN_ARRIVE, _Task(1), None, (0, 0, _Op("r1"), None)))
         other_region = footprint(
             _fe(EV_FAN_ARRIVE, _Task(0), None, (0, 0, _Op("r2"), None))
         )
-        other_memory = footprint(_fe(EV_OP_ARRIVE, _Task(0), None, (1, _Op("r1"), None)))
+        other_memory = footprint(
+            _fe(EV_FAN_ARRIVE, _Task(0), None, (0, 1, _Op("r1"), None))
+        )
         assert dependent(a, same)
         assert independent(a, other_region)
         assert independent(a, other_memory)
 
     def test_calls_faults_and_malformed_payloads_are_global(self):
         assert footprint(_fe(EV_CALL, lambda: None)) is GLOBAL
-        assert footprint(_fe(EV_OP_ARRIVE, None, None)) is GLOBAL
+        assert footprint(_fe(EV_FAN_ARRIVE, None, None)) is GLOBAL
         assert dependent(GLOBAL, footprint(_fe(EV_RESUME, _Task(0))))
 
 

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.mem.operations import BatchOp, ReadOp
 from repro.obs.runtime import attach
+from repro.sim import effects, event_queue
 from repro.sim.kernel import Kernel, SimConfig
+from repro.sim.schedule import EV_NAMES
 from repro.types import MemoryId, ProcessId
 
 from tests.conftest import env_of, make_kernel, run_single
@@ -24,6 +26,37 @@ class TestConfigValidation:
         # The pure message-passing special case of Section 3.
         kernel = Kernel(SimConfig(n_processes=2, n_memories=0))
         assert kernel.memories == []
+
+
+def _kinds(module, prefix):
+    """``{value: name}`` of a module's ``EV_*`` / ``FX_*`` constants."""
+    return {
+        value: name
+        for name, value in vars(module).items()
+        if name.startswith(prefix) and isinstance(value, int)
+    }
+
+
+class TestDispatchTables:
+    """The kind constants, the name table and both handler tables agree:
+    each table is a flat list indexed by kind, so a renumbering that
+    misses one of them dispatches to the wrong handler."""
+
+    def test_event_kinds_match_names_and_handlers(self):
+        handlers = Kernel(SimConfig(n_processes=1))._ev_handlers
+        kinds = _kinds(event_queue, "EV_")
+        assert sorted(kinds) == list(range(len(handlers)))
+        assert len(EV_NAMES) == len(handlers)
+        for kind, name in kinds.items():
+            assert EV_NAMES[kind] == name[len("EV_"):].lower()
+            assert handlers[kind].__name__ == "_ev_" + EV_NAMES[kind]
+
+    def test_effect_kinds_match_handlers(self):
+        handlers = Kernel(SimConfig(n_processes=1))._fx_handlers
+        kinds = _kinds(effects, "FX_")
+        assert sorted(kinds) == list(range(len(handlers)))
+        for kind, name in kinds.items():
+            assert handlers[kind].__name__ == "_fx_" + name[len("FX_"):].lower()
 
 
 class TestInvalidOperations:
@@ -182,9 +215,12 @@ class TestMetricsPlumbing:
             yield from env.write(0, "r", ("x", "k"), 1)
 
         run_single(kernel, 0, gen())
-        # spawn..task_done, send..deliver, invoke..op_result: one span each
+        # spawn..task_done, send..deliver, invoke..op_result: one span each;
+        # a single-memory write is a one-target fan-out, so its completion
+        # also records the fan-out's verdict point
         assert [(s.kind, s.name, s.start, s.end) for s in runtime.spans] == [
             ("msg", "msg:t", 0.0, 1.0),
             ("memop", "WriteOp", 0.0, 2.0),
+            ("point", "fanout.verdict", 2.0, 2.0),
             ("task", "test-task", 0.0, 2.0),
         ]
