@@ -4,7 +4,7 @@
 module                            algorithm
 ================================  =========================================
 ``paxos``                         classic message-passing Paxos (baseline)
-``fast_paxos``                    Fast Paxos fast-round baseline
+``fast_paxos``                    Fast Paxos: ``PaxosNode`` + fast round
 ``disk_paxos``                    Disk Paxos (Gafni & Lamport) baseline
 ``protected_memory_paxos``        Algorithm 7 (crash, 2-deciding, n >= f+1)
 ``aligned_paxos``                 Algorithms 9-15 (combined-majority crash)

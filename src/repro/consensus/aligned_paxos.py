@@ -34,19 +34,19 @@ combined majority; a crashed memory's leg never fires and never wakes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import ConsensusProtocol, DirectTransport, wait_until
 from repro.consensus.messages import Accept, Decision, Prepare
 from repro.consensus.paxos import PaxosConfig, PaxosNode
-from repro.consensus.probes import probe_write_grant
-from repro.consensus.protected_memory_paxos import PmpSlot
+from repro.consensus.protected_memory_paxos import PmpSlot, fold_takeover_views
 from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
-from repro.types import BOTTOM, is_bottom
+from repro.types import BOTTOM
 
 REGION = "ap"
 TOPIC = "aligned"
@@ -114,16 +114,6 @@ class AlignedNode:
 
     def pump(self) -> Generator:
         yield from self.node.pump()
-
-    def grant_probe(self, timeout: Optional[float] = None) -> Generator:
-        """One-sided fence check against the memory-agent half: True iff
-        this process's exclusive write grant is still installed at a
-        majority of memories.  Meaningful only for the ``protected``
-        variant — the disk variant has no permissions to probe, so the
-        check degenerates to True whenever a majority responds (callers
-        must not treat that as a fence)."""
-        held = yield from probe_write_grant(self.env, REGION, timeout=timeout)
-        return held
 
     def proposer(self) -> Generator:
         env = self.env
@@ -214,22 +204,17 @@ class AlignedNode:
         results = [leg.results[0] for leg in legs if leg.fired]
         if any(not r.ok for r in results):
             return _RESTART
-
-        best: Optional[Tuple[Ballot, Any]] = None
-        for result in results:
-            for key, slot in result.value[-1].items():
-                if key == probe_key or not isinstance(slot, PmpSlot):
-                    continue
-                node.highest_seen = max(node.highest_seen, slot.min_prop)
-                if slot.min_prop > ballot:
-                    return _RESTART
-                if slot.acc_prop is not None and not is_bottom(slot.value):
-                    if best is None or slot.acc_prop > best[0]:
-                        best = (slot.acc_prop, slot.value)
-        for promise in node.promises.get(ballot, {}).values():
-            if promise.accepted_ballot is not None:
-                if best is None or promise.accepted_ballot > best[0]:
-                    best = (promise.accepted_ballot, promise.accepted_value)
+        views = [r.value[-1] for r in results]
+        highest, best_per_writer = fold_takeover_views(views, probe_key, ballot)
+        if highest > ballot:
+            node.highest_seen = max(node.highest_seen, highest)
+            return _RESTART
+        pairs = list(best_per_writer.values()) + [
+            (promise.accepted_ballot, promise.accepted_value)
+            for promise in node.promises.get(ballot, {}).values()
+            if promise.accepted_ballot is not None
+        ]
+        best = max(pairs, key=itemgetter(0), default=None)
         return self.value if best is None else best[1]
 
     # ------------------------------------------------------------------

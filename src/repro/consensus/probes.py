@@ -67,7 +67,17 @@ def probe_write_grant(
     env: ProcessEnv, region: RegionId, timeout: Optional[float] = None
 ) -> Generator:
     """True iff this process holds the exclusive write grant on *region*
-    at a majority of memories right now (the one-sided fence check)."""
+    at a majority of memories right now (the one-sided fence check).
+
+    This is what makes permission-fenced local reads sound (Lemma D.3
+    re-used for reads): an ACK majority at probe time ``t`` proves no
+    competing leader can have committed a value before ``t`` that this
+    process has not adopted — any such commit would have required taking
+    the grant at an intersecting memory, and grants return only through
+    this process's own prepare.  Meaningful only for an exclusive-writer
+    region: on an open one (Aligned Paxos's disk variant) the check is
+    True whenever a majority responds, and is no fence.
+    """
     op = ProbeOp(region, "write")
     state, majority = yield from _verdict_fanout(env, op, timeout)
     return state.acked >= majority

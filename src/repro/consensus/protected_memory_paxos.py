@@ -14,22 +14,26 @@ skip the preparation phase on its first attempt (Theorem D.5's
 delays.  Every later attempt — by p1 or anybody else — runs the full
 prepare phase: grab permission, publish the proposal number, read all
 slots (one snapshot per memory).
+
+That prepare is :func:`takeover` and its fold :func:`fold_takeover_views`.
+The replicated log runs both (one prepare covers every slot); Aligned
+Paxos posts its memory agents' prepares itself and runs the same fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.messages import Decision
 from repro.consensus.base import ConsensusProtocol
-from repro.consensus.probes import probe_write_grant
 from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
-from repro.types import BOTTOM, ProcessId, is_bottom
+from repro.types import BOTTOM, RegionId, is_bottom
 
 REGION = "pmp"
 TOPIC = "pmp"
@@ -46,6 +50,66 @@ class PmpSlot:
     min_prop: Ballot
     acc_prop: Optional[Ballot]
     value: Any
+
+
+def takeover(
+    env: ProcessEnv, region: RegionId, probe_key: tuple, ballot: Ballot, majority: int
+) -> Generator:
+    """Algorithm 7's memory-side prepare: grab the exclusive write
+    permission on *region*, publish *ballot* at *probe_key* and snapshot
+    the whole region — ONE chain per memory, posted to every memory at
+    once and settled at *majority* completions.
+
+    The grab policy ACKs any legitimate self-grab (including a no-op
+    re-grab), so a chain aborts exactly where a refused probe write would
+    have: a tombstoned region NAKs at WR 0.  Returns the region view of
+    each memory that completed, or ``None`` when any of their chains
+    aborted (somebody else holds the grant).
+    """
+    grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
+    probe = PmpSlot(min_prop=ballot, acc_prop=None, value=BOTTOM)
+    chain = BatchOp((
+        ChangePermissionOp(region, grab),
+        WriteOp(region, probe_key, probe),
+        SnapshotOp(region, (region,)),
+    ))
+    state = yield env.fanout_to_all(chain, need=majority)
+    results = [r for r in state.results if r is not None]
+    if not all(r.ok for r in results):
+        return None
+    return [r.value[2] for r in results]
+
+
+def fold_takeover_views(views, probe_key: tuple, ballot: Ballot):
+    """Fold a takeover's region views: ``(highest min_prop, key[1] ->
+    (ballot, value) of the highest accepted proposal)``.
+
+    ``key[1]`` is the writer in single-shot PMP and Aligned Paxos
+    (``(region, pid)`` registers) and the slot in the replicated log
+    (``(region, slot, pid)``).  The caller's own probe register and
+    ballot-only probes (``acc_prop is None``) carry no value.
+
+    The ballot is folded over the WHOLE snapshot before the caller decides
+    "outbid": every register carries its own ballot, so stopping at the
+    first one that outbids *ballot* would teach the caller one register's
+    worth of ballot per failed prepare — O(L) prepares for a recovering
+    log leader.  Both folds are strict maxima over ballots, and one
+    accepted ballot carries one value per ``key[1]``, so no order of the
+    views, or of the keys inside them, can change the result.
+    """
+    highest = ballot
+    best: Dict[Any, Tuple[Ballot, Any]] = {}
+    for view in views:
+        for key, other in view.items():
+            if key == probe_key or not isinstance(other, PmpSlot):
+                continue
+            if other.min_prop > highest:
+                highest = other.min_prop
+            if other.acc_prop is not None and not is_bottom(other.value):
+                current = best.get(key[1])
+                if current is None or other.acc_prop > current[0]:
+                    best[key[1]] = (other.acc_prop, other.value)
+    return highest, best
 
 
 @dataclass
@@ -109,20 +173,6 @@ class PmpNode:
             self.decided_value = value
             self.env.decide(value)
 
-    def grant_probe(self, timeout: Optional[float] = None) -> Generator:
-        """One-sided fence check: is this process's exclusive write grant
-        still installed at a majority of memories?
-
-        This is what makes permission-fenced local reads sound (Lemma
-        D.3 re-used for reads): an ACK majority at probe time ``t``
-        proves no competing leader can have committed a value before
-        ``t`` that this process has not adopted — any such commit would
-        have required taking the grant at an intersecting memory, and
-        grants return only through this process's own prepare.
-        """
-        held = yield from probe_write_grant(self.env, REGION, timeout=timeout)
-        return held
-
     # ------------------------------------------------------------------
     def proposer(self) -> Generator:
         env = self.env
@@ -173,7 +223,8 @@ class PmpNode:
         yield from env.broadcast(Decision(value=my_value), topic=TOPIC, include_self=False)
 
     def _prepare_phase(self, prop_nr: Ballot, majority: int) -> Generator:
-        """Grab permissions, publish prop_nr, read every slot.
+        """Grab permissions, publish prop_nr, read every slot
+        (:func:`takeover`).
 
         Returns the value to propose, or None to restart.
 
@@ -185,44 +236,25 @@ class PmpNode:
         keeps its own slot adoptable.
         """
         env = self.env
-        grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
-        probe_slot = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         if self.recovering:
             probe_key = (REGION, "boot", int(env.pid))
         else:
             probe_key = (REGION, int(env.pid))
 
-        # The takeover is ONE chain per memory: grab + probe + snapshot.
-        # The grab policy ACKs any legitimate self-grab, so the chain
-        # aborts exactly where a refused probe write would have.
-        chain = BatchOp((
-            ChangePermissionOp(REGION, grab),
-            WriteOp(REGION, probe_key, probe_slot),
-            SnapshotOp(REGION, (REGION,)),
-        ))
-
         obs = env.obs
         phase = obs and obs.phase("pmp.prepare", ballot=str(prop_nr))
         try:
-            state = yield env.fanout_to_all(chain, need=majority)
+            views = yield from takeover(env, REGION, probe_key, prop_nr, majority)
         finally:
             if phase:
                 phase.finish()
-        # Each memory's slot view, or None where its chain aborted.
-        views = [r.value[2] if r.ok else None for r in state.results if r is not None]
-        if any(view is None for view in views):
+        if views is None:
             return None
-        best: Optional[Tuple[Ballot, Any]] = None
-        for view in views:
-            for key, slot in view.items():
-                if not isinstance(slot, PmpSlot) or key == probe_key:
-                    continue
-                self.highest_seen = max(self.highest_seen, slot.min_prop)
-                if slot.min_prop > prop_nr:
-                    return None
-                if slot.acc_prop is not None and not is_bottom(slot.value):
-                    if best is None or slot.acc_prop > best[0]:
-                        best = (slot.acc_prop, slot.value)
+        highest, best_per_writer = fold_takeover_views(views, probe_key, prop_nr)
+        if highest > prop_nr:
+            self.highest_seen = max(self.highest_seen, highest)
+            return None
+        best = max(best_per_writer.values(), key=itemgetter(0), default=None)
         return self.value if best is None else best[1]
 
 

@@ -27,11 +27,9 @@ Two ordering rules the views keep:
 
 * a :class:`SnapshotOp` view (and ``ReadSnapshotOp(floor=None)``)
   iterates in **write order** — first write of each key, overwrites keep
-  their place.  The single-shot takeover reads (Protected Memory Paxos,
-  Aligned Paxos) fold ``highest_seen`` over the view and may return
-  early, so iteration order can reach the next ballot; their views hold
-  at most n registers.  The replicated log's takeover folds the whole
-  view before deciding and depends on no order;
+  their place.  The takeover reads (Protected Memory Paxos, Aligned
+  Paxos, the replicated log) share one fold, which reads the whole view
+  before deciding and depends on no order;
 * a floor-filtered view served from the index iterates named registers
   first, then slots ascending.  Its consumers (the quorum read's merges)
   are strict-max folds over ballots that embed the writer pid, so no

@@ -14,7 +14,7 @@ instantaneous in the model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.types import OpResult
 
@@ -74,11 +74,9 @@ class FanoutState:
 class Gate:
     """A level-triggered latch connecting tasks of the same process.
 
-    Waiters come in two shapes: plain callables (the public
-    :meth:`add_waiter` API) and ``(task, token)`` pairs parked by the
-    kernel's ``gate_wait`` handler via :meth:`park` — the latter avoids a
-    closure per wait on the hot path.  ``Kernel.signal_gate`` understands
-    both when draining :meth:`set`.
+    Its waiters are ``(task, token)`` pairs parked by the kernel's
+    ``gate_wait`` handler via :meth:`park`, which ``Kernel.signal_gate``
+    wakes when it drains :meth:`set`.
     """
 
     __slots__ = ("name", "is_set", "_waiters")
@@ -86,10 +84,10 @@ class Gate:
     def __init__(self, name: str = "gate") -> None:
         self.name = name
         self.is_set = False
-        self._waiters: List[Any] = []
+        self._waiters: List[Tuple[Any, int]] = []
 
-    def set(self) -> List[Any]:
-        """Open the gate; return waiters (callables or kernel parks) to wake."""
+    def set(self) -> List[Tuple[Any, int]]:
+        """Open the gate; return the parked ``(task, token)`` pairs to wake."""
         self.is_set = True
         if not self._waiters:
             return _NO_WAITERS
@@ -97,22 +95,12 @@ class Gate:
         return waiters
 
     def park(self, task: Any, token: int) -> None:
-        """Kernel fast path: park ``(task, token)`` without a closure."""
+        """Park ``(task, token)`` until the next :meth:`set`."""
         self._waiters.append((task, token))
 
     def clear(self) -> None:
         """Close the gate; future waiters block until the next :meth:`set`."""
         self.is_set = False
-
-    def add_waiter(self, notify: Callable[[], None]) -> None:
-        if self.is_set:
-            notify()
-        else:
-            self._waiters.append(notify)
-
-    def remove_waiter(self, notify: Callable[[], None]) -> None:
-        if notify in self._waiters:
-            self._waiters.remove(notify)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gate {self.name} {'set' if self.is_set else 'clear'}>"
@@ -120,4 +108,4 @@ class Gate:
 
 #: shared empty list returned by ``Gate.set`` when nobody waits (the common
 #: case for repeated signals); callers only iterate it, never mutate it
-_NO_WAITERS: List[Any] = []
+_NO_WAITERS: List[Tuple[Any, int]] = []

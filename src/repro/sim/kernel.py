@@ -797,16 +797,13 @@ class Kernel:
         self.queue.push_ready(EV_RESUME, task, value)
 
     def signal_gate(self, gate) -> None:
-        """Open *gate*, waking its waiters at the current instant (each
-        kernel-parked one through the ready lane, see ``_wake``)."""
+        """Open *gate*, waking its parked waiters at the current instant
+        (each through the ready lane, see ``_wake``)."""
         waiters = gate.set()
         if waiters:
             wake = self._wake
-            for waiter in waiters:
-                if waiter.__class__ is tuple:  # kernel-parked (task, token)
-                    wake(waiter[0], waiter[1], True)
-                else:
-                    waiter()
+            for task, token in waiters:
+                wake(task, token, True)
 
     def pulse_gate(self, gate) -> None:
         """Wake *gate*'s current waiters and leave it closed (an edge,

@@ -26,14 +26,12 @@ from repro.consensus.probes import (
     read_quorum_watermarks,
     watermark_key,
 )
-from repro.consensus.protected_memory_paxos import PmpSlot
-from repro.mem.operations import (
-    BatchOp,
-    ChangePermissionOp,
-    ReadSnapshotOp,
-    SnapshotOp,
-    WriteOp,
+from repro.consensus.protected_memory_paxos import (
+    PmpSlot,
+    fold_takeover_views,
+    takeover,
 )
+from repro.mem.operations import BatchOp, ReadSnapshotOp, WriteOp
 from repro.mem.permissions import (
     Permission,
     exclusive_grab_policy,
@@ -41,7 +39,7 @@ from repro.mem.permissions import (
 )
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
-from repro.types import BOTTOM, is_bottom
+from repro.types import is_bottom
 
 SMR_REGION = "smr"
 SMR_TOPIC = "smr"
@@ -87,32 +85,6 @@ def smr_rx_regions(n_processes: int, region: str = SMR_REGION) -> List[RegionSpe
             legal_change=static_permissions,
         )
     ]
-
-
-def _fold_takeover_views(views, probe_key: tuple, prop_nr: Ballot):
-    """Fold a takeover's region views: ``(highest min_prop, slot -> (ballot,
-    value) of the highest accepted proposal)``.
-
-    The ballot is folded over the WHOLE snapshot before the caller decides
-    "outbid": every committed slot carries its own ballot, so stopping at
-    the first register that outbids the probe would teach a recovering
-    leader one slot's worth of ballot per failed prepare — O(L) prepares.
-    Both folds are strict maxima, so no view iteration order can change
-    the result.
-    """
-    highest = prop_nr
-    best_per_slot: Dict[int, tuple] = {}
-    for view in views:
-        for key, other in view.items():
-            if key == probe_key or not isinstance(other, PmpSlot):
-                continue
-            if other.min_prop > highest:
-                highest = other.min_prop
-            if other.acc_prop is not None and not is_bottom(other.value):
-                current = best_per_slot.get(key[1])
-                if current is None or other.acc_prop > current[0]:
-                    best_per_slot[key[1]] = (other.acc_prop, other.value)
-    return highest, best_per_slot
 
 
 class Batch:
@@ -326,7 +298,7 @@ class ReplicatedLog:
 
     def fence_probe(self, timeout: Optional[float] = None) -> Generator:
         """True iff this process's exclusive write grant on the log region
-        is live at a majority of memories (see ``PmpNode.grant_probe``)."""
+        is live at a majority of memories (see :func:`probe_write_grant`)."""
         held = yield from probe_write_grant(self.env, self.region, timeout=timeout)
         return held
 
@@ -412,28 +384,9 @@ class ReplicatedLog:
         views = state.acked_values()
         if len(views) < majority:
             return None
-        best: Dict[int, tuple] = {}
-        for view in views:
-            for key, entry in view.items():
-                if not isinstance(entry, PmpSlot) or entry.acc_prop is None:
-                    continue  # ballot-publishing probes carry no value
-                if is_bottom(entry.value):
-                    continue
-                slot = key[1]
-                if not isinstance(slot, int) or not floor <= slot <= watermark:
-                    continue
-                current = best.get(slot)
-                if current is None or entry.acc_prop > current[0]:
-                    best[slot] = (entry.acc_prop, entry.value)
-        for slot in range(floor, watermark + 1):
-            if slot not in best and slot > self.applied_upto:
-                # a hole in the committed prefix (wiped memory mid-run):
-                # not one-sided-servable; the consensus path still is
-                return None
-        for slot in range(floor, watermark + 1):
-            if slot > self.applied_upto:  # the listener may have raced ahead
-                self._commit(slot, best[slot][1])
-        return self.applied_upto
+        # every view was fetched after the watermark was observed, so
+        # each one covers all of it
+        return self._ingest(((watermark, view) for view in views), floor, watermark)
 
     def _quorum_read_fused(self, majority: int, timeout: Optional[float]) -> Generator:
         """The 1-round doorbell-batched quorum read.
@@ -480,22 +433,37 @@ class ReplicatedLog:
             return self.applied_upto
         if not confirmed:
             return None
+        # each cut covers what its own memory's watermark covers
+        cuts = (
+            (max((v for v in wm.values() if isinstance(v, int)), default=-1), entries)
+            for wm, entries in pairs
+        )
+        return self._ingest(cuts, floor, watermark)
+
+    def _ingest(self, cuts, floor: int, watermark: int) -> Optional[int]:
+        """Commit slots ``floor..watermark`` from quorum-read *cuts* and
+        return the applied watermark, or ``None`` on a hole.
+
+        A cut is ``(covers, entry_view)``: slot ``s`` is adopted from
+        *entry_view* only when ``s <= covers`` — a cut that predates slot
+        ``s``'s commit chain must not supply a fenced-out proposer's
+        residue for it.  Per slot the highest-ballot copy wins (the
+        committed value: later ballots re-propose it).  A slot no cut
+        supplies is a hole in the committed prefix (wiped memory, or every
+        cut predating its chain): not one-sided-servable, the consensus
+        path still is.
+        """
         best: Dict[int, tuple] = {}
-        for wm_view, entry_view in pairs:
-            own = -1
-            for value in wm_view.values():
-                if isinstance(value, int) and value > own:
-                    own = value
+        for covers, entry_view in cuts:
+            top = min(watermark, covers)
             for key, entry in entry_view.items():
                 if not isinstance(entry, PmpSlot) or entry.acc_prop is None:
                     continue  # ballot-publishing probes carry no value
                 if is_bottom(entry.value):
                     continue
                 slot = key[1]
-                if not isinstance(slot, int) or not floor <= slot <= watermark:
+                if not isinstance(slot, int) or not floor <= slot <= top:
                     continue
-                if slot > own:
-                    continue  # this cut predates slot's commit chain
                 current = best.get(slot)
                 if current is None or entry.acc_prop > current[0]:
                     best[slot] = (entry.acc_prop, entry.value)
@@ -837,35 +805,21 @@ class ReplicatedLog:
         return True
 
     def _prepare(self, slot: int, prop_nr: Ballot, majority: int, command: Any) -> Generator:
+        """The takeover prepare (:func:`takeover`), probed at *slot*'s own
+        key; its snapshot covers the whole region — every slot any previous
+        leader may have written, not just the one being proposed."""
         env = self.env
-        grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
-        probe = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         probe_key = self._slot_key(slot, int(env.pid))
-
-        # The takeover is ONE chain per memory: grab + ballot-publishing
-        # probe + whole-region snapshot (every slot any previous leader
-        # may have written, not just the one being proposed).  The grab
-        # policy ACKs any legitimate self-grab (including a no-op
-        # re-grab), so the chain aborts exactly where a refused probe
-        # write would have: a tombstoned region NAKs at WR 0.
-        chain = BatchOp((
-            ChangePermissionOp(self.region, grab),
-            WriteOp(self.region, probe_key, probe),
-            SnapshotOp(self.region, (self.region,)),
-        ))
-
         obs = env.obs
         phase = obs and obs.phase("log.prepare", slot=slot)
         try:
-            state = yield env.fanout_to_all(chain, need=majority)
+            views = yield from takeover(env, self.region, probe_key, prop_nr, majority)
         finally:
             if phase:
                 phase.finish()
-        # Each memory's region view, or None where its chain aborted.
-        views = [r.value[2] if r.ok else None for r in state.results if r is not None]
-        if any(view is None for view in views):
+        if views is None:
             return None
-        highest, best_per_slot = _fold_takeover_views(views, probe_key, prop_nr)
+        highest, best_per_slot = fold_takeover_views(views, probe_key, prop_nr)
         if highest > prop_nr:
             self.highest_seen = max(self.highest_seen, highest)
             return None

@@ -3,8 +3,12 @@
 import pytest
 
 from repro import AlignedConfig, AlignedPaxos, FaultScript, JitteredSynchrony, run_consensus
+from repro.consensus.aligned_paxos import _RESTART, AlignedNode, aligned_regions
+from repro.consensus.ballots import Ballot
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
+
+from tests.conftest import env_of, make_kernel
 
 
 def _run_with_crashes(proc_crashes, mem_crashes, n=3, m=3, variant="protected",
@@ -99,3 +103,21 @@ class TestSafety:
         )
         assert result.agreed
         assert result.decided_values == {"FIRST"}
+
+
+class TestMemoryAgentPrepare:
+    def test_outbid_phase1_learns_the_highest_ballot(self):
+        kernel = make_kernel(3, 3, regions=aligned_regions(3))
+        p1, p2, p3 = (AlignedNode(env_of(kernel, pid), f"v{pid}") for pid in range(3))
+
+        def phase1(pid, node, ballot):
+            # memory agents only (no pumps run): a majority of the three legs
+            task = kernel.spawn(pid, "phase1", node._phase1(ballot, 3))
+            kernel.run(until=kernel.now + 50.0)
+            return task.result
+
+        # p2's probe is written first at every memory, p3's higher one after
+        assert phase1(1, p2, Ballot(3, 1)) == "v1"
+        assert phase1(2, p3, Ballot(5, 2)) == "v2"
+        assert phase1(0, p1, Ballot(1, 0)) is _RESTART
+        assert p1.node.highest_seen == Ballot(5, 2)

@@ -5,6 +5,7 @@ import pytest
 from repro import FastPaxos, FastPaxosConfig, FaultScript, JitteredSynchrony, run_consensus
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.consensus.omega import crash_aware_omega
+from repro.obs.runtime import attach
 
 
 class TestFastPath:
@@ -49,6 +50,21 @@ class TestRecovery:
         cluster.kernel.omega = crash_aware_omega(cluster.kernel)
         result = cluster.run(list("abcde"))
         assert result.all_decided and result.agreed
+
+    def test_recovery_opens_the_classic_phase_spans(self):
+        # recovery is PaxosNode's proposer, so it is traced like one
+        cluster = Cluster(
+            FastPaxos(),
+            ClusterConfig(n_processes=3, n_memories=0, deadline=3000),
+            FaultScript().at(0.5).crash_process(2),
+        )
+        runtime = attach(cluster.kernel, profile=False)
+        result = cluster.run(["a", "b", "c"])
+        assert result.decided_values == {"a"}
+        assert result.earliest_decision_delay == 14.0
+        names = [span.name for span in runtime.spans]
+        assert names.count("paxos.prepare") >= 1
+        assert names.count("paxos.accept") >= 1
 
     def test_forced_value_rule(self):
         """If a value may have been fast-decided (all acceptors accepted it),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import DirectTransport
-from repro.consensus.fast_paxos import FastPaxosConfig, FastPaxosNode
+from repro.consensus.fast_paxos import FAST_BALLOT, FastPaxosConfig, FastPaxosNode
 from repro.consensus.messages import FastAccepted, FastPropose, Prepare, Promise
 from repro.consensus.paxos import PaxosConfig
 from repro.types import ProcessId
@@ -29,20 +29,21 @@ class TestFastRound:
     def test_first_fast_propose_accepted(self, kernel):
         node = _node(kernel)
         _drive(kernel, node._on_fast_propose(FastPropose("a")))
-        assert node.state.has_fast_accepted
-        assert node.state.fast_accepted == "a"
+        assert node.fast_accepted
+        assert node.acceptor.accepted_value == "a"
+        assert node.acceptor.accepted_ballot == FAST_BALLOT
 
     def test_second_fast_propose_ignored(self, kernel):
         node = _node(kernel)
         _drive(kernel, node._on_fast_propose(FastPropose("a")))
         _drive(kernel, node._on_fast_propose(FastPropose("b")))
-        assert node.state.fast_accepted == "a"
+        assert node.acceptor.accepted_value == "a"
 
     def test_fast_accept_blocked_after_classic_promise(self, kernel):
         node = _node(kernel)
         _drive(kernel, node._on_prepare(ProcessId(1), Prepare(B1)))
         _drive(kernel, node._on_fast_propose(FastPropose("late")))
-        assert not node.state.has_fast_accepted
+        assert not node.fast_accepted
 
     def test_fast_quorum_is_all_n(self, kernel):
         node = _node(kernel)
@@ -63,12 +64,11 @@ class TestFastRound:
 class TestRecoveryValueRule:
     def test_unanimous_reports_force_the_value(self, kernel):
         node = _node(kernel, value="own")
-        fast_ballot = Ballot(0, 0)
         node.promises[B1] = {
-            ProcessId(1): Promise(B1, fast_ballot, "fast-v"),
-            ProcessId(2): Promise(B1, fast_ballot, "fast-v"),
+            ProcessId(1): Promise(B1, FAST_BALLOT, "fast-v"),
+            ProcessId(2): Promise(B1, FAST_BALLOT, "fast-v"),
         }
-        assert node._recovery_value(B1) == "fast-v"
+        assert node._choose_value(B1) == "fast-v"
 
     def test_empty_reports_free_choice(self, kernel):
         node = _node(kernel, value="own")
@@ -76,7 +76,7 @@ class TestRecoveryValueRule:
             ProcessId(1): Promise(B1, None, None),
             ProcessId(2): Promise(B1, None, None),
         }
-        assert node._recovery_value(B1) == "own"
+        assert node._choose_value(B1) == "own"
 
     def test_highest_ballot_wins_in_recovery(self, kernel):
         node = _node(kernel, value="own")
@@ -84,7 +84,7 @@ class TestRecoveryValueRule:
             ProcessId(1): Promise(B1, Ballot(0, 0), "fast"),
             ProcessId(2): Promise(B1, Ballot(0, 5), "later-classic"),
         }
-        assert node._recovery_value(B1) == "later-classic"
+        assert node._choose_value(B1) == "later-classic"
 
 
 class TestConfigs:

@@ -1,6 +1,8 @@
 """Protected Memory Paxos (Algorithm 7, Theorem 5.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FaultScript,
@@ -10,10 +12,19 @@ from repro import (
     ProtectedMemoryPaxos,
     run_consensus,
 )
+from repro.consensus.ballots import Ballot
 from repro.consensus.omega import crash_aware_omega, leader_schedule
+from repro.consensus.protected_memory_paxos import (
+    PmpNode,
+    PmpSlot,
+    fold_takeover_views,
+    pmp_regions,
+)
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.obs.runtime import attach
-from repro.types import MemoryId
+from repro.types import BOTTOM, MemoryId
+
+from tests.conftest import env_of, make_kernel
 
 
 class TestTwoDeciding:
@@ -168,3 +179,56 @@ class TestAsynchrony:
             deadline=20_000,
         )
         assert result.all_decided and result.agreed
+
+
+def _run(kernel, pid, gen):
+    task = kernel.spawn(pid, "prepare", gen)
+    kernel.run(until=kernel.now + 50.0)
+    return task.result
+
+
+class TestTakeover:
+    def test_outbid_prepare_learns_the_highest_ballot(self):
+        kernel = make_kernel(3, 3, regions=pmp_regions(3))
+        p1, p2, p3 = (PmpNode(env_of(kernel, pid), f"v{pid}") for pid in range(3))
+        # p2's probe is written first at every memory, p3's higher one after
+        assert _run(kernel, 1, p2._prepare_phase(Ballot(3, 1), 2)) == "v1"
+        assert _run(kernel, 2, p3._prepare_phase(Ballot(5, 2), 2)) == "v2"
+        assert _run(kernel, 0, p1._prepare_phase(Ballot(1, 0), 2)) is None
+        # the whole snapshot is folded, not cut at the first outbidding slot
+        assert p1.highest_seen == Ballot(5, 2)
+
+
+_ballots = st.builds(Ballot, st.integers(0, 3), st.integers(0, 2))
+
+
+@st.composite
+def _region_view(draw):
+    view = {}
+    for slot in draw(st.lists(st.integers(0, 3), unique=True, max_size=4)):
+        accepted = draw(st.none() | _ballots)
+        # one accepted ballot carries one value per key[1]
+        value = BOTTOM if accepted is None or draw(st.booleans()) else (slot, accepted)
+        view[("r", slot)] = PmpSlot(draw(_ballots), accepted, value)
+    if draw(st.booleans()):
+        view[("r", "wm")] = draw(st.integers(0, 3))  # not a PmpSlot: skipped
+    return view
+
+
+class TestFoldTakeoverViews:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        views=st.lists(_region_view(), min_size=1, max_size=3),
+        probe=st.integers(0, 3),
+        ballot=_ballots,
+        data=st.data(),
+    )
+    def test_no_order_of_views_or_keys_changes_the_fold(self, views, probe, ballot, data):
+        shuffled = [
+            dict(data.draw(st.permutations(list(view.items()))))
+            for view in data.draw(st.permutations(views))
+        ]
+        probe_key = ("r", probe)
+        assert fold_takeover_views(shuffled, probe_key, ballot) == fold_takeover_views(
+            views, probe_key, ballot
+        )

@@ -247,11 +247,8 @@ class TestLatencyWindow:
 # ----------------------------------------------------------------------
 class TestGrantProbe:
     def test_pmp_probe_follows_the_grant(self):
-        from repro.consensus.protected_memory_paxos import (
-            PmpNode,
-            REGION,
-            pmp_regions,
-        )
+        from repro.consensus.probes import probe_write_grant
+        from repro.consensus.protected_memory_paxos import REGION, pmp_regions
         from repro.mem.layout import MemoryLayout
         from repro.sim.environment import ProcessEnv
         from repro.sim.kernel import Kernel, SimConfig
@@ -260,11 +257,11 @@ class TestGrantProbe:
             SimConfig(n_processes=3, n_memories=3),
             MemoryLayout(pmp_regions(3, initial_leader=0)),
         )
-        leader = PmpNode(ProcessEnv(kernel, P1), "v")
+        leader = ProcessEnv(kernel, P1)
         outcomes = {}
 
-        def probe_task(name, node):
-            held = yield from node.grant_probe(timeout=50.0)
+        def probe_task(name, env):
+            held = yield from probe_write_grant(env, REGION, timeout=50.0)
             outcomes[name] = held
 
         kernel.spawn(0, "probe-held", probe_task("held", leader))

@@ -355,7 +355,7 @@ class TestLeaderRecoveryIsFlatInLogLength:
 
     def test_the_bound_bites_on_the_early_return_fold(self):
         # a test-only patch, as check.regressions.seeded_bug re-seeds its bugs
-        with mock.patch.object(smr_log, "_fold_takeover_views", _early_return_fold):
+        with mock.patch.object(smr_log, "fold_takeover_views", _early_return_fold):
             with pytest.raises(AssertionError):
                 _check_flat_recovery(64)
 
