@@ -40,15 +40,16 @@ from repro.types import ProcessId, is_bottom
 NAMESPACE = "neb"
 
 
-def neb_regions(all_processes, namespace: str = NAMESPACE) -> list:
-    """The SWMR slot regions for non-equivocating broadcast.
+def neb_regions(all_processes, namespace: str = NAMESPACE) -> tuple:
+    """The SWMR slot regions for non-equivocating broadcast (one shared
+    tuple per shape, see :func:`swmr_regions`).
 
     *namespace* isolates independent broadcast instances (e.g. one per
     replicated-log slot): units are signed over the namespace, so a unit
     from one instance can never validate in another (no cross-instance
     replay).
     """
-    processes = list(all_processes)
+    processes = tuple(all_processes)
     return swmr_regions(namespace, processes, processes)
 
 

@@ -102,10 +102,11 @@ def seeded_bug(name: Optional[str]):
     """Reintroduce a fixed kernel bug for the context's duration.
 
     ``None`` is a no-op (the fixed kernel), so corpus code can run the
-    same scenario with and without the bug.  The patch must be active
-    while the scenario *builds*: the kernel binds its handler table at
-    construction time, so patching after ``Kernel()`` would miss
-    ``_ev_wake``.
+    same scenario with and without the bug.  Handler tables are class
+    attributes that dispatch to plain functions (``Kernel._ev_handlers``
+    holds ``_ev_wake`` itself), so the patch swaps the function in every
+    such table of the class as well as the class attribute, and restores
+    both: a kernel built before the context runs buggy inside it.
     """
     if name is None:
         yield
@@ -116,11 +117,23 @@ def seeded_bug(name: Optional[str]):
     except KeyError:
         raise KeyError(f"unknown seeded bug {name!r}; known: {sorted(seeds)}") from None
     original = owner.__dict__[attr]
+    tables = {
+        table_name: table
+        for table_name, table in vars(owner).items()
+        if isinstance(table, tuple) and original in table
+    }
     setattr(owner, attr, impl)
+    for table_name, table in tables.items():
+        setattr(
+            owner, table_name,
+            tuple(impl if entry is original else entry for entry in table),
+        )
     try:
         yield
     finally:
         setattr(owner, attr, original)
+        for table_name, table in tables.items():
+            setattr(owner, table_name, table)
 
 
 def known_bugs() -> List[str]:

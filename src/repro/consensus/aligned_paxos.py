@@ -34,6 +34,7 @@ combined majority; a crashed memory's leg never fires and never wakes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Generator, List, Optional, Tuple
 
@@ -67,17 +68,17 @@ class AlignedConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
+@lru_cache(maxsize=256)
 def aligned_regions(
     n_processes: int, variant: str = "protected", initial_leader: int = 0
-) -> List[RegionSpec]:
+) -> Tuple[RegionSpec, ...]:
+    """The one memory region, built once per shape (frozen values)."""
     processes = range(n_processes)
     if variant == "protected":
         permission = Permission.exclusive_writer(initial_leader, processes)
         legal = exclusive_grab_policy(processes)
-        return [
-            RegionSpec(REGION, (REGION,), permission, legal_change=legal)
-        ]
-    return [RegionSpec(REGION, (REGION,), Permission.open(processes))]
+        return (RegionSpec(REGION, (REGION,), permission, legal_change=legal),)
+    return (RegionSpec(REGION, (REGION,), Permission.open(processes)),)
 
 
 class AlignedNode:
@@ -279,9 +280,9 @@ class AlignedPaxos(ConsensusProtocol):
         self.config = config or AlignedConfig()
 
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        return aligned_regions(
+        return list(aligned_regions(
             n_processes, self.config.variant, self.config.initial_leader
-        )
+        ))
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         node = AlignedNode(env, value, self.config)

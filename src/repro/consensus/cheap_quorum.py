@@ -19,7 +19,8 @@ carries v out, with a correct unanimity proof whenever a follower decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from functools import lru_cache
+from typing import Any, Generator, Optional, Tuple
 
 from repro.crypto.proofs import assemble_proof, verify_proof
 from repro.crypto.signatures import Signed
@@ -62,34 +63,33 @@ class CqOutcome:
     proof: Optional[Signed] = None
 
 
+@lru_cache(maxsize=256)
 def cq_regions(
     n_processes: int, leader: int = 0, namespace: str = "cq"
-) -> List[RegionSpec]:
+) -> Tuple[RegionSpec, ...]:
     """The leader region (dynamic: revocable) plus one SWMR region per
     process holding its ``Value``, ``Panic`` and ``Proof`` registers.
 
     *namespace* isolates independent Cheap Quorum instances (multi-shot
-    replication runs one per log slot).
+    replication runs one per log slot).  The specs are frozen values, so
+    they are built once per shape and shared.
     """
     processes = range(n_processes)
     revoked = Permission.read_only(processes)
-    regions = [
+    leader_region = RegionSpec(
+        region_id=f"{namespace}:leader",
+        prefix=(f"{namespace}L",),
+        initial_permission=Permission.exclusive_writer(leader, processes),
+        legal_change=revoke_only_policy(revoked),
+    )
+    return (leader_region,) + tuple(
         RegionSpec(
-            region_id=f"{namespace}:leader",
-            prefix=(f"{namespace}L",),
-            initial_permission=Permission.exclusive_writer(leader, processes),
-            legal_change=revoke_only_policy(revoked),
+            region_id=f"{namespace}:{p}",
+            prefix=(namespace, p),
+            initial_permission=Permission.swmr(p, processes),
         )
-    ]
-    for p in processes:
-        regions.append(
-            RegionSpec(
-                region_id=f"{namespace}:{p}",
-                prefix=(namespace, p),
-                initial_permission=Permission.swmr(p, processes),
-            )
-        )
-    return regions
+        for p in processes
+    )
 
 
 class CheapQuorum:

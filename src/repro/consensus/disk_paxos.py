@@ -23,6 +23,7 @@ stay ordered per disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
@@ -65,15 +66,17 @@ class DiskPaxosConfig:
     link_free: bool = False
 
 
-def disk_paxos_regions(n_processes: int) -> List[RegionSpec]:
-    """One open region per memory — the disk model of Section 3."""
-    return [
+@lru_cache(maxsize=256)
+def disk_paxos_regions(n_processes: int) -> Tuple[RegionSpec, ...]:
+    """One open region per memory — the disk model of Section 3 (built
+    once per shape: frozen values)."""
+    return (
         RegionSpec(
             region_id=REGION,
             prefix=(REGION,),
             initial_permission=Permission.open(range(n_processes)),
-        )
-    ]
+        ),
+    )
 
 
 class DiskPaxosNode:
@@ -229,7 +232,7 @@ class DiskPaxos(ConsensusProtocol):
         self.config = config or DiskPaxosConfig()
 
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        return disk_paxos_regions(n_processes)
+        return list(disk_paxos_regions(n_processes))
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         node = DiskPaxosNode(env, value, self.config)

@@ -73,7 +73,7 @@ class FastRobust(ConsensusProtocol):
 
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
         leader = self.config.cheap_quorum.leader
-        return cq_regions(n_processes, leader) + neb_regions(range(n_processes))
+        return list(cq_regions(n_processes, leader) + neb_regions(range(n_processes)))
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         return [("fast-robust", self.run_instance(env, value))]

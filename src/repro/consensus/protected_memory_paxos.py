@@ -23,6 +23,7 @@ Paxos posts its memory agents' prepares itself and runs the same fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -122,22 +123,24 @@ class PmpConfig:
     skip_first_attempt: bool = True
 
 
-def pmp_regions(n_processes: int, initial_leader: int = 0) -> List[RegionSpec]:
+@lru_cache(maxsize=256)
+def pmp_regions(n_processes: int, initial_leader: int = 0) -> Tuple[RegionSpec, ...]:
     """One region spanning each memory's whole PMP slot array.
 
     Initially the fixed leader holds exclusive write permission; the
     ``legalChange`` policy lets any process grab exclusivity for itself
-    (crash model — nobody lies about identity).
+    (crash model — nobody lies about identity).  The specs are frozen
+    values, so they are built once per shape and shared.
     """
     processes = range(n_processes)
-    return [
+    return (
         RegionSpec(
             region_id=REGION,
             prefix=(REGION,),
             initial_permission=Permission.exclusive_writer(initial_leader, processes),
             legal_change=exclusive_grab_policy(processes),
-        )
-    ]
+        ),
+    )
 
 
 class PmpNode:
@@ -267,7 +270,7 @@ class ProtectedMemoryPaxos(ConsensusProtocol):
         self.config = config or PmpConfig()
 
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        return pmp_regions(n_processes, self.config.initial_leader)
+        return list(pmp_regions(n_processes, self.config.initial_leader))
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         node = PmpNode(env, value, self.config)

@@ -38,7 +38,7 @@ class RobustBackup(ConsensusProtocol):
         )
 
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        return neb_regions(range(n_processes))
+        return list(neb_regions(range(n_processes)))
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         quorum = self.config.quorum_for(env.n_processes)

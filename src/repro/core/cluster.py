@@ -140,7 +140,7 @@ class ClusterBase:
             strict_safety=config.strict_safety,
             omega=config.omega,
         )
-        self.kernel = Kernel(sim_config, MemoryLayout(list(regions)))
+        self.kernel = Kernel(sim_config, MemoryLayout(regions))
         self.envs: Dict[int, ProcessEnv] = {}
         self._faults_installed = False
 

@@ -99,6 +99,9 @@ class FaultScript:
     # validation + installation
     # ------------------------------------------------------------------
     def validate(self, n_processes: int, n_memories: int) -> None:
+        if not self.events and not self.byzantine:
+            return  # the default, empty script: nothing to check
+
         def check_pid(pid: int) -> None:
             if not 0 <= pid < n_processes:
                 raise ConfigurationError(f"no such process p{pid + 1}")

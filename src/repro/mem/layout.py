@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.mem.permissions import Permission
 from repro.mem.regions import RegionSpec
 from repro.types import RegionId, RegisterKey
 
@@ -23,7 +24,12 @@ class MemoryLayout:
     regions: List[RegionSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # a copy: region builders hand out one shared tuple per shape
+        self.regions = list(self.regions)
         self._by_id: Dict[RegionId, RegionSpec] = {}
+        #: region id -> boot permission, the map every memory copies when
+        #: it boots or is wiped
+        self.boot_permissions: Dict[RegionId, Permission] = {}
         for spec in self.regions:
             self._register(spec)
 
@@ -37,6 +43,7 @@ class MemoryLayout:
                     "the paper's algorithms use non-overlapping regions"
                 )
         self._by_id[spec.region_id] = spec
+        self.boot_permissions[spec.region_id] = spec.initial_permission
 
     def add(self, spec: RegionSpec) -> None:
         """Add one region, rejecting duplicates and overlaps."""
@@ -49,7 +56,7 @@ class MemoryLayout:
 
     def merged_with(self, other: "MemoryLayout") -> "MemoryLayout":
         """A new layout combining this one's regions with *other*'s."""
-        merged = MemoryLayout(list(self.regions))
+        merged = MemoryLayout(self.regions)
         merged.extend(other.regions)
         return merged
 

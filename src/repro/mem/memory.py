@@ -161,19 +161,15 @@ class Memory:
     def __init__(self, mid: MemoryId, layout: MemoryLayout) -> None:
         self.mid = mid
         self.layout = layout
-        # region id -> store, opened by the first operation on the region
-        # (not here: a protocol grid builds tens of thousands of memories)
+        # A protocol grid builds tens of thousands of memories, so a fresh
+        # one holds only what it must: no store (each region's is opened by
+        # its first operation), no bound handler table (``_OP_HANDLERS`` is
+        # shared), and the boot permissions as one copy of the map the
+        # layout keeps.
         self._stores: Dict[RegionId, _RegionStore] = {}
-        self.permissions: Dict[RegionId, Permission] = {
-            spec.region_id: spec.initial_permission for spec in layout.regions
-        }
+        self.permissions: Dict[RegionId, Permission] = dict(layout.boot_permissions)
         self.crashed = False
         self.counts = OpCounts()
-        # Flat handler table indexed by the operation's ``kind`` tag
-        # (see repro.mem.operations); order must match the OP_* numbering.
-        self._op_handlers = (self._read, self._write, self._snapshot,
-                             self._change_permission, self._probe,
-                             self._snapshot, self._batch)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -194,9 +190,7 @@ class Memory:
         self.crashed = False
         if wipe:
             self._stores.clear()
-            self.permissions = {
-                spec.region_id: spec.initial_permission for spec in self.layout.regions
-            }
+            self.permissions = dict(self.layout.boot_permissions)
 
     def add_region(self, spec) -> None:
         """Install a region registered after boot (elastic reconfiguration).
@@ -221,9 +215,9 @@ class Memory:
         point (the paper's small trusted component).
         """
         kind = getattr(op, "kind", None)
-        if kind.__class__ is not int or not 0 <= kind < len(self._op_handlers):
+        if kind.__class__ is not int or not 0 <= kind < len(_OP_HANDLERS):
             raise TypeError(f"unknown memory operation {op!r}")
-        return self._op_handlers[kind](pid, op)
+        return _OP_HANDLERS[kind](self, pid, op)
 
     def _open(self, region_id: RegionId) -> Optional[_RegionStore]:
         """The store of a region no operation has touched yet, or None for
@@ -310,10 +304,9 @@ class Memory:
         matching how a QP error flushes the remaining work requests.
         """
         self.counts.batches += 1
-        handlers = self._op_handlers
         values = []
         for index, sub in enumerate(op.ops):
-            result = handlers[sub.kind](pid, sub)
+            result = _OP_HANDLERS[sub.kind](self, pid, sub)
             if not result.ok:
                 return OpResult(_NAK, ChainAbort(index, tuple(values)))
             values.append(result.value)
@@ -388,3 +381,17 @@ class Memory:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"
         return f"<Memory mu{int(self.mid) + 1} {state} {len(self.registers)} regs>"
+
+
+# Flat handler table of plain functions, indexed by the operation's ``kind``
+# tag (see repro.mem.operations) and called with the memory first; order
+# must match the OP_* numbering.
+_OP_HANDLERS = (
+    Memory._read,               # OP_READ
+    Memory._write,              # OP_WRITE
+    Memory._snapshot,           # OP_SNAPSHOT
+    Memory._change_permission,  # OP_CHANGE_PERMISSION
+    Memory._probe,              # OP_PROBE
+    Memory._snapshot,           # OP_READ_SNAPSHOT
+    Memory._batch,              # OP_BATCH
+)

@@ -27,6 +27,13 @@ from repro.types import ProcessId
 DEFAULT_LATENCY_WINDOW = 4096
 
 
+def _counter() -> Counter:
+    """An empty ``Counter`` without ``Counter.__init__``, whose Python-level
+    ``update(None)`` makes nothing ``dict.__new__`` does not.  A ledger
+    holds six and is built per kernel."""
+    return Counter.__new__(Counter)
+
+
 class LatencyWindow:
     """A bounded ring of ``(completed_at, latency)`` samples.
 
@@ -130,9 +137,9 @@ class MetricsLedger:
     )
     proposals: Dict[ProcessId, float] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
-    messages_sent: Counter = field(default_factory=Counter)
-    mem_ops: Counter = field(default_factory=Counter)
-    signatures: Counter = field(default_factory=Counter)
+    messages_sent: Counter = field(default_factory=_counter)
+    mem_ops: Counter = field(default_factory=_counter)
+    signatures: Counter = field(default_factory=_counter)
     #: processes whose decisions are exempt from the agreement check
     #: (declared Byzantine by the fault script)
     byzantine: set = field(default_factory=set)
@@ -151,7 +158,7 @@ class MetricsLedger:
     slo_timeline: List[FaultRecord] = field(default_factory=list)
     #: shard -> committed commands, fed by the shard leader's apply path;
     #: the autoscaler differentiates this into per-shard commit rates
-    shard_commits: Counter = field(default_factory=Counter)
+    shard_commits: Counter = field(default_factory=_counter)
     #: retention bound applied to every latency window below (ring size)
     latency_window_bound: int = DEFAULT_LATENCY_WINDOW
     #: shard -> bounded (completed_at, latency) ring over ALL completions —
@@ -161,10 +168,10 @@ class MetricsLedger:
     #: the read-path benchmarks' p50/p99 source
     shard_read_latencies: Dict[int, LatencyWindow] = field(default_factory=dict)
     #: (shard, mode) -> reads served by that path (leader/quorum/local/consensus)
-    reads_served: Counter = field(default_factory=Counter)
+    reads_served: Counter = field(default_factory=_counter)
     #: (shard, mode) -> reads a path refused (fence lost, quorum unassembled,
     #: region fenced away mid-reconfig) and handed to the consensus fallback
-    read_fallbacks: Counter = field(default_factory=Counter)
+    read_fallbacks: Counter = field(default_factory=_counter)
     #: every detected stale read — the acceptance criterion is that this
     #: stays EMPTY: a revocation storm or epoch cutover must force a
     #: fallback, never a stale answer

@@ -10,7 +10,8 @@ process's inbox, e.g. Cheap Quorum panic relays next to Paxos traffic).
 Envelopes are allocated once per message on the kernel's hot path, so they
 are a hand-written ``__slots__`` class: construction is a plain attribute
 fill, and ``msg_id`` comes from a module-level integer counter.  Treat
-instances as immutable once created.
+instances as immutable once created, except for the network's
+``delivered`` flag.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ _next_msg_id = 0
 class Envelope:
     """One message in flight or delivered."""
 
-    __slots__ = ("src", "dst", "topic", "payload", "sent_at", "msg_id", "ctx")
+    __slots__ = (
+        "src", "dst", "topic", "payload", "sent_at", "msg_id", "ctx", "delivered"
+    )
 
     def __init__(
         self,
@@ -49,6 +52,9 @@ class Envelope:
         #: causal trace context riding the message (a repro.obs Span opened
         #: by the send path, closed at delivery); None when obs is detached
         self.ctx: Any = None
+        #: set by the network on first delivery; a second delivery of this
+        #: envelope is dropped (link integrity: exactly-once)
+        self.delivered = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

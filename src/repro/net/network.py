@@ -5,9 +5,11 @@ The :class:`Network` owns per-process inboxes and the set of parked
 time elapses; if a parked waiter matches, the kernel is told which task to
 wake, otherwise the envelope queues in the inbox for a later ``recv``.
 
-Duplicate-delivery protection (link integrity) is enforced with a delivered
-message-id set; the kernel never schedules the same envelope twice, so this
-guards against future transport extensions rather than current behaviour.
+Duplicate-delivery protection (link integrity) is a ``delivered`` flag on
+the envelope itself, so the network keeps nothing per delivered message.
+The kernel never schedules the same envelope twice (a chaos duplicate is a
+fresh envelope): the guard is for future transport extensions, not for
+current behaviour.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class Network:
         self.waiters: Dict[ProcessId, List[RecvWaiter]] = {
             ProcessId(p): [] for p in range(n_processes)
         }
-        self._delivered_ids: Set[int] = set()
         self.dropped: int = 0
         #: (src, dst) pairs currently severed by a partition
         self.blocked: Set[tuple] = set()
@@ -98,10 +99,10 @@ class Network:
         When a waiter matches, the envelope is handed to it directly and
         never enters the inbox (exactly-once consumption).
         """
-        if env.msg_id in self._delivered_ids:
+        if env.delivered:
             self.dropped += 1
             return None
-        self._delivered_ids.add(env.msg_id)
+        env.delivered = True
         waiters = self.waiters[env.dst]
         if waiters:
             topic = env.topic

@@ -14,7 +14,8 @@ requires a clean ACK majority, which intersects any revoker's majority).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List
+from functools import lru_cache
+from typing import Any, Dict, Generator, Iterable, List, Tuple
 
 from repro.mem.operations import BatchOp, ReadOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission
@@ -25,21 +26,28 @@ from repro.types import BOTTOM, OpStatus, RegionId, RegisterKey, is_bottom
 
 def swmr_regions(
     namespace: str, owners: Iterable[int], all_processes: Iterable[int]
-) -> List[RegionSpec]:
+) -> Tuple[RegionSpec, ...]:
     """One SWMR region per owner: ``R = P \\ {p}, RW = {p}`` (static).
 
     Register keys under region ``f"{namespace}:{p}"`` are all keys starting
-    with ``(namespace, p)``.
+    with ``(namespace, p)``.  The specs are frozen values, so they are
+    built once per shape and shared.
     """
-    processes = list(all_processes)
-    return [
+    return _swmr_regions(namespace, tuple(owners), tuple(all_processes))
+
+
+@lru_cache(maxsize=256)
+def _swmr_regions(
+    namespace: str, owners: Tuple[int, ...], processes: Tuple[int, ...]
+) -> Tuple[RegionSpec, ...]:
+    return tuple(
         RegionSpec(
             region_id=f"{namespace}:{owner}",
             prefix=(namespace, owner),
             initial_permission=Permission.swmr(owner, processes),
         )
         for owner in owners
-    ]
+    )
 
 
 def _merge_reads(values: List[Any]) -> Any:

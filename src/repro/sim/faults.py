@@ -51,9 +51,6 @@ FK_LINK_SET = 6      #: install/compose a per-link chaos filter
 FK_LINK_CLEAR = 7    #: remove a per-link chaos filter
 FK_PERM_CHANGE = 8   #: one adversarial changePermission attempt at a memory
 
-#: number of fault kinds the controller dispatch table covers
-_N_FK = 9
-
 
 class CrashProcess:
     """Crash process *pid*: its tasks are killed and never resume."""
@@ -156,7 +153,7 @@ class LinkFault:
     ``delay_factor`` multiplies and ``extra_delay`` adds to the model's
     flight time; ``drop_prob`` loses the message; ``duplicate_prob``
     delivers a second, independent copy (a fresh envelope — the network's
-    exactly-once msg-id guard deliberately does not apply, which is what
+    exactly-once delivery guard deliberately does not apply, which is what
     makes duplication a real protocol-idempotence test) one extra delay
     unit after the original.  All randomness flows through the kernel's
     seeded RNG, so chaos schedules replay deterministically.
@@ -295,19 +292,6 @@ class FailureController:
         #: holds their composition (what the send path reads), and expiring
         #: one filter recomposes the survivors
         self._link_stack: dict = {}
-        # Flat dispatch table, indexed by fault kind; order must match the
-        # FK_* numbering exactly.
-        self._handlers = [
-            self._fk_crash_proc,    # FK_CRASH_PROC
-            self._fk_recover_proc,  # FK_RECOVER_PROC
-            self._fk_crash_mem,     # FK_CRASH_MEM
-            self._fk_recover_mem,   # FK_RECOVER_MEM
-            self._fk_partition,     # FK_PARTITION
-            self._fk_heal,          # FK_HEAL
-            self._fk_link_set,      # FK_LINK_SET
-            self._fk_link_clear,    # FK_LINK_CLEAR
-            self._fk_perm_change,   # FK_PERM_CHANGE
-        ]
 
     # ------------------------------------------------------------------
     # hooks
@@ -334,9 +318,9 @@ class FailureController:
     def execute(self, event: FaultEvent) -> None:
         """Run one fault event at the current virtual instant."""
         kind = getattr(event, "kind", None)
-        if kind.__class__ is not int or not 0 <= kind < _N_FK:
+        if kind.__class__ is not int or not 0 <= kind < len(_FK_HANDLERS):
             raise TypeError(f"unknown fault event {event!r}")
-        self._handlers[kind](event)
+        _FK_HANDLERS[kind](self, event)
 
     def _fk_crash_proc(self, event: CrashProcess) -> None:
         self._kernel.crash_process(ProcessId(event.pid))
@@ -429,3 +413,19 @@ class FailureController:
                 ok=result.ok,
                 permission=permission.summary(),
             )
+
+
+# Flat dispatch table of plain functions, indexed by fault kind and called
+# with the controller first: one per class, bound by no controller.  Order
+# must match the FK_* numbering exactly.
+_FK_HANDLERS = (
+    FailureController._fk_crash_proc,    # FK_CRASH_PROC
+    FailureController._fk_recover_proc,  # FK_RECOVER_PROC
+    FailureController._fk_crash_mem,     # FK_CRASH_MEM
+    FailureController._fk_recover_mem,   # FK_RECOVER_MEM
+    FailureController._fk_partition,     # FK_PARTITION
+    FailureController._fk_heal,          # FK_HEAL
+    FailureController._fk_link_set,      # FK_LINK_SET
+    FailureController._fk_link_clear,    # FK_LINK_CLEAR
+    FailureController._fk_perm_change,   # FK_PERM_CHANGE
+)

@@ -46,6 +46,18 @@ closures:
 * every effect carries an integer ``kind`` tag (see
   :mod:`repro.sim.effects`); ``_resume`` dispatches through
   ``_fx_handlers[kind]`` — no isinstance chain;
+* both tables (like the fault controller's and the memories' operation
+  tables) are tuples of plain functions set on the class and called with
+  the kernel first, so a fresh kernel binds no handler: the paper's
+  tables build thousands of single-shot kernels, and the explorer one
+  per schedule;
+* ``rng`` and ``authority`` are built on the first draw or signature,
+  from ``config.seed``, so the stream and the keys are those an eager
+  build would give, and a run that never draws or signs never pays for
+  them.  Not through ``__getattr__``: on CPython 3.11 a class that
+  defines it gets no specialised attribute load at all, and every event
+  handler reads kernel attributes (nor through ``cached_property``, see
+  :class:`_first_use`);
 * a task woken at the current instant (message delivered, quorum reached,
   gate signalled) is resumed through the queue's *ready lane* rather than
   a second heap round-trip;
@@ -149,6 +161,32 @@ class SimConfig:
             raise ValueError(f"unknown chain_delivery {self.chain_delivery!r}")
 
 
+class _first_use:
+    """A method whose result becomes an instance attribute on first read.
+
+    ``functools.cached_property`` without its one cost here: it stores
+    through ``instance.__dict__``, which on CPython 3.11 moves the
+    instance's attributes out of their inline slots, and every attribute
+    load specialised for those slots falls back to a dict lookup.
+    ``setattr`` stores into the slots.  Not being a data descriptor, the
+    stored value shadows this one from then on.
+    """
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self._build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        value = self._build(instance)
+        setattr(instance, self._name, value)
+        return value
+
+
 class Task:
     """One generator running on one process."""
 
@@ -217,7 +255,6 @@ class Kernel:
         self.config = config
         self.now = 0.0
         self.queue = EventQueue()
-        self.rng = random.Random(config.seed)
         #: attached observability runtime (repro.obs), or None — the
         #: zero-cost default every hook below checks first
         self.obs: Optional[Any] = None
@@ -231,7 +268,6 @@ class Kernel:
         self.memories: List[Memory] = [
             Memory(MemoryId(mid), self.layout) for mid in range(config.n_memories)
         ]
-        self.authority = SignatureAuthority(seed=config.seed)
         self.crashed_processes: Set[ProcessId] = set()
         self.byzantine_processes: Set[ProcessId] = set()
         self.tasks: List[Task] = []
@@ -252,27 +288,17 @@ class Kernel:
         self._max_inline_steps = config.max_inline_steps
         self._msg_counter = self.metrics.messages_sent
         self._mem_op_counter = self.metrics.mem_ops
-        # Flat dispatch tables, indexed by event kind / effect kind.  Order
-        # must match the EV_* / FX_* numbering exactly.
         self.failures = FailureController(self)
-        self._ev_handlers = [
-            self._ev_call,          # EV_CALL
-            self._ev_resume,        # EV_RESUME
-            self._ev_wake,          # EV_WAKE
-            self._ev_deliver,       # EV_DELIVER
-            self._ev_recv_timeout,  # EV_RECV_TIMEOUT
-            self._ev_fault,         # EV_FAULT
-            self._ev_fan_arrive,    # EV_FAN_ARRIVE
-            self._ev_fan_resolve,   # EV_FAN_RESOLVE
-        ]
-        self._fx_handlers = [
-            self._fx_send,       # FX_SEND
-            self._fx_recv,       # FX_RECV
-            self._fx_sleep,      # FX_SLEEP
-            self._fx_gate_wait,  # FX_GATE_WAIT
-            self._fx_spawn,      # FX_SPAWN
-            self._fx_op_fanout,  # FX_OP_FANOUT
-        ]
+
+    @_first_use
+    def rng(self) -> random.Random:
+        """The one seeded ``Random`` every delay, backoff and chaos draw uses."""
+        return random.Random(self.config.seed)
+
+    @_first_use
+    def authority(self) -> SignatureAuthority:
+        """The signature authority: per-process keys derived from the seed."""
+        return SignatureAuthority(seed=self.config.seed)
 
     def set_latency(self, latency) -> None:
         """Swap the latency model, invalidating the cached constants.
@@ -493,7 +519,7 @@ class Kernel:
                 elif kind == EV_FAN_RESOLVE:
                     self._ev_fan_resolve(a, b, c)
                 else:
-                    handlers[kind](a, b, c)
+                    handlers[kind](self, a, b, c)
                 processed += 1
                 if max_events is not None and processed > max_events:
                     self._raise_livelock(max_events)
@@ -552,7 +578,7 @@ class Kernel:
                         queue.take_ready(entry.index)
                     else:
                         queue.remove_heap_entry(entry.raw)
-                    handlers[entry.kind](entry.a, entry.b, entry.c)
+                    handlers[entry.kind](self, entry.a, entry.b, entry.c)
                     processed += 1
                     if max_events is not None and processed > max_events:
                         self._raise_livelock(max_events)
@@ -776,7 +802,7 @@ class Kernel:
                 raise SimulationError(
                     f"task {task.label} yielded non-effect {effect!r}"
                 )
-            value = handlers[kind](task, effect)
+            value = handlers[kind](self, task, effect)
             if value is _PARKED:
                 if obs is not None:
                     obs.exit_task(task, self.now)
@@ -1036,6 +1062,30 @@ class Kernel:
 
     def memory(self, mid: int) -> Memory:
         return self.memories[mid]
+
+
+# Flat dispatch tables of plain functions, indexed by event kind / effect
+# kind and called with the kernel first.  One pair per class, not per
+# kernel: a fresh kernel binds no handler.  Order must match the EV_* /
+# FX_* numbering exactly.
+Kernel._ev_handlers = (
+    Kernel._ev_call,          # EV_CALL
+    Kernel._ev_resume,        # EV_RESUME
+    Kernel._ev_wake,          # EV_WAKE
+    Kernel._ev_deliver,       # EV_DELIVER
+    Kernel._ev_recv_timeout,  # EV_RECV_TIMEOUT
+    Kernel._ev_fault,         # EV_FAULT
+    Kernel._ev_fan_arrive,    # EV_FAN_ARRIVE
+    Kernel._ev_fan_resolve,   # EV_FAN_RESOLVE
+)
+Kernel._fx_handlers = (
+    Kernel._fx_send,       # FX_SEND
+    Kernel._fx_recv,       # FX_RECV
+    Kernel._fx_sleep,      # FX_SLEEP
+    Kernel._fx_gate_wait,  # FX_GATE_WAIT
+    Kernel._fx_spawn,      # FX_SPAWN
+    Kernel._fx_op_fanout,  # FX_OP_FANOUT
+)
 
 
 class _ChainCursor:

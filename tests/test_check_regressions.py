@@ -35,6 +35,17 @@ class TestSeededBugFlag:
                 raise RuntimeError("boom")
         assert Kernel.__dict__["_ev_wake"] is original
 
+    def test_dispatch_table_slot_swapped_and_restored(self):
+        from repro.check.regressions import _buggy_ev_wake
+        from repro.sim.event_queue import EV_WAKE
+
+        original = Kernel._ev_handlers[EV_WAKE]
+        table = Kernel._ev_handlers
+        with seeded_bug("stale-wake-token-check"):
+            assert Kernel._ev_handlers[EV_WAKE] is _buggy_ev_wake
+        assert Kernel._ev_handlers[EV_WAKE] is original
+        assert Kernel._ev_handlers is table
+
     def test_none_is_a_noop(self):
         with seeded_bug(None):
             pass

@@ -10,6 +10,7 @@ from repro import (
 )
 from repro.core.cluster import Cluster, ClusterConfig, RunResult
 from repro.errors import ConfigurationError
+from repro.mem.permissions import Permission
 from repro.obs.runtime import attach
 
 
@@ -88,3 +89,43 @@ class TestClusterConfigValidation:
     def test_env_for_is_cached(self):
         cluster = Cluster(MessagePaxos(), ClusterConfig(2, 0))
         assert cluster.env_for(0) is cluster.env_for(0)
+
+
+class TestRegionSpecsSharedPerShape:
+    """Region builders are pure functions of their shape over frozen
+    values, so they build once and every cluster of that shape shares the
+    specs; everything a run mutates stays per instance."""
+
+    def test_builders_return_one_tuple_per_shape(self):
+        from repro.broadcast.nonequivocating import neb_regions
+        from repro.consensus.aligned_paxos import aligned_regions
+        from repro.consensus.cheap_quorum import cq_regions
+        from repro.consensus.disk_paxos import disk_paxos_regions
+        from repro.consensus.protected_memory_paxos import pmp_regions
+        from repro.registers.swmr import swmr_regions
+
+        assert pmp_regions(3) is pmp_regions(3)
+        assert aligned_regions(3, "disk") is aligned_regions(3, "disk")
+        assert disk_paxos_regions(3) is disk_paxos_regions(3)
+        assert cq_regions(3, 0, "cq") is cq_regions(3, 0, "cq")
+        # any iterable of pids names the same shape
+        assert neb_regions(range(3)) is neb_regions([0, 1, 2])
+        assert swmr_regions("s", [0], range(2)) is swmr_regions("s", (0,), [0, 1])
+        assert isinstance(pmp_regions(3), tuple)
+
+    def test_clusters_share_specs_but_not_state(self):
+        first = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3))
+        second = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3))
+        [spec] = first.kernel.layout.regions
+        assert second.kernel.layout.regions[0] is spec
+        assert first.kernel.layout.regions is not second.kernel.layout.regions
+        # a run writes registers in its own memories only
+        first.run(["a", "b", "c"])
+        assert dict(first.kernel.memories[0].items())
+        assert not any(dict(m.items()) for m in second.kernel.memories)
+        # and a permission change stays in the memory it hit
+        first.kernel.memories[0].permissions[spec.region_id] = Permission()
+        for layout in (first.kernel.layout, second.kernel.layout):
+            assert layout.boot_permissions[spec.region_id] is spec.initial_permission
+        for memory in first.kernel.memories[1:] + second.kernel.memories:
+            assert memory.permission_of(spec.region_id) is spec.initial_permission

@@ -1,11 +1,17 @@
 """Kernel edge cases and error paths."""
 
+import random
+
 import pytest
 
+from repro.crypto.signatures import SignatureAuthority
 from repro.errors import SimulationError
+from repro.mem import operations as mem_operations
+from repro.mem.memory import _OP_HANDLERS, Memory
 from repro.mem.operations import BatchOp, ReadOp
 from repro.obs.runtime import attach
-from repro.sim import effects, event_queue
+from repro.sim import effects, event_queue, faults
+from repro.sim.faults import _FK_HANDLERS
 from repro.sim.kernel import Kernel, SimConfig
 from repro.sim.schedule import EV_NAMES
 from repro.types import MemoryId, ProcessId
@@ -38,12 +44,12 @@ def _kinds(module, prefix):
 
 
 class TestDispatchTables:
-    """The kind constants, the name table and both handler tables agree:
-    each table is a flat list indexed by kind, so a renumbering that
+    """The kind constants, the name table and every handler table agree:
+    each table is a flat tuple indexed by kind, so a renumbering that
     misses one of them dispatches to the wrong handler."""
 
     def test_event_kinds_match_names_and_handlers(self):
-        handlers = Kernel(SimConfig(n_processes=1))._ev_handlers
+        handlers = Kernel._ev_handlers
         kinds = _kinds(event_queue, "EV_")
         assert sorted(kinds) == list(range(len(handlers)))
         assert len(EV_NAMES) == len(handlers)
@@ -52,11 +58,77 @@ class TestDispatchTables:
             assert handlers[kind].__name__ == "_ev_" + EV_NAMES[kind]
 
     def test_effect_kinds_match_handlers(self):
-        handlers = Kernel(SimConfig(n_processes=1))._fx_handlers
+        handlers = Kernel._fx_handlers
         kinds = _kinds(effects, "FX_")
         assert sorted(kinds) == list(range(len(handlers)))
         for kind, name in kinds.items():
             assert handlers[kind].__name__ == "_fx_" + name[len("FX_"):].lower()
+
+    def test_memory_op_kinds_match_handlers(self):
+        kinds = _kinds(mem_operations, "OP_")
+        assert sorted(kinds) == list(range(len(_OP_HANDLERS)))
+        for kind, name in kinds.items():
+            # a floor-filtered snapshot is served by the snapshot handler
+            expected = "snapshot" if name == "OP_READ_SNAPSHOT" else name[3:].lower()
+            assert _OP_HANDLERS[kind] is getattr(Memory, "_" + expected)
+
+    def test_fault_kinds_match_handlers(self):
+        kinds = _kinds(faults, "FK_")
+        assert sorted(kinds) == list(range(len(_FK_HANDLERS)))
+        for kind, name in kinds.items():
+            assert _FK_HANDLERS[kind].__name__ == "_fk_" + name[3:].lower()
+
+    def test_tables_belong_to_the_class_not_the_instance(self):
+        # a fresh kernel, memory or failure controller binds no handler
+        kernel = Kernel(SimConfig(n_processes=1, n_memories=1))
+        assert not any(
+            isinstance(value, (list, tuple)) and value and callable(value[0])
+            for obj in (kernel, kernel.memories[0], kernel.failures)
+            for value in vars(obj).values()
+        )
+
+
+class TestLazyServices:
+    """The seeded RNG and the signature authority are built on first use,
+    from the same seed, so a run that draws or signs sees exactly what an
+    eagerly built one would."""
+
+    SEED = 17
+
+    def _cluster(self):
+        from repro import Cluster, ClusterConfig, ProtectedMemoryPaxos
+
+        return Cluster(
+            ProtectedMemoryPaxos(), ClusterConfig(n_processes=3, seed=self.SEED)
+        )
+
+    def test_built_cluster_holds_neither(self):
+        state = vars(self._cluster().kernel)
+        assert "rng" not in state and "authority" not in state
+
+    def test_a_clean_pmp_run_never_builds_them(self):
+        cluster = self._cluster()
+        result = cluster.run(["a", "b", "c"])
+        assert result.agreed
+        state = vars(cluster.kernel)
+        assert "rng" not in state and "authority" not in state
+
+    def test_first_draw_is_the_seeded_stream(self):
+        kernel = self._cluster().kernel
+        eager = random.Random(self.SEED)
+        assert [kernel.rng.random() for _ in range(3)] == [
+            eager.random() for _ in range(3)
+        ]
+        assert kernel.rng is kernel.rng
+
+    def test_lazy_authority_signs_like_an_eager_one(self):
+        kernel = self._cluster().kernel
+        eager = SignatureAuthority(seed=self.SEED)
+        payload = ("ballot", 3, "value")
+        lazy = kernel.authority
+        tag = lazy.sign(lazy.key_for(ProcessId(1)), payload).signature.tag
+        assert tag == eager.sign(eager.key_for(ProcessId(1)), payload).signature.tag
+        assert kernel.authority is lazy
 
 
 class TestInvalidOperations:

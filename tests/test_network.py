@@ -29,6 +29,19 @@ class TestDelivery:
         assert net.dropped == 1
         assert net.pending_count(P1) == 1
 
+    def test_guard_is_per_envelope_not_per_id(self):
+        # the network keeps no set of delivered ids: the flag rides the
+        # envelope, so a distinct envelope is never taken for a replay
+        net = Network(2)
+        first = _env()
+        net.deliver(first)
+        assert first.delivered
+        twin = Envelope(P0, P1, "t", "x", 0.0, msg_id=first.msg_id)
+        assert not twin.delivered
+        net.deliver(twin)
+        assert net.dropped == 0
+        assert net.pending_count(P1) == 2
+
     def test_matching_waiter_consumes_directly(self):
         net = Network(2)
         waiter = RecvWaiter(P1, token=1, task=TASK_A, topic="t")
