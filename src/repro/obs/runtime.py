@@ -15,7 +15,8 @@ the span tree:
   token: the response leg closes it, a crashed memory leaves
   it open — exactly the RDMA "context rides the op" analogue;
 * protocols open ``phase`` spans through :meth:`phase` (via
-  ``env.obs``), nesting subsequent work under them;
+  ``env.obs``), nesting subsequent work under them; the open phase is a
+  :class:`PhaseHandle`, a :class:`Span` that is its own handle;
 * proposals/decisions land as ``point`` events, remembering the trace a
   decision belongs to for the critical-path analyzer; so does every
   record the metrics ledger appends to its fault / reconfig / SLO
@@ -23,16 +24,17 @@ the span tree:
   and every message or memory op the kernel drops (``mem_drop``,
   ``partition_drop``, ``chaos_drop``).
 
-Only *open* spans are objects.  Closing one appends it to
-:attr:`ObsRuntime.finished`, a :class:`~repro.obs.spans.SpanLog` — one row
-of parallel columns per span, the newest ``max_spans`` kept, the rest
-counted in ``dropped`` — and the ``Span`` itself is let go; spans that
-open and close inside one call (points, fan-out verdicts, the ledger's
-forwarded records) never enter the open table at all.  ``runtime.spans``,
-iteration and indexing rebuild equal ``Span`` objects on demand, so the
-analyzers, ``run_hash``, the flight recorder (which reads the log's tail)
-and the sinks see the stream they always saw, while a long attached run
-leaves the garbage collector nothing per span to traverse.
+Only *open* spans are objects.  Closing one writes it as a row of
+:attr:`ObsRuntime.finished`, a :class:`~repro.obs.spans.SpanLog` of flat
+columns — the newest ``max_spans`` readable, the rest counted in
+``dropped`` — and the ``Span`` itself is let go.  A span that opens and
+closes inside one call (points, fan-out verdicts, the ledger's forwarded
+records) goes straight to the log as a row; it becomes a ``Span`` only
+when a sink is attached.  ``runtime.spans``, iteration and indexing
+rebuild equal ``Span`` objects on demand, so the analyzers, ``run_hash``,
+the flight recorder (which reads the log's tail) and the sinks see the
+stream they always saw, while a finished row allocates nothing the
+garbage collector tracks.
 
 The runtime also owns the metrics registry (with a virtual-time sampling
 ticker), the per-task wall-clock profiler, the flight recorder (tripped by
@@ -54,8 +56,9 @@ from repro.types import memory_name
 DEFAULT_MAX_SPANS = 200_000
 
 
-class PhaseHandle:
-    """Open-phase handle returned by :meth:`ObsRuntime.phase`.
+class PhaseHandle(Span):
+    """An open phase span, returned by :meth:`ObsRuntime.phase` as its own
+    handle.
 
     ``finish()`` closes the span and restores the task's previous context
     (unless a message adoption already moved it — the newer causal link
@@ -68,38 +71,32 @@ class PhaseHandle:
     its own subtree instead of parenting under its older neighbour.
     """
 
-    __slots__ = ("_runtime", "span", "_task", "_prev")
-
-    def __init__(self, runtime: "ObsRuntime", span: Span, task, prev) -> None:
-        self._runtime = runtime
-        self.span = span
-        self._task = task
-        self._prev = prev
+    __slots__ = ("_runtime", "_task", "_prev")
 
     def finish(self, **attrs: Any) -> None:
-        span = self.span
-        if span.end is not None:
+        if self.end is not None:
             return
         if attrs:
-            if span.attrs is None:
-                span.attrs = {}
-            span.attrs.update(attrs)
-        if self._task.ctx is span:
+            if self.attrs is None:
+                self.attrs = {}
+            self.attrs.update(attrs)
+        if self._task.ctx is self:
             self._task.ctx = self._prev
-        self._runtime._finish(span, self._runtime.kernel.now)
+        runtime = self._runtime
+        runtime._finish(self, runtime.kernel.now)
 
     def suspend(self) -> None:
         """Step the task out of this phase without closing it."""
-        if self._task.ctx is self.span:
+        if self._task.ctx is self:
             self._task.ctx = self._prev
 
     def resume(self) -> None:
         """Step the task back into this (still open) phase; ``finish()``
         then restores the context that was current here."""
         task = self._task
-        if self.span.end is None and task.ctx is not self.span:
+        if self.end is None and task.ctx is not self:
             self._prev = task.ctx
-            task.ctx = self.span
+            task.ctx = self
 
 
 class ObsRuntime:
@@ -134,6 +131,8 @@ class ObsRuntime:
         self._op_spans: Dict[Any, Span] = {}
         #: topic -> "msg:" + topic, built once per topic
         self._msg_names: Dict[str, str] = {}
+        #: memory id -> its name, built once per memory
+        self._mem_names: Dict[Any, str] = {}
         self._next_span = 0
         self._next_trace = 0
         self._t0 = 0.0
@@ -151,45 +150,53 @@ class ObsRuntime:
         parent: Optional[Span],
         attrs: Optional[Dict[str, Any]],
         now: float,
-        instant: bool = False,
+        cls: type = Span,
     ) -> Span:
-        """Mint a span.  An *instant* one opens and closes in this call:
-        it goes straight to the log and never enters the open table."""
-        self._next_span += 1
+        """Open a span (a *cls*) and enter it in the open table."""
+        self._next_span = span_id = self._next_span + 1
         if parent is None:
-            self._next_trace += 1
-            trace_id = self._next_trace
+            self._next_trace = trace_id = self._next_trace + 1
             parent_id = None
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        span = Span(self._next_span, parent_id, trace_id, name, kind, actor, now, attrs)
-        if instant:
-            span.end = now
-            self._record(span)
-        else:
-            self._open[span.span_id] = span
+        span = cls(span_id, parent_id, trace_id, name, kind, actor, now, attrs)
+        self._open[span_id] = span
         return span
 
     def _finish(self, span: Span, now: float) -> None:
         span.end = now
         self._open.pop(span.span_id, None)
-        self._record(span)
-
-    def _record(self, span: Span) -> None:
-        self.finished.append(span)
+        self.finished.add(
+            span.span_id, span.parent_id, span.trace_id, span.name, span.kind,
+            span.actor, span.start, now, span.attrs,
+        )
         if self.sinks:
             for sink in self.sinks:
                 sink.emit(span)
 
+    def _instant(self, name: str, actor: str, parent: Optional[Span], attrs, now: float) -> int:
+        """Write a point span that opens and closes now straight to the log
+        (a :class:`Span` is built only for the sinks); returns its trace."""
+        self._next_span = span_id = self._next_span + 1
+        if parent is None:
+            self._next_trace = trace_id = self._next_trace + 1
+            parent_id = None
+        else:
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+        self.finished.add(span_id, parent_id, trace_id, name, K_POINT, actor, now, now, attrs)
+        if self.sinks:
+            span = Span(span_id, parent_id, trace_id, name, K_POINT, actor, now, attrs)
+            span.end = now
+            for sink in self.sinks:
+                sink.emit(span)
+        return trace_id
+
     @property
     def dropped(self) -> int:
-        """Finished spans the ring no longer holds."""
+        """Finished spans the log no longer holds."""
         return self.finished.dropped
-
-    @dropped.setter
-    def dropped(self, count: int) -> None:
-        self.finished.dropped = count
 
     @property
     def spans(self) -> List[Span]:
@@ -253,7 +260,7 @@ class ObsRuntime:
             K_MSG,
             task.label,
             task.ctx,
-            {"src": int(env.src), "dst": int(env.dst), "msg_id": env.msg_id},
+            {"src": env.src, "dst": env.dst, "msg_id": env.msg_id},
             now,
         )
 
@@ -267,7 +274,10 @@ class ObsRuntime:
         index).  A fused chain gets ONE span (single-completion semantics)
         annotated with its sub-op count; a segmented chain gets one span
         per work request, under one key."""
-        attrs = {"mem": memory_name(mid)}
+        mem = self._mem_names.get(mid)
+        if mem is None:
+            mem = self._mem_names[mid] = memory_name(mid)
+        attrs = {"mem": mem}
         sub_ops = getattr(op, "ops", None)
         if sub_ops is not None:
             attrs["ops"] = len(sub_ops)
@@ -295,9 +305,8 @@ class ObsRuntime:
         context cannot have moved, a posted fan-out's issuer has gone on
         to other work.
         """
-        self._start(
+        self._instant(
             "fanout.verdict",
-            K_POINT,
             task.label,
             state.ctx,
             {
@@ -307,7 +316,6 @@ class ObsRuntime:
                 "done": state.done,
             },
             now,
-            instant=True,
         )
 
     def op_resolved(self, key, now: float, status: str) -> None:
@@ -322,14 +330,7 @@ class ObsRuntime:
     def phase(self, name: str, **attrs: Any) -> Optional[PhaseHandle]:
         """Open a phase span under the current task's context."""
         task = self.current_task
-        if task is None:
-            return None
-        span = self._start(
-            name, K_PHASE, task.label, task.ctx, attrs or None, self.kernel.now
-        )
-        handle = PhaseHandle(self, span, task, task.ctx)
-        task.ctx = span
-        return handle
+        return None if task is None else self._phase(task, name, task.ctx, attrs)
 
     def phase_under(self, name: str, parent, **attrs: Any) -> Optional[PhaseHandle]:
         """Open a phase span under an explicit *parent* context.
@@ -344,23 +345,25 @@ class ObsRuntime:
         task = self.current_task
         if task is None:
             return None
-        if parent is None:
-            parent = task.ctx
-        span = self._start(
-            name, K_PHASE, task.label, parent, attrs or None, self.kernel.now
-        )
-        handle = PhaseHandle(self, span, task, task.ctx)
-        task.ctx = span
-        return handle
+        return self._phase(task, name, task.ctx if parent is None else parent, attrs)
 
-    def point(self, name: str, **attrs: Any) -> Span:
-        """Record an instantaneous event under the current context."""
-        task = self.current_task
-        parent = None if task is None else task.ctx
-        actor = "kernel" if task is None else task.label
-        return self._start(
-            name, K_POINT, actor, parent, attrs or None, self.kernel.now, instant=True
+    def _phase(self, task, name: str, parent, attrs) -> PhaseHandle:
+        phase = self._start(
+            name, K_PHASE, task.label, parent, attrs or None, self.kernel.now, PhaseHandle
         )
+        phase._runtime = self
+        phase._task = task
+        phase._prev = task.ctx
+        task.ctx = phase
+        return phase
+
+    def point(self, name: str, **attrs: Any) -> int:
+        """Record an instantaneous event under the current context; returns
+        the id of the trace it joined."""
+        task = self.current_task
+        if task is None:
+            return self._instant(name, "kernel", None, attrs or None, self.kernel.now)
+        return self._instant(name, task.label, task.ctx, attrs or None, self.kernel.now)
 
     def enclosing_phases(self, task) -> List[str]:
         """Names of the open phase spans enclosing *task*'s context.
@@ -385,8 +388,8 @@ class ObsRuntime:
         self.point("propose", pid=int(pid))
 
     def decided(self, pid, value, instance, now: float) -> None:
-        span = self.point("decide", pid=int(pid), value=value, instance=instance)
-        self.decide_points[(pid, instance)] = (now, span.trace_id)
+        trace_id = self.point("decide", pid=int(pid), value=value, instance=instance)
+        self.decide_points[(pid, instance)] = (now, trace_id)
 
     # ------------------------------------------------------------------
     # metrics sampling (virtual-time ticker)

@@ -15,10 +15,11 @@ token and closed by the response leg.  A span that never closes (message
 into a partition, op on a crashed memory) is itself a finding: the flight
 recorder dumps open spans alongside recent finished ones.
 
-An *open* span is a mutable ``__slots__`` :class:`Span` object (handles,
-``env.ctx`` and the runtime's open table hold it).  A *finished* span is
-not an object at all: it is one row of the :class:`SpanLog`'s parallel
-columns, and every read — iteration, indexing, ``runtime.spans`` —
+An *open* span is a mutable ``__slots__`` :class:`Span` object (``env.ctx``,
+a task's context and the runtime's open table hold it; an open phase is
+its own handle).  A *finished* span is not an object at all: it is one
+row of the :class:`SpanLog` — entries in flat id, time and reference
+columns — and every read (iteration, indexing, ``runtime.spans``)
 rebuilds a fresh :class:`Span` from the row.  A rebuilt span guarantees
 *equal fields* (all nine, attrs in their original key order, ``None`` and
 ``{}`` told apart, times as ``float``), never identity: two reads of the
@@ -33,7 +34,7 @@ ever constructed and no row is ever written.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 #: span kinds (the analyzer prices transport kinds in the paper's units)
 K_TASK = "task"
@@ -111,122 +112,110 @@ class Span:
 
 
 class SpanLog:
-    """The finished spans: a ring of the newest *capacity*, one row each.
+    """The finished spans: the newest *capacity* of them, one row each.
 
-    A row is one entry in each of nine parallel columns — ``array('q')``
-    for span / parent (0 = none; ids start at 1) / trace id, ``array('d')``
-    for start / end, lists of references to *shared* strings for name /
-    kind / actor, and the attrs flattened to one keys-then-values tuple —
-    so a finished span costs the garbage collector nothing to traverse
-    (a tuple of atoms is untracked after its first collection) where a
-    resident :class:`Span` with its attrs dict cost it two objects per span
-    on every full collection.  :attr:`dropped` counts the rows the ring
-    has overwritten (or, at capacity 0, never stored).
+    A row holds no object of its own.  It is three entries of ``_ids``
+    (span, parent with 0 for none, trace), two of ``_times`` (start, end)
+    and a run in ``_refs``: the row's *head*, then references to its attr
+    values.  A head is the tuple ``(name, kind, actor, attr keys)``,
+    interned in ``_heads`` so every row of the same shape shares one (564
+    in a 48 000-operation KV run: the table grows with the distinct task
+    labels and span names, not with the spans); its keys are ``None`` for
+    no attrs and ``()`` for empty ones.  ``_offs`` says where each row's
+    run starts, counted from ``_base``, the number of references
+    compaction has already cut.  Appending a span thus leaves nothing the
+    garbage collector tracks: one tracked object kept per row would add a
+    young collection every 700 spans (CPython's default gen-0 threshold).
 
-    Reads rebuild :class:`Span` objects: ``len``, iteration (oldest
-    retained first), integer indexing and slicing all work as they did on
-    the ``deque`` of spans this replaces.
+    The log holds up to ``capacity + capacity // 4`` rows; at that point
+    the oldest are cut in one slice per column, down to *capacity*, and no
+    row is rewritten.  Reads see only the newest *capacity*: ``len``,
+    iteration (oldest first), integer indexing and slicing behave as on a
+    ``deque(maxlen=capacity)`` of spans, each read rebuilding a fresh
+    :class:`Span`.  :attr:`dropped` counts the spans appended but no longer
+    readable.
     """
 
     __slots__ = (
-        "capacity",
-        "dropped",
-        "_head",
-        "_ids",
-        "_parents",
-        "_traces",
-        "_starts",
-        "_ends",
-        "_names",
-        "_kinds",
-        "_actors",
-        "_attrs",
+        "capacity", "_limit", "_cut", "_base", "_ids", "_times", "_offs", "_refs", "_heads"
     )
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.dropped = 0
-        #: row of the oldest retained span (moves only once the ring is full)
-        self._head = 0
+        self._limit = capacity + capacity // 4
+        #: rows compaction has cut
+        self._cut = 0
+        self._base = 0
         self._ids = array("q")
-        self._parents = array("q")
-        self._traces = array("q")
-        self._starts = array("d")
-        self._ends = array("d")
-        self._names: List[str] = []
-        self._kinds: List[str] = []
-        self._actors: List[str] = []
-        self._attrs: List[Optional[tuple]] = []
+        self._times = array("d")
+        self._offs = array("q")
+        self._refs: list = []
+        self._heads: Dict[tuple, tuple] = {}
+
+    def add(self, span_id, parent_id, trace_id, name, kind, actor, start, end, attrs) -> None:
+        """Store one finished span, given field by field, as the newest row."""
+        refs = self._refs
+        offs = self._offs
+        offs.append(len(refs) + self._base)
+        ids = self._ids
+        ids.append(span_id)
+        ids.append(parent_id or 0)
+        ids.append(trace_id)
+        times = self._times
+        times.append(start)
+        times.append(end)
+        if attrs is None:
+            head = (name, kind, actor, None)
+            refs.append(self._heads.setdefault(head, head))
+        else:
+            head = (name, kind, actor, tuple(attrs))
+            refs += (self._heads.setdefault(head, head), *attrs.values())
+        if len(offs) > self._limit:
+            self._compact()
 
     def append(self, span: Span) -> None:
         """Store finished *span* as the newest row."""
-        attrs = span.attrs
-        if attrs is not None:
-            attrs = (*attrs, *attrs.values())
-        ids = self._ids
-        if len(ids) < self.capacity:
-            ids.append(span.span_id)
-            self._parents.append(span.parent_id or 0)
-            self._traces.append(span.trace_id)
-            self._starts.append(span.start)
-            self._ends.append(span.end)
-            self._names.append(span.name)
-            self._kinds.append(span.kind)
-            self._actors.append(span.actor)
-            self._attrs.append(attrs)
-            return
-        self.dropped += 1
-        if not self.capacity:
-            return
-        row = self._head
-        self._head = (row + 1) % self.capacity
-        ids[row] = span.span_id
-        self._parents[row] = span.parent_id or 0
-        self._traces[row] = span.trace_id
-        self._starts[row] = span.start
-        self._ends[row] = span.end
-        self._names[row] = span.name
-        self._kinds[row] = span.kind
-        self._actors[row] = span.actor
-        self._attrs[row] = attrs
+        self.add(
+            span.span_id, span.parent_id, span.trace_id, span.name, span.kind,
+            span.actor, span.start, span.end, span.attrs,
+        )
+
+    def _compact(self) -> None:
+        offs = self._offs
+        cut = len(offs) - self.capacity
+        refs = offs[cut] - self._base if self.capacity else len(self._refs)
+        self._base += refs
+        self._cut += cut
+        del self._refs[:refs], offs[:cut], self._ids[: 3 * cut], self._times[: 2 * cut]
+
+    @property
+    def dropped(self) -> int:
+        """Spans appended that the log no longer reads back."""
+        return self._cut + len(self._offs) - len(self)
 
     def _rebuild(self, row: int) -> Span:
-        flat = self._attrs[row]
-        if flat is None:
-            attrs = None
-        else:
-            half = len(flat) >> 1
-            attrs = dict(zip(flat[:half], flat[half:]))
-        span = Span(
-            self._ids[row],
-            self._parents[row] or None,
-            self._traces[row],
-            self._names[row],
-            self._kinds[row],
-            self._actors[row],
-            self._starts[row],
-            attrs,
-        )
-        span.end = self._ends[row]
+        at = self._offs[row] - self._base
+        refs = self._refs
+        name, kind, actor, keys = refs[at]
+        attrs = None if keys is None else dict(zip(keys, refs[at + 1 : at + 1 + len(keys)]))
+        span_id, parent_id, trace_id = self._ids[3 * row : 3 * row + 3]
+        start, end = self._times[2 * row : 2 * row + 2]
+        span = Span(span_id, parent_id or None, trace_id, name, kind, actor, start, attrs)
+        span.end = end
         return span
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return min(len(self._offs), self.capacity)
 
     def __iter__(self) -> Iterator[Span]:
-        rebuild = self._rebuild
-        head = self._head
-        for row in range(head, len(self._ids)):
-            yield rebuild(row)
-        for row in range(head):
-            yield rebuild(row)
+        return map(self._rebuild, range(len(self._offs) - len(self), len(self._offs)))
 
     def __getitem__(self, index):
-        size = len(self._ids)
-        picked = range(size)[index]  # negative, out-of-range and slices
+        first = len(self._offs) - len(self)
+        picked = range(first, len(self._offs))[index]  # negative, out-of-range and slices
         if isinstance(index, slice):
-            return [self._rebuild((self._head + i) % size) for i in picked]
-        return self._rebuild((self._head + picked) % size)
+            return [self._rebuild(row) for row in picked]
+        return self._rebuild(picked)
 
 
 def span_tree(spans, trace_id: int) -> Dict[Optional[int], list]:

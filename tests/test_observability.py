@@ -172,6 +172,27 @@ class TestSpanModel:
         assert ops[1].parent_id == task_span.span_id
         assert phase_span.attrs == {"tag": 1}
 
+    def test_an_open_phase_is_its_own_span(self, kernel):
+        runtime = attach(kernel)
+        env = env_of(kernel, 0)
+        seen = []
+
+        def worker():
+            phase = env.obs.phase("outer", tag=1)
+            task = runtime.current_task
+            seen.append(isinstance(phase, Span) and task.ctx is phase)
+            seen.append(any(span is phase for span in runtime.open_spans()))
+            yield env.sleep(1)
+            phase.finish(done=True)
+            phase.finish(done=False)  # idempotent
+            seen.append(task.ctx is not phase and phase.end == 1.0)
+
+        kernel.spawn(ProcessId(0), "worker", worker())
+        kernel.run(until=10)
+        assert seen == [True, True, True]
+        outer = next(s for s in runtime.spans if s.name == "outer")
+        assert (outer.start, outer.end, outer.attrs) == (0.0, 1.0, {"tag": 1, "done": True})
+
     def test_crash_closes_task_spans_as_killed(self):
         script = FaultScript()
         script.at(1.0).crash_process(0)

@@ -21,6 +21,7 @@ Three planes built on the deterministic kernel:
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -238,7 +239,11 @@ class TestWhatIfProfiler:
         assert truncated != run_hash(run()[0])
         # the digest is over the retained spans AND the count that scrolled
         # out: the same eight spans after a longer prefix must not collide
-        runtime.dropped += 1
+        kernel.obs = SimpleNamespace(
+            finished=runtime.finished,
+            dropped=runtime.dropped + 1,
+            open_spans=runtime.open_spans,
+        )
         assert run_hash(kernel) != truncated
 
     @pytest.mark.parametrize("arm", ["call_at", "schedule_fault"])
