@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.mem.operations import ChangePermissionOp
@@ -135,11 +135,6 @@ class ElasticKV(ShardedKV):
         self._cfg_tasks: Dict[int, List[Any]] = {}
         self._control_tasks: List[Any] = []
         self._cfg_wake: Any = None
-        #: callbacks fired after each epoch cutover (new active epoch as
-        #: the single argument) — the parallel driver's worker-assignment
-        #: rebalance hangs off this so splits/merges reweight partitions
-        #: at the same instant routing flips.
-        self.on_activation: List[Callable[[Epoch], None]] = []
         super().__init__(cfg)
         self.autoscaler: Optional[Autoscaler] = (
             Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None
@@ -278,8 +273,6 @@ class ElasticKV(ShardedKV):
             shards=list(epoch.shards),
             ring_version=epoch.ring_version,
         )
-        for hook in self.on_activation:
-            hook(epoch)
 
     # ------------------------------------------------------------------
     # the drain filter (seal semantics)

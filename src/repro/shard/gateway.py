@@ -46,8 +46,7 @@ class CellRouter:
     """Key -> owning service cell, via a consistent ring over cell ids.
 
     The ring's "shards" are service-cell ids; vnode placement makes the
-    split deliberately uneven (exactly like real shard rings), which is
-    what the worker assignment's arc weighting exists to absorb.
+    split deliberately uneven, exactly like real shard rings.
     """
 
     def __init__(self, service_cells: List[int], vnodes: int = 64) -> None:

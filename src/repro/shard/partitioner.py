@@ -154,101 +154,6 @@ def ring_diff(old: HashRing, new: HashRing) -> RingDiff:
     return RingDiff(old.version, new.version, tuple(intervals))
 
 
-def arc_fractions(ring: HashRing) -> Dict[int, float]:
-    """Fraction of the hash circle each shard of *ring* owns.
-
-    Under uniform key hashing this is the expected share of traffic the
-    shard absorbs, which is what the parallel driver's load balancer
-    wants as a weight — vnode placement is deliberately uneven, so
-    ``1/n_shards`` would misweight small rings badly.
-    """
-    points, owners = ring._points, ring._owners
-    totals: Dict[int, int] = {shard: 0 for shard in ring.shards}
-    prev = points[-1]  # first arc wraps: (last_point, first_point]
-    for point, owner in zip(points, owners):
-        totals[owner] += (point - prev) % CIRCLE
-        prev = point
-    return {shard: arc / CIRCLE for shard, arc in totals.items()}
-
-
-class WorkerAssignment:
-    """Deterministic cell -> worker placement for the parallel driver.
-
-    Cells (independent sub-simulations — see :mod:`repro.sim.parallel`)
-    are weighted and packed onto ``n_workers`` bins with longest-
-    processing-time-first greedy packing: heaviest cell onto the
-    currently lightest worker, ties broken by (worker index, cell id) so
-    the layout is a pure function of the weights.  Weights come from the
-    global routing ring when one is supplied — a cell's share is the arc
-    fraction its shards own, so a split that moves keyspace into a cell
-    also moves scheduling weight toward its worker at ``rebalance()``.
-    """
-
-    def __init__(self, cell_ids: Sequence[int], n_workers: int) -> None:
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.cell_ids: Tuple[int, ...] = tuple(sorted(set(int(c) for c in cell_ids)))
-        if not self.cell_ids:
-            raise ValueError("need at least one cell")
-        self.n_workers = min(n_workers, len(self.cell_ids))
-        self.weights: Dict[int, float] = {cell: 1.0 for cell in self.cell_ids}
-        self.workers: List[List[int]] = []
-        self.worker_of: Dict[int, int] = {}
-        self.rebalances = 0
-        self._pack()
-
-    def _pack(self) -> None:
-        loads = [0.0] * self.n_workers
-        bins: List[List[int]] = [[] for _ in range(self.n_workers)]
-        # heaviest first; cell id breaks weight ties deterministically
-        order = sorted(self.cell_ids, key=lambda c: (-self.weights[c], c))
-        for cell in order:
-            worker = min(range(self.n_workers), key=lambda w: (loads[w], w))
-            bins[worker].append(cell)
-            loads[worker] += self.weights[cell]
-        for bucket in bins:
-            bucket.sort()
-        self.workers = bins
-        self.worker_of = {
-            cell: w for w, bucket in enumerate(bins) for cell in bucket
-        }
-        self.loads = loads
-
-    def set_weights(self, weights: Dict[int, float]) -> None:
-        """Install per-cell weights (missing cells keep weight 0)."""
-        self.weights = {cell: float(weights.get(cell, 0.0)) for cell in self.cell_ids}
-        self._pack()
-
-    def rebalance(self, ring: HashRing, shard_cell: Dict[int, int]) -> None:
-        """Reweight from routing ring arcs and repack.
-
-        *shard_cell* maps each shard id of *ring* to the cell hosting it;
-        a cell's weight is the total arc fraction of its shards.  Called
-        from an epoch-activation hook so splits/merges shift load between
-        workers at the cutover instant.
-        """
-        arcs = arc_fractions(ring)
-        weights = {cell: 0.0 for cell in self.cell_ids}
-        for shard, arc in arcs.items():
-            cell = shard_cell.get(shard)
-            if cell is not None and cell in weights:
-                weights[cell] += arc
-        self.set_weights(weights)
-        self.rebalances += 1
-
-    def imbalance(self) -> float:
-        """max worker load / mean worker load (1.0 = perfectly even)."""
-        total = sum(self.loads)
-        if total <= 0:
-            return 1.0
-        mean = total / self.n_workers
-        return max(self.loads) / mean
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cells = ", ".join(f"w{w}:{bucket}" for w, bucket in enumerate(self.workers))
-        return f"WorkerAssignment({cells})"
-
-
 class ConsistentHashPartitioner:
     """Maps string keys to shard ids via versioned hash rings.
 

@@ -26,18 +26,24 @@ consistent with conservative (null-message/lookahead) synchronization:
   (worker-independent) executions, so per-cell traces are bit-identical
   for ANY worker count, including W=1 against the plain sequential loop.
 
-Two execution modes share the barrier protocol:
+There is one barrier loop.  It drives a list of **workers**, each one
+bucket of cells (cell ``c`` goes to worker ``c % W``): per round it calls
+``start(barrier, injections)`` on every worker, then ``collect()`` on
+every worker for ``(outbox, cell states, busy)``, and a final call
+injects the leftover entries and returns the per-cell summaries.  The
+two modes differ only in where a bucket runs:
 
-* ``inline`` — one OS process; workers are accounting buckets.  Per
-  round, each worker's wall-clock slice is measured, and the result
-  reports a **critical-path projection**: what the round structure would
-  yield with truly concurrent workers (``total_busy / (sum of per-round
-  max worker slices + coordinator overhead)``).  This is the honest
-  number on a single-core container, and the default for benchmarks.
-* ``fork`` — real OS processes (Linux ``fork`` start method), one per
-  worker, each building only its assigned cells and exchanging outboxes
-  with the coordinator over pipes.  Same barriers, same merge key, same
-  hashes; used to validate that the protocol survives real parallelism.
+* ``inline`` — in the coordinator's own process; ``start`` runs the
+  round and ``collect`` hands its reply back.  The default for
+  benchmarks.
+* ``fork`` — in one forked OS process (Linux ``fork`` start method) per
+  worker, which builds only its own cells and answers the same calls
+  over a pipe, so the workers of one round run concurrently.
+
+Either way the result reports a **critical-path projection**: what the
+round structure would yield with truly concurrent workers
+(``(total_busy + coordinator) / (sum of per-round max worker busy +
+coordinator)``), from worker busy times measured where the work ran.
 
 Cells are described by **factories** (``factory(port) -> Cell``) rather
 than pre-built kernels so fork workers can construct their partition in
@@ -192,20 +198,139 @@ class ParallelRunResult:
     def as_dict(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"ParallelRunResult(W={self.workers}, rounds={self.rounds}, "
             f"t={self.virtual_time}, projected={self.projected_speedup:.2f}x)"
         )
 
 
+class _Bucket:
+    """One worker's cells, and the body of a barrier round over them:
+    inject, run each cell to the barrier, drain the ports, report states.
+
+    Cell states map a cell id to ``(next_time, goal_met, now)``.
+    """
+
+    def __init__(self, cells: List[Cell]) -> None:
+        self.cells = cells
+        self.by_id = {cell.id: cell for cell in cells}
+        self.deadline: Optional[float] = None
+        self._reply: Optional[Tuple] = None
+
+    def hello(self, derive: bool) -> Tuple[Optional[float], bool, Dict]:
+        """``(lookahead, has_goal, states)``; the lookahead is the cells'
+        smallest latency-model ``lookahead()`` when *derive*, else None."""
+        lookahead = min(
+            cell.kernel.config.latency.lookahead() for cell in self.cells
+        ) if derive else None
+        has_goal = any(cell.goal is not None for cell in self.cells)
+        return lookahead, has_goal, self._states()
+
+    def begin(self, lookahead: float, deadline: Optional[float]) -> None:
+        for cell in self.cells:
+            cell.port.lookahead = lookahead
+        self.deadline = deadline
+
+    def run_round(self, barrier: float, injections: List[Tuple]) -> Tuple:
+        started = time.perf_counter()
+        self._inject(injections)
+        for cell in self.cells:
+            queue = cell.kernel.queue
+            cell.kernel.run(
+                until=self.deadline,
+                stop_when=lambda q=queue, b=barrier: q.idle_before(b),
+            )
+        outbox: List[Tuple] = []
+        for cell in self.cells:
+            outbox.extend(cell.port.drain())
+        states = self._states()
+        return outbox, states, time.perf_counter() - started
+
+    def start(self, barrier: float, injections: List[Tuple]) -> None:
+        self._reply = self.run_round(barrier, injections)
+
+    def collect(self) -> Tuple:
+        return self._reply
+
+    def finish(self, injections: List[Tuple]) -> Dict[int, Dict[str, Any]]:
+        self._inject(injections)
+        return {cell.id: cell_summary(cell) for cell in self.cells}
+
+    def close(self) -> None:
+        pass
+
+    def _inject(self, injections: List[Tuple]) -> None:
+        for entry in injections:
+            inject_entry(self.by_id[entry[2]].kernel, entry)
+
+    def _states(self) -> Dict[int, Tuple[float, bool, float]]:
+        return {
+            cell.id: (cell.next_time(), cell.goal_met(), cell.kernel.now)
+            for cell in self.cells
+        }
+
+
+class _ForkWorker:
+    """A :class:`_Bucket` living in a forked child, answering the same
+    calls over a pipe; ``start`` only sends, so the children of one round
+    run concurrently until ``collect`` reads their replies."""
+
+    def __init__(self, context, engine: "ParallelKernel", cell_ids: range) -> None:
+        self.pipe, child_end = context.Pipe()
+        self.proc = context.Process(
+            target=_serve, args=(child_end, engine, cell_ids), daemon=True
+        )
+        self.proc.start()
+        child_end.close()
+        self.finished = False
+
+    def _call(self, name: str, *args: Any) -> Any:
+        self.pipe.send((name, args))
+        return self.pipe.recv()
+
+    def hello(self, derive: bool) -> Tuple[Optional[float], bool, Dict]:
+        return self._call("hello", derive)
+
+    def begin(self, lookahead: float, deadline: Optional[float]) -> None:
+        self._call("begin", lookahead, deadline)
+
+    def start(self, barrier: float, injections: List[Tuple]) -> None:
+        self.pipe.send(("run_round", (barrier, injections)))
+
+    def collect(self) -> Tuple:
+        return self.pipe.recv()
+
+    def finish(self, injections: List[Tuple]) -> Dict[int, Dict[str, Any]]:
+        self.finished = True
+        return self._call("finish", injections)
+
+    def close(self) -> None:
+        self.pipe.close()
+        if not self.finished:
+            # an abandoned run: later-forked siblings hold copies of this
+            # pipe's coordinator end, so the child would never see EOF
+            self.proc.terminate()
+        self.proc.join(timeout=30)
+
+
+def _serve(pipe, engine: "ParallelKernel", cell_ids: range) -> None:
+    """Fork child body: build this worker's cells, answer calls until
+    ``finish``."""
+    bucket = _Bucket(engine._build_cells(cell_ids))
+    while True:
+        name, args = pipe.recv()
+        pipe.send(getattr(bucket, name)(*args))
+        if name == "finish":
+            return
+
+
 class ParallelKernel:
     """Coordinator of a partitioned simulation.
 
     *factories* is a sequence of ``factory(port) -> Cell`` callables, one
-    per cell; cell ids are the factory indices.  *workers* buckets cells
-    via :class:`~repro.shard.partitioner.WorkerAssignment` (LPT packing,
-    ring-reweightable).
+    per cell; cell ids are the factory indices.  Cell ``c`` runs on
+    worker ``c % W``, with ``W = min(workers, n_cells)``.
 
     *lookahead* is the fabric's cross-cell delay and the barrier slack.
     When None it is derived as the minimum of the cells' latency models'
@@ -222,37 +347,31 @@ class ParallelKernel:
     ) -> None:
         if not factories:
             raise ValueError("need at least one cell factory")
+        if workers < 1:
+            raise ValueError("need at least one worker")
         if mode not in ("inline", "fork"):
             raise ValueError(f"unknown mode {mode!r}; pick 'inline' or 'fork'")
         self.factories = list(factories)
         self.mode = mode
         self.n_cells = len(self.factories)
-        from repro.shard.partitioner import WorkerAssignment
-
-        self.assignment = WorkerAssignment(range(self.n_cells), workers)
-        self.workers = self.assignment.n_workers
+        self.workers = min(workers, self.n_cells)
         self._lookahead_arg = lookahead
         self.lookahead = lookahead if lookahead is not None else 2.0
         self.cells: List[Cell] = []
-        self.ports: List[FabricPort] = []
         self.result: Optional[ParallelRunResult] = None
+        self._summaries: Dict[int, Dict[str, Any]] = {}
         if mode == "inline":
-            self.cells, self.ports = self._build_cells(range(self.n_cells))
-            if lookahead is None:
-                self.lookahead = min(
-                    cell.kernel.config.latency.lookahead() for cell in self.cells
-                )
-                for port in self.ports:
-                    port.lookahead = self.lookahead
+            self.cells = self._build_cells(range(self.n_cells))
+            self._buckets = [
+                _Bucket(self.cells[worker::self.workers])
+                for worker in range(self.workers)
+            ]
 
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _build_cells(
-        self, cell_ids: Sequence[int]
-    ) -> Tuple[List[Cell], List[FabricPort]]:
+    def _build_cells(self, cell_ids: Sequence[int]) -> List[Cell]:
         cells: List[Cell] = []
-        ports: List[FabricPort] = []
         for cell_id in cell_ids:
             port = FabricPort(cell_id, self.lookahead)
             cell = self.factories[cell_id](port)
@@ -263,8 +382,25 @@ class ParallelKernel:
             cell.port = port
             port.bind(cell.kernel)
             cells.append(cell)
-            ports.append(port)
-        return cells, ports
+        return cells
+
+    def _start_workers(self) -> List[Any]:
+        if self.mode == "inline":
+            return self._buckets
+        import multiprocessing as mp
+
+        context = mp.get_context("fork")
+        return [
+            _ForkWorker(context, self, range(worker, self.n_cells, self.workers))
+            for worker in range(self.workers)
+        ]
+
+    def _route(self, entries: List[Tuple]) -> List[List[Tuple]]:
+        """Split merged fabric entries by destination worker, keeping order."""
+        by_worker: List[List[Tuple]] = [[] for _ in range(self.workers)]
+        for entry in entries:
+            by_worker[entry[2] % self.workers].append(entry)
+        return by_worker
 
     # ------------------------------------------------------------------
     # the conservative barrier loop
@@ -281,305 +417,115 @@ class ParallelKernel:
         evaluated only at barriers, so the stop point is identical for
         every worker count.
         """
-        if (
-            deadline is None
-            and self.mode == "inline"
-            and all(cell.goal is None for cell in self.cells)
-        ):
-            raise ValueError("need a deadline or at least one cell goal")
-        if self.mode == "fork":
-            return self._run_fork(deadline, max_rounds)
-        self._has_goal = any(cell.goal is not None for cell in self.cells)
-        return self._run_inline(deadline, max_rounds)
-
-    def _barrier_plan(
-        self, next_times: List[float], goals: List[bool], deadline: Optional[float]
-    ) -> Tuple[bool, float, float]:
-        """``(done, t_min, barrier)`` for one round — shared by both modes
-        so they produce identical barrier sequences."""
-        t_min = min(next_times)
-        # goal-less cells report goal_met()=True, so "all goals met" is
-        # only a stop condition when some cell actually has a goal;
-        # otherwise the run is bounded by the deadline or quiescence
-        if self._has_goal and all(goals):
-            return True, t_min, t_min
-        if t_min == INF:
-            return True, t_min, t_min
-        if deadline is not None and t_min > deadline:
-            return True, t_min, t_min
-        return False, t_min, t_min + self.lookahead
-
-    def _run_inline(
-        self, deadline: Optional[float], max_rounds: Optional[int]
-    ) -> ParallelRunResult:
         started = time.perf_counter()
-        cells, ports = self.cells, self.ports
-        buckets = [
-            [cells[cell_id] for cell_id in self.assignment.workers[w]]
-            for w in range(self.workers)
-        ]
-        worker_busy = [0.0] * self.workers
-        critical_path = 0.0
-        total_busy = 0.0
-        coordinator = 0.0
-        rounds = 0
-        crossed = 0
-        goal_met = False
-        t_min = 0.0
-        # Same round shape as fork mode: the coordinator only drains,
-        # sorts and plans; injections execute inside the destination
-        # worker's timed slice at the top of the next round (that is
-        # where the work lands with real concurrent workers, so the
-        # critical-path accounting must charge it there too).  Pending
-        # arrivals are folded into the time floor exactly as fork does —
-        # equivalent to planning after injection, since an injection only
-        # ever adds an event at its arrival time.
-        pending: List[Tuple] = []
-        while True:
-            tick = time.perf_counter()
-            done, t_min, barrier = self._barrier_plan(
-                [cell.next_time() for cell in cells]
-                + [entry[0] for entry in pending],
-                [cell.goal_met() for cell in cells],
-                deadline,
-            )
-            coordinator += time.perf_counter() - tick
-            if done:
-                goal_met = all(cell.goal_met() for cell in cells)
-                break
-            if max_rounds is not None and rounds >= max_rounds:
-                break
-            by_worker: List[List[Tuple]] = [[] for _ in range(self.workers)]
-            for entry in pending:
-                by_worker[self.assignment.worker_of[entry[2]]].append(entry)
+        workers = self._start_workers()
+        try:
+            # handshake: every worker reports its cells' states and,
+            # unless the caller fixed one, its smallest lookahead
+            derive = self._lookahead_arg is None
+            states: Dict[int, Tuple[float, bool, float]] = {}
+            lookaheads = []
+            has_goal = False
+            for worker in workers:
+                lookahead, worker_has_goal, cell_states = worker.hello(derive)
+                lookaheads.append(lookahead)
+                has_goal = has_goal or worker_has_goal
+                states.update(cell_states)
+            if deadline is None and not has_goal:
+                raise ValueError("need a deadline or at least one cell goal")
+            if derive:
+                self.lookahead = min(lookaheads)
+            for worker in workers:
+                worker.begin(self.lookahead, deadline)
+
+            worker_busy = [0.0] * self.workers
+            critical_path = 0.0
+            coordinator = 0.0
+            rounds = 0
+            crossed = 0
+            goal_met = False
+            # Injections execute inside the destination worker's busy
+            # time at the top of the next round (where the work lands
+            # with concurrent workers), so the floor folds in the pending
+            # arrivals: an injection only ever adds an event at its
+            # arrival time, making this the post-injection t_min.
+            pending: List[Tuple] = []
+            while True:
+                tick = time.perf_counter()
+                t_min = min(
+                    min(state[0] for state in states.values()),
+                    min((entry[0] for entry in pending), default=INF),
+                )
+                goals = [state[1] for state in states.values()]
+                # goal-less cells report goal_met()=True, so "all goals
+                # met" is only a stop condition when some cell actually
+                # has a goal; otherwise the run is bounded by the
+                # deadline or quiescence
+                if (
+                    (has_goal and all(goals))
+                    or t_min == INF
+                    or (deadline is not None and t_min > deadline)
+                ):
+                    goal_met = all(goals)
+                    break
+                if max_rounds is not None and rounds >= max_rounds:
+                    break
+                injections = self._route(pending)
+                crossed += len(pending)
+                coordinator += time.perf_counter() - tick
+                barrier = t_min + self.lookahead
+                for worker, entries in zip(workers, injections):
+                    worker.start(barrier, entries)
+                replies = [worker.collect() for worker in workers]
+                tick = time.perf_counter()
+                pending = []
+                for index, (outbox, cell_states, busy) in enumerate(replies):
+                    pending.extend(outbox)
+                    states.update(cell_states)
+                    worker_busy[index] += busy
+                critical_path += max(reply[2] for reply in replies)
+                pending.sort(key=merge_key)
+                coordinator += time.perf_counter() - tick
+                rounds += 1
+            # leftover cross-cell messages are injected (not run), so the
+            # final queues and injection counters hold them
             crossed += len(pending)
-            pending = []
-            round_slices = []
-            for worker, bucket in enumerate(buckets):
-                slice_start = time.perf_counter()
-                for entry in by_worker[worker]:
-                    inject_entry(cells[entry[2]].kernel, entry)
-                for cell in bucket:
-                    kernel = cell.kernel
-                    queue = kernel.queue
-                    kernel.run(
-                        until=deadline,
-                        stop_when=lambda q=queue, b=barrier: q.idle_before(b),
-                    )
-                slice_wall = time.perf_counter() - slice_start
-                worker_busy[worker] += slice_wall
-                round_slices.append(slice_wall)
-            critical_path += max(round_slices) if round_slices else 0.0
-            total_busy += sum(round_slices)
-            tick = time.perf_counter()
-            for port in ports:
-                pending.extend(port.drain())
-            pending.sort(key=merge_key)
-            coordinator += time.perf_counter() - tick
-            rounds += 1
-        # leftover cross-cell messages are injected (not run) so final
-        # queue state and counters match fork mode's finish path
-        crossed += len(pending)
-        for entry in pending:
-            inject_entry(cells[entry[2]].kernel, entry)
-        wall = time.perf_counter() - started
+            self._summaries = {}
+            for worker, entries in zip(workers, self._route(pending)):
+                self._summaries.update(worker.finish(entries))
+        finally:
+            for worker in workers:
+                worker.close()
+        total_busy = sum(worker_busy)
         parallel_wall = critical_path + coordinator
-        projected = (total_busy + coordinator) / parallel_wall if parallel_wall > 0 else 1.0
         self.result = ParallelRunResult(
             goal_met=goal_met,
             rounds=rounds,
             virtual_time=t_min if t_min != INF else max(
-                (cell.kernel.now for cell in cells), default=0.0
+                state[2] for state in states.values()
             ),
-            wall=wall,
+            wall=time.perf_counter() - started,
             workers=self.workers,
-            mode="inline",
+            mode=self.mode,
             worker_busy=worker_busy,
             critical_path=critical_path,
             total_busy=total_busy,
             coordinator_wall=coordinator,
-            projected_speedup=projected,
+            projected_speedup=(
+                (total_busy + coordinator) / parallel_wall if parallel_wall > 0 else 1.0
+            ),
             messages_crossed=crossed,
             lookahead=self.lookahead,
         )
         return self.result
-
-    # ------------------------------------------------------------------
-    # fork mode (real OS processes)
-    # ------------------------------------------------------------------
-    def _run_fork(
-        self, deadline: Optional[float], max_rounds: Optional[int]
-    ) -> ParallelRunResult:
-        import multiprocessing as mp
-
-        context = mp.get_context("fork")
-        started = time.perf_counter()
-        procs = []
-        pipes = []
-        for worker in range(self.workers):
-            parent_end, child_end = context.Pipe()
-            proc = context.Process(
-                target=self._fork_worker,
-                args=(worker, child_end, deadline),
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()
-            procs.append(proc)
-            pipes.append(parent_end)
-        try:
-            # handshake: each worker builds its cells, reports its local
-            # minimum lookahead and initial cell states
-            states: Dict[int, Tuple[float, bool]] = {}
-            lookaheads = []
-            self._has_goal = False
-            for pipe in pipes:
-                tag, local_lookahead, has_goal, cell_states = pipe.recv()
-                assert tag == "ready", tag
-                lookaheads.append(local_lookahead)
-                self._has_goal = self._has_goal or has_goal
-                for cell_id, next_time, goal in cell_states:
-                    states[cell_id] = (next_time, goal)
-            if self._lookahead_arg is None:
-                self.lookahead = min(lookaheads)
-            for pipe in pipes:
-                pipe.send(("lookahead", self.lookahead))
-            rounds = 0
-            crossed = 0
-            goal_met = False
-            t_min = 0.0
-            worker_busy = [0.0] * self.workers
-            pending: List[Tuple] = []
-            while True:
-                # Children report next_time BEFORE this round's injections
-                # land, so fold the pending arrivals into the floor — an
-                # injection only ever adds an event at its arrival time,
-                # which makes this exactly the post-injection t_min the
-                # inline loop computes.
-                done, t_min, barrier = self._barrier_plan(
-                    [state[0] for state in states.values()]
-                    + [entry[0] for entry in pending],
-                    [state[1] for state in states.values()],
-                    deadline,
-                )
-                if done:
-                    goal_met = all(state[1] for state in states.values())
-                    break
-                if max_rounds is not None and rounds >= max_rounds:
-                    break
-                # ship this round's injections (already globally sorted)
-                # and the barrier; collect each worker's outbox and new
-                # cell states
-                by_worker: Dict[int, List[Tuple]] = {w: [] for w in range(self.workers)}
-                for entry in pending:
-                    by_worker[self.assignment.worker_of[entry[2]]].append(entry)
-                crossed += len(pending)
-                for worker, pipe in enumerate(pipes):
-                    pipe.send(("round", barrier, by_worker[worker]))
-                pending = []
-                for worker, pipe in enumerate(pipes):
-                    tag, outbox, cell_states, busy = pipe.recv()
-                    assert tag == "ran", tag
-                    pending.extend(outbox)
-                    worker_busy[worker] += busy
-                    for cell_id, next_time, goal in cell_states:
-                        states[cell_id] = (next_time, goal)
-                pending.sort(key=merge_key)
-                rounds += 1
-            # leftover injections ride the finish message so fork-mode
-            # injection counters match the inline loop (which injects
-            # before its final goal check) even though nothing runs after
-            summaries: Dict[int, Dict[str, Any]] = {}
-            leftover: Dict[int, List[Tuple]] = {w: [] for w in range(self.workers)}
-            for entry in pending:
-                leftover[self.assignment.worker_of[entry[2]]].append(entry)
-            crossed += len(pending)
-            for worker, pipe in enumerate(pipes):
-                pipe.send(("finish", leftover[worker]))
-            for pipe in pipes:
-                tag, worker_summaries = pipe.recv()
-                assert tag == "summary", tag
-                summaries.update(worker_summaries)
-            self._fork_summaries = summaries
-        finally:
-            for pipe in pipes:
-                pipe.close()
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - hang guard
-                    proc.terminate()
-        wall = time.perf_counter() - started
-        self.result = ParallelRunResult(
-            goal_met=goal_met,
-            rounds=rounds,
-            virtual_time=t_min if t_min != INF else 0.0,
-            wall=wall,
-            workers=self.workers,
-            mode="fork",
-            worker_busy=worker_busy,
-            critical_path=None,
-            total_busy=sum(worker_busy),
-            coordinator_wall=None,
-            projected_speedup=None,
-            messages_crossed=crossed,
-            lookahead=self.lookahead,
-        )
-        return self.result
-
-    def _fork_worker(self, worker: int, pipe, deadline: Optional[float]) -> None:
-        """Child body: build this worker's cells, serve barrier rounds."""
-        cell_ids = list(self.assignment.workers[worker])
-        cells, ports = self._build_cells(cell_ids)
-        by_id = {cell.id: cell for cell in cells}
-        local_lookahead = min(
-            cell.kernel.config.latency.lookahead() for cell in cells
-        ) if self._lookahead_arg is None else self.lookahead
-        pipe.send((
-            "ready",
-            local_lookahead,
-            any(cell.goal is not None for cell in cells),
-            [(cell.id, cell.next_time(), cell.goal_met()) for cell in cells],
-        ))
-        tag, lookahead = pipe.recv()
-        assert tag == "lookahead", tag
-        for port in ports:
-            port.lookahead = lookahead
-        while True:
-            message = pipe.recv()
-            if message[0] == "finish":
-                for entry in message[1]:
-                    inject_entry(by_id[entry[2]].kernel, entry)
-                pipe.send(("summary", {cell.id: cell_summary(cell) for cell in cells}))
-                return
-            _tag, barrier, injections = message
-            for entry in injections:
-                inject_entry(by_id[entry[2]].kernel, entry)
-            busy_start = time.perf_counter()
-            for cell in cells:
-                queue = cell.kernel.queue
-                cell.kernel.run(
-                    until=deadline,
-                    stop_when=lambda q=queue, b=barrier: q.idle_before(b),
-                )
-            busy = time.perf_counter() - busy_start
-            outbox: List[Tuple] = []
-            for port in ports:
-                outbox.extend(port.drain())
-            pipe.send((
-                "ran",
-                outbox,
-                [(cell.id, cell.next_time(), cell.goal_met()) for cell in cells],
-                busy,
-            ))
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def summaries(self) -> Dict[int, Dict[str, Any]]:
-        """Per-cell determinism digests (inline: live; fork: shipped back)."""
-        if self.mode == "fork":
-            return dict(getattr(self, "_fork_summaries", {}))
-        return {cell.id: cell_summary(cell) for cell in self.cells}
+        """Per-cell determinism digests, as the last run's final call
+        returned them (empty before the first run)."""
+        return dict(self._summaries)
 
     def run_report(self) -> Dict[str, Any]:
         """One aggregated report across all cells plus the run accounting."""

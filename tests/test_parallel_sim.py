@@ -12,11 +12,11 @@ The contract under test (see ``repro.sim.parallel``):
   executions;
 * **mode invariance** — fork mode (real OS processes) produces the same
   hashes, counters and round count as inline mode;
+* **one loop, two transports** — both modes report the same result
+  fields (virtual time, rounds, goal, a printable projection) and
+  refuse a run that could never stop;
 * **gateway at-most-once** — duplicate fabric requests are answered from
-  the done table or absorbed by the in-flight guard, never re-applied;
-* **ring-aware packing** — arc fractions sum to 1, LPT placement is a
-  pure function of the weights, and the epoch-activation hook lets a
-  split reweight partitions at the cutover instant.
+  the done table or absorbed by the in-flight guard, never re-applied.
 
 Satellite: a quorum read never amplifies an unconfirmed watermark — a
 failed commit chain's minority residue is neither served nor written back.
@@ -44,7 +44,6 @@ from repro.shard.gateway import (
     service_cell_factory,
     spawn_gateway,
 )
-from repro.shard.partitioner import HashRing, WorkerAssignment, arc_fractions
 from repro.sim.environment import ProcessEnv
 from repro.sim.kernel import EV_DELIVER, Kernel, SimConfig
 from repro.sim.parallel import Cell, FabricPort, ParallelKernel
@@ -147,66 +146,6 @@ class TestBarrierPrimitives:
 
 
 # ----------------------------------------------------------------------
-# ring-aware worker assignment
-# ----------------------------------------------------------------------
-class TestWorkerAssignment:
-    def test_arc_fractions_cover_the_circle(self):
-        ring = HashRing(0, [0, 1, 2, 3], vnodes=32, salt="")
-        arcs = arc_fractions(ring)
-        assert set(arcs) == {0, 1, 2, 3}
-        assert sum(arcs.values()) == pytest.approx(1.0)
-        assert all(arc > 0 for arc in arcs.values())
-
-    def test_lpt_packing_is_deterministic_and_balanced(self):
-        a = WorkerAssignment(range(6), 2)
-        b = WorkerAssignment(range(6), 2)
-        assert a.workers == b.workers
-        assert sorted(cell for bucket in a.workers for cell in bucket) == list(range(6))
-        # equal weights, even count: perfectly even packing
-        assert a.imbalance() == pytest.approx(1.0)
-        a.set_weights({0: 10.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1.0})
-        # the heavy cell sits alone-ish: everything light lands opposite
-        heavy_worker = a.worker_of[0]
-        assert a.loads[heavy_worker] == max(a.loads)
-        assert a.imbalance() > 1.0
-
-    def test_workers_clamped_to_cell_count(self):
-        a = WorkerAssignment([0, 1], 8)
-        assert a.n_workers == 2
-
-    def test_rebalance_follows_the_ring(self):
-        ring = HashRing(0, [0, 1, 2], vnodes=16, salt="")
-        a = WorkerAssignment(range(3), 2)
-        a.rebalance(ring, {0: 0, 1: 1, 2: 2})
-        assert a.rebalances == 1
-        arcs = arc_fractions(ring)
-        assert sum(a.loads) == pytest.approx(sum(arcs.values()))
-
-    def test_epoch_activation_hook_fires_at_cutover(self):
-        service = ElasticKV(
-            ElasticConfig(
-                n_shards=2, n_processes=3, batch_max=4, seed=5,
-                retry_timeout=25.0, deadline=60_000.0,
-            )
-        )
-        activated = []
-        service.on_activation.append(lambda epoch: activated.append(epoch.number))
-        from repro import ClosedLoopClient
-
-        writers = [
-            ClosedLoopClient(
-                client_id=i, n_ops=40, keys=UniformKeys(30),
-                think_time=6.0, pid=i % 2,
-            )
-            for i in range(2)
-        ]
-        service.schedule_reconfig(100.0, SplitShard())
-        report = service.run_workload(writers)
-        assert report.ok, report.summary()
-        assert activated == [1]
-
-
-# ----------------------------------------------------------------------
 # sequential equivalence and cross-worker determinism
 # ----------------------------------------------------------------------
 def _traffic_kernel(seed=42):
@@ -273,6 +212,20 @@ def _request_echo_factories(n=12):
     return [requester, echoer]
 
 
+def _draining_factories():
+    """The request/echo pair without a goal: a run ends when both drain."""
+
+    def goalless(factory):
+        def build(port):
+            cell = factory(port)
+            cell.goal = None
+            return cell
+
+        return build
+
+    return [goalless(factory) for factory in _request_echo_factories()]
+
+
 def _digest(driver):
     """Everything the determinism contract compares, in one value."""
     report = driver.run_report()
@@ -292,8 +245,27 @@ class TestCrossWorkerDeterminism:
             )
             result = driver.run()
             assert result.goal_met, (workers, mode)
+            assert "projected=" in repr(result), (workers, mode)
             outcomes.append(_digest(driver))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_a_drained_run_reports_one_outcome_in_both_modes(self):
+        outcomes = []
+        for workers, mode in ((1, "inline"), (8, "inline"), (1, "fork"), (2, "fork")):
+            driver = ParallelKernel(
+                _draining_factories(), workers=workers, mode=mode
+            )
+            result = driver.run(deadline=10_000.0)
+            assert result.workers == min(workers, 2)  # clamped to the cells
+            outcomes.append((result.virtual_time, result.rounds, result.goal_met))
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert outcomes[0][0] > 0.0  # the last cell's clock, not the +inf floor
+
+    @pytest.mark.parametrize("mode", ["inline", "fork"])
+    def test_a_run_that_could_never_stop_is_refused(self, mode):
+        driver = ParallelKernel(_draining_factories(), workers=2, mode=mode)
+        with pytest.raises(ValueError, match="deadline or at least one cell goal"):
+            driver.run()
 
     @staticmethod
     def _mixed_factories(seed=11, n_clients=6, ops=40):
@@ -338,11 +310,11 @@ class TestCrossWorkerDeterminism:
         )
         return factories, n_clients * ops
 
-    def _mixed_digest(self, workers, seed=11):
+    def _mixed_digest(self, workers, seed=11, mode="inline"):
         factories, total = self._mixed_factories(seed=seed)
-        driver = ParallelKernel(factories, workers=workers)
+        driver = ParallelKernel(factories, workers=workers, mode=mode)
         result = driver.run()
-        assert result.goal_met, f"W={workers} seed={seed}"
+        assert result.goal_met, f"W={workers} {mode} seed={seed}"
         digest = _digest(driver)
         completed = sum(
             s["summary"]["completed"]
@@ -363,20 +335,24 @@ class TestCrossWorkerDeterminism:
         ]
         assert shards == [[0, 1, 2], [0, 1, 2]]
         assert all(s["injected"] > 0 for s in reference[1].values())
-        for workers in (2, 4):
-            assert self._mixed_digest(workers) == reference, f"W={workers}"
+        for workers, mode in ((2, "inline"), (4, "inline"), (2, "fork")):
+            assert self._mixed_digest(workers, mode=mode) == reference, \
+                f"W={workers} {mode}"
 
     def test_seed_sweep(self, seed_sweep):
         """Cross-worker determinism across many seeds (off by default).
 
         Enable with ``pytest --seed-sweep N``: re-runs the mixed
-        chaos + reconfig workload at W=1 and W=2 for seeds ``0..N-1``.
+        chaos + reconfig workload at W=1, and at W=2 both inline and in
+        fork mode, for seeds ``0..N-1``.
         """
         if not seed_sweep:
             pytest.skip("enable with --seed-sweep N")
         for seed in range(seed_sweep):
-            assert self._mixed_digest(1, seed=seed) == \
-                self._mixed_digest(2, seed=seed), f"seed {seed} diverged"
+            reference = self._mixed_digest(1, seed=seed)
+            for mode in ("inline", "fork"):
+                assert self._mixed_digest(2, seed=seed, mode=mode) == \
+                    reference, f"seed {seed} diverged at W=2 {mode}"
 
 
 # ----------------------------------------------------------------------
