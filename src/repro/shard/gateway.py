@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.shard.partitioner import HashRing
 from repro.smr.kv import KVCommand
 
@@ -258,6 +259,10 @@ class RemoteClient:
         self.pid = int(pid)
         self.gateway_pid = int(gateway_pid)
         self.retry_timeout = float(retry_timeout)
+        if not self.retry_timeout > 0:
+            raise ConfigurationError(
+                f"retry_timeout must be > 0, got {retry_timeout!r}"
+            )
 
     def task(self, env, port, recorder: RemoteRecorder):
         rng = env.rng

@@ -132,6 +132,12 @@ class ShardConfig:
             raise ConfigurationError("need at least one shard")
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be >= 1")
+        if not self.retry_timeout > 0:
+            raise ConfigurationError(
+                f"retry_timeout must be > 0, got {self.retry_timeout!r}"
+            )
+        if self.bft_max_slots < 1:
+            raise ConfigurationError("bft_max_slots must be >= 1")
         bad = [g for g in self.bft_shards if not 0 <= g < self.n_shards]
         if bad:
             raise ConfigurationError(f"bft_shards out of range: {bad}")

@@ -5,7 +5,7 @@ import pytest
 from repro import MessagePaxos, ProtectedMemoryPaxos
 from repro.sim.latency import JitteredSynchrony
 
-from benchmarks.bench_latency_distributions import sweep_decision_delays
+from benchmarks.consensus_tables import sweep_decision_delays
 
 
 class TestSweep:

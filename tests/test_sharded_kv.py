@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.obs.runtime import attach
+from repro.reconfig import ElasticConfig
 from repro.shard import (
     ClosedLoopClient,
     ConsistentHashPartitioner,
@@ -18,6 +19,7 @@ from repro.shard import (
     ZipfianKeys,
 )
 from repro.shard import service as shard_service
+from repro.shard.gateway import RemoteClient
 from repro.shard.service import PIPELINE_DEPTH
 from repro.smr.kv import KVCommand
 
@@ -320,3 +322,24 @@ class TestServiceConfig:
             ShardConfig(n_shards=0)
         with pytest.raises(ConfigurationError):
             ShardConfig(batch_max=0)
+
+    # A zero retry timeout resent forever at virtual time 0, a negative
+    # one died in the event queue, and no BFT slot completed nothing.
+    @pytest.mark.parametrize(
+        "field, value",
+        [("retry_timeout", 0.0), ("retry_timeout", -1.0), ("bft_max_slots", 0)],
+    )
+    @pytest.mark.parametrize("config", [ShardConfig, ElasticConfig])
+    def test_timeouts_and_slot_caps_are_validated(self, config, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=field):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("retry_timeout", [0.0, -1.0])
+    def test_remote_client_retry_timeout_is_validated(self, retry_timeout):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="retry_timeout"):
+            RemoteClient(0, 1, keys=None, mix=None, route=None,
+                         retry_timeout=retry_timeout)
