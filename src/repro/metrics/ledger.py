@@ -16,11 +16,12 @@ off and read the violation log instead.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import AgreementViolation, StalenessViolation
+from repro.errors import AgreementViolation, ConfigurationError, StalenessViolation
 from repro.types import ProcessId
 
 #: default per-shard latency-window bound (samples retained per window)
@@ -45,33 +46,52 @@ class LatencyWindow:
     append index via :meth:`since` — indices that scrolled out of the ring
     are simply gone, which is correct for a percentile-of-recent-traffic
     reading.
+
+    The ring is two ``array('d')`` columns, completion times and
+    latencies: a sample is two floats, not a tuple the garbage collector
+    tracks.  Global sample ``g`` lives at position ``g % bound``, so once
+    the ring is full the oldest retained sample sits at ``total % bound``.
+    Iteration yields fresh ``(completed_at, latency)`` tuples, oldest
+    first.
     """
 
-    __slots__ = ("_samples", "total", "bound")
+    __slots__ = ("_times", "_latencies", "total", "bound")
 
     def __init__(self, bound: int = DEFAULT_LATENCY_WINDOW) -> None:
         if bound < 1:
             raise ValueError("latency window bound must be >= 1")
-        self._samples: deque = deque(maxlen=bound)
+        self._times = array("d")
+        self._latencies = array("d")
         self.total = 0
         self.bound = bound
 
     def append(self, completed_at: float, latency: float) -> None:
-        self._samples.append((completed_at, latency))
+        if self.total < self.bound:
+            self._times.append(completed_at)
+            self._latencies.append(latency)
+        else:
+            at = self.total % self.bound
+            self._times[at] = completed_at
+            self._latencies[at] = latency
         self.total += 1
 
+    def _oldest_first(self, column: array) -> array:
+        """*column* rotated so the oldest retained sample comes first."""
+        at = self.total % self.bound if self.total > self.bound else 0
+        return column[at:] + column[:at] if at else column
+
     def __iter__(self):
-        return iter(self._samples)
+        return zip(self._oldest_first(self._times), self._oldest_first(self._latencies))
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._times)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LatencyWindow {len(self)}/{self.bound} retained, {self.total} total>"
 
     def latencies(self) -> List[float]:
         """The retained latency values, oldest first."""
-        return [latency for _t, latency in self._samples]
+        return self._oldest_first(self._latencies).tolist()
 
     def since(self, index: int) -> List[float]:
         """Latencies of samples with global append index ``>= index``.
@@ -80,11 +100,8 @@ class LatencyWindow:
         resurrected: the result starts at the older of *index* and the
         ring's retention horizon.
         """
-        dropped = self.total - len(self._samples)
-        start = max(0, index - dropped)
-        if start <= 0:
-            return self.latencies()
-        return [latency for _t, latency in list(self._samples)[start:]]
+        dropped = self.total - len(self._times)
+        return self.latencies()[max(0, index - dropped):]
 
 
 @dataclass
@@ -181,6 +198,13 @@ class MetricsLedger:
     #: raises — the flight recorder's tripwire, firing while the evidence
     #: is still live — and receives every timeline record as a point span.
     obs: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        if self.latency_window_bound < 1:
+            raise ConfigurationError(
+                f"latency_window_bound={self.latency_window_bound}: a latency "
+                "window must retain at least one sample"
+            )
 
     # ------------------------------------------------------------------
     # recording

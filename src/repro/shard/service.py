@@ -177,7 +177,7 @@ def _migration_applies(machine: KVStateMachine) -> Tuple[int, int]:
     tokens = sum(1 for token in machine.seen if _is_migration_client(token[0]))
     applies = sum(
         1
-        for _slot, command, _result in machine.applied
+        for command in machine.applied.commands
         if isinstance(command, KVCommand) and _is_migration_client(command.client)
     )
     return (tokens, applies)
@@ -402,29 +402,30 @@ class ShardedKV:
         """Model-checking oracle: replicas must agree slot for slot.
 
         For every shard, every pair of replicas must have applied the same
-        command with the same result at every log slot both have reached —
-        replicas may trail (shorter applied prefix) but never disagree.
-        Returns human-readable error strings, empty when consistent.
+        commands with the same results at every log slot both have reached
+        (all of a batched slot's commands, compared as row ranges of the
+        applied columns) — replicas may trail (shorter applied prefix) but
+        never disagree.  Returns human-readable error strings, empty when
+        consistent.
         """
         errors: List[str] = []
         for shard in self.shards:
             applied = {
-                pid: {
-                    slot: (command, result)
-                    for slot, command, result in self.machines[(pid, shard)].applied
-                }
+                pid: self.machines[(pid, shard)].applied
                 for pid in self.active_replicas
                 if (pid, shard) in self.machines
             }
+            runs = {pid: log.slot_runs() for pid, log in applied.items()}
             pids = sorted(applied)
             for i, pa in enumerate(pids):
                 for pb in pids[i + 1:]:
-                    for slot in applied[pa].keys() & applied[pb].keys():
-                        if applied[pa][slot] != applied[pb][slot]:
+                    for slot in runs[pa].keys() & runs[pb].keys():
+                        rows_a = applied[pa].rows(*runs[pa][slot])
+                        rows_b = applied[pb].rows(*runs[pb][slot])
+                        if rows_a != rows_b:
                             errors.append(
                                 f"shard {shard} slot {slot}: p{pa + 1} applied "
-                                f"{applied[pa][slot]!r} but p{pb + 1} applied "
-                                f"{applied[pb][slot]!r}"
+                                f"{rows_a!r} but p{pb + 1} applied {rows_b!r}"
                             )
         return errors
 

@@ -13,7 +13,7 @@ callback in slot order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
@@ -164,12 +164,6 @@ def smr_regions(
     ]
 
 
-@dataclass
-class _SlotState:
-    decided: bool = False
-    value: Any = None
-
-
 class PostedWrite:
     """One phase-2 fan-out between its post and its settle: the
     ``(slot, value)`` entries it carries, the kernel's completion state
@@ -220,7 +214,8 @@ class ReplicatedLog:
         self._leader_fn = leader_fn if leader_fn is not None else (
             lambda: int(env.leader())
         )
-        self.slots: Dict[int, _SlotState] = {}
+        #: slot -> decided value; a slot is decided iff it is a key here
+        self.decided: Dict[int, Any] = {}
         self.applied_upto = -1
         self.highest_seen = Ballot.zero()
         #: True once this process has grabbed permissions (or started as
@@ -248,18 +243,14 @@ class ReplicatedLog:
     def _slot_key(self, slot: int, pid: int) -> tuple:
         return (self.region, slot, pid)
 
-    def _state(self, slot: int) -> _SlotState:
-        return self.slots.setdefault(slot, _SlotState())
-
     def _commit(self, slot: int, value: Any) -> None:
-        state = self._state(slot)
-        if state.decided:
+        decided = self.decided
+        if slot in decided:
             return
-        state.decided = True
-        state.value = value
-        while self._state(self.applied_upto + 1).decided:
+        decided[slot] = value
+        while self.applied_upto + 1 in decided:
             self.applied_upto += 1
-            self.apply_fn(self.applied_upto, self.slots[self.applied_upto].value)
+            self.apply_fn(self.applied_upto, decided[self.applied_upto])
         self.env.pulse(self.commit_gate)
 
     # ------------------------------------------------------------------
@@ -541,7 +532,7 @@ class ReplicatedLog:
             for slot in range(from_slot, self.applied_upto + 1):
                 yield env.send(
                     requester,
-                    (slot, Decision(value=self.slots[slot].value)),
+                    (slot, Decision(value=self.decided[slot])),
                     topic=self.topic,
                 )
             yield env.send(requester, ("upto", self.applied_upto), topic=self.sync_topic)
@@ -623,7 +614,7 @@ class ReplicatedLog:
                 entries = [
                     (slot, self.adopt_cache.get(slot, Batch()))
                     for slot in range(first, last + 1)
-                    if not self._state(slot).decided
+                    if slot not in self.decided
                 ]
                 windows += 1
                 committed = yield from self._phase2(
@@ -653,17 +644,17 @@ class ReplicatedLog:
         was the first failed attempt, so the loop opens with its back-off.
         """
         env = self.env
-        state = self._state(slot)
-        if after_nak and not state.decided:
+        decided = self.decided
+        if after_nak and slot not in decided:
             yield self._backoff()
-        while not state.decided:
+        while slot not in decided:
             if self._leader_fn() != int(env.pid):
                 yield env.gate_wait(self.commit_gate, timeout=LEADER_POLL)
                 continue
             yield from self._attempt(slot, command)
-            if not state.decided:
+            if slot not in decided:
                 yield self._backoff()
-        return state.value
+        return decided[slot]
 
     def propose_batch(
         self, slot: int, commands: Iterable[Any], after_nak: bool = False

@@ -169,9 +169,9 @@ class TestBatchedLog:
         assert all(s == {"a": 3, "c": 4} for s in snapshots)
         # every replica committed the identical batch per slot
         for pid, log in harness.logs.items():
-            assert log.slots[0].value == Batch(batches[0])
-            assert log.slots[1].value == Batch(())
-            assert log.slots[2].value == Batch(batches[2])
+            assert log.decided[0] == Batch(batches[0])
+            assert log.decided[1] == Batch(())
+            assert log.decided[2] == Batch(batches[2])
 
 
 SCRIPT = [
@@ -230,7 +230,7 @@ class TestShardedMatchesSeed:
         result = cluster.run([None] * 3)
         assert result.all_decided and result.agreed
         seed_sequence = [
-            harness.logs[0].slots[slot].value for slot in range(len(commands))
+            harness.logs[0].decided[slot] for slot in range(len(commands))
         ]
 
         # Sharded run: same seed, 1 shard, batch_max=1, scripted client
@@ -246,7 +246,7 @@ class TestShardedMatchesSeed:
         # wrapped in a singleton batch.
         shard_log = service.logs[(service.leader_of(0), 0)]
         sharded_sequence = [
-            shard_log.slots[slot].value for slot in range(len(commands))
+            shard_log.decided[slot] for slot in range(len(commands))
         ]
         assert [tuple(batch) for batch in sharded_sequence] == [
             (command,) for command in seed_sequence

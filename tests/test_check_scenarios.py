@@ -49,6 +49,33 @@ class TestQuorumReadWindow:
         errors = service.replica_divergence()
         assert errors and "shard 0" in errors[0]
 
+    def test_replica_divergence_oracle_bites_inside_a_batch(self):
+        # every command of a batched slot is compared, not just its last:
+        # corrupt the result of the FIRST command of a full 4-command
+        # batch on one replica and the oracle must name that slot
+        from repro.shard.service import ShardConfig, ShardedKV
+        from repro.shard.workload import ScriptedClient
+
+        service = ShardedKV(
+            ShardConfig(n_shards=1, n_processes=3, batch_max=4, vnodes=8, seed=0)
+        )
+        clients = [
+            ScriptedClient(
+                client_id=c, script=[("put", f"k{c}", i) for i in range(3)], pid=0
+            )
+            for c in range(8)
+        ]
+        assert service.run_workload(clients).ok
+        assert service.replica_divergence() == []
+        applied = service.machine(2, 0).applied
+        slots = [slot for slot, _command, _result in applied]
+        first = next(row for row, slot in enumerate(slots) if slots.count(slot) == 4)
+        slot, command, _result = applied[first]
+        applied[first] = (slot, command, "corrupted")
+        errors = service.replica_divergence()
+        assert len(errors) == 2  # p3 against each of the other two replicas
+        assert all(error.startswith(f"shard 0 slot {slot}: ") for error in errors)
+
 
 class TestEpochCutover:
     def test_default_schedule_moves_and_fences_the_leader(self):

@@ -220,6 +220,32 @@ class TestLatencyWindow:
         assert window.since(4) == [4.0]  # the horizon IS the newest
         assert window.since(5) == []
 
+    @pytest.mark.parametrize("bound", [1, 3, 8])
+    @pytest.mark.parametrize("extra", [0, 1, "bound+1"])
+    def test_wraparound_reads_match_a_deque(self, bound, extra):
+        # the ring's columns wrap at `bound`: exactly full, one past it,
+        # and 2 * bound + 1 samples (wrapped twice, oldest mid-ring)
+        from collections import deque
+
+        n = bound + (bound + 1 if extra == "bound+1" else extra)
+        window = LatencyWindow(bound=bound)
+        reference = deque(maxlen=bound)
+        for i in range(n):
+            window.append(float(i), 10.0 + i)
+            reference.append((float(i), 10.0 + i))
+        assert list(window) == list(reference)
+        assert window.latencies() == [latency for _t, latency in reference]
+        dropped = n - len(reference)
+        for index in range(n + 2):
+            expected = [10.0 + g for g in range(max(index, dropped), n)]
+            assert window.since(index) == expected, index
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_ledger_rejects_an_empty_window_at_construction(self, bound):
+        # not at the first latency record, in the middle of a run
+        with pytest.raises(ConfigurationError, match="latency_window_bound"):
+            MetricsLedger(latency_window_bound=bound)
+
     def test_ledger_applies_the_bound(self):
         ledger = MetricsLedger(strict_safety=False, latency_window_bound=4)
         for i in range(10):

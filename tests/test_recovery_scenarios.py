@@ -430,7 +430,7 @@ class TestRecoveryAtTheLogLevel:
         for pid in range(3):
             log = harness.logs[pid]
             assert log.applied_upto == 3
-            assert log.slots[2].value == Batch()
+            assert log.decided[2] == Batch()
             assert harness.machines[pid].data == {"k0": 0, "k1": 1, "k3": 3}
         assert not cluster.kernel.metrics.violations
 
@@ -485,7 +485,7 @@ class _RecoverySpy:
         def spied_phase2(log, prop_nr, majority, entries):
             committed = yield from phase2(log, prop_nr, majority, entries)
             if self._recovering:
-                decided = [s for s, _v in entries if log._state(s).decided]
+                decided = [s for s, _v in entries if s in log.decided]
                 self.events.append(("window", committed, dict(entries), decided))
             return committed
 
@@ -616,10 +616,9 @@ class _PipelineSpy:
             if posted.state.notify is not None:  # not the blocking _phase2
                 self.in_flight -= 1
                 slot, value = posted.entries[0]
-                state = log._state(slot)
                 self.events.append(
-                    ("settle", slot, naked, committed, state.decided,
-                     state.value is value)
+                    ("settle", slot, naked, committed, slot in log.decided,
+                     log.decided.get(slot) is value)
                 )
             return committed
 
