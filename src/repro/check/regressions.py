@@ -71,6 +71,10 @@ def _buggy_unpark(self, pid, token, task):
 def _buggy_ev_wake(self, task, token, value):
     # PR 2-era bug: "is it suspended?" instead of "is it suspended on
     # *this* token?" — a stale timer can resume a later, different wait.
+    # The armed-timer hand-off stays: without it a deferred timer is
+    # never pushed, and the stale entry the bug misfires never exists.
+    if task.timer_at == self.now:
+        self._timer_fired(task)
     if task.pending_token is not None and not task.done:
         self._resume(task, value)
 

@@ -33,6 +33,15 @@ entry, which is what lets a model checker name "the entry the other
 schedule ran first" across runs.  The *relative* order of seqs within each
 lane is exactly the insertion order either way, so sharing the counter
 does not perturb the default schedule.
+
+Timers
+------
+
+A task keeps one armed timer entry in the heap.  A later deadline is pushed
+when that entry pops, if its wait is still pending, with the seq it took at
+park time (``Kernel._arm``), so every live entry pops in the same order.  A
+timer superseded first is never pushed: ``pushed``, ``popped`` and ``len``
+do not count it.
 """
 
 from __future__ import annotations

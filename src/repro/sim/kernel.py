@@ -61,6 +61,9 @@ closures:
 * a task woken at the current instant (message delivered, quorum reached,
   gate signalled) is resumed through the queue's *ready lane* rather than
   a second heap round-trip;
+* every timed wait is armed through ``_arm``: a task keeps one armed timer
+  entry in the heap, and a later deadline waits on the task until that
+  entry pops, so a retry timer whose reply came first costs no event;
 * the nominal latency model's constant delays are cached so the common
   case skips per-message method dispatch;
 * ``self.obs`` is the one observer slot: the causal observability layer
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Set
 
 from repro.crypto.signatures import SignatureAuthority
@@ -201,6 +204,8 @@ class Task:
         "daemon",
         "pending_token",
         "_token_counter",
+        "timer_at",
+        "deferred",
         "ctx",
         "_label",
     )
@@ -224,6 +229,11 @@ class Task:
         self.daemon = daemon
         self.pending_token: Optional[int] = None
         self._token_counter = 0
+        #: time of this task's armed timer entry in the heap, or None
+        self.timer_at: Optional[float] = None
+        #: ``(time, seq, kind, token, value)`` of a timer parked behind
+        #: the armed entry, pushed when that entry pops (see ``_arm``)
+        self.deferred: Optional[tuple] = None
         #: causal trace context (a repro.obs Span) new child spans parent
         #: under; None whenever observability is detached
         self.ctx = ctx
@@ -484,6 +494,7 @@ class Kernel:
         handlers = self._ev_handlers
         resume = self._resume
         deliver = self._deliver
+        timer_fired = self._timer_fired
         try:
             while ready or heap:
                 if stop_when is not None and stop_when():
@@ -509,9 +520,12 @@ class Kernel:
                 elif kind == EV_DELIVER:
                     deliver(a)
                 elif kind == EV_WAKE:
-                    # Timer-driven wake (sleep, wait/gate timeout): token-
-                    # checked and folded straight into the resume — no
-                    # second entry.
+                    # Timer-driven wake (sleep, wait/gate timeout): hand
+                    # the armed slot on (timers travel the heap only, so
+                    # ``time`` is this entry's), then token-checked and
+                    # folded straight into the resume — no second entry.
+                    if a.timer_at == time:
+                        timer_fired(a)
                     if a.pending_token == b and not a.done:
                         resume(a, c)
                 elif kind == EV_FAN_ARRIVE:
@@ -665,6 +679,8 @@ class Kernel:
     def _ev_wake(self, task, token, value) -> None:
         # A timer-driven wake (sleep, wait/gate timeout): token-checked and
         # folded straight into the resume — no second queue entry.
+        if task.timer_at == self.now:
+            self._timer_fired(task)
         if task.pending_token == token and not task.done:
             self._resume(task, value)
 
@@ -676,6 +692,8 @@ class Kernel:
 
     def _ev_recv_timeout(self, task, token, _c) -> None:
         # Heap context (ready lane empty): unpark and resume directly.
+        if task.timer_at == self.now:
+            self._timer_fired(task)
         if task.pending_token == token:
             self.network.unpark(task.pid, token, task)
             if not task.done and task.pid not in self.crashed_processes:
@@ -822,6 +840,55 @@ class Kernel:
         task.pending_token = None
         self.queue.push_ready(EV_RESUME, task, value)
 
+    def _arm(self, task: Task, delay: float, kind: int, token: int, value: Any) -> None:
+        """Arm the timer of the wait *token* that *task* just parked on:
+        event *kind* fires with *value* after *delay*.
+
+        A task keeps one armed timer entry in the heap.  A deadline
+        strictly after it is not pushed but recorded on the task, with the
+        seq it takes now, and ``_timer_fired`` pushes it when the armed
+        entry pops if its wait is still pending.  A deadline at or before
+        the armed one is pushed beside it and the later entry stays armed,
+        so one long resend timer carries the next request's timer past
+        short sleeps.  Every live entry keeps its ``(time, seq)`` and is
+        in the heap before the clock reaches it; a timer whose wait ended
+        first is never pushed.
+        """
+        if delay != delay or delay < 0:  # NaN or negative
+            raise SimulationError(
+                f"task {task.label} parked with timeout {delay!r} at "
+                f"t={self.now}: a wait's duration must be >= 0"
+            )
+        at = self.now + delay
+        queue = self.queue
+        queue._seq += 1
+        armed = task.timer_at
+        if armed is not None and at > armed:
+            task.deferred = (at, queue._seq, kind, token, value)
+            return
+        heappush(queue._heap, (at, queue._seq, kind, task, token, value))
+        queue.pushed += 1
+        if armed is None:
+            task.timer_at = at
+
+    def _timer_fired(self, task: Task) -> None:
+        """A timer entry of *task* popped at its armed instant: push the
+        deferred wait's entry if that wait is still pending, else free the
+        armed slot.  Any of the task's entries at that instant may be the
+        one to call this first — the deferred deadline lies strictly
+        later, so it is pushed before the clock reaches it either way."""
+        record = task.deferred
+        if record is not None:
+            task.deferred = None
+            at, seq, kind, token, value = record
+            if task.pending_token == token:
+                queue = self.queue
+                heappush(queue._heap, (at, seq, kind, task, token, value))
+                queue.pushed += 1
+                task.timer_at = at
+                return
+        task.timer_at = None
+
     def signal_gate(self, gate) -> None:
         """Open *gate*, waking its parked waiters at the current instant
         (each through the ready lane, see ``_wake``)."""
@@ -954,12 +1021,11 @@ class Kernel:
             )
         )
         if effect.timeout is not None:
-            self.queue.push(self.now + effect.timeout, EV_RECV_TIMEOUT, task, token)
+            self._arm(task, effect.timeout, EV_RECV_TIMEOUT, token, None)
         return _PARKED
 
     def _fx_sleep(self, task: Task, effect: SleepEffect):
-        token = task.new_token()
-        self.queue.push(self.now + effect.duration, EV_WAKE, task, token, None)
+        self._arm(task, effect.duration, EV_WAKE, task.new_token(), None)
         return _PARKED
 
     def _fx_gate_wait(self, task: Task, effect: GateWaitEffect):
@@ -970,7 +1036,7 @@ class Kernel:
         token = task.new_token()
         gate.park(task, token)
         if effect.timeout is not None:
-            self.queue.push(self.now + effect.timeout, EV_WAKE, task, token, False)
+            self._arm(task, effect.timeout, EV_WAKE, token, False)
         return _PARKED
 
     def _fx_spawn(self, task: Task, effect: SpawnEffect):
@@ -1029,7 +1095,7 @@ class Kernel:
             state.fired = True
             queue.push_ready(EV_RESUME, task, state)
         elif effect.timeout is not None:
-            queue.push(self.now + effect.timeout, EV_WAKE, task, token, state)
+            self._arm(task, effect.timeout, EV_WAKE, token, state)
         return _PARKED
 
     # ------------------------------------------------------------------

@@ -156,6 +156,15 @@ class TestSeedReplay:
 # at the instant the prepare is issued, so one fewer spawn, task and gate
 # pulse per memory; ``pmp`` and ``sharded_kv_2`` never prepare and keep
 # their pins.
+#
+# A task's timer whose wait ended before its armed entry popped is no
+# longer pushed (see ``Kernel._arm``), re-pinning once every scenario that
+# had one, for its queue totals alone: ``aligned_disk`` (pushed 61 → 55;
+# before, detached / attached: fd8325dc…af68 / 27043c37…442b),
+# ``sharded_kv_2`` (pushed 407 → 377; before 1b4f0703…21e8 /
+# fff9d8a4…0489) and ``elastic_split_jittered`` (pushed / popped 3 715 /
+# 3 650 → 3 471 / 3 463; before 6d636ba9…8041 / a17f690d…e2c5).  With
+# ``queue.pushed`` and ``popped`` masked all twelve hash as before.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
     runtime = attach(kernel, profile=False) if attach_obs else None
@@ -355,8 +364,10 @@ class TestDepthOneEquivalence:
 
     def test_write_heavy_smoke_exact_fields(self):
         with self._at_depth_one():
+            # events: 19 120 while a timer whose wait had ended was
+            # still pushed and popped
             assert self._write_heavy_smoke() == {
-                "events": 19120, "messages": 4966, "mem_ops": 2619,
+                "events": 16268, "messages": 4966, "mem_ops": 2619,
                 "virtual_elapsed": 450.0, "commits": 4800, "batches": 873,
                 "latency_sum": 37918.0,
             }
@@ -366,7 +377,7 @@ class TestDepthOneEquivalence:
         # the queueing — these fields move once, with this constant
         fields = self._write_heavy_smoke()
         assert fields["commits"] == 4800
-        assert fields["batches"] < 873 and fields["events"] < 19120
+        assert fields["batches"] < 873 and fields["events"] < 16268
         assert fields["latency_sum"] < 0.6 * 37918.0
         assert fields["virtual_elapsed"] < 0.6 * 450.0
 
@@ -413,16 +424,16 @@ GOLDEN_DETACHED = {
     "pmp": "c033a14e31327e1b76e974e48b583317c080503a1b5ce167bc0a6db73859e8b0",
     "pmp_skip_off": "03ea3777c2c26766a14e70e1bf005991d07184ce9a08b873999c8e1afa7d361b",
     "aligned_protected": "cbc9121aec07336271ef9d119d46adfbb0b81217b24fdcab1ee5f0a74a522bb0",
-    "aligned_disk": "fd8325dc5e7beee90e51b7c6639860b462ec594e28ca17ec379074f8f246af68",
-    "sharded_kv_2": "1b4f07038152944a552be226e5eb770a260d6113149ab9806af8133e234021e8",
-    "elastic_split_jittered": "6d636ba9a909b33b4c4dee9d9274f1363059ae44da644e6a9daacdc88f018041",
+    "aligned_disk": "19a610fbec2877176940d8bae47c148e32ebac9e27e17010fb6402e0c7c23324",
+    "sharded_kv_2": "6ef55798b98a1fb347c233fb3dab5bbfb3337b470e41a869da7d92c121a957bf",
+    "elastic_split_jittered": "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1",
 }
 
 GOLDEN_ATTACHED = {
     "pmp": "c9eb6f1a7b18417e87c06e5d15239d1f9cd7571bc3827ff6b7f12b8148e18824",
     "pmp_skip_off": "e63dd8c2cf041f3a211fc89370e2e5920468b5510b62d9914128412e3e6f32cd",
     "aligned_protected": "73ab5d4ede8d3745ade25b377fa0dc1a035183b7a90fa464cbf9a440dc82487d",
-    "aligned_disk": "27043c37509452996adddaa69aa4a72ddcb0ddf672b42e276cae0856e006442b",
-    "sharded_kv_2": "fff9d8a4f2fd75edbcb860d681cd19b482c73a1666184ce453aedda7cefa0489",
-    "elastic_split_jittered": "a17f690de8a96d53240db95409647c35f769355378df60a365d2f5272932e2c5",
+    "aligned_disk": "cb05ff4a1cd39e3baae36de67ac81ef2d3adfe03fc827c01f843ef3d3b7bc45d",
+    "sharded_kv_2": "1dc79db5d535c5d565a7e28e6441c8fb931348cf8d5df40934b7b3ef7062e1fe",
+    "elastic_split_jittered": "48c9f68a7d5bb40b6fb4d9a01df1ff16614af2ee4d025b06ac253338fa9c98a2",
 }
