@@ -55,6 +55,7 @@ from repro.sim.event_queue import (
     EV_RESUME,
     EV_WAKE,
 )
+from repro.sim.memops import leg_target
 
 #: Footprint of an entry that may touch anything (call, fault, injection).
 GLOBAL: Tuple = (("*",),)
@@ -89,8 +90,7 @@ def footprint(entry) -> Tuple:
         if kind == EV_DELIVER:
             return (("proc", int(entry.a.dst)),)
         if kind == EV_FAN_ARRIVE:
-            _index, mid, op, _cursor = entry.c
-            return _mem_keys(mid, op)
+            return _mem_keys(*leg_target(entry.c))
     except Exception:
         return GLOBAL
     return GLOBAL  # EV_CALL, EV_FAULT, anything unrecognised

@@ -50,6 +50,35 @@ from repro.errors import DeadlockError, LivelockError, SafetyViolation
 SleepSet = Dict[Tuple, Tuple]
 
 
+def run_plan(
+    scenario, plan: Plan, max_steps: int
+) -> Tuple[ControlledScheduler, List[str], Any]:
+    """One run of *scenario* under *plan*: build it fresh, drive it with a
+    :class:`ControlledScheduler` (at most *max_steps* steps), clean up,
+    then run its oracles.  Returns ``(scheduler, errors, kernel)``; a
+    safety violation, livelock or deadlock the run raised heads the
+    oracle errors."""
+    run = scenario.build()
+    sched = ControlledScheduler(
+        plan=plan,
+        specs=getattr(scenario, "injections", ()),
+        group_budgets=getattr(scenario, "group_budgets", None),
+        max_steps=max_steps,
+    )
+    run.kernel.scheduler = sched
+    failure: Optional[str] = None
+    try:
+        run.execute()
+    except (SafetyViolation, LivelockError, DeadlockError) as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    finally:
+        run.cleanup()
+    errors = list(run.check(tuple(sched.injections_used)))
+    if failure is not None:
+        errors.insert(0, failure)
+    return sched, errors, run.kernel
+
+
 class Budget:
     """Search bounds.  ``divergences`` is the DFS depth (how far a plan
     may stray from the default schedule); ``max_runs`` caps total
@@ -183,28 +212,6 @@ class Explorer:
         return self.report
 
     # ------------------------------------------------------------------
-    def _execute(self, plan: Plan) -> Tuple[ControlledScheduler, List[str], Any]:
-        """One run under *plan*; returns (scheduler, oracle errors, kernel)."""
-        run = self.scenario.build()
-        sched = ControlledScheduler(
-            plan=plan,
-            specs=getattr(self.scenario, "injections", ()),
-            group_budgets=getattr(self.scenario, "group_budgets", None),
-            max_steps=self.budget.max_steps,
-        )
-        run.kernel.scheduler = sched
-        failure: Optional[str] = None
-        try:
-            run.execute()
-        except (SafetyViolation, LivelockError, DeadlockError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        finally:
-            run.cleanup()
-        errors = list(run.check(tuple(sched.injections_used)))
-        if failure is not None:
-            errors.insert(0, failure)
-        return sched, errors, run.kernel
-
     def _record_counterexample(self, plan, sched, errors, kernel) -> None:
         divergences = []
         for step in sorted(plan):
@@ -242,7 +249,7 @@ class Explorer:
         if self.report.runs >= self.budget.max_runs:
             self.report.exhausted = False
             return
-        sched, errors, kernel = self._execute(plan)
+        sched, errors, kernel = run_plan(self.scenario, plan, self.budget.max_steps)
         self.report.runs += 1
         self.report.events += sched.step
         if errors:

@@ -17,11 +17,9 @@ rather than trusted.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
-from repro.check.explore import Counterexample
-from repro.check.scheduler import ControlledScheduler
-from repro.errors import DeadlockError, LivelockError, SafetyViolation
+from repro.check.explore import Counterexample, run_plan
 
 TRACE_FORMAT = "repro-check-trace-v1"
 
@@ -98,24 +96,9 @@ def replay_trace(source: Union[str, Dict[str, Any]]) -> ReplayResult:
     for div in data["divergences"]:
         verb, operand = div["choice"]
         plan[int(div["step"])] = (verb, operand)
-    run = scenario.build()
-    sched = ControlledScheduler(
-        plan=plan,
-        specs=getattr(scenario, "injections", ()),
-        group_budgets=getattr(scenario, "group_budgets", None),
-        max_steps=max(4 * int(data.get("steps") or 0), 20_000),
+    sched, errors, kernel = run_plan(
+        scenario, plan, max(4 * int(data.get("steps") or 0), 20_000)
     )
-    run.kernel.scheduler = sched
-    failure: Optional[str] = None
-    try:
-        run.execute()
-    except (SafetyViolation, LivelockError, DeadlockError) as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-    finally:
-        run.cleanup()
-    errors = list(run.check(tuple(sched.injections_used)))
-    if failure is not None:
-        errors.insert(0, failure)
     mismatches: List[str] = []
     for div in data["divergences"]:
         step = int(div["step"])
@@ -136,7 +119,7 @@ def replay_trace(source: Union[str, Dict[str, Any]]) -> ReplayResult:
         matched=not mismatches,
         mismatches=mismatches,
         injections=list(sched.injections_used),
-        final_time=run.kernel.now,
+        final_time=kernel.now,
     )
 
 

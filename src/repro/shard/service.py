@@ -46,8 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.broadcast.nonequivocating import neb_regions
-from repro.consensus.cheap_quorum import CheapQuorumConfig, cq_regions
+from repro.consensus.cheap_quorum import CheapQuorumConfig
 from repro.consensus.fast_robust import FastRobust, FastRobustConfig
 from repro.core.cluster import ClusterConfig, MultiGroupCluster
 from repro.errors import ConfigurationError
@@ -65,6 +64,7 @@ from repro.shard.router import (
 )
 from repro.sim.futures import Gate
 from repro.sim.latency import LatencyModel, NominalLatency
+from repro.smr.byzantine_log import slot_namespaces, slot_regions
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
 
@@ -314,13 +314,9 @@ class ShardedKV:
         for g in self.shards:
             leader = self.leader_of(g)
             if g in cfg.bft_shards:
-                for slot in range(cfg.bft_max_slots):
-                    regions.extend(
-                        cq_regions(cfg.n_processes, leader, namespace=self._cq_ns(g, slot))
-                    )
-                    regions.extend(
-                        neb_regions(range(cfg.n_processes), namespace=self._neb_ns(g, slot))
-                    )
+                regions.extend(
+                    slot_regions(cfg.n_processes, leader, cfg.bft_max_slots, f"g{g}")
+                )
             else:
                 regions.extend(
                     smr_regions(cfg.n_processes, leader, region=shard_region(g))
@@ -384,12 +380,6 @@ class ShardedKV:
         """The shards whose leader runs on *pid* (fault-targeting helper:
         crashing *pid* churns exactly these shards)."""
         return [g for g in self.shards if self.leader_of(g) == pid]
-
-    def _cq_ns(self, shard: int, slot: int) -> str:
-        return f"g{shard}cq{slot}"
-
-    def _neb_ns(self, shard: int, slot: int) -> str:
-        return f"g{shard}neb{slot}"
 
     def machine(self, pid: int, shard: int) -> KVStateMachine:
         return self.machines[(pid, shard)]
@@ -788,11 +778,12 @@ class ShardedKV:
                     self._pop_cmd_ctx(value.commands)
             else:
                 value = Batch()  # follower no-op input; leader's batch wins
+            cq_ns, neb_ns = slot_namespaces(slot, f"g{shard}")
             decided = yield from protocol.run_instance(
                 env,
                 value,
-                cq_namespace=self._cq_ns(shard, slot),
-                neb_namespace=self._neb_ns(shard, slot),
+                cq_namespace=cq_ns,
+                neb_namespace=neb_ns,
                 instance=(shard, slot),
             )
             results = machine.apply(slot, decided)

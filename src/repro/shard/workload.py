@@ -115,6 +115,18 @@ def _command(client_id: int, request_id: int, op: str, key: str) -> KVCommand:
     return KVCommand(op, key, value=value, client=client_id, request_id=request_id)
 
 
+def _issue(env, frontend, recorder, command, read_mode, session) -> Generator:
+    """One request at the client boundary: a ``get`` goes to the read
+    plane (by *read_mode*, None for the service default), anything else
+    is submitted; the reply and its latency go to *recorder*."""
+    started = env.now
+    if command.op == "get":
+        result = yield from frontend.get(command, mode=read_mode, session=session)
+    else:
+        result = yield from frontend.submit(command, session=session)
+    recorder.record(command, result, env.now - started)
+
+
 @dataclass
 class ClosedLoopClient:
     """One interactive client: submit, wait for the reply, repeat.
@@ -141,14 +153,9 @@ class ClosedLoopClient:
             op = self.mix.next_op(env.rng)
             key = self.keys.next_key(env.rng)
             command = _command(self.client_id, request_id, op, key)
-            started = env.now
-            if op == "get":
-                result = yield from frontend.get(
-                    command, mode=self.read_mode, session=session
-                )
-            else:
-                result = yield from frontend.submit(command, session=session)
-            recorder.record(command, result, env.now - started)
+            yield from _issue(
+                env, frontend, recorder, command, self.read_mode, session
+            )
             if self.think_time > 0.0:
                 yield env.sleep(self.think_time)
 
@@ -178,14 +185,9 @@ class ScriptedClient:
             command = KVCommand(
                 op, key, value=value, client=self.client_id, request_id=request_id
             )
-            started = env.now
-            if op == "get":
-                result = yield from frontend.get(
-                    command, mode=self.read_mode, session=session
-                )
-            else:
-                result = yield from frontend.submit(command, session=session)
-            recorder.record(command, result, env.now - started)
+            yield from _issue(
+                env, frontend, recorder, command, self.read_mode, session
+            )
 
 
 @dataclass
@@ -204,16 +206,6 @@ class OpenLoopClient:
     #: per-client read routing override; None follows the service default
     read_mode: Optional[str] = None
 
-    def _one(self, env, frontend, recorder, command, session) -> Generator:
-        started = env.now
-        if command.op == "get":
-            result = yield from frontend.get(
-                command, mode=self.read_mode, session=session
-            )
-        else:
-            result = yield from frontend.submit(command, session=session)
-        recorder.record(command, result, env.now - started)
-
     def task(self, env, frontend, recorder) -> Generator:
         # one session for the whole open loop: floors are raised as the
         # (possibly overlapping) requests complete
@@ -224,7 +216,7 @@ class OpenLoopClient:
             command = _command(self.client_id, request_id, op, key)
             yield env.spawn(
                 f"c{self.client_id}-r{request_id}",
-                self._one(env, frontend, recorder, command, session),
+                _issue(env, frontend, recorder, command, self.read_mode, session),
             )
             gap = self.interarrival
             if self.poisson:

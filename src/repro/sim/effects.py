@@ -78,6 +78,18 @@ FX_SPAWN = 4
 FX_OP_FANOUT = 5
 
 
+class _ParkedType:
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "<parked>"
+
+
+#: what an effect handler returns when its task parked: the kernel stops
+#: stepping the task until a wake resumes it
+PARKED = _ParkedType()
+
+
 class Effect:
     """Base class for everything a protocol generator may yield.
 
@@ -182,9 +194,10 @@ class OpFanoutEffect(Effect):
     Late completions still land in ``state.results`` (the state outlives
     the wake), but never resume the task again.  Ops on crashed memories
     simply never complete, which is why quorum callers must size *need*
-    accordingly: a fan-out whose *need* exceeds its target count and has
-    no timeout could never wake, so posting one is a
-    :class:`~repro.errors.SimulationError`.
+    accordingly: a fan-out with no timeout that could still be parked
+    once every leg completed — *need* above the target count, or, counting
+    ACKs, *need* + *spare_naks* above it — could never wake, so posting
+    one is a :class:`~repro.errors.SimulationError`.
 
     A chain leg counts once toward *need* however it is delivered, and
     resolves to ACK with the tuple of sub-values, or NAK with a

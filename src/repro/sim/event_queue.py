@@ -62,8 +62,8 @@ EV_WAKE = 2          #: a = task, b = suspension token, c = resume value
 EV_DELIVER = 3       #: a = envelope whose flight time elapsed
 EV_RECV_TIMEOUT = 4  #: a = task, b = suspension token (parked recv timed out)
 EV_FAULT = 5         #: a = typed fault event (see repro.sim.faults) — no closure
-EV_FAN_ARRIVE = 6    #: a = task, b = FanoutState, c = (index, mid, op, cursor) — request leg
-EV_FAN_RESOLVE = 7   #: a = task, b = FanoutState, c = (index, mid, result, cursor) — response
+EV_FAN_ARRIVE = 6    #: a = task, b = FanoutState, c = leg (see repro.sim.memops) — request leg
+EV_FAN_RESOLVE = 7   #: a = task, b = FanoutState, c = leg (see repro.sim.memops) — response
 
 #: One scheduled event: ``(time, seq, kind, a, b, c)``.
 Entry = Tuple[float, int, int, Any, Any, Any]

@@ -51,6 +51,10 @@ closures:
   the kernel first, so a fresh kernel binds no handler: the paper's
   tables build thousands of single-shot kernels, and the explorer one
   per schedule;
+* the memory-operation path — posting, pricing, landing and resolving
+  every fan-out leg — lives in :mod:`repro.sim.memops` as such functions:
+  its entries fill the ``EV_FAN_*`` and ``FX_OP_FANOUT`` slots, and
+  ``run`` calls its two event handlers inline like ``resume``;
 * ``rng`` and ``authority`` are built on the first draw or signature,
   from ``config.seed``, so the stream and the keys are those an eager
   build would give, and a run that never draws or signs never pays for
@@ -87,11 +91,11 @@ from repro.crypto.signatures import SignatureAuthority
 from repro.errors import LivelockError, SimulationError
 from repro.mem.layout import MemoryLayout
 from repro.mem.memory import Memory
-from repro.mem.operations import OP_BATCH
 from repro.metrics.ledger import MetricsLedger
 from repro.net.messages import Envelope
 from repro.net.network import Network, RecvWaiter
 from repro.sim.effects import (
+    PARKED,
     GateWaitEffect,
     RecvEffect,
     SendEffect,
@@ -110,24 +114,18 @@ from repro.sim.event_queue import (
     EventQueue,
 )
 from repro.sim.faults import FailureController
-from repro.sim.futures import FanoutState
 from repro.sim.latency import LatencyModel, NominalLatency
-from repro.types import (
-    ChainAbort,
-    MemoryId,
-    OpResult,
-    OpStatus,
-    ProcessId,
-    memory_name,
-    process_name,
+from repro.sim.memops import (
+    FUSED,
+    SEGMENTED,
+    _ev_fan_arrive,
+    _ev_fan_resolve,
+    _fx_op_fanout,
 )
+from repro.types import MemoryId, ProcessId, memory_name, process_name
 
 #: Ω failure-detector oracle: maps virtual time to the current leader pid.
 OmegaFn = Callable[[float], int]
-
-#: ``SimConfig.chain_delivery`` modes: how a BatchOp chain travels
-FUSED = "fused"
-SEGMENTED = "segmented"
 
 
 @dataclass
@@ -495,6 +493,8 @@ class Kernel:
         resume = self._resume
         deliver = self._deliver
         timer_fired = self._timer_fired
+        fan_arrive = _ev_fan_arrive
+        fan_resolve = _ev_fan_resolve
         try:
             while ready or heap:
                 if stop_when is not None and stop_when():
@@ -529,9 +529,9 @@ class Kernel:
                     if a.pending_token == b and not a.done:
                         resume(a, c)
                 elif kind == EV_FAN_ARRIVE:
-                    self._ev_fan_arrive(a, b, c)
+                    fan_arrive(self, a, b, c)
                 elif kind == EV_FAN_RESOLVE:
-                    self._ev_fan_resolve(a, b, c)
+                    fan_resolve(self, a, b, c)
                 else:
                     handlers[kind](self, a, b, c)
                 processed += 1
@@ -700,85 +700,6 @@ class Kernel:
                 task.pending_token = None
                 self._resume(task, None)
 
-    def _ev_fan_arrive(self, task, state, idx_mid_op) -> None:
-        index, mid, op, cursor = idx_mid_op
-        memory = self.memories[mid]
-        if memory.crashed:
-            # A crashed memory swallows the request: this leg never completes.
-            if self.obs is not None:
-                self.obs.point("mem_drop", mem=memory_name(mid))
-            return
-        pid = task.pid
-        result = memory.apply(pid, op)
-        resp = self._resp_delay
-        if resp is None:
-            resp = self.config.latency.memory_response_delay(pid, mid, self.now, self.rng)
-        self.queue.push(
-            self.now + resp, EV_FAN_RESOLVE, task, state, (index, mid, result, cursor)
-        )
-
-    def _ev_fan_resolve(self, task, state, idx_mid_result) -> None:
-        index, mid, result, cursor = idx_mid_result
-        if self.obs is not None:
-            self.obs.op_resolved(
-                (task.task_id, state.token, index), self.now, result.status.value
-            )
-        if cursor is not None:
-            result = cursor.fold(result)
-            if result is None:
-                # mid-chain: the leg counts once, at its last WR
-                self._post_next_wr(task, state, index, mid, cursor)
-                return
-        state.results[index] = result
-        state.done += 1
-        if result.ok:
-            state.acked += 1
-        else:
-            state.naked += 1
-        if state.fired:
-            return  # late completion: recorded above, never resumes the task
-        if state.count_acks:
-            verdict = state.acked >= state.need or state.naked > state.spare_naks
-        else:
-            verdict = state.done >= state.need
-        if verdict:
-            state.fired = True
-            if self.obs is not None:
-                self.obs.fanout_verdict(task, state, self.now)
-            notify = state.notify
-            if notify is None:
-                self._wake(task, state.token, state)
-            else:
-                # Posted fan-out: the completion-queue pulse.  Whoever
-                # polls the gate finds ``fired`` set; nobody parked (the
-                # waiter died, or is busy) costs no event at all.
-                self.pulse_gate(notify)
-
-    def _post_next_wr(self, task: Task, state, index, mid, cursor) -> None:
-        """Segmented delivery: post leg *index*'s next work request now
-        that the previous one completed.  A killed task posts nothing
-        more — its process crashed mid-chain."""
-        if task.done:
-            return
-        sub = cursor.ops[cursor.index]
-        obs = self.obs
-        if obs is not None:
-            # Posted on the issuing task's behalf: phase-scoped pricing and
-            # span parenting must see the context the chain was posted
-            # from, as for the first WR (a posted fan-out's issuer has
-            # moved on, so that context rides the state).
-            obs.enter_task(task)
-            held = task.ctx
-            task.ctx = state.ctx
-        req = self._op_request_leg(task, mid, sub)
-        if obs is not None:
-            obs.op_started(task, (task.task_id, state.token, index), mid, sub, self.now)
-            task.ctx = held
-            obs.exit_task(task, self.now)
-        self.queue.push(
-            self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, sub, cursor)
-        )
-
     # ------------------------------------------------------------------
     # task stepping
     # ------------------------------------------------------------------
@@ -821,7 +742,7 @@ class Kernel:
                     f"task {task.label} yielded non-effect {effect!r}"
                 )
             value = handlers[kind](self, task, effect)
-            if value is _PARKED:
+            if value is PARKED:
                 if obs is not None:
                     obs.exit_task(task, self.now)
                 return
@@ -974,36 +895,6 @@ class Kernel:
                     task.ctx = env.ctx
                 self._resume(task, env)
 
-    def _op_request_leg(self, task: Task, mid, op) -> float:
-        """Request leg of one fan-out leg or work request: validate the
-        target and count the op.  Returns the request delay."""
-        if mid >= len(self.memories):
-            raise SimulationError(f"no such memory mu{int(mid) + 1}")
-        req = self._req_delay
-        if req is None:
-            req = self.config.latency.memory_request_delay(task.pid, mid, self.now, self.rng)
-        if op.kind != OP_BATCH:
-            self._mem_op_counter[task.pid, type(op).__name__] += 1
-        else:
-            # A fused chain is ONE queue entry, but each sub-op is real
-            # work: count them under their own names so ledgers stay
-            # comparable between fused and segmented runs.  Delay: only
-            # the last WR signals, so the chain costs the request leg plus
-            # one issue increment per WR (nominal issue cost: zero — see
-            # LatencyModel).
-            counter = self._mem_op_counter
-            pid = task.pid
-            for sub in op.ops:
-                counter[pid, type(sub).__name__] += 1
-            issue = self._issue_delay
-            if issue is not None:
-                req += issue * len(op.ops)
-            else:
-                latency = self.config.latency
-                for _ in op.ops:
-                    req += latency.memory_issue_delay(pid, mid, self.now, self.rng)
-        return req
-
     def _fx_recv(self, task: Task, effect: RecvEffect):
         env = self.network.try_consume(task.pid, effect.topic, effect.match)
         if env is not None:
@@ -1022,81 +913,27 @@ class Kernel:
         )
         if effect.timeout is not None:
             self._arm(task, effect.timeout, EV_RECV_TIMEOUT, token, None)
-        return _PARKED
+        return PARKED
 
     def _fx_sleep(self, task: Task, effect: SleepEffect):
         self._arm(task, effect.duration, EV_WAKE, task.new_token(), None)
-        return _PARKED
+        return PARKED
 
     def _fx_gate_wait(self, task: Task, effect: GateWaitEffect):
         gate = effect.gate
         if gate.is_set:
             self.queue.push_ready(EV_RESUME, task, True)
-            return _PARKED
+            return PARKED
         token = task.new_token()
         gate.park(task, token)
         if effect.timeout is not None:
             self._arm(task, effect.timeout, EV_WAKE, token, False)
-        return _PARKED
+        return PARKED
 
     def _fx_spawn(self, task: Task, effect: SpawnEffect):
         return self.spawn(
             task.pid, effect.name, effect.gen, daemon=effect.daemon, ctx=task.ctx
         )
-
-    def _fx_op_fanout(self, task: Task, effect):
-        """Post one op (or chain) per target memory with single-completion
-        semantics (see :class:`OpFanoutEffect`): all completions fold into
-        one shared :class:`FanoutState`, and the task resumes exactly once
-        when the verdict is in."""
-        targets = effect.targets
-        if effect.timeout is None and effect.need > len(targets):
-            raise SimulationError(
-                f"{task.label} posted a fan-out needing {effect.need} "
-                f"completions from {len(targets)} targets with no timeout: "
-                "it could never wake"
-            )
-        notify = effect.notify
-        if notify is not None and effect.timeout is not None:
-            raise SimulationError(
-                f"{task.label} posted a fan-out with both notify= and a "
-                "timeout: the posted form has no task parked to time out"
-            )
-        token = task.new_token()
-        state = FanoutState(
-            len(targets), effect.need, effect.count_acks, effect.spare_naks, token
-        )
-        queue = self.queue
-        obs = self.obs
-        if obs is not None:
-            state.ctx = task.ctx
-        segmented = self.config.chain_delivery != FUSED
-        for index, (mid, op) in enumerate(targets):
-            cursor = None
-            if segmented and op.kind == OP_BATCH:
-                cursor = _ChainCursor(op.ops)
-                op = op.ops[0]
-            req = self._op_request_leg(task, mid, op)
-            if obs is not None:
-                obs.op_started(task, (task.task_id, token, index), mid, op, self.now)
-            queue.push(
-                self.now + req, EV_FAN_ARRIVE, task, state, (index, mid, op, cursor)
-            )
-        if notify is not None:
-            # Posted form: the token only names the legs' spans — the task
-            # is not parked, it runs on with the open state in hand.
-            task.pending_token = None
-            state.notify = notify
-            state.fired = state.satisfied
-            return state
-        if state.satisfied:
-            # Degenerate verdict (need <= 0): resume at this instant; the
-            # posted ops still complete into the state later.
-            state.fired = True
-            queue.push_ready(EV_RESUME, task, state)
-        elif effect.timeout is not None:
-            self._arm(task, effect.timeout, EV_WAKE, token, state)
-        return _PARKED
 
     # ------------------------------------------------------------------
     # introspection
@@ -1141,8 +978,8 @@ Kernel._ev_handlers = (
     Kernel._ev_deliver,       # EV_DELIVER
     Kernel._ev_recv_timeout,  # EV_RECV_TIMEOUT
     Kernel._ev_fault,         # EV_FAULT
-    Kernel._ev_fan_arrive,    # EV_FAN_ARRIVE
-    Kernel._ev_fan_resolve,   # EV_FAN_RESOLVE
+    _ev_fan_arrive,           # EV_FAN_ARRIVE
+    _ev_fan_resolve,          # EV_FAN_RESOLVE
 )
 Kernel._fx_handlers = (
     Kernel._fx_send,       # FX_SEND
@@ -1150,39 +987,5 @@ Kernel._fx_handlers = (
     Kernel._fx_sleep,      # FX_SLEEP
     Kernel._fx_gate_wait,  # FX_GATE_WAIT
     Kernel._fx_spawn,      # FX_SPAWN
-    Kernel._fx_op_fanout,  # FX_OP_FANOUT
+    _fx_op_fanout,         # FX_OP_FANOUT
 )
-
-
-class _ChainCursor:
-    """Progress of one chain under segmented delivery: which work request
-    is in flight and the values of those that completed."""
-
-    __slots__ = ("ops", "index", "values")
-
-    def __init__(self, ops) -> None:
-        self.ops = ops
-        self.index = 0
-        self.values: List[Any] = []
-
-    def fold(self, result):
-        """Account the in-flight WR's *result*.  Returns the chain's final
-        :class:`OpResult` — the same ACK tuple / ``ChainAbort`` a fused
-        chain resolves to — or None when another WR must be posted."""
-        if not result.ok:
-            return OpResult(OpStatus.NAK, ChainAbort(self.index, self.values))
-        self.values.append(result.value)
-        self.index += 1
-        if self.index == len(self.ops):
-            return OpResult(OpStatus.ACK, tuple(self.values))
-        return None
-
-
-class _ParkedType:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<parked>"
-
-
-_PARKED = _ParkedType()

@@ -40,6 +40,7 @@ from repro.sim.event_queue import (
     EV_RESUME,
     EV_WAKE,
 )
+from repro.sim.memops import leg_target
 
 #: human-readable names, indexed by event kind
 EV_NAMES = (
@@ -96,7 +97,7 @@ def _target_of(kind: int, a: Any, b: Any, c: Any) -> str:
         if kind == EV_DELIVER:
             return f"p{int(a.dst) + 1}:{a.topic}"
         if kind == EV_FAN_ARRIVE:
-            _index, mid, op, _cursor = c
+            mid, op = leg_target(c)
             return f"{a.label}->mu{int(mid) + 1}:{type(op).__name__}"
         if kind == EV_FAULT:
             return repr(a)

@@ -33,14 +33,30 @@ FAST_ROBUST = FastRobustConfig(
 )
 
 
+def slot_namespaces(slot: int, prefix: str = "") -> Tuple[str, str]:
+    """The cheap-quorum and broadcast register namespaces of log slot
+    *slot*; *prefix* keeps apart logs that share one memory layout (the
+    sharded service prefixes ``g{shard}``)."""
+    return (f"{prefix}cq{slot}", f"{prefix}neb{slot}")
+
+
+def slot_regions(
+    n_processes: int, leader: int, n_slots: int, prefix: str = ""
+) -> List[RegionSpec]:
+    """The regions of slots ``0 .. n_slots-1`` of one log, slot by slot."""
+    regions: List[RegionSpec] = []
+    for slot in range(n_slots):
+        cq_ns, neb_ns = slot_namespaces(slot, prefix)
+        regions.extend(cq_regions(n_processes, leader, namespace=cq_ns))
+        regions.extend(neb_regions(range(n_processes), namespace=neb_ns))
+    return regions
+
+
 @dataclass
 class ByzantineLogConfig:
     """Configuration of the Byzantine replicated log."""
 
     n_slots: int = 3
-
-    def namespaces(self, slot: int) -> Tuple[str, str]:
-        return (f"cq{slot}", f"neb{slot}")
 
 
 #: deterministic no-op command replicas propose when they have nothing queued
@@ -71,13 +87,9 @@ class ByzantineReplicatedLog(ConsensusProtocol):
 
     # ------------------------------------------------------------------
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
-        leader = FAST_ROBUST.cheap_quorum.leader
-        regions: List[RegionSpec] = []
-        for slot in range(self.config.n_slots):
-            cq_ns, neb_ns = self.config.namespaces(slot)
-            regions.extend(cq_regions(n_processes, leader, namespace=cq_ns))
-            regions.extend(neb_regions(range(n_processes), namespace=neb_ns))
-        return regions
+        return slot_regions(
+            n_processes, FAST_ROBUST.cheap_quorum.leader, self.config.n_slots
+        )
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
         return [("byz-log", self._drive(env))]
@@ -93,7 +105,7 @@ class ByzantineReplicatedLog(ConsensusProtocol):
         apply_fn = self.apply_factory() if self.apply_factory else None
         protocol = FastRobust(FAST_ROBUST)
         for slot in range(self.config.n_slots):
-            cq_ns, neb_ns = self.config.namespaces(slot)
+            cq_ns, neb_ns = slot_namespaces(slot)
             decided = yield from protocol.run_instance(
                 env,
                 self._command_for(pid, slot),

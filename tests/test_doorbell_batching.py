@@ -12,7 +12,7 @@ two delays.  The fan-out contract (``OpFanoutEffect`` +
 
 import pytest
 
-from repro.errors import PermissionError_
+from repro.errors import PermissionError_, SimulationError
 from repro.mem.operations import (
     BatchOp,
     ChangePermissionOp,
@@ -23,6 +23,7 @@ from repro.mem.operations import (
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.obs.runtime import attach
+from repro.obs.whatif import LatencyOverride, ScaleMemory
 from repro.rdma.protection_domain import ProtectionDomain
 from repro.rdma.verbs import RdmaNic
 from repro.types import ChainAbort, MemoryId, ProcessId, is_bottom
@@ -207,6 +208,27 @@ class TestSingleCompletionFanout:
         assert done == 3  # all results filed into the shared state
         assert fired is True
 
+    def test_ack_counting_that_could_park_forever_is_rejected(self):
+        kernel = _fenced_kernel()
+        env = env_of(kernel, 1)  # p2: every fenced write NAKs
+
+        def gen(**kwargs):
+            yield env.fanout_to_all(
+                WriteOp("fenced", ("f", "k"), 0), need=2, count_acks=True, **kwargs
+            )
+            return env.now
+
+        # Three NAKs never exceed three spare ones, and never make two
+        # ACKs: every leg would resolve at t=2 with the task still parked.
+        kernel.spawn(1, "bad", gen(spare_naks=3))
+        with pytest.raises(SimulationError, match="could never wake"):
+            kernel.run(until=10)
+        # A timer wakes the same fan-out, so it stays legal.
+        kernel = _fenced_kernel()
+        env = env_of(kernel, 1)
+        task = run_single(kernel, 1, gen(spare_naks=3, timeout=5.0))
+        assert task.result == 5.0
+
 class TestSegmentedDelivery:
     """``chain_delivery="segmented"``: the same chain, one signalled round
     trip per work request — what the per-op "classic" paths used to spell
@@ -296,6 +318,34 @@ class TestSegmentedDelivery:
         assert value == (None, None)  # the chain's ACK tuple either way
         for memory in kernel.memories[:2]:
             assert (memory.peek(("x", "s")), memory.peek(("x", "w"))) == (7, 1)
+
+    @pytest.mark.parametrize(
+        "delivery, returned_at, landed",
+        [("fused", 2.0, [0, 1, 2]), ("segmented", 6.0, [0])],
+    )
+    def test_straggler_leg_after_the_issuer_returned(
+        self, delivery, returned_at, landed
+    ):
+        """A leg still in flight when its issuer returned: a fused chain
+        lands whole; a segmented one stops at the WR in flight, since the
+        next is posted on the returned task's behalf."""
+        kernel = make_kernel(
+            chain_delivery=delivery,
+            latency=LatencyOverride(rules=[ScaleMemory(4.0, mid=1)]),
+        )
+        env = env_of(kernel, 0)
+        chain = BatchOp([WriteOp("r", ("x", str(i)), i) for i in range(3)])
+
+        def gen():
+            yield env.fanout_to_all(chain, need=1)
+            return env.now
+
+        task = run_single(kernel, 0, gen())
+        assert task.result == returned_at
+        slow = kernel.memories[1]
+        assert [
+            i for i in range(3) if not is_bottom(slow.peek(("x", str(i))))
+        ] == landed
 
     def test_crashed_process_posts_no_further_wr(self):
         kernel = make_kernel(chain_delivery="segmented")
