@@ -65,8 +65,13 @@ from repro.reconfig.epochs import (
     SealShard,
 )
 from repro.reconfig.migrate import Migrator
-from repro.shard.service import ShardConfig, ShardControl, ShardedKV, shard_region
-from repro.smr.log import smr_rx_regions
+from repro.shard.service import (
+    ShardConfig,
+    ShardControl,
+    ShardedKV,
+    _is_migration_client,
+    shard_region,
+)
 from repro.types import process_name
 
 
@@ -149,7 +154,7 @@ class ElasticKV(ShardedKV):
     def _initial_leaders(self) -> Dict[int, int]:
         return dict(self._state.active_epoch.leaders)
 
-    def _shard_region_spec(self, shard: int, leader: Optional[int] = None) -> RegionSpec:
+    def _log_regions(self, shard: int, leader: Optional[int]) -> List[RegionSpec]:
         """One elastic shard-log region.  Unlike the static service's
         regions, the legal-change policy is the epoch fence: grants move
         with leadership and retirement is a sticky tombstone.  A region
@@ -162,22 +167,19 @@ class ElasticKV(ShardedKV):
             if leader is None
             else Permission.exclusive_writer(leader, processes)
         )
-        return RegionSpec(
-            region_id=region,
-            prefix=(region,),
-            initial_permission=initial,
-            legal_change=epoch_fence_policy(processes),
-        )
+        return [
+            RegionSpec(
+                region_id=region,
+                prefix=(region,),
+                initial_permission=initial,
+                legal_change=epoch_fence_policy(processes),
+            )
+        ]
 
     def _boot_regions(self) -> List[RegionSpec]:
-        regions = [self._shard_region_spec(g, self.leader_of(g)) for g in self.shards]
-        if self.config.read_paths_enabled:
-            for g in self.shards:
-                regions.extend(
-                    smr_rx_regions(self.config.n_processes, region=shard_region(g))
-                )
-        regions.extend(config_regions(self.config.n_processes, self._config_leader()))
-        return regions
+        return super()._boot_regions() + config_regions(
+            self.config.n_processes, self._config_leader()
+        )
 
     # ------------------------------------------------------------------
     # topology (epoch-driven)
@@ -278,8 +280,7 @@ class ElasticKV(ShardedKV):
     # the drain filter (seal semantics)
     # ------------------------------------------------------------------
     def _drainable(self, shard: int, command) -> bool:
-        client = command.client
-        if isinstance(client, tuple) and client and client[0] == "mig":
+        if _is_migration_client(command.client):
             return True  # migration puts and barrier probes always commit
         pending = self._state.next_pending()
         if pending is not None and shard in pending.sealed:
@@ -480,15 +481,10 @@ class ElasticKV(ShardedKV):
     # ------------------------------------------------------------------
     def _add_shard_group(self, shard: int, leader: int) -> None:
         """Stand up one new consensus group for *shard* led by *leader*."""
-        new_regions = [self._shard_region_spec(shard)]
-        if self.config.read_paths_enabled:
-            new_regions.extend(
-                smr_rx_regions(self.config.n_processes, region=shard_region(shard))
-            )
         # a split allocates a group that did not exist at boot: register
         # its regions on the live kernel (crashed memories included)
-        self.kernel.register_regions(new_regions)
-        self._controls[shard] = ShardControl(shard, leader, self.config.read_paths_enabled)
+        self.kernel.register_regions(self._group_regions(shard, None))
+        self._controls[shard] = ShardControl(shard, leader, self.reads is not None)
         self._leader_map[shard] = leader  # additive; routing flips at cutover
         for pid in self.active_replicas:
             self._spawn_pmp_replica(pid, shard, recovered=True)
@@ -513,7 +509,7 @@ class ElasticKV(ShardedKV):
         if control.pid == new and any(not task.done for task in control.tasks):
             return  # the handover already happened (and survived)
         control.depose(self.kernel)
-        self._controls[shard] = ShardControl(shard, new, self.config.read_paths_enabled)
+        self._controls[shard] = ShardControl(shard, new, self.reads is not None)
         self._leader_map[shard] = new
         self._spawn_leader_role(new, shard)
         self.kernel.metrics.record_reconfig(
@@ -610,9 +606,7 @@ class ElasticKV(ShardedKV):
         The boot topology the process crashed out of is irrelevant.
         """
         pid = int(pid)
-        self.frontends[pid] = self._make_frontend(pid)
-        if self.config.read_paths_enabled:
-            self._spawn_read_reply_pump(pid)
+        self._boot_process(pid)
         hosts = set(self._state.active_epoch.replicas) | set(
             self._state.latest.replicas
         )

@@ -15,12 +15,15 @@ hashes the key to its owning shard and routes it down one of two planes:
   probe; ``quorum`` reads the commit watermark and entries directly from
   a majority of memories with no leader involvement; ``local`` serves
   from this process's own replica once it has caught up to the client's
-  session floor.  Every read-plane refusal (fence lost, quorum
-  unassemblable, region fenced away mid-reconfiguration) falls back to
-  the consensus plane — reads degrade to slower, never to stale.
+  session floor.  The service side of all three is the
+  :class:`~repro.shard.reads.ReadPlane`.  Every read-plane refusal (fence
+  lost, quorum unassemblable, region fenced away mid-reconfiguration)
+  falls back to the consensus plane — reads degrade to slower, never to
+  stale.
 
-Replies are matched purely by identity, so retries are safe: the state
-machine deduplicates ``(client, request_id)`` and re-returns the original
+Replies of both planes are matched purely by identity in one place,
+:meth:`ShardFrontend.complete`, so retries are safe: the state machine
+deduplicates ``(client, request_id)`` and re-returns the original
 result, and a late second completion for an already-answered request is
 dropped here.  Completions carry the **applied watermark** (the log slot
 the local replica had applied when it answered); a :class:`ReadSession`
@@ -32,12 +35,15 @@ floor is recorded as a staleness violation, which must never happen).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.environment import ProcessEnv
 from repro.smr.kv import KVCommand
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.shard.reads import ReadPlane
 
 #: the four read modes a get can be routed by
 READ_CONSENSUS = "consensus"  #: commit the get through the log (seed behaviour)
@@ -91,39 +97,6 @@ class ReadSession:
             self.floors[shard] = watermark
 
 
-class ReadPaths:
-    """The service callbacks the frontend's read plane drives.
-
-    Built by the sharded service when read paths are enabled; ``None`` on
-    a frontend means every get rides the command plane (seed behaviour).
-    """
-
-    __slots__ = (
-        "default_mode",
-        "leader_read_submit",
-        "quorum_read",
-        "local_read",
-        "readable",
-        "ledger",
-    )
-
-    def __init__(
-        self,
-        default_mode: str,
-        leader_read_submit: Callable[[int, KVCommand, int], None],
-        quorum_read: Callable[[int, int, KVCommand], Generator],
-        local_read: Callable[[int, int, KVCommand, int], Generator],
-        readable: Callable[[int], bool],
-        ledger: Any,
-    ) -> None:
-        self.default_mode = default_mode
-        self.leader_read_submit = leader_read_submit
-        self.quorum_read = quorum_read
-        self.local_read = local_read
-        self.readable = readable
-        self.ledger = ledger
-
-
 class _Pending:
     """One in-flight request on this process."""
 
@@ -149,14 +122,15 @@ class ShardFrontend:
         leader_of: Callable[[int], int],
         local_submit: Callable[[int, KVCommand], None],
         retry_timeout: float = 100.0,
-        read_paths: Optional[ReadPaths] = None,
+        reads: Optional["ReadPlane"] = None,
     ) -> None:
         self.env = env
         self.shard_for = shard_for
         self.leader_of = leader_of
         self.local_submit = local_submit
         self.retry_timeout = retry_timeout
-        self.read_paths = read_paths
+        #: the service's read plane; None rides every get on the command plane
+        self.reads = reads
         self.pending: Dict[Tuple[Any, Any], _Pending] = {}
         self.retries = 0
         self._topics: Dict[int, str] = {}  # shard -> request topic (cached)
@@ -250,7 +224,7 @@ class ShardFrontend:
             try:
                 if read_plane:
                     if leader == int(env.pid):
-                        self.read_paths.leader_read_submit(shard, command, leader)
+                        self.reads.submit(shard, command, leader)
                     else:
                         topic = self._read_topics.get(shard)
                         if topic is None:
@@ -289,8 +263,8 @@ class ShardFrontend:
         """
         if mode is not None and mode not in READ_MODES:
             raise ValueError(f"unknown read mode {mode!r}; pick one of {READ_MODES}")
-        rp = self.read_paths
-        if rp is None:
+        reads = self.reads
+        if reads is None:
             if mode is not None and mode != READ_CONSENSUS:
                 # a silent downgrade to consensus would let a mode-comparison
                 # benchmark (or a misassembled service) measure the wrong
@@ -302,11 +276,11 @@ class ShardFrontend:
             result = yield from self.submit(command, session=session)
             return result
         if mode is None:
-            mode = rp.default_mode
+            mode = reads.default_mode
         if (
             command.op != "get"
             or mode == READ_CONSENSUS
-            or not rp.readable(self.shard_for(command.key))
+            or not reads.readable(self.shard_for(command.key))
         ):
             result = yield from self.submit(command, session=session)
             return result
@@ -319,11 +293,11 @@ class ShardFrontend:
         phase = obs and obs.phase("client.get", key=command.key, mode=mode)
         try:
             if mode == READ_LEADER:
-                result = yield from self._leader_get(command, rp, session, floors)
+                result = yield from self._leader_get(command, session, floors)
             elif mode == READ_QUORUM:
-                result = yield from self._quorum_get(command, rp, session, floors)
+                result = yield from self._quorum_get(command, session, floors)
             else:  # READ_LOCAL
-                result = yield from self._local_get(command, rp, session, floors)
+                result = yield from self._local_get(command, session, floors)
         finally:
             if phase:
                 phase.finish()
@@ -331,7 +305,6 @@ class ShardFrontend:
 
     def _finish_read(
         self,
-        rp: ReadPaths,
         session: Optional[ReadSession],
         floors: Optional[Dict[int, int]],
         shard: int,
@@ -344,33 +317,32 @@ class ShardFrontend:
         instant — completions that raced ahead of this (concurrent) read
         raised the live floors legally and must not trip the wire.
         """
+        ledger = self.reads.ledger
         if session is not None:
             floor = floors.get(shard, -1) if floors is not None else -1
             if watermark is not None and watermark < floor:
-                rp.ledger.record_stale_read(
+                ledger.record_stale_read(
                     f"{mode} read of shard g{shard} answered at watermark "
                     f"{watermark} below the session's issue-time floor {floor}"
                 )
             session.note(shard, watermark)
-        rp.ledger.count_read(shard, mode)
+        ledger.count_read(shard, mode)
 
     def _fall_back(
         self,
         command: KVCommand,
-        rp: ReadPaths,
         session: Optional[ReadSession],
         shard: int,
         mode: str,
     ) -> Generator:
         """The read plane refused: answer through the command plane."""
-        rp.ledger.count_read_fallback(shard, mode)
+        self.reads.ledger.count_read_fallback(shard, mode)
         result = yield from self.submit(command, session=session)
         return result
 
     def _leader_get(
         self,
         command: KVCommand,
-        rp: ReadPaths,
         session: Optional[ReadSession],
         floors: Optional[Dict[int, int]],
     ) -> Generator:
@@ -391,19 +363,16 @@ class ShardFrontend:
                 if entry.shard is not None
                 else self.shard_for(command.key)
             )
-            self._finish_read(
-                rp, session, floors, served, READ_LEADER, entry.watermark
-            )
+            self._finish_read(session, floors, served, READ_LEADER, entry.watermark)
             return entry.result
         result = yield from self._fall_back(
-            command, rp, session, self.shard_for(command.key), READ_LEADER
+            command, session, self.shard_for(command.key), READ_LEADER
         )
         return result
 
     def _quorum_get(
         self,
         command: KVCommand,
-        rp: ReadPaths,
         session: Optional[ReadSession],
         floors: Optional[Dict[int, int]],
     ) -> Generator:
@@ -411,24 +380,21 @@ class ShardFrontend:
         env = self.env
         for attempt in range(QUORUM_READ_ATTEMPTS):
             shard = self.shard_for(command.key)  # re-resolve across cutovers
-            outcome = yield from rp.quorum_read(int(env.pid), shard, command)
+            outcome = yield from self.reads.quorum_read(int(env.pid), shard, command)
             if outcome is not None:
                 value, watermark = outcome
-                self._finish_read(
-                    rp, session, floors, shard, READ_QUORUM, watermark
-                )
+                self._finish_read(session, floors, shard, READ_QUORUM, watermark)
                 return value
             if attempt + 1 < QUORUM_READ_ATTEMPTS:
                 yield env.sleep(
                     self.retry_timeout * (attempt + 1) / QUORUM_READ_ATTEMPTS
                 )
-        result = yield from self._fall_back(command, rp, session, shard, READ_QUORUM)
+        result = yield from self._fall_back(command, session, shard, READ_QUORUM)
         return result
 
     def _local_get(
         self,
         command: KVCommand,
-        rp: ReadPaths,
         session: Optional[ReadSession],
         floors: Optional[Dict[int, int]],
     ) -> Generator:
@@ -436,14 +402,12 @@ class ShardFrontend:
         env = self.env
         shard = self.shard_for(command.key)
         floor = floors.get(shard, -1) if floors is not None else -1
-        outcome = yield from rp.local_read(int(env.pid), shard, command, floor)
+        outcome = yield from self.reads.local_read(int(env.pid), shard, command, floor)
         if outcome is None:  # not a replica of that shard here
-            result = yield from self._fall_back(
-                command, rp, session, shard, READ_LOCAL
-            )
+            result = yield from self._fall_back(command, session, shard, READ_LOCAL)
             return result
         value, watermark = outcome
-        self._finish_read(rp, session, floors, shard, READ_LOCAL, watermark)
+        self._finish_read(session, floors, shard, READ_LOCAL, watermark)
         return value
 
     # ------------------------------------------------------------------
@@ -455,11 +419,16 @@ class ShardFrontend:
         result: Any,
         watermark: Optional[int] = None,
         shard: Optional[int] = None,
+        ok: bool = True,
     ) -> None:
-        """Reply matching: called as the local replica applies commands.
+        """Reply matching, for both planes: called as the local replica
+        applies commands, and with a fenced leader read's answer.
 
-        *watermark* is the applied slot the local replica reached with
-        this command — what raises the client's session floor.
+        *watermark* is the applied slot the answer reflects — what raises
+        the client's session floor.  ``ok=False`` is a read server's fence
+        NAK: it only flags the pending entry, and the parked client falls
+        back to the command plane itself, so a late NAK can never complete
+        a request with a refusal.
         """
         if not isinstance(command, KVCommand):
             return
@@ -469,29 +438,6 @@ class ShardFrontend:
         entry = self.pending.get(token)
         if entry is None or entry.done:
             return  # not ours, or a duplicate application of an answered request
-        entry.done = True
-        entry.result = result
-        entry.watermark = watermark
-        entry.shard = shard
-        self.env.signal(entry.gate)
-
-    def complete_read(
-        self,
-        token: Tuple[Any, Any],
-        result: Any,
-        watermark: Optional[int],
-        ok: bool,
-        shard: int,
-    ) -> None:
-        """A leader read came back: an answer (ok) or a fence NAK (not).
-
-        A NAK only flags the pending entry — the parked client falls back
-        to the command plane itself, so a late NAK can never complete a
-        request with a refusal.
-        """
-        entry = self.pending.get(token)
-        if entry is None or entry.done:
-            return
         if ok:
             entry.done = True
             entry.result = result

@@ -38,6 +38,9 @@ The service owns assembly (regions for every group union-ed into one
 :class:`~repro.core.cluster.MultiGroupCluster`), the per-process
 :class:`~repro.shard.router.ShardFrontend`, and the workload run loop
 that drives client tasks to completion and aggregates per-shard metrics.
+Reads that skip consensus are served by the
+:class:`~repro.shard.reads.ReadPlane` it builds when ``read_mode`` is not
+``consensus``; every site that depends on the plane tests ``reads``.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ from repro.errors import ConfigurationError
 from repro.mem.regions import RegionSpec
 from repro.metrics.workload import ShardStats, WorkloadReport
 from repro.shard.partitioner import ConsistentHashPartitioner
+from repro.shard.reads import IDLE_POLL, ReadPlane
 from repro.shard.router import (
     READ_CONSENSUS,
     READ_MODES,
-    ReadPaths,
     ShardFrontend,
-    read_reply_topic,
     read_topic,
     request_topic,
 )
@@ -66,11 +68,9 @@ from repro.sim.futures import Gate
 from repro.sim.latency import LatencyModel, NominalLatency
 from repro.smr.byzantine_log import slot_namespaces, slot_regions
 from repro.smr.kv import KVCommand, KVStateMachine
-from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
+from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions
 
 
-#: how often an idle shard leader re-checks its request queue
-IDLE_POLL = 2.0
 #: slots a crash-tolerant shard leader keeps in flight (see ``_proposer``).
 #: Two hides the round trip behind the next batch: measured once, depths
 #: 3 and 4 buy 7 % more on the saturated workload's mean latency, and
@@ -117,9 +117,10 @@ class ShardConfig:
     #: from the leader's applied state), ``quorum`` (one-sided majority
     #: reads, no leader involvement) or ``local`` (session-consistent
     #: reads from the submitting process's own replica).  Anything but
-    #: ``consensus`` stands up the read plane — read-index regions,
-    #: watermark publication, per-shard read servers and reply pumps —
-    #: and lets clients override the mode per request.
+    #: ``consensus`` stands up the read plane (:mod:`repro.shard.reads`)
+    #: — read-index regions, watermark publication, per-shard read
+    #: servers and reply pumps — and lets clients override the mode per
+    #: request.
     read_mode: str = READ_CONSENSUS
     #: declarative SLOs (:class:`repro.obs.slo.Objective`) evaluated on the
     #: obs runtime's virtual-time ticker.  Only active when an obs runtime
@@ -130,6 +131,11 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ConfigurationError("need at least one shard")
+        for name in ("n_processes", "n_memories"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be >= 1")
         if not self.retry_timeout > 0:
@@ -158,11 +164,6 @@ class ShardConfig:
                     f"objective {objective.name!r} scopes shard {shard}, "
                     f"but the service has {self.n_shards}"
                 )
-
-    @property
-    def read_paths_enabled(self) -> bool:
-        """True when the non-consensus read plane is stood up."""
-        return self.read_mode != READ_CONSENSUS
 
 
 def _is_migration_client(client: Any) -> bool:
@@ -261,6 +262,10 @@ class ShardedKV:
         #: subclass rewrites it (and the leader map) at epoch activation.
         self.shards: List[int] = list(range(cfg.n_shards))
         self._leader_map: Dict[int, int] = self._initial_leaders()
+        #: the non-consensus read plane; None when every get is a command
+        self.reads: Optional[ReadPlane] = (
+            ReadPlane(self) if cfg.read_mode != READ_CONSENSUS else None
+        )
 
         self.cluster = self._make_cluster(self._boot_regions())
         self.kernel = self.cluster.kernel
@@ -277,7 +282,7 @@ class ShardedKV:
 
         #: the leader role of every live group, one control per shard
         self._controls: Dict[int, ShardControl] = {
-            g: ShardControl(g, self.leader_of(g), cfg.read_paths_enabled)
+            g: ShardControl(g, self.leader_of(g), self.reads is not None)
             for g in self.shards
         }
         #: enqueue-time trace context per command identity — how a client
@@ -295,9 +300,7 @@ class ShardedKV:
         self._group_tasks: Dict[Tuple[int, int], List[Any]] = {}
 
         for pid in range(cfg.n_processes):
-            self.frontends[pid] = self._make_frontend(pid)
-            if cfg.read_paths_enabled:
-                self._spawn_read_reply_pump(pid)
+            self._boot_process(pid)
         self._spawn_replicas()
 
     # ------------------------------------------------------------------
@@ -307,47 +310,42 @@ class ShardedKV:
         """Boot leader map: groups round-robin across processes."""
         return {g: g % self.config.n_processes for g in self.shards}
 
-    def _boot_regions(self) -> List[RegionSpec]:
-        """The memory regions every boot shard's backend needs."""
+    def _log_regions(self, shard: int, leader: Optional[int]) -> List[RegionSpec]:
+        """The regions of one crash-tolerant group's log."""
+        return smr_regions(self.config.n_processes, leader, region=shard_region(shard))
+
+    def _group_regions(self, shard: int, leader: Optional[int]) -> List[RegionSpec]:
+        """The memory regions one group's backend needs (its read-index
+        region too, with the read plane up)."""
         cfg = self.config
-        regions: List[RegionSpec] = []
-        for g in self.shards:
-            leader = self.leader_of(g)
-            if g in cfg.bft_shards:
-                regions.extend(
-                    slot_regions(cfg.n_processes, leader, cfg.bft_max_slots, f"g{g}")
-                )
-            else:
-                regions.extend(
-                    smr_regions(cfg.n_processes, leader, region=shard_region(g))
-                )
-                if cfg.read_paths_enabled:
-                    regions.extend(
-                        smr_rx_regions(cfg.n_processes, region=shard_region(g))
-                    )
+        if shard in cfg.bft_shards:
+            return slot_regions(cfg.n_processes, leader, cfg.bft_max_slots, f"g{shard}")
+        regions = self._log_regions(shard, leader)
+        if self.reads is not None:
+            regions += self.reads.regions(shard_region(shard))
         return regions
 
-    def _make_frontend(self, pid: int) -> ShardFrontend:
-        """One process's request router (boot and crash-recovery rebuilds)."""
-        cfg = self.config
-        read_paths = None
-        if cfg.read_paths_enabled:
-            read_paths = ReadPaths(
-                default_mode=cfg.read_mode,
-                leader_read_submit=self._submit_leader_read,
-                quorum_read=self._quorum_read,
-                local_read=self._local_read,
-                readable=self._shard_readable,
-                ledger=self.kernel.metrics,
-            )
-        return ShardFrontend(
+    def _boot_regions(self) -> List[RegionSpec]:
+        """The memory regions every boot shard's backend needs."""
+        return [
+            region
+            for g in self.shards
+            for region in self._group_regions(g, self.leader_of(g))
+        ]
+
+    def _boot_process(self, pid: int) -> None:
+        """(Re)build one process's request router and, with the read plane
+        up, its reply pump (boot and crash recovery)."""
+        self.frontends[pid] = ShardFrontend(
             self.cluster.env_for(pid),
             shard_for=self.partitioner.shard_for,
             leader_of=self.leader_of,
             local_submit=self._local_submit,
-            retry_timeout=cfg.retry_timeout,
-            read_paths=read_paths,
+            retry_timeout=self.config.retry_timeout,
+            reads=self.reads,
         )
+        if self.reads is not None:
+            self.cluster.spawn(pid, f"rd-pump-p{pid+1}", self.reads.pump(pid))
 
     def _make_cluster(self, regions: Sequence[RegionSpec]) -> MultiGroupCluster:
         cfg = self.config
@@ -380,6 +378,11 @@ class ShardedKV:
         """The shards whose leader runs on *pid* (fault-targeting helper:
         crashing *pid* churns exactly these shards)."""
         return [g for g in self.shards if self.leader_of(g) == pid]
+
+    def _shard_readable(self, shard: int) -> bool:
+        """May the read plane serve *shard*?  Live crash-tolerant groups
+        only — Byzantine groups and retired/unknown ids ride consensus."""
+        return shard in self._controls and shard not in self.config.bft_shards
 
     def machine(self, pid: int, shard: int) -> KVStateMachine:
         return self.machines[(pid, shard)]
@@ -435,7 +438,10 @@ class ShardedKV:
                         pid, f"g{g}-bft-p{pid+1}", self._bft_driver(g, env, machine)
                     )
                     if pid == leader:
-                        self.cluster.spawn(pid, f"g{g}-accept", self._acceptor(g, env))
+                        intake = self._acceptor(
+                            g, env, request_topic(g), self._local_submit
+                        )
+                        self.cluster.spawn(pid, f"g{g}-accept", intake)
                 else:
                     self._spawn_pmp_replica(pid, g)
 
@@ -456,7 +462,7 @@ class ShardedKV:
                 initial_leader=leader,
                 region=shard_region(shard),
                 topic=shard_region(shard),
-                publish_watermark=self.config.read_paths_enabled,
+                publish_watermark=self.reads is not None,
             ),
             leader_fn=lambda g=shard: self.leader_of(g),
             recovered=recovered,
@@ -477,18 +483,21 @@ class ShardedKV:
 
     def _spawn_leader_role(self, pid: int, shard: int) -> None:
         """Spawn the leader-side tasks of *shard* on *pid* (proposer +
-        request intake) into the shard's control, replacing a crashed
+        request intake, and with the read plane up its fenced-read intake
+        and probe server) into the shard's control, replacing a crashed
         incarnation's handles; a move deposes them, not the replica."""
         env, log = self.cluster.env_for(pid), self.logs[(pid, shard)]
-        spawn = self.cluster.spawn
+        spawn, reads = self.cluster.spawn, self.reads
         tasks = [
             spawn(pid, f"g{shard}-propose", self._proposer(shard, env, log)),
-            spawn(pid, f"g{shard}-accept", self._acceptor(shard, env)),
+            spawn(pid, f"g{shard}-accept",
+                  self._acceptor(shard, env, request_topic(shard), self._local_submit)),
         ]
-        if self.config.read_paths_enabled:
+        if reads is not None:
             tasks += [
-                spawn(pid, f"g{shard}-rd-accept", self._read_acceptor(shard, env)),
-                spawn(pid, f"g{shard}-rd-serve", self._read_server(shard, env, log)),
+                spawn(pid, f"g{shard}-rd-accept",
+                      self._acceptor(shard, env, read_topic(shard), reads.submit)),
+                spawn(pid, f"g{shard}-rd-serve", reads.server(shard, env, log)),
             ]
         self._controls[shard].tasks = tasks
 
@@ -534,7 +543,7 @@ class ShardedKV:
                 parent = ctx
         return parent
 
-    def _local_submit(self, shard: int, command: KVCommand) -> None:
+    def _local_submit(self, shard: int, command: KVCommand, src: Any = None) -> None:
         """Enqueue a request arriving on the shard leader's own process,
         waking its proposer only when the wake can launch something:
 
@@ -545,7 +554,8 @@ class ShardedKV:
 
         Every other append finds the proposer either about to look at
         the queue anyway (the next verdict wakes it) or unable to act,
-        so it skips the signal round-trip.
+        so it skips the signal round-trip.  *src*, the requester, is
+        unused: a command's answer rides its own replica's apply path.
         """
         if self.kernel.obs is not None:
             self._note_cmd_ctx(command)
@@ -565,14 +575,15 @@ class ShardedKV:
             if wake:
                 self.kernel.pulse_gate(control.gate)
 
-    def _acceptor(self, shard: int, env) -> Generator:
-        """Leader-side intake: requests from remote frontends."""
-        recv_request = env.recv_effect(topic=request_topic(shard))
+    def _acceptor(self, shard: int, env, topic: str, submit) -> Generator:
+        """Leader-side intake from remote frontends: every message on
+        *topic* goes to ``submit(shard, payload, src)`` — commands to
+        ``_local_submit``, fenced reads to the read plane."""
+        recv = env.recv_effect(topic=topic)
         while True:
-            envelope = yield recv_request
-            if envelope is None:
-                continue
-            self._local_submit(shard, envelope.payload)
+            envelope = yield recv
+            if envelope is not None:
+                submit(shard, envelope.payload, envelope.src)
 
     def _drainable(self, shard: int, command: KVCommand) -> bool:
         """May *shard*'s leader commit *command*?  Always, when static.
@@ -606,7 +617,7 @@ class ShardedKV:
         regress it — a new-then-old quorum read.  Such services propose
         one slot at a time.
         """
-        if self.config.read_paths_enabled and not self.kernel.fifo_memory_ops:
+        if self.reads is not None and not self.kernel.fifo_memory_ops:
             return 1
         return PIPELINE_DEPTH
 
@@ -794,174 +805,6 @@ class ShardedKV:
                     frontend.complete(command, result, watermark=slot, shard=shard)
 
     # ------------------------------------------------------------------
-    # the read plane (non-consensus read serving)
-    # ------------------------------------------------------------------
-    def _shard_readable(self, shard: int) -> bool:
-        """May the read plane serve *shard*?  Live crash-tolerant groups
-        only — Byzantine groups and retired/unknown ids ride consensus."""
-        return shard in self._controls and shard not in self.config.bft_shards
-
-    def _submit_leader_read(self, shard: int, command: KVCommand, src: int) -> None:
-        """Enqueue one fenced read at *shard*'s leader (local or accepted).
-
-        A shard this process no longer leads (deposed, retired) simply
-        drops the request — the client's resend re-resolves the leader.
-        """
-        control = self._controls.get(shard)
-        if control is None:
-            return
-        queue = control.read_queue
-        queue.append((command, src))
-        if len(queue) == 1:
-            self.kernel.pulse_gate(control.read_gate)
-
-    def _read_acceptor(self, shard: int, env) -> Generator:
-        """Leader-side intake of fenced reads from remote frontends."""
-        recv_read = env.recv_effect(topic=read_topic(shard))
-        while True:
-            envelope = yield recv_read
-            if envelope is None:
-                continue
-            self._submit_leader_read(shard, envelope.payload, int(envelope.src))
-
-    def _reply_read(
-        self, env, src: int, command: KVCommand, value: Any,
-        watermark: Optional[int], ok: bool, shard: int,
-    ) -> Generator:
-        """Answer one fenced read: a direct completion when the requester
-        is this process, a reply message to its pump otherwise."""
-        if src == int(env.pid):
-            self.frontends[src].complete_read(
-                command.identity, value, watermark, ok, shard
-            )
-        else:
-            yield env.send(
-                src,
-                (command.identity, value, watermark, ok, shard),
-                topic=read_reply_topic(src),
-            )
-
-    def _read_server(self, shard: int, env, log: ReplicatedLog) -> Generator:
-        """Leader loop of the fenced read path: drain, snapshot, probe, reply.
-
-        Every read pending at drain time is answered under ONE fence
-        probe — the values are taken from local applied state first, then
-        a single one-sided permission probe validates that the exclusive
-        write grant was still live at a majority afterwards, which makes
-        each answer linearizable at the probe instant.  A failed probe
-        (revocation storm, takeover, epoch fence) NAKs the whole batch:
-        clients fall back to the command plane — degraded, never stale.
-        """
-        cfg = self.config
-        control = self._controls[shard]
-        queue, gate = control.read_queue, control.read_gate
-        pid = int(env.pid)
-        while True:
-            if not queue:
-                yield env.gate_wait(gate, timeout=IDLE_POLL)
-                continue
-            if not log.serves_local_reads and log.permissions_held:
-                # transiently behind its own progress — a commit whose
-                # watermark publish is still in flight, or takeover
-                # re-commits draining the adopt cache.  The gap closes
-                # through this leader's own applies (each signals the
-                # commit gate), so hold the reads instead of NAKing a
-                # whole batch into the consensus fallback.
-                yield env.gate_wait(log.commit_gate, timeout=IDLE_POLL)
-                continue
-            batch = tuple(queue)
-            queue.clear()
-            served = None
-            obs = env.obs
-            phase = obs and obs.phase("read.serve", shard=shard, size=len(batch))
-            if log.serves_local_reads:
-                watermark = log.applied_watermark
-                machine = self.machines[(pid, shard)]
-                served = [
-                    (command, src, machine.get(command.key))
-                    for command, src in batch
-                ]
-                held = yield from log.fence_probe(timeout=cfg.retry_timeout)
-            else:
-                # the grant is known lost (revocation observed, or a
-                # recovered leader pre-prepare): refuse without probing
-                held = False
-            if phase:
-                phase.finish(held=held)
-            if held:
-                for command, src, value in served:
-                    yield from self._reply_read(
-                        env, src, command, value, watermark, True, shard
-                    )
-            else:
-                for command, src in batch:
-                    yield from self._reply_read(
-                        env, src, command, None, None, False, shard
-                    )
-
-    def _spawn_read_reply_pump(self, pid: int) -> None:
-        """(Re)start one process's read-reply pump (boot and recovery)."""
-        self.cluster.spawn(pid, f"rd-pump-p{pid+1}", self._read_reply_pump(pid))
-
-    def _read_reply_pump(self, pid: int) -> Generator:
-        """Deliver remote read replies to this process's live frontend.
-
-        The frontend is looked up per reply, not captured: after a crash
-        the rebuilt frontend must be the one answered.
-        """
-        env = self.cluster.env_for(pid)
-        recv_reply = env.recv_effect(topic=read_reply_topic(pid))
-        while True:
-            envelope = yield recv_reply
-            if envelope is None:
-                continue
-            token, value, watermark, ok, shard = envelope.payload
-            self.frontends[pid].complete_read(token, value, watermark, ok, shard)
-
-    def _quorum_read(self, pid: int, shard: int, command: KVCommand) -> Generator:
-        """One-sided quorum read of *command*'s key against *shard*.
-
-        Runs entirely on the reading process: the local replica's log
-        assembles the committed watermark and any missing entries from a
-        majority of memories (ingesting them locally as a side effect)
-        and the value is served from the caught-up local state machine.
-        Returns ``(value, watermark)``, or ``None`` when the read cannot
-        be served one-sided and must fall back.
-        """
-        log = self.logs.get((pid, shard))
-        if log is None:
-            return None
-        watermark = yield from log.quorum_read(timeout=self.config.retry_timeout)
-        if watermark is None:
-            return None
-        machine = self.machines.get((pid, shard))
-        if machine is None:
-            return None
-        return machine.get(command.key), watermark
-
-    def _local_read(
-        self, pid: int, shard: int, command: KVCommand, floor: int
-    ) -> Generator:
-        """Session-consistent read from this process's own replica.
-
-        Parks on the replica's commit gate until the applied watermark
-        reaches the session *floor* (read-your-writes: the client's own
-        completed writes are below it by construction), then serves local
-        state.  The log is re-looked-up per wait so a crash-recovery
-        rebuild is picked up; returns ``None`` when this process hosts no
-        replica of the shard at all.
-        """
-        env = self.cluster.env_for(pid)
-        while True:
-            log = self.logs.get((pid, shard))
-            if log is None:
-                return None
-            if log.applied_upto >= floor:
-                machine = self.machines[(pid, shard)]
-                return machine.get(command.key), log.applied_upto
-            yield env.gate_wait(log.commit_gate, timeout=self.config.retry_timeout)
-
-    # ------------------------------------------------------------------
     # failure hooks (per-shard fault targeting)
     # ------------------------------------------------------------------
     def _on_process_crash(self, pid) -> None:
@@ -989,12 +832,9 @@ class ShardedKV:
         replica would re-enter already-consumed slot regions.
         """
         pid = int(pid)
-        cfg = self.config
-        self.frontends[pid] = self._make_frontend(pid)
-        if cfg.read_paths_enabled:
-            self._spawn_read_reply_pump(pid)
+        self._boot_process(pid)
         for g in self.shards:
-            if g not in cfg.bft_shards:
+            if g not in self.config.bft_shards:
                 self._spawn_pmp_replica(pid, g, recovered=True)
 
     # ------------------------------------------------------------------

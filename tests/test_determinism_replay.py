@@ -165,6 +165,13 @@ class TestSeedReplay:
 # fff9d8a4…0489) and ``elastic_split_jittered`` (pushed / popped 3 715 /
 # 3 650 → 3 471 / 3 463; before 6d636ba9…8041 / a17f690d…e2c5).  With
 # ``queue.pushed`` and ``popped`` masked all twelve hash as before.
+#
+# ``sharded_kv_2_leader`` and ``sharded_kv_2_local`` are ``sharded_kv_2``
+# with the fenced leader read and the session-floor local read: the
+# leader run drives the read intake, the batched fence-probe server and
+# the per-process reply pumps (9 ``read.serve`` batches, 13 remote
+# replies).  They were pinned before the read plane moved to
+# ``shard/reads.py`` and held through the move.
 def _golden_hash(kernel, run, attach_obs: bool) -> str:
     """Hash of *run*() on *kernel*; the span ring must not have scrolled."""
     runtime = attach(kernel, profile=False) if attach_obs else None
@@ -199,9 +206,9 @@ def _kv_hash(service, n_ops: int, attach_obs: bool) -> str:
     return _golden_hash(service.kernel, run, attach_obs)
 
 
-def _sharded_kv_hash(attach_obs: bool = False) -> str:
+def _sharded_kv_hash(attach_obs: bool = False, read_mode: str = "quorum") -> str:
     return _kv_hash(
-        ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=11, read_mode="quorum")),
+        ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=11, read_mode=read_mode)),
         n_ops=6,
         attach_obs=attach_obs,
     )
@@ -275,6 +282,18 @@ class TestGoldenHashes:
 
     def test_sharded_kv_two_shards(self):
         _both_pins("sharded_kv_2", _sharded_kv_hash)
+
+    def test_sharded_kv_two_shards_fenced_leader_reads(self):
+        _both_pins(
+            "sharded_kv_2_leader",
+            lambda **kw: _sharded_kv_hash(read_mode="leader", **kw),
+        )
+
+    def test_sharded_kv_two_shards_local_reads(self):
+        _both_pins(
+            "sharded_kv_2_local",
+            lambda **kw: _sharded_kv_hash(read_mode="local", **kw),
+        )
 
     def test_elastic_split_under_jitter(self):
         _both_pins("elastic_split_jittered", _elastic_split_hash)
@@ -386,7 +405,8 @@ class TestHashSeedIndependence:
     """``run_hash`` must not depend on ``PYTHONHASHSEED``: no set or dict
     of strings may order anything that reaches the schedule or the span
     stream.  One child interpreter per hash seed replays one detached and
-    one attached golden scenario; all three must print the pinned pair."""
+    one attached golden scenario, plus both pins of the two fenced-read
+    scenarios; all three must print the pinned six."""
 
     def test_golden_hashes_under_three_hash_seeds(self):
         import os
@@ -397,7 +417,9 @@ class TestHashSeedIndependence:
         src_dir = os.path.join(os.path.dirname(tests_dir), "src")
         program = (
             "import test_determinism_replay as t; "
-            "print(t._elastic_split_hash(), t._sharded_kv_hash(attach_obs=True))"
+            "print(t._elastic_split_hash(), t._sharded_kv_hash(attach_obs=True), "
+            "*(t._sharded_kv_hash(attach_obs=a, read_mode=m) "
+            "for m in ('leader', 'local') for a in (False, True)))"
         )
         for hash_seed in ("0", "1", "2"):
             env = dict(
@@ -413,6 +435,10 @@ class TestHashSeedIndependence:
             assert child.stdout.split() == [
                 GOLDEN_DETACHED["elastic_split_jittered"],
                 GOLDEN_ATTACHED["sharded_kv_2"],
+                GOLDEN_DETACHED["sharded_kv_2_leader"],
+                GOLDEN_ATTACHED["sharded_kv_2_leader"],
+                GOLDEN_DETACHED["sharded_kv_2_local"],
+                GOLDEN_ATTACHED["sharded_kv_2_local"],
             ], f"PYTHONHASHSEED={hash_seed}"
 
 
@@ -426,6 +452,8 @@ GOLDEN_DETACHED = {
     "aligned_protected": "cbc9121aec07336271ef9d119d46adfbb0b81217b24fdcab1ee5f0a74a522bb0",
     "aligned_disk": "19a610fbec2877176940d8bae47c148e32ebac9e27e17010fb6402e0c7c23324",
     "sharded_kv_2": "6ef55798b98a1fb347c233fb3dab5bbfb3337b470e41a869da7d92c121a957bf",
+    "sharded_kv_2_leader": "8a2fe0173af11991329d4fd626f55d418d04bfd33cb1bd794a1645b48c04bf66",
+    "sharded_kv_2_local": "620a669e8f6a0dec3aec493b3449c64bc5df36779976e52583777948ec78f0bf",
     "elastic_split_jittered": "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1",
 }
 
@@ -435,5 +463,7 @@ GOLDEN_ATTACHED = {
     "aligned_protected": "73ab5d4ede8d3745ade25b377fa0dc1a035183b7a90fa464cbf9a440dc82487d",
     "aligned_disk": "cb05ff4a1cd39e3baae36de67ac81ef2d3adfe03fc827c01f843ef3d3b7bc45d",
     "sharded_kv_2": "1dc79db5d535c5d565a7e28e6441c8fb931348cf8d5df40934b7b3ef7062e1fe",
+    "sharded_kv_2_leader": "dcbae2e933f6ff74d84695c8abcdeec92e7aa1b3fcb4e1fca4df5441397b4447",
+    "sharded_kv_2_local": "a0f9d6768ff92f4e1b6624b52324f7705a94261fd38d3cf73ab1e032166150b9",
     "elastic_split_jittered": "48c9f68a7d5bb40b6fb4d9a01df1ff16614af2ee4d025b06ac253338fa9c98a2",
 }

@@ -336,6 +336,18 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError, match=field):
             config(**{field: value})
 
+    # No process divided by zero in the boot leader map; no memory built
+    # a service whose first proposal could never wake.
+    @pytest.mark.parametrize(
+        "field, value", [("n_processes", 0), ("n_processes", -1), ("n_memories", 0)]
+    )
+    @pytest.mark.parametrize("config", [ShardConfig, ElasticConfig])
+    def test_processes_and_memories_are_validated(self, config, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=field):
+            config(**{field: value})
+
     @pytest.mark.parametrize("retry_timeout", [0.0, -1.0])
     def test_remote_client_retry_timeout_is_validated(self, retry_timeout):
         from repro.errors import ConfigurationError
@@ -343,3 +355,47 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError, match="retry_timeout"):
             RemoteClient(0, 1, keys=None, mix=None, route=None,
                          retry_timeout=retry_timeout)
+
+
+class TestAnswerRules:
+    """How a frontend's pending entry takes its answer, from the command
+    plane (the local replica applies it) or from a fenced leader read (a
+    value, or a NAK with ``ok=False``): both go through ``complete``."""
+
+    def _pending(self):
+        service = ShardedKV(ShardConfig(n_shards=1, read_mode="leader"))
+        frontend = service.frontends[0]
+        command = KVCommand("get", "k", client=7, request_id=0)
+        return frontend, command, frontend._register(command)
+
+    @staticmethod
+    def _answer(entry):
+        return entry.done, entry.result, entry.watermark, entry.shard
+
+    def test_a_nak_flags_the_entry_but_never_completes_it(self):
+        frontend, command, entry = self._pending()
+        frontend.complete(command, "v", 3, 0, ok=False)
+        assert entry.failed and entry.gate.is_set
+        assert self._answer(entry) == (False, None, None, None)
+
+    def test_an_answer_after_a_nak_completes_it(self):
+        frontend, command, entry = self._pending()
+        frontend.complete(command, None, None, 0, ok=False)
+        frontend.complete(command, "v", watermark=4, shard=0)
+        assert self._answer(entry) == (True, "v", 4, 0)
+
+    def test_a_second_completion_or_a_late_nak_changes_nothing(self):
+        frontend, command, entry = self._pending()
+        frontend.complete(command, "first", watermark=4, shard=0)
+        entry.gate.clear()
+        frontend.complete(command, "second", watermark=5, shard=0)
+        frontend.complete(command, None, None, 0, ok=False)
+        assert self._answer(entry) == (True, "first", 4, 0)
+        assert not entry.failed and not entry.gate.is_set
+
+    def test_foreign_and_anonymous_commands_are_ignored(self):
+        frontend, command, entry = self._pending()
+        frontend.complete(("get", "k"), "v", watermark=4, shard=0)
+        frontend.complete(KVCommand("get", "k"), "v", watermark=4, shard=0)
+        assert self._answer(entry) == (False, None, None, None)
+        assert not entry.failed and not entry.gate.is_set
