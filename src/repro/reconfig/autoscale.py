@@ -16,9 +16,11 @@ observes a full post-migration window before deciding again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.metrics.ledger import MetricsLedger
 from repro.metrics.workload import percentile
 from repro.reconfig.epochs import MergeShard, SplitShard
@@ -41,6 +43,22 @@ class AutoscalerConfig:
     max_shards: int = 16
     #: quiet period after any proposal before the next one
     cooldown: float = 150.0
+
+    def __post_init__(self) -> None:
+        # A zero interval re-samples at the same instant forever, so
+        # virtual time would never advance.
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise ConfigurationError(
+                f"interval must be finite and > 0, got {self.interval!r}"
+            )
+        if not self.cooldown >= 0:
+            raise ConfigurationError(f"cooldown must be >= 0, got {self.cooldown!r}")
+        if self.min_shards < 1:
+            raise ConfigurationError(f"min_shards must be >= 1, got {self.min_shards}")
+        if self.min_shards > self.max_shards:
+            raise ConfigurationError(
+                f"min_shards {self.min_shards} exceeds max_shards {self.max_shards}"
+            )
 
 
 class Autoscaler:

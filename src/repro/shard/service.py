@@ -138,6 +138,8 @@ class ShardConfig:
                 )
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be >= 1")
+        if self.vnodes < 1:
+            raise ConfigurationError("vnodes must be >= 1")
         if not self.retry_timeout > 0:
             raise ConfigurationError(
                 f"retry_timeout must be > 0, got {self.retry_timeout!r}"

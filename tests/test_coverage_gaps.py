@@ -3,8 +3,6 @@
 import ast
 import pathlib
 
-import pytest
-
 import repro
 
 from repro.consensus.aligned_paxos import AlignedConfig, AlignedNode, aligned_regions
@@ -12,11 +10,8 @@ from repro.consensus.fast_robust import FastRobust, FastRobustConfig
 from repro.broadcast.nonequivocating import neb_regions
 from repro.consensus.cheap_quorum import CheapQuorumConfig, cq_regions
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.errors import PermissionError_
-from repro.rdma.verbs import RdmaNic
 from repro.smr.log import ReplicatedLog, smr_regions
 from repro.smr.kv import KVCommand, KVStateMachine
-from repro.types import ProcessId
 
 from tests.conftest import env_of, make_kernel
 
@@ -40,38 +35,6 @@ class TestAlignedInternals:
         spec = aligned_regions(3, "disk")[0]
         anything = Permission.read_only(range(3))
         assert not spec.legal_change(0, spec.initial_permission, anything)
-
-
-class TestRdmaEdgeCases:
-    def _nic(self):
-        kernel = make_kernel()
-        return RdmaNic(env_of(kernel, 0)), kernel
-
-    def test_destroyed_qp_blocks_one_sided(self):
-        nic, kernel = self._nic()
-        pd = nic.alloc_pd()
-        qp = nic.create_qp(pd, ProcessId(1))
-        mr = pd.register(0, "r", ("x",), access="read")
-        qp.destroy()
-        with pytest.raises(PermissionError_):
-            list(nic.post_read(qp, mr, ("x", "k")))
-
-    def test_cross_domain_rkey_rejected(self):
-        nic, kernel = self._nic()
-        pd_a = nic.alloc_pd()
-        pd_b = nic.alloc_pd()
-        qp = nic.create_qp(pd_a, ProcessId(1))
-        mr_b = pd_b.register(0, "r", ("x",), access="read")
-        with pytest.raises(PermissionError_):
-            list(nic.post_read(qp, mr_b, ("x", "k")))
-
-    def test_destroyed_qp_blocks_sends(self):
-        nic, kernel = self._nic()
-        pd = nic.alloc_pd()
-        qp = nic.create_qp(pd, ProcessId(1))
-        qp.destroy()
-        with pytest.raises(PermissionError_):
-            list(nic.post_send(qp, "payload"))
 
 
 class TestSmrTakeoverCache:

@@ -12,7 +12,7 @@ two delays.  The fan-out contract (``OpFanoutEffect`` +
 
 import pytest
 
-from repro.errors import PermissionError_, SimulationError
+from repro.errors import SimulationError
 from repro.mem.operations import (
     BatchOp,
     ChangePermissionOp,
@@ -24,8 +24,6 @@ from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.obs.runtime import attach
 from repro.obs.whatif import LatencyOverride, ScaleMemory
-from repro.rdma.protection_domain import ProtectionDomain
-from repro.rdma.verbs import RdmaNic
 from repro.types import ChainAbort, MemoryId, ProcessId, is_bottom
 
 from tests.conftest import env_of, make_kernel, run_single
@@ -77,8 +75,9 @@ class TestChainSemantics:
 
         task = run_single(kernel, 0, gen())
         # 8 WRs, one doorbell: request + 8×issue(=0) + response = 2.0,
-        # exactly one single op's round trip.
+        # exactly one single op's round trip, landing as one batch.
         assert task.result == 2.0
+        assert kernel.memories[0].counts.batches == 1
 
     def test_read_batch_returns_values_in_request_order(self, kernel):
         env = env_of(kernel, 0)
@@ -361,78 +360,6 @@ class TestSegmentedDelivery:
         memory = kernel.memories[0]
         assert [memory.peek(("x", str(i))) for i in range(2)] == [0, 1]
         assert is_bottom(memory.peek(("x", "2")))
-
-
-class TestWrBatchFacade:
-    def _setup(self):
-        regions = [
-            RegionSpec("buf", ("buf",), Permission.swmr(0, range(3))),
-            RegionSpec("shared", ("shared",), Permission.open(range(3))),
-        ]
-        kernel = make_kernel(3, 2, regions=regions)
-        nic = RdmaNic(env_of(kernel, 0))
-        pd = nic.alloc_pd()
-        qp = nic.create_qp(pd, ProcessId(1))
-        return kernel, nic, pd, qp
-
-    def test_finish_rings_one_doorbell(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read-write")
-
-        def gen():
-            batch = nic.begin_batch(qp)
-            batch.post_write(mr, ("shared", "a"), 1)
-            batch.post_write(mr, ("shared", "b"), 2)
-            batch.post_read(mr, ("shared", "a"))
-            result = yield from batch.finish()
-            return (env_now(), result)
-
-        def env_now():
-            return nic.env.now
-
-        task = run_single(kernel, 0, gen())
-        now, result = task.result
-        assert now == 2.0  # three WRs, one completion, one round
-        assert result.ok and result.value[2] == 1
-        assert kernel.memories[0].counts.batches == 1
-
-    def test_empty_chain_rejected(self):
-        kernel, nic, pd, qp = self._setup()
-        with pytest.raises(ValueError):
-            list(nic.begin_batch(qp).finish())
-
-    def test_chain_may_not_span_memories(self):
-        kernel, nic, pd, qp = self._setup()
-        mr0 = pd.register(0, "shared", ("shared",), access="read-write")
-        mr1 = pd.register(1, "shared", ("shared",), access="read-write")
-        batch = nic.begin_batch(qp)
-        batch.post_write(mr0, ("shared", "a"), 1)
-        with pytest.raises(PermissionError_):
-            batch.post_write(mr1, ("shared", "b"), 2)
-
-    def test_access_level_checked_at_post_time(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read")
-        batch = nic.begin_batch(qp)
-        with pytest.raises(PermissionError_):
-            batch.post_write(mr, ("shared", "a"), 1)
-
-    def test_read_array_wr(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read-write")
-
-        def gen():
-            setup = nic.begin_batch(qp)
-            setup.post_write(mr, ("shared", "a"), 1).post_write(
-                mr, ("shared", "b"), 2
-            )
-            yield from setup.finish()
-            batch = nic.begin_batch(qp).post_read_array(mr)
-            result = yield from batch.finish()
-            return result.value[0]
-
-        task = run_single(kernel, 0, gen())
-        assert task.result == {("shared", "a"): 1, ("shared", "b"): 2}
 
 
 class TestMechanismSwitch:

@@ -215,6 +215,24 @@ class TestAutoscaler:
         ledger.count_shard_commit(0, 500)
         assert self.tick(policy, ledger, 200.0) == []
 
+    # A zero interval looped the autoscaler task at t=0: the kernel
+    # livelocked, or a run without an event cap never returned.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("interval", 0.0),
+            ("interval", -1.0),
+            ("interval", float("inf")),
+            ("interval", float("nan")),
+            ("cooldown", -1.0),
+            ("min_shards", 0),
+            ("min_shards", 17),
+        ],
+    )
+    def test_config_is_validated(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AutoscalerConfig(**{field: value})
+
 
 class TestElasticConfigValidation:
     def test_bft_shards_rejected(self):

@@ -324,10 +324,17 @@ class TestServiceConfig:
             ShardConfig(batch_max=0)
 
     # A zero retry timeout resent forever at virtual time 0, a negative
-    # one died in the event queue, and no BFT slot completed nothing.
+    # one died in the event queue, no BFT slot completed nothing, and a
+    # ring without virtual nodes failed halfway through construction.
     @pytest.mark.parametrize(
         "field, value",
-        [("retry_timeout", 0.0), ("retry_timeout", -1.0), ("bft_max_slots", 0)],
+        [
+            ("retry_timeout", 0.0),
+            ("retry_timeout", -1.0),
+            ("bft_max_slots", 0),
+            ("vnodes", 0),
+            ("vnodes", -1),
+        ],
     )
     @pytest.mark.parametrize("config", [ShardConfig, ElasticConfig])
     def test_timeouts_and_slot_caps_are_validated(self, config, field, value):
