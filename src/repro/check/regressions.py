@@ -41,6 +41,14 @@ bug, so it has no explorer scenario and is not in :func:`known_bugs`: the
 two-slots-in-flight property in ``tests/test_recovery_scenarios.py`` must
 fail under it.
 
+``join-landed-quorum-read`` (never shipped — seeded with shared quorum
+reads): ``ReplicatedLog.quorum_read`` letting a reader join any read in
+flight on its replica, including one whose legs already observed
+memory, so the joiner can be answered from views taken before its own
+invocation — older than a put that completed in between.  Not a schedule
+bug either: the directed test in ``tests/test_read_paths.py`` must fail
+under it.
+
 These are **test-only flags**: nothing in the library reads them, the
 context manager patches the class and restores it, and the scenarios
 registered here exist purely as model-checking targets.
@@ -89,6 +97,12 @@ def _buggy_settle(self, posted):
     return committed
 
 
+def _buggy_joinable_read(self):
+    # Seeded with shared quorum reads: join whatever read is in flight,
+    # landed legs or not.
+    return self._joinable
+
+
 _BUGS = {
     "unpark-token-collision": (Network, "unpark", _buggy_unpark),
     "stale-wake-token-check": (Kernel, "_ev_wake", _buggy_ev_wake),
@@ -98,6 +112,9 @@ _BUGS = {
 #: (so they stay out of :func:`known_bugs`, the explorer corpus)
 _PROPERTY_BUGS = {
     "nak-settled-as-committed": (ReplicatedLog, "settle", _buggy_settle),
+    "join-landed-quorum-read": (
+        ReplicatedLog, "_joinable_read", _buggy_joinable_read
+    ),
 }
 
 

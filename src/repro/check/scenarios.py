@@ -245,14 +245,20 @@ class QuorumRead(Scenario):
                 ],
                 pid=1,
             ),
-            ScriptedClient(
-                client_id=2,
-                script=[
-                    ("get", "alpha", None),
-                    ("get", "beta", None),
-                    ("get", "alpha", None),
-                ],
-                pid=2,
+            # two readers on p3 whose gets issue at the same instants:
+            # one posts each quorum read and the other joins it before
+            # its legs land; the explorer reorders which one posts
+            *(
+                ScriptedClient(
+                    client_id=client_id,
+                    script=[
+                        ("get", "alpha", None),
+                        ("get", "beta", None),
+                        ("get", "alpha", None),
+                    ],
+                    pid=2,
+                )
+                for client_id in (2, 3)
             ),
         ]
         state: Dict[str, Any] = {"report": None}

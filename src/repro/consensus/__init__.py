@@ -20,9 +20,10 @@ from repro.consensus.base import ConsensusProtocol, ProposerOutcome
 from repro.consensus.omega import crash_aware_omega, leader_schedule, stable_leader
 from repro.consensus.probes import (
     probe_write_grant,
-    read_quorum_chain,
-    read_quorum_watermarks,
+    quorum_chain,
+    verdict_fanout,
     watermark_key,
+    watermark_snapshot,
 )
 
 __all__ = [
@@ -33,7 +34,8 @@ __all__ = [
     "leader_schedule",
     "stable_leader",
     "probe_write_grant",
-    "read_quorum_chain",
-    "read_quorum_watermarks",
+    "quorum_chain",
+    "verdict_fanout",
     "watermark_key",
+    "watermark_snapshot",
 ]

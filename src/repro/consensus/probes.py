@@ -11,29 +11,33 @@ Protected Memory Paxos, Aligned Paxos and the replicated-log layer:
   grant at a majority, majorities intersect, and a grant moves only
   through the full takeover prepare) — so its local applied state is
   linearizable to serve as of ``t``.
-* :func:`read_quorum_watermarks` — the **watermark read**: snapshot the
+* :func:`watermark_snapshot` — the **watermark read**: snapshot the
   per-writer commit-watermark registers from a majority and take the
-  max.  Because a writer installs watermark ``s`` in the same chain as
-  slot ``s``, right after it (and waits for a majority ACK before
-  answering any client), the confirmed max over any majority covers
-  every write a client ever saw complete.
-* :func:`read_quorum_chain` — the one-round read: per memory, ONE chain
+  confirmed max (:func:`max_confirmed_watermark`).  Because a writer
+  installs watermark ``s`` in the same chain as slot ``s``, right after
+  it (and waits for a majority ACK before answering any client), the
+  confirmed max over any majority covers every write a client ever saw
+  complete.
+* :func:`quorum_chain` — the one-round read: per memory, ONE chain
   carrying the watermark snapshot and the floor-filtered entry snapshot
   (see ``ReplicatedLog._quorum_read_fused`` for the adoption rule that
   makes this safe).
 
-All are plain generators over :class:`~repro.sim.environment.ProcessEnv`
-— each one memory round, issued to all memories as a single-completion
-fan-out (:class:`~repro.sim.effects.OpFanoutEffect`): the kernel counts
-ACKs and NAKs in one shared state and wakes the caller exactly once when
-the verdict is in.
+Each is one memory round, issued to all memories as the single-completion
+fan-out :func:`verdict_fanout` builds
+(:class:`~repro.sim.effects.OpFanoutEffect`): the kernel counts ACKs and
+NAKs in one shared state and wakes the caller exactly once when the
+verdict is in.  The two reads are op builders, not generators: the
+replicated log keeps the effect it posts, so a second reader can watch
+its legs land (``ReplicatedLog.quorum_read``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.mem.operations import BatchOp, ProbeOp, ReadSnapshotOp, SnapshotOp
+from repro.sim.effects import OpFanoutEffect
 from repro.sim.environment import ProcessEnv
 from repro.types import RegionId, RegisterKey
 
@@ -46,21 +50,21 @@ def watermark_key(rx_region: RegionId, pid: int) -> tuple:
     return (rx_region, WM, int(pid))
 
 
-def _verdict_fanout(env: ProcessEnv, op, timeout: Optional[float]) -> Generator:
+def verdict_fanout(
+    env: ProcessEnv, op, timeout: Optional[float]
+) -> OpFanoutEffect:
     """Fan *op* out to every memory with ACK-counting single completion:
     the task wakes once — at a majority of ACKs, at more than
     ``m - majority`` NAKs (a majority of ACKs became impossible), or at
-    the timeout.  Returns ``(state, majority)``; the verdict is
-    ``state.acked >= majority``."""
+    the timeout.  The verdict is ``state.acked >= majority``."""
     majority = env.majority_of_memories()
-    state = yield env.fanout_to_all(
+    return env.fanout_to_all(
         op,
         need=majority,
         count_acks=True,
         spare_naks=env.n_memories - majority,
         timeout=timeout,
     )
-    return state, majority
 
 
 def probe_write_grant(
@@ -78,28 +82,15 @@ def probe_write_grant(
     region: on an open one (Aligned Paxos's disk variant) the check is
     True whenever a majority responds, and is no fence.
     """
-    op = ProbeOp(region, "write")
-    state, majority = yield from _verdict_fanout(env, op, timeout)
-    return state.acked >= majority
+    state = yield verdict_fanout(env, ProbeOp(region, "write"), timeout)
+    return state.acked >= env.majority_of_memories()
 
 
-def read_quorum_watermarks(
-    env: ProcessEnv, rx_region: RegionId, timeout: Optional[float] = None
-) -> Generator:
-    """Read every watermark register from a majority of memories.
-
-    Returns ``(watermark, confirmed)`` where *watermark* is the max slot
-    index seen (``-1`` when nothing was ever published) and *confirmed*
-    is True when one writer's register carries that max at a majority of
-    the responding views (the value is provably durable).  Returns
-    ``(None, False)`` when a majority cannot be assembled (memories down,
-    or the region fenced away by a reconfiguration).
-    """
-    op = SnapshotOp(rx_region, (rx_region,))
-    state, majority = yield from _verdict_fanout(env, op, timeout)
-    if state.acked < majority:
-        return None, False
-    return max_confirmed_watermark(state.acked_values(), majority)
+def watermark_snapshot(rx_region: RegionId) -> SnapshotOp:
+    """One memory's view of every watermark register in *rx_region*; over
+    a majority of views, :func:`max_confirmed_watermark` gives the max
+    slot index seen and whether it is provably durable."""
+    return SnapshotOp(rx_region, (rx_region,))
 
 
 def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
@@ -134,32 +125,25 @@ def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
     return watermark, best >= majority
 
 
-def read_quorum_chain(
-    env: ProcessEnv,
+def quorum_chain(
     rx_region: RegionId,
     region: RegionId,
     prefix: RegisterKey,
     floor: Any = None,
-    timeout: Optional[float] = None,
-) -> Generator:
-    """The fused 1-round quorum read: per memory, one doorbell-batched
-    chain ``[watermark snapshot, floor-filtered entry snapshot]``.
+) -> BatchOp:
+    """The fused 1-round quorum read's chain for one memory:
+    ``[watermark snapshot, floor-filtered entry snapshot]``.
 
-    Because a chain applies atomically at one memory, each returned pair
+    Because a chain applies atomically at one memory, each ACKed pair
     ``(wm_view, entry_view)`` is a *consistent cut* of that memory: every
     slot its watermark covers is present in the same entry view (writers
     install the slot and its watermark in one chain too — the same-chain
-    property).  Returns the list of per-memory pairs from the ACKing
-    majority, or ``None`` when a majority cannot be assembled.
+    property).
 
     Callers MUST gate on ``env.fifo_memory_ops`` and apply the per-view
     qualification rule (adopt slot ``s`` only from a view whose own
     watermark is ``>= s``) — see ``ReplicatedLog._quorum_read_inner``.
     """
-    chain = BatchOp(
-        (SnapshotOp(rx_region, (rx_region,)), ReadSnapshotOp(region, prefix, floor))
+    return BatchOp(
+        (watermark_snapshot(rx_region), ReadSnapshotOp(region, prefix, floor))
     )
-    state, majority = yield from _verdict_fanout(env, chain, timeout)
-    if state.acked < majority:
-        return None
-    return state.acked_values()

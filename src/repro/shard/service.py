@@ -45,6 +45,7 @@ Reads that skip consensus are served by the
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
@@ -140,9 +141,11 @@ class ShardConfig:
             raise ConfigurationError("batch_max must be >= 1")
         if self.vnodes < 1:
             raise ConfigurationError("vnodes must be >= 1")
-        if not self.retry_timeout > 0:
+        # an infinite timeout would silently turn off resends and every
+        # read-plane fallback: a lost request would never be retried
+        if not 0 < self.retry_timeout < math.inf:
             raise ConfigurationError(
-                f"retry_timeout must be > 0, got {self.retry_timeout!r}"
+                f"retry_timeout must be finite and > 0, got {self.retry_timeout!r}"
             )
         if self.bft_max_slots < 1:
             raise ConfigurationError("bft_max_slots must be >= 1")

@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.net.messages import Envelope
-from repro.sim.futures import Gate
+from repro.sim.futures import FanoutState, Gate
 from repro.types import ProcessId
 
 # ---------------------------------------------------------------------------
@@ -217,9 +217,14 @@ class OpFanoutEffect(Effect):
     the parking form costs.  A waiter polls ``fired`` on each state it
     posted before parking on the gate again; a dead waiter simply abandons
     its states.  The posted form takes no *timeout*.
+
+    ``state`` is the :class:`~repro.sim.futures.FanoutState` the kernel
+    opened when it posted the effect (None before): a task that kept the
+    effect can watch its legs land while the issuer is parked.
     """
 
-    __slots__ = ("targets", "need", "count_acks", "spare_naks", "timeout", "notify")
+    __slots__ = ("targets", "need", "count_acks", "spare_naks", "timeout",
+                 "notify", "state")
     kind = FX_OP_FANOUT
 
     def __init__(
@@ -237,3 +242,4 @@ class OpFanoutEffect(Effect):
         self.spare_naks = spare_naks
         self.timeout = timeout
         self.notify = notify
+        self.state: Optional[FanoutState] = None

@@ -29,14 +29,19 @@ class FanoutState:
     or ``None`` while (or forever if, e.g. on a crashed memory) that op
     is outstanding.
 
+    ``landed`` counts the request legs applied at their memory so far
+    (each work request of a segmented chain is one): while it is 0 the
+    fan-out has observed no memory, which is what lets a second reader
+    share it (``ReplicatedLog.quorum_read``).
+
     ``notify`` is the gate a *posted* fan-out pulses at its verdict (None
     for the parking form); ``ctx`` is the issuer's trace context at post
     time, recorded only while observability is attached — a posted
     fan-out's issuer has moved on by the time the verdict lands.
     """
 
-    __slots__ = ("results", "acked", "naked", "done", "need", "count_acks",
-                 "spare_naks", "token", "fired", "notify", "ctx")
+    __slots__ = ("results", "acked", "naked", "done", "landed", "need",
+                 "count_acks", "spare_naks", "token", "fired", "notify", "ctx")
 
     def __init__(self, size: int, need: int, count_acks: bool,
                  spare_naks: int, token: int) -> None:
@@ -44,6 +49,7 @@ class FanoutState:
         self.acked = 0
         self.naked = 0
         self.done = 0
+        self.landed = 0
         self.need = need
         self.count_acks = count_acks
         self.spare_naks = spare_naks

@@ -118,6 +118,7 @@ def _fx_op_fanout(kernel, task, effect):
         )
     token = task.new_token()
     state = FanoutState(len(targets), need, count_acks, effect.spare_naks, token)
+    effect.state = state
     if kernel.obs is not None:
         state.ctx = task.ctx
     segmented = kernel.config.chain_delivery != FUSED
@@ -154,6 +155,7 @@ def _ev_fan_arrive(kernel, task, state, leg) -> None:
         return
     pid = task.pid
     result = memory.apply(pid, op)
+    state.landed += 1
     resp = kernel._resp_delay
     if resp is None:
         resp = kernel.config.latency.memory_response_delay(

@@ -22,9 +22,10 @@ from repro.consensus.messages import Decision
 from repro.consensus.probes import (
     max_confirmed_watermark,
     probe_write_grant,
-    read_quorum_chain,
-    read_quorum_watermarks,
+    quorum_chain,
+    verdict_fanout,
     watermark_key,
+    watermark_snapshot,
 )
 from repro.consensus.protected_memory_paxos import (
     PmpSlot,
@@ -177,6 +178,20 @@ class PostedWrite:
         self.phase = phase
 
 
+class SharedRead:
+    """One replica's quorum read as later readers see it: its first
+    fan-out (``effect``, whose ``state`` the kernel fills at the post),
+    the gate its joiners park on (made by the first joiner) and the
+    issuer's outcome once it has one."""
+
+    __slots__ = ("effect", "gate", "outcome")
+
+    def __init__(self) -> None:
+        self.effect = None
+        self.gate = None
+        self.outcome: Optional[int] = None
+
+
 class ReplicatedLog:
     """A Protected-Memory-Paxos-backed replicated log endpoint.
 
@@ -238,6 +253,9 @@ class ReplicatedLog:
         #: raised optimistically BEFORE the write leaves, so two reads
         #: interleaving their write-backs can never regress the register
         self._wm_publish_floor = -1
+        #: the latest quorum read posted on this replica, until its issuer
+        #: returns: a new reader joins it while none of its legs landed
+        self._joinable: Optional[SharedRead] = None
 
     # ------------------------------------------------------------------
     def _slot_key(self, slot: int, pid: int) -> tuple:
@@ -322,19 +340,77 @@ class ReplicatedLog:
 
         Under FIFO queue pairs the whole read is ONE chain per memory —
         see :meth:`_quorum_read_fused` for the adoption rules.
+
+        Readers of one replica share a read until its first leg lands.
+        A reader that finds the replica's latest read with no leg of its
+        first fan-out yet applied at any memory parks on it and takes its
+        outcome (:meth:`_join`); otherwise it posts its own read, which
+        becomes the one to join.  Safe because every memory the shared
+        read observes is observed after each joiner's invocation and
+        before its response, so the watermark argument above covers the
+        joiner's answer unchanged; and no joiner waits longer than its
+        own read would have taken, nor past its own *timeout*.
         """
         env = self.env
+        shared = self._joinable_read()
+        if shared is not None:
+            result = yield from self._join(shared, timeout)
+            return result
         majority = env.majority_of_memories()
         obs = env.obs
         phase = obs and obs.phase("log.quorum_read", floor=self.applied_upto)
+        shared = SharedRead()
         try:
-            result = yield from self._quorum_read_inner(majority, timeout)
+            result = yield from self._quorum_read_inner(majority, timeout, shared)
         finally:
             if phase:
                 phase.finish()
+        shared.outcome = result
+        if self._joinable is shared:
+            self._joinable = None
+        if shared.gate is not None:
+            env.pulse(shared.gate)
         return result
 
-    def _quorum_read_inner(self, majority: int, timeout: Optional[float]) -> Generator:
+    def _joinable_read(self) -> Optional[SharedRead]:
+        """The in-flight read a new reader of this replica may share: the
+        latest one, while no leg of its first fan-out has landed.  Exact
+        under any latency model and schedule: the kernel counts the legs
+        it applied (``FanoutState.landed``)."""
+        shared = self._joinable
+        if shared is not None and shared.effect.state.landed == 0:
+            return shared
+        return None
+
+    def _join(self, shared: SharedRead, timeout: Optional[float]) -> Generator:
+        """Park on *shared* until its issuer has the outcome, at most
+        this reader's own *timeout*.  Returns the replica's applied
+        watermark, which covers the shared read's, or ``None`` (fall
+        back) while the shared read has no outcome: it failed, or this
+        reader's timeout came first."""
+        env = self.env
+        obs = env.obs
+        phase = obs and obs.phase(
+            "log.quorum_read", floor=self.applied_upto, joined=True
+        )
+        if shared.gate is None:
+            shared.gate = env.new_gate(f"{self.region}-read")
+        yield env.gate_wait(shared.gate, timeout=timeout)
+        if phase:
+            phase.finish()
+        return None if shared.outcome is None else self.applied_upto
+
+    def _post_read(self, shared: SharedRead, op, timeout: Optional[float]) -> Generator:
+        """Post a read's first fan-out of *op* to every memory as the
+        replica's joinable read; returns its state at the verdict."""
+        effect = shared.effect = verdict_fanout(self.env, op, timeout)
+        self._joinable = shared
+        state = yield effect
+        return state
+
+    def _quorum_read_inner(
+        self, majority: int, timeout: Optional[float], shared: SharedRead
+    ) -> Generator:
         env = self.env
         if env.fifo_memory_ops:
             # Doorbell-batched read: ONE fused chain per memory carries
@@ -343,7 +419,7 @@ class ReplicatedLog:
             # queue pairs (constant per-leg delays): with reordering the
             # per-view consistent-cut argument below would not bound
             # which commits an early-served entry view has seen.
-            result = yield from self._quorum_read_fused(majority, timeout)
+            result = yield from self._quorum_read_fused(majority, timeout, shared)
             return result
         # The watermark MUST be observed before the entries are fetched:
         # slots <= watermark were majority-written before the watermark
@@ -355,11 +431,12 @@ class ReplicatedLog:
         # proposer's minority residue for that slot, which would pass the
         # hole check and be served as if committed.  Sequencing also
         # skips the entry fan-out entirely in the caught-up common case.
-        watermark, confirmed = yield from read_quorum_watermarks(
-            env, self.rx_region, timeout=timeout
+        state = yield from self._post_read(
+            shared, watermark_snapshot(self.rx_region), timeout
         )
-        if watermark is None:
+        if state.acked < majority:
             return None
+        watermark, confirmed = max_confirmed_watermark(state.acked_values(), majority)
         if watermark <= self.applied_upto:
             # local state is already at least as fresh as the quorum
             return self.applied_upto
@@ -379,7 +456,9 @@ class ReplicatedLog:
         # each one covers all of it
         return self._ingest(((watermark, view) for view in views), floor, watermark)
 
-    def _quorum_read_fused(self, majority: int, timeout: Optional[float]) -> Generator:
+    def _quorum_read_fused(
+        self, majority: int, timeout: Optional[float], shared: SharedRead
+    ) -> Generator:
         """The 1-round doorbell-batched quorum read.
 
         Each ACKing memory returns a *consistent cut* ``(wm_view,
@@ -409,13 +488,12 @@ class ReplicatedLog:
         or every cut predating its chain) return ``None``: consensus
         fallback, same as the sequential path.
         """
-        env = self.env
         floor = self.applied_upto + 1
-        pairs = yield from read_quorum_chain(
-            env, self.rx_region, self.region, (self.region,), floor, timeout=timeout
-        )
-        if pairs is None:
+        chain = quorum_chain(self.rx_region, self.region, (self.region,), floor)
+        state = yield from self._post_read(shared, chain, timeout)
+        if state.acked < majority:
             return None
+        pairs = state.acked_values()
         watermark, confirmed = max_confirmed_watermark(
             [wm_view for wm_view, _entries in pairs], majority
         )

@@ -19,6 +19,26 @@ class TestQuorumReadWindow:
         run.execute()
         assert run.check(()) == []
 
+    def test_default_schedule_shares_a_quorum_read(self):
+        # clients 2 and 3 on p3 issue each get at the same instant, so
+        # one of them joins the other's read before its legs land
+        from unittest import mock
+
+        from repro.smr.log import ReplicatedLog
+
+        joined = []
+        join = ReplicatedLog._join
+
+        def spy(log, shared, timeout):
+            joined.append(log.env.now)
+            return join(log, shared, timeout)
+
+        run = make_scenario("quorum-read").build()
+        with mock.patch.object(ReplicatedLog, "_join", spy):
+            run.execute()
+        assert run.check(()) == []
+        assert joined
+
     def test_bounded_sweep_finds_no_violations(self):
         report = explore(
             make_scenario("quorum-read"), Budget(divergences=1, max_runs=150)

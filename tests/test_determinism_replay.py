@@ -166,6 +166,16 @@ class TestSeedReplay:
 # 3 650 → 3 471 / 3 463; before 6d636ba9…8041 / a17f690d…e2c5).  With
 # ``queue.pushed`` and ``popped`` masked all twelve hash as before.
 #
+# Readers of one shard on one process now share a quorum read until its
+# first leg lands (``ReplicatedLog.quorum_read``).  That re-pinned the two
+# scenarios in which a reader joins one: ``sharded_kv_2`` (one join; before,
+# detached / attached: 6ef55798…57bf / 1dc79db5…62fe) and
+# ``elastic_split_jittered`` (six joins on the sequential read path; before
+# 7e85ca07…41e1 / 48c9f68a…98a2, its spans 2 218 → 2 163 besides the
+# timeline points and the recovery phase), and the depth-one span streams
+# of both.  With ``_joinable_read`` patched to join nothing, every pin
+# here hashes as before.
+#
 # ``sharded_kv_2_leader`` and ``sharded_kv_2_local`` are ``sharded_kv_2``
 # with the fenced leader read and the session-floor local read: the
 # leader run drives the read intake, the batched fence-probe server and
@@ -346,13 +356,16 @@ class TestDepthOneEquivalence:
         with self._at_depth_one(), mock.patch(
             f"{__name__}.run_hash", _flow_blind_hash
         ):
+            # re-pinned with the golden hashes when readers began to
+            # share quorum reads (before: 007c193b…6d00)
             assert _sharded_kv_hash(attach_obs=True) == (
-                "007c193b91bc2d1d656eb37e75cf34a9ec8de02d39db79cccb7ad8c273f16d00"
+                "2e2d77c59e0f21f6176d16d1eea29733dfff36c0770107ad8ddda252eb1324ed"
             )
             # re-pinned with the golden hashes when chain tasks became
-            # fan-out legs (before: cb7f9865…f1ce)
+            # fan-out legs (before: cb7f9865…f1ce), and when readers began
+            # to share quorum reads (before: 581da2da…d5ae)
             assert _elastic_split_hash(attach_obs=True) == (
-                "581da2da876cd4db7adf01d23a9be0856447ea02fd233c928a06c6e8b0f5d5ae"
+                "816bb26a06b963e7efa6a3a7f569aa9d910cdd76a2ae2794bb1e0df4fb9844ec"
             )
 
     def _write_heavy_smoke(self):
@@ -401,6 +414,26 @@ class TestDepthOneEquivalence:
         assert fields["virtual_elapsed"] < 0.6 * 450.0
 
 
+class TestUnjoinedReads:
+    """A quorum read nobody joins posts, parks and wakes exactly as before
+    readers shared reads: with joining turned off, the scenarios whose
+    pins moved hash to their pins from before."""
+
+    def test_pins_from_before_sharing(self):
+        from repro.smr.log import ReplicatedLog
+
+        with mock.patch.object(ReplicatedLog, "_joinable_read", lambda log: None):
+            assert _sharded_kv_hash() == (
+                "6ef55798b98a1fb347c233fb3dab5bbfb3337b470e41a869da7d92c121a957bf"
+            )
+            assert _sharded_kv_hash(attach_obs=True) == (
+                "1dc79db5d535c5d565a7e28e6441c8fb931348cf8d5df40934b7b3ef7062e1fe"
+            )
+            assert _elastic_split_hash() == (
+                "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1"
+            )
+
+
 class TestHashSeedIndependence:
     """``run_hash`` must not depend on ``PYTHONHASHSEED``: no set or dict
     of strings may order anything that reaches the schedule or the span
@@ -444,17 +477,17 @@ class TestHashSeedIndependence:
 
 #: spans (finished + open) ``elastic_split_jittered`` records besides its
 #: timeline points and its ``log.recover`` phase
-SPANS_BEFORE_TIMELINE_POINTS = 2218
+SPANS_BEFORE_TIMELINE_POINTS = 2163
 
 GOLDEN_DETACHED = {
     "pmp": "c033a14e31327e1b76e974e48b583317c080503a1b5ce167bc0a6db73859e8b0",
     "pmp_skip_off": "03ea3777c2c26766a14e70e1bf005991d07184ce9a08b873999c8e1afa7d361b",
     "aligned_protected": "cbc9121aec07336271ef9d119d46adfbb0b81217b24fdcab1ee5f0a74a522bb0",
     "aligned_disk": "19a610fbec2877176940d8bae47c148e32ebac9e27e17010fb6402e0c7c23324",
-    "sharded_kv_2": "6ef55798b98a1fb347c233fb3dab5bbfb3337b470e41a869da7d92c121a957bf",
+    "sharded_kv_2": "0c8832e2d3c2ac4a326fc1788c4f26b014dc3b080a2aacfba33ad9277ff4772e",
     "sharded_kv_2_leader": "8a2fe0173af11991329d4fd626f55d418d04bfd33cb1bd794a1645b48c04bf66",
     "sharded_kv_2_local": "620a669e8f6a0dec3aec493b3449c64bc5df36779976e52583777948ec78f0bf",
-    "elastic_split_jittered": "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1",
+    "elastic_split_jittered": "8f5f8da43c98fece47db26297e12a3696285e7613bba6f6c78bf3063454cb780",
 }
 
 GOLDEN_ATTACHED = {
@@ -462,8 +495,8 @@ GOLDEN_ATTACHED = {
     "pmp_skip_off": "e63dd8c2cf041f3a211fc89370e2e5920468b5510b62d9914128412e3e6f32cd",
     "aligned_protected": "73ab5d4ede8d3745ade25b377fa0dc1a035183b7a90fa464cbf9a440dc82487d",
     "aligned_disk": "cb05ff4a1cd39e3baae36de67ac81ef2d3adfe03fc827c01f843ef3d3b7bc45d",
-    "sharded_kv_2": "1dc79db5d535c5d565a7e28e6441c8fb931348cf8d5df40934b7b3ef7062e1fe",
+    "sharded_kv_2": "8d4cfc5843b572ff077fcee2d70fa742b5384bede5ded76c33c2494095d22d26",
     "sharded_kv_2_leader": "dcbae2e933f6ff74d84695c8abcdeec92e7aa1b3fcb4e1fca4df5441397b4447",
     "sharded_kv_2_local": "a0f9d6768ff92f4e1b6624b52324f7705a94261fd38d3cf73ab1e032166150b9",
-    "elastic_split_jittered": "48c9f68a7d5bb40b6fb4d9a01df1ff16614af2ee4d025b06ac253338fa9c98a2",
+    "elastic_split_jittered": "474fafab6f7dafe6ae95319cde18ef8c77643620bb1ed2153ecff0de957914b8",
 }

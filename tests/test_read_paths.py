@@ -31,6 +31,8 @@ from repro.mem.operations import (
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.metrics.ledger import LatencyWindow, MetricsLedger
+from repro.obs.runtime import attach
+from repro.obs.whatif import LatencyOverride, ScaleLink
 from repro.reconfig import ElasticConfig, ElasticKV, MoveLeader, SplitShard
 from repro.shard import (
     READ_LEADER,
@@ -44,6 +46,7 @@ from repro.shard import (
     ZipfianKeys,
 )
 from repro.shard.service import shard_region
+from repro.smr.kv import KVCommand
 from repro.types import MemoryId, OpStatus, ProcessId
 
 P1, P2, P3 = ProcessId(0), ProcessId(1), ProcessId(2)
@@ -421,6 +424,156 @@ class TestReadModes:
         assert not any("rd-" in name for name in names)
         controls = service._controls.values()
         assert all(c.read_queue is None and c.read_gate is None for c in controls)
+
+
+class _SlowToReader(LatencyOverride):
+    """Nominal delays, except that memory responses to process *pid*
+    take *mem_factor* times longer and messages to it *link_factor*
+    times: its quorum reads stay in flight long after their legs landed,
+    and the leader's commit broadcast cannot catch its replica up.
+    ``fifo=False`` forfeits the FIFO queue-pair promise, so reads take
+    the sequential two-round path."""
+
+    def __init__(self, pid, mem_factor, link_factor, fifo=True):
+        super().__init__(rules=[ScaleLink(link_factor, dst=pid)])
+        self.pid = pid
+        self.mem_factor = mem_factor
+        self.fifo_memory_ops = fifo
+
+    def memory_response_delay(self, pid, mid, now, rng):
+        delay = super().memory_response_delay(pid, mid, now, rng)
+        return delay * self.mem_factor if int(pid) == self.pid else delay
+
+
+class _TimedClient:
+    """Issues ``(at, op, key, value)`` steps, each at virtual time *at* or
+    when the previous one returned, whichever is later; ``log`` keeps
+    ``(invoked, returned, result)`` per step."""
+
+    def __init__(self, client_id, pid, steps):
+        self.client_id = client_id
+        self.pid = pid
+        self.steps = steps
+        self.n_ops = len(steps)
+        self.log = []
+
+    def task(self, env, frontend, recorder):
+        for request_id, (at, op, key, value) in enumerate(self.steps):
+            if env.now < at:
+                yield env.sleep(at - env.now)
+            command = KVCommand(
+                op, key, value=value, client=self.client_id, request_id=request_id
+            )
+            invoked = env.now
+            if op == "get":
+                result = yield from frontend.get(command)
+            else:
+                result = yield from frontend.submit(command)
+            recorder.record(command, result, env.now - invoked)
+            self.log.append((invoked, env.now, result))
+
+
+def _quorum_fanouts(service, pid):
+    """Quorum-read fan-outs *pid* posted in a fault-free run: each one
+    carries a floor-filtered entry snapshot to every memory, and nothing
+    else posts that op without a crash or a takeover."""
+    ops = service.kernel.metrics.mem_ops[(pid, "ReadSnapshotOp")]
+    return ops // service.config.n_memories
+
+
+#: ``(chain_delivery, fifo)``: the fused read chain, the same chain one
+#: signalled work request at a time, and the sequential two-round read
+_READ_PATHS = [("fused", True), ("segmented", True), ("fused", False)]
+_READ_PATH_IDS = ["fused", "segmented", "sequential"]
+
+
+class TestSharedQuorumReads:
+    """Readers of one shard on one process share a quorum read until its
+    first leg lands (``ReplicatedLog.quorum_read``)."""
+
+    def _service(self, latency=None, chain_delivery="fused"):
+        service = ShardedKV(
+            ShardConfig(
+                n_shards=1, n_processes=3, n_memories=3, seed=1,
+                read_mode=READ_QUORUM, deadline=5_000.0,
+                **({} if latency is None else {"latency": latency}),
+            )
+        )
+        service.kernel.config.chain_delivery = chain_delivery
+        return service
+
+    def _window(self, chain_delivery, fifo):
+        """Reader A's read lands at t=1 but answers late.  A put on the
+        leader completes by t=6; reader B, on A's process, starts at t=8.
+        Returns the three clients' logs."""
+        latency = _SlowToReader(P3, mem_factor=10.0, link_factor=100.0, fifo=fifo)
+        service = self._service(latency, chain_delivery)
+        assert service.kernel.fifo_memory_ops is fifo
+        clients = [
+            _TimedClient(1, P3, [(0.0, "get", "k", None)]),
+            _TimedClient(2, P1, [(2.0, "put", "k", "new")]),
+            _TimedClient(3, P3, [(8.0, "get", "k", None)]),
+        ]
+        assert service.run_workload(clients).ok
+        assert service.kernel.metrics.staleness_violations == 0
+        return [client.log[0] for client in clients]
+
+    @pytest.mark.parametrize("chain_delivery, fifo", _READ_PATHS, ids=_READ_PATH_IDS)
+    def test_no_reader_joins_a_read_that_observed_memory(self, chain_delivery, fifo):
+        """B starts after the put's reply, while A's landed read is still
+        in flight: joining it would answer B from views taken before the
+        put committed.  B posts its own read and sees the put."""
+        a, put, b = self._window(chain_delivery, fifo)
+        assert a[0] < 1.0 < put[1] < b[0] < a[1]
+        assert (a[2], b[2]) == (None, "new")
+        assert b[1] > a[1]
+
+    @pytest.mark.parametrize("chain_delivery, fifo", _READ_PATHS, ids=_READ_PATH_IDS)
+    def test_the_join_rule_bites(self, chain_delivery, fifo):
+        """Under the seeded bug B joins A's landed read and misses the put."""
+        from repro.check.regressions import seeded_bug
+
+        with seeded_bug("join-landed-quorum-read"):
+            a, _put, b = self._window(chain_delivery, fifo)
+        assert b[1:] == (a[1], None)
+
+    def test_readers_at_one_instant_share_one_fanout(self):
+        """Two readers on one process, invoked at the same instant: one
+        fused read fan-out, both answered two delays later, and the
+        joiner's ``log.quorum_read`` span says it joined."""
+        service = self._service()
+        runtime = attach(service.kernel, profile=False)
+        readers = [
+            _TimedClient(c, P3, [(5.0, "get", "k", None)]) for c in (1, 2)
+        ]
+        assert service.run_workload(readers).ok
+        assert _quorum_fanouts(service, P3) == 1
+        assert [reader.log for reader in readers] == [[(5.0, 7.0, None)]] * 2
+        reads = [span for span in runtime.spans if span.name == "log.quorum_read"]
+        assert [(span.start, span.end, span.attrs.get("joined")) for span in reads] == [
+            (5.0, 7.0, None), (5.0, 7.0, True)
+        ]
+
+    def test_a_joiner_gives_up_at_its_own_timeout(self):
+        """With every memory crashed the shared read never lands; each
+        joiner falls back at its own deadline, not its issuer's."""
+        service = self._service()
+        for mid in range(3):
+            service.kernel.crash_memory(MemoryId(mid))
+        log = service.logs[(int(P3), 0)]
+        env = service.cluster.env_for(P3)
+        ends = {}
+
+        def reader(name, start, timeout):
+            yield env.sleep(start)
+            outcome = yield from log.quorum_read(timeout=timeout)
+            ends[name] = (env.now, outcome)
+
+        service.cluster.spawn(P3, "issuer", reader("issuer", 1.0, 50.0))
+        service.cluster.spawn(P3, "joiner", reader("joiner", 2.0, 10.0))
+        service.kernel.run(until=100.0)
+        assert ends == {"issuer": (51.0, None), "joiner": (12.0, None)}
+        assert _quorum_fanouts(service, P3) == 1
 
 
 class TestAchievedMix:

@@ -211,3 +211,87 @@ class TestReadDeterminism:
             assert _read_run_hash(seed) == _read_run_hash(seed), (
                 f"seed {seed} diverged"
             )
+
+
+_SHARE_KEYS = [f"sk{i}" for i in range(6)]
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_shards=st.integers(min_value=1, max_value=2),
+    scripts=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("get", "get", "get", "put")),
+                st.sampled_from(_SHARE_KEYS),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        min_size=6,
+        max_size=12,
+    ),
+)
+def test_sharing_a_quorum_read_never_slows_one(seed, n_shards, scripts):
+    """Fault-free nominal runs, several scripted clients per process.
+
+    Readers of one shard on one process share a quorum read until its
+    first leg lands, so: every read answers within the two delays of its
+    own round trip; the reads answered together on one (process, shard)
+    are one fan-out's, and include its issuer, which took exactly two;
+    readers invoked together are answered together; no session reads
+    stale and the replicas agree.
+    """
+    from unittest import mock
+
+    from repro.shard import ScriptedClient
+    from repro.shard.reads import ReadPlane
+
+    service = ShardedKV(
+        ShardConfig(
+            n_shards=n_shards, n_processes=3, batch_max=4, seed=seed,
+            read_mode=READ_QUORUM, deadline=200_000.0,
+        )
+    )
+    clients = [
+        ScriptedClient(
+            client_id=c,
+            script=[
+                (op, key, f"c{c}-{i}" if op == "put" else None)
+                for i, (op, key) in enumerate(script)
+            ],
+            pid=c % 3,
+        )
+        for c, script in enumerate(scripts)
+    ]
+    kernel = service.kernel
+    reads = []
+    served = ReadPlane.quorum_read
+
+    def logged(plane, pid, shard, command):
+        invoked = kernel.now
+        outcome = yield from served(plane, pid, shard, command)
+        reads.append((pid, shard, invoked, kernel.now))
+        return outcome
+
+    with mock.patch.object(ReadPlane, "quorum_read", logged):
+        report = service.run_workload(clients)
+    assert report.ok, report.summary()
+    assert len(reads) == report.completed_reads
+    assert all(0.0 < returned - invoked <= 2.0 for _, _, invoked, returned in reads)
+    answered = {}
+    for pid, shard, invoked, returned in reads:
+        answered.setdefault((pid, shard, returned), []).append(returned - invoked)
+    assert all(max(latencies) == 2.0 for latencies in answered.values())
+    fanouts = sum(
+        count for (_pid, op), count in kernel.metrics.mem_ops.items()
+        if op == "ReadSnapshotOp"
+    ) // service.config.n_memories
+    assert fanouts == len(answered)
+    invoked_together = {}
+    for pid, shard, invoked, returned in reads:
+        invoked_together.setdefault((pid, shard, invoked), set()).add(returned)
+    assert all(len(instants) == 1 for instants in invoked_together.values())
+    assert kernel.metrics.staleness_violations == 0
+    assert service.replica_divergence() == []

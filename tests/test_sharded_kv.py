@@ -324,13 +324,16 @@ class TestServiceConfig:
             ShardConfig(batch_max=0)
 
     # A zero retry timeout resent forever at virtual time 0, a negative
-    # one died in the event queue, no BFT slot completed nothing, and a
-    # ring without virtual nodes failed halfway through construction.
+    # one died in the event queue, an infinite one never resent a lost
+    # request (nor let a quorum reader give up), no BFT slot completed
+    # nothing, and a ring without virtual nodes failed halfway through
+    # construction.
     @pytest.mark.parametrize(
         "field, value",
         [
             ("retry_timeout", 0.0),
             ("retry_timeout", -1.0),
+            ("retry_timeout", float("inf")),
             ("bft_max_slots", 0),
             ("vnodes", 0),
             ("vnodes", -1),
