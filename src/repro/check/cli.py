@@ -32,6 +32,7 @@ from typing import List, Optional
 from repro.check.explore import Budget, explore
 from repro.check.scenarios import SCENARIOS, make_scenario
 from repro.check.trace import load_trace, replay_trace, save_trace
+from repro.errors import ConfigurationError
 
 # importing the corpus registers its scenarios, so argparse choices and
 # trace replay see them
@@ -42,8 +43,9 @@ def _write_counterexamples(report, out_dir: str) -> List[str]:
     paths = []
     if report.counterexamples:
         os.makedirs(out_dir, exist_ok=True)
+    stem = report.scenario.replace("/", "-")  # "pmp/leader_crash" is no path
     for n, cx in enumerate(report.counterexamples):
-        path = os.path.join(out_dir, f"{report.scenario}-cx{n}.json")
+        path = os.path.join(out_dir, f"{stem}-cx{n}.json")
         paths.append(save_trace(cx, path))
     return paths
 
@@ -60,7 +62,10 @@ def _write_report(data: dict, path: Optional[str]) -> None:
 
 
 def _cmd_explore(args) -> int:
-    scenario = make_scenario(args.scenario, _params(args))
+    try:
+        scenario = make_scenario(args.scenario, _params(args))
+    except ConfigurationError as error:
+        args.error(str(error))
     budget = Budget(
         divergences=args.divergences,
         max_runs=args.max_runs,
@@ -155,12 +160,22 @@ def _cmd_list(_args) -> int:
 
 
 def _params(args):
+    """``--param KEY=JSON`` items as constructor kwargs of the scenario;
+    a malformed item or an unknown key is a usage error naming the
+    scenario's accepted params."""
+    import inspect
+    import json
+
+    accepted = list(inspect.signature(SCENARIOS[args.scenario]).parameters)
     params = {}
     for item in args.param or []:
-        key, _, raw = item.partition("=")
+        key, eq, raw = item.partition("=")
+        if not eq or key not in accepted:
+            args.error(
+                f"--param {item!r}: expected KEY=JSON with KEY one of "
+                f"{', '.join(accepted)} (the params of {args.scenario})"
+            )
         try:
-            import json
-
             params[key] = json.loads(raw)
         except ValueError:
             params[key] = raw
@@ -175,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ex = sub.add_parser("explore", help="bounded DFS over one scenario")
-    ex.add_argument("scenario", choices=sorted(SCENARIOS))
+    ex.add_argument("scenario", choices=sorted(SCENARIOS), metavar="SCENARIO",
+                    help="a registered scenario (see the list subcommand)")
     ex.add_argument("--divergences", type=int, default=2)
     ex.add_argument("--max-runs", type=int, default=100_000)
     ex.add_argument("--max-steps", type=int, default=20_000)
@@ -188,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for counterexample trace JSONs")
     ex.add_argument("--report", default=None, metavar="PATH",
                     help="write the search statistics as JSON")
-    ex.set_defaults(fn=_cmd_explore)
+    ex.set_defaults(fn=_cmd_explore, error=ex.error)
 
     co = sub.add_parser("corpus", help="run the seeded-bug regression corpus")
     co.add_argument("--divergences", type=int, default=2)

@@ -8,15 +8,17 @@ for the invariant verdict.  Scenarios carry their search vocabulary too —
 the injection specs and per-run group budgets ("≤ 1 crash + ≤ 1
 revocation") the explorer may choose from.
 
-Three target configurations, per the issue:
+The targets:
 
-* :class:`PmpSingle` — 3-process / 3-memory Protected Memory Paxos,
-  single instance: small enough to exhaust, rich enough to exercise the
-  permission-fence safety argument under injected crashes and
-  revocations;
-* :class:`QuorumRead` — the PR 5 one-sided quorum-read window on a
-  1-shard replicated KV: session staleness and replica consistency under
-  leader churn and revocation;
+* :class:`Canned` — one consensus protocol on one
+  :mod:`repro.core.scenarios` cluster, registered per cell of the
+  paper's failure landscape: ``pmp/<factory>`` and
+  ``disk_paxos/<factory>`` at 3×3 (PMP on ``common_case`` is
+  ``pmp-single``), and Theorem 6.1's row ``theorem61/<protocol>`` at
+  2×2, where the 2-delay strawman ``naive_fast`` is expected to break;
+* :class:`QuorumRead` — one-sided quorum reads on a 1-shard replicated
+  KV: session staleness and replica consistency under leader churn and
+  revocation;
 * :class:`EpochCutover` — a live ``MoveLeader`` epoch change with traffic
   in flight: the deposed coordinator must stay fenced and the store must
   keep serving.
@@ -28,10 +30,17 @@ counterexample trace name its scenario and be rebuilt for replay.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.inject import InjectionSpec, crash, revoke
-from repro.types import ProcessId
+from repro.consensus.disk_paxos import DiskPaxos
+from repro.consensus.omega import crash_aware_omega
+from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos, chosen_value
+from repro.core import scenarios as landscape
+from repro.errors import ConfigurationError
+from repro.lowerbound.naive_fast import NaiveFastConsensus
+from repro.sim.memops import FUSED, SEGMENTED
 
 
 class ScenarioRun:
@@ -71,87 +80,62 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# 1. Protected Memory Paxos, single instance
+# 1. the paper's failure landscape: core.scenarios clusters
 # ---------------------------------------------------------------------------
-class PmpSingle(Scenario):
-    """3×3 PMP deciding one value; exhaustible with ≤1 crash + ≤1 revoke.
+class Canned(Scenario):
+    """One protocol on one :mod:`repro.core.scenarios` cluster (``n``
+    processes, ``n`` memories), run until every live process decided;
+    exhaustible at 3×3 with ≤1 crash + ≤1 revoke of the protocol's region.
 
     Oracles: the ledger's agreement/validity record, a liveness check
-    (every non-crashed process decided before the deadline), and the
-    protocol-level memory oracle — the decided value must equal the value
-    of the maximum accepted proposal across all memories
+    (every non-crashed process decided before the deadline) and, for PMP,
+    the protocol-level memory oracle — the decided value must equal the
+    value of the maximum accepted proposal across all memories
     (:func:`repro.consensus.protected_memory_paxos.chosen_value`).
     """
 
-    name = "pmp-single"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        deadline: float = 300.0,
-        crashes: int = 1,
-        revokes: int = 1,
-        with_recovery: bool = False,
-        obs: bool = False,
-        chain_delivery: str = "fused",
-    ) -> None:
+    def __init__(self, name: str, factory: Callable[..., Any],
+                 protocol: Callable[[], Any], n: int, *, seed: int = 0,
+                 deadline: float = 300.0, crashes: int = 1, revokes: int = 1,
+                 with_recovery: bool = False, chain_delivery: str = FUSED) -> None:
+        if chain_delivery not in (FUSED, SEGMENTED):
+            raise ConfigurationError(
+                f"unknown chain_delivery {chain_delivery!r}; "
+                f"use {FUSED!r} or {SEGMENTED!r}"
+            )
         super().__init__(
             seed=seed, deadline=deadline, crashes=crashes, revokes=revokes,
-            with_recovery=with_recovery, obs=obs, chain_delivery=chain_delivery,
+            with_recovery=with_recovery, chain_delivery=chain_delivery,
         )
-        from repro.consensus.protected_memory_paxos import REGION
-
-        specs: List[InjectionSpec] = []
-        if crashes:
-            for pid in range(3):
-                specs.append(
-                    crash(pid, recover_after=5.0 if with_recovery else None)
-                )
-        if revokes:
-            for pid in range(3):
-                specs.append(revoke(pid, REGION))
-        self.injections = tuple(specs)
+        self.name = name
+        self.cell = (factory, protocol, n)
+        region = protocol().regions(n, n)[0].region_id
+        recover_after = 5.0 if with_recovery else None
+        self.injections = tuple(
+            [crash(pid, recover_after) for pid in range(n) if crashes]
+            + [revoke(pid, region) for pid in range(n) if revokes]
+        )
         self.group_budgets = {"crash": crashes, "revoke": revokes}
 
     def build(self) -> ScenarioRun:
-        from repro.consensus.omega import crash_aware_omega
-        from repro.consensus.protected_memory_paxos import (
-            ProtectedMemoryPaxos,
-            chosen_value,
-        )
-        from repro.core.cluster import Cluster, ClusterConfig
-
+        factory, protocol, n = self.cell
         p = self.params
-        cluster = Cluster(
-            ProtectedMemoryPaxos(),
-            ClusterConfig(
-                n_processes=3,
-                n_memories=3,
-                seed=p["seed"],
-                strict_safety=False,  # record violations; the oracle reads them
-                deadline=p["deadline"],
-            ),
-        )
+        cluster = factory(protocol(), n_processes=n, n_memories=n, seed=p["seed"])
         kernel = cluster.kernel
+        kernel.metrics.strict_safety = False  # record violations; oracles read them
         kernel.config.chain_delivery = p["chain_delivery"]
-        kernel.omega = crash_aware_omega(kernel)
-        if p["obs"]:
-            from repro.obs.runtime import attach
+        if kernel.omega.__module__ == type(kernel).__module__:
+            # the kernel's own default Ω: the factory installed none
+            kernel.omega = crash_aware_omega(kernel)
+        is_pmp = isinstance(cluster.protocol, ProtectedMemoryPaxos)
+        inputs = ["a", "b", "c"][:n]
 
-            attach(kernel)
-        inputs = ["a", "b", "c"]
-
-        def live_pids() -> List[ProcessId]:
-            return [
-                ProcessId(pid)
-                for pid in range(3)
-                if ProcessId(pid) not in kernel.crashed_processes
-            ]
+        def undecided() -> List[int]:
+            crashed, decided = kernel.crashed_processes, kernel.metrics.decisions
+            return [pid for pid in range(n) if pid not in crashed and pid not in decided]
 
         def goal() -> bool:
-            decided = kernel.metrics.decisions
-            pids = live_pids()
-            return bool(pids) and all(pid in decided for pid in pids)
+            return len(kernel.crashed_processes) < n and not undecided()
 
         def execute() -> None:
             cluster.start(inputs)
@@ -169,12 +153,11 @@ class PmpSingle(Scenario):
             if not values <= set(inputs):
                 errors.append(f"validity: decided {values - set(inputs)}")
             if not goal():
-                undecided = [int(pid) for pid in live_pids() if pid not in decided]
                 errors.append(
-                    f"liveness: p{[p + 1 for p in undecided]} undecided at "
+                    f"liveness: p{[pid + 1 for pid in undecided()]} undecided at "
                     f"t={kernel.now:g} (deadline {p['deadline']:g})"
                 )
-            chosen = chosen_value(kernel)
+            chosen = chosen_value(kernel) if is_pmp else None
             if values and chosen is not None and chosen not in values:
                 errors.append(
                     f"memory/decision divergence: max accepted proposal holds "
@@ -183,6 +166,23 @@ class PmpSingle(Scenario):
             return errors
 
         return ScenarioRun(kernel, execute, check)
+
+
+def _service_run(service, clients, oracles) -> ScenarioRun:
+    """Run *clients* on *service*.  Oracles: the ledger's violations,
+    workload completion, then the scenario's own ``oracles(injections)``."""
+    reports = []
+
+    def execute() -> None:
+        reports.append(service.run_workload(clients))
+
+    def check(injections: Tuple[str, ...]) -> List[str]:
+        errors = list(service.kernel.metrics.violations)
+        if not reports or not reports[0].ok:
+            errors.append(f"liveness: workload incomplete at t={service.kernel.now:g}")
+        return errors + oracles(injections)
+
+    return ScenarioRun(service.kernel, execute, check)
 
 
 # ---------------------------------------------------------------------------
@@ -245,41 +245,31 @@ class QuorumRead(Scenario):
                 ],
                 pid=1,
             ),
-            # two readers on p3 whose gets issue at the same instants:
-            # one posts each quorum read and the other joins it before
-            # its legs land; the explorer reorders which one posts
+            # readers on p3: clients 2 and 3 issue their gets at the same
+            # instants, so one posts each quorum read and the other joins
+            # it before its legs land (the explorer reorders which one
+            # posts); client 4, out of phase behind its put, meets shared
+            # reads in flight, landed or not
             *(
                 ScriptedClient(
                     client_id=client_id,
-                    script=[
+                    script=lead + [
                         ("get", "alpha", None),
                         ("get", "beta", None),
                         ("get", "alpha", None),
                     ],
                     pid=2,
                 )
-                for client_id in (2, 3)
+                for client_id, lead in ((2, []), (3, []), (4, [("put", "gamma", "v1")]))
             ),
         ]
-        state: Dict[str, Any] = {"report": None}
 
-        def execute() -> None:
-            state["report"] = service.run_workload(clients)
-
-        def check(_injections: Tuple[str, ...]) -> List[str]:
-            errors = list(service.kernel.metrics.violations)
-            report = state["report"]
-            if report is None or not report.ok:
-                errors.append(
-                    f"liveness: workload incomplete at t={service.kernel.now:g}"
-                )
+        def oracles(_injections: Tuple[str, ...]) -> List[str]:
             stale = service.kernel.metrics.staleness_violations
-            if stale:
-                errors.append(f"staleness: {stale} session-violating read(s)")
-            errors.extend(service.replica_divergence())
-            return errors
+            errors = [f"staleness: {stale} session-violating read(s)"] if stale else []
+            return errors + service.replica_divergence()
 
-        return ScenarioRun(service.kernel, execute, check)
+        return _service_run(service, clients, oracles)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +332,9 @@ class EpochCutover(Scenario):
                 pid=1,
             )
         ]
-        state: Dict[str, Any] = {"report": None}
 
-        def execute() -> None:
-            state["report"] = service.run_workload(clients)
-
-        def check(injections: Tuple[str, ...]) -> List[str]:
-            errors = list(service.kernel.metrics.violations)
-            report = state["report"]
-            if report is None or not report.ok:
-                errors.append(
-                    f"liveness: workload incomplete at t={service.kernel.now:g}"
-                )
+        def oracles(injections: Tuple[str, ...]) -> List[str]:
+            errors = []
             if service.leader_of(0) != 2:
                 errors.append(
                     f"cutover: leader of shard 0 is p{service.leader_of(0) + 1}, "
@@ -364,20 +345,36 @@ class EpochCutover(Scenario):
             # holds the region — only judge fencing on injection-free runs.
             if not any(name.startswith("revoke-") for name in injections):
                 errors.extend(region_fenced_errors(service, 0, 0))
-            errors.extend(service.replica_divergence())
-            return errors
+            return errors + service.replica_divergence()
 
-        return ScenarioRun(service.kernel, execute, check)
+        return _service_run(service, clients, oracles)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-SCENARIOS: Dict[str, type] = {
-    PmpSingle.name: PmpSingle,
+SCENARIOS: Dict[str, Callable[..., Scenario]] = {
     QuorumRead.name: QuorumRead,
     EpochCutover.name: EpochCutover,
 }
+
+
+def _cells():
+    """(name, factory, protocol, n) of every :class:`Canned` target."""
+    columns = ("common_case", "leader_crash", "memory_minority_crash",
+               "partition_minority", "crash_recover_leader", "permission_storm")
+    for tag, protocol in (("pmp", ProtectedMemoryPaxos), ("disk_paxos", DiskPaxos)):
+        for column in columns:
+            name = f"{tag}/{column}"
+            yield ("pmp-single" if name == "pmp/common_case" else name,
+                   getattr(landscape, column), protocol, 3)
+    # Theorem 6.1 at 2×2: the 2-delay strawman breaks; PMP and Disk Paxos hold
+    for tag, protocol in (("naive_fast", NaiveFastConsensus),
+                          ("pmp", ProtectedMemoryPaxos), ("disk_paxos", DiskPaxos)):
+        yield f"theorem61/{tag}", landscape.common_case, protocol, 2
+
+
+SCENARIOS.update((name, partial(Canned, name, *cell)) for name, *cell in _cells())
 
 
 def register(cls: type) -> type:
@@ -393,9 +390,9 @@ def make_scenario(name: str, params: Optional[Dict[str, Any]] = None) -> Scenari
         # the regression corpus registers its scenarios on import
         import repro.check.regressions  # noqa: F401
     try:
-        cls = SCENARIOS[name]
+        make = SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}"
         ) from None
-    return cls(**(params or {}))
+    return make(**(params or {}))

@@ -1,8 +1,12 @@
-"""The service-level model-checking targets: the PR 5 quorum-read window
-and the epoch cutover with a deposed coordinator.  These spaces are too
-large to exhaust at useful depth, so the tests pin bounded sweeps: the
-default schedule plus a budgeted neighbourhood must be violation-free,
-and the scenario oracles must actually bite on corrupted state."""
+"""The model-checking targets and their command line.
+
+The service-level targets (the one-sided quorum-read window and the epoch
+cutover with a deposed coordinator) are too large to exhaust at useful
+depth, so the tests pin bounded sweeps: the default schedule plus a
+budgeted neighbourhood must be violation-free, and the scenario oracles
+must actually bite on corrupted state.  The consensus targets (the
+failure landscape and Theorem 6.1's row) are small enough to exhaust,
+so their schedule counts are pinned exactly."""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import pytest
 
 from repro.check import Budget, explore, make_scenario
 from repro.check.scenarios import SCENARIOS
+from repro.errors import ConfigurationError
 
 
 class TestQuorumReadWindow:
@@ -21,23 +26,30 @@ class TestQuorumReadWindow:
 
     def test_default_schedule_shares_a_quorum_read(self):
         # clients 2 and 3 on p3 issue each get at the same instant, so
-        # one of them joins the other's read before its legs land
+        # one of them joins the other's read before its legs land;
+        # client 4, out of phase behind its put, finds a read whose legs
+        # already landed and must post its own
         from unittest import mock
 
         from repro.smr.log import ReplicatedLog
 
-        joined = []
-        join = ReplicatedLog._join
+        joined, refused = [], []
+        joinable = ReplicatedLog._joinable_read
 
-        def spy(log, shared, timeout):
-            joined.append(log.env.now)
-            return join(log, shared, timeout)
+        def spy(log):
+            shared = joinable(log)
+            if shared is not None:
+                joined.append(log.env.now)
+            elif log._joinable is not None:
+                refused.append(log.env.now)
+            return shared
 
         run = make_scenario("quorum-read").build()
-        with mock.patch.object(ReplicatedLog, "_join", spy):
+        with mock.patch.object(ReplicatedLog, "_joinable_read", spy):
             run.execute()
         assert run.check(()) == []
-        assert joined
+        assert len(joined) == 3
+        assert len(refused) == 1
 
     def test_bounded_sweep_finds_no_violations(self):
         report = explore(
@@ -132,6 +144,11 @@ class TestRegistry:
             "epoch-cutover",
             "regression-unpark-collision",
             "regression-stale-wake",
+            "theorem61/naive_fast",
+            "theorem61/pmp",
+            "theorem61/disk_paxos",
+            *(cell(protocol, column)
+              for protocol in ("pmp", "disk_paxos") for column in COLUMNS),
         } <= set(SCENARIOS)
 
     def test_params_roundtrip_through_registry(self):
@@ -139,3 +156,116 @@ class TestRegistry:
         assert scenario.params["seed"] == 3
         rebuilt = make_scenario(scenario.name, scenario.params)
         assert rebuilt.params == scenario.params
+
+    def test_unknown_chain_delivery_is_rejected(self):
+        # a misspelt mode used to run segmented delivery silently
+        with pytest.raises(ConfigurationError, match="segmnted"):
+            make_scenario("pmp-single", {"chain_delivery": "segmnted"})
+
+
+#: the failure landscape's columns: one core.scenarios factory each
+COLUMNS = (
+    "common_case",
+    "leader_crash",
+    "memory_minority_crash",
+    "partition_minority",
+    "crash_recover_leader",
+    "permission_storm",
+)
+
+
+def cell(protocol: str, column: str) -> str:
+    """A landscape cell's registered name (PMP on common_case keeps its
+    older name, ``pmp-single``)."""
+    name = f"{protocol}/{column}"
+    return "pmp-single" if name == "pmp/common_case" else name
+
+
+class TestLandscape:
+    NO_INJECTIONS = {"crashes": 0, "revokes": 0}
+
+    def test_pmp_row_exhausts_clean_at_depth_one(self):
+        runs = {}
+        for column in COLUMNS:
+            name = cell("pmp", column)
+            report = explore(
+                make_scenario(name, self.NO_INJECTIONS), Budget(divergences=1)
+            )
+            assert report.exhausted and report.violations == 0, name
+            runs[column] = report.runs
+        assert runs == {
+            "common_case": 31,
+            "leader_crash": 53,
+            "memory_minority_crash": 32,
+            "partition_minority": 49,
+            "crash_recover_leader": 53,
+            "permission_storm": 58,
+        }
+
+    def test_theorem_6_1_row(self):
+        # Theorem 6.1: no 2-delay algorithm is safe with static
+        # permissions.  Same-instant reorderings alone break the strawman
+        # at 2×2; PMP (dynamic permissions) and Disk Paxos (an extra
+        # confirming read) stay clean under the same two inputs.
+        verdicts = {}
+        for protocol in ("naive_fast", "pmp", "disk_paxos"):
+            report = explore(
+                make_scenario(f"theorem61/{protocol}", self.NO_INJECTIONS),
+                Budget(divergences=1),
+            )
+            assert report.exhausted
+            verdicts[protocol] = (report.runs, report.violations)
+        assert verdicts == {
+            "naive_fast": (16, 2), "pmp": (11, 0), "disk_paxos": (17, 0)
+        }
+
+    def test_factory_omega_is_kept(self):
+        # partition_minority hands leadership to the healed minority by
+        # schedule; the adapter must not swap in crash_aware_omega
+        run = make_scenario("pmp/partition_minority").build()
+        assert run.kernel.omega(0.0) == 0 and run.kernel.omega(25.0) == 2
+
+
+class TestCli:
+    @staticmethod
+    def run_cli(tmp_path, *params):
+        from repro.check.cli import main
+
+        argv = ["explore", "pmp-single", "--divergences", "0",
+                "--out", str(tmp_path)]
+        for param in params:
+            argv += ["--param", param]
+        return main(argv)
+
+    @pytest.mark.parametrize("param", ["crashes", "crash=0"])
+    def test_malformed_or_unknown_param_is_a_usage_error(
+        self, param, tmp_path, capsys
+    ):
+        # "crashes" without "=" used to run with crashes="" (no crash
+        # injections); an unknown key died with a TypeError traceback
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(tmp_path, param)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert repr(param) in error
+        for accepted in ("seed", "deadline", "crashes", "revokes",
+                         "with_recovery", "chain_delivery"):
+            assert accepted in error
+
+    def test_unknown_chain_delivery_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            self.run_cli(tmp_path, "chain_delivery=segmnted")
+        assert "segmnted" in capsys.readouterr().err
+
+    def test_a_cells_counterexample_is_saved_and_replays(self, tmp_path):
+        from repro.check.cli import main
+
+        assert main(["explore", "theorem61/naive_fast", "--divergences", "1",
+                     "--param", "crashes=0", "--param", "revokes=0",
+                     "--stop-on-first", "--out", str(tmp_path)]) == 1
+        trace = tmp_path / "theorem61-naive_fast-cx0.json"
+        assert main(["replay", str(trace)]) == 0
+
+    def test_valid_params_run(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, "seed=3", "with_recovery=true") == 0
+        assert "1 schedules" in capsys.readouterr().out
