@@ -18,11 +18,13 @@ Run:  python examples/trace_anatomy.py
       python examples/trace_anatomy.py --perfetto trace.json --flight flight.json
 
 The ``--perfetto`` file loads in https://ui.perfetto.dev; ``--flight``
-writes a flight-recorder dump (tripped manually at the end of the run as
-a demonstration — real trips come from strict-safety violations).
+writes the runtime's trip dump as JSON (tripped manually at the end of
+the run as a demonstration — real trips come from strict-safety
+violations).
 """
 
 import argparse
+import json
 
 from repro import (
     ClosedLoopClient,
@@ -68,7 +70,7 @@ def traced_stack(args) -> None:
     )
     # the task profile measures host wall clock, which would make stdout
     # nondeterministic — the determinism probe diffs two runs byte for byte
-    runtime = attach(service.kernel, flight_path=args.flight, profile=args.profile)
+    runtime = attach(service.kernel, profile=args.profile)
     if args.perfetto:
         runtime.add_sink(ChromeTraceSink(args.perfetto))
     if args.jsonl:
@@ -91,7 +93,9 @@ def traced_stack(args) -> None:
     assert report.ok
 
     if args.flight:
-        runtime.flight.trip("demo dump (end of run)", service.kernel.now)
+        dump = runtime.trip("demo dump (end of run)")
+        with open(args.flight, "w", encoding="utf-8") as handle:
+            json.dump(dump, handle, indent=1)
         print(f"flight-recorder dump written to {args.flight}")
     runtime.close()
     if args.perfetto:
@@ -107,7 +111,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--perfetto", help="write a Perfetto/Chrome trace here")
     parser.add_argument("--jsonl", help="stream span JSONL here")
-    parser.add_argument("--flight", help="write a flight-recorder dump here")
+    parser.add_argument("--flight", help="write the runtime's trip dump here")
     parser.add_argument("--profile", action="store_true",
                         help="include the host-wall-clock task profile in the "
                              "report (nondeterministic stdout)")

@@ -226,7 +226,7 @@ class Explorer:
             })
         flight_dump = None
         if kernel is not None and kernel.obs is not None:
-            flight_dump = kernel.obs.flight.trip("counterexample", kernel.now)
+            flight_dump = kernel.obs.trip("counterexample")
         self.report.counterexamples.append(Counterexample(
             scenario=self.scenario.name,
             params=dict(getattr(self.scenario, "params", {})),

@@ -29,8 +29,8 @@ class OutstandingObserver(ObsRuntime):
     """An obs runtime that raises :class:`OutstandingOpError` when a task
     posts an operation to a memory it already has one in flight on."""
 
-    def __init__(self, kernel, **options: Any) -> None:
-        super().__init__(kernel, **options)
+    def __init__(self, kernel) -> None:
+        super().__init__(kernel, profile=False)
         #: op key -> memory, for ops posted and not yet completed
         self._mid_of: Dict[Any, Any] = {}
         #: (task id, suspension token, memory) with an op in flight
@@ -57,7 +57,4 @@ def watch_outstanding(kernel) -> OutstandingObserver:
     """Attach an :class:`OutstandingObserver` as *kernel*'s obs runtime."""
     if kernel.obs is not None:
         raise SimulationError("an observability runtime is already attached")
-    observer = OutstandingObserver(kernel, profile=False)
-    kernel.obs = observer
-    kernel.metrics.obs = observer
-    return observer
+    return OutstandingObserver(kernel)

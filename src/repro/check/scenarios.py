@@ -40,6 +40,8 @@ from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos, chosen_
 from repro.core import scenarios as landscape
 from repro.errors import ConfigurationError
 from repro.lowerbound.naive_fast import NaiveFastConsensus
+from repro.mem.permissions import static_permissions
+from repro.sim.faults import FK_RECOVER_PROC
 from repro.sim.memops import FUSED, SEGMENTED
 
 
@@ -85,10 +87,16 @@ class Scenario:
 class Canned(Scenario):
     """One protocol on one :mod:`repro.core.scenarios` cluster (``n``
     processes, ``n`` memories), run until every live process decided;
-    exhaustible at 3×3 with ≤1 crash + ≤1 revoke of the protocol's region.
+    exhaustible at 3×3 with ≤1 crash + ≤1 revoke of the protocol's region
+    (offered only when that region's ``legalChange`` lets a grab through:
+    a static region refuses every one, so revoking it changes nothing).
+
+    A process the cluster's fault script crashes and later recovers
+    counts as live while its recovery is still ahead, as in
+    ``Cluster.run``: the run goes on until it rejoined and decided.
 
     Oracles: the ledger's agreement/validity record, a liveness check
-    (every non-crashed process decided before the deadline) and, for PMP,
+    (every live process decided before the deadline) and, for PMP,
     the protocol-level memory oracle — the decided value must equal the
     value of the maximum accepted proposal across all memories
     (:func:`repro.consensus.protected_memory_paxos.chosen_value`).
@@ -109,11 +117,12 @@ class Canned(Scenario):
         )
         self.name = name
         self.cell = (factory, protocol, n)
-        region = protocol().regions(n, n)[0].region_id
+        region = protocol().regions(n, n)[0]
+        revocable = revokes and region.legal_change is not static_permissions
         recover_after = 5.0 if with_recovery else None
         self.injections = tuple(
             [crash(pid, recover_after) for pid in range(n) if crashes]
-            + [revoke(pid, region) for pid in range(n) if revokes]
+            + [revoke(pid, region.region_id) for pid in range(n) if revocable]
         )
         self.group_budgets = {"crash": crashes, "revoke": revokes}
 
@@ -129,10 +138,20 @@ class Canned(Scenario):
             kernel.omega = crash_aware_omega(kernel)
         is_pmp = isinstance(cluster.protocol, ProtectedMemoryPaxos)
         inputs = ["a", "b", "c"][:n]
+        recoveries = [
+            (at, event.pid)
+            for at, event in cluster.faults.events
+            if event.kind == FK_RECOVER_PROC
+        ]
+
+        def live(pid: int) -> bool:
+            return pid not in kernel.crashed_processes or any(
+                who == pid and at >= kernel.now for at, who in recoveries
+            )
 
         def undecided() -> List[int]:
-            crashed, decided = kernel.crashed_processes, kernel.metrics.decisions
-            return [pid for pid in range(n) if pid not in crashed and pid not in decided]
+            decided = kernel.metrics.decisions
+            return [pid for pid in range(n) if live(pid) and pid not in decided]
 
         def goal() -> bool:
             return len(kernel.crashed_processes) < n and not undecided()

@@ -33,7 +33,7 @@ class LivelockError(SimulationError):
     Raised by ``Kernel.run`` as a *diagnostic*: the message carries a
     queue-depth snapshot (per-kind pending counts, parked tasks) and, when
     an observability runtime is attached, the exception's ``flight_dump``
-    holds the flight recorder's open-span dump taken at trip time.
+    holds the dump ``ObsRuntime.trip`` took (newest and open spans).
     """
 
     def __init__(self, message: str, flight_dump=None) -> None:
@@ -71,17 +71,9 @@ class AgreementViolation(SafetyViolation):
     """Two correct processes decided different values."""
 
 
-class ValidityViolation(SafetyViolation):
-    """A decided value was not an input of any process."""
-
-
 class StalenessViolation(SafetyViolation):
     """A non-consensus read returned state older than its session floor."""
 
 
 class SignatureError(ReproError):
     """A signature operation was attempted with a key the caller lacks."""
-
-
-class ProtocolError(ReproError):
-    """A protocol implementation detected an impossible local state."""

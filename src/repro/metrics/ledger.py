@@ -195,7 +195,7 @@ class MetricsLedger:
     stale_reads: List[str] = field(default_factory=list)
     #: the attached observability runtime (set by ``repro.obs.attach``), or
     #: None.  It is told of every safety violation BEFORE strict_safety
-    #: raises — the flight recorder's tripwire, firing while the evidence
+    #: raises — its ``trip`` dump, taken while the evidence
     #: is still live — and receives every timeline record as a point span.
     obs: Optional[Any] = None
 
@@ -263,7 +263,7 @@ class MetricsLedger:
     def _violation(self, description: str) -> None:
         self.violations.append(description)
         if self.obs is not None:
-            self.obs.on_violation(description)
+            self.obs.trip(description)
         if self.strict_safety:
             raise AgreementViolation(description)
 
@@ -336,7 +336,7 @@ class MetricsLedger:
         """
         self.stale_reads.append(description)
         if self.obs is not None:
-            self.obs.on_violation(description)
+            self.obs.trip(description)
         if self.strict_safety:
             raise StalenessViolation(description)
 

@@ -119,10 +119,10 @@ def run_report(
             lines.append("(no instruments)")
         spans = len(obs.finished) + obs.dropped
         lines.append(f"spans recorded: {spans} ({obs.dropped} dropped)")
-        if obs.flight.dumps:
+        if obs.dumps:
             lines.append(
-                f"flight recorder: {len(obs.flight.dumps)} dump(s), "
-                f"last tripped by {obs.flight.last_dump['reason']!r}"
+                f"flight recorder: {len(obs.dumps)} dump(s), "
+                f"last tripped by {obs.dumps[-1]['reason']!r}"
             )
         if obs.profiler is not None and obs.profiler.profiles:
             lines += ["", "task profile (host wall clock)", obs.profiler.report()]

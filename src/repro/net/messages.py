@@ -9,9 +9,9 @@ process's inbox, e.g. Cheap Quorum panic relays next to Paxos traffic).
 
 Envelopes are allocated once per message on the kernel's hot path, so they
 are a hand-written ``__slots__`` class: construction is a plain attribute
-fill, and ``msg_id`` comes from a module-level integer counter.  Treat
-instances as immutable once created, except for the network's
-``delivered`` flag.
+fill.  An envelope has no id: the network's duplicate guard is its
+``delivered`` flag, and a trace names a message by its span.  Treat
+instances as immutable once created, except for that flag.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from typing import Any
 
 from repro.types import ProcessId
 
-_next_msg_id = 0
-
 
 class Envelope:
     """One message in flight or delivered."""
 
-    __slots__ = (
-        "src", "dst", "topic", "payload", "sent_at", "msg_id", "ctx", "delivered"
-    )
+    __slots__ = ("src", "dst", "topic", "payload", "sent_at", "ctx", "delivered")
 
     def __init__(
         self,
@@ -37,18 +33,12 @@ class Envelope:
         topic: str,
         payload: Any,
         sent_at: float,
-        msg_id: int | None = None,
     ) -> None:
-        global _next_msg_id
         self.src = src
         self.dst = dst
         self.topic = topic
         self.payload = payload
         self.sent_at = sent_at
-        if msg_id is None:
-            _next_msg_id += 1
-            msg_id = _next_msg_id
-        self.msg_id = msg_id
         #: causal trace context riding the message (a repro.obs Span opened
         #: by the send path, closed at delivery); None when obs is detached
         self.ctx: Any = None
@@ -58,6 +48,6 @@ class Envelope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<msg#{self.msg_id} p{int(self.src)+1}->p{int(self.dst)+1} "
+            f"<msg p{int(self.src)+1}->p{int(self.dst)+1} "
             f"{self.topic}: {self.payload!r}>"
         )

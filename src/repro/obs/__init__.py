@@ -1,4 +1,4 @@
-"""repro.obs — causal tracing, metrics registry, profiling, flight recorder.
+"""repro.obs — causal tracing, metrics registry, profiling, violation dumps.
 
 Quickstart::
 
@@ -9,7 +9,11 @@ Quickstart::
     ... run the experiment ...
     path = obs.critical_path(runtime, pid=0)
     print(path.summary())      # "= 0 message delays + 2 memory delays + ..."
+    dump = runtime.trip("why")   # newest spans + open spans + metrics, as a dict
     runtime.close()
+
+A safety violation trips the runtime by itself (see ``runtime.dumps``).
+A run's deterministic identity is :func:`repro.sim.run_hash`.
 """
 
 from repro.obs.critical import (
@@ -26,7 +30,6 @@ from repro.obs.diff import (
     format_critical_delta,
     span_identities,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.profiler import TaskProfiler
 from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.runtime import ObsRuntime, PhaseHandle, attach, detach
@@ -46,7 +49,6 @@ from repro.obs.whatif import (
     measure,
     memory_experiment,
     phase_experiment,
-    run_hash,
 )
 from repro.obs.spans import (
     K_MEMOP,
@@ -85,8 +87,6 @@ __all__ = [
     "measure",
     "memory_experiment",
     "phase_experiment",
-    "run_hash",
-    "FlightRecorder",
     "TaskProfiler",
     "Gauge",
     "Histogram",

@@ -26,19 +26,24 @@ the span tree:
 
 Only *open* spans are objects.  Closing one writes it as a row of
 :attr:`ObsRuntime.finished`, a :class:`~repro.obs.spans.SpanLog` of flat
-columns — the newest ``max_spans`` readable, the rest counted in
+columns — the newest :data:`MAX_SPANS` readable, the rest counted in
 ``dropped`` — and the ``Span`` itself is let go.  A span that opens and
 closes inside one call (points, fan-out verdicts, the ledger's forwarded
 records) goes straight to the log as a row; it becomes a ``Span`` only
 when a sink is attached.  ``runtime.spans``, iteration and indexing
-rebuild equal ``Span`` objects on demand, so the analyzers, ``run_hash``,
-the flight recorder (which reads the log's tail) and the sinks see the
-stream they always saw, while a finished row allocates nothing the
-garbage collector tracks.
+rebuild equal ``Span`` objects on demand, so the analyzers,
+:func:`repro.sim.run_hash`, :meth:`ObsRuntime.trip` (which reads the log's
+tail) and the sinks see the stream they always saw, while a finished row
+allocates nothing the garbage collector tracks.
 
 The runtime also owns the metrics registry (with a virtual-time sampling
-ticker), the per-task wall-clock profiler, the flight recorder (tripped by
-ledger violations), and the streaming sinks.
+ticker), the per-task wall-clock profiler, the streaming sinks, and the
+tripwire: :meth:`ObsRuntime.trip` snapshots the log's tail, every open
+span and the registry/SLO state into :attr:`ObsRuntime.dumps`.  The
+ledger trips it on every safety violation, before ``strict_safety``
+raises — exactly when the evidence of how the run got there is about to
+be lost; the open set (in-flight messages, hung memory ops, live phases)
+is usually the interesting part of a stuck or diverged run.
 """
 
 from __future__ import annotations
@@ -46,14 +51,15 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.profiler import TaskProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import K_MEMOP, K_MSG, K_PHASE, K_POINT, K_TASK, Span, SpanLog
 from repro.types import memory_name
 
-#: default bound on retained finished spans (ring: newest kept)
-DEFAULT_MAX_SPANS = 200_000
+#: bound on retained finished spans (ring: newest kept)
+MAX_SPANS = 200_000
+#: finished spans a trip dump carries (the newest)
+DUMP_ROWS = 512
 
 
 class PhaseHandle(Span):
@@ -100,28 +106,22 @@ class PhaseHandle(Span):
 
 
 class ObsRuntime:
-    """Span recorder + metrics registry + profiler + flight recorder."""
+    """Span recorder + metrics registry + profiler + violation tripwire.
 
-    def __init__(
-        self,
-        kernel,
-        max_spans: int = DEFAULT_MAX_SPANS,
-        profile: bool = True,
-        flight_capacity: int = 512,
-        flight_path: Optional[str] = None,
-        series_bound: Optional[int] = None,
-    ) -> None:
+    Constructing one attaches it: it becomes *kernel*'s ``obs`` and its
+    ledger's (see :func:`attach`).
+    """
+
+    def __init__(self, kernel, profile: bool = True) -> None:
         self.kernel = kernel
-        #: finished spans as rows, newest ``max_spans`` kept (see SpanLog)
-        self.finished = SpanLog(max_spans)
-        self.registry = (
-            MetricsRegistry() if series_bound is None else MetricsRegistry(series_bound)
-        )
+        #: finished spans as rows, newest ``MAX_SPANS`` kept (see SpanLog)
+        self.finished = SpanLog(MAX_SPANS)
+        self.registry = MetricsRegistry()
         self.profiler: Optional[TaskProfiler] = TaskProfiler() if profile else None
         #: SLO tracker installed by :meth:`track_slo`, or None
         self.slo: Optional[Any] = None
-        self.flight = FlightRecorder(flight_capacity, flight_path)
-        self.flight.wire(self.finished, self.open_spans, self._flight_context)
+        #: what :meth:`trip` produced so far, newest last
+        self.dumps: List[Dict[str, Any]] = []
         self.sinks: List[Any] = []
         self.current_task = None
         #: (pid, instance) -> (decided_at, trace_id) for the analyzer
@@ -138,6 +138,7 @@ class ObsRuntime:
         self._t0 = 0.0
         self._sample_interval: Optional[float] = None
         self._sample_until: Optional[float] = None
+        kernel.obs = kernel.metrics.obs = self
 
     # ------------------------------------------------------------------
     # span plumbing
@@ -260,7 +261,7 @@ class ObsRuntime:
             K_MSG,
             task.label,
             task.ctx,
-            {"src": env.src, "dst": env.dst, "msg_id": env.msg_id},
+            {"src": env.src, "dst": env.dst},
             now,
         )
 
@@ -469,45 +470,31 @@ class ObsRuntime:
     # ------------------------------------------------------------------
     # violation tripwire (called by the metrics ledger this is attached to)
     # ------------------------------------------------------------------
-    def on_violation(self, description: str) -> None:
-        self.flight.trip(description, self.kernel.now)
-
-    def _flight_context(self) -> Dict[str, Any]:
-        """Registry + SLO state included in flight-recorder dumps, so a
-        violation dump is self-contained (no live runtime needed)."""
-        context: Dict[str, Any] = {"metrics": self.registry.snapshot()}
+    def trip(self, reason: str) -> Dict[str, Any]:
+        """Snapshot the newest :data:`DUMP_ROWS` finished spans, every open
+        span, and the registry + SLO state, so the dump explains the run
+        without the run; appended to :attr:`dumps` and returned."""
+        dump: Dict[str, Any] = {
+            "reason": reason,
+            "time": self.kernel.now,
+            "recent": [span.to_dict() for span in self.finished[-DUMP_ROWS:]],
+            "open": [span.to_dict() for span in self._open.values()],
+            "metrics": self.registry.snapshot(),
+        }
         if self.slo is not None:
-            context["slo"] = self.slo.snapshot()
-        return context
+            dump["slo"] = self.slo.snapshot()
+        self.dumps.append(dump)
+        return dump
 
 
-def attach(
-    kernel,
-    *,
-    max_spans: int = DEFAULT_MAX_SPANS,
-    profile: bool = True,
-    flight_capacity: int = 512,
-    flight_path: Optional[str] = None,
-    series_bound: Optional[int] = None,
-) -> ObsRuntime:
+def attach(kernel, *, profile: bool = True) -> ObsRuntime:
     """Attach an observability runtime to *kernel* and return it.
 
     Until this is called, ``kernel.obs`` is ``None`` and observability
-    costs one pointer check per kernel hook.
+    costs one pointer check per kernel hook.  *profile* turns the
+    per-task wall-clock profiler on.
     """
-    if kernel.obs is not None:
-        return kernel.obs
-    runtime = ObsRuntime(
-        kernel,
-        max_spans=max_spans,
-        profile=profile,
-        flight_capacity=flight_capacity,
-        flight_path=flight_path,
-        series_bound=series_bound,
-    )
-    kernel.obs = runtime
-    kernel.metrics.obs = runtime
-    return runtime
+    return kernel.obs if kernel.obs is not None else ObsRuntime(kernel, profile)
 
 
 def detach(kernel) -> None:

@@ -17,7 +17,7 @@ the same seed and fault script produce the same breach instants, which
 the chaos tests assert exactly.  Transitions are written once, to the
 metrics ledger's ``slo_timeline`` — which forwards each as a
 ``slo_breach`` / ``slo_recover`` point span, so they also appear in the
-trace and in flight recorder dumps — and rendered by
+trace and in the runtime's trip dumps — and rendered by
 :func:`~repro.metrics.reporting.run_report`; the burn itself is sampled
 into the registry's ``slo.burn`` gauges.
 """

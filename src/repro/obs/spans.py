@@ -12,8 +12,8 @@ Context propagation mirrors RDMA semantics: the context *rides the
 operation* — an :class:`~repro.net.messages.Envelope` carries the open
 message span; a one-sided memory op's span is keyed to its completion
 token and closed by the response leg.  A span that never closes (message
-into a partition, op on a crashed memory) is itself a finding: the flight
-recorder dumps open spans alongside recent finished ones.
+into a partition, op on a crashed memory) is itself a finding: a trip
+dump (``ObsRuntime.trip``) lists open spans alongside recent finished ones.
 
 An *open* span is a mutable ``__slots__`` :class:`Span` object (``env.ctx``,
 a task's context and the runtime's open table hold it; an open phase is

@@ -40,7 +40,6 @@ to 4, the same number fused delivery measures.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, WhatIfDivergence
 from repro.metrics.reporting import format_table
 from repro.metrics.workload import percentile
+from repro.sim.kernel import run_hash
 from repro.sim.latency import LatencyModel, NominalLatency
 
 
@@ -313,70 +313,6 @@ def issue_experiment(factor: float, name: Optional[str] = None) -> Experiment:
     return Experiment(name or "wr-issue", (ScaleIssue(factor),))
 
 
-def run_hash(kernel) -> str:
-    """Deterministic identity of a finished run.
-
-    Hashes the span tree (ids, parents, names, exact virtual times and
-    attrs) when an obs runtime is attached, and always the ledger's
-    decisions/counters plus the kernel's event-queue totals — two replays
-    of the same scenario must agree on every one of these.  A span ring
-    that overflowed retains only its newest spans, so the number that
-    scrolled out is part of the digest: a truncated stream never hashes
-    like a complete one.
-    """
-    digest = hashlib.sha256()
-    obs = kernel.obs
-    if obs is not None:
-        if obs.dropped:
-            digest.update(f"dropped={obs.dropped}".encode())
-        for span in list(obs.finished) + obs.open_spans():
-            # msg_id is allocated from a process-global counter (see
-            # repro.net.messages), so it differs between two replays in
-            # the same interpreter; everything else must match exactly.
-            attrs = () if span.attrs is None else tuple(
-                sorted(
-                    (kv for kv in span.attrs.items() if kv[0] != "msg_id"),
-                    key=lambda kv: kv[0],
-                )
-            )
-            digest.update(
-                repr(
-                    (
-                        span.span_id,
-                        span.parent_id,
-                        span.trace_id,
-                        span.name,
-                        span.kind,
-                        span.actor,
-                        span.start,
-                        span.end,
-                        attrs,
-                    )
-                ).encode()
-            )
-    ledger = kernel.metrics
-    for pid in sorted(ledger.decisions):
-        record = ledger.decisions[pid]
-        digest.update(f"D p{int(pid)} {record.value!r} @{record.decided_at}".encode())
-    for instance, book in sorted(
-        ledger.instance_decisions.items(), key=lambda kv: repr(kv[0])
-    ):
-        for pid in sorted(book):
-            record = book[pid]
-            digest.update(
-                f"I {instance!r} p{int(pid)} {record.value!r} @{record.decided_at}".encode()
-            )
-    digest.update(
-        (
-            f"msgs={sorted(ledger.messages_sent.items())} "
-            f"ops={sorted(ledger.mem_ops.items())} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
-
-
 @dataclass
 class Measurement:
     """End-to-end numbers extracted from one finished run."""
@@ -397,23 +333,14 @@ class Measurement:
     #: (message_delays, memory_delays, queueing) of that critical path
     path_breakdown: Optional[Tuple[float, float, float]] = None
 
-    def metric(self, name: str) -> Optional[float]:
-        """A named cost (lower is better), or None when unavailable."""
-        if name == "delay":
-            return self.earliest_delay
-        if name == "p50":
-            return self.latency_p50
-        if name == "p99":
-            return self.latency_p99
-        if name == "time":
-            return self.final_time
-        if name == "auto":
-            for candidate in ("delay", "p99", "time"):
-                value = self.metric(candidate)
-                if value is not None:
-                    return value
-            return None
-        raise ConfigurationError(f"unknown metric {name!r}")
+    @property
+    def cost(self) -> float:
+        """The cost the profiler ranks by (lower is better): the earliest
+        decision delay, else the commit p99, else the final time."""
+        for value in (self.earliest_delay, self.latency_p99):
+            if value is not None:
+                return value
+        return self.final_time
 
 
 def measure(kernel) -> Measurement:
@@ -484,29 +411,22 @@ class WhatIfResult:
     experiment: Experiment
     run: WhatIfRun
     baseline: WhatIfRun
-    metric: str
 
     @property
-    def before(self) -> Optional[float]:
-        return self.baseline.measurement.metric(self.metric)
+    def before(self) -> float:
+        return self.baseline.measurement.cost
 
     @property
-    def after(self) -> Optional[float]:
-        return self.run.measurement.metric(self.metric)
+    def after(self) -> float:
+        return self.run.measurement.cost
 
     @property
     def improvement(self) -> float:
-        before, after = self.before, self.after
-        if before is None or after is None:
-            return 0.0
-        return before - after
+        return self.before - self.after
 
     @property
     def speedup(self) -> Optional[float]:
-        before, after = self.before, self.after
-        if before is None or after is None or after == 0:
-            return None
-        return before / after
+        return None if self.after == 0 else self.before / self.after
 
 
 @dataclass
@@ -533,7 +453,6 @@ class BottleneckReport:
     """Measured top-k ranking plus the per-round evaluation record."""
 
     baseline: WhatIfRun
-    metric: str
     ranked: List[RankedBottleneck] = field(default_factory=list)
     #: per greedy round: experiment name -> measured cost (stacked)
     rounds: List[Dict[str, float]] = field(default_factory=list)
@@ -543,7 +462,6 @@ class BottleneckReport:
         return self.ranked[0] if self.ranked else None
 
     def summary(self) -> str:
-        base = self.baseline.measurement.metric(self.metric)
         rows = [
             [
                 entry.rank,
@@ -560,9 +478,10 @@ class BottleneckReport:
             ["rank", "experiment", "override", "before", "after", "delta", "speedup"],
             rows,
         )
+        # "auto": the cost falls back from decision delay to p99 to time
         head = (
-            f"bottleneck ranking by measured {self.metric} "
-            f"(baseline: {'-' if base is None else format(base, 'g')})"
+            "bottleneck ranking by measured auto "
+            f"(baseline: {self.baseline.measurement.cost:g})"
         )
         return f"{head}\n{table}"
 
@@ -577,21 +496,17 @@ class WhatIfProfiler:
     per experiment, and determinism across calls is what makes the
     deltas causal.
 
-    *base_factory* builds the baseline latency model per run (default
-    :class:`NominalLatency`); experiments wrap a fresh base in a fresh
-    :class:`LatencyOverride`, so no pricing state leaks between runs.
+    Every run prices on a fresh :class:`NominalLatency`, which experiments
+    wrap in a fresh :class:`LatencyOverride`, so no pricing state leaks
+    between runs.  Runs are ranked by :attr:`Measurement.cost`.
     """
 
     def __init__(
         self,
         scenario: Callable[[LatencyModel], Any],
-        base_factory: Callable[[], LatencyModel] = NominalLatency,
-        metric: str = "auto",
         check_determinism: bool = False,
     ) -> None:
         self.scenario = scenario
-        self.base_factory = base_factory
-        self.metric = metric
         self.check_determinism = check_determinism
         self._baseline: Optional[WhatIfRun] = None
 
@@ -608,7 +523,7 @@ class WhatIfProfiler:
     def run(self, rules: Sequence[Rule] = (), name: str = "baseline") -> WhatIfRun:
         """Execute the scenario under *rules* and measure it."""
         def build() -> Any:
-            base = self.base_factory()
+            base = NominalLatency()
             return self._execute(LatencyOverride(base, rules) if rules else base)
 
         kernel = build()
@@ -638,7 +553,6 @@ class WhatIfProfiler:
                 experiment,
                 self.run(experiment.rules, experiment.name),
                 baseline,
-                self.metric,
             )
             for experiment in experiments
         ]
@@ -647,18 +561,14 @@ class WhatIfProfiler:
         """Greedy top-k bottleneck ranking by *measured* improvement.
 
         Round by round: run every remaining candidate stacked on the
-        winners chosen so far, keep the one that lowers the metric most,
+        winners chosen so far, keep the one that lowers the cost most,
         stop early when nothing improves.  Stacking matters — after the
         top bottleneck is virtually removed, the second round measures
         what *then* dominates, exactly like iterated causal profiling.
         """
         baseline = self.baseline()
-        report = BottleneckReport(baseline, self.metric)
-        current_cost = baseline.measurement.metric(self.metric)
-        if current_cost is None:
-            raise ConfigurationError(
-                f"baseline produced no {self.metric!r} metric to rank by"
-            )
+        report = BottleneckReport(baseline)
+        current_cost = baseline.measurement.cost
         chosen_rules: List[Rule] = []
         pool = list(experiments)
         while pool and len(report.ranked) < k:
@@ -669,9 +579,7 @@ class WhatIfProfiler:
             for index, candidate in enumerate(pool):
                 stacked = tuple(chosen_rules) + tuple(candidate.rules)
                 run = self.run(stacked, candidate.name)
-                cost = run.measurement.metric(self.metric)
-                if cost is None:
-                    continue
+                cost = run.measurement.cost
                 round_costs[candidate.name] = cost
                 if cost < best_cost - 1e-12:
                     best_index, best_cost, best_run = index, cost, run

@@ -9,6 +9,7 @@ latency model are exactly the paper's "k-deciding" delay counts.
 
 Everything is deterministic given a seed: the event queue breaks ties by
 insertion order and all randomness flows through one ``random.Random``.
+:func:`run_hash` digests a finished run, so two replays can be compared.
 """
 
 from repro.sim.effects import (
@@ -22,7 +23,7 @@ from repro.sim.effects import (
 from repro.sim.environment import ProcessEnv
 from repro.sim.faults import FailureController, LinkFault
 from repro.sim.futures import FanoutState, Gate
-from repro.sim.kernel import Kernel, SimConfig, Task
+from repro.sim.kernel import Kernel, SimConfig, Task, run_hash
 from repro.sim.latency import (
     AdversarialLatency,
     JitteredSynchrony,
@@ -51,4 +52,5 @@ __all__ = [
     "SleepEffect",
     "SpawnEffect",
     "Task",
+    "run_hash",
 ]

@@ -82,6 +82,7 @@ closures:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -611,7 +612,7 @@ class Kernel:
     def _raise_livelock(self, max_events: int) -> None:
         """Diagnose and raise a :class:`LivelockError`: queue-depth
         snapshot by event kind, parked-task census, and (when obs is
-        attached) a flight-recorder dump of every open span."""
+        attached) the runtime's trip dump of every open span."""
         from collections import Counter
 
         queue = self.queue
@@ -632,9 +633,7 @@ class Kernel:
         flight_dump = None
         detail = ""
         if self.obs is not None:
-            flight_dump = self.obs.flight.trip(
-                f"livelock: max_events={max_events}", self.now
-            )
+            flight_dump = self.obs.trip(f"livelock: max_events={max_events}")
             detail = f"; flight dump captured ({len(flight_dump['open'])} open spans)"
         raise LivelockError(
             f"exceeded max_events={max_events} at t={self.now:g}: "
@@ -989,3 +988,61 @@ Kernel._fx_handlers = (
     Kernel._fx_spawn,      # FX_SPAWN
     _fx_op_fanout,         # FX_OP_FANOUT
 )
+
+
+def run_hash(kernel: Kernel) -> str:
+    """Deterministic identity of a finished run.
+
+    Hashes the span tree (ids, parents, names, exact virtual times and
+    attrs) when an obs runtime is attached, and always the ledger's
+    decisions/counters plus the kernel's event-queue totals — two replays
+    of the same scenario must agree on every one of these.  A span log
+    that overflowed retains only its newest spans, so the number that
+    scrolled out is part of the digest: a truncated stream never hashes
+    like a complete one.
+    """
+    digest = hashlib.sha256()
+    obs = kernel.obs
+    if obs is not None:
+        if obs.dropped:
+            digest.update(f"dropped={obs.dropped}".encode())
+        for span in list(obs.finished) + obs.open_spans():
+            attrs = () if span.attrs is None else tuple(
+                sorted(span.attrs.items(), key=lambda kv: kv[0])
+            )
+            digest.update(
+                repr(
+                    (
+                        span.span_id,
+                        span.parent_id,
+                        span.trace_id,
+                        span.name,
+                        span.kind,
+                        span.actor,
+                        span.start,
+                        span.end,
+                        attrs,
+                    )
+                ).encode()
+            )
+    ledger = kernel.metrics
+    for pid in sorted(ledger.decisions):
+        record = ledger.decisions[pid]
+        digest.update(f"D p{int(pid)} {record.value!r} @{record.decided_at}".encode())
+    for instance, book in sorted(
+        ledger.instance_decisions.items(), key=lambda kv: repr(kv[0])
+    ):
+        for pid in sorted(book):
+            record = book[pid]
+            digest.update(
+                f"I {instance!r} p{int(pid)} {record.value!r} @{record.decided_at}".encode()
+            )
+    digest.update(
+        (
+            f"msgs={sorted(ledger.messages_sent.items())} "
+            f"ops={sorted(ledger.mem_ops.items())} "
+            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
+            f"now={kernel.now}"
+        ).encode()
+    )
+    return digest.hexdigest()

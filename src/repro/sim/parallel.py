@@ -57,6 +57,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.messages import Envelope
+from repro.sim.kernel import run_hash
 from repro.types import ProcessId
 
 INF = float("inf")
@@ -109,8 +110,7 @@ class FabricPort:
     task (it costs no kernel event in the source cell); the message sits
     in the outbox until the coordinator drains it at the barrier.  Every
     ``(src_cell, dst_cell)`` channel carries its own sequence counter —
-    the final tie-breaker of the deterministic merge, and the uniqueness
-    component of the injected envelope's ``msg_id``.
+    the final tie-breaker of the deterministic merge.
     """
 
     __slots__ = ("cell_id", "lookahead", "outbox", "posted", "_seq", "_kernel")
@@ -157,21 +157,12 @@ def inject_entry(kernel, entry: Tuple) -> None:
     messages are outside any cell's partition/chaos scenario, and the
     failure plane only ever severs ``(src, dst)`` pairs with
     ``src != dst``, so a self-sourced envelope can never be dropped by a
-    partition the destination cell happens to be simulating.  The
-    ``msg_id`` tuple is globally unique per channel sequence, so the
-    network's duplicate-delivery guard accepts it; it never feeds trace
-    hashes (see ``repro.obs.whatif.run_hash``), keeping determinism
-    independent of allocation order.
+    partition the destination cell happens to be simulating.  Each
+    entry becomes a fresh envelope, which the network's per-envelope
+    duplicate-delivery guard always accepts.
     """
-    arrival, src_cell, dst_cell, seq, dst_pid, topic, payload, sent_at = entry
-    envelope = Envelope(
-        ProcessId(dst_pid),
-        ProcessId(dst_pid),
-        topic,
-        payload,
-        sent_at,
-        msg_id=("x", src_cell, dst_cell, seq),
-    )
+    arrival, _src_cell, _dst_cell, _seq, dst_pid, topic, payload, sent_at = entry
+    envelope = Envelope(ProcessId(dst_pid), ProcessId(dst_pid), topic, payload, sent_at)
     kernel.inject(envelope, arrival)
 
 
@@ -548,8 +539,6 @@ class ParallelKernel:
 
 def cell_summary(cell: Cell) -> Dict[str, Any]:
     """The picklable per-cell digest the determinism contract compares."""
-    from repro.obs.whatif import run_hash
-
     kernel = cell.kernel
     metrics = kernel.metrics
     messages = metrics.total_messages()

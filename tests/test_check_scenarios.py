@@ -198,9 +198,31 @@ class TestLandscape:
             "leader_crash": 53,
             "memory_minority_crash": 32,
             "partition_minority": 49,
-            "crash_recover_leader": 53,
+            # the recovered leader rejoins and decides; leader_crash
+            # stops once the survivors decide
+            "crash_recover_leader": 75,
             "permission_storm": 58,
         }
+
+    def test_crash_recover_leader_waits_for_the_recovered_leader(self):
+        # the cluster's script crashes p1 at t=1 and recovers it at t=30:
+        # the default run must go on until p1 rejoined and decided
+        run = make_scenario("pmp/crash_recover_leader").build()
+        run.execute()
+        assert run.check(()) == []
+        decisions = run.kernel.metrics.decisions
+        assert 0 in decisions and decisions[0].decided_at > 30.0
+        assert 0 not in run.kernel.crashed_processes
+
+    def test_revokes_offered_only_where_a_grab_can_succeed(self):
+        # Disk Paxos's region is statically open: it refuses every grab,
+        # so a revoke there changes nothing and only widens the search
+        for column in COLUMNS:
+            pmp = make_scenario(cell("pmp", column)).injections
+            disk = make_scenario(cell("disk_paxos", column)).injections
+            assert [spec.name for spec in pmp if spec.name.startswith("revoke-")]
+            assert not [spec.name for spec in disk if spec.name.startswith("revoke-")]
+            assert [spec.name for spec in disk if spec.name.startswith("crash-")]
 
     def test_theorem_6_1_row(self):
         # Theorem 6.1: no 2-delay algorithm is safe with static

@@ -11,7 +11,7 @@ the exact committed state.
 from unittest import mock
 
 from repro.obs.runtime import attach
-from repro.obs.whatif import run_hash
+from repro.sim import run_hash
 from repro.shard import (
     ClosedLoopClient,
     ShardConfig,
@@ -310,9 +310,8 @@ class TestGoldenHashes:
 
 
 def _flow_blind_hash(kernel) -> str:
-    """Hash of the span stream with the ``flow`` attribute left out (and
-    ``msg_id``, as ``run_hash`` does): ids, parents, names, actors, exact
-    times and every other attribute."""
+    """Hash of the span stream with the ``flow`` attribute left out: ids,
+    parents, names, actors, exact times and every other attribute."""
     import hashlib
 
     obs = kernel.obs
@@ -321,7 +320,7 @@ def _flow_blind_hash(kernel) -> str:
         attrs = tuple(
             sorted(
                 kv for kv in (span.attrs or {}).items()
-                if kv[0] not in ("msg_id", "flow")
+                if kv[0] != "flow"
             )
         )
         digest.update(

@@ -23,7 +23,7 @@ from repro import (
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.obs.runtime import attach
-from repro.obs.whatif import run_hash
+from repro.sim import run_hash
 
 _PROPERTY_SETTINGS = settings(
     max_examples=10,

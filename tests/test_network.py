@@ -36,7 +36,7 @@ class TestDelivery:
         first = _env()
         net.deliver(first)
         assert first.delivered
-        twin = Envelope(P0, P1, "t", "x", 0.0, msg_id=first.msg_id)
+        twin = Envelope(P0, P1, "t", "x", 0.0)
         assert not twin.delivered
         net.deliver(twin)
         assert net.dropped == 0
@@ -99,9 +99,6 @@ class TestCrashHandling:
 
 
 class TestEnvelope:
-    def test_unique_ids(self):
-        assert _env().msg_id != _env().msg_id
-
     def test_repr_mentions_endpoints(self):
         text = repr(_env())
         assert "p1" in text and "p2" in text

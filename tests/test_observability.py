@@ -1,4 +1,4 @@
-"""The observability stack: spans, critical path, metrics, sinks, flight.
+"""The observability stack: spans, critical path, metrics, sinks, trip dumps.
 
 The acceptance claims of the tracing layer mirror the paper's Section 3
 complexity metric: a traced steady-state Protected Memory Paxos decision
@@ -10,6 +10,7 @@ analyzer reproduces the delay counts the paper states, from spans alone.
 
 import io
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import AgreementViolation, StalenessViolation
 from repro.metrics.reporting import run_report
+from repro.obs import runtime as obs_runtime
 from repro.obs import (
     ChromeTraceSink,
     Span,
@@ -459,7 +461,7 @@ class TestProfiler:
 
 
 # ----------------------------------------------------------------------
-# flight recorder
+# trip dumps
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
     def test_agreement_violation_trips_a_dump(self):
@@ -468,8 +470,7 @@ class TestFlightRecorder:
         kernel.metrics.record_decision(ProcessId(0), "a", 1.0)
         with pytest.raises(AgreementViolation):
             kernel.metrics.record_decision(ProcessId(1), "b", 2.0)
-        dump = runtime.flight.last_dump
-        assert dump is not None
+        [dump] = runtime.dumps
         assert "agreement violated" in dump["reason"]
 
     def test_staleness_violation_trips_a_dump(self):
@@ -477,12 +478,11 @@ class TestFlightRecorder:
         runtime = attach(kernel)
         with pytest.raises(StalenessViolation):
             kernel.metrics.record_stale_read("stale read of shard g0")
-        assert runtime.flight.last_dump["reason"] == "stale read of shard g0"
+        assert runtime.dumps[-1]["reason"] == "stale read of shard g0"
 
-    def test_dump_carries_recent_and_open_spans(self, tmp_path):
-        path = tmp_path / "flight.json"
+    def test_dump_carries_recent_and_open_spans(self):
         kernel = make_kernel()
-        runtime = attach(kernel, flight_path=str(path))
+        runtime = attach(kernel)
         env = env_of(kernel, 0)
 
         def worker():
@@ -491,14 +491,14 @@ class TestFlightRecorder:
 
         kernel.spawn(ProcessId(0), "worker", worker())
         kernel.run(until=10)
-        runtime.flight.trip("manual", kernel.now)
-        dump = json.loads(path.read_text())
+        dump = json.loads(json.dumps(runtime.trip("manual")))
+        assert dump["time"] == kernel.now
         assert any(s["kind"] == "memop" for s in dump["recent"])
         assert any(s["name"] == "worker" for s in dump["open"])
 
     def test_ring_keeps_newest(self):
         kernel = make_kernel()
-        runtime = attach(kernel, flight_capacity=4)
+        runtime = attach(kernel)
         env = env_of(kernel, 0)
 
         def writer():
@@ -506,12 +506,12 @@ class TestFlightRecorder:
                 yield from env.write(0, "r", ("x", "k"), i)
 
         run_single(kernel, 0, writer())
-        # the recorder keeps no ring of its own: "recent" is the tail of
-        # the runtime's span log, rebuilt on read
-        ring = runtime.flight.ring
-        assert len(ring) == 4
-        assert [s.span_id for s in ring] == [s.span_id for s in runtime.spans[-4:]]
-        assert not hasattr(runtime.flight, "record")
+        # the runtime keeps no ring of its own: "recent" is the tail of
+        # its span log, rebuilt on read
+        with mock.patch.object(obs_runtime, "DUMP_ROWS", 4):
+            recent = runtime.trip("manual")["recent"]
+        assert len(recent) == 4
+        assert recent == [s.to_dict() for s in runtime.spans[-4:]]
 
 
 # ----------------------------------------------------------------------
@@ -706,16 +706,9 @@ class TestGaugeRing:
         with pytest.raises(ValueError):
             MetricsRegistry(series_bound=0).gauge("x")
 
-    def test_attach_threads_series_bound(self, kernel):
-        runtime = attach(kernel, series_bound=4)
-        g = runtime.registry.gauge("x")
-        for i in range(10):
-            g.sample(float(i), float(i))
-        assert len(g.series) == 4 and g.dropped == 6
-
 
 # ----------------------------------------------------------------------
-# flight dumps carry the metrics + SLO state of the run
+# trip dumps carry the metrics + SLO state of the run
 # ----------------------------------------------------------------------
 class TestFlightContext:
     def test_dump_includes_registry_and_slo_snapshots(self):
@@ -724,7 +717,7 @@ class TestFlightContext:
         cluster, runtime = traced_cluster(ProtectedMemoryPaxos())
         runtime.track_slo([Objective("lat", latency_budget=50.0)])
         cluster.run(["a", "b", "c"])
-        dump = runtime.flight.trip("test", cluster.kernel.now)
+        dump = runtime.trip("test")
         assert "metrics" in dump
         assert "slo" in dump
         assert dump["slo"]["objectives"][0]["name"] == "lat"
@@ -732,7 +725,7 @@ class TestFlightContext:
     def test_dump_without_slo_still_has_metrics(self):
         cluster, runtime = traced_cluster(ProtectedMemoryPaxos())
         cluster.run(["a", "b", "c"])
-        dump = runtime.flight.trip("test", cluster.kernel.now)
+        dump = runtime.trip("test")
         assert "metrics" in dump and "slo" not in dump
 
 

@@ -50,7 +50,7 @@ from repro.sim.parallel import Cell, FabricPort, ParallelKernel
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
 from repro.net.messages import Envelope
-from repro.obs.whatif import run_hash
+from repro.sim import run_hash
 from repro.types import BOTTOM, ProcessId
 
 
@@ -91,9 +91,7 @@ class TestBarrierPrimitives:
 
         kernel.spawn(0, "t", task())
         kernel.inject(
-            Envelope(ProcessId(0), ProcessId(0), "fab", "hello", 0.0,
-                     msg_id=("x", 1, 0, 1)),
-            arrival=3.0,
+            Envelope(ProcessId(0), ProcessId(0), "fab", "hello", 0.0), arrival=3.0
         )
         assert kernel.network.injected == 1
         kernel.run(until=10.0)
@@ -101,21 +99,13 @@ class TestBarrierPrimitives:
 
     def test_inject_coerces_an_int_arrival(self):
         kernel = bare_kernel()
-        kernel.inject(
-            Envelope(ProcessId(0), ProcessId(0), "fab", None, 0.0,
-                     msg_id=("x", 1, 0, 1)),
-            arrival=3,
-        )
+        kernel.inject(Envelope(ProcessId(0), ProcessId(0), "fab", None, 0.0), arrival=3)
         kernel.run(until=10.0)
         assert kernel.now == 3.0 and type(kernel.now) is float
 
     def test_inject_into_the_past_raises(self):
         kernel = bare_kernel()
-        kernel.inject(
-            Envelope(ProcessId(0), ProcessId(0), "fab", None, 0.0,
-                     msg_id=("x", 1, 0, 1)),
-            arrival=5.0,
-        )
+        kernel.inject(Envelope(ProcessId(0), ProcessId(0), "fab", None, 0.0), arrival=5.0)
         kernel.run(until=10.0)
         assert kernel.now == 5.0
         with pytest.raises(ValueError):

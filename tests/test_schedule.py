@@ -19,7 +19,7 @@ from repro.errors import LivelockError
 from repro.sim.event_queue import EV_RESUME, EV_WAKE, EventQueue
 from repro.failures.script import FaultScript
 from repro.obs.runtime import attach
-from repro.obs.whatif import run_hash
+from repro.sim import run_hash
 from repro.sim.schedule import (
     FifoScheduler,
     RandomScheduler,

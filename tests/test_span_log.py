@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.consensus.protected_memory_paxos import PmpConfig, ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.obs import attach, critical_path, diff_runs, diff_spans, run_hash
+from repro.obs import attach, critical_path, diff_runs, diff_spans
+from repro.sim import run_hash
 from repro.obs.critical import critical_path_between
 from repro.obs.spans import Span, SpanLog
 from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV, YCSB_A, ZipfianKeys
@@ -240,7 +241,7 @@ def _tracked_growth(n_ops: int, attached: bool):
 class TestFinishedSpansAreNotObjects:
     def test_finished_rows_allocate_no_tracked_object(self):
         def span(i: int) -> Span:
-            attrs = {"src": 0, "dst": 1, "msg_id": 2**40 + i, "flow": f"{i}.1"}
+            attrs = {"src": 0, "dst": 1, "seq": 2**40 + i, "flow": f"{i}.1"}
             span = Span(i, i - 1, 1, "msg:t", "msg", "p1/leader", float(i), attrs)
             span.end = i + 1.0
             return span
@@ -255,7 +256,7 @@ class TestFinishedSpansAreNotObjects:
             growth = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        assert len(log) == 10_001 and log[-1].attrs["msg_id"] == 2**40 + 10_001
+        assert len(log) == 10_001 and log[-1].attrs["seq"] == 2**40 + 10_001
         # a row that kept its own attrs tuple grew the heap by 10 000 here
         assert growth <= 16
 

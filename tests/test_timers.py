@@ -22,7 +22,7 @@ from conftest import env_of, make_kernel
 from repro.check.scheduler import ControlledScheduler
 from repro.errors import ReproError, SimulationError
 from repro.mem.operations import ReadOp
-from repro.obs.whatif import run_hash
+from repro.sim import run_hash
 from repro.sim.event_queue import EV_RECV_TIMEOUT, EV_WAKE
 from repro.sim.kernel import Kernel
 from repro.sim.schedule import Scheduler

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -47,10 +48,11 @@ from repro.obs import (
     link_experiment,
     memory_experiment,
     phase_experiment,
-    run_hash,
     span_identities,
 )
+from repro.obs import runtime as obs_runtime
 from repro.obs.slo import SloTracker
+from repro.sim import run_hash
 from repro.sim.latency import JitteredSynchrony, NominalLatency
 from repro.shard.service import ShardConfig, ShardedKV
 from repro.shard.workload import ClosedLoopClient, OperationMix, UniformKeys
@@ -227,13 +229,14 @@ class TestWhatIfProfiler:
         assert run() == run()
 
     def test_run_hash_covers_what_a_truncated_ring_dropped(self):
-        def run(**options):
+        def run():
             cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
-            runtime = attach(cluster.kernel, profile=False, **options)
+            runtime = attach(cluster.kernel, profile=False)
             cluster.run(["a", "b", "c"])
             return cluster.kernel, runtime
 
-        kernel, runtime = run(max_spans=8)
+        with mock.patch.object(obs_runtime, "MAX_SPANS", 8):
+            kernel, runtime = run()
         assert len(runtime.finished) == 8 and runtime.dropped > 0
         truncated = run_hash(kernel)
         assert truncated != run_hash(run()[0])
