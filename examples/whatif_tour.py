@@ -166,12 +166,15 @@ def part_slo() -> dict:
             faults=script,
             # NB: the slo tuple below keeps evaluation on virtual time,
             # so this whole part's stdout is deterministic (the runtime
-            # is attached with profile=False for the same reason)
+            # is attached with profile=False for the same reason).  A 3 %
+            # error budget confirms once 6 % of a window's completions
+            # are slow: the outage leaves one slow completion per
+            # surviving client, so a looser target breaches by luck.
             slo=(
                 Objective(
                     "commit-latency",
                     latency_budget=40.0,
-                    target=0.9,
+                    target=0.97,
                     window=50.0,
                     long_window=150.0,
                     burn_threshold=2.0,

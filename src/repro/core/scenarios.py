@@ -15,7 +15,6 @@ from repro.consensus.base import ConsensusProtocol
 from repro.consensus.cheap_quorum import CheapQuorumConfig
 from repro.consensus.fast_robust import FastRobust, FastRobustConfig
 from repro.consensus.omega import crash_aware_omega, leader_schedule
-from repro.consensus.protected_memory_paxos import REGION as PMP_REGION
 from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import ConfigurationError
@@ -193,7 +192,7 @@ def permission_storm(
     shots: int = 6,
     spacing: float = 1.5,
     storm_pid: int = 2,
-    region: str = PMP_REGION,
+    region: Optional[str] = None,
     n_processes: int = 3,
     n_memories: int = 3,
     seed: int = 0,
@@ -204,9 +203,12 @@ def permission_storm(
     shape PMP's ``legalChange`` must allow), NAK-ing the leader's in-flight
     writes and forcing it back through prepare — over and over, until the
     storm ends and the leader out-retries it.  Decides despite the churn;
-    the fault timeline records every grab and its ACK/NAK.
+    the fault timeline records every grab and its ACK/NAK.  The storm
+    hits *region*, by default the protocol's own first region.
     """
     protocol = protocol or ProtectedMemoryPaxos()
+    if region is None:
+        region = protocol.regions(n_processes, n_memories)[0].region_id
     script = FaultScript()
     script.at(storm_at).permission_storm(
         pid=storm_pid, region=region, shots=shots, spacing=spacing

@@ -8,7 +8,9 @@ hashes the key to its owning shard and routes it down one of two planes:
   reads in ``consensus`` mode: hand the command to the shard's leader (a
   direct enqueue when the leader is local, a request message otherwise)
   and park until the *local* replica of the owning shard applies it — the
-  standard "client attached to a replica" SMR completion rule;
+  standard "client attached to a replica" SMR completion rule.  Requests
+  a frontend routes to one remote leader on one topic at one instant
+  share one message, a :class:`RequestBundle`;
 * the **read plane** (:meth:`ShardFrontend.get`) — non-consensus reads,
   routed by mode: ``leader`` sends the get to the shard leader, which
   serves it from local applied state under a one-sided permission-fence
@@ -35,7 +37,7 @@ floor is recorded as a staleness violation, which must never happen).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.environment import ProcessEnv
@@ -97,6 +99,39 @@ class ReadSession:
             self.floors[shard] = watermark
 
 
+class RequestBundle:
+    """The requests one frontend sends one shard leader, on one topic, at
+    one virtual instant: one message however many ride it.
+
+    The first request posts the bundle; a request routed to the same
+    (leader, topic) later in the same instant joins it instead of paying
+    its own delivery event and acceptor wake, unless the acceptor has
+    already ``taken`` it (a zero-delay link delivers within the instant).
+    The envelope carrying it is the whole unit the network sees — one
+    delay draw, one delivery, and a drop, duplicate or partition hits
+    every request aboard.  ``ctxs`` is None until a request joins with an
+    observability runtime attached; it then holds each request's sending
+    trace context (None for the first, which rides the message span), so
+    the leader enqueues every command under its own.
+    """
+
+    __slots__ = ("commands", "ctxs", "at", "taken")
+
+    def __init__(self, command: KVCommand, at: float) -> None:
+        self.commands = [command]
+        self.ctxs: Optional[List[Any]] = None
+        self.at = at
+        self.taken = False
+
+    def join(self, command: KVCommand, ctx: Any) -> None:
+        """Add *command* (sent under trace context *ctx*) to the bundle."""
+        self.commands.append(command)
+        if ctx is not None or self.ctxs is not None:
+            if self.ctxs is None:
+                self.ctxs = [None] * (len(self.commands) - 1)
+            self.ctxs.append(ctx)
+
+
 class _Pending:
     """One in-flight request on this process."""
 
@@ -135,6 +170,8 @@ class ShardFrontend:
         self.retries = 0
         self._topics: Dict[int, str] = {}  # shard -> request topic (cached)
         self._read_topics: Dict[int, str] = {}  # shard -> read topic (cached)
+        #: (leader, topic) -> the last bundle posted there
+        self._bundles: Dict[Tuple[int, str], RequestBundle] = {}
 
     # ------------------------------------------------------------------
     # the command plane
@@ -201,7 +238,7 @@ class ShardFrontend:
         """The retry loop both planes share: (re)resolve the owning shard
         and its leader each attempt — which is what carries in-flight
         requests across an elastic cutover — hand the command over (a
-        direct enqueue when the leader is local, a message otherwise) and
+        direct enqueue when the leader is local, else :meth:`_post`) and
         park on the entry's gate until an answer lands or the resend
         timer fires.  On the read plane a fence NAK (``entry.failed``)
         also exits, so the caller can fall back; the command plane
@@ -222,27 +259,44 @@ class ShardFrontend:
                 "router.attempt", shard=shard, leader=leader, n=attempt
             )
             try:
-                if read_plane:
-                    if leader == int(env.pid):
+                if leader == int(env.pid):
+                    if read_plane:
                         self.reads.submit(shard, command, leader)
                     else:
+                        self.local_submit(shard, command)
+                else:
+                    if read_plane:
                         topic = self._read_topics.get(shard)
                         if topic is None:
                             topic = self._read_topics[shard] = read_topic(shard)
-                        yield env.send(leader, command, topic=topic)
-                elif leader == int(env.pid):
-                    self.local_submit(shard, command)
-                else:
-                    topic = self._topics.get(shard)
-                    if topic is None:
-                        topic = self._topics[shard] = request_topic(shard)
-                    # ProcessId is a NewType over int: skip the wrap on the
-                    # per-request path (hash/eq are identical).
-                    yield env.send(leader, command, topic=topic)
+                    else:
+                        topic = self._topics.get(shard)
+                        if topic is None:
+                            topic = self._topics[shard] = request_topic(shard)
+                    send = self._post(leader, topic, command)
+                    if send is not None:
+                        yield send
                 yield env.gate_wait(entry.gate, timeout=self.retry_timeout)
             finally:
                 if phase:
                     phase.finish(answered=entry.done)
+
+    def _post(self, leader: int, topic: str, command: KVCommand):
+        """Hand *command* to a remote *leader* on *topic*: join the bundle
+        posted there this instant if the acceptor has not taken it yet
+        (returns None), else the send effect of a new bundle."""
+        env = self.env
+        now = env.now
+        key = (leader, topic)
+        bundle = self._bundles.get(key)
+        if bundle is not None and bundle.at == now and not bundle.taken:
+            obs = env.obs
+            bundle.join(command, obs and obs.current_task.ctx)
+            return None
+        self._bundles[key] = bundle = RequestBundle(command, now)
+        # ProcessId is a NewType over int: skip the wrap on the
+        # per-request path (hash/eq are identical).
+        return env.send(leader, bundle, topic=topic)
 
     # ------------------------------------------------------------------
     # the read plane

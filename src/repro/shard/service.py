@@ -582,13 +582,30 @@ class ShardedKV:
 
     def _acceptor(self, shard: int, env, topic: str, submit) -> Generator:
         """Leader-side intake from remote frontends: every message on
-        *topic* goes to ``submit(shard, payload, src)`` — commands to
-        ``_local_submit``, fenced reads to the read plane."""
+        *topic* is a :class:`~repro.shard.router.RequestBundle`, and each
+        command aboard goes in order to ``submit(shard, command, src)`` —
+        commands to ``_local_submit``, fenced reads to the read plane.
+        Taking the bundle closes it to later joins; with obs attached a
+        joined command is submitted under its own sending context."""
         recv = env.recv_effect(topic=topic)
+        kernel = self.kernel
         while True:
             envelope = yield recv
-            if envelope is not None:
-                submit(shard, envelope.payload, envelope.src)
+            if envelope is None:
+                continue
+            bundle, src = envelope.payload, envelope.src
+            bundle.taken = True
+            ctxs = bundle.ctxs
+            if ctxs is None or kernel.obs is None:
+                for command in bundle.commands:
+                    submit(shard, command, src)
+                continue
+            task = kernel.obs.current_task
+            own = task.ctx
+            for command, ctx in zip(bundle.commands, ctxs):
+                task.ctx = own if ctx is None else ctx
+                submit(shard, command, src)
+            task.ctx = own
 
     def _drainable(self, shard: int, command: KVCommand) -> bool:
         """May *shard*'s leader commit *command*?  Always, when static.

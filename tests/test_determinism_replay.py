@@ -176,6 +176,18 @@ class TestSeedReplay:
 # of both.  With ``_joinable_read`` patched to join nothing, every pin
 # here hashes as before.
 #
+# Same-instant requests from one frontend to one shard leader now ride
+# one message (``ShardFrontend._post``, a ``RequestBundle``).  That
+# re-pinned the two scenarios in which a request joins a bundle:
+# ``sharded_kv_2_local`` (before, detached / attached: 620a669e…f0bf /
+# a0f9d676…50b9) and ``elastic_split_jittered`` (before 8f5f8da4…b780 /
+# 474fafab…14b8; one delay draw fewer per joined request reshuffles the
+# jittered schedule, so its spans besides the timeline points and the
+# recovery phase went 2 163 → 2 205), the depth-one span stream of the
+# elastic run, ``TestUnjoinedReads``'s elastic pin and the write-heavy
+# smoke's exact fields.  ``TestUnbundledRequests`` posts every request
+# alone and gets every one of those pins back.
+#
 # ``sharded_kv_2_leader`` and ``sharded_kv_2_local`` are ``sharded_kv_2``
 # with the fenced leader read and the session-floor local read: the
 # leader run drives the read intake, the batched fence-probe server and
@@ -361,10 +373,12 @@ class TestDepthOneEquivalence:
                 "2e2d77c59e0f21f6176d16d1eea29733dfff36c0770107ad8ddda252eb1324ed"
             )
             # re-pinned with the golden hashes when chain tasks became
-            # fan-out legs (before: cb7f9865…f1ce), and when readers began
-            # to share quorum reads (before: 581da2da…d5ae)
+            # fan-out legs (before: cb7f9865…f1ce), when readers began
+            # to share quorum reads (before: 581da2da…d5ae), and when
+            # same-instant requests began to share a message (before:
+            # 816bb26a…44ec)
             assert _elastic_split_hash(attach_obs=True) == (
-                "816bb26a06b963e7efa6a3a7f569aa9d910cdd76a2ae2794bb1e0df4fb9844ec"
+                "081f3a26fb83557d789dbe712bd9cbe7b6983f78dc2a70c3248cea508b944173"
             )
 
     def _write_heavy_smoke(self):
@@ -396,21 +410,20 @@ class TestDepthOneEquivalence:
     def test_write_heavy_smoke_exact_fields(self):
         with self._at_depth_one():
             # events: 19 120 while a timer whose wait had ended was
-            # still pushed and popped
-            assert self._write_heavy_smoke() == {
-                "events": 16268, "messages": 4966, "mem_ops": 2619,
-                "virtual_elapsed": 450.0, "commits": 4800, "batches": 873,
-                "latency_sum": 37918.0,
-            }
+            # still pushed and popped; 16 268 / 4 966 messages / 2 619 mem
+            # ops / 450.0 / 873 batches / 37 918.0 while every request
+            # posted its own message
+            assert self._write_heavy_smoke() == SMOKE_AT_DEPTH_ONE
 
     def test_write_heavy_smoke_moves_at_depth_two(self):
         # the same run with the pipeline on: fewer, fuller batches, half
         # the queueing — these fields move once, with this constant
         fields = self._write_heavy_smoke()
         assert fields["commits"] == 4800
-        assert fields["batches"] < 873 and fields["events"] < 16268
-        assert fields["latency_sum"] < 0.6 * 37918.0
-        assert fields["virtual_elapsed"] < 0.6 * 450.0
+        assert fields["batches"] < SMOKE_AT_DEPTH_ONE["batches"]
+        assert fields["events"] < SMOKE_AT_DEPTH_ONE["events"]
+        assert fields["latency_sum"] < 0.6 * SMOKE_AT_DEPTH_ONE["latency_sum"]
+        assert fields["virtual_elapsed"] < 0.6 * SMOKE_AT_DEPTH_ONE["virtual_elapsed"]
 
 
 class TestUnjoinedReads:
@@ -428,9 +441,57 @@ class TestUnjoinedReads:
             assert _sharded_kv_hash(attach_obs=True) == (
                 "1dc79db5d535c5d565a7e28e6441c8fb931348cf8d5df40934b7b3ef7062e1fe"
             )
+            # re-pinned when same-instant requests began to share a
+            # message (before: 7e85ca07…41e1, which it still hashes to
+            # with every request posted alone as well)
             assert _elastic_split_hash() == (
-                "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1"
+                "f8c86a4b23e6b00b838bd0e5923e25cee084cb6fdd7acbcc5ac1edcfc8666324"
             )
+
+
+class TestUnbundledRequests:
+    """A request nobody joins posts, parks and wakes exactly as before
+    requests shared messages: with every request posted in a bundle of
+    its own, the scenarios whose pins moved hash to their pins from
+    before."""
+
+    @staticmethod
+    def _post_alone(frontend, leader, topic, command):
+        from repro.shard.router import RequestBundle
+
+        env = frontend.env
+        return env.send(leader, RequestBundle(command, env.now), topic=topic)
+
+    def test_pins_from_before_bundling(self):
+        from repro.shard import service
+        from repro.shard.router import ShardFrontend
+        from repro.smr.log import ReplicatedLog
+
+        with mock.patch.object(ShardFrontend, "_post", self._post_alone):
+            local = lambda **kw: _sharded_kv_hash(read_mode="local", **kw)
+            assert local() == (
+                "620a669e8f6a0dec3aec493b3449c64bc5df36779976e52583777948ec78f0bf"
+            )
+            assert local(attach_obs=True) == (
+                "a0f9d6768ff92f4e1b6624b52324f7705a94261fd38d3cf73ab1e032166150b9"
+            )
+            assert _elastic_split_hash() == (
+                "8f5f8da43c98fece47db26297e12a3696285e7613bba6f6c78bf3063454cb780"
+            )
+            with mock.patch(f"{__name__}.SPANS_BEFORE_TIMELINE_POINTS", 2163):
+                assert _elastic_split_hash(attach_obs=True) == (
+                    "474fafab6f7dafe6ae95319cde18ef8c77643620bb1ed2153ecff0de957914b8"
+                )
+            with mock.patch.object(ReplicatedLog, "_joinable_read", lambda log: None):
+                assert _elastic_split_hash() == (
+                    "7e85ca0756877e33dd2537c2c62b4cd5ec843b4fc95235ac12cc46ea29b541e1"
+                )
+            with mock.patch.object(service, "PIPELINE_DEPTH", 1):
+                assert TestDepthOneEquivalence()._write_heavy_smoke() == {
+                    "events": 16268, "messages": 4966, "mem_ops": 2619,
+                    "virtual_elapsed": 450.0, "commits": 4800, "batches": 873,
+                    "latency_sum": 37918.0,
+                }
 
 
 class TestHashSeedIndependence:
@@ -476,7 +537,14 @@ class TestHashSeedIndependence:
 
 #: spans (finished + open) ``elastic_split_jittered`` records besides its
 #: timeline points and its ``log.recover`` phase
-SPANS_BEFORE_TIMELINE_POINTS = 2163
+SPANS_BEFORE_TIMELINE_POINTS = 2205
+
+#: the write-heavy smoke's exact fields with ``PIPELINE_DEPTH`` at 1
+SMOKE_AT_DEPTH_ONE = {
+    "events": 14835, "messages": 3588, "mem_ops": 2589,
+    "virtual_elapsed": 452.0, "commits": 4800, "batches": 863,
+    "latency_sum": 37834.0,
+}
 
 GOLDEN_DETACHED = {
     "pmp": "c033a14e31327e1b76e974e48b583317c080503a1b5ce167bc0a6db73859e8b0",
@@ -485,8 +553,8 @@ GOLDEN_DETACHED = {
     "aligned_disk": "19a610fbec2877176940d8bae47c148e32ebac9e27e17010fb6402e0c7c23324",
     "sharded_kv_2": "0c8832e2d3c2ac4a326fc1788c4f26b014dc3b080a2aacfba33ad9277ff4772e",
     "sharded_kv_2_leader": "8a2fe0173af11991329d4fd626f55d418d04bfd33cb1bd794a1645b48c04bf66",
-    "sharded_kv_2_local": "620a669e8f6a0dec3aec493b3449c64bc5df36779976e52583777948ec78f0bf",
-    "elastic_split_jittered": "8f5f8da43c98fece47db26297e12a3696285e7613bba6f6c78bf3063454cb780",
+    "sharded_kv_2_local": "7c646bef2176a1f8ee6fe8613ce673ca93d8f2c2d8bda131b541b6e4b72f8bdd",
+    "elastic_split_jittered": "83d3414597be394225819c71bc3a802b6943e9df419fd1dd1a74bf20a4d75dc8",
 }
 
 GOLDEN_ATTACHED = {
@@ -496,6 +564,6 @@ GOLDEN_ATTACHED = {
     "aligned_disk": "cb05ff4a1cd39e3baae36de67ac81ef2d3adfe03fc827c01f843ef3d3b7bc45d",
     "sharded_kv_2": "8d4cfc5843b572ff077fcee2d70fa742b5384bede5ded76c33c2494095d22d26",
     "sharded_kv_2_leader": "dcbae2e933f6ff74d84695c8abcdeec92e7aa1b3fcb4e1fca4df5441397b4447",
-    "sharded_kv_2_local": "a0f9d6768ff92f4e1b6624b52324f7705a94261fd38d3cf73ab1e032166150b9",
-    "elastic_split_jittered": "474fafab6f7dafe6ae95319cde18ef8c77643620bb1ed2153ecff0de957914b8",
+    "sharded_kv_2_local": "c6bb03b24db1fe27c5f36341bc165d7578578bd40d747f68e78d6f2c06007a5b",
+    "elastic_split_jittered": "569fa32ab941b0b308002d8c4e6e89e6caec05cc1b6f39167b3227fb3eb26064",
 }

@@ -21,7 +21,7 @@ before the read began.  The in-run session tripwire
 import hashlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import FaultScript
 from repro.shard import READ_QUORUM, ShardConfig, ShardedKV
@@ -233,6 +233,23 @@ _SHARE_KEYS = [f"sk{i}" for i in range(6)]
         max_size=12,
     ),
 )
+# Two readers on p3 invoked at t=5 on shard 0: the first joins the read
+# posted at t=4, whose first leg lands at t=5 between them, so the second
+# posts its own read — answered at t=6 and t=7.
+@example(
+    seed=0,
+    n_shards=2,
+    scripts=[
+        [("get", "sk0")], [("put", "sk0")],
+        [("get", "sk0"), ("get", "sk1"), ("get", "sk1")],
+        [("get", "sk4"), ("get", "sk2")], [("put", "sk3"), ("get", "sk2")],
+        [("put", "sk3"), ("get", "sk1")], [("put", "sk1"), ("get", "sk0")],
+        [("get", "sk2"), ("get", "sk5")],
+        [("put", "sk0"), ("get", "sk1"), ("put", "sk4")],
+        [("put", "sk5"), ("get", "sk2")], [("get", "sk3"), ("get", "sk1")],
+        [("get", "sk2")],
+    ],
+)
 def test_sharing_a_quorum_read_never_slows_one(seed, n_shards, scripts):
     """Fault-free nominal runs, several scripted clients per process.
 
@@ -240,8 +257,11 @@ def test_sharing_a_quorum_read_never_slows_one(seed, n_shards, scripts):
     first leg lands, so: every read answers within the two delays of its
     own round trip; the reads answered together on one (process, shard)
     are one fan-out's, and include its issuer, which took exactly two;
-    readers invoked together are answered together; no session reads
-    stale and the replicas agree.
+    readers invoked together are answered together, except that the
+    shared read's first leg may land between two of them — each reader
+    that runs after the landing posts a read of its own and takes
+    exactly two;
+    no session reads stale and the replicas agree.
     """
     from unittest import mock
 
@@ -291,7 +311,9 @@ def test_sharing_a_quorum_read_never_slows_one(seed, n_shards, scripts):
     assert fanouts == len(answered)
     invoked_together = {}
     for pid, shard, invoked, returned in reads:
-        invoked_together.setdefault((pid, shard, invoked), set()).add(returned)
-    assert all(len(instants) == 1 for instants in invoked_together.values())
+        invoked_together.setdefault((pid, shard, invoked), []).append(returned)
+    for (_pid, _shard, invoked), returns in invoked_together.items():
+        first = min(returns)
+        assert all(r == first or r - invoked == 2.0 for r in returns)
     assert kernel.metrics.staleness_violations == 0
     assert service.replica_divergence() == []

@@ -409,3 +409,167 @@ class TestAnswerRules:
         frontend.complete(KVCommand("get", "k"), "v", watermark=4, shard=0)
         assert self._answer(entry) == (False, None, None, None)
         assert not entry.failed and not entry.gate.is_set
+
+
+class _Requests:
+    """A client on *pid* that sleeps *start* delays, then issues each
+    ``(op, key)`` in turn, waiting for every reply."""
+
+    def __init__(self, client_id, ops, pid=1, start=None):
+        self.client_id, self.ops, self.pid, self.start = client_id, ops, pid, start
+        self.n_ops = len(ops)
+
+    def task(self, env, frontend, recorder):
+        if self.start is not None:
+            yield env.sleep(self.start)
+        for request_id, (op, key) in enumerate(self.ops):
+            command = KVCommand(
+                op, key, value=request_id, client=self.client_id, request_id=request_id
+            )
+            started = env.now
+            if op == "get":
+                result = yield from frontend.get(command)
+            else:
+                result = yield from frontend.submit(command)
+            recorder.record(command, result, env.now - started)
+
+
+class TestRequestBundles:
+    """Requests one frontend routes to one remote shard leader on one
+    topic at one instant ride one message (a ``RequestBundle``)."""
+
+    K = 5
+
+    @staticmethod
+    def _posting(service):
+        """Spy on every frontend's ``_post``: (instant, topic, bundle,
+        joined) per request handed to a remote leader."""
+        from repro.shard.router import ShardFrontend
+
+        posts = []
+        real = ShardFrontend._post
+
+        def spy(frontend, leader, topic, command):
+            send = real(frontend, leader, topic, command)
+            bundle = frontend._bundles[(leader, topic)]
+            posts.append((frontend.env.now, topic, bundle, send is None))
+            return send
+
+        return posts, mock.patch.object(ShardFrontend, "_post", spy)
+
+    @staticmethod
+    def _applied_once(service, report, n):
+        assert report.ok and report.completed_requests == n
+        assert report.committed_commands == n
+        _converged(service, service.config.n_shards)
+
+    def _puts(self, start=None):
+        return [
+            _Requests(c, [("put", f"k{c}")], start=start) for c in range(self.K)
+        ]
+
+    def test_same_instant_requests_post_one_envelope(self):
+        # one shard led by p1; every client on p2
+        service = ShardedKV(ShardConfig(n_shards=1, seed=1))
+        posts, spying = self._posting(service)
+        with spying:
+            report = service.run_workload(self._puts())
+        assert [(at, joined) for at, _topic, _bundle, joined in posts] == [
+            (0.0, False)
+        ] + [(0.0, True)] * (self.K - 1)
+        assert len(posts[0][2].commands) == self.K
+        assert service.kernel.metrics.messages_sent[1] == 1
+        self._applied_once(service, report, self.K)
+        assert service.frontends[1].retries == 0
+
+    def test_a_request_one_instant_later_posts_a_new_envelope(self):
+        service = ShardedKV(ShardConfig(n_shards=1, seed=1))
+        clients = [_Requests(0, [("put", "a")]), _Requests(1, [("put", "b")], start=1.0)]
+        posts, spying = self._posting(service)
+        with spying:
+            report = service.run_workload(clients)
+        assert [(at, joined) for at, _topic, _bundle, joined in posts] == [
+            (0.0, False), (1.0, False)
+        ]
+        self._applied_once(service, report, 2)
+
+    def test_a_taken_bundle_is_never_joined(self):
+        # requests to the leader land in the instant they leave: the
+        # second client posts after the first bundle's delivery (its
+        # zero-length sleep queues behind it) and must post its own
+        from repro.sim.latency import AdversarialLatency
+
+        def instant_requests(kind, src, dst, now):
+            return 0.0 if kind == "msg" and src == 1 and dst == 0 else None
+
+        service = ShardedKV(
+            ShardConfig(n_shards=1, seed=1, latency=AdversarialLatency(instant_requests))
+        )
+        clients = [_Requests(0, [("put", "a")]), _Requests(1, [("put", "b")], start=0.0)]
+        posts, spying = self._posting(service)
+        with spying:
+            report = service.run_workload(clients)
+        assert [(at, joined) for at, _topic, _bundle, joined in posts] == [
+            (0.0, False), (0.0, False)
+        ]
+        assert [len(bundle.commands) for _at, _topic, bundle, _joined in posts] == [1, 1]
+        self._applied_once(service, report, 2)
+        assert service.frontends[1].retries == 0  # nobody waited for a resend
+
+    def test_a_bundle_lost_to_a_partition_is_resent_whole(self):
+        from repro import FaultScript
+
+        script = FaultScript()
+        script.at(0.5).partition([0], [1, 2]).heal(at=50.0)
+        service = ShardedKV(ShardConfig(n_shards=1, seed=1, faults=script))
+        report = service.run_workload(self._puts())
+        assert service.kernel.network.partition_dropped >= 1
+        self._applied_once(service, report, self.K)
+        assert service.frontends[1].retries == self.K
+        assert report.shards[0].duplicates == 0
+
+    def test_a_duplicated_bundle_is_applied_once(self):
+        from repro import FaultScript
+
+        script = FaultScript()
+        script.at(0.0).duplicate_link(1, 0, until=1.5)
+        service = ShardedKV(ShardConfig(n_shards=1, seed=1, faults=script))
+        report = service.run_workload(self._puts(start=1.0))
+        self._applied_once(service, report, self.K)
+        assert service.frontends[1].retries == 0
+        # the twin lands a delay later with every request aboard and
+        # commits after the run's goal: dedup absorbs each one
+        service.kernel.run(until=50.0)
+        for pid in range(3):
+            machine = service.machine(pid, 0)
+            assert (machine.applied_count, machine.duplicates) == (2 * self.K, self.K)
+        assert service.snapshot(0) == {f"k{c}": 0 for c in range(self.K)}
+
+    def test_fenced_reads_share_a_bundle(self):
+        from repro.shard.router import read_topic
+
+        service = ShardedKV(ShardConfig(n_shards=1, seed=1, read_mode="leader"))
+        clients = [_Requests(c, [("get", f"k{c}")]) for c in range(self.K)]
+        posts, spying = self._posting(service)
+        with spying:
+            report = service.run_workload(clients)
+        assert {topic for _at, topic, _bundle, _joined in posts} == {read_topic(0)}
+        assert sum(not joined for *_rest, joined in posts) == 1
+        assert report.ok and report.completed_reads == self.K
+        ledger = service.kernel.metrics
+        assert ledger.reads_served[0, "leader"] == self.K
+        assert not ledger.read_fallbacks
+
+    def test_each_joined_request_keeps_its_own_trace(self):
+        # one command per batch: every put's trace holds its own
+        # leader.batch, though all K rode the first put's message
+        service = ShardedKV(ShardConfig(n_shards=1, batch_max=1, seed=1))
+        runtime = attach(service.kernel, profile=False)
+        report = service.run_workload(self._puts())
+        self._applied_once(service, report, self.K)
+        spans = runtime.spans
+        submits = {s.trace_id for s in spans if s.name == "client.submit"}
+        batches = [s.trace_id for s in spans if s.name == "leader.batch"]
+        assert len(submits) == self.K
+        assert sorted(batches) == sorted(submits)
+        assert sum(s.name == "msg:shard-req-g0" for s in spans) == 1

@@ -279,10 +279,18 @@ class TestWhatIfProfiler:
 # ----------------------------------------------------------------------
 # SLO plane: deterministic breaches under chaos
 # ----------------------------------------------------------------------
+# A 3 % error budget: the 2x burn threshold then confirms once 6 % of a
+# window's completions are slow.  The leader outage leaves one slow
+# completion per surviving client (its first request to the dead leader
+# waits out the 200-delay resend), and a client whose request sat in the
+# leader's in-flight slot is answered by the recovered leader's takeover
+# and runs freely, diluting the long window.  At a 10 % budget the
+# breach hung on that luck: it fired for 6 of 12 seeds at crash instant
+# 60; at 3 % it fires for all 12, and for every crash instant in 50..71.
 LATENCY_SLO = Objective(
     "commit-latency",
     latency_budget=40.0,
-    target=0.9,
+    target=0.97,
     window=50.0,
     long_window=150.0,
     burn_threshold=2.0,
