@@ -219,10 +219,9 @@ class Cluster(ClusterBase):
         exempt (``faults.faulty_processes`` reports end-of-run state).
         """
         self.start(inputs)
+        faulty = self.faults.faulty_processes
         expect: Set[ProcessId] = {
-            ProcessId(p)
-            for p in range(self.config.n_processes)
-            if p not in self.faults.faulty_processes
+            ProcessId(p) for p in range(self.config.n_processes) if p not in faulty
         }
         done = self.kernel.run_until_decided(expect, deadline=self.config.deadline)
         return RunResult(

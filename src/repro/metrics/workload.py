@@ -95,7 +95,7 @@ class WorkloadReport:
     elapsed: float  # virtual delays from first submit to last apply
     #: how many requests the workload submitted in total; a report with
     #: ``completed_requests < expected_requests`` hit the deadline with
-    #: work outstanding (e.g. an exhausted BFT shard's slot budget)
+    #: work outstanding
     expected_requests: int = 0
 
     @property

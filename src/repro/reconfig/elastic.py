@@ -100,12 +100,6 @@ class ElasticConfig(ShardConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.bft_shards:
-            raise ConfigurationError(
-                "elastic shards are crash-tolerant only: Fast & Robust groups "
-                "have static, pre-declared slot regions and no recovery path "
-                "to re-spawn into a new epoch — host them on a ShardedKV"
-            )
         if self.max_shards < self.n_shards:
             raise ConfigurationError("max_shards must cover the boot shards")
         if self.initial_replicas is None:

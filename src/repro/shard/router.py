@@ -310,8 +310,8 @@ class ShardFrontend:
         """Serve a read by *mode* (service default when None).
 
         Non-``get`` commands, disabled read paths, ``consensus`` mode and
-        unreadable shards (e.g. a Byzantine-backed group) all ride the
-        command plane unchanged.  Every other path answers without a
+        unreadable shards (retired or unknown ids) all ride the command
+        plane unchanged.  Every other path answers without a
         consensus instance and falls back to the command plane rather
         than ever returning state below the session floor.
         """

@@ -11,21 +11,18 @@ to ``batch_max`` client commands.
 
 The paper's leader decides an instance with one two-delay write under
 its exclusive permission, and instances live in disjoint registers —
-nothing makes slot ``k+1`` wait for slot ``k``.  A crash-tolerant shard
-leader therefore keeps up to ``PIPELINE_DEPTH`` slots in flight (several
-work requests outstanding on one queue pair, completions polled from one
+nothing makes slot ``k+1`` wait for slot ``k``.  A shard leader
+therefore keeps up to ``PIPELINE_DEPTH`` slots in flight (several work
+requests outstanding on one queue pair, completions polled from one
 completion queue: the shard's pending gate), but posts slot ``k+1`` early
 only while a full batch is already waiting — overlap at the queue only
 while it is backed up, so an unsaturated shard behaves exactly as a
 one-slot-at-a-time leader and batch fill never falls.  The launch, NAK
 and park rules are on :meth:`ShardedKV._proposer`.
 
-Crash-tolerant shards run :class:`~repro.smr.log.ReplicatedLog`
-(Protected Memory Paxos per slot).  Shards listed in
-``ShardConfig.bft_shards`` instead run Fast & Robust per slot — the
-Byzantine backend of :mod:`repro.smr.byzantine_log` — with the same
-batching and routing on top; their slot regions are declared up front,
-so each BFT shard carries a ``bft_max_slots`` cap.
+Every shard runs :class:`~repro.smr.log.ReplicatedLog` (Protected
+Memory Paxos per slot): the service tolerates crashes, not Byzantine
+processes.  The paper's Byzantine log is :mod:`repro.smr.byzantine_log`.
 
 A shard's leader role — what its exclusive write grant lets the holder
 do — is one :class:`ShardControl` (commit pipeline, fenced-read intake,
@@ -50,8 +47,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.consensus.cheap_quorum import CheapQuorumConfig
-from repro.consensus.fast_robust import FastRobust, FastRobustConfig
 from repro.core.cluster import ClusterConfig, MultiGroupCluster
 from repro.errors import ConfigurationError
 from repro.mem.regions import RegionSpec
@@ -67,25 +62,22 @@ from repro.shard.router import (
 )
 from repro.sim.futures import Gate
 from repro.sim.latency import LatencyModel, NominalLatency
-from repro.smr.byzantine_log import slot_namespaces, slot_regions
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import Batch, ReplicatedLog, SmrConfig, smr_regions
 
 
-#: slots a crash-tolerant shard leader keeps in flight (see ``_proposer``).
+#: slots a shard leader keeps in flight (see ``_proposer``).
 #: Two hides the round trip behind the next batch: measured once, depths
 #: 3 and 4 buy 7 % more on the saturated workload's mean latency, and
 #: every extra slot in flight is one more to re-drive serially per NAK.
 PIPELINE_DEPTH = 2
-#: how long a Byzantine shard's followers wait for the leader's slot value
-BFT_LEADER_TIMEOUT = 50.0
 #: burn-rate evaluation period (virtual units) when ``ShardConfig.slo``
 #: arms the sampling ticker itself
 SLO_INTERVAL = 25.0
 
 
 def shard_region(shard: int) -> str:
-    """Region/topic namespace of one crash-tolerant shard's log."""
+    """Region/topic namespace of one shard's log."""
     return f"smr-g{shard}"
 
 
@@ -105,10 +97,6 @@ class ShardConfig:
     deadline: float = 50_000.0
     #: client resend interval; dedup makes resends idempotent
     retry_timeout: float = 200.0
-    #: shard ids served by the Byzantine Fast & Robust backend
-    bft_shards: Tuple[int, ...] = ()
-    #: per-BFT-shard slot cap (slot regions are declared up front)
-    bft_max_slots: int = 8
     #: fault timeline (FaultScript) to install; process crash/recover
     #: events target shards through their leader —
     #: one shard can churn while the untouched shards keep serving
@@ -147,20 +135,9 @@ class ShardConfig:
             raise ConfigurationError(
                 f"retry_timeout must be finite and > 0, got {self.retry_timeout!r}"
             )
-        if self.bft_max_slots < 1:
-            raise ConfigurationError("bft_max_slots must be >= 1")
-        bad = [g for g in self.bft_shards if not 0 <= g < self.n_shards]
-        if bad:
-            raise ConfigurationError(f"bft_shards out of range: {bad}")
         if self.read_mode not in READ_MODES:
             raise ConfigurationError(
                 f"unknown read_mode {self.read_mode!r}; pick one of {READ_MODES}"
-            )
-        if self.read_mode != READ_CONSENSUS and self.bft_shards:
-            raise ConfigurationError(
-                "non-consensus read paths are crash-tolerant only: a "
-                "Byzantine shard's fence/watermark registers could be lied "
-                "about by its leader — route BFT reads through consensus"
             )
         for objective in self.slo:
             shard = getattr(objective, "shard", None)
@@ -276,14 +253,9 @@ class ShardedKV:
         self.kernel = self.cluster.kernel
         # Per-shard fault targeting: when a process crashes its led shards
         # stall (queued commands die with it) and when it recovers, fresh
-        # replica state is rebuilt per shard — crash-tolerant shards only;
-        # a BFT replica that crashes stays down (Fast & Robust has no
-        # recovery protocol, and its slot regions are single-use).
+        # replica state is rebuilt per shard.
         self.kernel.failures.on_crash(self._on_process_crash)
         self.kernel.failures.on_recover(self._respawn_process)
-        #: processes that crashed at least once — their (unrecoverable) BFT
-        #: replicas are exempt from the convergence goal
-        self._ever_crashed: set = set()
 
         #: the leader role of every live group, one control per shard
         self._controls: Dict[int, ShardControl] = {
@@ -316,15 +288,12 @@ class ShardedKV:
         return {g: g % self.config.n_processes for g in self.shards}
 
     def _log_regions(self, shard: int, leader: Optional[int]) -> List[RegionSpec]:
-        """The regions of one crash-tolerant group's log."""
+        """The regions of one group's log."""
         return smr_regions(self.config.n_processes, leader, region=shard_region(shard))
 
     def _group_regions(self, shard: int, leader: Optional[int]) -> List[RegionSpec]:
         """The memory regions one group's backend needs (its read-index
         region too, with the read plane up)."""
-        cfg = self.config
-        if shard in cfg.bft_shards:
-            return slot_regions(cfg.n_processes, leader, cfg.bft_max_slots, f"g{shard}")
         regions = self._log_regions(shard, leader)
         if self.reads is not None:
             regions += self.reads.regions(shard_region(shard))
@@ -385,9 +354,9 @@ class ShardedKV:
         return [g for g in self.shards if self.leader_of(g) == pid]
 
     def _shard_readable(self, shard: int) -> bool:
-        """May the read plane serve *shard*?  Live crash-tolerant groups
-        only — Byzantine groups and retired/unknown ids ride consensus."""
-        return shard in self._controls and shard not in self.config.bft_shards
+        """May the read plane serve *shard*?  Live groups only — retired
+        and unknown ids ride consensus."""
+        return shard in self._controls
 
     def machine(self, pid: int, shard: int) -> KVStateMachine:
         return self.machines[(pid, shard)]
@@ -431,28 +400,13 @@ class ShardedKV:
     # assembly
     # ------------------------------------------------------------------
     def _spawn_replicas(self) -> None:
-        cfg = self.config
         for g in self.shards:
-            leader = self.leader_of(g)
             for pid in self.active_replicas:
-                if g in cfg.bft_shards:
-                    env = self.cluster.env_for(pid)
-                    machine = KVStateMachine()
-                    self.machines[(pid, g)] = machine
-                    self.cluster.spawn(
-                        pid, f"g{g}-bft-p{pid+1}", self._bft_driver(g, env, machine)
-                    )
-                    if pid == leader:
-                        intake = self._acceptor(
-                            g, env, request_topic(g), self._local_submit
-                        )
-                        self.cluster.spawn(pid, f"g{g}-accept", intake)
-                else:
-                    self._spawn_pmp_replica(pid, g)
+                self._spawn_pmp_replica(pid, g)
 
     def _spawn_pmp_replica(self, pid: int, shard: int, recovered: bool = False) -> None:
-        """Assemble one crash-tolerant replica of *shard* on *pid*: state
-        machine, log, and the task set its role needs.  Serves both boot
+        """Assemble one replica of *shard* on *pid*: state machine, log,
+        and the task set its role needs.  Serves both boot
         (``_spawn_replicas``) and crash recovery (``_respawn_process``,
         with ``recovered=True``: the log re-prepares instead of assuming
         permissions, and followers pull the committed prefix)."""
@@ -631,7 +585,7 @@ class ShardedKV:
         return tuple(batch)
 
     def _pipeline_depth(self) -> int:
-        """Slots a crash-tolerant leader may keep in flight here.
+        """Slots a shard leader may keep in flight here.
 
         With the read plane up each slot's chain ends in a plain write of
         the watermark register; two chains in flight under a non-FIFO
@@ -665,8 +619,8 @@ class ShardedKV:
                 )
 
     def _proposer(self, shard: int, env, log: ReplicatedLog) -> Generator:
-        """Leader loop of a crash-tolerant shard: a completion loop on the
-        shard's pending gate — harvest, launch, park.
+        """Leader loop of a shard: a completion loop on its pending
+        gate — harvest, launch, park.
 
         A restarted leader (``recovered`` log: permissions not assumed)
         first re-runs the takeover prepare and re-commits every previously
@@ -778,54 +732,6 @@ class ShardedKV:
             # retry cycle.
             yield env.gate_wait(gate, timeout=None if inflight else IDLE_POLL)
 
-    def _bft_driver(self, shard: int, env, machine: KVStateMachine) -> Generator:
-        """One replica of a Byzantine shard: Fast & Robust per slot.
-
-        Followers enter each instance with a no-op and adopt the leader's
-        batch on the fast path.  Followers start waiting for slot ``i`` as
-        soon as slot ``i-1`` decides, so an idle leader must still commit
-        a heartbeat (empty batch) within ``BFT_LEADER_TIMEOUT`` — but no
-        faster: each heartbeat burns one of the ``bft_max_slots``
-        pre-declared slots, so the leader waits for work at half the
-        follower timeout before giving up and proposing empty.
-        """
-        cfg = self.config
-        leader = self.leader_of(shard)
-        protocol = FastRobust(
-            FastRobustConfig(
-                cheap_quorum=CheapQuorumConfig(
-                    leader=leader,
-                    leader_timeout=BFT_LEADER_TIMEOUT,
-                    unanimity_timeout=2 * BFT_LEADER_TIMEOUT,
-                )
-            )
-        )
-        frontend = self.frontends[int(env.pid)]
-        for slot in range(cfg.bft_max_slots):
-            if int(env.pid) == leader:
-                control = self._controls[shard]
-                if not control.queue:
-                    yield env.gate_wait(control.gate, timeout=BFT_LEADER_TIMEOUT / 2)
-                value: Any = Batch(self._drain(control))
-                if self._cmd_ctx:
-                    self._pop_cmd_ctx(value.commands)
-            else:
-                value = Batch()  # follower no-op input; leader's batch wins
-            cq_ns, neb_ns = slot_namespaces(slot, f"g{shard}")
-            decided = yield from protocol.run_instance(
-                env,
-                value,
-                cq_namespace=cq_ns,
-                neb_namespace=neb_ns,
-                instance=(shard, slot),
-            )
-            results = machine.apply(slot, decided)
-            if isinstance(decided, Batch):
-                if decided.commands and int(env.pid) == leader:
-                    self.kernel.metrics.count_shard_commit(shard, len(decided.commands))
-                for command, result in zip(decided.commands, results):
-                    frontend.complete(command, result, watermark=slot, shard=shard)
-
     # ------------------------------------------------------------------
     # failure hooks (per-shard fault targeting)
     # ------------------------------------------------------------------
@@ -837,7 +743,6 @@ class ShardedKV:
         respawned — at-most-once dedup in the state machine makes the
         retries idempotent.
         """
-        self._ever_crashed.add(int(pid))
         for shard in self.shards_led_by(int(pid)):
             # its tasks died with the process; recovery respawns into it
             self._controls[shard].depose(self.kernel)
@@ -845,38 +750,29 @@ class ShardedKV:
     def _respawn_process(self, pid) -> None:
         """Rebuild one recovered process's replica state, shard by shard.
 
-        Every crash-tolerant shard gets a fresh state machine and a
-        ``recovered`` log: led shards re-take leadership (prepare, adopt,
-        re-commit), follower shards pull the committed prefix from their
-        leader.  The process's frontend is rebuilt too — its previous
-        incarnation's pending table died with its clients.  BFT shards are
-        not respawned: Fast & Robust has no recovery path, and a recovered
-        replica would re-enter already-consumed slot regions.
+        Every shard gets a fresh state machine and a ``recovered`` log:
+        led shards re-take leadership (prepare, adopt, re-commit), follower
+        shards pull the committed prefix from their leader.  The process's
+        frontend is rebuilt too — its previous incarnation's pending table
+        died with its clients.
         """
         pid = int(pid)
         self._boot_process(pid)
         for g in self.shards:
-            if g not in self.config.bft_shards:
-                self._spawn_pmp_replica(pid, g, recovered=True)
+            self._spawn_pmp_replica(pid, g, recovered=True)
 
     # ------------------------------------------------------------------
     # workload driving
     # ------------------------------------------------------------------
     def _converged(self) -> bool:
-        """Every live replica of every shard has applied the same prefix.
-
-        Crashed processes are exempt while down; so are the BFT replicas
-        of any process that ever crashed (Fast & Robust replicas do not
-        recover — see ``_respawn_process``).
-        """
+        """Every live replica of every shard has applied the same prefix;
+        crashed processes are exempt while down."""
         crashed = self.kernel.crashed_processes
-        bft = self.config.bft_shards
         for g in self.shards:
             counts = {
                 self.machines[(pid, g)].applied_count
                 for pid in self.active_replicas
                 if pid not in crashed
-                and not (g in bft and pid in self._ever_crashed)
             }
             if len(counts) > 1:
                 return False
@@ -892,10 +788,9 @@ class ShardedKV:
         Clients without a pinned ``pid`` are spread round-robin across
         processes.  The run ends when every request completed and all
         replicas converged (or at the deadline, whichever is first —
-        check ``report.ok`` for shortfalls, e.g. an exhausted BFT
-        shard's slot budget).  Counters are reported as deltas from the
-        start of this call, so a service may run several workloads
-        back to back.
+        check ``report.ok`` for shortfalls).  Counters are reported as
+        deltas from the start of this call, so a service may run several
+        workloads back to back.
         """
         recorder = _Recorder(self)
         # (client, request_id) is the at-most-once identity and the state

@@ -33,20 +33,17 @@ FAST_ROBUST = FastRobustConfig(
 )
 
 
-def slot_namespaces(slot: int, prefix: str = "") -> Tuple[str, str]:
+def slot_namespaces(slot: int) -> Tuple[str, str]:
     """The cheap-quorum and broadcast register namespaces of log slot
-    *slot*; *prefix* keeps apart logs that share one memory layout (the
-    sharded service prefixes ``g{shard}``)."""
-    return (f"{prefix}cq{slot}", f"{prefix}neb{slot}")
+    *slot*."""
+    return (f"cq{slot}", f"neb{slot}")
 
 
-def slot_regions(
-    n_processes: int, leader: int, n_slots: int, prefix: str = ""
-) -> List[RegionSpec]:
+def slot_regions(n_processes: int, leader: int, n_slots: int) -> List[RegionSpec]:
     """The regions of slots ``0 .. n_slots-1`` of one log, slot by slot."""
     regions: List[RegionSpec] = []
     for slot in range(n_slots):
-        cq_ns, neb_ns = slot_namespaces(slot, prefix)
+        cq_ns, neb_ns = slot_namespaces(slot)
         regions.extend(cq_regions(n_processes, leader, namespace=cq_ns))
         regions.extend(neb_regions(range(n_processes), namespace=neb_ns))
     return regions

@@ -2,16 +2,21 @@
 
 The PR 2 kernel overhaul (typed queue entries, dispatch tables, ready-lane
 wakes, direct resumes) must not cost reproducibility: two runs of the same
-seed must produce byte-identical schedules.  These tests replay a mixed
-crash + Byzantine sharded workload twice and compare a hash over the FULL
-execution — every span, every decision, all message/op counters — plus
-the exact committed state.
+seed must produce byte-identical schedules.  These tests replay a sharded
+workload with a memory crash twice, and the Byzantine backend (Fast &
+Robust single-shot and the Byzantine replicated log) likewise, and compare
+a hash over the FULL execution — every span, every decision, all
+message/op counters — plus the exact committed state.
 """
 
 from unittest import mock
 
+import pytest
+
+from repro import FastRobust
 from repro.obs.runtime import attach
 from repro.sim import run_hash
+from repro.sim.schedule import FifoScheduler
 from repro.shard import (
     ClosedLoopClient,
     ShardConfig,
@@ -19,6 +24,7 @@ from repro.shard import (
     YCSB_A,
     ZipfianKeys,
 )
+from repro.smr.byzantine_log import ByzantineLogConfig, ByzantineReplicatedLog
 from repro.types import MemoryId
 
 
@@ -27,20 +33,13 @@ OPS_PER_CLIENT = 4
 
 
 def _run_mixed(seed: int, scheduler=None):
-    """One sharded run: 3 PMP shards + 1 Byzantine (Fast & Robust) shard,
-    with a memory crash injected mid-run.  Obs attached, so the returned
-    service carries the complete span stream.  *scheduler* optionally runs
-    the whole workload through the pluggable-scheduler path (the parity
-    tests in test_schedule.py assert it changes nothing)."""
+    """One sharded run: 4 shards with a memory crash injected mid-run.
+    Obs attached, so the returned service carries the complete span
+    stream.  *scheduler* optionally runs the whole workload through the
+    pluggable-scheduler path (the parity tests in test_schedule.py assert
+    it changes nothing)."""
     service = ShardedKV(
-        ShardConfig(
-            n_shards=4,
-            batch_max=4,
-            seed=seed,
-            bft_shards=(3,),
-            bft_max_slots=16,
-            deadline=100_000.0,
-        )
+        ShardConfig(n_shards=4, batch_max=4, seed=seed, deadline=100_000.0)
     )
     attach(service.kernel, profile=False)
     service.kernel.scheduler = scheduler
@@ -203,10 +202,11 @@ def _golden_hash(kernel, run, attach_obs: bool) -> str:
     return run_hash(kernel)
 
 
-def _single_shot_hash(protocol, attach_obs: bool = False) -> str:
+def _single_shot_hash(protocol, attach_obs: bool = False, scheduler=None) -> str:
     from repro.core.cluster import Cluster, ClusterConfig
 
     cluster = Cluster(protocol, ClusterConfig(3, 3, seed=7))
+    cluster.kernel.scheduler = scheduler
 
     def run():
         result = cluster.run(["a", "b", "c"])
@@ -273,6 +273,30 @@ def _elastic_split_hash(attach_obs: bool = False) -> str:
 def _both_pins(name: str, scenario) -> None:
     assert scenario() == GOLDEN_DETACHED[name]
     assert scenario(attach_obs=True) == GOLDEN_ATTACHED[name]
+
+
+class TestByzantineReplay:
+    """The Byzantine backend under the replay checks: one seed run twice
+    gives one hash, and ``FifoScheduler`` gives the default loop's."""
+
+    @pytest.mark.parametrize(
+        "make_protocol",
+        [
+            pytest.param(FastRobust, id="fast_robust"),
+            pytest.param(
+                lambda: ByzantineReplicatedLog(
+                    {0: [("cmd", i) for i in range(3)]}, ByzantineLogConfig(n_slots=3)
+                ),
+                id="byzantine_log",
+            ),
+        ],
+    )
+    def test_seed_replay_and_fifo_parity(self, make_protocol):
+        default = _single_shot_hash(make_protocol(), attach_obs=True)
+        assert _single_shot_hash(make_protocol(), attach_obs=True) == default
+        assert _single_shot_hash(
+            make_protocol(), attach_obs=True, scheduler=FifoScheduler()
+        ) == default
 
 
 class TestGoldenHashes:

@@ -383,8 +383,6 @@ class TestReadModes:
     def test_read_mode_validation(self):
         with pytest.raises(ConfigurationError):
             ShardConfig(read_mode="psychic")
-        with pytest.raises(ConfigurationError):
-            ShardConfig(n_shards=2, read_mode=READ_QUORUM, bft_shards=(1,))
 
     def test_mode_override_on_disabled_read_plane_refuses_loudly(self):
         """A client asking for a non-consensus mode on a consensus-only

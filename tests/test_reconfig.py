@@ -235,12 +235,6 @@ class TestAutoscaler:
 
 
 class TestElasticConfigValidation:
-    def test_bft_shards_rejected(self):
-        from repro import ElasticConfig
-
-        with pytest.raises(ConfigurationError):
-            ElasticConfig(n_shards=2, bft_shards=(1,))
-
     def test_replicas_validated(self):
         from repro import ElasticConfig
 

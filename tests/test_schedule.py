@@ -101,8 +101,8 @@ class TestFifoParity:
         assert _chaos_hash(7, scheduled=False) == _chaos_hash(7, scheduled=True)
 
     def test_mixed_sharded_workload_is_bit_identical(self):
-        # the determinism-replay suite's heavy workload: sharded KV with a
-        # BFT shard, a memory crash, and 12 clients
+        # the determinism-replay suite's heavy workload: a 4-shard KV, a
+        # memory crash, and 12 clients
         service, report = _run_mixed(23)
         assert report.ok
         default = run_hash(service.kernel)

@@ -229,34 +229,6 @@ class TestOpenLoop:
         assert report.mean_batch_fill > 1.5
 
 
-class TestByzantineShards:
-    def test_mixed_pmp_and_bft_shards_converge(self):
-        service = ShardedKV(
-            ShardConfig(
-                n_shards=2,
-                batch_max=4,
-                seed=3,
-                bft_shards=(1,),
-                bft_max_slots=12,
-            )
-        )
-        clients = [
-            ClosedLoopClient(client_id=i, n_ops=4, keys=UniformKeys(64), mix=YCSB_A)
-            for i in range(6)
-        ]
-        report = service.run_workload(clients)
-        assert report.completed_requests == 24
-        _converged(service, 2)
-        # no agreement violations recorded across either backend
-        assert not service.kernel.metrics.violations
-
-    def test_bft_shard_config_validated(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ShardConfig(n_shards=2, bft_shards=(5,))
-
-
 class TestBackToBackWorkloads:
     def test_second_run_reports_only_its_own_traffic(self):
         service = ShardedKV(ShardConfig(n_shards=2, batch_max=4, seed=6))
@@ -325,16 +297,14 @@ class TestServiceConfig:
 
     # A zero retry timeout resent forever at virtual time 0, a negative
     # one died in the event queue, an infinite one never resent a lost
-    # request (nor let a quorum reader give up), no BFT slot completed
-    # nothing, and a ring without virtual nodes failed halfway through
-    # construction.
+    # request (nor let a quorum reader give up), and a ring without
+    # virtual nodes failed halfway through construction.
     @pytest.mark.parametrize(
         "field, value",
         [
             ("retry_timeout", 0.0),
             ("retry_timeout", -1.0),
             ("retry_timeout", float("inf")),
-            ("bft_max_slots", 0),
             ("vnodes", 0),
             ("vnodes", -1),
         ],
