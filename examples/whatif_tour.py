@@ -83,8 +83,8 @@ def part_whatif() -> dict:
     banner("Part 1 — causal what-if profiling (classic PMP, 8 delays)")
     profiler = WhatIfProfiler(classic_pmp, check_determinism=True)
     experiments = [
-        phase_experiment("pmp.prepare", 1 / 3, name="prepare fan-out"),
-        phase_experiment("pmp.phase2", 0.5, name="phase-2 write"),
+        phase_experiment("log.prepare", 1 / 3, name="prepare fan-out"),
+        phase_experiment("log.phase2", 0.5, name="phase-2 write"),
         link_experiment(0.5, name="all links"),
         memory_experiment(None, 0.5, name="all memories"),
         issue_experiment(0.5, name="issue cost"),

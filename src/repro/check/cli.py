@@ -10,9 +10,9 @@ Subcommands:
     stays exhaustible.
 
 ``corpus``
-    The regression corpus: for each seeded kernel bug, assert the
-    explorer finds a violating schedule (bug present) and finds none
-    (bug absent).  Non-zero exit on either failure.
+    The regression corpus: for each seeded bug, assert the explorer finds
+    a violating schedule (bug present) and finds none (bug absent).
+    Non-zero exit on either failure.
 
 ``replay``
     Re-execute a counterexample trace JSON and report whether it still
@@ -33,10 +33,6 @@ from repro.check.explore import Budget, explore
 from repro.check.scenarios import SCENARIOS, make_scenario
 from repro.check.trace import load_trace, replay_trace, save_trace
 from repro.errors import ConfigurationError
-
-# importing the corpus registers its scenarios, so argparse choices and
-# trace replay see them
-import repro.check.regressions  # noqa: E402,F401
 
 
 def _write_counterexamples(report, out_dir: str) -> List[str]:
@@ -97,18 +93,20 @@ def _cmd_corpus(args) -> int:
     from repro.check.regressions import known_bugs
 
     corpus = {
-        "unpark-token-collision": "regression-unpark-collision",
-        "stale-wake-token-check": "regression-stale-wake",
+        "unpark-token-collision": ("regression-unpark-collision", {}),
+        "stale-wake-token-check": ("regression-stale-wake", {}),
+        "nak-settled-as-committed": ("pmp/partition_minority", {"crashes": 0}),
     }
     assert set(corpus) == set(known_bugs())
     budget = Budget(divergences=args.divergences, max_runs=args.max_runs)
     failed = False
     results = {}
-    for bug, scenario_name in sorted(corpus.items()):
+    for bug, (scenario_name, params) in sorted(corpus.items()):
         buggy = explore(
-            make_scenario(scenario_name, {"bug": bug}), budget, stop_on_first=True
+            make_scenario(scenario_name, {**params, "bug": bug}), budget,
+            stop_on_first=True,
         )
-        fixed = explore(make_scenario(scenario_name, {}), budget)
+        fixed = explore(make_scenario(scenario_name, params), budget)
         print(f"[{bug}] seeded: {buggy.summary()}")
         print(f"[{bug}] fixed:  {fixed.summary()}")
         entry = {"seeded": buggy.to_dict(), "fixed": fixed.to_dict()}

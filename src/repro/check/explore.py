@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check.deps import independent
+from repro.check.regressions import seeded_bug
 from repro.check.scheduler import ControlledScheduler, Plan, StepRecord
 from repro.errors import DeadlockError, LivelockError, SafetyViolation
 
@@ -54,25 +55,25 @@ def run_plan(
     scenario, plan: Plan, max_steps: int
 ) -> Tuple[ControlledScheduler, List[str], Any]:
     """One run of *scenario* under *plan*: build it fresh, drive it with a
-    :class:`ControlledScheduler` (at most *max_steps* steps), clean up,
-    then run its oracles.  Returns ``(scheduler, errors, kernel)``; a
-    safety violation, livelock or deadlock the run raised heads the
-    oracle errors."""
-    run = scenario.build()
+    :class:`ControlledScheduler` (at most *max_steps* steps), then run its
+    oracles.  A scenario whose params name a seeded ``bug`` is built and
+    run with that bug in place (:func:`~repro.check.regressions.seeded_bug`).
+    Returns ``(scheduler, errors, kernel)``; a safety violation, livelock
+    or deadlock the run raised heads the oracle errors."""
     sched = ControlledScheduler(
         plan=plan,
         specs=getattr(scenario, "injections", ()),
         group_budgets=getattr(scenario, "group_budgets", None),
         max_steps=max_steps,
     )
-    run.kernel.scheduler = sched
     failure: Optional[str] = None
-    try:
-        run.execute()
-    except (SafetyViolation, LivelockError, DeadlockError) as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-    finally:
-        run.cleanup()
+    with seeded_bug(getattr(scenario, "params", {}).get("bug")):
+        run = scenario.build()
+        run.kernel.scheduler = sched
+        try:
+            run.execute()
+        except (SafetyViolation, LivelockError, DeadlockError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
     errors = list(run.check(tuple(sched.injections_used)))
     if failure is not None:
         errors.insert(0, failure)

@@ -1,4 +1,4 @@
-"""The regression corpus: real, fixed kernel bugs as explorer targets.
+"""The regression corpus: real, fixed bugs as explorer targets.
 
 Both kernel bugs found so far were *schedule* bugs — correct under the
 default interleaving, wrong under a neighbouring one a random seed had to
@@ -6,7 +6,9 @@ stumble into.  This module reintroduces each bug behind a private,
 test-only switch (:func:`seeded_bug`) and pairs it with a scenario whose
 **default schedule is benign**: running the scenario normally passes even
 on the buggy kernel, and only the explorer — by flipping the order of two
-same-instant events — exposes the corruption.  The corpus pins two
+same-instant events, or by injecting a fault — exposes the corruption.
+The explorer seeds the bug a scenario's ``bug`` param names for each run
+(``run_plan``), so a counterexample replays with it.  The corpus pins two
 properties at once:
 
 * the explorer *finds* each bug within a small budget (sensitivity), and
@@ -36,10 +38,12 @@ before the delivery that should win the race" corrupts the result.
 ``nak-settled-as-committed`` (never shipped — seeded with the pipelined
 commit): ``ReplicatedLog.settle`` treating a posted write whose verdict
 carries a NAK as committed, so the leader applies and broadcasts a value
-that reached a minority under a grant it no longer holds.  Not a schedule
-bug, so it has no explorer scenario and is not in :func:`known_bugs`: the
-two-slots-in-flight property in ``tests/test_recovery_scenarios.py`` must
-fail under it.
+that reached a minority under a grant it no longer holds — a completion
+taken for a commit.  Single-shot PMP settles through the same function,
+so its explorer cell ``pmp/partition_minority`` (``crashes=0``) breaks
+agreement under it once an injected grab by p2 revokes p1's grant before
+p1's phase-2 write lands.  The two-slots-in-flight property in
+``tests/test_recovery_scenarios.py`` must fail under it too.
 
 ``join-landed-quorum-read`` (never shipped — seeded with shared quorum
 reads): ``ReplicatedLog.quorum_read`` letting a reader join any read in
@@ -57,7 +61,7 @@ registered here exist purely as model-checking targets.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.check.scenarios import Scenario, ScenarioRun, register
 from repro.mem.layout import MemoryLayout
@@ -106,12 +110,12 @@ def _buggy_joinable_read(self):
 _BUGS = {
     "unpark-token-collision": (Network, "unpark", _buggy_unpark),
     "stale-wake-token-check": (Kernel, "_ev_wake", _buggy_ev_wake),
+    "nak-settled-as-committed": (ReplicatedLog, "settle", _buggy_settle),
 }
 
 #: seeded bugs a named property test bites on, not an explorer scenario
 #: (so they stay out of :func:`known_bugs`, the explorer corpus)
 _PROPERTY_BUGS = {
-    "nak-settled-as-committed": (ReplicatedLog, "settle", _buggy_settle),
     "join-landed-quorum-read": (
         ReplicatedLog, "_joinable_read", _buggy_joinable_read
     ),
@@ -173,10 +177,9 @@ def _bare_kernel(n_processes: int, seed: int) -> Kernel:
 
 
 class _RegressionScenario(Scenario):
-    """Common shape: build a bare kernel + tasks under the (optional)
-    seeded bug, run the queue dry, then check recorded task results."""
-
-    bug: Optional[str] = None  # subclasses may seed a bug via params
+    """Common shape: a bare kernel + hand-written tasks, run dry, then a
+    check of the recorded task results.  A ``bug`` param seeds that bug
+    for the run (the explorer does it, see ``run_plan``)."""
 
     def __init__(self, seed: int = 0, bug: Optional[str] = None) -> None:
         super().__init__(seed=seed, bug=bug)
@@ -188,31 +191,14 @@ class _RegressionScenario(Scenario):
         raise NotImplementedError
 
     def build(self) -> ScenarioRun:
-        bug = self.params.get("bug")
-        patch = seeded_bug(bug)
-        patch.__enter__()
-        restored = [False]
-
-        def restore() -> None:
-            if not restored[0]:
-                restored[0] = True
-                patch.__exit__(None, None, None)
-
-        try:
-            kernel = _bare_kernel(2, self.params["seed"])
-            results: Dict[str, Any] = {}
-            self._spawn(kernel, results)
-        except BaseException:
-            restore()
-            raise
-
-        def execute() -> None:
-            kernel.run(until=100.0)
-
-        def check(_injections: Tuple[str, ...]) -> List[str]:
-            return self._verdict(results)
-
-        return ScenarioRun(kernel, execute, check, cleanup=restore)
+        kernel = _bare_kernel(2, self.params["seed"])
+        results: Dict[str, Any] = {}
+        self._spawn(kernel, results)
+        return ScenarioRun(
+            kernel,
+            lambda: kernel.run(until=100.0),
+            lambda _injections: self._verdict(results),
+        )
 
 
 @register

@@ -48,19 +48,17 @@ from repro.sim.memops import FUSED, SEGMENTED
 class ScenarioRun:
     """One fresh, runnable incarnation of a scenario."""
 
-    __slots__ = ("kernel", "execute", "_check", "cleanup")
+    __slots__ = ("kernel", "execute", "_check")
 
     def __init__(
         self,
         kernel,
         execute: Callable[[], None],
         check: Callable[[Tuple[str, ...]], List[str]],
-        cleanup: Callable[[], None] = lambda: None,
     ) -> None:
         self.kernel = kernel
         self.execute = execute
         self._check = check
-        self.cleanup = cleanup
 
     def check(self, injections_used: Tuple[str, ...] = ()) -> List[str]:
         """Invariant oracles; returns error strings (empty = run passed)."""
@@ -100,12 +98,15 @@ class Canned(Scenario):
     the protocol-level memory oracle — the decided value must equal the
     value of the maximum accepted proposal across all memories
     (:func:`repro.consensus.protected_memory_paxos.chosen_value`).
+
+    *bug* names a seeded bug of the regression corpus to run under.
     """
 
     def __init__(self, name: str, factory: Callable[..., Any],
                  protocol: Callable[[], Any], n: int, *, seed: int = 0,
                  deadline: float = 300.0, crashes: int = 1, revokes: int = 1,
-                 with_recovery: bool = False, chain_delivery: str = FUSED) -> None:
+                 with_recovery: bool = False, chain_delivery: str = FUSED,
+                 bug: Optional[str] = None) -> None:
         if chain_delivery not in (FUSED, SEGMENTED):
             raise ConfigurationError(
                 f"unknown chain_delivery {chain_delivery!r}; "
@@ -113,7 +114,7 @@ class Canned(Scenario):
             )
         super().__init__(
             seed=seed, deadline=deadline, crashes=crashes, revokes=revokes,
-            with_recovery=with_recovery, chain_delivery=chain_delivery,
+            with_recovery=with_recovery, chain_delivery=chain_delivery, bug=bug,
         )
         self.name = name
         self.cell = (factory, protocol, n)
@@ -411,10 +412,9 @@ def register(cls: type) -> type:
 
 
 def make_scenario(name: str, params: Optional[Dict[str, Any]] = None) -> Scenario:
-    """Instantiate a registered scenario from its trace-serialized form."""
-    if name not in SCENARIOS:
-        # the regression corpus registers its scenarios on import
-        import repro.check.regressions  # noqa: F401
+    """Instantiate a registered scenario from its trace-serialized form
+    (the regression corpus registers its scenarios when ``repro.check``
+    is imported)."""
     try:
         make = SCENARIOS[name]
     except KeyError:

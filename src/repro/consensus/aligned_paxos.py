@@ -42,7 +42,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.base import ConsensusProtocol, DirectTransport, wait_until
 from repro.consensus.messages import Accept, Decision, Prepare
 from repro.consensus.paxos import PaxosConfig, PaxosNode
-from repro.consensus.protected_memory_paxos import PmpSlot, fold_takeover_views
+from repro.smr.log import PmpSlot, fold_takeover_views
 from repro.mem.operations import BatchOp, ChangePermissionOp, SnapshotOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
@@ -102,10 +102,11 @@ class AlignedNode:
             env, DirectTransport(env, topic=TOPIC), value, config=paxos_config
         )
         self.first_attempt = True
-        #: restarted-after-crash mode (see PmpNode.recovering): propose
-        #: regardless of Ω until decided, and keep the node's own memory
-        #: slot adoptable during phase 1 — it may hold the only surviving
-        #: copy of the previous incarnation's committed value
+        #: restarted-after-crash mode (PMP's restarted log leads itself
+        #: alike): propose regardless of Ω until decided, and keep the
+        #: node's own memory slot adoptable during phase 1 — it may hold
+        #: the only surviving copy of the previous incarnation's committed
+        #: value
         self.recovering = False
 
     # ------------------------------------------------------------------
@@ -177,7 +178,8 @@ class AlignedNode:
         probe = PmpSlot(min_prop=ballot, acc_prop=None, value=BOTTOM)
         # A recovering node publishes its ballot under a reserved boot key:
         # its own value slot may hold the previous incarnation's committed
-        # value and must stay intact and adoptable (see PmpNode._prepare_phase).
+        # value and must stay intact and adoptable (as PMP's recovering log
+        # probes its reserved slot, see ReplicatedLog.recover_leader).
         if self.recovering:
             probe_key = (REGION, "boot", int(env.pid))
         else:

@@ -20,7 +20,7 @@ Override rules target the units of the paper's cost model:
 * :class:`ScaleIssue` — the per-WR issue increment inside doorbell-batched
   chains, the "faster NIC doorbell" experiment;
 * :class:`ScalePhase` — every transport leg priced while a matching phase
-  span is open (``pmp.prepare``, ``log.phase2``, ...), the "what if this
+  span is open (``log.prepare``, ``log.phase2``, ...), the "what if this
   protocol phase were cheap" experiment.  Needs an attached obs runtime;
   the profiler's scenario is expected to attach one.
 
@@ -117,9 +117,9 @@ class ScaleIssue(Rule):
 class ScalePhase(Rule):
     """Scale every transport leg priced under a matching open phase span.
 
-    *pattern* is a substring match on phase-span names (``"pmp.prepare"``
-    matches the PMP prepare fan-out, ``"log."`` every replicated-log
-    phase).  Both legs of a memory op are scaled: the request leg looks
+    *pattern* is a substring match on phase-span names (``"log.prepare"``
+    matches the takeover prepare fan-out, single-shot PMP's included,
+    ``"log."`` every replicated-log phase).  Both legs of a memory op are scaled: the request leg looks
     up the open phases of the *issuing* task, and the matching factor is
     carried to the response leg through a per-``(pid, mid)`` FIFO — valid
     because overridden delays remain constant per component, so legs

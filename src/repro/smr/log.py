@@ -6,9 +6,10 @@ carries its decision into the next slot — the paper's "default leader in
 the next instance" — which keeps every slot on the protocol's fast path:
 with Protected Memory Paxos each committed command costs two delays.
 
-This is deliberately a *library* layer above the consensus protocols: it
-feeds inputs in, observes decisions, and applies them to a state machine
-callback in slot order.
+The log feeds inputs in, observes decisions, and applies them to a state
+machine callback in slot order.  Its proposer is the repo's one Protected
+Memory Paxos: the single-shot protocol is this log with one slot, whose
+callback is the process's decision.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from repro.consensus.probes import (
     watermark_key,
     watermark_snapshot,
 )
-from repro.consensus.protected_memory_paxos import (
-    PmpSlot,
-    fold_takeover_views,
-    takeover,
+from repro.mem.operations import (
+    BatchOp,
+    ChangePermissionOp,
+    ReadSnapshotOp,
+    SnapshotOp,
+    WriteOp,
 )
-from repro.mem.operations import BatchOp, ReadSnapshotOp, WriteOp
 from repro.mem.permissions import (
     Permission,
     exclusive_grab_policy,
@@ -40,7 +42,8 @@ from repro.mem.permissions import (
 )
 from repro.mem.regions import RegionSpec
 from repro.sim.environment import ProcessEnv
-from repro.types import is_bottom
+from repro.sim.futures import Gate
+from repro.types import BOTTOM, RegionId, is_bottom
 
 SMR_REGION = "smr"
 SMR_TOPIC = "smr"
@@ -54,6 +57,77 @@ RECOVERY_WINDOW = 64
 #: prepare-probe slot used by leader recovery: a slot index no data slot
 #: ever uses, so the probe write cannot clobber a forgotten commit
 _RECOVERY_PROBE_SLOT = -1
+#: the ballot below every real one, a fresh log's ``highest_seen``
+_NO_BALLOT = Ballot.zero()
+
+
+@dataclass(frozen=True)
+class PmpSlot:
+    """One slot: ``(minProposal, acceptedProposal, value)``."""
+
+    min_prop: Ballot
+    acc_prop: Optional[Ballot]
+    value: Any
+
+
+def takeover(
+    env: ProcessEnv, region: RegionId, probe_key: tuple, ballot: Ballot, majority: int
+) -> Generator:
+    """Algorithm 7's memory-side prepare: grab the exclusive write
+    permission on *region*, publish *ballot* at *probe_key* and snapshot
+    the whole region — ONE chain per memory, posted to every memory at
+    once and settled at *majority* completions.
+
+    The grab policy ACKs any legitimate self-grab (including a no-op
+    re-grab), so a chain aborts exactly where a refused probe write would
+    have: a tombstoned region NAKs at WR 0.  Returns the region view of
+    each memory that completed, or ``None`` when any of their chains
+    aborted (somebody else holds the grant).
+    """
+    grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
+    probe = PmpSlot(min_prop=ballot, acc_prop=None, value=BOTTOM)
+    chain = BatchOp((
+        ChangePermissionOp(region, grab),
+        WriteOp(region, probe_key, probe),
+        SnapshotOp(region, (region,)),
+    ))
+    state = yield env.fanout_to_all(chain, need=majority)
+    results = [r for r in state.results if r is not None]
+    if not all(r.ok for r in results):
+        return None
+    return [r.value[2] for r in results]
+
+
+def fold_takeover_views(views, probe_key: tuple, ballot: Ballot):
+    """Fold a takeover's region views: ``(highest min_prop, key[1] ->
+    (ballot, value) of the highest accepted proposal)``.
+
+    ``key[1]`` is the slot in the replicated log (``(region, slot, pid)``
+    registers) and the writer in Aligned Paxos (``(region, pid)``).  The
+    caller's own probe register and ballot-only probes (``acc_prop is
+    None``) carry no value.
+
+    The ballot is folded over the WHOLE snapshot before the caller decides
+    "outbid": every register carries its own ballot, so stopping at the
+    first one that outbids *ballot* would teach the caller one register's
+    worth of ballot per failed prepare — O(L) prepares for a recovering
+    log leader.  Both folds are strict maxima over ballots, and one
+    accepted ballot carries one value per ``key[1]``, so no order of the
+    views, or of the keys inside them, can change the result.
+    """
+    highest = ballot
+    best: Dict[Any, Tuple[Ballot, Any]] = {}
+    for view in views:
+        for key, other in view.items():
+            if key == probe_key or not isinstance(other, PmpSlot):
+                continue
+            if other.min_prop > highest:
+                highest = other.min_prop
+            if other.acc_prop is not None and not is_bottom(other.value):
+                current = best.get(key[1])
+                if current is None or other.acc_prop > current[0]:
+                    best[key[1]] = (other.acc_prop, other.value)
+    return highest, best
 
 
 def rx_region_of(region: str) -> str:
@@ -167,15 +241,20 @@ def smr_regions(
 
 class PostedWrite:
     """One phase-2 fan-out between its post and its settle: the
-    ``(slot, value)`` entries it carries, the kernel's completion state
-    (``state.fired`` once the verdict is in) and its open phase span."""
+    ``(slot, value)`` entries it carries, the fan-out effect its poster
+    yields, and its open phase span."""
 
-    __slots__ = ("entries", "state", "phase")
+    __slots__ = ("entries", "effect", "phase")
 
-    def __init__(self, entries, state, phase) -> None:
+    def __init__(self, entries, effect, phase) -> None:
         self.entries = entries
-        self.state = state
+        self.effect = effect
         self.phase = phase
+
+    @property
+    def state(self):
+        """The kernel's completion state (``state.fired`` at the verdict)."""
+        return self.effect.state
 
 
 class SharedRead:
@@ -193,13 +272,14 @@ class SharedRead:
 
 
 class ReplicatedLog:
-    """A Protected-Memory-Paxos-backed replicated log endpoint.
+    """A replicated log endpoint running Protected Memory Paxos
+    (Algorithm 7) per slot — the repo's one implementation of it:
+    single-shot PMP (:mod:`repro.consensus.protected_memory_paxos`) is
+    this log with one slot.
 
-    The log embeds a per-slot PMP-style proposer rather than instantiating
-    the standalone protocol object, because leadership (and hence the
-    permission skip) carries across slots: after deciding slot ``i`` the
-    leader still holds exclusive write permission, so slot ``i+1`` is again
-    a single two-delay write.
+    Leadership (and hence the permission skip) carries across slots:
+    after deciding slot ``i`` the leader still holds exclusive write
+    permission, so slot ``i+1`` is again a single two-delay write.
     """
 
     def __init__(
@@ -213,40 +293,39 @@ class ReplicatedLog:
     ) -> None:
         self.env = env
         self.apply_fn = apply_fn
-        self.config = config or SmrConfig()
+        self.config = config = config or SmrConfig()
         #: how many slots whoever drives this group's leader keeps in
         #: flight (``post_batch``).  The log itself proposes serially; the
         #: listener only needs the number to tell a decision that overtook
         #: its in-flight neighbour from a missed broadcast.
         self.pipeline_depth = pipeline_depth
-        self.region = self.config.region
-        self.topic = self.config.topic
+        self.region = config.region
+        self.topic = config.topic
         #: catch-up traffic (pull requests, horizon acks) rides a sibling
         #: topic so it never competes with commit broadcasts
-        self.sync_topic = self.config.topic + "-sync"
+        self.sync_topic = config.topic + "-sync"
         #: who may propose; defaults to the kernel's Ω oracle, but a sharded
         #: service pins each group to its own statically assigned leader
-        self._leader_fn = leader_fn if leader_fn is not None else (
-            lambda: int(env.leader())
-        )
+        self._leader_fn = leader_fn if leader_fn is not None else env.leader
         #: slot -> decided value; a slot is decided iff it is a key here
         self.decided: Dict[int, Any] = {}
         self.applied_upto = -1
-        self.highest_seen = Ballot.zero()
+        self.highest_seen = _NO_BALLOT
         #: True once this process has grabbed permissions (or started as
         #: the initial leader), letting later slots skip the prepare phase.
         #: A *recovered* initial leader must NOT assume them: its previous
         #: incarnation (or a usurper it has forgotten) may have committed
         #: values it would silently overwrite — recovery always re-prepares.
         self.permissions_held = (
-            int(env.pid) == self.config.initial_leader and not recovered
+            int(env.pid) == config.initial_leader and not recovered
         )
         #: slot -> accepted value discovered at leadership takeover; while
         #: permissions are held nobody else can write, so the cache stays
         #: complete and proposing a cached slot must re-propose its value
         #: (otherwise a takeover could overwrite an earlier leader's commit)
         self.adopt_cache: Dict[int, Any] = {}
-        self.commit_gate = env.new_gate(f"{self.region}-commit-p{int(env.pid)+1}")
+        #: pulsed at every commit, made by its first waiter (see commit_gate)
+        self._commit_gate: Optional[Gate] = None
         #: read-index region for watermark registers (quorum read path)
         self.rx_region = rx_region_of(self.region)
         #: highest watermark this process ever published (or started to):
@@ -258,18 +337,31 @@ class ReplicatedLog:
         self._joinable: Optional[SharedRead] = None
 
     # ------------------------------------------------------------------
-    def _slot_key(self, slot: int, pid: int) -> tuple:
-        return (self.region, slot, pid)
+    @property
+    def commit_gate(self) -> Gate:
+        """The gate every commit pulses.  Made on first use: a log that
+        nobody waits on (a single-shot instance) never builds one, and a
+        pulse with no waiters would wake nobody anyway."""
+        gate = self._commit_gate
+        if gate is None:
+            env = self.env
+            gate = self._commit_gate = env.new_gate(
+                f"{self.region}-commit-p{int(env.pid) + 1}"
+            )
+        return gate
 
     def _commit(self, slot: int, value: Any) -> None:
         decided = self.decided
         if slot in decided:
             return
         decided[slot] = value
-        while self.applied_upto + 1 in decided:
-            self.applied_upto += 1
-            self.apply_fn(self.applied_upto, decided[self.applied_upto])
-        self.env.pulse(self.commit_gate)
+        upto = self.applied_upto + 1
+        while upto in decided:
+            self.applied_upto = upto
+            self.apply_fn(upto, decided[upto])
+            upto += 1
+        if self._commit_gate is not None:
+            self.env.pulse(self._commit_gate)
 
     # ------------------------------------------------------------------
     # read paths (non-consensus)
@@ -722,14 +814,22 @@ class ReplicatedLog:
         was the first failed attempt, so the loop opens with its back-off.
         """
         env = self.env
+        pid = int(env.pid)
         decided = self.decided
         if after_nak and slot not in decided:
             yield self._backoff()
         while slot not in decided:
-            if self._leader_fn() != int(env.pid):
+            if self._leader_fn() != pid:
                 yield env.gate_wait(self.commit_gate, timeout=LEADER_POLL)
                 continue
-            yield from self._attempt(slot, command)
+            majority = env.majority_of_memories()
+            prop_nr = self._next_ballot()
+            if self.permissions_held:
+                value = self.adopt_cache.get(slot, command)
+            else:
+                value = yield from self._prepare(slot, prop_nr, majority, command)
+            if value is not None:
+                yield from self._phase2(prop_nr, majority, ((slot, value),))
             if slot not in decided:
                 yield self._backoff()
         return decided[slot]
@@ -756,30 +856,19 @@ class ReplicatedLog:
                 "a leader that must prepare proposes serially"
             )
         value = self.adopt_cache.get(slot, Batch(tuple(commands)))
-        posted = yield from self._phase2_post(
+        posted = self._phase2_post(
             self._next_ballot(), self.env.majority_of_memories(),
             ((slot, value),), notify,
         )
+        yield posted.effect  # the posted form resumes at once
+        if posted.phase:
+            posted.phase.suspend()  # so the next slot does not nest under it
         return posted
 
     def _next_ballot(self) -> Ballot:
         """A fresh ballot of this process's, above everything seen."""
         self.highest_seen = self.highest_seen.next_for(self.env.pid)
         return self.highest_seen
-
-    def _attempt(self, slot: int, command: Any) -> Generator:
-        env = self.env
-        majority = env.majority_of_memories()
-        prop_nr = self._next_ballot()
-
-        if self.permissions_held:
-            my_value = self.adopt_cache.get(slot, command)
-        else:
-            my_value = yield from self._prepare(slot, prop_nr, majority, command)
-            if my_value is None:
-                return
-
-        yield from self._phase2(prop_nr, majority, ((slot, my_value),))
 
     def _phase2(self, prop_nr: Ballot, majority: int, entries) -> Generator:
         """Write *entries* (``(slot, value)`` pairs, ascending) under
@@ -791,33 +880,30 @@ class ReplicatedLog:
         them (:meth:`post_batch` / :meth:`settle`) — there is one
         implementation of phase 2.
         """
-        posted = yield from self._phase2_post(prop_nr, majority, entries)
+        posted = self._phase2_post(prop_nr, majority, entries)
+        yield posted.effect
         committed = yield from self.settle(posted)
         return committed
 
     def _phase2_post(
         self, prop_nr: Ballot, majority: int, entries, notify=None
-    ) -> Generator:
+    ) -> PostedWrite:
         """Post half of phase 2: one chain per memory, all leaving at
-        this instant.  With publish_watermark the watermark write for the
-        last slot rides the SAME chain, after the slot writes (so a
-        deposed leader's NAK aborts the chain before the watermark can
-        advance): every client-visible effect of the commit happens after
-        the watermark is durable at a majority.
+        the instant the caller yields ``effect``.  With publish_watermark
+        the watermark write for the last slot rides the SAME chain, after
+        the slot writes (so a deposed leader's NAK aborts the chain before
+        the watermark can advance): every client-visible effect of the
+        commit happens after the watermark is durable at a majority.
 
-        Without *notify* the task parks here until the majority verdict;
-        with it the fan-out is posted (see ``OpFanoutEffect``) and the
-        still-open :class:`PostedWrite` comes back at once, its phase
-        span suspended so the caller's next slot does not nest under it.
+        Without *notify* the yielding task parks until the majority
+        verdict; with it the fan-out is posted (see ``OpFanoutEffect``)
+        and the task resumes at once.
         """
         env = self.env
         pid = int(env.pid)
+        region = self.region
         writes = [
-            WriteOp(
-                self.region,
-                self._slot_key(slot, pid),
-                PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=value),
-            )
+            WriteOp(region, (region, slot, pid), PmpSlot(prop_nr, prop_nr, value))
             for slot, value in entries
         ]
         if self.config.publish_watermark:
@@ -831,10 +917,9 @@ class ReplicatedLog:
         op = writes[0] if len(writes) == 1 else BatchOp(writes)
         obs = env.obs
         phase = obs and obs.phase("log.phase2", slot=entries[0][0])
-        state = yield env.fanout_to_all(op, need=majority, notify=notify)
-        if phase and notify is not None:
-            phase.suspend()
-        return PostedWrite(entries, state, phase)
+        return PostedWrite(
+            entries, env.fanout_to_all(op, need=majority, notify=notify), phase
+        )
 
     def settle(self, posted: PostedWrite) -> Generator:
         """Settle half of phase 2, run once ``posted.state.fired``: commit
@@ -866,11 +951,13 @@ class ReplicatedLog:
                 )
             self.permissions_held = False  # somebody grabbed the region
             return False
+        me = env.pid
         for slot, value in entries:
             self._commit(slot, value)
-            yield from env.broadcast(
-                (slot, Decision(value=value)), topic=self.topic, include_self=False
-            )
+            decision = (slot, Decision(value=value))
+            for dst in range(env.n_processes):
+                if dst != me:
+                    yield env.send(dst, decision, topic=self.topic)
         return True
 
     def _prepare(self, slot: int, prop_nr: Ballot, majority: int, command: Any) -> Generator:
@@ -878,7 +965,7 @@ class ReplicatedLog:
         key; its snapshot covers the whole region — every slot any previous
         leader may have written, not just the one being proposed."""
         env = self.env
-        probe_key = self._slot_key(slot, int(env.pid))
+        probe_key = (self.region, slot, int(env.pid))
         obs = env.obs
         phase = obs and obs.phase("log.prepare", slot=slot)
         try:

@@ -1,6 +1,6 @@
-"""The regression corpus: seeded kernel bugs must be rediscovered by the
-explorer (with a replayable counterexample), and the fixed kernel must
-explore clean — both directions, both bugs."""
+"""The regression corpus: seeded bugs must be rediscovered by the
+explorer (with a replayable counterexample), and the fixed code must
+explore clean — both directions, every bug."""
 
 from __future__ import annotations
 
@@ -12,10 +12,19 @@ from repro.check.trace import counterexample_to_dict
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
 
+#: bug -> (scenario, params, divergence depth its fixed run exhausts at)
 CORPUS = {
-    "unpark-token-collision": "regression-unpark-collision",
-    "stale-wake-token-check": "regression-stale-wake",
+    "unpark-token-collision": ("regression-unpark-collision", {}, 2),
+    "stale-wake-token-check": ("regression-stale-wake", {}, 2),
+    # single-shot PMP settles through ReplicatedLog.settle (184 schedules
+    # at depth 1; depth 2 runs past the budget)
+    "nak-settled-as-committed": ("pmp/partition_minority", {"crashes": 0}, 1),
 }
+
+
+def _scenario(bug, seeded=True):
+    name, params, _depth = CORPUS[bug]
+    return make_scenario(name, {**params, "bug": bug} if seeded else params)
 
 
 class TestSeededBugFlag:
@@ -60,9 +69,7 @@ class TestSeededBugFlag:
 class TestCorpus:
     def test_explorer_finds_the_seeded_bug(self, bug, tmp_path):
         report = explore(
-            make_scenario(CORPUS[bug], {"bug": bug}),
-            Budget(divergences=2, max_runs=500),
-            stop_on_first=True,
+            _scenario(bug), Budget(divergences=2, max_runs=500), stop_on_first=True
         )
         assert report.violations >= 1, f"explorer missed seeded bug {bug}"
         cx = report.counterexamples[0]
@@ -76,24 +83,21 @@ class TestCorpus:
     def test_default_schedule_is_benign_even_with_the_bug(self, bug):
         # the corpus point: these are schedule bugs — depth 0 (the exact
         # default order) passes even on the buggy kernel
-        report = explore(
-            make_scenario(CORPUS[bug], {"bug": bug}), Budget(divergences=0)
-        )
+        report = explore(_scenario(bug), Budget(divergences=0))
         assert report.runs == 1
         assert report.violations == 0
 
     def test_fixed_kernel_explores_clean(self, bug):
+        depth = CORPUS[bug][2]
         report = explore(
-            make_scenario(CORPUS[bug]), Budget(divergences=2, max_runs=500)
+            _scenario(bug, seeded=False), Budget(divergences=depth, max_runs=500)
         )
         assert report.exhausted
         assert report.violations == 0
 
     def test_counterexample_stops_reproducing_once_fixed(self, bug):
         report = explore(
-            make_scenario(CORPUS[bug], {"bug": bug}),
-            Budget(divergences=2, max_runs=500),
-            stop_on_first=True,
+            _scenario(bug), Budget(divergences=2, max_runs=500), stop_on_first=True
         )
         data = counterexample_to_dict(report.counterexamples[0])
         data["params"]["bug"] = None

@@ -187,6 +187,15 @@ class TestSeedReplay:
 # smoke's exact fields.  ``TestUnbundledRequests`` posts every request
 # alone and gets every one of those pins back.
 #
+# Single-shot PMP became a one-slot ``ReplicatedLog``, re-pinning the
+# two PMP ATTACHED hashes once (before: c9eb6f1a…8824 for ``pmp`` and
+# e63dd8c2…32cd for ``pmp_skip_off``).  Every span keeps its time, actor
+# and place, but the phases are the log's: ``pmp.prepare`` /
+# ``pmp.phase2`` with a ``ballot`` attribute became ``log.prepare`` /
+# ``log.phase2`` with ``slot`` (phase 2 also records ``failed``), and the
+# followers' listener task spans stay open, as a log's listener never
+# returns.  Both detached pins held.
+#
 # ``sharded_kv_2_leader`` and ``sharded_kv_2_local`` are ``sharded_kv_2``
 # with the fenced leader read and the session-floor local read: the
 # leader run drives the read intake, the batched fence-probe server and
@@ -582,8 +591,8 @@ GOLDEN_DETACHED = {
 }
 
 GOLDEN_ATTACHED = {
-    "pmp": "c9eb6f1a7b18417e87c06e5d15239d1f9cd7571bc3827ff6b7f12b8148e18824",
-    "pmp_skip_off": "e63dd8c2cf041f3a211fc89370e2e5920468b5510b62d9914128412e3e6f32cd",
+    "pmp": "5247f4dee16d6276f646c577dba4cbe62f6e9fca4786fba36bd5f25d3bdd9d59",
+    "pmp_skip_off": "8acdbfa63b104018259e6b68cb3eb95f5baf3ae3980f22ebacc21c19fcc456c4",
     "aligned_protected": "73ab5d4ede8d3745ade25b377fa0dc1a035183b7a90fa464cbf9a440dc82487d",
     "aligned_disk": "cb05ff4a1cd39e3baae36de67ac81ef2d3adfe03fc827c01f843ef3d3b7bc45d",
     "sharded_kv_2": "8d4cfc5843b572ff077fcee2d70fa742b5384bede5ded76c33c2494095d22d26",

@@ -223,7 +223,7 @@ class TestPaperDelayCounts:
         assert path.total == pytest.approx(2.0)
         # ...and the delays are attributed to the phase-2 write
         by_phase = path.phase_delays()
-        assert by_phase == {"pmp.phase2": {"msg": 0.0, "mem": 2.0, "queue": 0.0}}
+        assert by_phase == {"log.phase2": {"msg": 0.0, "mem": 2.0, "queue": 0.0}}
 
     def test_message_paxos_accept_phase_is_two_message_delays(self):
         cluster, runtime = traced_cluster(MessagePaxos())
@@ -242,7 +242,7 @@ class TestPaperDelayCounts:
         cluster.run(["a", "b", "c"])
         text = critical_path(runtime, ProcessId(0)).summary()
         assert "2 memory delays" in text
-        assert "pmp.phase2" in text
+        assert "log.phase2" in text
 
     def test_queueing_accounts_uncovered_time(self):
         # a decision window with no transport spans at all is pure queueing

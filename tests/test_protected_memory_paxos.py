@@ -14,14 +14,11 @@ from repro import (
 )
 from repro.consensus.ballots import Ballot
 from repro.consensus.omega import crash_aware_omega, leader_schedule
-from repro.consensus.protected_memory_paxos import (
-    PmpNode,
-    PmpSlot,
-    fold_takeover_views,
-    pmp_regions,
-)
+from repro.consensus.protected_memory_paxos import REGION, chosen_value, pmp_regions
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.obs.runtime import attach
+from repro.sim.latency import AdversarialLatency
+from repro.smr.log import PmpSlot, ReplicatedLog, SmrConfig, fold_takeover_views
 from repro.types import BOTTOM, MemoryId
 
 from tests.conftest import env_of, make_kernel
@@ -109,6 +106,53 @@ class TestResilienceNEqualsFPlus1:
         assert result.decided_values == {"FIRST"}
 
 
+class TestRestartKeepsTheOnlyCopy:
+    def test_restart_must_not_overwrite_the_only_surviving_copy(self):
+        """A restarted process probes the log's reserved slot, never its
+        own slot-0 register: that register may hold the only surviving
+        copy of a committed value.  Here p2 commits p1's value 'a' (adopted
+        from the one memory p1's write reached), wiping that memory leaves
+        p2's own registers as the last copies, and p2 then restarts: it
+        must re-commit 'a', not its own input 'b' (which the strict ledger
+        would raise as a revoked decision)."""
+
+        def slow_p1_writes(kind, pid, mid, _now):
+            # p1's phase-2 write reaches m2 and m3 long after p2's grab
+            return 100.0 if kind == "mem_req" and pid == 0 and mid != 0 else None
+
+        script = FaultScript()
+        script.at(1.5).crash_process(0)
+        script.at(10.0).crash_memory(0).recover(at=11.0, wipe=True)
+        script.at(20.0).crash_process(1).recover(at=25.0)
+        config = ClusterConfig(
+            2, 3, latency=AdversarialLatency(slow_p1_writes), deadline=1000
+        )
+        cluster = Cluster(ProtectedMemoryPaxos(), config, script)
+        kernel = cluster.kernel
+        kernel.omega = crash_aware_omega(kernel)
+        cluster.start(["a", "b"])
+
+        def copies_of_a():
+            return {
+                (mid, key): slot.acc_prop
+                for mid, memory in enumerate(kernel.memories)
+                for key, slot in memory.items()
+                if isinstance(slot, PmpSlot) and slot.value == "a"
+            }
+
+        kernel.run(until=15.0)
+        assert kernel.metrics.decisions[1].value == "a"
+        before = copies_of_a()
+        assert set(before) == {(1, (REGION, 0, 1)), (2, (REGION, 0, 1))}
+        kernel.run(until=200.0)
+        assert not kernel.metrics.violations
+        assert chosen_value(kernel) == "a"
+        # the restart re-committed 'a' under a newer ballot
+        after = copies_of_a()
+        assert set(after) >= set(before)
+        assert all(after[copy] > ballot for copy, ballot in before.items())
+
+
 class TestMemoryFailures:
     def test_tolerates_memory_minority(self):
         faults = FaultScript().at(0.0).crash_memory(1)
@@ -190,11 +234,15 @@ def _run(kernel, pid, gen):
 class TestTakeover:
     def test_outbid_prepare_learns_the_highest_ballot(self):
         kernel = make_kernel(3, 3, regions=pmp_regions(3))
-        p1, p2, p3 = (PmpNode(env_of(kernel, pid), f"v{pid}") for pid in range(3))
+        config = SmrConfig(region=REGION, topic=REGION)
+        p1, p2, p3 = (
+            ReplicatedLog(env_of(kernel, pid), lambda _slot, _value: None, config)
+            for pid in range(3)
+        )
         # p2's probe is written first at every memory, p3's higher one after
-        assert _run(kernel, 1, p2._prepare_phase(Ballot(3, 1), 2)) == "v1"
-        assert _run(kernel, 2, p3._prepare_phase(Ballot(5, 2), 2)) == "v2"
-        assert _run(kernel, 0, p1._prepare_phase(Ballot(1, 0), 2)) is None
+        assert _run(kernel, 1, p2._prepare(0, Ballot(3, 1), 2, "v1")) == "v1"
+        assert _run(kernel, 2, p3._prepare(0, Ballot(5, 2), 2, "v2")) == "v2"
+        assert _run(kernel, 0, p1._prepare(0, Ballot(1, 0), 2, "v0")) is None
         # the whole snapshot is folded, not cut at the first outbidding slot
         assert p1.highest_seen == Ballot(5, 2)
 

@@ -113,7 +113,7 @@ class TestLatencyOverride:
         # the FIFO queue-pair property (and the fused-read code paths).
         assert LatencyOverride(rules=[ScaleMemory(0.5)]).fifo_memory_ops
         assert not LatencyOverride(
-            rules=[phase_experiment("pmp.prepare", 0.5).rules[0]]
+            rules=[phase_experiment("log.prepare", 0.5).rules[0]]
         ).fifo_memory_ops
         assert not LatencyOverride(base=JitteredSynchrony()).fifo_memory_ops
 
@@ -138,8 +138,8 @@ class TestWhatIfProfiler:
     def report(self):
         prof = WhatIfProfiler(classic_pmp, check_determinism=True)
         experiments = [
-            phase_experiment("pmp.prepare", 1 / 3, name="prepare fan-out"),
-            phase_experiment("pmp.phase2", 0.5, name="phase-2 write"),
+            phase_experiment("log.prepare", 1 / 3, name="prepare fan-out"),
+            phase_experiment("log.phase2", 0.5, name="phase-2 write"),
             link_experiment(0.5, name="all links"),
             memory_experiment(0, 0.5, name="memory 0"),
             issue_experiment(0.5, name="issue cost"),
@@ -165,9 +165,9 @@ class TestWhatIfProfiler:
 
     def test_critical_path_recomposition(self, report):
         phases = report.baseline.measurement.phase_delays
-        assert phases["pmp.prepare"]["mem"] == pytest.approx(6.0)
-        assert phases["pmp.phase2"]["mem"] == pytest.approx(2.0)
-        assert phases["pmp.prepare"]["queue"] >= 0.0
+        assert phases["log.prepare"]["mem"] == pytest.approx(6.0)
+        assert phases["log.phase2"]["mem"] == pytest.approx(2.0)
+        assert phases["log.prepare"]["queue"] >= 0.0
 
     def test_greedy_ranking_stacks(self, report):
         # Round two runs on top of the prepare override; the next win is
@@ -199,7 +199,7 @@ class TestWhatIfProfiler:
         prof = WhatIfProfiler(classic_pmp)
         results = prof.compare(
             [
-                phase_experiment("pmp.prepare", 1 / 3),
+                phase_experiment("log.prepare", 1 / 3),
                 memory_experiment(None, 0.5, name="all memories"),
             ]
         )
@@ -464,7 +464,7 @@ class TestTraceDiff:
         assert diff.total_delta < 0.0
         by_name = diff.by_name()
         # the prepare phase itself shrinks...
-        assert by_name[("phase", "pmp.prepare")]["delta"] < 0.0
+        assert by_name[("phase", "log.prepare")]["delta"] < 0.0
         # ...because individual WriteOps are replaced by fused BatchOps:
         # structural churn, not matched-span churn
         assert by_name[("memop", "WriteOp")]["only_a"] > 0
@@ -475,14 +475,14 @@ class TestTraceDiff:
         _, batched = pmp_run(True)
         text = diff_runs(classic, batched).summary(limit=5)
         assert "trace diff" in text
-        assert "pmp.prepare" in text
+        assert "log.prepare" in text
 
     def test_critical_delta_localizes_to_prepare(self):
         _, classic = pmp_run(False)
         _, batched = pmp_run(True)
         delta = critical_delta(critical_path(classic, 0), critical_path(batched, 0))
-        assert delta["pmp.prepare"]["mem"] == pytest.approx(-4.0)
-        assert delta.get("pmp.phase2", {"mem": 0.0})["mem"] == pytest.approx(0.0)
+        assert delta["log.prepare"]["mem"] == pytest.approx(-4.0)
+        assert delta.get("log.phase2", {"mem": 0.0})["mem"] == pytest.approx(0.0)
 
     def test_span_identities_are_path_qualified(self):
         _, runtime = pmp_run(False)
