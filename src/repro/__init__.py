@@ -26,7 +26,7 @@ from repro.consensus.aligned_paxos import AlignedConfig, AlignedPaxos
 from repro.consensus.ballots import Ballot
 from repro.consensus.cheap_quorum import CheapQuorum, CheapQuorumConfig, CqOutcome
 from repro.consensus.disk_paxos import DiskPaxos, DiskPaxosConfig
-from repro.consensus.fast_paxos import FastPaxos, FastPaxosConfig
+from repro.consensus.fast_paxos import FastPaxos
 from repro.consensus.fast_robust import FastRobust, FastRobustConfig
 from repro.consensus.message_paxos import MessagePaxos
 from repro.consensus.omega import crash_aware_omega, leader_schedule, stable_leader
@@ -130,7 +130,6 @@ __all__ = [
     "ElasticKV",
     "EquivocatingBroadcaster",
     "FastPaxos",
-    "FastPaxosConfig",
     "FastRobust",
     "FastRobustConfig",
     "FaultScript",

@@ -30,6 +30,7 @@ counterexample trace name its scenario and be rebuilt for replay.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -43,6 +44,7 @@ from repro.lowerbound.naive_fast import NaiveFastConsensus
 from repro.mem.permissions import static_permissions
 from repro.sim.faults import FK_RECOVER_PROC
 from repro.sim.memops import FUSED, SEGMENTED
+from repro.types import process_name
 
 
 class ScenarioRun:
@@ -91,7 +93,11 @@ class Canned(Scenario):
 
     A process the cluster's fault script crashes and later recovers
     counts as live while its recovery is still ahead, as in
-    ``Cluster.run``: the run goes on until it rejoined and decided.
+    ``Cluster.run``: the run goes on until it rejoined and decided.  A
+    scripted recovery stops being ahead once it ran, counted by the
+    process's ``recover_proc`` records in the fault timeline, so an
+    injected crash at the instant of a recovery that already fired is
+    for good.
 
     Oracles: the ledger's agreement/validity record, a liveness check
     (every live process decided before the deadline) and, for PMP,
@@ -139,16 +145,23 @@ class Canned(Scenario):
             kernel.omega = crash_aware_omega(kernel)
         is_pmp = isinstance(cluster.protocol, ProtectedMemoryPaxos)
         inputs = ["a", "b", "c"][:n]
-        recoveries = [
-            (at, event.pid)
-            for at, event in cluster.faults.events
+        scripted = Counter(
+            process_name(event.pid)
+            for _at, event in cluster.faults.events
             if event.kind == FK_RECOVER_PROC
-        ]
+        )
 
         def live(pid: int) -> bool:
-            return pid not in kernel.crashed_processes or any(
-                who == pid and at >= kernel.now for at, who in recoveries
+            if pid not in kernel.crashed_processes:
+                return True
+            name = process_name(pid)
+            if not scripted[name]:
+                return False
+            ran = sum(
+                1 for record in kernel.metrics.fault_timeline
+                if record.kind == "recover_proc" and record.subject == name
             )
+            return ran < scripted[name]
 
         def undecided() -> List[int]:
             decided = kernel.metrics.decisions

@@ -9,8 +9,9 @@ Paxos replaces with permission revocation (and that Theorem 6.1 proves
 cannot be avoided without dynamic permissions or messages).
 
 A stable leader (ballot established by an earlier instance, modeled with
-``established_leader``) still pays write + read-back per attempt: 2 memory
-operations = 4 delays.
+:data:`ESTABLISHED_LEADER`) still pays write + read-back per attempt: 2
+memory operations = 4 delays.  Any other process that Ω names first runs
+phase 1 as well: 8 delays.
 
 Each round posts one single-target write leg per disk, all pulsing one
 round gate, and runs a completion loop: as soon as a disk's write leg
@@ -43,6 +44,9 @@ TOPIC = "dp"
 LEADER_POLL = 2.0
 RETRY_BACKOFF = 4.0
 LEARN_POLL = 2.0
+#: process whose first ballot counts as pre-established (skips phase 1 on
+#: its first attempt, mirroring PMP's p1 head start)
+ESTABLISHED_LEADER = 0
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,6 @@ class DiskBlock:
 
 @dataclass
 class DiskPaxosConfig:
-    #: process whose first ballot counts as pre-established (skips phase 1
-    #: on its first attempt, mirroring PMP's p1 head start)
-    established_leader: Optional[int] = 0
     #: Section 3's pure disk model: learn decisions by polling the disks
     #: instead of a decision broadcast (works with links disabled entirely)
     link_free: bool = False
@@ -177,11 +178,7 @@ class DiskPaxosNode:
         majority = env.majority_of_memories()
         mbal = self.highest_seen.next_for(env.pid)
         self.highest_seen = mbal
-        skip_phase1 = (
-            self.config.established_leader is not None
-            and int(env.pid) == self.config.established_leader
-            and self.first_attempt
-        )
+        skip_phase1 = int(env.pid) == ESTABLISHED_LEADER and self.first_attempt
         self.first_attempt = False
 
         if skip_phase1:

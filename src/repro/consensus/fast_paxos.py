@@ -11,7 +11,7 @@ prepare/accept is the recovery the Ω leader runs otherwise:
   has not yet accepted anything accepts it and broadcasts ``FastAccepted``
   (1 delay); any process observing all n fast-accepts for one value decides
   — 2 delays end to end.
-* recovery: after ``recovery_delay`` the proposer falls through to the
+* recovery: after :data:`RECOVERY_DELAY` the proposer falls through to the
   classic proposer, with ballots above the fast round's.  A fast
   acceptance is recorded as an accepted pair at :data:`FAST_BALLOT`, the
   lowest ballot, so promises report it like any classic acceptance.
@@ -26,8 +26,7 @@ plain Paxos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Set, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import (
@@ -45,27 +44,16 @@ from repro.types import ProcessId
 #: the accepted ballot a fast acceptance is recorded under: below every
 #: classic ballot a proposer draws, above "nothing accepted"
 FAST_BALLOT = Ballot(0, 0)
-
-
-@dataclass
-class FastPaxosConfig:
-    #: fast-path wait before the coordinator starts recovery
-    recovery_delay: float = 10.0
+#: fast-path wait before the proposer starts classic recovery (delays)
+RECOVERY_DELAY = 10.0
 
 
 class FastPaxosNode(PaxosNode):
     """One process's Fast Paxos endpoint: a :class:`PaxosNode` (default
     :class:`~repro.consensus.paxos.PaxosConfig`) plus the fast round."""
 
-    def __init__(
-        self,
-        env: ProcessEnv,
-        transport: Transport,
-        value: Any,
-        config: Optional[FastPaxosConfig] = None,
-    ) -> None:
+    def __init__(self, env: ProcessEnv, transport: Transport, value: Any) -> None:
         super().__init__(env, transport, value)
-        self.fast_config = config or FastPaxosConfig()
         #: at most one fast-round acceptance per acceptor
         self.fast_accepted = False
         self.fast_votes: Dict[Any, Set[ProcessId]] = {}
@@ -101,7 +89,7 @@ class FastPaxosNode(PaxosNode):
             self.env,
             self.wake,
             lambda: self.decided,
-            timeout=self.fast_config.recovery_delay,
+            timeout=RECOVERY_DELAY,
         )
         outcome = yield from super().proposer()
         return outcome
@@ -112,12 +100,9 @@ class FastPaxos(ConsensusProtocol):
 
     name = "fast-paxos"
 
-    def __init__(self, config: Optional[FastPaxosConfig] = None) -> None:
-        self.config = config or FastPaxosConfig()
-
     def regions(self, n_processes: int, n_memories: int) -> List[RegionSpec]:
         return []
 
     def tasks(self, env: ProcessEnv, value: Any) -> List[Tuple[str, Generator]]:
-        node = FastPaxosNode(env, DirectTransport(env, topic="fast-paxos"), value, self.config)
+        node = FastPaxosNode(env, DirectTransport(env, topic="fast-paxos"), value)
         return [("fp-pump", node.pump()), ("fp-proposer", node.proposer())]

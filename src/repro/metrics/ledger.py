@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import AgreementViolation, ConfigurationError, StalenessViolation
+from repro.errors import AgreementViolation, StalenessViolation
 from repro.types import ProcessId
 
 #: default per-shard latency-window bound (samples retained per window)
@@ -41,11 +41,7 @@ class LatencyWindow:
     Long-running services complete millions of requests; an unbounded
     sample list is a slow memory leak, so each window retains at most
     ``bound`` samples while ``total`` keeps counting everything ever
-    appended.  Consumers that difference the stream across observation
-    ticks (the autoscaler's p99 window) address samples by their *global*
-    append index via :meth:`since` — indices that scrolled out of the ring
-    are simply gone, which is correct for a percentile-of-recent-traffic
-    reading.
+    appended.
 
     The ring is two ``array('d')`` columns, completion times and
     latencies: a sample is two floats, not a tuple the garbage collector
@@ -92,16 +88,6 @@ class LatencyWindow:
     def latencies(self) -> List[float]:
         """The retained latency values, oldest first."""
         return self._oldest_first(self._latencies).tolist()
-
-    def since(self, index: int) -> List[float]:
-        """Latencies of samples with global append index ``>= index``.
-
-        Samples that already scrolled out of the ring are not
-        resurrected: the result starts at the older of *index* and the
-        ring's retention horizon.
-        """
-        dropped = self.total - len(self._times)
-        return self.latencies()[max(0, index - dropped):]
 
 
 @dataclass
@@ -176,10 +162,8 @@ class MetricsLedger:
     #: shard -> committed commands, fed by the shard leader's apply path;
     #: the autoscaler differentiates this into per-shard commit rates
     shard_commits: Counter = field(default_factory=_counter)
-    #: retention bound applied to every latency window below (ring size)
-    latency_window_bound: int = DEFAULT_LATENCY_WINDOW
     #: shard -> bounded (completed_at, latency) ring over ALL completions —
-    #: the autoscaler's p99 window and the benchmarks' before/after series
+    #: the SLO plane's burn windows and the benchmarks' before/after series
     shard_latencies: Dict[int, LatencyWindow] = field(default_factory=dict)
     #: shard -> bounded (completed_at, latency) ring over reads only —
     #: the read-path benchmarks' p50/p99 source
@@ -198,13 +182,6 @@ class MetricsLedger:
     #: raises — its ``trip`` dump, taken while the evidence
     #: is still live — and receives every timeline record as a point span.
     obs: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        if self.latency_window_bound < 1:
-            raise ConfigurationError(
-                f"latency_window_bound={self.latency_window_bound}: a latency "
-                "window must retain at least one sample"
-            )
 
     # ------------------------------------------------------------------
     # recording
@@ -301,7 +278,7 @@ class MetricsLedger:
     def _window(self, book: Dict[int, LatencyWindow], shard: int) -> LatencyWindow:
         window = book.get(shard)
         if window is None:
-            window = book[shard] = LatencyWindow(self.latency_window_bound)
+            window = book[shard] = LatencyWindow()
         return window
 
     def record_shard_latency(

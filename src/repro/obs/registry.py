@@ -111,8 +111,7 @@ def _label_key(name: str, labels: Dict[str, Any]) -> LabelKey:
 class MetricsRegistry:
     """Interned gauges/histograms, addressable by name + labels."""
 
-    def __init__(self, series_bound: int = DEFAULT_SERIES_BOUND) -> None:
-        self.series_bound = series_bound
+    def __init__(self) -> None:
         self._gauges: Dict[LabelKey, Gauge] = {}
         self._histograms: Dict[LabelKey, Histogram] = {}
 
@@ -120,14 +119,14 @@ class MetricsRegistry:
         key = _label_key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
-            instrument = self._gauges[key] = Gauge(name, key[1], self.series_bound)
+            instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         key = _label_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(name, key[1], self.series_bound)
+            instrument = self._histograms[key] = Histogram(name, key[1])
         return instrument
 
     # ------------------------------------------------------------------

@@ -448,23 +448,18 @@ class ObsRuntime:
     # ------------------------------------------------------------------
     # SLO plane (see repro.obs.slo)
     # ------------------------------------------------------------------
-    def track_slo(self, objectives, interval: Optional[float] = None, until: Optional[float] = None):
+    def track_slo(self, objectives):
         """Install an SLO tracker evaluating *objectives* on the ticker.
 
         Objectives are :class:`repro.obs.slo.Objective` declarations;
         evaluation happens on every sampling tick (burn rates are
-        windowed in *virtual* time, so the ticker must be running — pass
-        *interval* to arm it here, or call :meth:`start_sampling`
-        yourself).  Returns the tracker (also at :attr:`slo`).
+        windowed in *virtual* time, so the ticker must be running — call
+        :meth:`start_sampling`).  Returns the tracker (also at
+        :attr:`slo`).
         """
         from repro.obs.slo import SloTracker
 
-        if self.slo is None:
-            self.slo = SloTracker(self, objectives)
-        else:
-            self.slo.add(objectives)
-        if interval is not None and not self.sampling:
-            self.start_sampling(interval, until=until)
+        self.slo = SloTracker(self, objectives)
         return self.slo
 
     # ------------------------------------------------------------------

@@ -25,12 +25,13 @@ Override rules target the units of the paper's cost model:
   the profiler's scenario is expected to attach one.
 
 :class:`WhatIfProfiler` drives scenarios, extracts a
-:class:`Measurement` per run (decision delays, commit p50/p99,
-throughput, critical-path recomposition, trace hash), and
-:meth:`WhatIfProfiler.rank` is the greedy top-k bottleneck driver: each
+:class:`Measurement` per run (decision delays, commit p99,
+critical-path recomposition, trace hash), and its one driver,
+:meth:`WhatIfProfiler.rank`, is a greedy top-k bottleneck search: each
 round it measures every remaining candidate *stacked on the winners so
 far* and keeps the one with the largest measured improvement — ranking
-by actual effect, never by span totals.
+by actual effect, never by span totals.  Its first round measures each
+candidate on its own against the baseline.
 
 Validation (asserted in tests): on skip-off PMP under segmented chain
 delivery the top-ranked experiment is the prepare fan-out, and scaling
@@ -318,20 +319,12 @@ class Measurement:
     """End-to-end numbers extracted from one finished run."""
 
     final_time: float
-    #: pid -> decision delay (single-shot consensus runs)
-    decision_delays: Dict[int, float] = field(default_factory=dict)
     earliest_delay: Optional[float] = None
-    commits: int = 0
-    #: commits per kilo-delay (the autoscaler's rate unit)
-    throughput: float = 0.0
-    latency_p50: Optional[float] = None
     latency_p99: Optional[float] = None
     trace_hash: str = ""
     #: critical-path recomposition of the earliest decision, when traced:
     #: phase name -> {"msg": .., "mem": .., "queue": ..}
     phase_delays: Optional[Dict[str, Dict[str, float]]] = None
-    #: (message_delays, memory_delays, queueing) of that critical path
-    path_breakdown: Optional[Tuple[float, float, float]] = None
 
     @property
     def cost(self) -> float:
@@ -356,15 +349,9 @@ def measure(kernel) -> Measurement:
         for window in ledger.shard_latencies.values()
         for _completed_at, latency in window
     ]
-    commits = sum(ledger.shard_commits.values())
-    now = kernel.now
     measurement = Measurement(
-        final_time=now,
-        decision_delays=delays,
+        final_time=kernel.now,
         earliest_delay=ledger.earliest_decision_delay(),
-        commits=commits,
-        throughput=1000.0 * commits / now if now > 0 else 0.0,
-        latency_p50=percentile(samples, 0.50) if samples else None,
         latency_p99=percentile(samples, 0.99) if samples else None,
         trace_hash=run_hash(kernel),
     )
@@ -379,11 +366,6 @@ def measure(kernel) -> Measurement:
             path = None
         if path is not None:
             measurement.phase_delays = path.phase_delays()
-            measurement.path_breakdown = (
-                path.message_delays,
-                path.memory_delays,
-                path.queueing,
-            )
     return measurement
 
 
@@ -397,36 +379,6 @@ class WhatIfRun:
     name: str
     kernel: Any
     measurement: Measurement
-
-    @property
-    def runtime(self):
-        """The run's obs runtime (None when the scenario didn't attach)."""
-        return self.kernel.obs
-
-
-@dataclass
-class WhatIfResult:
-    """One experiment next to the baseline."""
-
-    experiment: Experiment
-    run: WhatIfRun
-    baseline: WhatIfRun
-
-    @property
-    def before(self) -> float:
-        return self.baseline.measurement.cost
-
-    @property
-    def after(self) -> float:
-        return self.run.measurement.cost
-
-    @property
-    def improvement(self) -> float:
-        return self.before - self.after
-
-    @property
-    def speedup(self) -> Optional[float]:
-        return None if self.after == 0 else self.before / self.after
 
 
 @dataclass
@@ -544,19 +496,7 @@ class WhatIfProfiler:
             self._baseline = self.run()
         return self._baseline
 
-    # -- drivers --------------------------------------------------------
-    def compare(self, experiments: Sequence[Experiment]) -> List[WhatIfResult]:
-        """Measure each experiment independently against the baseline."""
-        baseline = self.baseline()
-        return [
-            WhatIfResult(
-                experiment,
-                self.run(experiment.rules, experiment.name),
-                baseline,
-            )
-            for experiment in experiments
-        ]
-
+    # -- the driver -----------------------------------------------------
     def rank(self, experiments: Sequence[Experiment], k: int = 3) -> BottleneckReport:
         """Greedy top-k bottleneck ranking by *measured* improvement.
 
@@ -565,6 +505,8 @@ class WhatIfProfiler:
         stop early when nothing improves.  Stacking matters — after the
         top bottleneck is virtually removed, the second round measures
         what *then* dominates, exactly like iterated causal profiling.
+        The first round stacks on nothing, so ``rank(xs, k=1).rounds[0]``
+        holds every experiment's cost measured on its own.
         """
         baseline = self.baseline()
         report = BottleneckReport(baseline)

@@ -13,7 +13,7 @@ its write access.  This package provides:
 * :mod:`~repro.reconfig.migrate` — the :class:`Migrator`, streaming
   moved key ranges with deterministic at-most-once identities;
 * :mod:`~repro.reconfig.autoscale` — the :class:`Autoscaler` policy
-  watching the metrics ledger for split/merge opportunities;
+  watching the metrics ledger's commit rates for split opportunities;
 * :mod:`~repro.reconfig.elastic` — :class:`ElasticKV`, the sharded KV
   service wired through all of the above.
 """

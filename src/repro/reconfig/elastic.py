@@ -14,7 +14,7 @@ with the reconfiguration plane:
 * a **migrator** streams moved key ranges through the destination
   groups' own logs with deterministic at-most-once identities;
 * an optional **autoscaler** watches the metrics ledger and feeds
-  split/merge proposals into the same pipeline.
+  split proposals into the same pipeline.
 
 Crash safety is by idempotence, not checkpoints: every coordinator step
 either re-ACKs (permission fences, region registration, group spawns are
@@ -215,8 +215,8 @@ class ElasticKV(ShardedKV):
         """Propose *command* at virtual *time* (scenario scripting).
 
         Fire-time validation failures (the configuration moved between
-        scheduling and firing — e.g. the autoscaler already merged the
-        shard this command targets) are recorded as rejections, exactly
+        scheduling and firing — e.g. an earlier command already merged
+        the shard this command targets) are recorded as rejections, exactly
         like an invalid committed command: a stale timer must never
         unwind the kernel's run loop.
         """

@@ -219,6 +219,20 @@ class TestLandscape:
         assert 0 in decisions and decisions[0].decided_at > 30.0
         assert 0 not in run.kernel.crashed_processes
 
+    def test_a_crash_after_the_scripted_recovery_is_for_good(self):
+        # With the default budgets the explorer may crash p1 for good at
+        # t=30, the instant its scripted recovery already ran.  p1 is then
+        # not live, so no liveness verdict may wait for it to decide.
+        runs = {}
+        for protocol in ("pmp", "disk_paxos"):
+            report = explore(
+                make_scenario(f"{protocol}/crash_recover_leader"),
+                Budget(divergences=1),
+            )
+            assert report.exhausted and report.violations == 0, protocol
+            runs[protocol] = report.runs
+        assert runs == {"pmp": 423, "disk_paxos": 466}
+
     def test_revokes_offered_only_where_a_grab_can_succeed(self):
         # Disk Paxos's region is statically open: it refuses every grab,
         # so a revoke there changes nothing and only widens the search

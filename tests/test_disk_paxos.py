@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DiskPaxos, DiskPaxosConfig, FaultScript, JitteredSynchrony, run_consensus
+from repro import DiskPaxos, FaultScript, JitteredSynchrony, run_consensus
 from repro.consensus.omega import crash_aware_omega, leader_schedule
 from repro.core.cluster import Cluster, ClusterConfig
 
@@ -20,8 +20,9 @@ class TestCommonCase:
             assert result.earliest_decision_delay >= 4.0
 
     def test_unestablished_leader_takes_eight_delays(self):
-        config = DiskPaxosConfig(established_leader=None)
-        result = run_consensus(DiskPaxos(config), 3, 3)
+        # Ω names p2 from the start: its first ballot is not the
+        # pre-established one, so it runs phase 1 before phase 2
+        result = run_consensus(DiskPaxos(), 3, 3, omega=leader_schedule([(0.0, 1)]))
         assert result.earliest_decision_delay == 8.0
 
     def test_single_process_cluster(self):

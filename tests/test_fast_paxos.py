@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import FastPaxos, FastPaxosConfig, FaultScript, JitteredSynchrony, run_consensus
+from repro import FastPaxos, FaultScript, JitteredSynchrony, run_consensus
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.consensus.fast_paxos import RECOVERY_DELAY
 from repro.consensus.omega import crash_aware_omega
 from repro.obs.runtime import attach
 
@@ -83,9 +84,10 @@ class TestRecovery:
 
 class TestConfig:
     def test_recovery_delay_is_tunable(self):
-        config = FastPaxosConfig(recovery_delay=2.0)
+        # the delay is one module constant, and recovery follows it: the
+        # fast round waits RECOVERY_DELAY, then the classic prepare and
+        # accept take two delays each
         faults = FaultScript().at(0.0).crash_process(2)
-        result = run_consensus(
-            FastPaxos(config), 3, 0, faults=faults, deadline=3000
-        )
+        result = run_consensus(FastPaxos(), 3, 0, faults=faults, deadline=3000)
         assert result.all_decided
+        assert result.earliest_decision_delay == RECOVERY_DELAY + 4.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.base import DirectTransport
-from repro.consensus.fast_paxos import FAST_BALLOT, FastPaxosConfig, FastPaxosNode
+from repro.consensus.fast_paxos import FAST_BALLOT, FastPaxosNode
 from repro.consensus.messages import FastAccepted, FastPropose, Prepare, Promise
 from repro.consensus.paxos import PaxosConfig
 from repro.types import ProcessId
@@ -92,7 +92,3 @@ class TestConfigs:
         assert PaxosConfig().quorum_for(3) == 2
         assert PaxosConfig().quorum_for(5) == 3
         assert PaxosConfig(quorum=4).quorum_for(5) == 4
-
-    def test_fast_paxos_config_defaults(self):
-        config = FastPaxosConfig()
-        assert config.recovery_delay > 0

@@ -22,6 +22,7 @@ from repro.metrics.reporting import run_report
 from repro.obs import runtime as obs_runtime
 from repro.obs import (
     ChromeTraceSink,
+    Gauge,
     Span,
     JsonlSink,
     K_MEMOP,
@@ -692,8 +693,7 @@ class TestCriticalPathEdges:
 # ----------------------------------------------------------------------
 class TestGaugeRing:
     def test_dropped_counts_scrolled_samples(self):
-        registry = MetricsRegistry(series_bound=8)
-        g = registry.gauge("depth")
+        g = Gauge("depth", (), bound=8)
         for i in range(20):
             g.sample(float(i), float(i))
         assert len(g.series) == 8
@@ -704,7 +704,7 @@ class TestGaugeRing:
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
-            MetricsRegistry(series_bound=0).gauge("x")
+            Gauge("x", (), bound=0)
 
 
 # ----------------------------------------------------------------------

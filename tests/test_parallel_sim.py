@@ -300,10 +300,15 @@ class TestCrossWorkerDeterminism:
         )
         return factories, n_clients * ops
 
+    #: the mixed workload drains by about t=430 on seeds 0..2 and 11; a
+    #: run still going at this bound lost a request (say, to a broken
+    #: leader recovery) and fails here instead of resending for ever
+    MIXED_DEADLINE = 5_000.0
+
     def _mixed_digest(self, workers, seed=11, mode="inline"):
         factories, total = self._mixed_factories(seed=seed)
         driver = ParallelKernel(factories, workers=workers, mode=mode)
-        result = driver.run()
+        result = driver.run(deadline=self.MIXED_DEADLINE)
         assert result.goal_met, f"W={workers} {mode} seed={seed}"
         digest = _digest(driver)
         completed = sum(

@@ -30,7 +30,7 @@ from repro.mem.operations import (
 )
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
-from repro.metrics.ledger import LatencyWindow, MetricsLedger
+from repro.metrics.ledger import DEFAULT_LATENCY_WINDOW, LatencyWindow, MetricsLedger
 from repro.obs.runtime import attach
 from repro.obs.whatif import LatencyOverride, ScaleLink
 from repro.reconfig import ElasticConfig, ElasticKV, MoveLeader, SplitShard
@@ -192,26 +192,6 @@ class TestLatencyWindow:
         assert window.total == 100
         assert window.latencies() == [float(i) for i in range(92, 100)]
 
-    def test_since_addresses_by_global_index(self):
-        window = LatencyWindow(bound=8)
-        for i in range(20):
-            window.append(float(i), float(i))
-        # index 15 is retained (ring holds 12..19)
-        assert window.since(15) == [15.0, 16.0, 17.0, 18.0, 19.0]
-        # index 5 scrolled out: clipped to the retention horizon
-        assert window.since(5) == window.latencies()
-        assert window.since(20) == []
-
-    def test_since_exactly_at_the_retention_horizon(self):
-        window = LatencyWindow(bound=8)
-        for i in range(20):
-            window.append(float(i), float(i))
-        # ring holds global indices 12..19; 12 is the oldest retained —
-        # asking from exactly there must return the full ring, not clip
-        assert window.since(12) == [float(i) for i in range(12, 20)]
-        # one past the horizon drops exactly the oldest sample
-        assert window.since(13) == [float(i) for i in range(13, 20)]
-
     def test_bound_of_one_keeps_only_the_newest(self):
         window = LatencyWindow(bound=1)
         for i in range(5):
@@ -219,9 +199,8 @@ class TestLatencyWindow:
         assert len(window) == 1
         assert window.total == 5
         assert window.latencies() == [4.0]
-        assert window.since(0) == [4.0]  # clipped to the single survivor
-        assert window.since(4) == [4.0]  # the horizon IS the newest
-        assert window.since(5) == []
+        with pytest.raises(ValueError):
+            LatencyWindow(bound=0)  # a ring must retain at least one sample
 
     @pytest.mark.parametrize("bound", [1, 3, 8])
     @pytest.mark.parametrize("extra", [0, 1, "bound+1"])
@@ -238,37 +217,14 @@ class TestLatencyWindow:
             reference.append((float(i), 10.0 + i))
         assert list(window) == list(reference)
         assert window.latencies() == [latency for _t, latency in reference]
-        dropped = n - len(reference)
-        for index in range(n + 2):
-            expected = [10.0 + g for g in range(max(index, dropped), n)]
-            assert window.since(index) == expected, index
-
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_ledger_rejects_an_empty_window_at_construction(self, bound):
-        # not at the first latency record, in the middle of a run
-        with pytest.raises(ConfigurationError, match="latency_window_bound"):
-            MetricsLedger(latency_window_bound=bound)
 
     def test_ledger_applies_the_bound(self):
-        ledger = MetricsLedger(strict_safety=False, latency_window_bound=4)
-        for i in range(10):
+        ledger = MetricsLedger(strict_safety=False)
+        for i in range(DEFAULT_LATENCY_WINDOW + 6):
             ledger.record_shard_latency(0, float(i), float(i), kind="read")
-        assert len(ledger.shard_latencies[0]) == 4
-        assert ledger.shard_latencies[0].total == 10
-        assert len(ledger.shard_read_latencies[0]) == 4
-
-    def test_autoscaler_p99_survives_the_ring(self):
-        from repro.reconfig.autoscale import Autoscaler, AutoscalerConfig
-
-        ledger = MetricsLedger(strict_safety=False, latency_window_bound=16)
-        policy = Autoscaler(AutoscalerConfig(interval=10.0))
-        policy.window(0.0, ledger, [0])  # baseline tick
-        for i in range(100):
-            ledger.record_shard_latency(0, float(i), 5.0 if i < 99 else 90.0)
-        rates = policy.window(100.0, ledger, [0])
-        assert rates[0][1] == 90.0  # p99 of the fresh (retained) samples
-        # second tick with no new samples: empty window, p99 resets
-        assert policy.window(200.0, ledger, [0])[0][1] == 0.0
+        assert len(ledger.shard_latencies[0]) == DEFAULT_LATENCY_WINDOW
+        assert ledger.shard_latencies[0].total == DEFAULT_LATENCY_WINDOW + 6
+        assert len(ledger.shard_read_latencies[0]) == DEFAULT_LATENCY_WINDOW
 
 
 # ----------------------------------------------------------------------
